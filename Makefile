@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-all test-faults test-chaos test-remote lint-tests bench-smoke bench-kernels bench-baseline bench-solves-smoke bench-solves-baseline bench-parallel-smoke bench-parallel-baseline bench-cold-smoke bench-cold-baseline bench-procs-smoke bench-procs-baseline
+.PHONY: test test-all test-faults test-chaos test-remote lint-tests bench-smoke bench-kernels bench-baseline bench-parallel-smoke bench-parallel-baseline bench-cold-smoke bench-cold-baseline bench-procs-smoke bench-procs-baseline
 
 ## Tier-1 test suite (the CI gate): fast deterministic tests only
 ## (pytest.ini's addopts deselect the tier2 marker by default)
@@ -50,24 +50,15 @@ bench-kernels:
 bench-baseline:
 	$(PYTHON) benchmarks/bench_kernels.py --scale smoke --write-baseline
 
-## End-to-end planned-vs-legacy solve benchmark at smoke scale (<60 s);
-## fails on >2x speedup regression against the committed baseline JSON
-bench-solves-smoke:
-	$(PYTHON) benchmarks/bench_solves.py --scale smoke --check
-
-## Refresh the committed solve baseline (run on a quiet machine)
-bench-solves-baseline:
-	$(PYTHON) benchmarks/bench_solves.py --scale smoke --write-baseline
-
 ## Thread-sweep solve benchmark at smoke scale: REPRO_THREADS {1,2,4,cores},
 ## bit-identity enforced, fails on >2x best-speedup regression vs the
 ## committed (machine-dependent) baseline JSON
 bench-parallel-smoke:
-	$(PYTHON) benchmarks/bench_solves.py --scale smoke --threads-sweep --check-threads
+	$(PYTHON) benchmarks/bench_solves.py --scale smoke --check
 
 ## Refresh the committed thread-sweep baseline (run on the target machine)
 bench-parallel-baseline:
-	$(PYTHON) benchmarks/bench_solves.py --scale smoke --threads-sweep --write-baseline
+	$(PYTHON) benchmarks/bench_solves.py --scale smoke --write-baseline
 
 ## Cold-start setup benchmark at smoke scale: per-stage cold vs warm-artifact
 ## timing, bit-identity gated; enforces the >=2x warm-cache acceptance floor

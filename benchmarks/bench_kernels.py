@@ -73,8 +73,7 @@ REQUIRED_BATCHED = ("solve_batch",)
 REQUIRED_STENCIL = ("stencil_apply", "stencil_apply_batch")
 
 #: fused entries the --require-fused floor applies to (solve-plan issue)
-REQUIRED_FUSED = ("spmv_axpy", "orthonormalize", "weighted_update_fp16",
-                  "stencil_fp16_staged")
+REQUIRED_FUSED = ("spmv_axpy", "orthonormalize", "weighted_update_fp16")
 
 
 def _time(fn, repeats: int, warmup: int = 1) -> float:
@@ -212,8 +211,7 @@ def bench_fused(problem, repeats: int) -> dict[str, dict]:
     steady-state regime of the inner Richardson level) — the case the staged
     float32 paths exist for.
     """
-    from repro.backends import Workspace, get_backend, halfvec
-    from repro.matgen import hpcg_operator
+    from repro.backends import Workspace, get_backend
     from repro.sparse import vectorops as vo
 
     matrix = problem["matrix"]
@@ -266,16 +264,6 @@ def bench_fused(problem, repeats: int) -> dict[str, dict]:
             z16.copy(), mr16, 0.97, Precision.FP16, scratch=ws, record=False),
             repeats)
         entries["weighted_update_fp16"] = {"unfused_s": unfused, "fused_s": fused}
-
-        op16 = hpcg_operator(32).astype(Precision.FP16)
-        x16 = (rng.uniform(-1.0, 1.0, op16.nrows) * 2e-5).astype(np.float16)
-        fused = _time(lambda: op16.apply(x16, record=False), repeats)
-        staged_state = halfvec.set_staged_half(False)
-        try:
-            unfused = _time(lambda: op16.apply(x16, record=False), repeats)
-        finally:
-            halfvec.set_staged_half(staged_state)
-        entries["stencil_fp16_staged"] = {"unfused_s": unfused, "fused_s": fused}
 
     for row in entries.values():
         row["speedup"] = round(row["unfused_s"] / row["fused_s"]

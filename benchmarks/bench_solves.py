@@ -1,40 +1,30 @@
-"""End-to-end solve benchmarks: compiled plans vs the legacy unplanned path.
+"""Thread-sweep solve benchmark: warm fp16-F3R solves across REPRO_THREADS.
 
-Times warm, steady-state fp16-F3R solves on the two acceptance problems of
-the solve-plan layer —
+Times warm, steady-state fp16-F3R solves on two problems —
 
 * the HPCG 27-point **matrix-free stencil** at ``grid³`` (64³ at full
   scale), preconditioned with the Jacobi fallback, and
 * a **mid-size assembled** 2-D Poisson system with block-IC(0)
   (``nblocks=16``, the paper's thread-per-block configuration),
 
-once with the plan layer + staged-fp16 kernels active (the default) and once
-with both disabled (``REPRO_PLANS=0`` semantics — the pre-plan execution
-path, kept in the solvers precisely so this comparison stays honest).  Both
-paths produce bit-identical results; the report records the per-problem
-steady-state speedup and writes ``BENCH_solves.json``.
+at ``REPRO_THREADS`` in {1, 2, 4} (and the core count when larger),
+verifies every thread count's result is **bit-identical** to the serial
+solve, and writes ``BENCH_solves_threads.json``.  Absolute warm-solve
+times are tracked by ``benchmarks/e2e``; this benchmark gates determinism
+and the thread-speedup trend.
 
 Not collected by pytest; run directly or via make:
 
     PYTHONPATH=src python benchmarks/bench_solves.py --scale smoke --check
-    PYTHONPATH=src python benchmarks/bench_solves.py --scale full \
-        --require-speedup 1.3
 
-``--check`` compares speedups against the committed baseline
-(``BENCH_solves_baseline.json``) and fails on a >2x regression;
-``--require-speedup X`` enforces an absolute floor on every problem's
-planned-over-legacy speedup (the solve-plan issue's acceptance criterion).
-
-``--threads-sweep`` instead times warm solves across ``REPRO_THREADS`` in
-{1, 2, 4} (and the core count when larger), verifies every thread count's
-result is **bit-identical** to the serial solve, and writes
-``BENCH_solves_threads.json``; ``--check-threads`` compares against the
-committed ``BENCH_solves_threads_baseline.json`` (baselines are
-machine-dependent — regenerate with ``--write-baseline`` on the target
-host; on a single-core host the sweep still gates bit-identity while the
-speedups sit at ~1x), and ``--require-parallel-speedup X`` enforces the
-multicore issue's acceptance floor (≥1.5x warm-solve throughput at ≥4
-threads) where the hardware can express it.
+``--check`` compares against the committed
+``BENCH_solves_threads_baseline.json`` and fails on a >2x best-speedup
+regression (baselines are machine-dependent — regenerate with
+``--write-baseline`` on the target host; on a single-core host the sweep
+still gates bit-identity while the speedups sit at ~1x), and
+``--require-parallel-speedup X`` enforces the multicore acceptance floor
+(≥1.5x warm-solve throughput at ≥4 threads) where the hardware can
+express it.
 """
 
 from __future__ import annotations
@@ -49,10 +39,9 @@ from pathlib import Path
 import numpy as np
 
 from repro import par
-from repro.backends import halfvec
 from repro.core import F3RConfig, F3RSolver
 from repro.matgen import hpcg_operator, poisson2d
-from repro.plans import clear_plan_cache, use_plans
+from repro.plans import clear_plan_cache
 from repro.plans.autotune import clear_autotune_cache
 
 #: per-scale problem sizes: (stencil grid side, poisson grid side, repeats)
@@ -64,10 +53,8 @@ SCALES = {
 #: blocks of the assembled problem's block-IC(0) preconditioner
 NBLOCKS = 16
 
-BASELINE_PATH = Path(__file__).parent / "BENCH_solves_baseline.json"
-OUTPUT_PATH = Path(__file__).parent / "BENCH_solves.json"
-THREADS_BASELINE_PATH = Path(__file__).parent / "BENCH_solves_threads_baseline.json"
-THREADS_OUTPUT_PATH = Path(__file__).parent / "BENCH_solves_threads.json"
+BASELINE_PATH = Path(__file__).parent / "BENCH_solves_threads_baseline.json"
+OUTPUT_PATH = Path(__file__).parent / "BENCH_solves_threads.json"
 
 
 def _steady_state_solve(solver, b, repeats: int):
@@ -81,61 +68,6 @@ def _steady_state_solve(solver, b, repeats: int):
         result = solver.solve(b)
         best = min(best, time.perf_counter() - start)
     return best, result
-
-
-def bench_problem(name: str, matrix, b, repeats: int, **solver_kwargs) -> dict:
-    config = F3RConfig(variant="fp16", backend="fast")
-
-    with use_plans(False):
-        staged = halfvec.set_staged_half(False)
-        try:
-            legacy_solver = F3RSolver(matrix, preconditioner="auto",
-                                      config=config, **solver_kwargs)
-            legacy_s, legacy_result = _steady_state_solve(legacy_solver, b,
-                                                          repeats)
-        finally:
-            halfvec.set_staged_half(staged)
-
-    with use_plans(True):
-        planned_solver = F3RSolver(matrix, preconditioner="auto",
-                                   config=config, **solver_kwargs)
-        planned_s, planned_result = _steady_state_solve(planned_solver, b,
-                                                        repeats)
-
-    # the headline contract: the planned path changes nothing observable —
-    # a bit-level divergence fails the benchmark outright
-    assert planned_result.iterations == legacy_result.iterations, \
-        f"{name}: planned and legacy solves diverged (iteration counts)"
-    assert np.array_equal(planned_result.x, legacy_result.x), \
-        f"{name}: planned and legacy solves are not bit-identical"
-    return {
-        "n": matrix.nrows,
-        "legacy_s": legacy_s,
-        "planned_s": planned_s,
-        "speedup": round(legacy_s / planned_s if planned_s > 0 else float("inf"), 3),
-        "converged": bool(planned_result.converged),
-        "iterations": int(planned_result.iterations),
-        "identical_results": True,
-    }
-
-
-def run(scale: str) -> dict:
-    params = SCALES[scale]
-    rng = np.random.default_rng(42)
-
-    stencil = hpcg_operator(params["stencil_grid"])
-    b1 = rng.uniform(-1.0, 1.0, stencil.nrows)
-    assembled = poisson2d(params["poisson_side"])
-    b2 = rng.uniform(-1.0, 1.0, assembled.nrows)
-
-    problems = {
-        f"f3r_stencil_{params['stencil_grid']}^3":
-            bench_problem("stencil", stencil, b1, params["repeats"]),
-        f"f3r_assembled_poisson_{params['poisson_side']}^2":
-            bench_problem("assembled", assembled, b2, params["repeats"],
-                          nblocks=NBLOCKS),
-    }
-    return {"scale": scale, "nblocks": NBLOCKS, "problems": problems}
 
 
 def _sweep_thread_counts() -> list[int]:
@@ -222,124 +154,54 @@ def check_thread_regressions(report: dict, baseline: dict,
     return failures
 
 
-def check_regressions(report: dict, baseline: dict, factor: float = 2.0) -> list[str]:
-    failures = []
-    if baseline.get("scale") != report.get("scale"):
-        return [f"baseline mismatch: scale={baseline.get('scale')!r} vs "
-                f"current {report.get('scale')!r}; regenerate with "
-                f"--write-baseline"]
-    for name, base in baseline.get("problems", {}).items():
-        current = report.get("problems", {}).get(name)
-        if current is None:
-            failures.append(f"{name}: missing from current run")
-            continue
-        floor = base["speedup"] / factor
-        if current["speedup"] < floor:
-            failures.append(f"{name}: speedup {current['speedup']:.2f}x < "
-                            f"{floor:.2f}x (baseline {base['speedup']:.2f}x "
-                            f"/ {factor:g})")
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", choices=sorted(SCALES), default="smoke")
     parser.add_argument("--json", type=Path, default=OUTPUT_PATH)
     parser.add_argument("--check", action="store_true",
-                        help="fail on >2x speedup regression vs the baseline")
-    parser.add_argument("--baseline", type=Path, default=BASELINE_PATH)
-    parser.add_argument("--require-speedup", type=float, default=None,
-                        metavar="X",
-                        help="fail unless every problem's planned-over-legacy "
-                             "speedup is >= X")
-    parser.add_argument("--write-baseline", action="store_true")
-    parser.add_argument("--threads-sweep", action="store_true",
-                        help="benchmark warm solves across REPRO_THREADS "
-                             "{1, 2, 4, cores} instead of planned-vs-legacy "
-                             "(bit-identity enforced)")
-    parser.add_argument("--check-threads", action="store_true",
                         help="fail on >2x best-thread-speedup regression vs "
-                             "the committed threads baseline")
-    parser.add_argument("--threads-baseline", type=Path,
-                        default=THREADS_BASELINE_PATH)
+                             "the committed baseline")
+    parser.add_argument("--baseline", type=Path, default=BASELINE_PATH)
+    parser.add_argument("--write-baseline", action="store_true")
     parser.add_argument("--require-parallel-speedup", type=float, default=None,
                         metavar="X",
                         help="fail unless every problem reaches >= X best "
                              "thread speedup (multicore hardware only)")
     args = parser.parse_args(argv)
 
-    if args.threads_sweep:
-        report = run_threads_sweep(args.scale)
-        print(f"thread-sweep solve benchmarks — scale={args.scale} "
-              f"(fp16-F3R, fast backend, {report['cores']} cores, "
-              f"warm plan cache; all results bit-identical)")
-        for name, row in report["problems"].items():
-            timings = "   ".join(
-                f"T={t} {r['solve_s']:7.3f}s ({r['speedup_vs_1']:.2f}x)"
-                for t, r in row["threads"].items())
-            print(f"  {name:<32} {timings}")
-        out = (THREADS_OUTPUT_PATH if args.json == OUTPUT_PATH else args.json)
-        out.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {out}")
-        if args.write_baseline:
-            args.threads_baseline.write_text(json.dumps(report, indent=2) + "\n")
-            print(f"wrote baseline {args.threads_baseline}")
-        status = 0
-        if args.check_threads:
-            if not args.threads_baseline.exists():
-                print(f"no baseline at {args.threads_baseline}; run with "
-                      "--write-baseline first", file=sys.stderr)
-                return 2
-            failures = check_thread_regressions(
-                report, json.loads(args.threads_baseline.read_text()))
-            if failures:
-                print("REGRESSIONS:\n  " + "\n  ".join(failures),
-                      file=sys.stderr)
-                status = 1
-            else:
-                print("no thread-speedup regressions vs baseline")
-        if args.require_parallel_speedup is not None:
-            for name, row in report["problems"].items():
-                if row["best_speedup"] < args.require_parallel_speedup:
-                    print(f"REQUIREMENT FAILED: {name} best thread speedup "
-                          f"{row['best_speedup']:.2f}x < "
-                          f"{args.require_parallel_speedup:g}x", file=sys.stderr)
-                    status = 1
-        return status
-
-    report = run(args.scale)
-
-    print(f"end-to-end solve benchmarks — scale={args.scale} "
-          f"(fp16-F3R, fast backend, warm plan cache)")
+    report = run_threads_sweep(args.scale)
+    print(f"thread-sweep solve benchmarks — scale={args.scale} "
+          f"(fp16-F3R, fast backend, {report['cores']} cores, "
+          f"warm plan cache; all results bit-identical)")
     for name, row in report["problems"].items():
-        print(f"  {name:<32} legacy {row['legacy_s']:8.3f}s   "
-              f"planned {row['planned_s']:8.3f}s   speedup {row['speedup']:5.2f}x"
-              f"   identical={row['identical_results']}")
-
+        timings = "   ".join(
+            f"T={t} {r['solve_s']:7.3f}s ({r['speedup_vs_1']:.2f}x)"
+            for t, r in row["threads"].items())
+        print(f"  {name:<32} {timings}")
     args.json.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.json}")
     if args.write_baseline:
         args.baseline.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote baseline {args.baseline}")
-
     status = 0
     if args.check:
         if not args.baseline.exists():
-            print(f"no baseline at {args.baseline}; run with --write-baseline "
-                  "first", file=sys.stderr)
+            print(f"no baseline at {args.baseline}; run with "
+                  "--write-baseline first", file=sys.stderr)
             return 2
-        failures = check_regressions(report, json.loads(args.baseline.read_text()))
+        failures = check_thread_regressions(
+            report, json.loads(args.baseline.read_text()))
         if failures:
             print("REGRESSIONS:\n  " + "\n  ".join(failures), file=sys.stderr)
             status = 1
         else:
-            print("no speedup regressions vs baseline")
-    if args.require_speedup is not None:
+            print("no thread-speedup regressions vs baseline")
+    if args.require_parallel_speedup is not None:
         for name, row in report["problems"].items():
-            if row["speedup"] < args.require_speedup:
-                print(f"REQUIREMENT FAILED: {name} speedup "
-                      f"{row['speedup']:.2f}x < {args.require_speedup:g}x",
-                      file=sys.stderr)
+            if row["best_speedup"] < args.require_parallel_speedup:
+                print(f"REQUIREMENT FAILED: {name} best thread speedup "
+                      f"{row['best_speedup']:.2f}x < "
+                      f"{args.require_parallel_speedup:g}x", file=sys.stderr)
                 status = 1
     return status
 

@@ -25,7 +25,6 @@ import numpy as np
 from repro import BatchDispatcher, F3RConfig, F3RSolver, SolveEvent
 from repro.faults import FaultPlan, inject
 from repro.matgen import hpcg_matrix, poisson2d
-from repro.plans import use_plans
 from repro.sparse import diagonal_scaling
 
 
@@ -38,7 +37,7 @@ def guards_catch_corruption() -> None:
                       config=F3RConfig(variant="fp16"), recovery=False)
     plan = FaultPlan(seed=5, rate=1.0, sites=("spmv",), kinds=("nan",),
                      max_faults=1)
-    with use_plans(False), inject(plan):
+    with inject(plan):
         try:
             solver.solve(rhs)
         except SolveEvent as event:
@@ -58,7 +57,7 @@ def ladder_recovers() -> None:
     # so the ladder must escalate fp16 -> fp32
     plan = FaultPlan(seed=5, rate=1.0, sites=("spmv",), kinds=("nan",),
                      max_faults=2)
-    with use_plans(False), inject(plan):
+    with inject(plan):
         result = solver.solve(rhs)
     print(f"  converged={result.converged}  relres={result.relative_residual:.2e}")
     for attempt in result.recovery.attempts:
@@ -75,7 +74,7 @@ def hardened_dispatcher_survives() -> None:
                      kinds=("nan", "inf"), worker_rate=0.15,
                      latency=0.002, latency_rate=0.3, max_faults=4)
     rng = np.random.default_rng(17)
-    with use_plans(False), inject(plan):
+    with inject(plan):
         with BatchDispatcher(F3RConfig(variant="fp16", m1=10), nblocks=4,
                              max_batch=4, max_workers=3,
                              max_retries=3) as dispatcher:

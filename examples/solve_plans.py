@@ -4,9 +4,9 @@ The plan layer (``repro.plans``) compiles, once per
 ``(operator fingerprint, backend, vector precision)``, everything the
 iteration hot loop used to re-derive per call: the resolved storage format
 (picked by *measured* autotuning), pre-bound fused kernels and a pre-sized
-workspace arena.  Solvers use it automatically — this example just makes the
-machinery visible: the plan cache, the autotune verdicts, and the
-planned-vs-legacy speedup on a warm steady-state solve.
+workspace arena.  Solvers always run through it — this example just makes
+the machinery visible: the plan cache, the autotune verdicts, and the cost
+of the first (compiling) solve against a warm steady-state one.
 
 Run from the repository root:
 
@@ -17,8 +17,7 @@ import time
 
 import numpy as np
 
-from repro import F3RConfig, F3RSolver, plan_cache_stats, plan_for, use_plans
-from repro.backends import halfvec
+from repro import F3RConfig, F3RSolver, plan_cache_stats, plan_for
 from repro.matgen import hpcg_operator
 from repro.plans import autotune_stats
 from repro.precision import Precision
@@ -35,30 +34,20 @@ def main() -> None:
     print(f"compiled {plan}")
     print(f"plan cache: {plan_cache_stats()}")
 
-    # -- planned vs legacy steady state ------------------------------------ #
-    def steady_state(solver):
-        solver.solve(b)                    # warm: plans, arenas, casts
+    # -- first solve (plans compile, arenas size) vs warm steady state ---- #
+    solver = F3RSolver(op, preconditioner="auto", config=config)
+    timings = []
+    for _ in range(2):
         start = time.perf_counter()
         result = solver.solve(b)
-        return time.perf_counter() - start, result
+        timings.append(time.perf_counter() - start)
+    first_s, warm_s = timings
 
-    with use_plans(False):
-        staged = halfvec.set_staged_half(False)
-        try:
-            legacy_s, legacy = steady_state(
-                F3RSolver(op, preconditioner="auto", config=config))
-        finally:
-            halfvec.set_staged_half(staged)
-
-    with use_plans(True):
-        planned_s, planned = steady_state(
-            F3RSolver(op, preconditioner="auto", config=config))
-
-    print(f"\nsteady-state fp16-F3R solve at 32^3 (matrix-free):")
-    print(f"  legacy  (REPRO_PLANS=0): {legacy_s * 1e3:8.1f} ms")
-    print(f"  planned (default):       {planned_s * 1e3:8.1f} ms   "
-          f"({legacy_s / planned_s:.2f}x)")
-    print(f"  bit-identical results:   {np.array_equal(planned.x, legacy.x)}")
+    print(f"\nfp16-F3R solve at 32^3 (matrix-free):")
+    print(f"  first solve (compiles plans): {first_s * 1e3:8.1f} ms")
+    print(f"  warm steady state:            {warm_s * 1e3:8.1f} ms")
+    print(f"  converged: {result.converged}  "
+          f"relres={result.relative_residual:.2e}")
     print(f"\nplan cache after solving: {plan_cache_stats()}")
     print(f"autotuner: {autotune_stats()}   "
           "(point REPRO_TUNE_CACHE at a JSON file to persist verdicts)")

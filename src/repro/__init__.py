@@ -57,14 +57,7 @@ from .par import (
     use_procs,
     use_threads,
 )
-from .plans import (
-    SolvePlan,
-    plan_cache_stats,
-    plan_for,
-    plans_enabled,
-    set_plans_enabled,
-    use_plans,
-)
+from .plans import SolvePlan, plan_cache_stats, plan_for
 from .precision import Precision
 from .precond import make_primary_preconditioner
 from .serve import (

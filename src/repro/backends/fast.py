@@ -181,7 +181,7 @@ class FastBackend(KernelBackend):
         if _scipy_sparse is not None and np.dtype(cdtype) in _SCIPY_DTYPES:
             vals_c = scratch.cast("csr_values", values, cdtype)
             par_kernels.csr_matvec_slabs(x_c.size, vals_c, indices, y, x_c, slabs)
-        elif np.dtype(cdtype) == _HALF and halfvec.staged_half_enabled():
+        elif np.dtype(cdtype) == _HALF:
             vals32 = scratch.cast("csr_values_stage", values, _STAGE)
             x32 = halfvec.upcast(x_c, scratch.get("spmv_x32", x_c.size, _STAGE),
                                  scratch=scratch)
@@ -228,8 +228,7 @@ class FastBackend(KernelBackend):
                                                  shape=(n, x.size)))
             y = sp_mat @ x_c
         else:
-            if (scratch is not None and np.dtype(cdtype) == _HALF
-                    and halfvec.staged_half_enabled()):
+            if scratch is not None and np.dtype(cdtype) == _HALF:
                 # fp16 products staged through fp32: gather+multiply run as
                 # SIMD fp32 passes and each product is rounded to fp16 by the
                 # same conversion the fp16 ufunc applies per element — the
@@ -271,7 +270,7 @@ class FastBackend(KernelBackend):
             vals_c = scratch.cast("csr_values", values, cdtype)
             par_kernels.csr_matvecs_slabs(x_c.shape[0], k, vals_c, indices, y,
                                           np.ascontiguousarray(x_c), slabs)
-        elif np.dtype(cdtype) == _HALF and halfvec.staged_half_enabled():
+        elif np.dtype(cdtype) == _HALF:
             vals32 = scratch.cast("csr_values_stage", values, _STAGE)
             x32 = halfvec.upcast(x_c, scratch.get("spmm_x32", x_c.shape, _STAGE))
             par_kernels.spmm_csr_slabs(vals32, indices, x32, y, slabs,
@@ -316,8 +315,7 @@ class FastBackend(KernelBackend):
                 lambda: _scipy_sparse.csr_matrix((vals_c, indices, indptr),
                                                  shape=(n, x.shape[0])))
             y = sp_mat @ np.ascontiguousarray(x_c)
-        elif (scratch is not None and np.dtype(cdtype) == _HALF
-                and halfvec.staged_half_enabled()):
+        elif scratch is not None and np.dtype(cdtype) == _HALF:
             # staged fp16 product block (see spmv_csr): bit-identical fp16
             # products from one fp32 gather-multiply, fp16 row reduction —
             # arena-backed like the single-RHS path, with the subnormal-safe
@@ -370,7 +368,7 @@ class FastBackend(KernelBackend):
             ell._rm_vals[cdtype] = vals_rm
 
         x_c = x if x.dtype == cdtype else x.astype(cdtype)
-        staged = np.dtype(cdtype) == _HALF and halfvec.staged_half_enabled()
+        staged = np.dtype(cdtype) == _HALF
         if staged:
             vals32 = ell._rm_vals.get(_STAGE)
             if vals32 is None:
@@ -688,7 +686,7 @@ class FastBackend(KernelBackend):
         sep = op.box_separable()
         if sep is None:
             return None
-        if np.dtype(cdtype) == _HALF and halfvec.staged_half_enabled():
+        if np.dtype(cdtype) == _HALF:
             return self._apply_stencil_separable_staged(op, x_c, kk)
         alpha, taps = sep
         ws = op.scratch()
@@ -1030,8 +1028,7 @@ class FastBackend(KernelBackend):
         compute = promote(pv, paz)
         out_prec = as_precision(out_precision) if out_precision is not None else pv
         cdtype = compute.dtype
-        staged = (np.dtype(cdtype) == _HALF and halfvec.staged_half_enabled()
-                  and out_prec.dtype == _HALF)
+        staged = np.dtype(cdtype) == _HALF and out_prec.dtype == _HALF
         nt = kernel_threads("axpy", v.size, None, rows=v.shape[0])
         if nt > 1:
             r = self._residual_update_spans(v, az, cdtype, out_prec, staged, nt)
@@ -1066,8 +1063,7 @@ class FastBackend(KernelBackend):
         pz = precision_of_dtype(z.dtype)
         pm = precision_of_dtype(mr.dtype)
         compute = promote(pz, pm)
-        if (np.dtype(compute.dtype) == _HALF and halfvec.staged_half_enabled()
-                and np.dtype(dtype) == _HALF):
+        if np.dtype(compute.dtype) == _HALF and np.dtype(dtype) == _HALF:
             result = halfvec.staged_axpy(omega, mr, z, scratch=scratch)
         else:
             # in-place consume of z when dtypes line up (the documented

@@ -26,26 +26,21 @@ a subnormal value near the scalar conversion routines:
   numpy's converter.
 
 One operation, one rounding: results are **bit-identical** to the direct
-``np.float16`` ufunc chains (``tests/test_plans.py`` sweeps the
-equivalence, including subnormals, overflow-to-inf and signed zeros).
-Multi-term reductions (``reduceat`` row sums, dot products) round after
-every accumulation step and cannot be staged; they keep the direct path.
-
-``REPRO_STAGED_HALF=0`` disables the staged paths (the direct ufunc calls
-are used instead) for debugging and benchmark comparisons.
+``np.float16`` ufunc chains, which the ``reference`` backend runs
+(``tests/test_plans.py`` sweeps the equivalence against it, including
+subnormals, overflow-to-inf and signed zeros).  The staged helpers are the
+fast engine's only fp16 elementwise path.  Multi-term reductions
+(``reduceat`` row sums, dot products) round after every accumulation step
+and cannot be staged; they keep the direct path.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 __all__ = [
     "HALF",
     "STAGE",
-    "staged_half_enabled",
-    "set_staged_half",
     "upcast",
     "quantize32",
     "round_into",
@@ -58,9 +53,6 @@ __all__ = [
 HALF = np.dtype(np.float16)
 STAGE = np.dtype(np.float32)
 
-_ENABLED = os.environ.get("REPRO_STAGED_HALF", "1").strip().lower() not in (
-    "0", "off", "false", "no")
-
 #: Veltkamp splitting constant 2**s + 1 with s = 13: splitting a 24-bit
 #: significand at s leaves an 11-bit high part — exactly fp16 precision
 _SPLIT = np.float32(2.0 ** 13 + 1.0)
@@ -70,19 +62,6 @@ _SUBMAGIC = np.float32(0.75)
 _F16_MIN_NORMAL = np.float32(2.0 ** -14)
 _F16_MAX = np.float32(65504.0)
 _F16_SUB_UNIT = np.float32(2.0 ** -24)
-
-
-def staged_half_enabled() -> bool:
-    """Whether the staged fp16 fast paths are active."""
-    return _ENABLED
-
-
-def set_staged_half(enabled: bool) -> bool:
-    """Enable/disable the staged paths (process-wide); returns the old state."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
 
 
 def _buf(scratch, name: str, shape, dtype) -> np.ndarray:

@@ -24,7 +24,7 @@ from .cost_model import (
     preconditioner_constant,
     traffic_constant,
 )
-from .autotune import TuneResult, default_candidates, tune_f3r
+from .nesting_search import TuneResult, default_candidates, tune_f3r
 
 __all__ = [
     "F3RConfig",

@@ -342,9 +342,14 @@ class FaultPlan:
 class FaultyBackend:
     """Proxy interposed between the solvers and a real kernel backend.
 
-    Reads the *process-global* active plan on every call, so proxies cached
-    inside compiled solve plans pass straight through once the fault session
-    ends — a plan compiled during :func:`inject` is permanently safe.
+    There is one proxy per engine (:func:`_proxy_for`), stable across fault
+    sessions.  Compiled solve plans key on the backend object, so a solve
+    inside :func:`inject` runs on plans bound to the proxy — every kernel
+    call reaches the fault plan even when the solver was warmed before the
+    session — while fault-free solves keep the plans bound to the bare
+    engine.  The proxy reads the *process-global* active plan on every call,
+    so a plan compiled during :func:`inject` passes straight through once
+    the session ends.
     """
 
     def __init__(self, inner) -> None:
@@ -407,6 +412,17 @@ for _name, _site in _KERNEL_SITES.items():
     setattr(FaultyBackend, _name, _wrapped_kernel(_name, _site))
 del _name, _site
 
+#: engine -> its proxy; the proxy pins the engine, so identity keys are safe
+_PROXIES: dict = {}
+
+
+def _proxy_for(inner) -> FaultyBackend:
+    """The one :class:`FaultyBackend` wrapping ``inner`` (the backends hook)."""
+    proxy = _PROXIES.get(inner)
+    if proxy is None:
+        proxy = _PROXIES.setdefault(inner, FaultyBackend(inner))
+    return proxy
+
 
 # ------------------------------------------------------------------ #
 # Activation
@@ -422,7 +438,7 @@ def install_plan(plan: FaultPlan | None) -> FaultPlan | None:
     with _LOCK:
         previous = _PLAN
         _PLAN = plan
-        _set_backend_wrapper(FaultyBackend if plan is not None else None)
+        _set_backend_wrapper(_proxy_for if plan is not None else None)
     return previous
 
 

@@ -9,10 +9,11 @@ per ``(operator fingerprint, backend, vector precision)``:
   fingerprint-keyed LRU cache (see :mod:`repro.plans.plan`);
 * :mod:`repro.plans.autotune` — measured CSR-vs-sliced-ELL selection with
   in-process + optional on-disk (``REPRO_TUNE_CACHE``) verdict caching,
-  falling back to the analytic cost model when disabled (``REPRO_TUNE=0``);
-* ``REPRO_PLANS=0`` / :func:`use_plans` — kill switch restoring the legacy
-  unplanned path (the baseline ``benchmarks/bench_solves.py`` compares
-  against).
+  falling back to the analytic cost model when disabled (``REPRO_TUNE=0``).
+
+Plans are the only execution path: every solver level and Krylov baseline
+runs its operator products through one, and the ``reference`` backend is
+the oracle their kernels are checked against.
 
 A future GPU backend compiles against exactly this surface: implement the
 fused kernels (`spmv_axpy`, `residual_update`, `orthonormalize`,
@@ -36,8 +37,6 @@ from .plan import (
     plan_cache_stats,
     plan_for,
     plans_enabled,
-    set_plans_enabled,
-    use_plans,
 )
 
 __all__ = [
@@ -45,8 +44,6 @@ __all__ = [
     "compile_plan",
     "plan_for",
     "plans_enabled",
-    "set_plans_enabled",
-    "use_plans",
     "plan_cache_stats",
     "clear_plan_cache",
     "drop_plans_for",

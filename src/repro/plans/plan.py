@@ -21,17 +21,20 @@ mutable scratch is thread-local).  The module-level cache
 traffic — the :class:`~repro.serve.BatchDispatcher`'s common case — skips
 plan setup entirely, even across solver instances.
 
-``REPRO_PLANS=0`` (or :func:`set_plans_enabled`) disables the layer; the
-solver stack then runs its legacy unplanned path, which is what
-``benchmarks/bench_solves.py`` measures the speedup against.
+Plans are the solver stack's only execution path: every level, Krylov
+baseline and fused kernel runs through one.  Plans key on the backend
+*object*, so the fault-injection proxy (one stable
+:class:`~repro.faults.FaultyBackend` per engine while a fault plan is
+installed) compiles its own plans and sees every kernel call, while a
+fault-free solve keeps hitting the plans bound to the bare engine.  The
+``reference`` backend is the correctness oracle the planned kernels are
+swept against.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -44,37 +47,18 @@ __all__ = [
     "compile_plan",
     "plan_for",
     "plans_enabled",
-    "set_plans_enabled",
-    "use_plans",
     "plan_cache_stats",
     "clear_plan_cache",
 ]
 
-_ENABLED = os.environ.get("REPRO_PLANS", "1").strip().lower() not in (
-    "0", "off", "false", "no")
-
 
 def plans_enabled() -> bool:
-    """Whether solvers compile and use solve plans."""
-    return _ENABLED
+    """Always ``True``: solve plans are the only execution path.
 
-
-def set_plans_enabled(enabled: bool) -> bool:
-    """Enable/disable the plan layer (process-wide); returns the old state."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_plans(enabled: bool = True):
-    """Scoped plan-layer toggle (benchmarks compare both paths)."""
-    previous = set_plans_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_plans_enabled(previous)
+    Kept as a read-only probe for callers that record the resolved
+    configuration.
+    """
+    return True
 
 
 def _storage_config(operator) -> tuple:
@@ -133,14 +117,14 @@ def _cached_csr_partition(matrix, nparts: int) -> list[tuple]:
 class SolvePlan:
     """Pre-bound apply/residual kernels for one operator on one backend.
 
-    Every method mirrors the semantics of the unplanned path exactly — the
-    same backend kernels run on the same resolved storage with the same
-    counter totals — minus the per-call dispatch, validation and format
-    lookups.  ``record=False`` skips traffic recording (the outer solver's
+    Every method mirrors the operator's own ``apply``/``apply_batch``
+    exactly — the same backend kernels run on the same resolved storage with
+    the same counter totals — minus the per-call dispatch, validation and
+    format lookups.  ``record=False`` skips traffic recording (the outer solver's
     unrecorded true-residual refreshes).
     """
 
-    __slots__ = ("operator", "vec_prec", "backend", "kind", "key", "par",
+    __slots__ = ("operator", "vec_prec", "backend", "kind", "par",
                  "threads", "_csr", "_ell", "_stencil", "_tls")
 
     def __init__(self, operator, vec_prec: Precision | str, backend=None) -> None:
@@ -171,10 +155,6 @@ class SolvePlan:
             self._stencil = storage
         else:
             self.kind = "operator"
-        fingerprint = getattr(operator, "fingerprint", None)
-        self.key = (fingerprint() if fingerprint is not None else None,
-                    _storage_config(operator), self.backend.name,
-                    self.vec_prec.label)
 
         # Parallel execution state: the resolved storage's partition cache +
         # autotuned per-kernel thread verdicts.  When a thread budget is
@@ -294,7 +274,7 @@ class SolvePlan:
 # ---------------------------------------------------------------------- #
 # Module-level plan cache (fingerprint-keyed LRU)
 # ---------------------------------------------------------------------- #
-_CACHE_SIZE = max(1, int(os.environ.get("REPRO_PLAN_CACHE_SIZE", "64") or 64))
+_CACHE_SIZE = 64
 _CACHE_LOCK = threading.Lock()
 _PLAN_CACHE: OrderedDict[tuple, SolvePlan] = OrderedDict()
 _STATS = {"compiled": 0, "hits": 0, "misses": 0}
@@ -313,7 +293,9 @@ def plan_for(operator, vec_prec: Precision | str, backend=None) -> SolvePlan:
 
     Content-keyed: equal-valued operators held by different callers — and
     new solver instances for a previously seen matrix — share one compiled
-    plan, including its autotuned format verdict.
+    plan, including its autotuned format verdict.  The backend part of the
+    key is the backend object itself, so a fault-injection proxy and the
+    engine it wraps never share a plan.
     """
     backend = backend if backend is not None else get_backend()
     fingerprint = getattr(operator, "fingerprint", None)
@@ -321,7 +303,7 @@ def plan_for(operator, vec_prec: Precision | str, backend=None) -> SolvePlan:
         # structural duck types without a content hash still get a plan —
         # callers (solver levels) cache it per instance instead
         return compile_plan(operator, vec_prec, backend=backend)
-    key = (fingerprint(), _storage_config(operator), backend.name,
+    key = (fingerprint(), _storage_config(operator), backend,
            as_precision(vec_prec).label)
     with _CACHE_LOCK:
         plan = _PLAN_CACHE.get(key)

@@ -59,21 +59,15 @@ class _BlockJacobiBase(Preconditioner):
 
     # ------------------------------------------------------------------ #
     def _apply(self, r: np.ndarray) -> np.ndarray:
-        from ..plans import plans_enabled
-
-        if self.nblocks > 1 and plans_enabled():
-            # Compiled-plan path: single-RHS application runs on the fused
-            # block-diagonal factors too.  The blocks are independent, so the
-            # merged level schedule executes the same per-level arithmetic as
-            # the per-block loop — numerically identical — with one level
-            # sweep across all blocks instead of a Python loop per block.
+        if self.nblocks > 1:
+            # Single-RHS application runs on the fused block-diagonal factors
+            # too.  The blocks are independent, so the merged level schedule
+            # executes the same per-level arithmetic as a per-block loop —
+            # numerically identical — with one level sweep across all blocks.
             return self._apply_fused_single(r, self._fused_parts())
-        z = np.empty(self._n, dtype=r.dtype)
-        for block, (start, stop) in zip(self._blocks, self.partition.blocks()):
-            # block preconditioners do their own traffic accounting; only the
-            # outer object counts as "one invocation of the primary M"
-            z[start:stop] = block._apply(r[start:stop])
-        return z
+        # block preconditioners do their own traffic accounting; only the
+        # outer object counts as "one invocation of the primary M"
+        return self._blocks[0]._apply(r).astype(r.dtype, copy=False)
 
     def _apply_batch(self, r: np.ndarray) -> np.ndarray:
         # Batched application runs on *fused* block-diagonal factors: the

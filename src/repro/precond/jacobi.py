@@ -65,7 +65,7 @@ class JacobiPreconditioner(Preconditioner, ScratchOwner):
         result is bit-identical to the direct fp16 multiply.
         """
         cdtype = compute.dtype
-        if np.dtype(cdtype) == halfvec.HALF and halfvec.staged_half_enabled():
+        if np.dtype(cdtype) == halfvec.HALF:
             ws = self.scratch()
             inv32 = self._cast_inv(halfvec.STAGE)
             r32 = halfvec.upcast(r, ws.get("jacobi_r32", r.shape, halfvec.STAGE),

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from ..operators import as_operator
-from ..plans import plan_for, plans_enabled
+from ..plans import plan_for
 from ..precision import Precision
 from ..sparse import residual_norm
 from ..sparse import vectorops as vo
@@ -55,11 +55,8 @@ class BiCGStab:
         primary = self.preconditioner
         start_apps = count_primary_applications(primary) if primary is not None else 0
 
-        a64 = self.matrix
-        # pre-bound fp64 apply kernel (identical semantics, no dispatch)
-        plan = plan_for(a64, Precision.FP64) if plans_enabled() else None
-        apply64 = (plan.apply if plan is not None
-                   else lambda w: a64.apply(w, out_precision=Precision.FP64))
+        # the compiled plan pre-binds the fp64 apply kernel
+        apply64 = plan_for(self.matrix, Precision.FP64).apply
         r = b64 - apply64(x) if x.any() else b64.copy()
         r_hat = r.copy()
         rho_prev = alpha = omega = 1.0

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from ..operators import as_operator
-from ..plans import plan_for, plans_enabled
+from ..plans import plan_for
 from ..precision import Precision
 from ..sparse import residual_norm
 from ..sparse import vectorops as vo
@@ -50,12 +50,8 @@ class ConjugateGradient:
         primary = self.preconditioner
         start_apps = count_primary_applications(primary) if primary is not None else 0
 
-        a64 = self.matrix
-        # the compiled plan pre-binds the fp64 apply kernel; the unplanned
-        # operator path is identical minus the per-call dispatch
-        plan = plan_for(a64, Precision.FP64) if plans_enabled() else None
-        apply64 = (plan.apply if plan is not None
-                   else lambda v: a64.apply(v, out_precision=Precision.FP64))
+        # the compiled plan pre-binds the fp64 apply kernel
+        apply64 = plan_for(self.matrix, Precision.FP64).apply
         r = b64 - apply64(x) if x.any() else b64.copy()
         z = (self.preconditioner.apply(r).astype(np.float64)
              if self.preconditioner is not None else r.copy())

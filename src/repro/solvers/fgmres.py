@@ -27,7 +27,7 @@ from ..backends import Workspace, get_backend
 from ..backends.workspace import ThreadLocalWorkspace
 from ..operators import as_operator
 from ..perf.counters import counters_enabled, record_bytes, record_flops, record_kernel
-from ..plans import plan_for, plans_enabled
+from ..plans import plan_for
 from ..precision import LevelPrecision, Precision
 from ..sparse import residual_norm
 from ..sparse import vectorops as vo
@@ -109,9 +109,10 @@ def fgmres_cycle(matrix, rhs: np.ndarray, child, m: int, vec_prec: Precision,
         correction-vector storage; solver levels pass their per-level arena so
         repeated cycles reuse the same buffers instead of reallocating.
     plan:
-        Optional compiled :class:`~repro.plans.SolvePlan` for ``matrix`` at
-        ``vec_prec``; when given, operator products run through the plan's
-        pre-bound kernel instead of the per-call operator dispatch.
+        Compiled :class:`~repro.plans.SolvePlan` for ``matrix`` at
+        ``vec_prec``; operator products run through its pre-bound kernel.
+        Resolved with :func:`~repro.plans.plan_for` on the active backend
+        when not given (solver levels pass their cached plan).
 
     Returns
     -------
@@ -131,6 +132,8 @@ def fgmres_cycle(matrix, rhs: np.ndarray, child, m: int, vec_prec: Precision,
             check_finite(beta, "fgmres.beta")
         return np.zeros(n, dtype=dtype), 0, 0.0
 
+    if plan is None:
+        plan = plan_for(matrix, vec_prec, backend)
     ws = workspace if workspace is not None else Workspace()
     # Krylov basis V and per-iteration corrections Z live in the level's arena
     # (rows are vectors); both persist across cycles of the same level.  The
@@ -160,8 +163,7 @@ def fgmres_cycle(matrix, rhs: np.ndarray, child, m: int, vec_prec: Precision,
         zj = _apply_child(child, basis[j])
         zj = vo.cast_vector(zj, vec_prec)
         z_vectors[j] = zj
-        w = (plan.apply(zj) if plan is not None
-             else matrix.apply(zj, out_precision=vec_prec))
+        w = plan.apply(zj)
 
         # classical Gram-Schmidt against basis[:j+1] (backend kernel; the fast
         # engine runs it as BLAS-2, the reference as per-column BLAS-1 loops),
@@ -268,6 +270,10 @@ def fgmres_cycle_batch(matrix, rhs: np.ndarray, child, m: int, vec_prec: Precisi
         exactly ``k`` independent sequential cycles in lockstep.
     workspace:
         Optional arena owning the ``(k, m+1, n)`` Krylov-basis block.
+    plan:
+        As for :func:`fgmres_cycle`: the compiled plan whose batched kernel
+        runs the operator products (resolved on the active backend when not
+        given).
 
     Returns
     -------
@@ -303,6 +309,8 @@ def fgmres_cycle_batch(matrix, rhs: np.ndarray, child, m: int, vec_prec: Precisi
     if ka == 0:
         return z_out, iterations, estimates
 
+    if plan is None:
+        plan = plan_for(matrix, vec_prec, backend)
     ws = workspace if workspace is not None else Workspace()
     # Krylov basis and correction blocks: one (m+1, n) / (m, n) arena row per
     # column, reused across cycles like the single-RHS arenas.  The arenas are
@@ -354,8 +362,7 @@ def fgmres_cycle_batch(matrix, rhs: np.ndarray, child, m: int, vec_prec: Precisi
             raise
         zj = vo.cast_block(zj, vec_prec)
         z_vectors[:ka, j, :] = zj.T
-        w = (plan.apply_batch(zj) if plan is not None
-             else matrix.apply_batch(zj, out_precision=vec_prec))
+        w = plan.apply_batch(zj)
         w = np.ascontiguousarray(w.T)                      # (ka, n)
 
         # classical Gram-Schmidt for all columns in one stacked matmul
@@ -457,7 +464,7 @@ class FGMRESLevel(InnerSolver):
         # per-thread so concurrent apply()/solve() on a shared solver stays
         # reentrant (as the pre-workspace code was)
         self._workspace = ThreadLocalWorkspace()
-        self._plans: dict[str, object] = {}
+        self._plans: dict = {}
 
     @property
     def primary_preconditioner(self):
@@ -471,13 +478,11 @@ class FGMRESLevel(InnerSolver):
         return f"F{self.m}"
 
     def _plan(self):
-        """The compiled plan for this level on the active backend (or None)."""
-        if not plans_enabled():
-            return None
+        """The compiled plan for this level on the active backend."""
         backend = get_backend()
-        plan = self._plans.get(backend.name)
+        plan = self._plans.get(backend)
         if plan is None:
-            plan = self._plans[backend.name] = plan_for(
+            plan = self._plans[backend] = plan_for(
                 self.matrix, self.precisions.vector, backend)
         return plan
 
@@ -524,7 +529,7 @@ class OuterFGMRES:
         )
         self.name = name or f"(F{m}, ...)"
         self._workspace = ThreadLocalWorkspace()
-        self._plans: dict[str, tuple] = {}
+        self._plans: dict = {}
 
     @property
     def primary_preconditioner(self):
@@ -538,18 +543,15 @@ class OuterFGMRES:
         return f"F{self.m}"
 
     def _plan_pair(self, mat64):
-        """``(cycle plan, fp64 residual plan)`` on the active backend, or
-        ``(None, None)`` when the plan layer is disabled."""
-        if not plans_enabled():
-            return None, None
+        """``(cycle plan, fp64 residual plan)`` on the active backend."""
         backend = get_backend()
-        pair = self._plans.get(backend.name)
+        pair = self._plans.get(backend)
         if pair is None:
             plan = plan_for(self.matrix, self.precisions.vector, backend)
             plan64 = (plan if mat64 is self.matrix
                       and self.precisions.vector == Precision.FP64
                       else plan_for(mat64, Precision.FP64, backend))
-            pair = self._plans[backend.name] = (plan, plan64)
+            pair = self._plans[backend] = (plan, plan64)
         return pair
 
     # ------------------------------------------------------------------ #
@@ -595,10 +597,8 @@ class OuterFGMRES:
         while not converged and restarts <= self.max_restarts:
             if not x.any():
                 r = b64.copy()
-            elif plan64 is not None:
-                r = plan64.residual(b64, x, record=False)
             else:
-                r = b64 - mat64.apply(x, record=False)
+                r = plan64.residual(b64, x, record=False)
             r_level = vo.cast_vector(r, vec_prec)
             cycle_residuals: list[float] = []
             try:
@@ -699,11 +699,8 @@ class OuterFGMRES:
         plan, plan64 = self._plan_pair(mat64)
 
         def true_relres(cols: np.ndarray) -> np.ndarray:
-            if plan64 is not None:
-                r = plan64.residual_batch(b_block[:, cols], x[:, cols],
-                                          record=False)
-            else:
-                r = b_block[:, cols] - mat64.apply_batch(x[:, cols], record=False)
+            r = plan64.residual_batch(b_block[:, cols], x[:, cols],
+                                      record=False)
             return np.linalg.norm(r, axis=0) / norm_b[cols]
 
         histories = [ConvergenceHistory() for _ in range(k)]
@@ -724,11 +721,9 @@ class OuterFGMRES:
             act = np.array(active, dtype=np.int64)
             if not x[:, act].any():
                 r = b_block[:, act].copy()
-            elif plan64 is not None:
+            else:
                 r = plan64.residual_batch(b_block[:, act], x[:, act],
                                           record=False)
-            else:
-                r = b_block[:, act] - mat64.apply_batch(x[:, act], record=False)
             r_norm = np.linalg.norm(r, axis=0)
             r_level = vo.cast_block(r, vec_prec)
             rel_tol = self.tol * norm_b[act] / np.maximum(r_norm, 1e-300)

@@ -25,8 +25,8 @@ Design constraints, in order:
    restores today's silent behaviour exactly; every hook collapses to the
    pre-guard code path.
 3. **Cheap** — each check is a handful of Python float comparisons per
-   *cycle*, not per element; warm-solve overhead stays under the <2% budget
-   measured by ``make bench-solves-smoke``.
+   *cycle*, not per element; warm-solve overhead stays under a <2% budget
+   (warm-solve times are tracked by ``benchmarks/e2e``).
 
 Breakdown classification (``classify_breakdown``) follows the standard
 Krylov taxonomy: a *happy* breakdown is an exactly-zero next-basis norm with

@@ -28,14 +28,8 @@ from ..backends import get_backend
 from ..backends.workspace import ThreadLocalWorkspace
 from ..operators import as_operator
 from ..perf.counters import counters_enabled, record_bytes, record_flops, record_kernel
-from ..plans import plan_for, plans_enabled
-from ..precision import (
-    LevelPrecision,
-    Precision,
-    as_precision,
-    precision_of_dtype,
-    promote,
-)
+from ..plans import plan_for
+from ..precision import LevelPrecision, Precision, as_precision
 from ..sparse import vectorops as vo
 from .base import InnerSolver
 from .guards import check_finite, guards_enabled
@@ -95,7 +89,7 @@ class RichardsonLevel(InnerSolver):
         self.update_count = 0        # l in Eq. (5)
         self.weight_history: list[np.ndarray] = []
         # compiled plans (per backend) and fused-sweep scratch (per thread)
-        self._plans: dict[str, tuple] = {}
+        self._plans: dict = {}
         self._workspace = ThreadLocalWorkspace()
 
     # ------------------------------------------------------------------ #
@@ -115,16 +109,13 @@ class RichardsonLevel(InnerSolver):
         self.weight_history.clear()
 
     def _level_plans(self):
-        """``(level plan, weight-precision plan)`` on the active backend,
-        or ``(None, None)`` when the plan layer is disabled."""
-        if not plans_enabled():
-            return None, None
+        """``(level plan, weight-precision plan)`` on the active backend."""
         backend = get_backend()
-        pair = self._plans.get(backend.name)
+        pair = self._plans.get(backend)
         if pair is None:
             plan = plan_for(self.matrix, self.precisions.vector, backend)
             plan_wp = plan_for(self.matrix, self.weight_precision, backend)
-            pair = self._plans[backend.name] = (plan, plan_wp)
+            pair = self._plans[backend] = (plan, plan_wp)
         return pair
 
     # ------------------------------------------------------------------ #
@@ -134,8 +125,8 @@ class RichardsonLevel(InnerSolver):
         cntr = self.call_count + 1          # 1-based call index, as in Algorithm 1
         refresh = self.adaptive and (cntr % self.cycle == 0)
         plan, plan_wp = self._level_plans()
-        backend = get_backend() if plan is not None else None
-        ws = self._workspace.workspace if plan is not None else None
+        backend = plan.backend
+        ws = self._workspace.workspace
 
         v_level = vo.cast_vector(np.asarray(v), vec_prec)
         z = vo.vzeros(v_level.size, vec_prec)
@@ -145,11 +136,7 @@ class RichardsonLevel(InnerSolver):
             if k > 0:
                 # fused sweep: the next residual runs as one plan kernel
                 # (one-pass spmv_axpy on CSR, staged combine elsewhere)
-                if plan is not None:
-                    r = plan.residual(v_level, z)
-                else:
-                    az = self.matrix.apply(z, out_precision=vec_prec)
-                    r = vo.axpy(-1.0, az, v_level, out_precision=vec_prec)
+                r = plan.residual(v_level, z)
 
             mr = self.preconditioner.apply(r)
             mr = vo.cast_vector(mr, vec_prec)
@@ -157,8 +144,7 @@ class RichardsonLevel(InnerSolver):
             if refresh:
                 # ω'_k computed in fp32: one extra SpMV and two reductions.
                 mr32 = vo.cast_vector(mr, wp)
-                amr = (plan_wp.apply(mr32) if plan_wp is not None
-                       else self.matrix.apply(mr32, out_precision=wp))
+                amr = plan_wp.apply(mr32)
                 r32 = vo.cast_vector(r, wp)
                 denom = vo.dot(amr, amr)
                 numer = vo.dot(r32, amr)
@@ -175,10 +161,7 @@ class RichardsonLevel(InnerSolver):
                 omega = float(self.weights[k])
             # the weighted half of the sweep: x += ω·M⁻¹r (staged fp16 on
             # the fast engine; bit-identical to the unfused axpy)
-            if plan is not None:
-                z = backend.weighted_update(z, mr, omega, vec_prec, scratch=ws)
-            else:
-                z = vo.axpy(omega, mr, z, out_precision=vec_prec)
+            z = backend.weighted_update(z, mr, omega, vec_prec, scratch=ws)
 
         if refresh:
             self.update_count += 1
@@ -215,19 +198,14 @@ class RichardsonLevel(InnerSolver):
 
         for step in range(self.m):
             if step > 0:
-                if plan is not None:
-                    r = plan.residual_batch(v_level, z)
-                else:
-                    az = self.matrix.apply_batch(z, out_precision=vec_prec)
-                    r = self._batched_axpy(-1.0, az, v_level, vec_prec)
+                r = plan.residual_batch(v_level, z)
 
             mr = self.preconditioner.apply_batch(r)
             mr = vo.cast_block(mr, vec_prec)
 
             if refresh:
                 mr32 = vo.cast_block(mr, wp)
-                amr = (plan_wp.apply_batch(mr32) if plan_wp is not None
-                       else self.matrix.apply_batch(mr32, out_precision=wp))
+                amr = plan_wp.apply_batch(mr32)
                 r32 = vo.cast_block(r, wp)
                 denom = np.einsum("nk,nk->k", amr, amr).astype(np.float64)
                 numer = np.einsum("nk,nk->k", r32, amr).astype(np.float64)
@@ -256,25 +234,6 @@ class RichardsonLevel(InnerSolver):
             self.weight_history.append(self.weights.copy())
         self.call_count = cntr_end
         return z
-
-    @staticmethod
-    def _batched_axpy(alpha: float, x: np.ndarray, y: np.ndarray,
-                      out_precision: Precision) -> np.ndarray:
-        """``alpha * X + Y`` column-wise with the axpy promotion/recording rules."""
-        px = precision_of_dtype(x.dtype)
-        py = precision_of_dtype(y.dtype)
-        compute = promote(px, py)
-        out = as_precision(out_precision)
-        result = (compute.dtype.type(alpha) * x.astype(compute.dtype, copy=False)
-                  + y.astype(compute.dtype, copy=False)).astype(out.dtype, copy=False)
-        if counters_enabled():
-            k, n = x.shape[1], x.shape[0]
-            record_kernel("axpy", k)
-            record_bytes(px, k * n * px.bytes)
-            record_bytes(py, k * n * py.bytes)
-            record_bytes(out, k * n * out.bytes)
-            record_flops(compute, 2 * k * n)
-        return result
 
     def _batched_weighted_update(self, omega: np.ndarray, mr: np.ndarray,
                                  z: np.ndarray, vec_prec: Precision) -> np.ndarray:

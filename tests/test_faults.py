@@ -21,6 +21,7 @@ import pytest
 from repro.backends import get_backend
 from repro.core import F3RConfig, F3RSolver
 from repro.faults import (
+    _KERNEL_SITES,
     FaultPlan,
     InjectedFault,
     active_plan,
@@ -31,7 +32,8 @@ from repro.faults import (
     maybe_fail_worker,
 )
 from repro.matgen import hpcg_matrix, poisson2d
-from repro.plans import use_plans
+from repro.plans import plan_for
+from repro.precision import Precision
 from repro.serve import BatchDispatcher
 from repro.sparse import diagonal_scaling
 
@@ -161,6 +163,47 @@ class TestActivation:
             assert time.perf_counter() - start >= 0.04
 
 
+class TestPlannedSolveFaultReach:
+    def test_prewarmed_plans_route_through_fault_plan(self, monkeypatch):
+        A = poisson2d(40)
+        b = np.random.default_rng(0).uniform(-1, 1, A.nrows)
+        solver = F3RSolver(A, config=F3RConfig(variant="fp16"), nblocks=4)
+        twin = F3RSolver(A, config=F3RConfig(variant="fp16"), nblocks=4)
+        solver.solve(b)     # every level compiles its plans on the bare engine
+        twin.solve(b)
+
+        inner = get_backend()
+        made = {"spmv": 0, "trsv": 0}
+        for name, site in _KERNEL_SITES.items():
+            def counted(*args, _kernel=getattr(inner, name), _site=site,
+                        **kwargs):
+                made[_site] += 1
+                return _kernel(*args, **kwargs)
+            monkeypatch.setattr(inner, name, counted)
+
+        # max_faults=0: the plan counts every site call and corrupts none
+        plan = FaultPlan(seed=0, rate=1.0, sites=("spmv", "trsv"),
+                         max_faults=0)
+        with inject(plan):
+            proxy = get_backend()
+            faulted = solver.solve(b)
+        seen = dict(plan._counts)
+        assert made["spmv"] > 0 and made["trsv"] > 0
+        assert seen == made, "kernel calls bypassed the fault plan"
+        np.testing.assert_array_equal(faulted.x, twin.solve(b).x)
+
+        # after the session the plan is out of the loop: fault-free solves
+        # run on the bare engine, and plans bound to the proxy pass through
+        assert get_backend() is inner
+        np.testing.assert_array_equal(solver.solve(b).x, twin.solve(b).x)
+        x = np.linspace(-1.0, 1.0, A.nrows)
+        proxy_plan = plan_for(A, Precision.FP64, proxy)
+        assert proxy_plan is not plan_for(A, Precision.FP64)
+        np.testing.assert_array_equal(proxy_plan.apply(x),
+                                      plan_for(A, Precision.FP64).apply(x))
+        assert plan._counts == seen
+
+
 class TestEnvActivation:
     def test_spec_parsing(self):
         try:
@@ -223,7 +266,7 @@ class TestSolverReplay:
                                nblocks=4)
             plan = FaultPlan(seed=13, rate=1.0, sites=("spmv",),
                              kinds=("nan",), max_faults=2)
-            with use_plans(False), inject(plan):
+            with inject(plan):
                 result = solver.solve(b)
             return result, [r.summary() for r in plan.records]
 
@@ -248,7 +291,7 @@ class TestFaultHammer:
                          kinds=("nan", "inf"), worker_rate=0.15,
                          latency=0.002, latency_rate=0.3, max_faults=4)
         rng = np.random.default_rng(17)
-        with use_plans(False), inject(plan):
+        with inject(plan):
             with BatchDispatcher(F3RConfig(variant="fp16", m1=10), nblocks=4,
                                  max_batch=4, max_workers=3,
                                  max_retries=3) as dispatcher:
@@ -280,7 +323,7 @@ class TestFaultHammer:
             plan = FaultPlan(seed=29, rate=0.01, sites=("spmv", "trsv"),
                              kinds=("nan", "inf"), max_faults=6)
             outputs = []
-            with use_plans(False), inject(plan):
+            with inject(plan):
                 for b in b_pool:
                     outputs.append(solver.solve(b).x)
             return outputs, [r.summary() for r in plan.records]

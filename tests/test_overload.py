@@ -520,15 +520,11 @@ class TestOverloadHammer:
         bit-identically to an unfaulted reference; shed/expired requests
         fail typed; the overload counters are live."""
         from repro.faults import FaultPlan, inject
-        from repro.plans import use_plans
 
         # determinism pins: stateless solves (bit-identity under retries),
-        # no measured autotune, no recovery ladder divergence; plans off in
-        # parent and workers alike so kernel corruption sites are live and
-        # both sides run the same unfused arithmetic
+        # no measured autotune, no recovery ladder divergence
         monkeypatch.setenv("REPRO_TUNE", "0")
         monkeypatch.setenv("REPRO_RECOVERY", "0")
-        monkeypatch.setenv("REPRO_PLANS", "0")
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         # two operators routing to *different* shards, so both workers see
         # traffic (and each can contribute its own first chaos event)
@@ -539,9 +535,8 @@ class TestOverloadHammer:
         pairs = [(ops[i % 2], _rhs(ops[i % 2], i)) for i in range(100)]
 
         # unfaulted reference, one request per batch, single worker
-        with use_plans(False), BatchDispatcher(config, max_batch=1,
-                                               max_workers=1,
-                                               overload=False) as ref:
+        with BatchDispatcher(config, max_batch=1, max_workers=1,
+                             overload=False) as ref:
             reference = [f.result() for f in
                          [ref.submit(op, b) for op, b in pairs]]
 

@@ -9,11 +9,14 @@ Three contracts are pinned here:
 * **Staged fp16 arithmetic** — the float32-staged helpers
   (:mod:`repro.backends.halfvec`) are bit-identical to the direct
   ``np.float16`` ufunc chains, including subnormals, overflow-to-inf,
-  signed zeros, ties-to-even and non-finite values.
-* **Plans** — compiling a plan changes nothing observable (planned and
-  unplanned solves produce identical results), the plan cache is
-  fingerprint-keyed, and the measured autotuner caches verdicts in-process
-  and on disk.
+  signed zeros, ties-to-even and non-finite values; the fast engine's
+  staged kernels match the ``reference`` backend (or, where no backend
+  kernel has the same summation order, the same recipe written in plain
+  ``np.float16``) bit for bit.
+* **Plans** — the planned fast-engine path agrees with the ``reference``
+  oracle (bit for bit wherever both run the same summation order), the
+  plan cache is fingerprint-keyed, and the measured autotuner caches
+  verdicts in-process and on disk.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from repro.plans import (
     plan_cache_stats,
     plan_for,
     set_tuning_enabled,
-    use_plans,
 )
 from repro.precision import Precision
 from repro.sparse import vectorops as vo
@@ -58,6 +60,37 @@ def assert_bit_equal(a: np.ndarray, b: np.ndarray) -> None:
     nan_a, nan_b = np.isnan(a), np.isnan(b)
     assert np.array_equal(nan_a, nan_b)
     assert np.array_equal(_bits(a)[~nan_a], _bits(b)[~nan_b])
+
+
+def _separable_stencil_fp16(op, x16: np.ndarray) -> np.ndarray:
+    """The fast engine's separable stencil sweep as plain ``np.float16``.
+
+    ``y = alpha*x + conv_{D-1}(... conv_0(x))``: each axis pass sums its
+    taps in order with zero boundaries, every product and sum rounded to
+    fp16 by numpy — the direct recipe the staged sweep must reproduce.
+    """
+    alpha, taps = op.box_separable()
+    shape = op.dims + x16.shape[1:]
+    x = x16.reshape(shape)
+    cur = x
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for axis, axis_taps in enumerate(taps):
+            dim = op.dims[axis]
+            index = np.arange(dim).reshape(
+                [-1 if d == axis else 1 for d in range(len(shape))])
+            acc = np.zeros(shape, np.float16)
+            started = np.zeros(shape, bool)
+            for j, w in axis_taps:
+                term = np.float16(w) * np.roll(cur, -j, axis=axis)
+                valid = np.broadcast_to((index + j >= 0) & (index + j < dim),
+                                        shape)
+                acc = np.where(valid & started, acc + term,
+                               np.where(valid, term, acc))
+                started = started | valid
+            cur = acc
+        y = np.float16(alpha) * x + cur if alpha != 0.0 else cur
+    return y.reshape(x16.shape)
 
 
 # ---------------------------------------------------------------------- #
@@ -124,34 +157,44 @@ class TestStagedHalf:
         m16 = poisson_matrix.astype(Precision.FP16)
         rng = np.random.default_rng(4)
         x16 = (rng.uniform(-1, 1, m16.nrows) * 1e-4).astype(np.float16)
+        x16_b = np.stack([x16, x16 * np.float16(0.5)], axis=1)
         with use_backend("fast"):
             staged = m16.matvec(x16)
-            old = halfvec.set_staged_half(False)
-            try:
-                direct = m16.matvec(x16)
-            finally:
-                halfvec.set_staged_half(old)
+            staged_b = m16.matmat(x16_b)
+        with use_backend("reference"):
+            direct = m16.matvec(x16)
+            direct_b = m16.matmat(x16_b)
         assert_bit_equal(staged, direct)
+        assert_bit_equal(staged_b, direct_b)
 
     def test_staged_fp16_stencil_bitwise(self):
         op = hpcg_operator(8).astype(Precision.FP16)
         rng = np.random.default_rng(5)
         x16 = (rng.uniform(-1, 1, op.nrows) * 1e-4).astype(np.float16)
+        x16_b = np.stack([x16, (x16 * np.float16(0.5))], axis=1)
         with use_backend("fast"):
             staged = op.apply(x16, out_precision=Precision.FP16)
-            staged_b = op.apply_batch(
-                np.stack([x16, (x16 * np.float16(0.5))], axis=1),
-                out_precision=Precision.FP16)
-            old = halfvec.set_staged_half(False)
-            try:
-                direct = op.apply(x16, out_precision=Precision.FP16)
-                direct_b = op.apply_batch(
-                    np.stack([x16, (x16 * np.float16(0.5))], axis=1),
-                    out_precision=Precision.FP16)
-            finally:
-                halfvec.set_staged_half(old)
-        assert_bit_equal(staged, direct)
-        assert_bit_equal(staged_b, direct_b)
+            staged_b = op.apply_batch(x16_b, out_precision=Precision.FP16)
+        # the reference stencil sums in CSR row order, the fast engine in
+        # separable axis passes: the oracle is that recipe in plain fp16
+        assert_bit_equal(staged, _separable_stencil_fp16(op, x16))
+        assert_bit_equal(staged_b, _separable_stencil_fp16(op, x16_b))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_staged_fp16_jacobi_scale_bitwise(self, backend):
+        from repro.precond import JacobiPreconditioner
+
+        op = hpcg_operator(6)
+        pre = JacobiPreconditioner(op).astype(Precision.FP16)
+        rng = np.random.default_rng(6)
+        r16 = (rng.uniform(-1, 1, op.nrows) * 1e-4).astype(np.float16)
+        r16_b = np.stack([r16, r16 * np.float16(-3.0)], axis=1)
+        inv16 = pre.inv_diag.astype(np.float16)
+        with use_backend(backend):
+            z = pre.apply(r16)
+            z_b = pre.apply_batch(r16_b)
+        assert_bit_equal(z, r16 * inv16)
+        assert_bit_equal(z_b, r16_b * inv16[:, None])
 
 
 @pytest.mark.tier2
@@ -356,25 +399,46 @@ class TestSolvePlan:
         assert p_csr is not p_ell
         assert p_csr.kind == "csr" and p_ell.kind == "ell"
 
-    def test_planned_solve_bitwise_equals_unplanned(self, poisson_matrix):
+    def test_planned_richardson_bitwise_equals_reference(self, poisson_matrix):
+        # the fp16 R level runs every plan kernel of the sweep — fused
+        # residual, staged weighted update, fp16 SpMV, fused block-Jacobi
+        # solves and the fp32 weight refresh — with no Gram-Schmidt, so the
+        # fast engine must match the reference oracle bit for bit
+        from repro.precond import BlockJacobiIC0
+        from repro.solvers import RichardsonLevel
+
+        m16 = AssembledOperator(poisson_matrix.astype(Precision.FP16))
+        v = np.random.default_rng(13).uniform(-1, 1, (poisson_matrix.nrows, 3))
+        outputs = {}
+        for backend in BACKENDS:
+            with use_backend(backend):
+                pre = BlockJacobiIC0(poisson_matrix, nblocks=4).astype(Precision.FP16)
+                level = RichardsonLevel(m16, pre, m=3, cycle=2)
+                outputs[backend] = ([level.apply(v[:, j]) for j in range(3)]
+                                    + [level.apply_batch(v)])
+        for fast, ref in zip(outputs["fast"], outputs["reference"]):
+            assert_bit_equal(fast, ref)
+
+    def test_planned_solve_matches_reference(self, poisson_matrix):
+        # whole solves differ only in the FGMRES Gram-Schmidt summation
+        # order (BLAS-2 on fast, per-column BLAS-1 on reference)
         from repro.core import F3RConfig, F3RSolver
 
         rng = np.random.default_rng(14)
         b = rng.uniform(-1, 1, poisson_matrix.nrows)
-        cfg = F3RConfig(variant="fp16", m1=40, backend="fast")
-        with use_plans(False):
-            old = halfvec.set_staged_half(False)
-            try:
-                r_legacy = F3RSolver(poisson_matrix, preconditioner="auto",
-                                     nblocks=4, config=cfg).solve(b)
-            finally:
-                halfvec.set_staged_half(old)
-        with use_plans(True):
-            r_plan = F3RSolver(poisson_matrix, preconditioner="auto",
-                               nblocks=4, config=cfg).solve(b)
-        assert r_plan.converged == r_legacy.converged
-        assert r_plan.iterations == r_legacy.iterations
-        assert_bit_equal(r_plan.x, r_legacy.x)
+        results, traffic = {}, {}
+        for backend in BACKENDS:
+            cfg = F3RConfig(variant="fp16", m1=40, backend=backend)
+            traffic[backend] = TrafficCounter()
+            with counting(traffic[backend]):
+                results[backend] = F3RSolver(poisson_matrix, preconditioner="auto",
+                                             nblocks=4, config=cfg).solve(b)
+        r_fast, r_ref = results["fast"], results["reference"]
+        assert r_fast.converged and r_ref.converged
+        assert r_fast.iterations == r_ref.iterations
+        assert r_fast.preconditioner_applications == r_ref.preconditioner_applications
+        np.testing.assert_allclose(r_fast.x, r_ref.x, rtol=0, atol=1e-12)
+        assert traffic["fast"].summary() == traffic["reference"].summary()
 
     def test_block_jacobi_fused_single_apply_bitwise(self, poisson_matrix):
         from repro.precond import BlockJacobiIC0
@@ -383,10 +447,11 @@ class TestSolvePlan:
         rng = np.random.default_rng(15)
         r = rng.uniform(-1, 1, poisson_matrix.nrows).astype(np.float16)
         with use_backend("fast"):
-            with use_plans(True):
-                fused = pre._apply(r)
-            with use_plans(False):
-                looped = pre._apply(r)
+            fused = pre._apply(r)
+            looped = np.concatenate([
+                block._apply(r[start:stop])
+                for block, (start, stop) in zip(pre._blocks,
+                                                pre.partition.blocks())])
         assert_bit_equal(fused, looped)
 
 

@@ -19,7 +19,6 @@ import pytest
 from repro.backends.workspace import arena_alloc_count
 from repro.core import F3RConfig, F3RSolver
 from repro.matgen import hpcg_operator, poisson2d
-from repro.plans import use_plans
 
 pytestmark = pytest.mark.tier1
 
@@ -41,14 +40,13 @@ class TestAllocationRegression:
             solver = _warm_solver(matrix, nblocks=4)
         rng = np.random.default_rng(0)
         b = rng.uniform(-1, 1, matrix.nrows)
-        with use_plans(True):
-            solver.solve(b)
-            solver.solve(b)                      # plans, arenas, casts warm
-            before = arena_alloc_count()
-            for _ in range(3):
-                result = solver.solve(b)
-            assert arena_alloc_count() == before, \
-                "steady-state solve allocated fresh arena arrays"
+        solver.solve(b)
+        solver.solve(b)                          # plans, arenas, casts warm
+        before = arena_alloc_count()
+        for _ in range(3):
+            result = solver.solve(b)
+        assert arena_alloc_count() == before, \
+            "steady-state solve allocated fresh arena arrays"
         assert result.converged
 
     def test_no_traced_memory_growth_across_warm_solves(self):
@@ -56,19 +54,18 @@ class TestAllocationRegression:
         solver = _warm_solver(matrix, nblocks=4)
         rng = np.random.default_rng(1)
         b = rng.uniform(-1, 1, matrix.nrows)
-        with use_plans(True):
+        solver.solve(b)
+        solver.solve(b)
+        gc.collect()
+        tracemalloc.start()
+        solver.solve(b)
+        gc.collect()
+        first, _ = tracemalloc.get_traced_memory()
+        for _ in range(3):
             solver.solve(b)
-            solver.solve(b)
-            gc.collect()
-            tracemalloc.start()
-            solver.solve(b)
-            gc.collect()
-            first, _ = tracemalloc.get_traced_memory()
-            for _ in range(3):
-                solver.solve(b)
-            gc.collect()
-            current, _ = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
+        gc.collect()
+        current, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
         # repeated identical solves must not accumulate state; allow a small
         # slack for interpreter-level noise (caches, interned objects)
         assert current - first < 128 * 1024, \

@@ -83,21 +83,17 @@ def pinned(monkeypatch):
     Multi-RHS batches are *not* bit-stable across batch compositions
     (fused or not — the blocked kernels reorder reductions), so every
     bit-identity test here pins ``max_batch=1`` on both the reference and
-    the cluster under test, plus plans/tune/recovery off, matching the
-    PR 9 hammer methodology.
+    the cluster under test, plus tune/recovery off, matching the
+    process-tier hammer methodology.
     """
     monkeypatch.setenv("REPRO_TUNE", "0")
     monkeypatch.setenv("REPRO_RECOVERY", "0")
-    monkeypatch.setenv("REPRO_PLANS", "0")
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     # The env vars above only reach *spawned* servers — in this process the
-    # toggles were latched at import, so flip them programmatically too.
+    # toggle was latched at import, so flip it programmatically too.
     from repro import set_recovery_enabled
-    from repro.plans import set_plans_enabled
-    prev_plans = set_plans_enabled(False)
     prev_recovery = set_recovery_enabled(False)
     yield
-    set_plans_enabled(prev_plans)
     set_recovery_enabled(prev_recovery)
 
 

@@ -19,7 +19,6 @@ from repro.core import F3RConfig, F3RSolver, RecoveryPolicy, SolveReport, use_re
 from repro.core.recovery import recovery_enabled
 from repro.faults import FaultPlan, inject
 from repro.matgen import poisson2d
-from repro.plans import use_plans
 from repro.operators import LinearOperator
 from repro.precond import ILU0Preconditioner
 from repro.serve import (
@@ -220,7 +219,7 @@ class TestRecoveryLadder:
                            nblocks=4)
         # two faults: the initial attempt and the restart both hit a
         # poisoned matvec, so the ladder must climb to fp32
-        with use_plans(False), inject(self._plan()):
+        with inject(self._plan()):
             result = solver.solve(b)
         assert result.converged
         report = result.recovery
@@ -246,7 +245,7 @@ class TestRecoveryLadder:
         b = np.random.default_rng(2).uniform(-1, 1, (poisson_matrix.nrows, 4))
         solver = F3RSolver(poisson_matrix, config=F3RConfig(variant="fp16"),
                            nblocks=4)
-        with use_plans(False), inject(self._plan(max_faults=2)):
+        with inject(self._plan(max_faults=2)):
             batch = solver.solve_batch(b)
         assert batch.all_converged
         # at least one column went through the ladder
@@ -260,7 +259,7 @@ class TestRecoveryLadder:
         b = np.random.default_rng(1).uniform(-1, 1, poisson_matrix.nrows)
         solver = F3RSolver(poisson_matrix, config=F3RConfig(variant="fp16"),
                            nblocks=4)
-        with use_plans(False), inject(self._plan()), use_recovery(False):
+        with inject(self._plan()), use_recovery(False):
             with pytest.raises(SolveEvent):
                 solver.solve(b)
 
@@ -268,7 +267,7 @@ class TestRecoveryLadder:
         b = np.random.default_rng(1).uniform(-1, 1, poisson_matrix.nrows)
         solver = F3RSolver(poisson_matrix, config=F3RConfig(variant="fp16"),
                            nblocks=4, recovery=False)
-        with use_plans(False), inject(self._plan()):
+        with inject(self._plan()):
             with pytest.raises(SolveEvent):
                 solver.solve(b)
 
@@ -291,7 +290,7 @@ class TestRecoveryLadder:
         b = np.random.default_rng(1).uniform(-1, 1, poisson_matrix.nrows)
         solver = F3RSolver(poisson_matrix, config=F3RConfig(variant="fp16"),
                            nblocks=4, recovery=policy)
-        with use_plans(False), inject(self._plan(max_faults=1)):
+        with inject(self._plan(max_faults=1)):
             result = solver.solve(b)
         assert result.converged
         assert all(a.stage != "restart" for a in result.recovery.attempts)
@@ -443,7 +442,7 @@ class TestDispatcherHardening:
         plan = FaultPlan(seed=5, rate=1.0, sites=("spmv",), kinds=("nan",),
                          max_faults=3)
         rng = np.random.default_rng(9)
-        with use_plans(False), inject(plan):
+        with inject(plan):
             with BatchDispatcher(self.CONFIG, nblocks=4, max_batch=2,
                                  max_retries=2) as dispatcher:
                 futures = [dispatcher.submit(poisson_matrix,

@@ -15,6 +15,12 @@ The checker also pins a manifest of *required* test-module globs
 backend-equivalence contract, the batched-solve sweeps, the operator-layer
 equivalence/end-to-end files — must exist under ``tests/``, so a rename or
 deletion fails the lint instead of silently dropping the gate.
+
+Finally it keeps the README's environment-variable table honest: every
+``REPRO_*`` name that appears in ``src/`` must have a row in the table under
+README's ``## Environment variables`` heading, and every row must name a
+variable ``src/`` still references — a new knob needs a documented
+production reason, and a retired one leaves the table.
 """
 
 from __future__ import annotations
@@ -23,7 +29,16 @@ import re
 import sys
 from pathlib import Path
 
-TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
+ROOT = Path(__file__).resolve().parent.parent
+TESTS_DIR = ROOT / "tests"
+SRC_DIR = ROOT / "src"
+README = ROOT / "README.md"
+
+#: a ``REPRO_*`` environment-variable name (``REPRO_*`` itself does not match)
+ENV_NAME_RE = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
+#: one row of the README table: ``| `REPRO_NAME` | reason |``
+ENV_ROW_RE = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)`\s*\|", re.MULTILINE)
+ENV_HEADING = "## Environment variables"
 
 #: module-level assignment like ``pytestmark = pytest.mark.tier1`` or
 #: ``pytestmark = [pytest.mark.tier2, ...]`` (anchored to column 0)
@@ -62,6 +77,23 @@ REQUIRED_MODULES = (
 )
 
 
+def documented_env_names() -> set[str]:
+    """``REPRO_*`` names listed in README's environment-variable table."""
+    text = README.read_text(encoding="utf-8")
+    _, found, section = text.partition(f"\n{ENV_HEADING}\n")
+    if not found:
+        return set()
+    return set(ENV_ROW_RE.findall(section.split("\n## ", 1)[0]))
+
+
+def src_env_names() -> set[str]:
+    """Every ``REPRO_*`` name referenced anywhere under ``src/``."""
+    names: set[str] = set()
+    for path in sorted(SRC_DIR.rglob("*.py")):
+        names.update(ENV_NAME_RE.findall(path.read_text(encoding="utf-8")))
+    return names
+
+
 def main() -> int:
     test_files = sorted(TESTS_DIR.glob("test_*.py"))
     if not test_files:
@@ -83,9 +115,20 @@ def main() -> int:
         for glob in absent:
             print(f"  tests/{glob}", file=sys.stderr)
         status = 1
+    used, documented = src_env_names(), documented_env_names()
+    if used != documented:
+        print(f"lint-tests: README's '{ENV_HEADING}' table is out of step "
+              "with src/:", file=sys.stderr)
+        for name in sorted(used - documented):
+            print(f"  {name}: read in src/ but not listed", file=sys.stderr)
+        for name in sorted(documented - used):
+            print(f"  {name}: listed but no longer read in src/",
+                  file=sys.stderr)
+        status = 1
     if status == 0:
         print(f"lint-tests: OK ({len(test_files)} test files, all tier-marked; "
-              f"{len(REQUIRED_MODULES)} required suites present)")
+              f"{len(REQUIRED_MODULES)} required suites present; "
+              f"{len(used)} REPRO_* variables documented)")
     return status
 
 
