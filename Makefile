@@ -14,9 +14,10 @@ test-all:
 	$(PYTHON) -m pytest -q -m "tier1 or tier2"
 
 ## Robustness machinery under deterministic fault injection: the guards /
-## recovery / dispatcher suites plus the seeded tier-2 hammer runs
+## recovery suites, the front-door contract (every door, tier-2 gateway
+## included) plus the seeded tier-2 hammer runs
 test-faults:
-	$(PYTHON) -m pytest -q -m "tier1 or tier2" tests/test_robustness.py tests/test_faults.py
+	$(PYTHON) -m pytest -q -m "tier1 or tier2" tests/test_robustness.py tests/test_frontdoor.py tests/test_faults.py
 
 ## Overload + chaos: priority shedding, brownout, worker watchdog, and the
 ## hang/kill/corruption hammer against the process tier (tier-2 included)

@@ -19,6 +19,11 @@ heartbeats, reconnect + replay, request-id dedup, hedged dispatch, and
 replica failover (:mod:`repro.serve.remote`, :mod:`repro.serve.cluster`).
 See the README section "Remote shards & multi-host serving".
 
+All three are :class:`~repro.serve.frontdoor.FrontDoor` subclasses: the
+request policy (validation, admission and shedding, deadlines, retry, the
+circuit breaker, drain and close) is written once in
+:mod:`repro.serve.frontdoor`, and each door adds only its transport.
+
 The front doors share the overload-resilience layer
 (:mod:`repro.serve.overload`): priority admission with load shedding
 (:class:`LoadShed`), a hysteresis :class:`BrownoutController` that degrades
@@ -27,15 +32,14 @@ tier.  :func:`render_metrics` exports ``stats.summary()`` in the Prometheus
 text format.  See the README section "Overload & graceful degradation".
 """
 
-from .dispatcher import (
+from .frontdoor import (
     AdmissionRefused,
-    BatchDispatcher,
     CircuitOpen,
     DeadlineExceeded,
-    DispatchStats,
     DispatcherClosed,
     LoadShed,
 )
+from .dispatcher import BatchDispatcher, DispatchStats
 from .cluster import ClusterConfig, ClusterGateway, ClusterStats
 from .gateway import (
     GatewayStats,

@@ -1,22 +1,25 @@
 """Cluster gateway: rendezvous routing over local *and* remote shards.
 
-The multi-host front door the ROADMAP's serving item points at: a
-:class:`ClusterGateway` exposes the familiar dispatcher surface
-(``submit`` / ``flush`` / ``drain`` / ``solve_many`` / ``prewarm``) and
-routes each operator fingerprint onto a *member ring* — every member is
-either a local :class:`~repro.serve.dispatcher.BatchDispatcher` or a
+The multi-host front door: a :class:`ClusterGateway` is a
+:class:`~repro.serve.frontdoor.FrontDoor` — the request policy is the
+shared core's — whose transport is a *member ring*.  Every member is either
+a local :class:`~repro.serve.dispatcher.BatchDispatcher` or a
 :class:`~repro.serve.remote.RemoteShard` speaking the batch protocol over
-TCP — using the same rendezvous hash as the process tier
-(:func:`~repro.serve.gateway.rank_members`), so local and remote shards mix
-in one ring and a fingerprint's placement is stable across processes.
+TCP; each operator fingerprint is routed by the same rendezvous hash as the
+process tier (:func:`~repro.serve.gateway.rank_members`), so local and
+remote shards mix in one ring and a fingerprint's placement is stable
+across processes.  :class:`ClusterConfig`'s ``max_batch``, ``max_queue``,
+``max_retries``, ``retry_backoff``, ``breaker_threshold`` and
+``breaker_cooldown`` are the core's knobs; the cluster runs without a
+brownout controller (priority admission is a per-shard concern), so a full
+``max_queue`` is a hard :class:`~repro.serve.AdmissionRefused` wall.
 
-The robustness story layers on the transport guarantees of
-:mod:`repro.serve.remote`:
+On top of the transport guarantees of :mod:`repro.serve.remote`:
 
 * **Replica failover** — the rendezvous *ranking* is the failover order:
   when a member is dead (:class:`~repro.serve.remote.ShardUnreachable`
-  after its reconnect budget) the fingerprint's batches re-dispatch to the
-  next-ranked healthy member, which rebuilds the setup — warm from the
+  after its reconnect budget) the core's retry re-dispatches the batch to
+  the next-ranked healthy member, which rebuilds the setup — warm from the
   shared ``REPRO_ARTIFACTS`` store when one is configured — and the
   ``failovers`` counter ticks.  A revived member (the client's background
   probe reconnected) re-enters the ring automatically.
@@ -27,13 +30,11 @@ The robustness story layers on the transport guarantees of
   the next-ranked member and the first response wins.  Request futures
   resolve exactly once — the loser's response is counted
   (``late_results``) and dropped, never delivered twice.
-* **Retry with backoff** — transport-level failures re-dispatch the batch
-  (``max_retries`` per request, linear backoff on a timer); per-request
-  failures computed *by* a shard (expired deadlines, setup errors) arrive
-  as typed slots and are final — the shard's own dispatcher already
-  retried them.
-* **Per-fingerprint circuit breaker** — repeated remote *setup* failures
-  open the fingerprint's breaker exactly as in the local dispatcher.
+* **What is retried** — transport-level failures go through the core's
+  retry path; per-request failures computed *by* a shard (expired
+  deadlines, setup errors) arrive as typed slots and are final — the
+  shard's own dispatcher already retried them.  ``"setup"`` slots feed the
+  core's per-fingerprint circuit breaker.
 
 ``stats.summary()["cluster"]`` carries the member table (per-link state,
 RTT percentiles, reconnect/resend/heartbeat-miss counters, the server-side
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
@@ -55,22 +55,14 @@ import numpy as np
 from ..core import F3RConfig
 from ..par.procpool import ExpiredRequest
 from ..solvers import SolveResult
-from ..solvers.guards import InvalidInput
-from .dispatcher import (
-    AdmissionRefused,
-    BatchDispatcher,
-    CircuitOpen,
-    DeadlineExceeded,
-    DispatchStats,
-    DispatcherClosed,
-    _Breaker,
-    _Request,
-    _resolve_once,
-)
+from .dispatcher import BatchDispatcher, DispatchStats
+from .frontdoor import FrontDoor, _Request, _resolve_once
 from .gateway import rank_members
-from .remote import RemoteError, RemoteShard, ShardUnreachable
+from .remote import RemoteShard, ShardUnreachable, solve_slots
 
 __all__ = ["ClusterConfig", "ClusterGateway", "ClusterStats"]
+
+
 
 
 @dataclass
@@ -80,7 +72,9 @@ class ClusterConfig:
     ``members`` is a sequence of ``(name, target)`` pairs: ``target`` is
     ``"host:port"`` for a remote shard or ``"local"`` for an in-process
     dispatcher member.  Names are the rendezvous identities — stable names
-    keep fingerprint placement stable across restarts.
+    keep fingerprint placement stable across restarts.  The policy fields
+    (``max_batch`` through ``breaker_cooldown``) are the front-door core's
+    knobs and are validated when the gateway is built.
     """
 
     members: tuple = ()
@@ -161,6 +155,7 @@ class _LocalMember:
     def __init__(self, name: str, dispatcher: BatchDispatcher) -> None:
         self.name = name
         self._dispatcher = dispatcher
+        self._batch_lock = threading.Lock()
         self._closed = False
 
     @property
@@ -170,55 +165,11 @@ class _LocalMember:
     def submit_batch(self, fingerprint: str, rhs_block: np.ndarray,
                      setup_factory, deadlines=None, degrade=None) -> Future:
         del fingerprint
-        operator = setup_factory()
         outer: Future = Future()
-        ncols = rhs_block.shape[1]
-        slots: list = [None] * ncols
-        futures: dict[int, Future] = {}
-        now = time.time()
-        for i in range(ncols):
-            wall = None if deadlines is None else deadlines[i]
-            if wall is not None and wall <= now:
-                slots[i] = ExpiredRequest(overshoot_s=now - wall)
-                continue
-            degradable = bool(degrade[i]) if degrade is not None else False
-            try:
-                futures[i] = self._dispatcher.submit(
-                    operator, rhs_block[:, i],
-                    deadline=None if wall is None else wall - time.time(),
-                    degradable=degradable)
-            except InvalidInput as exc:
-                slots[i] = RemoteError("invalid", type(exc).__name__, str(exc))
-            except Exception as exc:   # noqa: BLE001 - admission/closed
-                slots[i] = RemoteError("admission", type(exc).__name__,
-                                       str(exc))
-        if not futures:
-            _resolve_once(outer, result=(slots, self._snapshot()))
-            return outer
-        self._dispatcher.flush()
-        remaining = [len(futures)]
-        state_lock = threading.Lock()
-
-        def _on_done(index: int, future: Future) -> None:
-            exc = future.exception()
-            if exc is None:
-                slots[index] = future.result()
-            elif isinstance(exc, DeadlineExceeded):
-                slots[index] = ExpiredRequest(overshoot_s=0.0)
-            elif isinstance(exc, CircuitOpen):
-                slots[index] = RemoteError("setup", type(exc).__name__,
-                                           str(exc))
-            else:
-                slots[index] = RemoteError("solve", type(exc).__name__,
-                                           str(exc))
-            with state_lock:
-                remaining[0] -= 1
-                last = remaining[0] == 0
-            if last:
-                _resolve_once(outer, result=(slots, self._snapshot()))
-
-        for i, future in futures.items():
-            future.add_done_callback(lambda f, i=i: _on_done(i, f))
+        solve_slots(self._dispatcher, self._batch_lock, setup_factory(),
+                    rhs_block, deadlines, degrade,
+                    lambda slots: _resolve_once(
+                        outer, result=(slots, self._snapshot())))
         return outer
 
     def submit_warm(self, fingerprint: str, setup_factory) -> Future:
@@ -281,7 +232,7 @@ class _Flight:
         self.hedge_timer: threading.Timer | None = None
 
 
-class ClusterGateway:
+class ClusterGateway(FrontDoor):
     """Routes batches over a mixed local/remote member ring.
 
     Parameters
@@ -294,6 +245,10 @@ class ClusterGateway:
         The :class:`ClusterConfig` naming the members and the
         retry/hedge/transport policy.
 
+    ``close()`` closes every member at once (its ``wait`` flag is
+    accepted for the shared surface): batches still in flight fail typed
+    through their members.
+
     Usage::
 
         cluster = ClusterConfig(members=[("alpha", "127.0.0.1:7101"),
@@ -303,6 +258,8 @@ class ClusterGateway:
             gateway.drain()
     """
 
+    _door = "cluster"
+
     def __init__(self, config: F3RConfig | None = None,
                  cluster: ClusterConfig | None = None,
                  preconditioner="auto", nblocks: int | None = None,
@@ -310,9 +267,14 @@ class ClusterGateway:
                  cache_size: int = 8, max_workers: int = 2) -> None:
         if cluster is None or not cluster.members:
             raise ValueError("cluster requires a ClusterConfig with members")
+        super().__init__(
+            max_batch=cluster.max_batch, max_queue=cluster.max_queue,
+            max_retries=cluster.max_retries,
+            retry_backoff=cluster.retry_backoff,
+            breaker_threshold=cluster.breaker_threshold,
+            breaker_cooldown=cluster.breaker_cooldown)
         self.config = config or F3RConfig()
         self.cluster = cluster
-        self._cond = threading.Condition()
         self._members: dict[str, object] = {}
         for name, target in cluster.members:
             if target == "local":
@@ -333,18 +295,9 @@ class ClusterGateway:
                     backoff_base=cluster.backoff_base,
                     backoff_max=cluster.backoff_max,
                     reconnect_attempts=cluster.reconnect_attempts)
-        self._pending: OrderedDict[str, tuple[object, list[_Request]]] = \
-            OrderedDict()
-        self._breakers: dict[str, _Breaker] = {}
-        self._outstanding = 0
-        self._seq = 0
-        self._closed = False
         self.stats = ClusterStats()
         self.stats.members_source = self
 
-    # -------------------------------------------------------------- #
-    # Submission surface (the dispatcher contract)
-    # -------------------------------------------------------------- #
     def submit(self, matrix, rhs: np.ndarray, deadline: float | None = None,
                degradable: bool = False) -> Future:
         """Enqueue one solve request onto the ring; future resolves to its
@@ -355,67 +308,8 @@ class ClusterGateway:
         Priority admission is a per-shard concern — each member's local
         dispatcher applies its own overload policy.
         """
-        rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.shape != (matrix.nrows,):
-            raise InvalidInput(
-                f"rhs has shape {rhs.shape}; expected ({matrix.nrows},)",
-                site="cluster.submit",
-                detail={"shape": tuple(rhs.shape),
-                        "expected_rows": matrix.nrows})
-        if not np.all(np.isfinite(rhs)):
-            bad = int(np.flatnonzero(~np.isfinite(rhs))[0])
-            raise InvalidInput(
-                f"rhs contains non-finite entries (first at index {bad})",
-                site="cluster.submit", detail={"first_bad_row": bad})
-        request = _Request(
-            rhs,
-            None if deadline is None else time.monotonic() + float(deadline),
-            degradable=bool(degradable))
-        ready = None
-        with self._cond:
-            if self._closed:
-                raise DispatcherClosed("cluster gateway is closed")
-            if (self.cluster.max_queue is not None
-                    and self._outstanding >= self.cluster.max_queue):
-                self.stats.rejected += 1
-                raise AdmissionRefused(
-                    f"outstanding requests at max_queue="
-                    f"{self.cluster.max_queue}")
-            self._seq += 1
-            request.seq = self._seq
-            self.stats.requests += 1
-            self._outstanding += 1
-            fp = matrix.fingerprint()
-            if fp not in self._pending:
-                self._pending[fp] = (matrix, [])
-            self._pending[fp][1].append(request)
-            if len(self._pending[fp][1]) >= self.cluster.max_batch:
-                ready = (fp, *self._pending.pop(fp))
-        if ready is not None:
-            self._dispatch(*ready)
-        return request.future
-
-    def flush(self) -> None:
-        """Dispatch every pending group, regardless of its size."""
-        with self._cond:
-            groups = [(fp, matrix, requests)
-                      for fp, (matrix, requests) in self._pending.items()]
-            self._pending.clear()
-        for fp, matrix, requests in groups:
-            self._dispatch(fp, matrix, requests)
-
-    def drain(self) -> None:
-        """Flush and block until every admitted request has resolved —
-        through retries, hedges, and failovers."""
-        self.flush()
-        with self._cond:
-            while self._outstanding > 0:
-                self._cond.wait(timeout=0.1)
-
-    def solve_many(self, pairs) -> list[SolveResult]:
-        futures = [self.submit(matrix, rhs) for matrix, rhs in pairs]
-        self.drain()
-        return [f.result() for f in futures]
+        return super().submit(matrix, rhs, deadline=deadline,
+                              degradable=degradable)
 
     def prewarm(self, operators, wait: bool = True,
                 timeout: float | None = None) -> list[Future]:
@@ -456,24 +350,9 @@ class ClusterGateway:
                 return member
         return None
 
-    def _fail_all(self, requests: list[_Request], exc: BaseException) -> None:
-        for request in requests:
-            self._finish(request, exc=exc)
-
-    def _dispatch(self, fp: str, operator, requests: list[_Request],
-                  failover_from: str | None = None) -> None:
-        requests = self._split_expired(requests)
-        if not requests:
-            return
-        if self._closed:
-            self._fail_all(requests, DispatcherClosed(
-                "cluster gateway closed before dispatch"))
-            return
-        try:
-            self._breaker_check(fp)
-        except CircuitOpen as exc:
-            self._fail_all(requests, exc)
-            return
+    def _launch_batch(self, fp: str, operator, requests: list[_Request],
+                      failover_from: str | None = None) -> None:
+        self._breaker_check(fp)
         candidates = [m for m in self._ranked_members(fp) if m.healthy]
         if failover_from is not None and len(candidates) > 1:
             candidates = ([m for m in candidates
@@ -484,10 +363,7 @@ class ClusterGateway:
             return
         flight = _Flight(fp, operator, requests)
         with self._cond:
-            self.stats.batches += 1
-            self.stats.batched_requests += len(requests)
-            self.stats.largest_batch = max(self.stats.largest_batch,
-                                           len(requests))
+            self._count_batch_locked(len(requests))
             if failover_from is not None:
                 self.stats.failovers += 1
         self._launch(flight, candidates[0], origin="primary")
@@ -575,11 +451,9 @@ class ClusterGateway:
                         self.stats.escalations += slot.recovery.escalations
                 self._finish(request, result=slot)
             elif isinstance(slot, ExpiredRequest):
-                with self._cond:
-                    self.stats.deadline_misses += 1
-                self._finish(request, exc=DeadlineExceeded(
-                    f"deadline passed before execution on shard "
-                    f"{member.name!r} (overshoot {slot.overshoot_s:.3f}s)"))
+                self._expire(request,
+                             f"deadline passed before execution on shard "
+                             f"{member.name!r} (overshoot {slot.overshoot_s:.3f}s)")
             else:                         # RemoteError
                 if slot.kind == "setup":
                     setup_failed = True
@@ -600,115 +474,14 @@ class ClusterGateway:
             timer, flight.hedge_timer = flight.hedge_timer, None
         if timer is not None:
             timer.cancel()
-        live = [r for r in flight.requests if not r.future.done()]
-        if not live:
-            return
-        if self._closed or isinstance(exc, DispatcherClosed):
-            self._fail_all(live, DispatcherClosed(
-                "cluster gateway closed while the batch was in flight"))
-            return
-        retryable, exhausted = [], []
-        for request in live:
-            if request.attempts < self.cluster.max_retries:
-                request.attempts += 1
-                retryable.append(request)
-            else:
-                exhausted.append(request)
-        self._fail_all(exhausted, exc)
-        if not retryable:
-            return
-        failover_from = (member.name
-                         if isinstance(exc, ShardUnreachable) else None)
-        with self._cond:
-            self.stats.retries += len(retryable)
-        delay = self.cluster.retry_backoff * max(r.attempts
-                                                 for r in retryable)
-        timer = threading.Timer(
-            delay, self._dispatch,
-            args=(flight.fp, flight.operator, retryable),
-            kwargs={"failover_from": failover_from})
-        timer.daemon = True
-        timer.start()
+        self._retry_or_fail(
+            flight.fp, flight.operator, flight.requests, exc,
+            failover_from=(member.name if isinstance(exc, ShardUnreachable)
+                           else None))
 
-    # -------------------------------------------------------------- #
-    # Shared helpers (the dispatcher patterns, cluster-scoped)
-    # -------------------------------------------------------------- #
-    def _finish(self, request: _Request, result=None, exc=None) -> None:
-        if request.future.done():
-            return
-        with self._cond:
-            self._outstanding -= 1
-            if self._outstanding <= 0:
-                self._cond.notify_all()
-        if exc is not None:
-            _resolve_once(request.future, exc=exc)
-        else:
-            _resolve_once(request.future, result=result)
-
-    def _split_expired(self, requests: list[_Request]) -> list[_Request]:
-        now = time.monotonic()
-        live = []
-        for request in requests:
-            if request.deadline is not None and now > request.deadline:
-                with self._cond:
-                    self.stats.deadline_misses += 1
-                self._finish(request, exc=DeadlineExceeded(
-                    f"deadline passed {now - request.deadline:.3f}s "
-                    f"before dispatch"))
-            else:
-                live.append(request)
-        return live
-
-    def _breaker_check(self, fp: str) -> None:
-        with self._cond:
-            breaker = self._breakers.get(fp)
-            if breaker is None or breaker.opened_at is None:
-                return
-            if (time.monotonic() - breaker.opened_at
-                    >= self.cluster.breaker_cooldown):
-                breaker.opened_at = None
-                breaker.failures = self.cluster.breaker_threshold - 1
-                return
-        raise CircuitOpen(
-            f"setup circuit open for operator {fp!r} "
-            f"({self.cluster.breaker_threshold} consecutive failures)")
-
-    def _breaker_record(self, fp: str, ok: bool) -> None:
-        with self._cond:
-            if ok:
-                self._breakers.pop(fp, None)
-                return
-            breaker = self._breakers.setdefault(fp, _Breaker())
-            breaker.failures += 1
-            if (breaker.failures >= self.cluster.breaker_threshold
-                    and breaker.opened_at is None):
-                breaker.opened_at = time.monotonic()
-                self.stats.breaker_trips += 1
-
-    # -------------------------------------------------------------- #
-    def close(self) -> None:
-        """Stop accepting work, fail undispatched requests typed, and close
-        every member (in-flight batch futures fail through the members)."""
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            abandoned = [request for _, requests in self._pending.values()
-                         for request in requests]
-            self._pending.clear()
-        for request in abandoned:
-            self._finish(request, exc=DispatcherClosed(
-                "cluster gateway closed before dispatch"))
+    def _teardown(self) -> None:
         for member in self._members.values():
             member.close()
-
-    def __enter__(self) -> "ClusterGateway":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if exc_info[0] is None:
-            self.drain()
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         states = {name: member.stats().get("state")

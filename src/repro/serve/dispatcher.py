@@ -46,41 +46,21 @@ step) hit with ever-changing right-hand sides.  The
   surfaces the pool occupancy (``pool``) and the autotuned thread verdicts
   (``autotune.thread_verdicts``).
 
-Hardening (the serving failure model):
+Request policy — validation, admission, priorities and shedding, deadlines,
+retry, the circuit breaker, drain and close — is the shared front-door core;
+see :mod:`repro.serve.frontdoor`.  What is specific to this door:
 
-* **Boundary validation** — a mis-shaped or non-finite right-hand side is
-  rejected at :meth:`~BatchDispatcher.submit` with a structured
-  :class:`~repro.solvers.InvalidInput` before any setup work is spent.
-* **Admission** — ``max_queue`` bounds the outstanding (accepted, not yet
-  completed) requests; beyond it :meth:`~BatchDispatcher.submit` raises
-  :class:`AdmissionRefused` instead of queueing unboundedly.
-* **Priorities & load shedding** — ``submit(..., priority=)`` ranks
-  requests; when ``max_queue`` fills, the brownout controller sheds the
-  lowest-priority-oldest-deadline *pending* request (typed
-  :class:`LoadShed`, a subclass of :class:`AdmissionRefused`) to admit
-  higher-priority work instead of refusing everything at the wall.
-  ``priority_depths`` adds per-priority outstanding bounds.
-* **Brownout** — a :class:`~repro.serve.overload.BrownoutController`
-  (default on; ``REPRO_OVERLOAD=0`` disables) watches queue fill,
-  deadline-miss/breaker-trip rates, and pool occupancy; under pressure it
-  starts ``degradable=True`` requests one precision tier lower (the
-  recovery ladder is the safety net), suppresses opportunistic warm-ups
-  and autotune measurement, and at the SHED level refuses work below its
-  priority floor at admission.  ``stats.summary()["overload"]`` carries
-  the state, the shed/degraded counters, and every transition.
-* **Deadlines** — ``submit(..., deadline=seconds)`` attaches a per-request
-  deadline; a request still undispatched past it fails with
-  :class:`DeadlineExceeded` instead of occupying a batch slot.
-* **Retry** — a batch that dies (worker exception) is re-queued with
-  backoff instead of failing its requests, up to ``max_retries`` per
-  request; only exhausted requests see the error.
-* **Circuit breaker** — repeated *setup* failures for one operator
-  fingerprint open a per-fingerprint breaker: further batches fail fast
-  with :class:`CircuitOpen` (no futile refactorizations) until
-  ``breaker_cooldown`` elapses and a probe attempt is allowed through.
-* **Graceful drain** — ``close(wait=True)`` completes in-flight batches;
+* **Brownout degradation** — under brownout, ``degradable=True`` requests
+  of a batch solve one precision tier lower on a cached sibling solver (the
+  recovery ladder stays active there); opportunistic warm-ups and autotune
+  measurement are suppressed.  ``stats.summary()["overload"]`` carries the
+  controller state, the shed/degraded counters, and every transition.
+* **Circuit breaker scope** — the breaker counts failures of this door's
+  own setup builds (:class:`~repro.core.F3RSolver` construction on a
+  worker).
+* **Close** — ``close(wait=True)`` completes in-flight batches;
   ``close(wait=False)`` cancels batches not yet running and fails their
-  futures with :class:`DispatcherClosed` so no caller blocks forever.
+  futures with :class:`DispatcherClosed`.
 
 The recovery-related counters (``escalations`` harvested from
 :class:`~repro.core.SolveReport` results, ``retries``, ``breaker_trips``,
@@ -101,9 +81,17 @@ from ..backends import use_backend
 from ..core import F3RConfig, F3RSolver, degraded_variant
 from ..faults import maybe_delay, maybe_fail_worker
 from ..operators import LinearOperator
-from ..solvers import SolveResult
-from ..solvers.guards import InvalidInput
 from ..sparse import CSRMatrix
+from .frontdoor import (
+    AdmissionRefused,
+    CircuitOpen,
+    DeadlineExceeded,
+    DispatcherClosed,
+    FrontDoor,
+    LoadShed,
+    _Request,
+    _resolve_once,
+)
 from .overload import resolve_controller
 
 __all__ = [
@@ -115,38 +103,6 @@ __all__ = [
     "DispatcherClosed",
     "LoadShed",
 ]
-
-
-class DispatcherClosed(RuntimeError):
-    """The dispatcher no longer accepts or will never run this work."""
-
-
-class DeadlineExceeded(RuntimeError):
-    """The request's deadline passed before its batch was executed."""
-
-
-class AdmissionRefused(RuntimeError):
-    """The dispatcher's outstanding-request bound (``max_queue``) is full."""
-
-
-class LoadShed(AdmissionRefused):
-    """This request was shed under overload (priority admission policy).
-
-    Raised on a *pending* request's future when a higher-priority arrival
-    displaces it from a full queue, and at :meth:`BatchDispatcher.submit`
-    when the incoming request itself is the lowest-priority work in sight
-    (or falls below the SHED-state priority floor).  Subclasses
-    :class:`AdmissionRefused`: pre-priority callers that catch the hard
-    admission wall keep working unchanged.
-    """
-
-    def __init__(self, message: str, priority: int | None = None) -> None:
-        super().__init__(message)
-        self.priority = priority
-
-
-class CircuitOpen(RuntimeError):
-    """Setup for this operator fingerprint keeps failing; failing fast."""
 
 
 @dataclass
@@ -230,44 +186,7 @@ class DispatchStats:
         }
 
 
-@dataclass
-class _Breaker:
-    """Per-fingerprint setup-failure state."""
-
-    failures: int = 0
-    opened_at: float | None = None
-
-
-def _resolve_once(future: Future, result=None, exc=None) -> None:
-    """Resolve a future, tolerating a concurrent resolution (close vs task)."""
-    if future.done():
-        return
-    try:
-        if exc is not None:
-            future.set_exception(exc)
-        else:
-            future.set_result(result)
-    except Exception:      # InvalidStateError: the race lost — already resolved
-        pass
-
-
-class _Request:
-    __slots__ = ("rhs", "future", "deadline", "attempts", "priority",
-                 "degradable", "seq")
-
-    def __init__(self, rhs: np.ndarray, deadline: float | None = None,
-                 priority: int = 0, degradable: bool = False,
-                 seq: int = 0) -> None:
-        self.rhs = rhs
-        self.future: Future = Future()
-        self.deadline = deadline          # absolute time.monotonic(), or None
-        self.attempts = 0
-        self.priority = priority
-        self.degradable = degradable
-        self.seq = seq                    # admission order (shed tie-break)
-
-
-class BatchDispatcher:
+class BatchDispatcher(FrontDoor):
     """Groups solve requests by matrix and executes them as batched solves.
 
     Parameters
@@ -311,6 +230,9 @@ class BatchDispatcher:
         controller; a :class:`~repro.serve.overload.BrownoutController` or
         :class:`~repro.serve.overload.BrownoutConfig` is used as given.
 
+    The admission, deadline, retry and breaker semantics of these knobs are
+    the front-door core's (:mod:`repro.serve.frontdoor`).
+
     Usage::
 
         with BatchDispatcher(config, max_batch=8) as dispatcher:
@@ -318,6 +240,8 @@ class BatchDispatcher:
             dispatcher.flush()
             results = [f.result() for f in futures]
     """
+
+    _door = "dispatcher"
 
     def __init__(self, config: F3RConfig | None = None, preconditioner="auto",
                  nblocks: int | None = None, alpha: float = 1.0,
@@ -328,38 +252,22 @@ class BatchDispatcher:
                  breaker_cooldown: float = 30.0,
                  priority_depths: dict[int, int] | None = None,
                  overload=None) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+        super().__init__(
+            max_batch=max_batch, max_queue=max_queue, max_retries=max_retries,
+            retry_backoff=retry_backoff, breaker_threshold=breaker_threshold,
+            breaker_cooldown=breaker_cooldown, priority_depths=priority_depths,
+            controller=resolve_controller(overload))
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
-        if max_queue is not None and max_queue < 1:
-            raise ValueError("max_queue must be >= 1 (or None for unbounded)")
         self.config = config or F3RConfig()
-        self.max_batch = int(max_batch)
         self.cache_size = int(cache_size)
         self.backend = backend
-        self.max_queue = max_queue
-        self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
-        self.breaker_threshold = int(breaker_threshold)
-        self.breaker_cooldown = float(breaker_cooldown)
-        self.priority_depths = (None if priority_depths is None
-                                else dict(priority_depths))
-        self._overload = resolve_controller(overload)
         self._precond_spec = (preconditioner, nblocks, alpha)
         self._max_workers = int(max_workers)
         self._pool = ThreadPoolExecutor(max_workers=max_workers,
                                         thread_name_prefix="repro-serve")
-        self._lock = threading.Lock()
-        # fingerprint -> (operator, [pending requests]); insertion-ordered so
-        # flush dispatches groups in arrival order.  Assembled and
-        # matrix-free operators share the one queue.
-        self._pending: OrderedDict[
-            str, tuple[CSRMatrix | LinearOperator, list[_Request]]] = OrderedDict()
         self._solvers: OrderedDict[tuple, F3RSolver] = OrderedDict()
         self._building: dict[tuple, Future] = {}
-        self._breakers: dict[tuple, _Breaker] = {}
-        self._inflight: list[tuple[Future, list[_Request]]] = []
         # setup keys evicted from the solver LRU: returning traffic for one
         # of these triggers an opportunistic warm-up on an idle worker
         # (bounded insertion-ordered set)
@@ -374,206 +282,58 @@ class BatchDispatcher:
         self._fp_turn: dict[str, int] = {}
         self._order_abandoned = False
         self._busy_workers = 0
-        self._outstanding = 0
-        self._by_priority: dict[int, int] = {}
-        self._seq = 0
-        self._warm_pending: list[Future] = []
-        self._closed = False
         self.stats = DispatchStats()
         self.stats.controller = self._overload
 
     # ------------------------------------------------------------------ #
-    def _observe_locked(self) -> None:
-        """Feed the brownout controller one snapshot (caller holds the lock)."""
+    # Front-door hooks
+    # ------------------------------------------------------------------ #
+    def _occupancy_locked(self) -> float:
+        return self._busy_workers / max(1, self._max_workers)
+
+    def _admitted_locked(self, fp: str, matrix):
+        # opportunistic warm-up: this fingerprint was evicted from the
+        # solver LRU and is back — rebuild its setup on an idle worker while
+        # the group waits to fill, instead of inside the batch (suppressed
+        # while the brownout controller reports pressure)
+        setup_key = (fp, self.config)
         controller = self._overload
-        if controller is None:
-            return
-        queue_fill = (self._outstanding / self.max_queue
-                      if self.max_queue else 0.0)
-        controller.observe(
-            queue_fill=queue_fill,
-            occupancy=self._busy_workers / max(1, self._max_workers),
-            deadline_misses=self.stats.deadline_misses,
-            breaker_trips=self.stats.breaker_trips,
-            requests=self.stats.requests)
+        if (setup_key in self._evicted
+                and setup_key not in self._solvers
+                and setup_key not in self._building
+                and self._busy_workers < self._max_workers
+                and (controller is None
+                     or not controller.suppress_background())):
+            self._evicted.pop(setup_key, None)
+            return lambda: self._pool.submit(self._warm_one, matrix,
+                                             opportunistic=True)
+        return None
 
-    def _shed_mark_locked(self, priority: int) -> None:
-        self.stats.shed += 1
-        self.stats.shed_by_priority[priority] = \
-            self.stats.shed_by_priority.get(priority, 0) + 1
-
-    def _shed_victim_locked(self, priority: int) -> _Request | None:
-        """Pop the lowest-priority-oldest-deadline pending request strictly
-        below ``priority``, releasing its admission slot; ``None`` when every
-        pending request is at least as important as the arrival."""
-        best_key, best = None, None
-        for fp, (_, reqs) in self._pending.items():
-            for req in reqs:
-                if req.priority >= priority:
-                    continue
-                order = (req.priority,
-                         req.deadline if req.deadline is not None
-                         else float("inf"),
-                         req.seq)
-                if best_key is None or order < best_key:
-                    best_key, best = order, (fp, req)
-        if best is None:
-            return None
-        fp, victim = best
-        group = self._pending[fp]
-        group[1].remove(victim)
-        if not group[1]:
-            del self._pending[fp]
-        self._outstanding -= 1
-        self._by_priority[victim.priority] = \
-            self._by_priority.get(victim.priority, 0) - 1
-        self._shed_mark_locked(victim.priority)
-        return victim
-
-    def submit(self, matrix: CSRMatrix | LinearOperator, rhs: np.ndarray,
-               deadline: float | None = None, priority: int = 0,
-               degradable: bool = False) -> Future:
-        """Enqueue one solve request; returns a future resolving to its
-        :class:`~repro.solvers.SolveResult`.
-
-        ``matrix`` is anything :class:`~repro.core.F3RSolver` accepts — an
-        assembled :class:`~repro.sparse.CSRMatrix` or any
-        :class:`~repro.operators.LinearOperator` (matrix-free stencils,
-        composites).  The request is dispatched when its operator group
-        fills to ``max_batch`` or on the next :meth:`flush`.
-
-        ``deadline`` is seconds from now; a request whose deadline passes
-        before its batch executes fails with :class:`DeadlineExceeded`.
-        ``priority`` (higher = more important) ranks the request for load
-        shedding: when ``max_queue`` is full a lower-priority pending
-        request is shed (its future fails with :class:`LoadShed`) to admit
-        this one; with nothing less important pending, *this* call raises
-        :class:`LoadShed`.  ``degradable=True`` permits the brownout
-        controller to start the solve one precision tier lower under
-        pressure (the recovery ladder re-escalates on stagnation).
-
-        Raises :class:`~repro.solvers.InvalidInput` for a mis-shaped or
-        non-finite right-hand side, :class:`AdmissionRefused` (or its
-        :class:`LoadShed` subtype) when admission fails, and
-        :class:`DispatcherClosed` after :meth:`close`.
-        """
-        rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.shape != (matrix.nrows,):
-            raise InvalidInput(
-                f"rhs has shape {rhs.shape}; expected ({matrix.nrows},)",
-                site="dispatcher.submit",
-                detail={"shape": tuple(rhs.shape), "expected_rows": matrix.nrows})
-        if not np.all(np.isfinite(rhs)):
-            bad = int(np.flatnonzero(~np.isfinite(rhs))[0])
-            raise InvalidInput(
-                f"rhs contains non-finite entries (first at index {bad})",
-                site="dispatcher.submit", detail={"first_bad_row": bad})
-        request = _Request(
-            rhs, None if deadline is None else time.monotonic() + float(deadline),
-            priority=int(priority), degradable=bool(degradable))
-        ready = None
-        victim = None
+    def _launch_batch(self, fp: str, matrix, requests: list[_Request]) -> None:
         with self._lock:
-            if self._closed:
-                raise DispatcherClosed("dispatcher is closed")
-            self._seq += 1
-            request.seq = self._seq
-            controller = self._overload
-            self._observe_locked()
-            if controller is not None and not controller.admits(request.priority):
-                self._shed_mark_locked(request.priority)
-                raise LoadShed(
-                    f"shedding priority {request.priority} below floor "
-                    f"{controller.config.shed_priority_floor} "
-                    f"(overload state {controller.state!r})",
-                    priority=request.priority)
-            if self.priority_depths is not None:
-                bound = self.priority_depths.get(request.priority)
-                if (bound is not None
-                        and self._by_priority.get(request.priority, 0) >= bound):
-                    self._shed_mark_locked(request.priority)
-                    raise LoadShed(
-                        f"priority {request.priority} outstanding bound "
-                        f"{bound} is full", priority=request.priority)
-            if (self.max_queue is not None
-                    and self._outstanding >= self.max_queue):
-                if controller is not None:
-                    victim = self._shed_victim_locked(request.priority)
-                if victim is None:
-                    self.stats.rejected += 1
-                    if controller is None:
-                        raise AdmissionRefused(
-                            f"outstanding requests at max_queue={self.max_queue}")
-                    self._shed_mark_locked(request.priority)
-                    raise LoadShed(
-                        f"outstanding requests at max_queue={self.max_queue} "
-                        f"and nothing below priority {request.priority} to shed",
-                        priority=request.priority)
-            self.stats.requests += 1
-            self._outstanding += 1
-            self._by_priority[request.priority] = \
-                self._by_priority.get(request.priority, 0) + 1
-            key = matrix.fingerprint()
-            if key not in self._pending:
-                self._pending[key] = (matrix, [])
-            self._pending[key][1].append(request)
-            if len(self._pending[key][1]) >= self.max_batch:
-                ready = self._pending.pop(key)
-            # opportunistic warm-up: this fingerprint was evicted from the
-            # solver LRU and is back — rebuild its setup on an idle worker
-            # while the group waits to fill, instead of inside the batch
-            # (suppressed while the brownout controller reports pressure)
-            rewarm = None
-            setup_key = (key, self.config)
-            if (setup_key in self._evicted
-                    and setup_key not in self._solvers
-                    and setup_key not in self._building
-                    and self._busy_workers < self._max_workers
-                    and (controller is None
-                         or not controller.suppress_background())):
-                self._evicted.pop(setup_key, None)
-                rewarm = matrix
-        if victim is not None:
-            victim.future.set_exception(LoadShed(
-                f"shed at priority {victim.priority}: displaced by a "
-                f"priority {request.priority} arrival under queue pressure",
-                priority=victim.priority))
-        if rewarm is not None:
-            self._pool.submit(self._warm_one, rewarm, opportunistic=True)
-        if ready is not None:
-            self._dispatch(*ready)
-        return request.future
+            with self._order_cond:
+                ticket = self._fp_next.get(fp, 0)
+                self._fp_next[fp] = ticket + 1
+            future = self._pool.submit(self._execute, matrix, requests,
+                                       fp, ticket)
+            self._count_batch_locked(len(requests))
 
-    def flush(self) -> None:
-        """Dispatch every pending group, regardless of its size."""
-        with self._lock:
-            groups = list(self._pending.values())
-            self._pending.clear()
-        for matrix, requests in groups:
-            self._dispatch(matrix, requests)
+        def _cancelled(done: Future) -> None:
+            # close(wait=False) cancelled the batch before it started
+            if done.cancelled():
+                self._fail_all(requests, DispatcherClosed(
+                    "dispatcher closed before dispatch"))
 
-    def drain(self) -> None:
-        """Flush and block until every dispatched batch has completed.
+        future.add_done_callback(_cancelled)
 
-        Retried batches re-enter the in-flight list before their failed
-        predecessor resolves, so the loop also waits out retries.
-        """
-        self.flush()
-        while True:
-            with self._lock:
-                self._inflight = [(f, reqs) for f, reqs in self._inflight
-                                  if not f.done()]
-                inflight = [f for f, _ in self._inflight]
-            if not inflight:
-                return
-            for f in inflight:
-                f.exception()        # wait; per-request errors live on request futures
-
-    def solve_many(self, pairs) -> list[SolveResult]:
-        """Submit ``(operator, rhs)`` pairs, run everything, return results in order."""
-        futures = [self.submit(matrix, rhs) for matrix, rhs in pairs]
-        self.drain()
-        return [f.result() for f in futures]
+    def _quiesce(self, wait: bool) -> None:
+        if not wait:
+            # cancelled batches never advance their ordering ticket: release
+            # any worker waiting for a turn that will never come
+            with self._order_cond:
+                self._order_abandoned = True
+                self._order_cond.notify_all()
+        self._pool.shutdown(wait=wait, cancel_futures=not wait)
 
     # ------------------------------------------------------------------ #
     def prewarm(self, operators, wait: bool = True,
@@ -597,13 +357,7 @@ class BatchDispatcher:
         """
         futures = []
         for operator in operators:
-            outer: Future = Future()
-            with self._lock:
-                if self._closed:
-                    raise DispatcherClosed("dispatcher is closed")
-                self._warm_pending = [f for f in self._warm_pending
-                                      if not f.done()]
-                self._warm_pending.append(outer)
+            outer = self._track_warm()
             try:
                 self._pool.submit(self._warm_task, operator, outer)
             except RuntimeError:
@@ -651,52 +405,10 @@ class BatchDispatcher:
                 self._busy_workers -= 1
 
     # ------------------------------------------------------------------ #
-    def _finish(self, request: _Request, result=None, exc=None) -> None:
-        """Resolve a request future exactly once and release its admission slot."""
-        if request.future.done():
-            return
-        with self._lock:
-            self._outstanding -= 1
-            self._by_priority[request.priority] = \
-                self._by_priority.get(request.priority, 0) - 1
-            # completions are observations too: pressure recovers as the
-            # queue drains even if no new submissions arrive
-            self._observe_locked()
-        if exc is not None:
-            request.future.set_exception(exc)
-        else:
-            request.future.set_result(result)
-
-    def _breaker_check(self, key: tuple) -> None:
-        """Raise :class:`CircuitOpen` when the fingerprint's breaker is open."""
-        with self._lock:
-            breaker = self._breakers.get(key)
-            if breaker is None or breaker.opened_at is None:
-                return
-            if time.monotonic() - breaker.opened_at >= self.breaker_cooldown:
-                # half-open: let one probe attempt through; a failure re-opens
-                breaker.opened_at = None
-                breaker.failures = self.breaker_threshold - 1
-                return
-        raise CircuitOpen(
-            f"setup circuit open for operator {key[0]!r} "
-            f"({self.breaker_threshold} consecutive failures)")
-
-    def _breaker_record(self, key: tuple, ok: bool) -> None:
-        with self._lock:
-            if ok:
-                self._breakers.pop(key, None)
-                return
-            breaker = self._breakers.setdefault(key, _Breaker())
-            breaker.failures += 1
-            if (breaker.failures >= self.breaker_threshold
-                    and breaker.opened_at is None):
-                breaker.opened_at = time.monotonic()
-                self.stats.breaker_trips += 1
-
     def _solver_for(self, matrix: CSRMatrix | LinearOperator) -> F3RSolver:
-        key = (matrix.fingerprint(), self.config)
-        self._breaker_check(key)
+        fp = matrix.fingerprint()
+        key = (fp, self.config)
+        self._breaker_check(fp)
         with self._lock:
             solver = self._solvers.get(key)
             if solver is not None:
@@ -724,7 +436,7 @@ class BatchDispatcher:
         except BaseException as exc:   # noqa: BLE001 - relayed to waiters
             with self._lock:
                 self._building.pop(key, None)
-            self._breaker_record(key, ok=False)
+            self._breaker_record(fp, ok=False)
             build.set_exception(exc)
             raise
         with self._lock:
@@ -737,48 +449,9 @@ class BatchDispatcher:
                 while len(self._evicted) > 4 * self.cache_size:
                     self._evicted.popitem(last=False)
             self._building.pop(key, None)
-        self._breaker_record(key, ok=True)
+        self._breaker_record(fp, ok=True)
         build.set_result(solver)
         return solver
-
-    def _dispatch(self, matrix, requests: list[_Request],
-                  retry: bool = False) -> None:
-        with self._lock:
-            if self._closed and retry:
-                # no new pool work after close(): fail the survivors instead
-                # of leaking them into a shut-down executor
-                pending_fail = list(requests)
-            else:
-                pending_fail = None
-                fp = matrix.fingerprint()
-                with self._order_cond:
-                    ticket = self._fp_next.get(fp, 0)
-                    self._fp_next[fp] = ticket + 1
-                future = self._pool.submit(self._execute, matrix, requests,
-                                           fp, ticket)
-                self._inflight.append((future, requests))
-                self.stats.batches += 1
-                self.stats.batched_requests += len(requests)
-                self.stats.largest_batch = max(self.stats.largest_batch,
-                                               len(requests))
-        if pending_fail is not None:
-            for req in pending_fail:
-                self._finish(req, exc=DispatcherClosed(
-                    "dispatcher closed before dispatch"))
-
-    def _split_expired(self, requests: list[_Request]) -> list[_Request]:
-        """Fail past-deadline requests; return the still-live ones."""
-        now = time.monotonic()
-        live = []
-        for req in requests:
-            if req.deadline is not None and now > req.deadline:
-                with self._lock:
-                    self.stats.deadline_misses += 1
-                self._finish(req, exc=DeadlineExceeded(
-                    f"deadline passed {now - req.deadline:.3f}s before execution"))
-            else:
-                live.append(req)
-        return live
 
     def _order_wait(self, fp: str, ticket: int) -> None:
         """Block until ``ticket`` is the next batch for ``fp`` (or ordering
@@ -797,15 +470,13 @@ class BatchDispatcher:
                 self._fp_next.pop(fp, None)
             self._order_cond.notify_all()
 
-    def _execute(self, matrix, requests: list[_Request],
-                 fp: str | None = None, ticket: int | None = None) -> None:
-        if ticket is not None:
-            self._order_wait(fp, ticket)
+    def _execute(self, matrix, requests: list[_Request], fp: str,
+                 ticket: int) -> None:
+        self._order_wait(fp, ticket)
         try:
             self._execute_batch(matrix, requests)
         finally:
-            if ticket is not None:
-                self._order_advance(fp, ticket)
+            self._order_advance(fp, ticket)
 
     def _execute_batch(self, matrix, requests: list[_Request]) -> None:
         from ..par import pool_consumer
@@ -851,7 +522,7 @@ class BatchDispatcher:
                     else:
                         batches.append((part, part_solver.solve_batch(rhs_block)))
         except BaseException as exc:   # noqa: BLE001 - retried or propagated
-            self._retry_or_fail(matrix, requests, exc)
+            self._retry_or_fail(matrix.fingerprint(), matrix, requests, exc)
             return
         finally:
             with self._lock:
@@ -862,81 +533,6 @@ class BatchDispatcher:
                     with self._lock:
                         self.stats.escalations += result.recovery.escalations
                 self._finish(req, result=result)
-
-    def _retry_or_fail(self, matrix, requests: list[_Request],
-                       exc: BaseException) -> None:
-        """Re-queue a died batch's surviving requests; fail the exhausted ones."""
-        retryable, exhausted = [], []
-        for req in requests:
-            if req.attempts < self.max_retries and not isinstance(
-                    exc, (InvalidInput, DispatcherClosed, CircuitOpen)):
-                req.attempts += 1
-                retryable.append(req)
-            else:
-                exhausted.append(req)
-        for req in exhausted:
-            self._finish(req, exc=exc)
-        if not retryable:
-            return
-        with self._lock:
-            self.stats.retries += len(retryable)
-        # linear backoff on the worker that owned the died batch: the retry
-        # dispatch below lands in _inflight before this batch resolves, so
-        # drain() cannot slip through the gap
-        time.sleep(self.retry_backoff * max(r.attempts for r in retryable))
-        self._dispatch(matrix, retryable, retry=True)
-
-    # ------------------------------------------------------------------ #
-    def close(self, wait: bool = True) -> None:
-        """Stop accepting requests; optionally wait for in-flight batches.
-
-        Pending (never-dispatched) requests are failed with
-        :class:`DispatcherClosed` so no caller blocks forever on an
-        abandoned future.  With ``wait=False``, batches queued on the pool
-        but not yet running are cancelled and their requests failed the
-        same way; the running batches finish in the background.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            abandoned = [req for _, reqs in self._pending.values() for req in reqs]
-            self._pending.clear()
-        for req in abandoned:
-            self._finish(req, exc=DispatcherClosed(
-                "dispatcher closed before dispatch"))
-        if not wait:
-            # cancelled batches never advance their ordering ticket: release
-            # any worker waiting for a turn that will never come
-            with self._order_cond:
-                self._order_abandoned = True
-                self._order_cond.notify_all()
-        self._pool.shutdown(wait=wait, cancel_futures=not wait)
-        if not wait:
-            with self._lock:
-                inflight = list(self._inflight)
-            for future, reqs in inflight:
-                if future.cancelled():
-                    for req in reqs:
-                        self._finish(req, exc=DispatcherClosed(
-                            "dispatcher closed before dispatch"))
-        # warm-ups whose pool task was cancelled (or never ran) must fail
-        # typed, not leak as forever-pending / CancelledError futures
-        with self._lock:
-            warm_pending = list(self._warm_pending)
-            self._warm_pending.clear()
-        for outer in warm_pending:
-            _resolve_once(outer, exc=DispatcherClosed(
-                "dispatcher closed before warm-up completed"))
-
-    def __enter__(self) -> "BatchDispatcher":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        # finish the work on a clean exit; tear down fast on an exception
-        if exc_info[0] is None:
-            self.drain()
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"BatchDispatcher(max_batch={self.max_batch}, "

@@ -1,11 +1,11 @@
 """Sharded serving gateway: the front door of the process tier.
 
-:class:`ShardedGateway` keeps the :class:`~repro.serve.BatchDispatcher`
-contract — submit/flush/drain/solve_many/prewarm/close, fingerprint
-grouping, deadline/retry/circuit-breaker semantics, ``stats.summary()`` —
-but executes batches on ``REPRO_PROCS`` worker *processes* instead of
-threads, so the Python-level solve path (level scheduling, plan dispatch,
-the FGMRES loop) is no longer serialized on one GIL.
+:class:`ShardedGateway` is a :class:`~repro.serve.frontdoor.FrontDoor` — the
+request policy (validation, admission and shedding, deadlines, retry, the
+circuit breaker, drain and close) is the shared core's — whose transport is
+``REPRO_PROCS`` worker *processes* instead of threads, so the Python-level
+solve path (level scheduling, plan dispatch, the FGMRES loop) is no longer
+serialized on one GIL.
 
 Architecture::
 
@@ -35,24 +35,24 @@ Architecture::
   gateway *is* a :class:`BatchDispatcher` (same objects, same threads); the
   process tier spins up only when ``REPRO_PROCS`` (or the ``procs=``
   argument) asks for more.
-* **Failure model** — a worker death (real or injected via
-  ``kill_rate`` in :mod:`repro.faults`) fails the in-flight batches with
+* **Failure model** — a worker death (real or injected via ``kill_rate``
+  in :mod:`repro.faults`) fails the in-flight batches with
   :class:`~repro.par.procpool.WorkerDied`; the gateway respawns the slot
-  and re-dispatches surviving requests under the PR 6 retry policy.
-  Worker-side *setup* failures feed the same per-fingerprint circuit
-  breaker as the dispatcher's.  A worker that is alive but silent
-  (wedged; injected via ``hang_rate``) is killed by the pool's watchdog
-  (:class:`~repro.par.procpool.WorkerHung`, a ``WorkerDied`` subtype) and
-  handled by the very same respawn/retry path.
-* **Overload** — the dispatcher's priority admission and brownout
-  controller apply unchanged: ``submit(..., priority=, degradable=)``,
-  load shedding at a full ``max_queue`` (typed
-  :class:`~repro.serve.dispatcher.LoadShed`), precision degradation for
-  ``degradable`` batches under pressure, and request deadlines enforced a
-  second time *inside* the worker (wall-clock absolutes cross the process
-  boundary; a batch that sat in a shard queue past its deadlines returns
-  typed :class:`~repro.serve.dispatcher.DeadlineExceeded` failures
-  instead of burning solve time).
+  and the core's retry path re-dispatches surviving requests.  A worker
+  that is alive but silent (wedged; injected via ``hang_rate``) is killed
+  by the pool's watchdog (:class:`~repro.par.procpool.WorkerHung`, a
+  ``WorkerDied`` subtype) and handled the same way.  Worker-side *setup*
+  failures feed the core's circuit breaker; a ``stale`` miss (the batch
+  carrying the setup died first) re-ships the setup without charging it.
+* **Overload** — brownout degradation happens at batch granularity: the
+  degradable requests of a batch split into their own batch for the same
+  shard, with the degrade flag riding the queue hop.  Occupancy for the
+  brownout controller is in-flight batches over the process count.
+  Request deadlines are enforced a second time *inside* the worker
+  (wall-clock absolutes cross the process boundary; a batch that sat in a
+  shard queue past its deadlines returns typed
+  :class:`~repro.serve.dispatcher.DeadlineExceeded` failures instead of
+  burning solve time).
 * **Stats** — ``stats.summary()`` gains a ``procs`` section (process
   count, per-shard queue depth, shm registry bytes, merged worker counters
   including warm-from-artifact hits) and folds worker-side recovery
@@ -63,15 +63,12 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import Future
+from concurrent.futures import Future, wait as wait_futures
 
 import numpy as np
 
 from ..core import F3RConfig, degraded_variant
-from ..operators import LinearOperator
 from ..par.procpool import (
     ExpiredRequest,
     ProcPool,
@@ -81,25 +78,13 @@ from ..par.procpool import (
     resolve_procs,
 )
 from ..par.shm import ShmRegistry, operator_payload
-from ..solvers import SolveResult
-from ..solvers.guards import InvalidInput
-from ..sparse import CSRMatrix
-from .dispatcher import (
-    BatchDispatcher,
-    CircuitOpen,
-    DeadlineExceeded,
-    DispatchStats,
-    DispatcherClosed,
-    AdmissionRefused,
-    LoadShed,
-    _Breaker,
-    _Request,
-    _resolve_once,
-)
+from .dispatcher import BatchDispatcher, DispatchStats
+from .frontdoor import FrontDoor, _Request, _resolve_once
 from .overload import resolve_controller
 
 __all__ = ["GatewayStats", "ShardedGateway", "rank_members",
            "route_fingerprint"]
+
 
 
 def rank_members(fingerprint: str, names) -> list:
@@ -148,18 +133,17 @@ class GatewayStats(DispatchStats):
         return self._gateway._merge_summary(base)
 
 
-class ShardedGateway:
+class ShardedGateway(FrontDoor):
     """Process-sharded drop-in for :class:`BatchDispatcher`.
 
     Accepts the dispatcher's serving parameters plus ``procs`` (an int,
-    ``"auto"``, or ``None`` = the ``REPRO_PROCS`` configuration) and the
-    watchdog knobs ``hang_timeout`` / ``heartbeat_interval`` (forwarded to
-    :class:`~repro.par.procpool.ProcPool`; inert in in-process mode, where
-    no process can wedge independently of the gateway).  The overload
-    knobs ``priority_depths`` and ``overload`` mean exactly what they do
-    on :class:`BatchDispatcher`.  With a resolved count of 1 every call
-    delegates to an internal :class:`BatchDispatcher` — identical
-    behavior, zero new processes.
+    ``"auto"``, or ``None`` = the ``REPRO_PROCS`` configuration),
+    ``max_published`` (the shm registry's LRU bound) and the watchdog knobs
+    ``hang_timeout`` / ``heartbeat_interval`` (forwarded to
+    :class:`~repro.par.procpool.ProcPool`).  The policy knobs mean what the
+    front-door core (:mod:`repro.serve.frontdoor`) says they mean.  With a
+    resolved count of 1 every call delegates to an internal
+    :class:`BatchDispatcher` — identical behavior, zero new processes.
 
     Usage::
 
@@ -168,6 +152,8 @@ class ShardedGateway:
             gateway.flush()
             results = [f.result() for f in futures]
     """
+
+    _door = "gateway"
 
     def __init__(self, config: F3RConfig | None = None, preconditioner="auto",
                  nblocks: int | None = None, alpha: float = 1.0,
@@ -182,16 +168,19 @@ class ShardedGateway:
                  heartbeat_interval: float | None = None) -> None:
         self.config = config or F3RConfig()
         self.nprocs = resolve_procs(procs)
-        self.max_batch = int(max_batch)
-        self.max_queue = max_queue
-        self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
-        self.breaker_threshold = int(breaker_threshold)
-        self.breaker_cooldown = float(breaker_cooldown)
+        in_process = self.nprocs <= 1
+        super().__init__(
+            max_batch=max_batch, max_queue=max_queue, max_retries=max_retries,
+            retry_backoff=retry_backoff, breaker_threshold=breaker_threshold,
+            breaker_cooldown=breaker_cooldown, priority_depths=priority_depths,
+            controller=None if in_process else resolve_controller(overload))
         self._precond_spec = (preconditioner, nblocks, alpha)
         self.backend = backend
+        self.registry = None
+        self.pool = None
+        self._dispatcher = None
 
-        if self.nprocs <= 1:
+        if in_process:
             self._dispatcher = BatchDispatcher(
                 self.config, preconditioner=preconditioner, nblocks=nblocks,
                 alpha=alpha, max_batch=max_batch, cache_size=cache_size,
@@ -206,31 +195,19 @@ class ShardedGateway:
             self._dispatcher.stats = GatewayStats(self)
             self._dispatcher.stats.controller = self._dispatcher._overload
             self.stats = self._dispatcher.stats
-            self.registry = None
-            self.pool = None
+            # the public surface is the dispatcher's own (solve_many and the
+            # context manager reach it through these)
+            for name in ("submit", "flush", "drain", "prewarm", "close"):
+                setattr(self, name, getattr(self._dispatcher, name))
             return
 
-        self._dispatcher = None
-        self.priority_depths = (None if priority_depths is None
-                                else dict(priority_depths))
-        self._overload = resolve_controller(overload)
         self.stats = GatewayStats(self)
         self.stats.controller = self._overload
         self.registry = ShmRegistry(max_published=max_published)
         self.pool = ProcPool(self.nprocs, self._worker_init(),
                              hang_timeout=hang_timeout,
                              heartbeat_interval=heartbeat_interval)
-        self._lock = threading.Lock()
-        self._pending: OrderedDict[str, tuple[object, list[_Request]]] = OrderedDict()
-        self._inflight: list[tuple[Future, list[_Request]]] = []
-        self._retry_timers: list[threading.Timer] = []
-        self._retry_pending = 0
-        self._breakers: dict[str, _Breaker] = {}
-        self._outstanding = 0
-        self._by_priority: dict[int, int] = {}
-        self._seq = 0
-        self._warm_pending: list[Future] = []
-        self._closed = False
+        self._inflight_batches = 0
 
     def _worker_init(self) -> WorkerInit:
         """Snapshot the parent's effective execution settings for workers.
@@ -251,177 +228,6 @@ class ShardedGateway:
             fault_spec=plan.spec() if plan is not None else None)
 
     # ------------------------------------------------------------------ #
-    # Submission (proc mode; nprocs==1 delegates wholesale)
-    # ------------------------------------------------------------------ #
-    def _observe_locked(self) -> None:
-        """Feed the brownout controller one snapshot (caller holds the lock).
-
-        Occupancy is the shard-level analogue of the dispatcher's busy
-        workers: in-flight batches over the process count."""
-        controller = self._overload
-        if controller is None:
-            return
-        inflight = sum(1 for f, _ in self._inflight if not f.done())
-        controller.observe(
-            queue_fill=(self._outstanding / self.max_queue
-                        if self.max_queue else 0.0),
-            occupancy=min(1.0, inflight / max(1, self.nprocs)),
-            deadline_misses=self.stats.deadline_misses,
-            breaker_trips=self.stats.breaker_trips,
-            requests=self.stats.requests)
-
-    def _shed_mark_locked(self, priority: int) -> None:
-        self.stats.shed += 1
-        self.stats.shed_by_priority[priority] = \
-            self.stats.shed_by_priority.get(priority, 0) + 1
-
-    def _shed_victim_locked(self, priority: int) -> _Request | None:
-        """Pop the lowest-priority-oldest-deadline pending request strictly
-        below ``priority`` (same policy as the dispatcher's)."""
-        best_key, best = None, None
-        for fp, (_, reqs) in self._pending.items():
-            for req in reqs:
-                if req.priority >= priority:
-                    continue
-                order = (req.priority,
-                         req.deadline if req.deadline is not None
-                         else float("inf"),
-                         req.seq)
-                if best_key is None or order < best_key:
-                    best_key, best = order, (fp, req)
-        if best is None:
-            return None
-        fp, victim = best
-        group = self._pending[fp]
-        group[1].remove(victim)
-        if not group[1]:
-            del self._pending[fp]
-        self._outstanding -= 1
-        self._by_priority[victim.priority] = \
-            self._by_priority.get(victim.priority, 0) - 1
-        self._shed_mark_locked(victim.priority)
-        return victim
-
-    def submit(self, matrix: CSRMatrix | LinearOperator, rhs: np.ndarray,
-               deadline: float | None = None, priority: int = 0,
-               degradable: bool = False) -> Future:
-        """Enqueue one solve request; future resolves to its
-        :class:`~repro.solvers.SolveResult`.  Semantics are exactly
-        :meth:`BatchDispatcher.submit` — validation, admission with
-        priority shedding, deadlines, degradation eligibility, fingerprint
-        grouping at ``max_batch``."""
-        if self._dispatcher is not None:
-            return self._dispatcher.submit(matrix, rhs, deadline=deadline,
-                                           priority=priority,
-                                           degradable=degradable)
-        rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.shape != (matrix.nrows,):
-            raise InvalidInput(
-                f"rhs has shape {rhs.shape}; expected ({matrix.nrows},)",
-                site="gateway.submit",
-                detail={"shape": tuple(rhs.shape), "expected_rows": matrix.nrows})
-        if not np.all(np.isfinite(rhs)):
-            bad = int(np.flatnonzero(~np.isfinite(rhs))[0])
-            raise InvalidInput(
-                f"rhs contains non-finite entries (first at index {bad})",
-                site="gateway.submit", detail={"first_bad_row": bad})
-        request = _Request(
-            rhs, None if deadline is None else time.monotonic() + float(deadline),
-            priority=int(priority), degradable=bool(degradable))
-        ready = None
-        victim = None
-        with self._lock:
-            if self._closed:
-                raise DispatcherClosed("gateway is closed")
-            self._seq += 1
-            request.seq = self._seq
-            controller = self._overload
-            self._observe_locked()
-            if controller is not None and not controller.admits(request.priority):
-                self._shed_mark_locked(request.priority)
-                raise LoadShed(
-                    f"shedding priority {request.priority} below floor "
-                    f"{controller.config.shed_priority_floor} "
-                    f"(overload state {controller.state!r})",
-                    priority=request.priority)
-            if self.priority_depths is not None:
-                bound = self.priority_depths.get(request.priority)
-                if (bound is not None
-                        and self._by_priority.get(request.priority, 0) >= bound):
-                    self._shed_mark_locked(request.priority)
-                    raise LoadShed(
-                        f"priority {request.priority} outstanding bound "
-                        f"{bound} is full", priority=request.priority)
-            if (self.max_queue is not None
-                    and self._outstanding >= self.max_queue):
-                if controller is not None:
-                    victim = self._shed_victim_locked(request.priority)
-                if victim is None:
-                    self.stats.rejected += 1
-                    if controller is None:
-                        raise AdmissionRefused(
-                            f"outstanding requests at max_queue={self.max_queue}")
-                    self._shed_mark_locked(request.priority)
-                    raise LoadShed(
-                        f"outstanding requests at max_queue={self.max_queue} "
-                        f"and nothing below priority {request.priority} to shed",
-                        priority=request.priority)
-            self.stats.requests += 1
-            self._outstanding += 1
-            self._by_priority[request.priority] = \
-                self._by_priority.get(request.priority, 0) + 1
-            key = matrix.fingerprint()
-            if key not in self._pending:
-                self._pending[key] = (matrix, [])
-            self._pending[key][1].append(request)
-            if len(self._pending[key][1]) >= self.max_batch:
-                ready = (key, *self._pending.pop(key))
-        if victim is not None:
-            victim.future.set_exception(LoadShed(
-                f"shed at priority {victim.priority}: displaced by a "
-                f"priority {request.priority} arrival under queue pressure",
-                priority=victim.priority))
-        if ready is not None:
-            self._dispatch(ready[0], ready[1], ready[2])
-        return request.future
-
-    def flush(self) -> None:
-        """Dispatch every pending group, regardless of its size."""
-        if self._dispatcher is not None:
-            self._dispatcher.flush()
-            return
-        with self._lock:
-            groups = [(fp, op, reqs) for fp, (op, reqs) in self._pending.items()]
-            self._pending.clear()
-        for fp, operator, requests in groups:
-            self._dispatch(fp, operator, requests)
-
-    def drain(self) -> None:
-        """Flush and block until every dispatched batch (and retry) resolves."""
-        if self._dispatcher is not None:
-            self._dispatcher.drain()
-            return
-        self.flush()
-        while True:
-            with self._lock:
-                self._inflight = [(f, reqs) for f, reqs in self._inflight
-                                  if not f.done()]
-                inflight = [f for f, _ in self._inflight]
-                retrying = self._retry_pending
-            if not inflight and retrying == 0:
-                return
-            for f in inflight:
-                f.exception()   # wait; per-request errors live on request futures
-            if not inflight:
-                time.sleep(0.01)
-
-    def solve_many(self, pairs) -> list[SolveResult]:
-        """Submit ``(operator, rhs)`` pairs, run everything, return results in order."""
-        futures = [self.submit(matrix, rhs) for matrix, rhs in pairs]
-        self.drain()
-        return [f.result() for f in futures]
-
-    # ------------------------------------------------------------------ #
     def prewarm(self, operators, wait: bool = True,
                 timeout: float | None = None) -> list[Future]:
         """Build solver setups on their routed shards before traffic arrives.
@@ -430,9 +236,6 @@ class ShardedGateway:
         — ahead of the first batch; completions count in
         ``stats.summary()["cold_start"]``.
         """
-        if self._dispatcher is not None:
-            return self._dispatcher.prewarm(operators, wait=wait,
-                                            timeout=timeout)
         futures = []
         for operator in operators:
             fp = operator.fingerprint()
@@ -442,13 +245,7 @@ class ShardedGateway:
             # callers get a tracked wrapper, not the pool future: if close()
             # wins the race the wrapper fails typed (DispatcherClosed)
             # instead of surfacing the pool's generic shutdown error
-            outer: Future = Future()
-            with self._lock:
-                if self._closed:
-                    raise DispatcherClosed("gateway is closed")
-                self._warm_pending = [f for f in self._warm_pending
-                                      if not f.done()]
-                self._warm_pending.append(outer)
+            outer = self._track_warm()
             try:
                 inner = self.pool.submit_warm(
                     shard, fp,
@@ -475,9 +272,6 @@ class ShardedGateway:
                 future.result(timeout)
         return futures
 
-    # ------------------------------------------------------------------ #
-    # Dispatch path
-    # ------------------------------------------------------------------ #
     def _setup_payload(self, operator, fp: str) -> dict:
         """First-contact payload for a (worker, fingerprint): publish the
         operator's storage into the registry and hand out the descriptor,
@@ -488,71 +282,13 @@ class ShardedGateway:
             return {"descriptor": self.registry.publish(fp, arrays, meta)}
         return {"pickle": pickle.dumps(operator)}
 
-    def _breaker_check(self, fp: str) -> None:
-        with self._lock:
-            breaker = self._breakers.get(fp)
-            if breaker is None or breaker.opened_at is None:
-                return
-            if time.monotonic() - breaker.opened_at >= self.breaker_cooldown:
-                breaker.opened_at = None
-                breaker.failures = self.breaker_threshold - 1
-                return
-        raise CircuitOpen(
-            f"setup circuit open for operator {fp!r} "
-            f"({self.breaker_threshold} consecutive failures)")
+    # ------------------------------------------------------------------ #
+    # Front-door hooks
+    # ------------------------------------------------------------------ #
+    def _occupancy_locked(self) -> float:
+        return min(1.0, self._inflight_batches / max(1, self.nprocs))
 
-    def _breaker_record(self, fp: str, ok: bool) -> None:
-        with self._lock:
-            if ok:
-                self._breakers.pop(fp, None)
-                return
-            breaker = self._breakers.setdefault(fp, _Breaker())
-            breaker.failures += 1
-            if (breaker.failures >= self.breaker_threshold
-                    and breaker.opened_at is None):
-                breaker.opened_at = time.monotonic()
-                self.stats.breaker_trips += 1
-
-    def _finish(self, request: _Request, result=None, exc=None) -> None:
-        if request.future.done():
-            return
-        with self._lock:
-            self._outstanding -= 1
-            self._by_priority[request.priority] = \
-                self._by_priority.get(request.priority, 0) - 1
-            # completions are observations too: pressure recovers as the
-            # queue drains even if no new submissions arrive
-            self._observe_locked()
-        if exc is not None:
-            request.future.set_exception(exc)
-        else:
-            request.future.set_result(result)
-
-    def _split_expired(self, requests: list[_Request]) -> list[_Request]:
-        now = time.monotonic()
-        live = []
-        for req in requests:
-            if req.deadline is not None and now > req.deadline:
-                with self._lock:
-                    self.stats.deadline_misses += 1
-                self._finish(req, exc=DeadlineExceeded(
-                    f"deadline passed {now - req.deadline:.3f}s before dispatch"))
-            else:
-                live.append(req)
-        return live
-
-    def _dispatch(self, fp: str, operator, requests: list[_Request],
-                  retry: bool = False) -> None:
-        requests = self._split_expired(requests)
-        if not requests:
-            return
-        with self._lock:
-            closed = self._closed
-        if closed and retry:
-            for req in requests:
-                self._finish(req, exc=DispatcherClosed(
-                    "gateway closed before dispatch"))
-            return
+    def _launch_batch(self, fp: str, operator, requests: list[_Request]) -> None:
         # brownout degradation happens at batch granularity here: the
         # degrade decision rides the queue hop as a flag, so degradable
         # requests split into their own batch for the same shard
@@ -570,41 +306,40 @@ class ShardedGateway:
                 with self._lock:
                     self.stats.degraded += len(degraded)
         for part, degrade in parts:
-            self._dispatch_part(fp, operator, part, degrade)
+            # each part fails (and retries) on its own
+            try:
+                self._launch_part(fp, operator, part, degrade)
+            except BaseException as exc:   # noqa: BLE001 - retry policy
+                self._retry_or_fail(fp, operator, part, exc)
 
-    def _dispatch_part(self, fp: str, operator, requests: list[_Request],
-                       degrade: bool) -> None:
-        try:
-            self._breaker_check(fp)
-            shard = route_fingerprint(fp, self.nprocs)
-            self.pool.ensure_worker(shard)
-            rhs_block = np.stack([req.rhs for req in requests], axis=1)
-            deadlines = None
-            if any(req.deadline is not None for req in requests):
-                # re-express monotonic deadlines as wall-clock absolutes:
-                # monotonic clocks are not comparable across processes
-                offset = time.time() - time.monotonic()
-                deadlines = [None if req.deadline is None
-                             else req.deadline + offset for req in requests]
-            batch_future = self.pool.submit_batch(
-                shard, fp, rhs_block,
-                lambda: self._setup_payload(operator, fp),
-                deadlines=deadlines, degrade=degrade)
-        except BaseException as exc:   # noqa: BLE001 - routed to retry policy
-            self._retry_or_fail(fp, operator, requests, exc)
-            return
+    def _launch_part(self, fp: str, operator, requests: list[_Request],
+                     degrade: bool) -> None:
+        self._breaker_check(fp)
+        shard = route_fingerprint(fp, self.nprocs)
+        self.pool.ensure_worker(shard)
+        rhs_block = np.stack([req.rhs for req in requests], axis=1)
+        deadlines = None
+        if any(req.deadline is not None for req in requests):
+            # re-express monotonic deadlines as wall-clock absolutes:
+            # monotonic clocks are not comparable across processes
+            offset = time.time() - time.monotonic()
+            deadlines = [None if req.deadline is None
+                         else req.deadline + offset for req in requests]
+        batch_future = self.pool.submit_batch(
+            shard, fp, rhs_block,
+            lambda: self._setup_payload(operator, fp),
+            deadlines=deadlines, degrade=degrade)
         with self._lock:
-            self._inflight.append((batch_future, requests))
-            self.stats.batches += 1
-            self.stats.batched_requests += len(requests)
-            self.stats.largest_batch = max(self.stats.largest_batch,
-                                           len(requests))
+            self._inflight_batches += 1
+            self._count_batch_locked(len(requests))
         batch_future.add_done_callback(
             lambda done: self._on_batch_done(fp, operator, requests, done))
 
     def _on_batch_done(self, fp: str, operator, requests: list[_Request],
                        batch_future: Future) -> None:
         """Collector-thread callback: distribute results or route failures."""
+        with self._lock:
+            self._inflight_batches -= 1
         exc = batch_future.exception()
         if exc is not None:
             if isinstance(exc, WorkerDied):
@@ -624,55 +359,30 @@ class ShardedGateway:
             if isinstance(result, ExpiredRequest):
                 # the worker refused to solve a request whose deadline had
                 # already passed when it dequeued the batch
-                with self._lock:
-                    self.stats.deadline_misses += 1
-                self._finish(req, exc=DeadlineExceeded(
-                    f"deadline passed {result.overshoot_s:.3f}s before the "
-                    f"worker dequeued the batch"))
+                self._expire(req, f"deadline passed {result.overshoot_s:.3f}s "
+                                  f"before the worker dequeued the batch")
                 continue
             if result.recovery is not None:
                 with self._lock:
                     self.stats.escalations += result.recovery.escalations
             self._finish(req, result=result)
 
-    def _retry_or_fail(self, fp: str, operator, requests: list[_Request],
-                       exc: BaseException) -> None:
-        """PR 6 semantics: re-dispatch surviving requests, fail the exhausted."""
-        retryable, exhausted = [], []
-        for req in requests:
-            if req.attempts < self.max_retries and not isinstance(
-                    exc, (InvalidInput, DispatcherClosed, CircuitOpen)):
-                req.attempts += 1
-                retryable.append(req)
-            else:
-                exhausted.append(req)
-        for req in exhausted:
-            self._finish(req, exc=exc)
-        if not retryable:
+    def _quiesce(self, wait: bool) -> None:
+        if not wait:
             return
-        delay = self.retry_backoff * max(r.attempts for r in retryable)
-        with self._lock:
-            self.stats.retries += len(retryable)
-            self._retry_pending += 1
+        # in-flight batches and warm-ups complete before the pool goes down
+        deadline = time.monotonic() + 60.0
+        with self._cond:
+            self._cond.wait_for(lambda: self._outstanding <= 0, timeout=60.0)
+            warm_pending = list(self._warm_pending)
+        wait_futures(warm_pending, timeout=max(0.0, deadline - time.monotonic()))
 
-        # backoff on a timer: this path runs on the pool's collector thread,
-        # which must keep draining responses and watching for deaths
-        def _redispatch():
-            try:
-                self._dispatch(fp, operator, retryable, retry=True)
-            finally:
-                with self._lock:
-                    self._retry_pending -= 1
-
-        timer = threading.Timer(delay, _redispatch)
-        timer.daemon = True
-        with self._lock:
-            self._retry_timers = [t for t in self._retry_timers if t.is_alive()]
-            self._retry_timers.append(timer)
-        timer.start()
+    def _teardown(self) -> None:
+        self.pool.close()
+        self.registry.close()
 
     # ------------------------------------------------------------------ #
-    # Eviction and shutdown
+    # Eviction and stats
     # ------------------------------------------------------------------ #
     def evict(self, fingerprint: str) -> bool:
         """Evict one operator tier-wide: unlink its shm segment now and tell
@@ -684,64 +394,6 @@ class ShardedGateway:
         self.pool.evict(fingerprint)
         return descriptor is not None
 
-    def close(self, wait: bool = True) -> None:
-        """Stop accepting work, stop the workers, unlink every segment.
-
-        With ``wait=True`` in-flight batches complete first; pending
-        (never-dispatched) requests fail with :class:`DispatcherClosed`
-        either way.  After ``close`` returns no shared-memory segment
-        created by this gateway remains linked.
-        """
-        if self._dispatcher is not None:
-            self._dispatcher.close(wait=wait)
-            return
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            abandoned = [req for _, reqs in self._pending.values() for req in reqs]
-            self._pending.clear()
-            timers = list(self._retry_timers)
-        for req in abandoned:
-            self._finish(req, exc=DispatcherClosed(
-                "gateway closed before dispatch"))
-        for timer in timers:
-            timer.cancel()
-        if wait:
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                with self._lock:
-                    self._inflight = [(f, r) for f, r in self._inflight
-                                      if not f.done()]
-                    self._warm_pending = [f for f in self._warm_pending
-                                          if not f.done()]
-                    busy = (bool(self._inflight) or self._retry_pending > 0
-                            or bool(self._warm_pending))
-                if not busy:
-                    break
-                time.sleep(0.01)
-        # warm-ups that did not complete (close(wait=False), or a stuck
-        # worker) must fail typed, not leak as forever-pending futures
-        with self._lock:
-            warm_pending = list(self._warm_pending)
-            self._warm_pending.clear()
-        for outer in warm_pending:
-            _resolve_once(outer, exc=DispatcherClosed(
-                "gateway closed before warm-up completed"))
-        self.pool.close()
-        self.registry.close()
-
-    def __enter__(self) -> "ShardedGateway":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if exc_info[0] is None:
-            self.drain()
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # Stats
-    # ------------------------------------------------------------------ #
     def _merge_summary(self, base: dict) -> dict:
         """Fold worker snapshots into the dispatcher-shaped summary."""
         if self._dispatcher is not None or self.pool is None:

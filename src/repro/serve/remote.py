@@ -64,9 +64,9 @@ import numpy as np
 from .. import faults
 from ..par.procpool import ExpiredRequest, WorkerError
 from ..solvers.guards import InvalidInput
-from .dispatcher import (
+from .dispatcher import BatchDispatcher
+from .frontdoor import (
     AdmissionRefused,
-    BatchDispatcher,
     CircuitOpen,
     DeadlineExceeded,
     _resolve_once,
@@ -174,6 +174,65 @@ def recv_frame(sock: socket.socket):
 # ------------------------------------------------------------------ #
 # Server
 # ------------------------------------------------------------------ #
+def solve_slots(dispatcher, lock: threading.Lock, operator,
+                rhs_block: np.ndarray, deadlines, degrade, complete) -> None:
+    """Run one protocol batch on a local dispatcher; ``complete(slots)``
+    fires once every column has its slot (a ``SolveResult``,
+    ``ExpiredRequest`` or :class:`RemoteError`).
+
+    ``lock`` serializes submit + flush, so concurrent batches for one
+    fingerprint never merge into a wider dispatcher batch (whose blocked
+    kernels would round differently from the batch the caller sent).
+    """
+    ncols = rhs_block.shape[1]
+    slots: list = [None] * ncols
+    futures: dict[int, Future] = {}
+    with lock:
+        now = time.time()
+        for i in range(ncols):
+            wall = None if deadlines is None else deadlines[i]
+            if wall is not None and wall <= now:
+                slots[i] = ExpiredRequest(overshoot_s=now - wall)
+                continue
+            degradable = bool(degrade[i]) if degrade is not None else False
+            try:
+                futures[i] = dispatcher.submit(
+                    operator, rhs_block[:, i],
+                    deadline=None if wall is None else wall - time.time(),
+                    degradable=degradable)
+            except InvalidInput as exc:
+                slots[i] = RemoteError("invalid", type(exc).__name__, str(exc))
+            except Exception as exc:   # noqa: BLE001 - admission/closed
+                slots[i] = RemoteError("admission", type(exc).__name__,
+                                       str(exc))
+        if futures:
+            dispatcher.flush()
+    if not futures:
+        complete(slots)
+        return
+    remaining = [len(futures)]
+    state_lock = threading.Lock()
+
+    def _on_done(index: int, future: Future) -> None:
+        exc = future.exception()
+        if exc is None:
+            slots[index] = future.result()
+        elif isinstance(exc, DeadlineExceeded):
+            slots[index] = ExpiredRequest(overshoot_s=0.0)
+        elif isinstance(exc, CircuitOpen):
+            slots[index] = RemoteError("setup", type(exc).__name__, str(exc))
+        else:
+            slots[index] = RemoteError("solve", type(exc).__name__, str(exc))
+        with state_lock:
+            remaining[0] -= 1
+            last = remaining[0] == 0
+        if last:
+            complete(slots)
+
+    for i, future in futures.items():
+        future.add_done_callback(lambda f, i=i: _on_done(i, f))
+
+
 class _Conn:
     """One accepted client connection (socket + its send lock)."""
 
@@ -245,6 +304,7 @@ class ShardServer:
         self._listener: socket.socket | None = None
         self._nonce = os.urandom(8).hex()
         self._lock = threading.Lock()
+        self._batch_lock = threading.Lock()
         self._conns: list[_Conn] = []
         self._operators: dict[str, object] = {}
         self._done: OrderedDict[str, tuple] = OrderedDict()
@@ -390,54 +450,10 @@ class ShardServer:
             self._send(conn, ("error", rid, "stale", "KeyError",
                               f"unknown fingerprint {fp!r}"))
             return
-        ncols = rhs_block.shape[1]
-        slots: list = [None] * ncols
-        futures: dict[int, Future] = {}
-        now = time.time()
-        for i in range(ncols):
-            wall = None if deadlines is None else deadlines[i]
-            if wall is not None and wall <= now:
-                slots[i] = ExpiredRequest(overshoot_s=now - wall)
-                continue
-            degradable = bool(degrade[i]) if degrade is not None else False
-            try:
-                futures[i] = self._dispatcher.submit(
-                    operator, rhs_block[:, i],
-                    deadline=None if wall is None else wall - time.time(),
-                    degradable=degradable)
-            except InvalidInput as exc:
-                slots[i] = RemoteError("invalid", type(exc).__name__, str(exc))
-            except Exception as exc:   # noqa: BLE001 - admission/closed
-                slots[i] = RemoteError("admission", type(exc).__name__,
-                                       str(exc))
-        if not futures:
-            self._complete(rid, ("result", rid, slots, self._snapshot()))
-            return
-        self._dispatcher.flush()
-        remaining = [len(futures)]
-        state_lock = threading.Lock()
-
-        def _on_done(index: int, future: Future) -> None:
-            exc = future.exception()
-            if exc is None:
-                slots[index] = future.result()
-            elif isinstance(exc, DeadlineExceeded):
-                slots[index] = ExpiredRequest(overshoot_s=0.0)
-            elif isinstance(exc, CircuitOpen):
-                slots[index] = RemoteError("setup", type(exc).__name__,
-                                           str(exc))
-            else:
-                slots[index] = RemoteError("solve", type(exc).__name__,
-                                           str(exc))
-            with state_lock:
-                remaining[0] -= 1
-                last = remaining[0] == 0
-            if last:
-                self._complete(rid, ("result", rid, slots, self._snapshot()))
-
-        for i, future in futures.items():
-            future.add_done_callback(
-                lambda f, i=i: _on_done(i, f))
+        solve_slots(self._dispatcher, self._batch_lock, operator, rhs_block,
+                    deadlines, degrade,
+                    lambda slots: self._complete(
+                        rid, ("result", rid, slots, self._snapshot())))
 
     def _handle_warm(self, conn: _Conn, rid: str, fp: str, setup) -> None:
         if self._replay_check(conn, rid):

@@ -1,0 +1,438 @@
+"""The front-door contract: one scenario suite for every serving door.
+
+:class:`~repro.serve.BatchDispatcher`, :class:`~repro.serve.ClusterGateway`
+and :class:`~repro.serve.ShardedGateway` share one request policy
+(:mod:`repro.serve.frontdoor`).  Each scenario here runs against every door
+that supports it — the dispatcher and a one-``"local"``-member cluster in
+tier 1 (no network, no spawn), the two-process gateway in tier 2:
+
+* RHS validation before admission;
+* the ``max_queue`` wall and slot release;
+* priority shedding and victim choice (doors with a brownout controller);
+* deadline expiry before dispatch;
+* breaker open → half-open probe → close (and a failed probe re-opening);
+* retry then exhaustion;
+* ``close`` failing pending requests and timer-pending retries typed;
+* ``drain`` waiting out a timer-pending retry;
+* ``max_batch`` / ``max_queue`` validation at construction.
+
+Doors differ only in transport, so each door's :class:`_Harness` says how
+to build it and how to make its transport (or its setup) fail.
+"""
+
+from __future__ import annotations
+
+import time
+from concurrent.futures import Future
+
+import numpy as np
+import pytest
+
+import repro.serve.dispatcher as dispatcher_mod
+from repro import (
+    AdmissionRefused,
+    BatchDispatcher,
+    CircuitOpen,
+    ClusterConfig,
+    ClusterGateway,
+    DeadlineExceeded,
+    DispatcherClosed,
+    F3RConfig,
+    LoadShed,
+    ShardedGateway,
+)
+from repro.matgen import poisson2d
+from repro.operators import LinearOperator
+from repro.par.procpool import WorkerError
+from repro.serve import RemoteError
+from repro.solvers import InvalidInput
+
+pytestmark = pytest.mark.tier1
+
+CONFIG = F3RConfig(variant="fp32", m1=5)
+
+
+def _rhs(matrix, seed: int = 0):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, matrix.nrows)
+
+
+class _ToggleOperator(LinearOperator):
+    """Identity operator whose preconditioner setup fails while ``broken``."""
+
+    def __init__(self, n: int = 16, name: str = "toggle") -> None:
+        self.shape = (n, n)
+        self.broken = True
+        self._name = name
+
+    @property
+    def dtype(self):
+        return np.dtype(np.float64)
+
+    @property
+    def nnz_per_row(self) -> float:
+        return 1.0
+
+    def apply(self, x, out_precision=None, record=True):
+        return np.asarray(x, dtype=np.float64).copy()
+
+    def fingerprint(self) -> str:
+        return f"test-{self._name}-operator"
+
+    def astype(self, precision):
+        return self
+
+    def diagonal(self) -> np.ndarray:
+        if self.broken:
+            raise ValueError("synthetic setup failure")
+        return np.ones(self.nrows)
+
+
+def _failing(times: list, exc_factory):
+    """A transport stub body: raise (or return) ``exc_factory()`` while
+    ``times[0] > 0``, counting down; ``None`` once it is spent."""
+    if times[0] > 0:
+        times[0] -= 1
+        return exc_factory()
+    return None
+
+
+# ---------------------------------------------------------------------- #
+# Per-door harnesses: construction and fault hooks
+# ---------------------------------------------------------------------- #
+class _Harness:
+    name = ""
+    controlled = False            # has a brownout controller (priorities)
+
+    def make(self, **policy):
+        raise NotImplementedError
+
+    def break_transport(self, door, monkeypatch, times: int) -> None:
+        """The next ``times`` batches die in transport (retryable)."""
+        raise NotImplementedError
+
+    def break_setup(self, door, monkeypatch, operator: _ToggleOperator):
+        """Setup for ``operator`` fails while ``operator.broken``."""
+        raise NotImplementedError
+
+
+class _DispatcherHarness(_Harness):
+    name = "dispatcher"
+    controlled = True
+
+    def make(self, **policy):
+        return BatchDispatcher(CONFIG, max_workers=1, **policy)
+
+    def break_transport(self, door, monkeypatch, times):
+        left = [times]
+
+        def maybe_fail_worker(site="dispatcher.worker"):
+            exc = _failing(left, lambda: RuntimeError("synthetic worker death"))
+            if exc is not None:
+                raise exc
+
+        monkeypatch.setattr(dispatcher_mod, "maybe_fail_worker",
+                            maybe_fail_worker)
+
+    def break_setup(self, door, monkeypatch, operator):
+        pass                      # the real setup build fails
+
+
+class _ClusterHarness(_Harness):
+    name = "cluster"
+
+    def make(self, overload=None, **policy):
+        assert overload in (None, False)       # the cluster has no controller
+        return ClusterGateway(
+            CONFIG, cluster=ClusterConfig(members=(("solo", "local"),),
+                                          **policy),
+            max_workers=1)
+
+    def break_transport(self, door, monkeypatch, times):
+        member = door._members["solo"]
+        real = member.submit_batch
+        left = [times]
+
+        def submit_batch(*args, **kwargs):
+            exc = _failing(left, lambda: ConnectionError("synthetic link loss"))
+            if exc is not None:
+                raise exc
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(member, "submit_batch", submit_batch)
+
+    def break_setup(self, door, monkeypatch, operator):
+        member = door._members["solo"]
+        real = member.submit_batch
+
+        def submit_batch(fp, rhs_block, setup_factory, **kwargs):
+            if not operator.broken:
+                return real(fp, rhs_block, setup_factory, **kwargs)
+            slot = RemoteError("setup", "ValueError", "synthetic setup failure")
+            future: Future = Future()
+            future.set_result(([slot] * rhs_block.shape[1], {}))
+            return future
+
+        monkeypatch.setattr(member, "submit_batch", submit_batch)
+
+
+class _GatewayHarness(_Harness):
+    name = "gateway"
+    controlled = True
+
+    def make(self, **policy):
+        return ShardedGateway(CONFIG, procs=2, max_workers=1, **policy)
+
+    def break_transport(self, door, monkeypatch, times):
+        real = door.pool.submit_batch
+        left = [times]
+
+        def submit_batch(*args, **kwargs):
+            exc = _failing(left, lambda: RuntimeError("synthetic worker death"))
+            if exc is None:
+                return real(*args, **kwargs)
+            future: Future = Future()
+            future.set_exception(exc)
+            return future
+
+        monkeypatch.setattr(door.pool, "submit_batch", submit_batch)
+
+    def break_setup(self, door, monkeypatch, operator):
+        real = door.pool.submit_batch
+
+        def submit_batch(*args, **kwargs):
+            if not operator.broken:
+                return real(*args, **kwargs)
+            future: Future = Future()
+            future.set_exception(WorkerError("setup", "ValueError",
+                                             "synthetic setup failure"))
+            return future
+
+        monkeypatch.setattr(door.pool, "submit_batch", submit_batch)
+
+
+_TIER2 = pytest.mark.tier2
+DOORS = [
+    pytest.param(_DispatcherHarness(), id="dispatcher"),
+    pytest.param(_ClusterHarness(), id="cluster"),
+    pytest.param(_GatewayHarness(), id="gateway", marks=_TIER2),
+]
+#: doors with a brownout controller; the gateway's shedding case stays in
+#: tier 1, where its single-door predecessor ran
+CONTROLLED = [
+    pytest.param(_DispatcherHarness(), id="dispatcher"),
+    pytest.param(_GatewayHarness(), id="gateway"),
+]
+
+
+@pytest.fixture()
+def matrix():
+    return poisson2d(8)
+
+
+# ---------------------------------------------------------------------- #
+# Construction
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("harness", [
+    pytest.param(_DispatcherHarness(), id="dispatcher"),
+    pytest.param(_ClusterHarness(), id="cluster"),
+    # validation runs before any worker process is spawned
+    pytest.param(_GatewayHarness(), id="gateway"),
+])
+@pytest.mark.parametrize("policy", [{"max_batch": 0}, {"max_queue": 0}],
+                         ids=["max_batch", "max_queue"])
+def test_invalid_policy_rejected(harness, policy):
+    with pytest.raises(ValueError, match=next(iter(policy))):
+        harness.make(**policy)
+
+
+# ---------------------------------------------------------------------- #
+# Admission
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("harness", DOORS)
+class TestAdmission:
+    def test_rhs_validated_before_admission(self, harness, matrix):
+        with harness.make() as door:
+            with pytest.raises(InvalidInput) as excinfo:
+                door.submit(matrix, np.ones(3))
+            assert excinfo.value.site == f"{door._door}.submit"
+            bad = _rhs(matrix)
+            bad[7] = np.nan
+            with pytest.raises(InvalidInput):
+                door.submit(matrix, bad)
+            assert door.stats.requests == 0      # rejected before admission
+
+    def test_max_queue_wall_and_slot_release(self, harness, matrix):
+        with harness.make(max_batch=64, max_queue=2, overload=False) as door:
+            door.submit(matrix, _rhs(matrix, 0))
+            door.submit(matrix, _rhs(matrix, 1))
+            with pytest.raises(AdmissionRefused) as info:
+                door.submit(matrix, _rhs(matrix, 2))
+            assert not isinstance(info.value, LoadShed)
+            assert door.stats.summary()["recovery"]["rejected"] == 1
+            door.drain()
+            # completed requests release their admission slots
+            assert door.submit(matrix, _rhs(matrix, 3)) is not None
+
+
+@pytest.mark.parametrize("harness", CONTROLLED)
+class TestPriorityShedding:
+    def test_arrival_displaces_lowest_priority_victim(self, harness, matrix):
+        with harness.make(max_batch=100, max_queue=2) as door:
+            low = door.submit(matrix, _rhs(matrix, 0), priority=0)
+            mid = door.submit(matrix, _rhs(matrix, 1), priority=1)
+            high = door.submit(matrix, _rhs(matrix, 2), priority=2)
+            exc = low.exception(timeout=5)
+            assert isinstance(exc, LoadShed)
+            assert exc.priority == 0
+            door.drain()
+            assert mid.result().converged and high.result().converged
+            summary = door.stats.summary()
+            assert summary["overload"]["shed"] == 1
+            assert summary["overload"]["shed_by_priority"] == {"0": 1}
+
+    def test_victim_tie_break_prefers_earliest_deadline_then_oldest(
+            self, harness, matrix):
+        with harness.make(max_batch=100, max_queue=3) as door:
+            no_deadline = door.submit(matrix, _rhs(matrix, 0), priority=0)
+            late = door.submit(matrix, _rhs(matrix, 1), priority=0,
+                               deadline=60.0)
+            soon = door.submit(matrix, _rhs(matrix, 2), priority=0,
+                               deadline=5.0)
+            door.submit(matrix, _rhs(matrix, 3), priority=1)
+            # the earliest-deadline priority-0 request is the victim
+            assert isinstance(soon.exception(timeout=5), LoadShed)
+            assert not late.done()
+            assert not no_deadline.done()
+            door.drain()
+
+
+# ---------------------------------------------------------------------- #
+# Deadlines, breaker, retry
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("harness", DOORS)
+class TestFailurePolicy:
+    def test_deadline_expires_before_dispatch(self, harness, matrix):
+        with harness.make(max_batch=64) as door:
+            expired = door.submit(matrix, _rhs(matrix, 0), deadline=0.0)
+            generous = door.submit(matrix, _rhs(matrix, 1), deadline=60.0)
+            time.sleep(0.01)
+            door.drain()
+            with pytest.raises(DeadlineExceeded):
+                expired.result(timeout=10)
+            assert generous.result(timeout=10).converged
+            assert door.stats.summary()["recovery"]["deadline_misses"] == 1
+
+    def test_breaker_open_half_open_close(self, harness, monkeypatch):
+        operator = _ToggleOperator()
+        cooldown = 0.3
+        with harness.make(max_batch=1, max_retries=0, breaker_threshold=2,
+                          breaker_cooldown=cooldown) as door:
+            harness.break_setup(door, monkeypatch, operator)
+
+            def outcome():
+                future = door.submit(operator, np.ones(operator.nrows))
+                door.drain()
+                return future.exception(timeout=30)
+
+            # two setup failures open the breaker; then it fails fast
+            first, second = outcome(), outcome()
+            assert first is not None and not isinstance(first, CircuitOpen)
+            assert second is not None and not isinstance(second, CircuitOpen)
+            assert door.stats.breaker_trips == 1
+            assert isinstance(outcome(), CircuitOpen)
+            # half-open after the cooldown: a failing probe re-opens it
+            time.sleep(cooldown * 1.2)
+            probe = outcome()
+            assert probe is not None and not isinstance(probe, CircuitOpen)
+            assert door.stats.breaker_trips == 2
+            assert isinstance(outcome(), CircuitOpen)
+            # a successful probe closes it for good
+            operator.broken = False
+            time.sleep(cooldown * 1.2)
+            assert outcome() is None
+            assert outcome() is None
+            assert door.stats.breaker_trips == 2
+
+    def test_retry_then_exhaustion(self, harness, matrix, monkeypatch):
+        with harness.make(max_batch=1, max_retries=2,
+                          retry_backoff=0.01) as door:
+            harness.break_transport(door, monkeypatch, 2)
+            recovered = door.submit(matrix, _rhs(matrix, 0))
+            door.drain()
+            assert recovered.result(timeout=30).converged
+            assert door.stats.summary()["recovery"]["retries"] == 2
+            harness.break_transport(door, monkeypatch, 3)
+            exhausted = door.submit(matrix, _rhs(matrix, 1))
+            door.drain()
+            exc = exhausted.exception(timeout=30)
+            assert exc is not None and "synthetic" in str(exc)
+            assert door.stats.summary()["recovery"]["retries"] == 4
+
+    def test_drain_waits_out_timer_pending_retry(self, harness, matrix,
+                                                 monkeypatch):
+        backoff = 0.3
+        with harness.make(max_batch=1, max_retries=1,
+                          retry_backoff=backoff) as door:
+            harness.break_transport(door, monkeypatch, 1)
+            start = time.monotonic()
+            future = door.submit(matrix, _rhs(matrix))
+            door.drain()
+            assert future.done()
+            assert time.monotonic() - start >= backoff
+            assert future.result().converged
+            assert door.stats.retries == 1
+
+
+# ---------------------------------------------------------------------- #
+# Shutdown
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("harness", DOORS)
+class TestClose:
+    def test_close_fails_pending_typed(self, harness, matrix):
+        door = harness.make(max_batch=64)
+        future = door.submit(matrix, _rhs(matrix))
+        door.close(wait=False)
+        with pytest.raises(DispatcherClosed):
+            future.result(timeout=10)
+        with pytest.raises(DispatcherClosed, match="closed"):
+            door.submit(matrix, _rhs(matrix))
+
+    def test_close_fails_timer_pending_retry_typed(self, harness, matrix,
+                                                   monkeypatch):
+        door = harness.make(max_batch=1, max_retries=1, retry_backoff=30.0)
+        try:
+            harness.break_transport(door, monkeypatch, 1)
+            future = door.submit(matrix, _rhs(matrix))
+            deadline = time.monotonic() + 30.0
+            while door.stats.retries == 0 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert door.stats.retries == 1
+        finally:
+            door.close()
+        with pytest.raises(DispatcherClosed):
+            future.result(timeout=10)
+
+
+# ---------------------------------------------------------------------- #
+# Transport-specific regressions
+# ---------------------------------------------------------------------- #
+def test_dispatcher_retry_backoff_does_not_stall_other_fingerprints():
+    """A died batch's backoff runs on a timer: with one worker, a healthy
+    fingerprint queued behind a failing one completes without waiting the
+    backoff out (the worker used to sleep through it)."""
+    backoff = 1.0
+    healthy = poisson2d(8)
+    failing = _ToggleOperator()
+    with BatchDispatcher(CONFIG, max_batch=1, max_workers=1, max_retries=1,
+                         retry_backoff=backoff) as dispatcher:
+        dispatcher.prewarm([healthy])
+        bad = dispatcher.submit(failing, np.ones(failing.nrows))
+        start = time.monotonic()
+        good = dispatcher.submit(healthy, _rhs(healthy))
+        assert good.result(timeout=30).converged
+        elapsed = time.monotonic() - start
+        dispatcher.drain()
+    assert elapsed < backoff / 2
+    with pytest.raises(ValueError, match="synthetic setup failure"):
+        bad.result()
+    assert dispatcher.stats.retries == 1

@@ -7,7 +7,8 @@ Pins the PR 9 overload layer:
   lowest-priority-oldest-deadline pending request (typed :class:`LoadShed`)
   instead of refusing everything at the wall; ``priority_depths`` bounds and
   per-priority shed counters; ``overload=False`` restores the pre-priority
-  hard :class:`AdmissionRefused` wall exactly.
+  hard :class:`AdmissionRefused` wall exactly.  Victim choice is pinned for
+  every door with a controller in ``test_frontdoor.py``.
 * **Brownout hysteresis** — the NORMAL→BROWNOUT→SHED machine's dwell and
   threshold-gap discipline, including the hypothesis property that a
   constant pressure signal can never oscillate the state.
@@ -223,42 +224,13 @@ class TestHysteresisProperty:
 
 
 # ---------------------------------------------------------------------- #
-# Priority admission and load shedding (dispatcher)
+# Priority admission and load shedding (dispatcher); victim choice is
+# pinned for every door with a controller in test_frontdoor.py
 # ---------------------------------------------------------------------- #
 class TestPriorityAdmission:
     def _dispatcher(self, **kw):
         kw.setdefault("max_batch", 100)   # nothing dispatches until flush
         return BatchDispatcher(F3RConfig(variant="fp32", m1=5), **kw)
-
-    def test_arrival_displaces_lowest_priority_victim(self):
-        A = _matrix()
-        with self._dispatcher(max_queue=2) as d:
-            low = d.submit(A, _rhs(A, 0), priority=0)
-            mid = d.submit(A, _rhs(A, 1), priority=1)
-            high = d.submit(A, _rhs(A, 2), priority=2)
-            exc = low.exception(timeout=5)
-            assert isinstance(exc, LoadShed)
-            assert exc.priority == 0
-            d.flush()
-            d.drain()
-            assert mid.result().converged and high.result().converged
-            summary = d.stats.summary()
-            assert summary["overload"]["shed"] == 1
-            assert summary["overload"]["shed_by_priority"] == {"0": 1}
-
-    def test_victim_tie_break_prefers_earliest_deadline_then_oldest(self):
-        A = _matrix()
-        with self._dispatcher(max_queue=3) as d:
-            no_deadline = d.submit(A, _rhs(A, 0), priority=0)
-            late = d.submit(A, _rhs(A, 1), priority=0, deadline=60.0)
-            soon = d.submit(A, _rhs(A, 2), priority=0, deadline=5.0)
-            d.submit(A, _rhs(A, 3), priority=1)
-            # the earliest-deadline priority-0 request is the victim
-            assert isinstance(soon.exception(timeout=5), LoadShed)
-            assert not late.done()
-            assert not no_deadline.done()
-            d.flush()
-            d.drain()
 
     def test_incoming_request_sheds_itself_when_lowest(self):
         A = _matrix()
@@ -466,26 +438,10 @@ class TestPrewarmCloseRace:
 
 
 # ---------------------------------------------------------------------- #
-# Gateway parity for the admission layer
+# Gateway delegate mode carries the admission layer (proc-mode shedding is
+# in test_frontdoor.py)
 # ---------------------------------------------------------------------- #
 class TestGatewayAdmission:
-    def test_proc_mode_sheds_by_priority(self):
-        A = _matrix()
-        gateway = ShardedGateway(F3RConfig(variant="fp32", m1=5), procs=2,
-                                 max_batch=100, max_queue=2)
-        try:
-            low = gateway.submit(A, _rhs(A, 0), priority=0)
-            gateway.submit(A, _rhs(A, 1), priority=1)
-            gateway.submit(A, _rhs(A, 2), priority=2)
-            assert isinstance(low.exception(timeout=5), LoadShed)
-            summary = gateway.stats.summary()
-            assert summary["overload"]["shed"] == 1
-            assert "worker_hangs" in summary["procs"]
-            gateway.flush()
-            gateway.drain()
-        finally:
-            gateway.close()
-
     def test_delegate_mode_carries_controller(self):
         gateway = ShardedGateway(F3RConfig(variant="fp32", m1=5), procs=1)
         try:

@@ -4,13 +4,13 @@ Covers the robustness layer end to end: breakdown/stagnation classification
 (:mod:`repro.solvers.guards`), the escalation ladder
 (:mod:`repro.core.recovery`) including fp16 -> fp32 escalation on injected
 corruption, the guarded-vs-unguarded bit-identity contract, and the
-dispatcher's boundary validation / deadlines / admission / retry / breaker /
-drain behavior.  The randomized fault hammer lives in ``test_faults.py``.
+dispatcher's recovery counters.  The front-door policy (validation,
+deadlines, admission, retry, breaker, drain) is pinned in
+``test_frontdoor.py``; the randomized fault hammer lives in
+``test_faults.py``.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -19,15 +19,8 @@ from repro.core import F3RConfig, F3RSolver, RecoveryPolicy, SolveReport, use_re
 from repro.core.recovery import recovery_enabled
 from repro.faults import FaultPlan, inject
 from repro.matgen import poisson2d
-from repro.operators import LinearOperator
 from repro.precond import ILU0Preconditioner
-from repro.serve import (
-    AdmissionRefused,
-    BatchDispatcher,
-    CircuitOpen,
-    DeadlineExceeded,
-    DispatcherClosed,
-)
+from repro.serve import BatchDispatcher
 from repro.solvers import (
     InvalidInput,
     OuterFGMRES,
@@ -297,144 +290,12 @@ class TestRecoveryLadder:
 
 
 # --------------------------------------------------------------------------- #
-class _ExplodingOperator(LinearOperator):
-    """Matrix-free operator whose preconditioner setup always fails."""
-
-    def __init__(self, n: int = 16) -> None:
-        self.shape = (n, n)
-
-    @property
-    def dtype(self):
-        return np.dtype(np.float64)
-
-    @property
-    def nnz_per_row(self) -> float:
-        return 1.0
-
-    def apply(self, x, out_precision=None, record=True):
-        return np.asarray(x, dtype=np.float64).copy()
-
-    def fingerprint(self) -> str:
-        return "test-exploding-operator"
-
-    def astype(self, precision):
-        return self
-
-    def diagonal(self) -> np.ndarray:
-        raise ValueError("synthetic setup failure")
-
-
 class TestDispatcherHardening:
+    """Dispatcher-specific hardening; the policy shared by every front door
+    (validation, admission, deadlines, breaker, retry, close) is pinned
+    door by door in ``test_frontdoor.py``."""
+
     CONFIG = F3RConfig(variant="fp16", m1=10)
-
-    def test_submit_after_close_is_typed(self, poisson_matrix):
-        dispatcher = BatchDispatcher(self.CONFIG, nblocks=4)
-        dispatcher.close()
-        with pytest.raises(DispatcherClosed, match="closed"):
-            dispatcher.submit(poisson_matrix, np.ones(poisson_matrix.nrows))
-
-    def test_close_nowait_fails_undispatched_futures(self, poisson_matrix):
-        dispatcher = BatchDispatcher(self.CONFIG, nblocks=4, max_batch=64)
-        future = dispatcher.submit(poisson_matrix,
-                                   np.ones(poisson_matrix.nrows))
-        dispatcher.close(wait=False)
-        with pytest.raises(DispatcherClosed):
-            future.result(timeout=10)
-
-    def test_rejects_non_finite_rhs_before_setup(self, poisson_matrix):
-        with BatchDispatcher(self.CONFIG, nblocks=4) as dispatcher:
-            bad = np.ones(poisson_matrix.nrows)
-            bad[7] = np.nan
-            with pytest.raises(InvalidInput) as excinfo:
-                dispatcher.submit(poisson_matrix, bad)
-            assert excinfo.value.site == "dispatcher.submit"
-            assert dispatcher.stats.requests == 0   # rejected before admission
-
-    def test_admission_bound(self, poisson_matrix):
-        b = np.ones(poisson_matrix.nrows)
-        dispatcher = BatchDispatcher(self.CONFIG, nblocks=4, max_batch=64,
-                                     max_queue=2)
-        try:
-            dispatcher.submit(poisson_matrix, b)
-            dispatcher.submit(poisson_matrix, b)
-            with pytest.raises(AdmissionRefused):
-                dispatcher.submit(poisson_matrix, b)
-            assert dispatcher.stats.summary()["recovery"]["rejected"] == 1
-            dispatcher.drain()
-            # completed requests release their admission slots
-            dispatcher.submit(poisson_matrix, b)
-            dispatcher.drain()
-        finally:
-            dispatcher.close()
-
-    def test_deadline_miss(self, poisson_matrix):
-        dispatcher = BatchDispatcher(self.CONFIG, nblocks=4, max_batch=64)
-        try:
-            future = dispatcher.submit(poisson_matrix,
-                                       np.ones(poisson_matrix.nrows),
-                                       deadline=0.0)
-            time.sleep(0.01)
-            dispatcher.drain()
-            with pytest.raises(DeadlineExceeded):
-                future.result(timeout=10)
-            assert dispatcher.stats.summary()["recovery"]["deadline_misses"] == 1
-        finally:
-            dispatcher.close()
-
-    def test_generous_deadline_is_met(self, poisson_matrix):
-        with BatchDispatcher(self.CONFIG, nblocks=4) as dispatcher:
-            future = dispatcher.submit(poisson_matrix,
-                                       np.ones(poisson_matrix.nrows),
-                                       deadline=60.0)
-            dispatcher.drain()
-            assert future.result(timeout=10).converged
-
-    def test_circuit_breaker_opens_after_repeated_setup_failures(self):
-        exploding = _ExplodingOperator()
-        dispatcher = BatchDispatcher(self.CONFIG, max_batch=1, max_workers=1,
-                                     max_retries=0, breaker_threshold=2,
-                                     breaker_cooldown=3600.0)
-        try:
-            futures = [dispatcher.submit(exploding, np.ones(exploding.nrows))
-                       for _ in range(3)]
-            dispatcher.drain()
-            with pytest.raises(ValueError, match="synthetic setup failure"):
-                futures[0].result(timeout=10)
-            with pytest.raises((ValueError, CircuitOpen)):
-                futures[1].result(timeout=10)
-            # by the third batch the breaker is open: fail fast, no rebuild
-            with pytest.raises(CircuitOpen):
-                futures[2].result(timeout=10)
-            assert dispatcher.stats.summary()["recovery"]["breaker_trips"] == 1
-        finally:
-            dispatcher.close()
-
-    def test_worker_death_retries_instead_of_failing(self, poisson_matrix):
-        # the first execution of the batch dies; the retry runs fault-free
-        # and the requests complete
-        calls = {"n": 0}
-
-        def fail_first(site="dispatcher.worker"):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("synthetic worker death")
-
-        rng = np.random.default_rng(8)
-        with BatchDispatcher(self.CONFIG, nblocks=4, max_batch=2,
-                             max_retries=2, retry_backoff=0.01) as dispatcher:
-            import repro.serve.dispatcher as dispatcher_mod
-            original = dispatcher_mod.maybe_fail_worker
-            dispatcher_mod.maybe_fail_worker = fail_first
-            try:
-                futures = [dispatcher.submit(poisson_matrix,
-                                             rng.uniform(-1, 1, poisson_matrix.nrows))
-                           for _ in range(2)]
-                dispatcher.drain()
-            finally:
-                dispatcher_mod.maybe_fail_worker = original
-            results = [f.result(timeout=30) for f in futures]
-        assert all(r.converged for r in results)
-        assert dispatcher.stats.summary()["recovery"]["retries"] == 2
 
     def test_escalations_surface_in_stats(self, poisson_matrix):
         # three faults: batch attempt, good-column re-batch, and the first

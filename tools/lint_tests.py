@@ -16,11 +16,15 @@ backend-equivalence contract, the batched-solve sweeps, the operator-layer
 equivalence/end-to-end files — must exist under ``tests/``, so a rename or
 deletion fails the lint instead of silently dropping the gate.
 
-Finally it keeps the README's environment-variable table honest: every
+It keeps the README's environment-variable table honest: every
 ``REPRO_*`` name that appears in ``src/`` must have a row in the table under
 README's ``## Environment variables`` heading, and every row must name a
 variable ``src/`` still references — a new knob needs a documented
 production reason, and a retired one leaves the table.
+
+Finally it keeps the serving request policy in one place: each of the
+front-door core's policy definitions (:data:`SINGLE_DEFINITIONS`) may be
+defined in at most one module under ``src/repro/serve/``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS_DIR = ROOT / "tests"
 SRC_DIR = ROOT / "src"
+SERVE_DIR = SRC_DIR / "repro" / "serve"
 README = ROOT / "README.md"
 
 #: a ``REPRO_*`` environment-variable name (``REPRO_*`` itself does not match)
@@ -74,7 +79,20 @@ REQUIRED_MODULES = (
                                        # faults, reconnect + replay, dedup,
                                        # hedging, failover, the tier-2
                                        # cluster chaos hammer (PR 10)
+    "test_frontdoor*.py",              # one request-policy contract run
+                                       # against every serving front door
 )
+
+#: request-policy definitions the front-door core owns: each may appear in
+#: at most one module under src/repro/serve/
+SINGLE_DEFINITIONS = {
+    "_breaker_check": re.compile(r"^\s*def _breaker_check\b", re.MULTILINE),
+    "_breaker_record": re.compile(r"^\s*def _breaker_record\b", re.MULTILINE),
+    "_shed_victim_locked": re.compile(r"^\s*def _shed_victim_locked\b",
+                                      re.MULTILINE),
+    "_retry_or_fail": re.compile(r"^\s*def _retry_or_fail\b", re.MULTILINE),
+    "class _Breaker": re.compile(r"^\s*class _Breaker\b", re.MULTILINE),
+}
 
 
 def documented_env_names() -> set[str]:
@@ -92,6 +110,17 @@ def src_env_names() -> set[str]:
     for path in sorted(SRC_DIR.rglob("*.py")):
         names.update(ENV_NAME_RE.findall(path.read_text(encoding="utf-8")))
     return names
+
+
+def duplicated_definitions() -> dict[str, list[str]]:
+    """Policy definitions found in more than one serve module."""
+    found: dict[str, list[str]] = {}
+    for path in sorted(SERVE_DIR.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for name, pattern in SINGLE_DEFINITIONS.items():
+            if pattern.search(text):
+                found.setdefault(name, []).append(path.name)
+    return {name: mods for name, mods in found.items() if len(mods) > 1}
 
 
 def main() -> int:
@@ -125,10 +154,19 @@ def main() -> int:
             print(f"  {name}: listed but no longer read in src/",
                   file=sys.stderr)
         status = 1
+    duplicated = duplicated_definitions()
+    if duplicated:
+        print("lint-tests: front-door policy defined in more than one "
+              "src/repro/serve/ module (it belongs in frontdoor.py):",
+              file=sys.stderr)
+        for name, modules in sorted(duplicated.items()):
+            print(f"  {name}: {', '.join(modules)}", file=sys.stderr)
+        status = 1
     if status == 0:
         print(f"lint-tests: OK ({len(test_files)} test files, all tier-marked; "
               f"{len(REQUIRED_MODULES)} required suites present; "
-              f"{len(used)} REPRO_* variables documented)")
+              f"{len(used)} REPRO_* variables documented; "
+              f"{len(SINGLE_DEFINITIONS)} front-door definitions unique)")
     return status
 
 
