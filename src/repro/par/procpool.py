@@ -43,9 +43,10 @@ shared-memory form.  ``deadlines`` are per-request *wall-clock* absolutes
 (``time.time()`` — monotonic clocks are not comparable across processes);
 the worker checks them on dequeue and returns an :class:`ExpiredRequest`
 marker instead of burning solve time on a request nobody is waiting for.
-``degrade`` asks the worker to start the batch one precision tier lower
-(the gateway's brownout policy; the recovery ladder re-escalates if the
-cheap tier stagnates).
+``degrade`` (per-request flags, or ``None``) asks the worker to solve the
+flagged columns as their own batch one precision tier lower (the gateway's
+brownout policy; the recovery ladder re-escalates if the cheap tier
+stagnates).
 
 Worker death (injected via :func:`repro.faults.maybe_kill_process`, or
 real) fails the in-flight batches with :class:`WorkerDied`; the gateway
@@ -74,7 +75,7 @@ import time
 
 import numpy as np
 from concurrent.futures import Future
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -189,6 +190,7 @@ class WorkerError(RuntimeError):
         super().__init__(f"worker {kind} error: {type_name}: {message}")
         self.kind = kind
         self.type_name = type_name
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -423,29 +425,31 @@ def _worker_main(worker_id: int, init: WorkerInit, req_q, resp_q,
             resp_q.put(("error", worker_id, batch_id, "setup",
                         type(exc).__name__, str(exc)))
             continue
-        if degrade:
-            lower = degraded_variant(init.config.variant)
-            if lower is not None:
-                solver = solver.degraded_sibling(lower)
-                state["degraded_batches"] += 1
-        block = (rhs_block if len(live) == rhs_block.shape[1]
-                 else np.ascontiguousarray(rhs_block[:, live]))
+        # brownout: the flagged columns solve as their own batch, after the
+        # others, on the sibling one precision tier lower
+        lower = degraded_variant(init.config.variant) if degrade else None
+        low = [i for i in live if degrade[i]] if lower else []
+        parts = [(cols, part_solver) for cols, part_solver in (
+            ([i for i in live if i not in low], solver),
+            (low, solver.degraded_sibling(lower) if low else None)) if cols]
         try:
-            if init.backend is not None:
-                with use_backend(init.backend):
-                    batch = solver.solve_batch(block)
-            else:
-                batch = solver.solve_batch(block)
+            with use_backend(init.backend) if init.backend else nullcontext():
+                batches = [(cols, part_solver.solve_batch(
+                    rhs_block if len(cols) == rhs_block.shape[1]
+                    else np.ascontiguousarray(rhs_block[:, cols])))
+                    for cols, part_solver in parts]
         except BaseException as exc:   # noqa: BLE001 - relayed to the gateway
             resp_q.put(("error", worker_id, batch_id, "solve",
                         type(exc).__name__, str(exc)))
             continue
-        state["batches"] += 1
+        state["batches"] += len(batches)
+        state["degraded_batches"] += bool(low)
         state["requests"] += len(live)
-        for i, result in zip(live, batch.results):
-            slots[i] = result
-            if result.recovery is not None:
-                state["escalations"] += int(result.recovery.escalations)
+        for cols, batch in batches:
+            for i, result in zip(cols, batch.results):
+                slots[i] = result
+                if result.recovery is not None:
+                    state["escalations"] += int(result.recovery.escalations)
         resp_q.put(("result", worker_id, batch_id, slots,
                     _worker_stats_snapshot(state)))
 
@@ -469,7 +473,8 @@ class _Slot:
 class ProcPool:
     """``nprocs`` persistent spawn-start worker processes plus a collector.
 
-    The gateway is the only intended caller: :meth:`submit_batch` performs
+    The gateway's process members are the intended callers (one per
+    worker slot): :meth:`submit_batch` performs
     the one queue hop per batch, resolving the returned future with
     ``(results, stats-snapshot)`` from the worker or failing it with
     :class:`WorkerDied` / :class:`WorkerError`.  Setup payloads are shipped
@@ -566,16 +571,15 @@ class ProcPool:
 
     # -------------------------------------------------------------- #
     def submit_batch(self, worker_id: int, fp: str, rhs_block,
-                     setup_factory, deadlines=None,
-                     degrade: bool = False) -> Future:
+                     setup_factory, deadlines=None, degrade=None) -> Future:
         """One queue hop: dispatch a whole batch to ``worker_id``.
 
         ``setup_factory()`` is invoked only when this worker generation has
         never seen ``fp`` — it returns the setup payload (descriptor or
         pickled operator) that rides along with the first batch.
         ``deadlines`` are optional per-request *wall-clock* absolutes the
-        worker enforces on dequeue; ``degrade`` asks the worker to start
-        this batch one precision tier lower (brownout).
+        worker enforces on dequeue; ``degrade`` flags the requests to start
+        one precision tier lower (brownout).
         """
         future: Future = Future()
         with self._lock:

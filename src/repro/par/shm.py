@@ -44,6 +44,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
@@ -190,6 +191,9 @@ class AttachedArrays:
                               offset=offset)
             view.flags.writeable = False
             self.arrays[key] = view
+        # numpy does not hold the buffer export of ``ndarray(buffer=...)``,
+        # so the mapping would unmap under a live view: close() checks these
+        self._views = [weakref.ref(view) for view in self.arrays.values()]
 
     @property
     def nbytes(self) -> int:
@@ -199,6 +203,8 @@ class AttachedArrays:
         self.arrays = {}
         if self._shm is None:
             return True
+        if any(ref() is not None for ref in self._views):
+            return False
         try:
             self._shm.close()
         except BufferError:

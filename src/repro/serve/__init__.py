@@ -6,23 +6,20 @@ the per-matrix solver setups in an LRU, and executes each group as one
 batched multi-RHS solve on a thread pool.  See the README section "Batched
 solves & the dispatcher".
 
-:class:`ShardedGateway` is the same front door scaled past the GIL: it
-routes each fingerprint to one of ``REPRO_PROCS`` worker processes
-(rendezvous hashing, zero-copy shared-memory operators, warm-from-artifact
-setup) with bit-identical results for every process count.  See the README
-section "Sharded serving & the process tier".
+:class:`ClusterGateway` routes the same traffic over a *ring* of members by
+rendezvous hashing, with hedged dispatch and failover
+(:mod:`repro.serve.cluster`).  A member is a thread (an in-process
+dispatcher), a process (one ``REPRO_PROCS`` worker: zero-copy
+shared-memory operators, warm-from-artifact setup) or a :class:`RemoteShard`
+speaking the length-prefixed batch protocol to a :class:`ShardServer`
+elsewhere (:mod:`repro.serve.remote`).  :class:`ShardedGateway` builds the
+process ring, bit-identical for every process count.  See the README
+section "The serving ring: thread, process and remote members".
 
-:class:`ClusterGateway` takes the same front door across hosts: each ring
-member is either a local dispatcher or a :class:`RemoteShard` speaking the
-length-prefixed batch protocol to a :class:`ShardServer` elsewhere, with
-heartbeats, reconnect + replay, request-id dedup, hedged dispatch, and
-replica failover (:mod:`repro.serve.remote`, :mod:`repro.serve.cluster`).
-See the README section "Remote shards & multi-host serving".
-
-All three are :class:`~repro.serve.frontdoor.FrontDoor` subclasses: the
-request policy (validation, admission and shedding, deadlines, retry, the
-circuit breaker, drain and close) is written once in
-:mod:`repro.serve.frontdoor`, and each door adds only its transport.
+Both are :class:`~repro.serve.frontdoor.FrontDoor` subclasses: the request
+policy (validation, admission and shedding, deadlines, retry, the circuit
+breaker, drain and close) is written once in :mod:`repro.serve.frontdoor`,
+and each door adds only its transport.
 
 The front doors share the overload-resilience layer
 (:mod:`repro.serve.overload`): priority admission with load shedding
@@ -40,13 +37,8 @@ from .frontdoor import (
     LoadShed,
 )
 from .dispatcher import BatchDispatcher, DispatchStats
-from .cluster import ClusterConfig, ClusterGateway, ClusterStats
-from .gateway import (
-    GatewayStats,
-    ShardedGateway,
-    rank_members,
-    route_fingerprint,
-)
+from .cluster import ClusterConfig, ClusterGateway, ClusterStats, rank_members
+from .gateway import GatewayStats, ShardedGateway, route_fingerprint
 from .metrics import render_metrics
 from .remote import RemoteError, RemoteShard, ShardServer, ShardUnreachable
 from .overload import (

@@ -1,53 +1,52 @@
-"""Cluster gateway: rendezvous routing over local *and* remote shards.
+"""The member ring: the transport every multi-member front door shares.
 
-The multi-host front door: a :class:`ClusterGateway` is a
-:class:`~repro.serve.frontdoor.FrontDoor` — the request policy is the
-shared core's — whose transport is a *member ring*.  Every member is either
-a local :class:`~repro.serve.dispatcher.BatchDispatcher` or a
-:class:`~repro.serve.remote.RemoteShard` speaking the batch protocol over
-TCP; each operator fingerprint is routed by the same rendezvous hash as the
-process tier (:func:`~repro.serve.gateway.rank_members`), so local and
-remote shards mix in one ring and a fingerprint's placement is stable
-across processes.  :class:`ClusterConfig`'s ``max_batch``, ``max_queue``,
-``max_retries``, ``retry_backoff``, ``breaker_threshold`` and
-``breaker_cooldown`` are the core's knobs; the cluster runs without a
-brownout controller (priority admission is a per-shard concern), so a full
-``max_queue`` is a hard :class:`~repro.serve.AdmissionRefused` wall.
+:class:`ClusterGateway` is a :class:`~repro.serve.frontdoor.FrontDoor` (the
+request policy is the shared core's) whose transport is a ring of members of
+three kinds, all speaking one contract — ``submit_batch(fp, rhs_block,
+setup_factory, deadlines, degrade) -> Future[(slots, snapshot)]``,
+``submit_warm``, ``evict``, ``healthy``, ``rtt_percentile``, ``stats`` and
+``close``:
 
-On top of the transport guarantees of :mod:`repro.serve.remote`:
+* **thread** — :class:`_LocalMember` (target ``"local"``), an in-process
+  :class:`~repro.serve.dispatcher.BatchDispatcher`;
+* **remote** — :class:`~repro.serve.remote.RemoteShard` (target
+  ``"host:port"``), the batch protocol over TCP;
+* **process** — one per worker slot of the process tier, the ring
+  :class:`~repro.serve.gateway.ShardedGateway` builds.
 
-* **Replica failover** — the rendezvous *ranking* is the failover order:
-  when a member is dead (:class:`~repro.serve.remote.ShardUnreachable`
-  after its reconnect budget) the core's retry re-dispatches the batch to
-  the next-ranked healthy member, which rebuilds the setup — warm from the
-  shared ``REPRO_ARTIFACTS`` store when one is configured — and the
-  ``failovers`` counter ticks.  A revived member (the client's background
-  probe reconnected) re-enters the ring automatically.
-* **Hedged dispatch** — a batch carrying deadline-critical requests arms a
-  hedge timer (``hedge_ms`` fixed, or ``hedge_factor`` x the primary's
-  observed ``hedge_percentile`` RTT once ``hedge_min_samples`` are in):
-  when it trips before the primary answers, the same request ids ship to
-  the next-ranked member and the first response wins.  Request futures
-  resolve exactly once — the loser's response is counted
-  (``late_results``) and dropped, never delivered twice.
-* **What is retried** — transport-level failures go through the core's
-  retry path; per-request failures computed *by* a shard (expired
-  deadlines, setup errors) arrive as typed slots and are final — the
-  shard's own dispatcher already retried them.  ``"setup"`` slots feed the
-  core's per-fingerprint circuit breaker.
+What the ring owns:
 
-``stats.summary()["cluster"]`` carries the member table (per-link state,
-RTT percentiles, reconnect/resend/heartbeat-miss counters, the server-side
-snapshot) plus the cluster counters (``hedges``, ``hedge_wins``,
-``failovers``, ``late_results``, aggregated ``reconnects``/``resends``) —
-all of it flowing through :func:`~repro.serve.metrics.render_metrics`.
+* **Routing** — :func:`rank_members` rendezvous-ranks the member names per
+  fingerprint; the head is the primary, the tail the hedge/failover order.
+* **Launch and result slots** — a batch ships to its primary as one RHS
+  block with wall-clock deadlines and per-column ``degrade`` hints; every
+  slot that comes back (a ``SolveResult``, an ``ExpiredRequest`` or a
+  :class:`~repro.serve.remote.RemoteError`) is final — the member already
+  ran it — and ``"setup"`` slots charge the core's circuit breaker.
+* **Hedging** — a deadline-carrying batch arms a timer (``hedge_ms``, or
+  ``hedge_factor`` x the primary's ``hedge_percentile`` RTT once
+  ``hedge_min_samples`` are in); when it trips first, the batch also ships
+  to the next-ranked healthy member and the first response wins (the
+  loser counts ``late_results``).
+* **Failover** — a transport failure goes to the core's retry; when the
+  member is :class:`~repro.serve.remote.ShardUnreachable` the retry skips
+  to the next-ranked healthy member (``failovers``).
+* **Prewarm, evict, close** — warm-ups run on the primary and count once
+  completed; evictions reach every member; ``close(wait=True)`` lets
+  in-flight batches and warm-ups finish before the members close.
+
+A :class:`ClusterConfig` ring has no brownout controller: its ``max_queue``
+is a hard :class:`~repro.serve.AdmissionRefused` wall and priority admission
+is each member's concern.  ``stats.summary()["cluster"]`` carries the member
+table and the ring counters.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, wait as wait_futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,12 +56,26 @@ from ..par.procpool import ExpiredRequest
 from ..solvers import SolveResult
 from .dispatcher import BatchDispatcher, DispatchStats
 from .frontdoor import FrontDoor, _Request, _resolve_once
-from .gateway import rank_members
 from .remote import RemoteShard, ShardUnreachable, solve_slots
 
-__all__ = ["ClusterConfig", "ClusterGateway", "ClusterStats"]
+__all__ = ["ClusterConfig", "ClusterGateway", "ClusterStats", "rank_members"]
 
 
+def rank_members(fingerprint: str, names) -> list:
+    """Rendezvous-rank ``names`` for a fingerprint, best first.
+
+    Highest random weight over ``blake2b(fp | name)``: deterministic across
+    processes and runs, minimally disruptive when membership changes (only
+    the moved fingerprints re-route), and the ranking *tail* is the natural
+    failover/hedge order — when the primary dies, the fingerprint's traffic
+    moves to the second-ranked member, exactly where a fresh rendezvous over
+    the survivors would place it.  Ties keep input order (stable sort).
+    """
+    return sorted(
+        names,
+        key=lambda name: hashlib.blake2b(f"{fingerprint}|{name}".encode(),
+                                         digest_size=8).digest(),
+        reverse=True)
 
 
 @dataclass
@@ -108,14 +121,14 @@ class ClusterConfig:
 
 @dataclass
 class ClusterStats(DispatchStats):
-    """Dispatcher counters plus the cluster's routing/hedging/failover view."""
+    """Front-door counters plus the ring's routing/hedging/failover view."""
 
     hedges: int = 0
     hedge_wins: int = 0
     failovers: int = 0
     late_results: int = 0
 
-    #: the owning gateway (set post-init) — summary() reads the member table
+    #: the owning ring — summary() reads its member table
     members_source: object = field(default=None, repr=False)
 
     def summary(self) -> dict:
@@ -145,12 +158,8 @@ class ClusterStats(DispatchStats):
 
 
 class _LocalMember:
-    """A ring member backed by an in-process :class:`BatchDispatcher`.
-
-    Speaks the same ``submit_batch -> Future[(slots, snapshot)]`` contract
-    as :class:`~repro.serve.remote.RemoteShard`, so the gateway's dispatch,
-    hedging, and failover paths are transport-agnostic.
-    """
+    """The thread member: an in-process :class:`BatchDispatcher` behind the
+    member contract (see the module docstring)."""
 
     def __init__(self, name: str, dispatcher: BatchDispatcher) -> None:
         self.name = name
@@ -191,12 +200,8 @@ class _LocalMember:
         inner.add_done_callback(_on_done)
         return outer
 
-    def evict(self, fingerprint: str) -> None:
-        dispatcher = self._dispatcher
-        with dispatcher._lock:
-            for key in [k for k in dispatcher._solvers
-                        if k[0] == fingerprint]:
-                dispatcher._solvers.pop(key, None)
+    def evict(self, fingerprint: str) -> bool:
+        return self._dispatcher.evict(fingerprint)
 
     def rtt_percentile(self, q: float, min_samples: int = 1) -> None:
         return None                      # local batches are never hedged off
@@ -233,7 +238,7 @@ class _Flight:
 
 
 class ClusterGateway(FrontDoor):
-    """Routes batches over a mixed local/remote member ring.
+    """Routes batches over a ring of thread, process and remote members.
 
     Parameters
     ----------
@@ -245,9 +250,9 @@ class ClusterGateway(FrontDoor):
         The :class:`ClusterConfig` naming the members and the
         retry/hedge/transport policy.
 
-    ``close()`` closes every member at once (its ``wait`` flag is
-    accepted for the shared surface): batches still in flight fail typed
-    through their members.
+    ``close(wait=True)`` lets in-flight batches and warm-ups finish, then
+    closes every member; with ``wait=False`` batches still in flight fail
+    typed through their members.
 
     Usage::
 
@@ -259,6 +264,7 @@ class ClusterGateway(FrontDoor):
     """
 
     _door = "cluster"
+    _stats_type = ClusterStats
 
     def __init__(self, config: F3RConfig | None = None,
                  cluster: ClusterConfig | None = None,
@@ -267,15 +273,7 @@ class ClusterGateway(FrontDoor):
                  cache_size: int = 8, max_workers: int = 2) -> None:
         if cluster is None or not cluster.members:
             raise ValueError("cluster requires a ClusterConfig with members")
-        super().__init__(
-            max_batch=cluster.max_batch, max_queue=cluster.max_queue,
-            max_retries=cluster.max_retries,
-            retry_backoff=cluster.retry_backoff,
-            breaker_threshold=cluster.breaker_threshold,
-            breaker_cooldown=cluster.breaker_cooldown)
-        self.config = config or F3RConfig()
-        self.cluster = cluster
-        self._members: dict[str, object] = {}
+        self._init_ring(config, cluster)
         for name, target in cluster.members:
             if target == "local":
                 dispatcher = BatchDispatcher(
@@ -295,8 +293,23 @@ class ClusterGateway(FrontDoor):
                     backoff_base=cluster.backoff_base,
                     backoff_max=cluster.backoff_max,
                     reconnect_attempts=cluster.reconnect_attempts)
-        self.stats = ClusterStats()
-        self.stats.members_source = self
+
+    def _init_ring(self, config, cluster: ClusterConfig,
+                   priority_depths=None, controller=None) -> None:
+        """The core's policy from ``cluster`` plus an empty member table
+        (the caller adds the members)."""
+        super().__init__(
+            max_batch=cluster.max_batch, max_queue=cluster.max_queue,
+            max_retries=cluster.max_retries,
+            retry_backoff=cluster.retry_backoff,
+            breaker_threshold=cluster.breaker_threshold,
+            breaker_cooldown=cluster.breaker_cooldown,
+            priority_depths=priority_depths, controller=controller)
+        self.config = config or F3RConfig()
+        self.cluster = cluster
+        self._members: dict[str, object] = {}
+        self.stats = self._stats_type(controller=controller,
+                                      members_source=self)
 
     def submit(self, matrix, rhs: np.ndarray, deadline: float | None = None,
                degradable: bool = False) -> Future:
@@ -313,29 +326,49 @@ class ClusterGateway(FrontDoor):
 
     def prewarm(self, operators, wait: bool = True,
                 timeout: float | None = None) -> list[Future]:
-        """Build each operator's setup on its primary member."""
+        """Build each operator's setup on its primary member.
+
+        Completed warm-ups count in ``stats.summary()["cold_start"]``
+        (``prewarms`` and their elapsed ``prewarm_ms``); a failed one counts
+        nothing.  The returned futures are tracked: :meth:`close` fails the
+        unfinished ones typed.
+        """
         futures = []
         for operator in operators:
             fp = operator.fingerprint()
+            outer = self._track_warm()
+            futures.append(outer)
             member = self._first_healthy(fp)
-            if member is None:
-                failed: Future = Future()
-                failed.set_exception(ShardUnreachable(
-                    "cluster", "no healthy member for prewarm"))
-                futures.append(failed)
+            begun = time.monotonic()
+            try:
+                if member is None:
+                    raise ShardUnreachable("cluster",
+                                           "no healthy member for prewarm")
+                inner = member.submit_warm(fp, lambda op=operator: op)
+            except Exception as exc:   # noqa: BLE001 - relayed typed
+                _resolve_once(outer, exc=exc)
                 continue
-            futures.append(member.submit_warm(fp, lambda op=operator: op))
-            with self._cond:
-                self.stats.prewarms += 1
+            inner.add_done_callback(
+                lambda done, begun=begun, outer=outer:
+                    self._warm_done(done, begun, outer))
         if wait:
             for future in futures:
                 future.result(timeout)
         return futures
 
-    def evict(self, fingerprint: str) -> None:
-        """Best-effort eviction of a fingerprint's setup, ring-wide."""
-        for member in self._members.values():
-            member.evict(fingerprint)
+    def _warm_done(self, done: Future, begun: float, outer: Future) -> None:
+        exc = done.exception()
+        if exc is None:
+            with self._lock:
+                self.stats.prewarms += 1
+                self.stats.prewarm_ms += (time.monotonic() - begun) * 1e3
+        _resolve_once(outer, exc=exc)
+
+    def evict(self, fingerprint: str) -> bool:
+        """Drop a fingerprint's setup on every member.  Returns whether a
+        member held one (remote members evict best-effort and never say)."""
+        return any([member.evict(fingerprint)
+                    for member in self._members.values()])
 
     # -------------------------------------------------------------- #
     # Routing and flights
@@ -478,6 +511,16 @@ class ClusterGateway(FrontDoor):
             flight.fp, flight.operator, flight.requests, exc,
             failover_from=(member.name if isinstance(exc, ShardUnreachable)
                            else None))
+
+    def _quiesce(self, wait: bool) -> None:
+        if not wait:
+            return
+        deadline = time.monotonic() + 60.0
+        with self._cond:
+            self._cond.wait_for(lambda: self._outstanding <= 0, timeout=60.0)
+            warm_pending = list(self._warm_pending)
+        wait_futures(warm_pending,
+                     timeout=max(0.0, deadline - time.monotonic()))
 
     def _teardown(self) -> None:
         for member in self._members.values():

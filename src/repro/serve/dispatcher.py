@@ -404,6 +404,15 @@ class BatchDispatcher(FrontDoor):
             with self._lock:
                 self._busy_workers -= 1
 
+    def evict(self, fingerprint: str) -> bool:
+        """Drop the cached setup for an operator fingerprint, so its next
+        batch rebuilds it (a cache miss).  Returns whether one was cached."""
+        with self._lock:
+            keys = [key for key in self._solvers if key[0] == fingerprint]
+            for key in keys:
+                del self._solvers[key]
+        return bool(keys)
+
     # ------------------------------------------------------------------ #
     def _solver_for(self, matrix: CSRMatrix | LinearOperator) -> F3RSolver:
         fp = matrix.fingerprint()

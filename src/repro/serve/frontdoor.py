@@ -1,8 +1,8 @@
 """The front-door core: one request policy for every serving entry point.
 
-:class:`~repro.serve.BatchDispatcher` (worker threads),
-:class:`~repro.serve.ShardedGateway` (worker processes) and
-:class:`~repro.serve.ClusterGateway` (a ring of local and remote members)
+:class:`~repro.serve.BatchDispatcher` (worker threads) and
+:class:`~repro.serve.ClusterGateway` (a ring of thread, process and remote
+members — :class:`~repro.serve.ShardedGateway` builds the process ring)
 differ only in how a batch reaches a solver.  Everything between a caller's
 ``submit`` and that transport is :class:`FrontDoor`, written once here:
 

@@ -1,76 +1,47 @@
-"""Sharded serving gateway: the front door of the process tier.
+"""The process tier: worker processes as members of the ring.
 
-:class:`ShardedGateway` is a :class:`~repro.serve.frontdoor.FrontDoor` — the
-request policy (validation, admission and shedding, deadlines, retry, the
-circuit breaker, drain and close) is the shared core's — whose transport is
-``REPRO_PROCS`` worker *processes* instead of threads, so the Python-level
-solve path (level scheduling, plan dispatch, the FGMRES loop) is no longer
-serialized on one GIL.
+``ShardedGateway(procs=N)`` with ``N > 1`` is a
+:class:`~repro.serve.cluster.ClusterGateway` whose ring holds one process
+member per :class:`~repro.par.procpool.ProcPool` worker slot, named ``"0"``
+… ``"N-1"``, so :func:`~repro.serve.cluster.rank_members` places every
+fingerprint on the slot :func:`route_fingerprint` names.  The ring does the
+routing, launch, result slots, retry, prewarm and close; the gateway gives
+it a brownout controller (priority admission, shedding and degradation work
+as on the dispatcher) and adds the ``procs`` stats section.  With ``N == 1``
+the gateway *is* a :class:`~repro.serve.dispatcher.BatchDispatcher` — same
+objects, same threads, no process.
 
-Architecture::
+What a process member adds to the member contract:
 
-    submit(op, rhs) ──► per-fingerprint pending groups   (gateway thread)
-                             │ max_batch / flush()
-                             ▼
-                     rendezvous route fp → shard         (stable hashing)
-                             │ one queue hop per batch
-                             ▼
-        worker process: attach shm operator ▸ warm from REPRO_ARTIFACTS
-                        ▸ F3RSolver.solve_batch ▸ ship SolveResults back
+* **Setup payloads** — a (worker, fingerprint)'s first batch publishes the
+  operator's storage into a :class:`~repro.par.shm.ShmRegistry` segment and
+  ships only the descriptor; operators with no shared-memory form ship as a
+  one-time pickle.
+* **Respawn** — a slot whose worker died
+  (:class:`~repro.par.procpool.WorkerDied`, or the watchdog's
+  :class:`~repro.par.procpool.WorkerHung`) is respawned and stays healthy,
+  so the ring's retry lands on the new process, never on another slot.
+* **Stale and failed setups** — a worker that never received a
+  fingerprint's setup replies ``stale``: the member forgets the fingerprint
+  and reships.  A setup that fails to build comes back as final ``"setup"``
+  slots, which charge the ring's circuit breaker.
+* **Brownout** — under the ring's controller the worker solves the
+  degradable columns of a batch as their own batch, one precision tier
+  lower; without a controller nothing degrades.
 
-* **Routing** — each operator fingerprint maps to one shard via
-  highest-random-weight (rendezvous) hashing: stable for any worker count,
-  deterministic across runs and processes (content hashes, not
-  ``hash()``).  Pinning a fingerprint to one shard is what preserves the
-  in-process dispatcher's semantics exactly: the shard sees the same
-  batch stream, in the same order, against one cached solver — so results
-  are bit-identical to ``REPRO_PROCS=1`` (the adaptive Richardson weights
-  evolve identically).
-* **Zero-copy operators** — on a fingerprint's first dispatch the gateway
-  publishes its storage into a :class:`~repro.par.shm.ShmRegistry` segment;
-  only the descriptor crosses the queue, once per (worker, fingerprint).
-  Operators with no shared-memory form (composites) fall back to a one-time
-  pickled setup.
-* **Default 1 = in-process** — with a resolved process count of one the
-  gateway *is* a :class:`BatchDispatcher` (same objects, same threads); the
-  process tier spins up only when ``REPRO_PROCS`` (or the ``procs=``
-  argument) asks for more.
-* **Failure model** — a worker death (real or injected via ``kill_rate``
-  in :mod:`repro.faults`) fails the in-flight batches with
-  :class:`~repro.par.procpool.WorkerDied`; the gateway respawns the slot
-  and the core's retry path re-dispatches surviving requests.  A worker
-  that is alive but silent (wedged; injected via ``hang_rate``) is killed
-  by the pool's watchdog (:class:`~repro.par.procpool.WorkerHung`, a
-  ``WorkerDied`` subtype) and handled the same way.  Worker-side *setup*
-  failures feed the core's circuit breaker; a ``stale`` miss (the batch
-  carrying the setup died first) re-ships the setup without charging it.
-* **Overload** — brownout degradation happens at batch granularity: the
-  degradable requests of a batch split into their own batch for the same
-  shard, with the degrade flag riding the queue hop.  Occupancy for the
-  brownout controller is in-flight batches over the process count.
-  Request deadlines are enforced a second time *inside* the worker
-  (wall-clock absolutes cross the process boundary; a batch that sat in a
-  shard queue past its deadlines returns typed
-  :class:`~repro.serve.dispatcher.DeadlineExceeded` failures instead of
-  burning solve time).
-* **Stats** — ``stats.summary()`` gains a ``procs`` section (process
-  count, per-shard queue depth, shm registry bytes, merged worker counters
-  including warm-from-artifact hits) and folds worker-side recovery
-  escalations into ``recovery.escalations``.
+Pinning each fingerprint to one worker serializes its batches against one
+cached solver, which keeps results bit-identical for every ``REPRO_PROCS``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import pickle
-import time
-from concurrent.futures import Future, wait as wait_futures
+from concurrent.futures import Future
 
 import numpy as np
 
 from ..core import F3RConfig, degraded_variant
 from ..par.procpool import (
-    ExpiredRequest,
     ProcPool,
     WorkerDied,
     WorkerError,
@@ -78,62 +49,196 @@ from ..par.procpool import (
     resolve_procs,
 )
 from ..par.shm import ShmRegistry, operator_payload
+from .cluster import ClusterConfig, ClusterGateway, ClusterStats, rank_members
 from .dispatcher import BatchDispatcher, DispatchStats
-from .frontdoor import FrontDoor, _Request, _resolve_once
+from .frontdoor import FrontDoor, _resolve_once
 from .overload import resolve_controller
+from .remote import RemoteError
 
-__all__ = ["GatewayStats", "ShardedGateway", "rank_members",
-           "route_fingerprint"]
+__all__ = ["GatewayStats", "ShardedGateway", "route_fingerprint"]
 
-
-
-def rank_members(fingerprint: str, names) -> list:
-    """Rendezvous-rank ``names`` for a fingerprint, best first.
-
-    Highest random weight over ``blake2b(fp | name)``: deterministic across
-    processes and runs, minimally disruptive when membership changes (only
-    the moved fingerprints re-route), and the ranking *tail* is the natural
-    failover/hedge order — when the primary dies, the fingerprint's traffic
-    moves to the second-ranked member, exactly where a fresh rendezvous over
-    the survivors would place it.  Ties keep input order (stable sort).
-    """
-    names = list(names)
-    return sorted(
-        names,
-        key=lambda name: hashlib.blake2b(f"{fingerprint}|{name}".encode(),
-                                         digest_size=8).digest(),
-        reverse=True)
+#: worker-snapshot counters summed into ``procs.workers``
+_WORKER_COUNTERS = ("batches", "requests", "shm_attaches", "shm_bytes",
+                    "pickled_setups", "plan_cache", "expired",
+                    "degraded_batches", "artifact_saved_ms")
 
 
 def route_fingerprint(fingerprint: str, nshards: int) -> int:
     """Rendezvous-hash a fingerprint onto a shard in ``[0, nshards)``.
 
-    The integer-shard special case of :func:`rank_members` (shard ``i``
-    participates under the name ``str(i)``).
+    The integer-shard special case of :func:`rank_members`: shard ``i`` is
+    the process member named ``str(i)``.
     """
     if nshards <= 1:
         return 0
     return int(rank_members(fingerprint, [str(s) for s in range(nshards)])[0])
 
 
-class GatewayStats(DispatchStats):
-    """Dispatcher counters plus the gateway's ``procs`` section.
+def _worker_init(config, preconditioner, nblocks, alpha,
+                 backend) -> WorkerInit:
+    """Snapshot the parent's effective execution settings for workers.
 
-    ``summary()`` merges the worker processes' latest shipped snapshots:
-    their recovery escalations fold into ``recovery.escalations`` and their
-    shm/warm-from-artifact counters appear under ``procs.workers``.
+    Spawn inherits the environment; programmatic overrides (artifact dir,
+    thread budget, an installed fault plan) are shipped explicitly.
     """
+    from .. import faults
+    from ..cache import artifacts_dir
+    from ..par import configured_threads
 
-    def __init__(self, gateway: "ShardedGateway") -> None:
-        super().__init__()
+    plan = faults.active_plan()
+    return WorkerInit(
+        config=config, preconditioner=preconditioner, nblocks=nblocks,
+        alpha=alpha, backend=backend, artifacts_dir=artifacts_dir() or "",
+        threads=configured_threads(),
+        fault_spec=plan.spec() if plan is not None else None)
+
+
+class _ProcessMember:
+    """One worker slot of the gateway's pool behind the member contract."""
+
+    def __init__(self, slot: int, gateway: "ShardedGateway") -> None:
+        self.name = str(slot)
+        self.slot = slot
         self._gateway = gateway
+        self._closed = False
+
+    @property
+    def healthy(self) -> bool:
+        return not self._closed        # a dead worker is respawned, not skipped
+
+    def _payload(self, fp: str, operator) -> dict:
+        payload = operator_payload(operator)
+        if payload is None:
+            return {"pickle": pickle.dumps(operator)}
+        arrays, meta = payload
+        return {"descriptor": self._gateway.registry.publish(fp, arrays, meta)}
+
+    def _run(self, fp: str, setup_factory, send, ncols: int | None = None):
+        """One pool submission, ``send(payload_factory)``, with the slot's
+        recovery: respawn a dead worker, reship a ``stale`` setup, and for a
+        batch of ``ncols`` columns turn a setup failure into final slots."""
+        pool = self._gateway.pool
+        outer: Future = Future()
+
+        def attempt() -> None:
+            pool.ensure_worker(self.slot)
+            send(lambda: self._payload(fp, setup_factory())
+                 ).add_done_callback(relay)
+
+        def relay(inner: Future) -> None:
+            exc = inner.exception()
+            if isinstance(exc, WorkerDied):
+                pool.ensure_worker(self.slot)     # before the ring's retry
+            elif isinstance(exc, WorkerError) and exc.kind in ("stale",
+                                                                "setup"):
+                pool.forget(fp)                   # the next contact reships
+                if exc.kind == "stale":
+                    try:
+                        attempt()
+                    except Exception as again:   # noqa: BLE001 - relayed
+                        _resolve_once(outer, exc=again)
+                    return
+                if ncols is not None:
+                    slot = RemoteError("setup", exc.type_name, exc.message)
+                    _resolve_once(outer, result=([slot] * ncols, {}))
+                    return
+            if exc is None:
+                _resolve_once(outer, result=inner.result())
+            else:
+                _resolve_once(outer, exc=exc)
+
+        attempt()
+        return outer
+
+    def submit_batch(self, fingerprint: str, rhs_block: np.ndarray,
+                     setup_factory, deadlines=None, degrade=None) -> Future:
+        gateway = self._gateway
+        controller = gateway._overload
+        if (degrade is None or controller is None
+                or not controller.should_degrade()
+                or degraded_variant(gateway.config.variant) is None):
+            degrade = None              # not in brownout: full precision
+        else:
+            with gateway._lock:
+                gateway.stats.degraded += sum(map(bool, degrade))
+        pool = gateway.pool
+        return self._run(
+            fingerprint, setup_factory,
+            lambda setup: pool.submit_batch(self.slot, fingerprint, rhs_block,
+                                            setup, deadlines=deadlines,
+                                            degrade=degrade),
+            ncols=rhs_block.shape[1])
+
+    def submit_warm(self, fingerprint: str, setup_factory) -> Future:
+        pool = self._gateway.pool
+        return self._run(fingerprint, setup_factory,
+                         lambda setup: pool.submit_warm(self.slot, fingerprint,
+                                                        setup))
+
+    def evict(self, fingerprint: str) -> bool:
+        """Unlink the fingerprint's segment and tell every attached worker to
+        drop its solver, plans and mapping (pool and registry are shared, so
+        one member's call covers the tier)."""
+        descriptor = self._gateway.registry.evict(fingerprint)
+        self._gateway.pool.evict(fingerprint)
+        return descriptor is not None
+
+    def rtt_percentile(self, q: float, min_samples: int = 1) -> None:
+        return None                       # never hedged: placement is pinned
+
+    def stats(self) -> dict:
+        pool = self._gateway.pool
+        return {"name": self.name, "kind": "process",
+                "state": "closed" if self._closed else "up",
+                "server": dict(pool.stats_snapshots.get(self.slot, {}))}
+
+    def close(self) -> None:
+        self._closed = True               # the gateway closes the shared pool
+
+
+class GatewayStats(ClusterStats):
+    """Ring counters plus the process tier's ``procs`` section: process
+    count, per-slot queue depth, in-flight occupancy, shm registry bytes,
+    merged worker counters (including warm-from-artifact hits), deaths and
+    hangs.  In-process mode reports ``{"procs": 1, "mode": "in-process"}``
+    next to the dispatcher's own counters."""
 
     def summary(self) -> dict:
+        gateway = self.members_source
+        pool = gateway.pool
+        if pool is None:
+            base = DispatchStats.summary(self)
+            base["procs"] = {"procs": 1, "mode": "in-process"}
+            return base
         base = super().summary()
-        return self._gateway._merge_summary(base)
+        workers = dict.fromkeys(_WORKER_COUNTERS, 0)
+        warm: dict[str, int] = {}
+        for snap in list(pool.stats_snapshots.values()):
+            for key in _WORKER_COUNTERS:
+                workers[key] += snap.get(key, 0)
+            for kind, hits in snap.get("warm_from_artifacts", {}).items():
+                warm[kind] = warm.get(kind, 0) + hits
+        workers["artifact_saved_ms"] = round(
+            float(workers["artifact_saved_ms"]), 3)
+        workers["warm_from_artifacts"] = warm
+        depths = pool.queue_depths()
+        base["procs"] = {
+            "procs": len(pool),
+            "mode": "process-pool",
+            "occupancy": {
+                "in_flight_batches": sum(depths.values()),
+                "busy_shards": sum(1 for d in depths.values() if d > 0),
+            },
+            "queue_depth": depths,
+            "shm": gateway.registry.stats(),
+            "workers": workers,
+            "worker_deaths": pool.deaths,
+            "worker_hangs": pool.hangs,
+        }
+        return base
 
 
-class ShardedGateway(FrontDoor):
+class ShardedGateway(ClusterGateway):
     """Process-sharded drop-in for :class:`BatchDispatcher`.
 
     Accepts the dispatcher's serving parameters plus ``procs`` (an int,
@@ -154,6 +259,10 @@ class ShardedGateway(FrontDoor):
     """
 
     _door = "gateway"
+    _stats_type = GatewayStats
+    #: the full front-door surface: priorities matter here, because this
+    #: ring carries a brownout controller
+    submit = FrontDoor.submit
 
     def __init__(self, config: F3RConfig | None = None, preconditioner="auto",
                  nblocks: int | None = None, alpha: float = 1.0,
@@ -166,270 +275,47 @@ class ShardedGateway(FrontDoor):
                  priority_depths: dict[int, int] | None = None,
                  overload=None, hang_timeout: float | None = 30.0,
                  heartbeat_interval: float | None = None) -> None:
-        self.config = config or F3RConfig()
+        config = config or F3RConfig()
         self.nprocs = resolve_procs(procs)
-        in_process = self.nprocs <= 1
-        super().__init__(
-            max_batch=max_batch, max_queue=max_queue, max_retries=max_retries,
-            retry_backoff=retry_backoff, breaker_threshold=breaker_threshold,
-            breaker_cooldown=breaker_cooldown, priority_depths=priority_depths,
-            controller=None if in_process else resolve_controller(overload))
-        self._precond_spec = (preconditioner, nblocks, alpha)
-        self.backend = backend
-        self.registry = None
-        self.pool = None
-        self._dispatcher = None
-
-        if in_process:
+        self.pool = self.registry = self._dispatcher = None
+        if self.nprocs <= 1:
+            self.config = config
+            self._members = {}
             self._dispatcher = BatchDispatcher(
-                self.config, preconditioner=preconditioner, nblocks=nblocks,
+                config, preconditioner=preconditioner, nblocks=nblocks,
                 alpha=alpha, max_batch=max_batch, cache_size=cache_size,
                 max_workers=max_workers, backend=backend, max_queue=max_queue,
                 max_retries=max_retries, retry_backoff=retry_backoff,
                 breaker_threshold=breaker_threshold,
                 breaker_cooldown=breaker_cooldown,
                 priority_depths=priority_depths, overload=overload)
-            # graft the gateway stats view on so stats.summary() carries the
-            # procs section in both modes (re-attaching the controller the
-            # dispatcher wired onto the stats object it just replaced)
-            self._dispatcher.stats = GatewayStats(self)
-            self._dispatcher.stats.controller = self._dispatcher._overload
-            self.stats = self._dispatcher.stats
-            # the public surface is the dispatcher's own (solve_many and the
-            # context manager reach it through these)
-            for name in ("submit", "flush", "drain", "prewarm", "close"):
+            # the gateway stats view carries the procs section in both modes
+            self.stats = self._dispatcher.stats = GatewayStats(
+                controller=self._dispatcher._overload, members_source=self)
+            for name in ("submit", "flush", "drain", "prewarm", "evict",
+                         "close"):
                 setattr(self, name, getattr(self._dispatcher, name))
             return
-
-        self.stats = GatewayStats(self)
-        self.stats.controller = self._overload
+        self._init_ring(
+            config, ClusterConfig(
+                max_batch=max_batch, max_queue=max_queue,
+                max_retries=max_retries, retry_backoff=retry_backoff,
+                breaker_threshold=breaker_threshold,
+                breaker_cooldown=breaker_cooldown),
+            priority_depths=priority_depths,
+            controller=resolve_controller(overload))
         self.registry = ShmRegistry(max_published=max_published)
-        self.pool = ProcPool(self.nprocs, self._worker_init(),
-                             hang_timeout=hang_timeout,
-                             heartbeat_interval=heartbeat_interval)
-        self._inflight_batches = 0
+        self.pool = ProcPool(
+            self.nprocs,
+            _worker_init(config, preconditioner, nblocks, alpha, backend),
+            hang_timeout=hang_timeout, heartbeat_interval=heartbeat_interval)
+        for slot in range(self.nprocs):
+            self._members[str(slot)] = _ProcessMember(slot, self)
 
-    def _worker_init(self) -> WorkerInit:
-        """Snapshot the parent's effective execution settings for workers.
-
-        Spawn inherits the environment; programmatic overrides (artifact
-        dir, thread budget, an installed fault plan) are shipped explicitly.
-        """
-        from .. import faults
-        from ..cache import artifacts_dir
-        from ..par import configured_threads
-
-        preconditioner, nblocks, alpha = self._precond_spec
-        plan = faults.active_plan()
-        return WorkerInit(
-            config=self.config, preconditioner=preconditioner,
-            nblocks=nblocks, alpha=alpha, backend=self.backend,
-            artifacts_dir=artifacts_dir() or "", threads=configured_threads(),
-            fault_spec=plan.spec() if plan is not None else None)
-
-    # ------------------------------------------------------------------ #
-    def prewarm(self, operators, wait: bool = True,
-                timeout: float | None = None) -> list[Future]:
-        """Build solver setups on their routed shards before traffic arrives.
-
-        Each operator's shard factorizes — or warms from ``REPRO_ARTIFACTS``
-        — ahead of the first batch; completions count in
-        ``stats.summary()["cold_start"]``.
-        """
-        futures = []
-        for operator in operators:
-            fp = operator.fingerprint()
-            shard = route_fingerprint(fp, self.nprocs)
-            self.pool.ensure_worker(shard)
-            start = time.monotonic()
-            # callers get a tracked wrapper, not the pool future: if close()
-            # wins the race the wrapper fails typed (DispatcherClosed)
-            # instead of surfacing the pool's generic shutdown error
-            outer = self._track_warm()
-            try:
-                inner = self.pool.submit_warm(
-                    shard, fp,
-                    lambda op=operator, f=fp: self._setup_payload(op, f))
-            except BaseException as exc:   # noqa: BLE001 - relayed typed
-                _resolve_once(outer, exc=exc)
-                futures.append(outer)
-                continue
-
-            def _relay(done, begun=start, tracked=outer):
-                exc = done.exception()
-                if exc is None:
-                    with self._lock:
-                        self.stats.prewarms += 1
-                        self.stats.prewarm_ms += (time.monotonic() - begun) * 1e3
-                    _resolve_once(tracked, result=done.result())
-                else:
-                    _resolve_once(tracked, exc=exc)
-
-            inner.add_done_callback(_relay)
-            futures.append(outer)
-        if wait:
-            for future in futures:
-                future.result(timeout)
-        return futures
-
-    def _setup_payload(self, operator, fp: str) -> dict:
-        """First-contact payload for a (worker, fingerprint): publish the
-        operator's storage into the registry and hand out the descriptor,
-        or fall back to a one-time pickle for non-publishable families."""
-        payload = operator_payload(operator)
-        if payload is not None:
-            arrays, meta = payload
-            return {"descriptor": self.registry.publish(fp, arrays, meta)}
-        return {"pickle": pickle.dumps(operator)}
-
-    # ------------------------------------------------------------------ #
-    # Front-door hooks
-    # ------------------------------------------------------------------ #
     def _occupancy_locked(self) -> float:
-        return min(1.0, self._inflight_batches / max(1, self.nprocs))
-
-    def _launch_batch(self, fp: str, operator, requests: list[_Request]) -> None:
-        # brownout degradation happens at batch granularity here: the
-        # degrade decision rides the queue hop as a flag, so degradable
-        # requests split into their own batch for the same shard
-        controller = self._overload
-        degrade_to = (degraded_variant(self.config.variant)
-                      if controller is not None and controller.should_degrade()
-                      else None)
-        parts: list[tuple[list[_Request], bool]] = [(requests, False)]
-        if degrade_to is not None:
-            degraded = [r for r in requests if r.degradable]
-            if degraded:
-                ids = set(map(id, degraded))
-                normal = [r for r in requests if id(r) not in ids]
-                parts = ([(normal, False)] if normal else []) + [(degraded, True)]
-                with self._lock:
-                    self.stats.degraded += len(degraded)
-        for part, degrade in parts:
-            # each part fails (and retries) on its own
-            try:
-                self._launch_part(fp, operator, part, degrade)
-            except BaseException as exc:   # noqa: BLE001 - retry policy
-                self._retry_or_fail(fp, operator, part, exc)
-
-    def _launch_part(self, fp: str, operator, requests: list[_Request],
-                     degrade: bool) -> None:
-        self._breaker_check(fp)
-        shard = route_fingerprint(fp, self.nprocs)
-        self.pool.ensure_worker(shard)
-        rhs_block = np.stack([req.rhs for req in requests], axis=1)
-        deadlines = None
-        if any(req.deadline is not None for req in requests):
-            # re-express monotonic deadlines as wall-clock absolutes:
-            # monotonic clocks are not comparable across processes
-            offset = time.time() - time.monotonic()
-            deadlines = [None if req.deadline is None
-                         else req.deadline + offset for req in requests]
-        batch_future = self.pool.submit_batch(
-            shard, fp, rhs_block,
-            lambda: self._setup_payload(operator, fp),
-            deadlines=deadlines, degrade=degrade)
-        with self._lock:
-            self._inflight_batches += 1
-            self._count_batch_locked(len(requests))
-        batch_future.add_done_callback(
-            lambda done: self._on_batch_done(fp, operator, requests, done))
-
-    def _on_batch_done(self, fp: str, operator, requests: list[_Request],
-                       batch_future: Future) -> None:
-        """Collector-thread callback: distribute results or route failures."""
-        with self._lock:
-            self._inflight_batches -= 1
-        exc = batch_future.exception()
-        if exc is not None:
-            if isinstance(exc, WorkerDied):
-                # respawn the slot before the retry lands on it
-                self.pool.ensure_worker(exc.worker_id)
-            if isinstance(exc, WorkerError) and exc.kind == "stale":
-                # the setup-carrying batch died before the worker could build
-                # the solver: reship setup on the retry, no breaker charge
-                self.pool.forget(fp)
-            elif isinstance(exc, WorkerError) and exc.kind == "setup":
-                self._breaker_record(fp, ok=False)
-            self._retry_or_fail(fp, operator, requests, exc)
-            return
-        results, _snapshot = batch_future.result()
-        self._breaker_record(fp, ok=True)
-        for req, result in zip(requests, results):
-            if isinstance(result, ExpiredRequest):
-                # the worker refused to solve a request whose deadline had
-                # already passed when it dequeued the batch
-                self._expire(req, f"deadline passed {result.overshoot_s:.3f}s "
-                                  f"before the worker dequeued the batch")
-                continue
-            if result.recovery is not None:
-                with self._lock:
-                    self.stats.escalations += result.recovery.escalations
-            self._finish(req, result=result)
-
-    def _quiesce(self, wait: bool) -> None:
-        if not wait:
-            return
-        # in-flight batches and warm-ups complete before the pool goes down
-        deadline = time.monotonic() + 60.0
-        with self._cond:
-            self._cond.wait_for(lambda: self._outstanding <= 0, timeout=60.0)
-            warm_pending = list(self._warm_pending)
-        wait_futures(warm_pending, timeout=max(0.0, deadline - time.monotonic()))
+        return min(1.0, sum(self.pool.queue_depths().values()) / self.nprocs)
 
     def _teardown(self) -> None:
+        super()._teardown()
         self.pool.close()
         self.registry.close()
-
-    # ------------------------------------------------------------------ #
-    # Eviction and stats
-    # ------------------------------------------------------------------ #
-    def evict(self, fingerprint: str) -> bool:
-        """Evict one operator tier-wide: unlink its shm segment now and tell
-        every attached worker to drop its solver, plans, and mapping.
-        Returns whether a publication existed."""
-        if self._dispatcher is not None:
-            return False
-        descriptor = self.registry.evict(fingerprint)
-        self.pool.evict(fingerprint)
-        return descriptor is not None
-
-    def _merge_summary(self, base: dict) -> dict:
-        """Fold worker snapshots into the dispatcher-shaped summary."""
-        if self._dispatcher is not None or self.pool is None:
-            base["procs"] = {"procs": 1, "mode": "in-process"}
-            return base
-        snapshots = dict(self.pool.stats_snapshots)
-        warm: dict[str, int] = {}
-        workers = {"batches": 0, "requests": 0, "shm_attaches": 0,
-                   "shm_bytes": 0, "pickled_setups": 0, "plan_cache": 0,
-                   "expired": 0, "degraded_batches": 0,
-                   "artifact_saved_ms": 0.0}
-        escalations = 0
-        for snap in snapshots.values():
-            for field in ("batches", "requests", "shm_attaches", "shm_bytes",
-                          "pickled_setups", "plan_cache", "expired",
-                          "degraded_batches"):
-                workers[field] += snap.get(field, 0)
-            workers["artifact_saved_ms"] += snap.get("artifact_saved_ms", 0.0)
-            escalations += snap.get("escalations", 0)
-            for kind, hits in snap.get("warm_from_artifacts", {}).items():
-                warm[kind] = warm.get(kind, 0) + hits
-        workers["warm_from_artifacts"] = warm
-        workers["artifact_saved_ms"] = round(workers["artifact_saved_ms"], 3)
-        base["recovery"]["escalations"] += escalations
-        depths = self.pool.queue_depths()
-        base["procs"] = {
-            "procs": self.nprocs,
-            "mode": "process-pool",
-            "occupancy": {
-                "in_flight_batches": sum(depths.values()),
-                "busy_shards": sum(1 for d in depths.values() if d > 0),
-            },
-            "queue_depth": depths,
-            "shm": self.registry.stats(),
-            "workers": workers,
-            "worker_deaths": self.pool.deaths,
-            "worker_hangs": self.pool.hangs,
-        }
-        return base

@@ -481,10 +481,7 @@ class ShardServer:
     def _handle_evict(self, fp: str) -> None:
         with self._lock:
             self._operators.pop(fp, None)
-        dispatcher = self._dispatcher
-        with dispatcher._lock:
-            for key in [k for k in dispatcher._solvers if k[0] == fp]:
-                dispatcher._solvers.pop(key, None)
+        self._dispatcher.evict(fp)
 
     def _complete(self, rid: str, response: tuple) -> None:
         """Cache the finished response for dedup, then deliver it."""

@@ -14,6 +14,7 @@ tier 1 (no network, no spawn), the two-process gateway in tier 2:
 * retry then exhaustion;
 * ``close`` failing pending requests and timer-pending retries typed;
 * ``drain`` waiting out a timer-pending retry;
+* ``prewarm`` counting completed warm-ups only, with their elapsed time;
 * ``max_batch`` / ``max_queue`` validation at construction.
 
 Doors differ only in transport, so each door's :class:`_Harness` says how
@@ -381,6 +382,23 @@ class TestFailurePolicy:
             assert time.monotonic() - start >= backoff
             assert future.result().converged
             assert door.stats.retries == 1
+
+
+# ---------------------------------------------------------------------- #
+# Warm-ups
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("harness", DOORS)
+def test_prewarm_counts_completed_warmups_only(harness):
+    operator = _ToggleOperator(name="warm")
+    with harness.make() as door:
+        with pytest.raises(Exception, match="synthetic setup failure"):
+            door.prewarm([operator], timeout=60)
+        assert door.stats.summary()["cold_start"]["prewarms"] == 0
+        operator.broken = False
+        door.prewarm([operator], timeout=60)
+        cold_start = door.stats.summary()["cold_start"]
+    assert cold_start["prewarms"] == 1
+    assert cold_start["prewarm_ms"] > 0
 
 
 # ---------------------------------------------------------------------- #

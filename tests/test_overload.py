@@ -289,22 +289,47 @@ class TestPriorityAdmission:
 # ---------------------------------------------------------------------- #
 # Brownout degradation and background suppression
 # ---------------------------------------------------------------------- #
+def _degrading_door(door: str, config, overload):
+    """The doors whose brownout controller degrades: the dispatcher, and
+    the two-process gateway (whose ring carries the controller)."""
+    if door == "dispatcher":
+        return BatchDispatcher(config, max_batch=4, max_workers=1,
+                               overload=overload)
+    return ShardedGateway(config, procs=2, max_batch=4, max_workers=1,
+                          overload=overload)
+
+
 class TestDegradation:
-    def test_degradable_requests_run_one_tier_lower(self):
+    @pytest.mark.parametrize("door", ["dispatcher", "gateway"])
+    def test_degradable_requests_run_one_tier_lower(self, door):
         A = _matrix()
         config = F3RConfig(variant="fp64", m1=10)
-        with BatchDispatcher(config, max_batch=4, max_workers=1,
-                             overload=_hot_controller("brownout")) as d:
+        with _degrading_door(door, config,
+                             _hot_controller("brownout")) as d:
             futures = [d.submit(A, _rhs(A, i), degradable=(i % 2 == 0))
                        for i in range(4)]
             d.flush()
             d.drain()
             results = [f.result() for f in futures]
+            summary = d.stats.summary()
         assert all(r.converged for r in results)
         for i, result in enumerate(results):
             expected = "fp32-F3R" if i % 2 == 0 else "fp64-F3R"
             assert result.solver_name == expected
-        assert d.stats.summary()["overload"]["degraded"] == 2
+        assert summary["overload"]["degraded"] == 2
+
+    @pytest.mark.parametrize("door", ["dispatcher", "gateway"])
+    def test_no_controller_never_degrades(self, door):
+        A = _matrix()
+        config = F3RConfig(variant="fp64", m1=10)
+        with _degrading_door(door, config, False) as d:
+            futures = [d.submit(A, _rhs(A, i), degradable=True)
+                       for i in range(2)]
+            d.drain()
+            results = [f.result() for f in futures]
+            summary = d.stats.summary()
+        assert all(r.solver_name == "fp64-F3R" for r in results)
+        assert summary["overload"]["degraded"] == 0
 
     def test_fp16_floor_cannot_degrade(self):
         A = _matrix()

@@ -142,6 +142,21 @@ class TestShmLayer:
             shm.close()
             shm.unlink()
 
+    def test_close_refuses_while_a_view_is_alive(self):
+        """A slice still held elsewhere (a cached plan, say) keeps the
+        mapping: closing under it would leave the view dangling."""
+        descriptor, shm = publish_arrays({"a": np.arange(10.0)}, {})
+        try:
+            attached = attach_arrays(descriptor)
+            held = attached.arrays["a"][2:5]
+            assert not attached.close()
+            assert held.sum() == 9.0          # still mapped, still readable
+            del held
+            assert attached.close()
+        finally:
+            shm.close()
+            shm.unlink()
+
     def test_operator_payloads_roundtrip_bitwise(self):
         pairs = _mixed_traffic(2)
         for op, _ in pairs:
@@ -252,6 +267,44 @@ class TestGatewayBitIdentity:
             assert segment_exists(fresh.segment)
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda config: BatchDispatcher(config, max_batch=1,
+                                                max_workers=1),
+                 id="dispatcher"),
+    pytest.param(lambda config: ShardedGateway(config, procs=1, max_batch=1,
+                                               max_workers=1),
+                 id="gateway-in-process"),
+])
+def test_solve_after_evict_is_a_cache_miss(make):
+    """``evict`` drops the cached setup: the next solve rebuilds it."""
+    operator, rhs = _mixed_traffic(1)[0]
+    with make(repro.F3RConfig()) as door:
+        door.solve_many([(operator, rhs)])
+        assert door.evict(operator.fingerprint())
+        assert not door.evict(operator.fingerprint())     # nothing left
+        door.solve_many([(operator, rhs)])
+        summary = door.stats.summary()
+    assert (summary["cache_hits"], summary["cache_misses"]) == (0, 2)
+
+
+def test_stale_setup_is_reshipped_by_the_process_member():
+    """A worker that lost a fingerprint's setup replies ``stale``; its
+    process member forgets the fingerprint and reships the setup, so the
+    request completes without a retry."""
+    operator, rhs = _mixed_traffic(1)[0]
+    fp = operator.fingerprint()
+    with ShardedGateway(repro.F3RConfig(), procs=2, max_batch=1,
+                        max_workers=1) as gateway:
+        (first,) = gateway.solve_many([(operator, rhs)])
+        # the worker drops the setup while the pool still thinks it has it
+        gateway.pool._slots[route_fingerprint(fp, 2)].req_q.put(("evict", fp))
+        (again,) = gateway.solve_many([(operator, rhs)])
+        summary = gateway.stats.summary()
+    assert summary["recovery"]["retries"] == 0
+    assert summary["procs"]["workers"]["shm_attaches"] == 2
+    assert np.array_equal(first.x, again.x)       # a fresh solver both times
+
+
 # ---------------------------------------------------------------------- #
 # Worker-death injection and recovery
 # ---------------------------------------------------------------------- #
@@ -332,8 +385,9 @@ class TestGatewayStats:
         with ShardedGateway(config, procs=1) as gateway:
             summary = gateway.stats.summary()
         assert summary["procs"] == {"procs": 1, "mode": "in-process"}
-        # the delegate is a real dispatcher sharing the stats object
-        assert gateway._dispatcher is not None
+        # the delegate is a real dispatcher sharing the stats object, and
+        # no worker process was spawned
+        assert gateway._dispatcher is not None and gateway.pool is None
         assert gateway.stats is gateway._dispatcher.stats
 
     def test_pool_mode_reports_queue_depth_and_shm(self):
@@ -349,3 +403,11 @@ class TestGatewayStats:
             assert procs["shm"]["published"] >= 1
             assert procs["shm"]["bytes"] > 0
             assert procs["occupancy"]["in_flight_batches"] == 0
+            # the ring's process members are named by slot, so rendezvous
+            # placement is route_fingerprint's: only routed slots served
+            routed = {str(route_fingerprint(op.fingerprint(), 2))
+                      for op, _ in pairs}
+            served = {name for name, member
+                      in summary["cluster"]["members"].items()
+                      if member["server"].get("requests")}
+            assert served == routed

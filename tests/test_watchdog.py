@@ -39,7 +39,7 @@ from repro.par.procpool import (
     WorkerHung,
     WorkerInit,
 )
-from repro.serve import ShardedGateway
+from repro.serve import ShardedGateway, route_fingerprint
 
 pytestmark = pytest.mark.tier1
 
@@ -232,3 +232,8 @@ class TestGatewayWatchdog:
         assert summary["procs"]["worker_deaths"] >= 1
         assert summary["recovery"]["retries"] >= 1
         assert summary["recovery"]["breaker_trips"] == 0
+        # the retries landed on the respawned home slot, not the other one
+        served = {name: member["server"].get("requests", 0)
+                  for name, member in summary["cluster"]["members"].items()}
+        home = str(route_fingerprint(matrix.fingerprint(), 2))
+        assert served[home] == 3 and sum(served.values()) == 3

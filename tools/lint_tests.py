@@ -22,9 +22,12 @@ README's ``## Environment variables`` heading, and every row must name a
 variable ``src/`` still references — a new knob needs a documented
 production reason, and a retired one leaves the table.
 
-Finally it keeps the serving request policy in one place: each of the
-front-door core's policy definitions (:data:`SINGLE_DEFINITIONS`) may be
-defined in at most one module under ``src/repro/serve/``.
+Finally it keeps each serving responsibility in one place: every pattern
+in :data:`SINGLE_DEFINITIONS` may match at most one module under
+``src/repro/serve/``.  They are the front-door core's request policy (the
+breaker, shed-victim choice and retry, in ``frontdoor.py``) and the ring's
+result-slot handling (``isinstance(..., ExpiredRequest)``, in
+``cluster.py``).
 """
 
 from __future__ import annotations
@@ -83,8 +86,8 @@ REQUIRED_MODULES = (
                                        # against every serving front door
 )
 
-#: request-policy definitions the front-door core owns: each may appear in
-#: at most one module under src/repro/serve/
+#: serving responsibilities with one home: each pattern may match at most
+#: one module under src/repro/serve/
 SINGLE_DEFINITIONS = {
     "_breaker_check": re.compile(r"^\s*def _breaker_check\b", re.MULTILINE),
     "_breaker_record": re.compile(r"^\s*def _breaker_record\b", re.MULTILINE),
@@ -92,6 +95,8 @@ SINGLE_DEFINITIONS = {
                                       re.MULTILINE),
     "_retry_or_fail": re.compile(r"^\s*def _retry_or_fail\b", re.MULTILINE),
     "class _Breaker": re.compile(r"^\s*class _Breaker\b", re.MULTILINE),
+    "isinstance(..., ExpiredRequest)": re.compile(
+        r"isinstance\([^)]*\bExpiredRequest\b"),
 }
 
 
@@ -156,9 +161,9 @@ def main() -> int:
         status = 1
     duplicated = duplicated_definitions()
     if duplicated:
-        print("lint-tests: front-door policy defined in more than one "
-              "src/repro/serve/ module (it belongs in frontdoor.py):",
-              file=sys.stderr)
+        print("lint-tests: serving logic found in more than one "
+              "src/repro/serve/ module (see SINGLE_DEFINITIONS for its "
+              "home):", file=sys.stderr)
         for name, modules in sorted(duplicated.items()):
             print(f"  {name}: {', '.join(modules)}", file=sys.stderr)
         status = 1
@@ -166,7 +171,7 @@ def main() -> int:
         print(f"lint-tests: OK ({len(test_files)} test files, all tier-marked; "
               f"{len(REQUIRED_MODULES)} required suites present; "
               f"{len(used)} REPRO_* variables documented; "
-              f"{len(SINGLE_DEFINITIONS)} front-door definitions unique)")
+              f"{len(SINGLE_DEFINITIONS)} serving definitions unique)")
     return status
 
 
