@@ -2,7 +2,9 @@
 batched (multi-RHS) vs looped execution.
 
 Times the four hot kernels — CSR SpMV, sliced-ELLPACK SpMV, level-scheduled
-triangular solve, and one FGMRES(m) cycle — on both registered backends, plus
+triangular solve, and one FGMRES(m) cycle — on both registered backends, the
+fp16 level solve on subnormal-heavy input for a wide-level factor (staged
+through fp32 by the fast engine) and a one-row-per-level chain (direct), plus
 the batched kernels (CSR SpMM, batched trsm), a full ``solve_batch`` of
 the fp16-F3R solver against ``k`` sequential ``solve`` calls, and the
 matrix-free stencil applies (single + batched) against the assembled CSR
@@ -43,7 +45,7 @@ from repro.matgen import hpcg_matrix, hpcg_operator, poisson2d
 from repro.precision import Precision
 from repro.precond import ilu0_factor
 from repro.solvers import fgmres_cycle
-from repro.sparse import SlicedEllMatrix, TriangularFactor
+from repro.sparse import CSRMatrix, SlicedEllMatrix, TriangularFactor
 
 #: grid side of the 5-point Poisson problem per scale (n = side^2 unknowns)
 SCALES = {"smoke": 90, "small": 160, "medium": 300}
@@ -54,6 +56,13 @@ SOLVE_SCALES = {"smoke": 40, "small": 90, "medium": 300}
 
 #: right-hand sides per batch in the batched benchmarks
 BATCH_K = 8
+
+#: the fp16 level-solve rows: the ILU(0) L factor of the HPCG 27-point
+#: matrix on a 16^3 grid averages ~440 gathers per level, past the fast
+#: engine's staging gate; the chain factor has one row and one gather per
+#: level, the shape of G3_circuit's fused IC(0) at ``tiny`` scale
+WIDE_GRID = 16
+CHAIN_ROWS = 600
 
 #: grid side of the matrix-free stencil benchmark (HPCG 27-point); 64³ is the
 #: operator-layer acceptance threshold — the batched matrix-free apply must
@@ -96,7 +105,21 @@ def build_problem(side: int):
     x = rng.uniform(-1.0, 1.0, n)
     ell = SlicedEllMatrix(matrix, chunk_size=32)
     lower, _ = ilu0_factor(matrix)
-    return {"matrix": matrix, "ell": ell, "lower": lower, "x": x, "n": n}
+    # fp16 level-solve factors with subnormal-heavy fp16 right-hand sides
+    wide, _ = ilu0_factor(hpcg_matrix(WIDE_GRID))
+    wide_b16 = (rng.uniform(-1.0, 1.0, wide.nrows) * 6e-5).astype(np.float16)
+    chain_b16 = (rng.uniform(-1.0, 1.0, CHAIN_ROWS) * 6e-5).astype(np.float16)
+    return {"matrix": matrix, "ell": ell, "lower": lower, "x": x, "n": n,
+            "wide": wide, "wide_b16": wide_b16,
+            "chain": _chain_lower(CHAIN_ROWS), "chain_b16": chain_b16}
+
+
+def _chain_lower(n: int) -> CSRMatrix:
+    """Lower bidiagonal matrix: row ``i`` depends on row ``i - 1`` only."""
+    cols = np.stack([np.arange(n) - 1, np.arange(n)], axis=1).ravel()[1:]
+    vals = np.tile([-0.5, 1.0], n)[1:]
+    indptr = np.concatenate(([0], 1 + 2 * np.arange(n)))
+    return CSRMatrix(vals, cols.astype(np.int32), indptr.astype(np.int32), (n, n))
 
 
 def bench_backend(problem, backend: str, repeats: int, m: int) -> dict[str, float]:
@@ -107,10 +130,18 @@ def bench_backend(problem, backend: str, repeats: int, m: int) -> dict[str, floa
         # fresh factor per backend so plan caching is part of the measurement's
         # warmup, not carried over from the other engine
         factor = TriangularFactor(problem["lower"], lower=True, unit_diagonal=True)
+        wide16 = TriangularFactor(problem["wide"], lower=True,
+                                  unit_diagonal=True).astype(Precision.FP16)
+        chain16 = TriangularFactor(problem["chain"], lower=True).astype(
+            Precision.FP16)
         times = {
             "spmv_csr": _time(lambda: matrix.matvec(x), repeats),
             "spmv_ell": _time(lambda: ell.matvec(x), repeats),
             "trsv": _time(lambda: factor.solve(x), repeats),
+            "trsv_fp16_wide": _time(lambda: wide16.solve(problem["wide_b16"]),
+                                    repeats),
+            "trsv_fp16_chain": _time(lambda: chain16.solve(problem["chain_b16"]),
+                                     repeats),
             "fgmres_cycle": _time(
                 lambda: fgmres_cycle(matrix, x, None, m=m, vec_prec=Precision.FP64),
                 repeats, warmup=1),

@@ -27,6 +27,11 @@ passes:
   scipy's compiled CSR SpMM for fp32/fp64, gather-multiply-``reduceat`` on
   ``(segment, k)`` blocks otherwise — instead of looping the single-RHS
   kernels column by column as the base-class oracle does.
+* **fp16** kernels stage through fp32 (:mod:`~repro.backends.halfvec`),
+  bit-identical to the direct fp16 ufunc chains: SpMV/SpMM products are
+  rounded to fp16 on the fp32 grid and summed in fp32, each row sum rounded
+  once; triangular solves past the :data:`STAGED_LEVEL_GATHERS` width gate
+  carry an fp32 solution across levels.
 
 Counter totals (bytes, flops, kernel calls) are identical to the reference;
 they are recorded in one batched call per logical group, and skipped entirely
@@ -104,6 +109,23 @@ _STAGE = halfvec.STAGE
 #: changing the emulated accumulation precision (fp16 would be upcast)
 _SCIPY_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
+#: an fp16 triangular solve stages its levels through fp32 (exact fp32
+#: products, fp32 row sums rounded once — bitwise equal to the direct fp16
+#: recipe) when its factor averages at least this many gathers per level.
+#: Staging adds about ten vectorized calls per level (the quantizer's eight
+#: passes among them) and removes the scalar fp16 multiply and reduction
+#: over the level's gathers, whose cost grows with the share of
+#: fp16-subnormal products.  Measured on 2-CPU x86-64 with real M inputs:
+#: the hard operator's fused block-ILU(0) factors (~400 gathers per level,
+#: ~25% subnormal products) solve ~1.5x faster staged; the tiny Table-2
+#: surrogates (<= 131 gathers per level, mostly normal-range products) and
+#: chain factors (one row per level) solve 2-3x slower staged.  The gate is
+#: structural but the payoff is data-dependent: a wide factor whose products
+#: stay normal-range (hpcg_7_7_7 at ``small``: ~330 gathers per level, ~4%
+#: subnormal) still solves ~1.5x slower staged.  Decided once per factor and
+#: dtype, when its level values are cached.
+STAGED_LEVEL_GATHERS = 256
+
 
 def _build_ell_plan(ell) -> dict:
     """Row-major gather plan for a sliced-ELLPACK matrix.
@@ -130,6 +152,15 @@ def _build_ell_plan(ell) -> dict:
     return {"order": order, "rm_indptr": rm_indptr, "cols_rm": ell.indices[order]}
 
 
+def _ell_stage_vals(ell, vals_rm: np.ndarray) -> np.ndarray:
+    """The row-major fp16 values expanded to fp32 (cached like ``vals_rm``)."""
+    vals32 = ell._rm_vals.get(_STAGE)
+    if vals32 is None:
+        vals32 = vals_rm.astype(_STAGE)
+        ell._rm_vals[_STAGE] = vals32
+    return vals32
+
+
 def _build_trsv_plan(factor) -> list[tuple]:
     """Per-level gather indices and segment offsets, computed once per factor.
 
@@ -143,13 +174,16 @@ def _build_trsv_plan(factor) -> list[tuple]:
     cols = factor.off_cols
     plan = []
     for rows in factor.levels:
+        # native index width: numpy converts narrower index arrays on every
+        # gather/scatter otherwise
+        rows = rows.astype(np.intp, copy=False)
         starts = rowptr[rows]
         counts = rowptr[rows + 1] - starts
         total = int(counts.sum())
         if total:
             offsets = np.cumsum(counts) - counts
             gather_idx = np.repeat(starts, counts) + segment_ramp(counts)
-            gather_cols = cols[gather_idx]
+            gather_cols = cols[gather_idx].astype(np.intp, copy=False)
             nonempty = counts > 0
             if nonempty.all():
                 plan.append((rows, gather_idx, gather_cols, offsets, None))
@@ -185,9 +219,7 @@ class FastBackend(KernelBackend):
             vals32 = scratch.cast("csr_values_stage", values, _STAGE)
             x32 = halfvec.upcast(x_c, scratch.get("spmv_x32", x_c.size, _STAGE),
                                  scratch=scratch)
-            par_kernels.spmv_csr_slabs(vals32, indices, x32, y, slabs,
-                                       staged=True,
-                                       round_into=halfvec.round_into)
+            par_kernels.spmv_csr_slabs(vals32, indices, x32, y, slabs, staged=True)
         else:
             vals_c = scratch.cast("csr_values", values, cdtype)
             par_kernels.spmv_csr_slabs(vals_c, indices, x_c, y, slabs)
@@ -227,23 +259,21 @@ class FastBackend(KernelBackend):
                 lambda: _scipy_sparse.csr_matrix((vals_c, indices, indptr),
                                                  shape=(n, x.size)))
             y = sp_mat @ x_c
-        else:
-            if scratch is not None and np.dtype(cdtype) == _HALF:
-                # fp16 products staged through fp32: gather+multiply run as
-                # SIMD fp32 passes and each product is rounded to fp16 by the
-                # same conversion the fp16 ufunc applies per element — the
-                # product stream is bit-identical, and the row reduction
-                # keeps the per-add fp16 rounding (reduceat on fp16).
-                vals32 = scratch.cast("csr_values_stage", values, _STAGE)
-                x32 = halfvec.upcast(x_c, scratch.get("spmv_x32", x_c.size, _STAGE),
-                                      scratch=scratch)
-                prods32 = scratch.get("spmv_prod32", nnz, _STAGE)
-                np.take(x32, indices, out=prods32)
-                np.multiply(prods32, vals32, out=prods32)
-                prods = halfvec.round_into(prods32,
-                                           scratch.get("spmv_prod", nnz, cdtype),
+        elif scratch is not None and np.dtype(cdtype) == _HALF:
+            # fp16 staged through fp32: exact fp32 products (fp16 × fp16
+            # fits), each rounded to fp16 in place, fp32 row sums rounded
+            # once — bit-identical to fp16 products reduced by fp16 reduceat
+            vals32 = scratch.cast("csr_values_stage", values, _STAGE)
+            x32 = halfvec.upcast(x_c, scratch.get("spmv_x32", x_c.size, _STAGE),
+                                  scratch=scratch)
+            prods32 = scratch.get("spmv_prod32", nnz, _STAGE)
+            x32.take(indices, out=prods32)
+            np.multiply(prods32, vals32, out=prods32)
+            y = halfvec.segment_sums_round(prods32, indptr,
+                                           np.empty(n, dtype=cdtype),
                                            scratch=scratch)
-            elif scratch is not None:
+        else:
+            if scratch is not None:
                 vals_c = scratch.cast("csr_values", values, cdtype)
                 prods = scratch.get("spmv_prod", nnz, cdtype)
                 np.take(x_c, indices, out=prods)
@@ -273,9 +303,7 @@ class FastBackend(KernelBackend):
         elif np.dtype(cdtype) == _HALF:
             vals32 = scratch.cast("csr_values_stage", values, _STAGE)
             x32 = halfvec.upcast(x_c, scratch.get("spmm_x32", x_c.shape, _STAGE))
-            par_kernels.spmm_csr_slabs(vals32, indices, x32, y, slabs,
-                                       staged=True,
-                                       round_into=halfvec.round_into)
+            par_kernels.spmm_csr_slabs(vals32, indices, x32, y, slabs, staged=True)
         else:
             vals_c = scratch.cast("csr_values", values, cdtype)
             par_kernels.spmm_csr_slabs(vals_c, indices, x_c, y, slabs)
@@ -316,20 +344,16 @@ class FastBackend(KernelBackend):
                                                  shape=(n, x.shape[0])))
             y = sp_mat @ np.ascontiguousarray(x_c)
         elif scratch is not None and np.dtype(cdtype) == _HALF:
-            # staged fp16 product block (see spmv_csr): bit-identical fp16
-            # products from one fp32 gather-multiply, fp16 row reduction —
-            # arena-backed like the single-RHS path, with the subnormal-safe
-            # rounding
+            # staged fp16 product block (see spmv_csr): one fp32
+            # gather-multiply over all k columns, fp32 row sums along axis 0
             vals32 = scratch.cast("csr_values_stage", values, _STAGE)
             x32 = halfvec.upcast(x_c, scratch.get("spmm_x32", x_c.shape, _STAGE))
             prods32 = scratch.get("spmm_prod32", (nnz, k), _STAGE)
-            np.take(x32, indices, axis=0, out=prods32)
+            x32.take(indices, axis=0, out=prods32)
             np.multiply(prods32, vals32[:, None], out=prods32)
-            prods = halfvec.round_into(prods32,
-                                       scratch.get("spmm_prod", (nnz, k), cdtype),
-                                       scratch=scratch)
-            y = np.zeros((n, k), dtype=cdtype)
-            row_segment_sums(prods, indptr, y)
+            y = halfvec.segment_sums_round(prods32, indptr,
+                                           np.empty((n, k), dtype=cdtype),
+                                           scratch=scratch)
         else:
             vals_c = (scratch.cast("csr_values", values, cdtype)
                       if scratch is not None
@@ -370,10 +394,7 @@ class FastBackend(KernelBackend):
         x_c = x if x.dtype == cdtype else x.astype(cdtype)
         staged = np.dtype(cdtype) == _HALF
         if staged:
-            vals32 = ell._rm_vals.get(_STAGE)
-            if vals32 is None:
-                vals32 = vals_rm.astype(_STAGE)
-                ell._rm_vals[_STAGE] = vals32
+            vals32 = _ell_stage_vals(ell, vals_rm)
 
         st = par_state(ell)
         nt = kernel_threads("spmv", order.size, st, rows=ell.nrows)
@@ -387,28 +408,24 @@ class FastBackend(KernelBackend):
                 x32 = halfvec.upcast(x_c,
                                      scratch.get("spmv_x32", x_c.size, _STAGE),
                                      scratch=scratch)
-                par_kernels.spmv_ell_slabs(vals32, cols_rm, x32, y, slabs,
-                                           staged=True,
-                                           round_into=halfvec.round_into)
+                par_kernels.spmv_ell_slabs(vals32, cols_rm, x32, y, slabs, staged=True)
             else:
                 par_kernels.spmv_ell_slabs(vals_rm, cols_rm, x_c, y, slabs)
+        elif staged:
+            # staged fp16 (see spmv_csr): exact fp32 gather-multiply, fp32
+            # row sums of the fp16-rounded products, rounded once
+            x32 = halfvec.upcast(x_c, scratch.get("spmv_x32", x_c.size, _STAGE),
+                                 scratch=scratch)
+            prods32 = scratch.get("spmv_prod32", order.size, _STAGE)
+            x32.take(cols_rm, out=prods32)
+            np.multiply(prods32, vals32, out=prods32)
+            y = halfvec.segment_sums_round(prods32, rm_indptr,
+                                           np.empty(ell.nrows, dtype=cdtype),
+                                           scratch=scratch)
         else:
-            if staged:
-                # staged fp16 products (see spmv_csr): fp32 gather-multiply
-                # with a bit-identical fp16 rounding, fp16 row reduction
-                x32 = halfvec.upcast(x_c,
-                                     scratch.get("spmv_x32", x_c.size, _STAGE),
-                                     scratch=scratch)
-                prods32 = scratch.get("spmv_prod32", order.size, _STAGE)
-                np.take(x32, cols_rm, out=prods32)
-                np.multiply(prods32, vals32, out=prods32)
-                prods = halfvec.round_into(
-                    prods32, scratch.get("spmv_prod", order.size, cdtype),
-                    scratch=scratch)
-            else:
-                prods = scratch.get("spmv_prod", order.size, cdtype)
-                np.take(x_c, cols_rm, out=prods)
-                np.multiply(prods, vals_rm, out=prods)
+            prods = scratch.get("spmv_prod", order.size, cdtype)
+            np.take(x_c, cols_rm, out=prods)
+            np.multiply(prods, vals_rm, out=prods)
             y = np.zeros(ell.nrows, dtype=cdtype)
             row_segment_sums(prods, rm_indptr, y)
         y = y.astype(out_prec.dtype, copy=False)
@@ -435,13 +452,28 @@ class FastBackend(KernelBackend):
             ell._rm_vals[cdtype] = vals_rm
 
         x_c = x if x.dtype == cdtype else x.astype(cdtype)
+        staged = np.dtype(cdtype) == _HALF
+        if staged:
+            # staged fp16 block (see spmv_ell): the products and row sums
+            # run in fp32 over all k columns
+            scratch = ell.scratch()
+            vals_rm = _ell_stage_vals(ell, vals_rm)
+            x_c = halfvec.upcast(x_c, scratch.get("spmm_x32", x_c.shape, _STAGE))
         st = par_state(ell)
         nt = kernel_threads("spmm", ell.values.size, st, rows=ell.nrows)
         if nt > 1:
             slabs = st.partition(("ell", nt),
                                  lambda: csr_partition(plan["rm_indptr"], nt))
             y = np.zeros((ell.nrows, k), dtype=cdtype)
-            par_kernels.spmm_ell_slabs(vals_rm, plan["cols_rm"], x_c, y, slabs)
+            par_kernels.spmm_ell_slabs(vals_rm, plan["cols_rm"], x_c, y, slabs,
+                                       staged=staged)
+        elif staged:
+            prods32 = scratch.get("spmm_prod32", (vals_rm.size, k), _STAGE)
+            x_c.take(plan["cols_rm"], axis=0, out=prods32)
+            np.multiply(prods32, vals_rm[:, None], out=prods32)
+            y = halfvec.segment_sums_round(prods32, plan["rm_indptr"],
+                                           np.empty((ell.nrows, k), dtype=cdtype),
+                                           scratch=scratch)
         else:
             prods = x_c[plan["cols_rm"], :] * vals_rm[:, None]
             y = np.zeros((ell.nrows, k), dtype=cdtype)
@@ -826,6 +858,9 @@ class FastBackend(KernelBackend):
         Off-diagonal values and the inverse diagonal are pre-gathered per
         level, cached per compute dtype on the factor (immutable derived
         data; a cross-thread race at worst rebuilds identical arrays).
+        Returns ``(plan, (level_vals, level_inv, stage_vals))``;
+        ``stage_vals`` holds the fp32 copies of an fp16 factor's level values
+        when it passes the :data:`STAGED_LEVEL_GATHERS` gate, else ``None``.
         """
         plan = factor._fast_plan
         if plan is None:
@@ -839,9 +874,16 @@ class FastBackend(KernelBackend):
             level_vals = [None if entry[1] is None else off_vals[entry[1]]
                           for entry in plan]
             level_inv = [inv_diag[entry[0]] for entry in plan]
-            cached = (level_vals, level_inv)
+            # the width gate: every off-diagonal entry is gathered by
+            # exactly one level, so off_vals.size is the factor's gathers
+            stage_vals = None
+            if (np.dtype(cdtype) == _HALF
+                    and factor.off_vals.size >= STAGED_LEVEL_GATHERS * len(plan)):
+                stage_vals = [None if lv is None else lv.astype(_STAGE)
+                              for lv in level_vals]
+            cached = (level_vals, level_inv, stage_vals)
             factor._fast_vals[cdtype] = cached
-        return plan, cached[0], cached[1]
+        return plan, cached
 
     def _trsv_par_levels(self, factor, plan, kernel):
         """Per-level chunk decompositions for a within-level parallel solve.
@@ -869,18 +911,61 @@ class FastBackend(KernelBackend):
             return None
         return levels
 
+    def _solve_levels_staged(self, factor, plan, stage_vals, level_inv, b16):
+        """Staged-fp16 level sweep (``trsv`` and, on ``(n, k)`` blocks,
+        ``trsm``); returns the fp32 solution in the factor's arena.
+
+        The solution stays in fp32 across levels.  Per level: gather from
+        it, multiply by the fp32 level values (exact: fp16 × fp16 fits in
+        fp32), round the products to fp16 and sum them in fp32, round the
+        row sums once, then ``(b − s) · inv`` in fp16 as the direct recipe
+        does — bit-identical to it (see :mod:`~repro.backends.halfvec`).
+        """
+        ws = factor.scratch()
+        batched = b16.ndim == 2
+        x32 = ws.get("trsv_x32", b16.shape, _STAGE, zero=True)
+        # level-size temporaries are fresh arrays: at these sizes numpy's
+        # allocation is cheaper than an arena lookup
+        for (rows, gather_idx, gather_cols, red_offsets, nonempty), lv32, inv in zip(
+                plan, stage_vals, level_inv):
+            if batched:
+                inv = inv[:, None]
+            if gather_idx is None:
+                x32[rows] = b16[rows] * inv
+                continue
+            prods = x32[gather_cols]
+            np.multiply(prods, lv32[:, None] if batched else lv32, out=prods)
+            halfvec.quantize32(prods)
+            if nonempty is None:
+                sums = np.add.reduceat(prods, red_offsets, axis=0)
+            else:
+                sums = np.zeros((rows.size,) + b16.shape[1:], dtype=_STAGE)
+                sums[nonempty] = np.add.reduceat(prods, red_offsets, axis=0)
+            # one rounding of the fp32 row sums (rows are few: the direct
+            # conversion beats quantizing first)
+            x32[rows] = (b16[rows] - sums.astype(_HALF)) * inv
+        return x32
+
     def trsv(self, factor, b, out_precision=None, record=True):
         vec_prec = precision_of_dtype(b.dtype)
         compute = promote(factor.precision, vec_prec)
         out_prec = as_precision(out_precision) if out_precision is not None else vec_prec
         cdtype = compute.dtype
 
-        plan, level_vals, level_inv = self._trsv_plan_and_vals(factor, cdtype)
+        plan, (level_vals, level_inv, stage_vals) = self._trsv_plan_and_vals(
+            factor, cdtype)
         par_levels = self._trsv_par_levels(factor, plan, "trsv")
-
-        x = np.zeros(factor.nrows, dtype=cdtype)
         b_c = b if b.dtype == cdtype else b.astype(cdtype)
 
+        if stage_vals is not None and par_levels is None:
+            x = self._solve_levels_staged(factor, plan, stage_vals, level_inv, b_c)
+            # fresh result (x is the arena's); fp16 values, so exact
+            result = x.astype(out_prec.dtype)
+            if record and counters_enabled():
+                self._record_trsv(factor, vec_prec, out_prec, compute)
+            return result
+
+        x = np.zeros(factor.nrows, dtype=cdtype)
         for i, ((rows, gather_idx, gather_cols, red_offsets, nonempty), lv,
                 inv) in enumerate(zip(plan, level_vals, level_inv)):
             if par_levels is not None and par_levels[i] is not None:
@@ -911,15 +996,22 @@ class FastBackend(KernelBackend):
         cdtype = compute.dtype
         k = b.shape[1]
 
-        plan, level_vals, level_inv = self._trsv_plan_and_vals(factor, cdtype)
+        plan, (level_vals, level_inv, stage_vals) = self._trsv_plan_and_vals(
+            factor, cdtype)
         par_levels = self._trsv_par_levels(factor, plan, "trsm")
+        b_c = b if b.dtype == cdtype else b.astype(cdtype)
+
+        if stage_vals is not None and par_levels is None:
+            x = self._solve_levels_staged(factor, plan, stage_vals, level_inv, b_c)
+            result = x.astype(out_prec.dtype)
+            if record and counters_enabled():
+                self._record_trsm(factor, vec_prec, out_prec, compute, k)
+            return result
 
         # One level sweep serves all k columns: the per-level index arithmetic
         # and Python overhead are amortized k-fold, and the gather/multiply/
         # reduceat run on (segment, k) blocks instead of k separate vectors.
         x = np.zeros((factor.nrows, k), dtype=cdtype)
-        b_c = b if b.dtype == cdtype else b.astype(cdtype)
-
         for i, ((rows, gather_idx, gather_cols, red_offsets, nonempty), lv,
                 inv) in enumerate(zip(plan, level_vals, level_inv)):
             if par_levels is not None and par_levels[i] is not None:

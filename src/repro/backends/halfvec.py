@@ -10,33 +10,47 @@ slow on the solver's hot data:
   a value lands in the **fp16 subnormal range** — which is most of a nested
   solver's inner residuals — costing 10-25x on top.
 
-The helpers here run the exact same computation in bulk while never letting
-a subnormal value near the scalar conversion routines:
+The helpers here run the exact same computation in bulk and cross the
+scalar conversion routines only at kernel boundaries:
 
-* operands expand to float32 with an integer-decoded converter
-  (:func:`upcast` — exact by construction, data-independent cost);
+* operands expand to float32 once (:func:`upcast`, exact);
 * each elementary operation runs as one vectorized float32 pass;
 * the mandatory per-operation fp16 rounding is applied **in float32** by
-  :func:`quantize32` — Veltkamp splitting rounds the significand to fp16's
-  11 bits in the normal range, and the classic add-magic-subtract trick
-  snaps the subnormal range onto its 2⁻²⁴ grid, both with hardware
-  round-to-nearest-even;
+  :func:`quantize32`, at a fixed cost of eight SIMD passes.  Its fast path
+  is the magic-number form: with ``e`` the float32 exponent field of ``x``
+  clamped below at that of 2⁻¹⁴, ``magic = 1.5·2^(e+13)`` has an ulp of
+  exactly fp16's spacing at ``x``'s binade (2⁻²⁴ in the subnormal range),
+  so ``(x + magic) − magic`` rounds ``x`` onto the fp16 grid with the
+  hardware's round-to-nearest-even, and OR-ing back the sign bit keeps
+  ``−0``.  Arrays holding any ``|x| ≥ 2¹⁵``, inf or NaN take the exact
+  fallback instead (Veltkamp splitting with explicit overflow and
+  subnormal masks), which also handles overflow to ±inf;
 * values are materialized as fp16 storage only at kernel boundaries
   (:func:`round_into`), where the conversion is exact — the fast path of
   numpy's converter.
 
+Multi-term row sums stage too.  numpy's fp16 add-reduction accumulates in
+float32 and rounds once at the end (the same pairwise loop as float32's), so
+``np.add.reduceat(p16, starts)`` equals ``np.add.reduceat(p32, starts)``
+rounded to fp16, where ``p32`` holds the same fp16-representable values —
+1-D and along axis 0 of a 2-D block.  :func:`segment_sums_round` is that
+recipe: quantize the fp32 products in place, reduce in float32, round the
+row sums once.  The fast engine's fp16 SpMV/SpMM and its wide-level
+triangular solves use it; a solve whose levels are narrow keeps the direct
+fp16 recipe (see ``fast.STAGED_LEVEL_GATHERS``), because there the extra
+calls per level cost more than they save.
+
 One operation, one rounding: results are **bit-identical** to the direct
 ``np.float16`` ufunc chains, which the ``reference`` backend runs
 (``tests/test_plans.py`` sweeps the equivalence against it, including
-subnormals, overflow-to-inf and signed zeros).  The staged helpers are the
-fast engine's only fp16 elementwise path.  Multi-term reductions
-(``reduceat`` row sums, dot products) round after every accumulation step
-and cannot be staged; they keep the direct path.
+subnormals, overflow-to-inf, signed zeros and NaN).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .base import row_segment_sums
 
 __all__ = [
     "HALF",
@@ -44,6 +58,7 @@ __all__ = [
     "upcast",
     "quantize32",
     "round_into",
+    "segment_sums_round",
     "binop_round",
     "scalar_mul_round",
     "staged_axpy",
@@ -52,6 +67,22 @@ __all__ = [
 #: the emulated storage dtype and its staging (compute) dtype
 HALF = np.dtype(np.float16)
 STAGE = np.dtype(np.float32)
+_BITS = np.dtype(np.uint32)
+
+# Fast-path constants, held as 0-d arrays: a ufunc call with a 0-d array
+# operand skips the numpy-scalar conversion that dominates at level size.
+#: float32 exponent and sign fields
+_EXP_MASK = np.array(0x7F800000, dtype=_BITS)
+_SIGN_MASK = np.array(0x80000000, dtype=_BITS)
+#: exponent field of 2**-14, fp16's smallest normal: the clamp puts the whole
+#: subnormal range on the 2**-24 grid
+_EXP_FLOOR = np.array(0x38800000, dtype=_BITS)
+#: added to an exponent field e, gives the bits of 1.5 * 2**(e + 13), whose
+#: float32 ulp 2**(e - 10) is fp16's spacing in x's binade
+_MAGIC_OFFSET = np.array((13 << 23) | 0x400000, dtype=_BITS)
+#: exponent field of 2**15: at or above it (inf and NaN included) the magic
+#: sum would leave its binade or overflow fp16, so the exact fallback runs
+_EXP_FALLBACK = 0x47000000
 
 #: Veltkamp splitting constant 2**s + 1 with s = 13: splitting a 24-bit
 #: significand at s leaves an 11-bit high part — exactly fp16 precision
@@ -61,7 +92,6 @@ _SPLIT = np.float32(2.0 ** 13 + 1.0)
 _SUBMAGIC = np.float32(0.75)
 _F16_MIN_NORMAL = np.float32(2.0 ** -14)
 _F16_MAX = np.float32(65504.0)
-_F16_SUB_UNIT = np.float32(2.0 ** -24)
 
 
 def _buf(scratch, name: str, shape, dtype) -> np.ndarray:
@@ -91,12 +121,38 @@ def quantize32(x32: np.ndarray, scratch=None,
 
     Bit-equivalent to ``x32.astype(float16).astype(float32)`` — including
     overflow to ±inf, ties-to-even and signed zeros — but built from plain
-    float32 SIMD passes, so fp16-subnormal results cost nothing extra.
-    The result holds exactly-representable fp16 values; converting it to
-    fp16 storage afterwards is exact (numpy's fast conversion path).
+    float32/uint32 SIMD passes, so fp16-subnormal results cost nothing
+    extra.  The result holds exactly-representable fp16 values; converting
+    it to fp16 storage afterwards is exact (numpy's fast conversion path).
+    The magic-number fast path covers every array whose magnitudes stay
+    below 2¹⁵; anything larger or non-finite takes the exact fallback (see
+    the module docstring).
     """
     if out32 is None:
         out32 = x32
+    if x32.size == 0:
+        return out32
+    # the two temporaries are fresh arrays: numpy's allocation is cheaper
+    # than an arena lookup at level size, and no slower at matrix size
+    bits = x32.view(_BITS)
+    magic = np.bitwise_and(bits, _EXP_MASK)
+    if np.maximum.reduce(magic, axis=None) >= _EXP_FALLBACK:
+        return _quantize32_exact(x32, scratch, out32)
+    sign = np.bitwise_and(bits, _SIGN_MASK)
+    np.maximum(magic, _EXP_FLOOR, out=magic)
+    np.add(magic, _MAGIC_OFFSET, out=magic)
+    magic32 = magic.view(STAGE)
+    np.add(x32, magic32, out=out32)
+    np.subtract(out32, magic32, out=out32)
+    out_bits = out32.view(_BITS)
+    np.bitwise_or(out_bits, sign, out=out_bits)   # −0 for tiny negatives
+    return out32
+
+
+def _quantize32_exact(x32: np.ndarray, scratch, out32: np.ndarray) -> np.ndarray:
+    """:func:`quantize32` for any input: Veltkamp splitting in the normal
+    range, explicit overflow to ±inf, the 0.75 magic constant on the
+    subnormal grid, and inf/NaN carried through."""
     shape = x32.shape
     gamma = _buf(scratch, "q16_gamma", shape, STAGE)
     delta = _buf(scratch, "q16_delta", shape, STAGE)
@@ -139,12 +195,30 @@ def round_into(x32: np.ndarray, out16: np.ndarray,
                scratch=None) -> np.ndarray:
     """Round an fp32 array to fp16 storage (numpy's float→half semantics).
 
-    Quantizes on the fp32 side first so the final conversion is exact and
-    never hits the scalar subnormal branch.
+    Quantizes on the fp32 side first (in place, so ``x32`` is consumed) so
+    the final conversion is exact and never hits the scalar subnormal
+    branch.
     """
     quantize32(x32, scratch=scratch)
     np.copyto(out16, x32, casting="unsafe")
     return out16
+
+
+def segment_sums_round(prods32: np.ndarray, indptr: np.ndarray,
+                       out16: np.ndarray, scratch=None) -> np.ndarray:
+    """fp16 row sums of fp16-rounded products, staged through float32.
+
+    ``prods32`` holds the exact float32 products (consumed: rounded onto
+    the fp16 grid in place); ``out16[i]`` receives the fp16 sum of segment
+    ``indptr[i]:indptr[i+1]`` — bit-identical to ``row_segment_sums`` run
+    on the fp16 products, because numpy's fp16 reduction accumulates in
+    float32 and rounds once.  ``prods32`` may be 2-D (one column per
+    right-hand side, reduced along axis 0).
+    """
+    quantize32(prods32, scratch=scratch)
+    sums32 = _buf(scratch, "half_segsum32", out16.shape, STAGE)
+    row_segment_sums(prods32, indptr, sums32)
+    return round_into(sums32, out16, scratch=scratch)
 
 
 def binop_round(op, x32: np.ndarray, y32: np.ndarray,

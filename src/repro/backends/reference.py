@@ -5,7 +5,9 @@ per-column Gram-Schmidt loops, per-chunk sliced-ELLPACK products, per-row
 scatter/gather ILU(0) — and serves as the correctness oracle the ``fast``
 backend is validated against (see ``tests/test_backends_equivalence.py``).
 It records traffic at the same granularity the original code did: one
-``record_*`` call per logical BLAS-1 operation.
+``record_*`` call per logical BLAS-1 operation.  A sliced-ELLPACK row is
+reduced in slot order through the shared ``row_segment_sums``, exactly like
+a CSR row, so the oracle's answer does not depend on the storage format.
 
 The batched multi-RHS kernels (``spmm_csr``, ``spmm_ell``, ``trsm``) are
 inherited from :class:`~repro.backends.base.KernelBackend` unchanged: on this
@@ -104,7 +106,12 @@ class ReferenceBackend(KernelBackend):
             base = int(ell.chunk_offsets[c])
             block_vals = vals[base:base + width * cs].reshape(width, cs)[:, :rows_in_chunk]
             block_cols = ell.indices[base:base + width * cs].reshape(width, cs)[:, :rows_in_chunk]
-            y[lo:hi] = (block_vals * x_c[block_cols]).sum(axis=0, dtype=compute.dtype)
+            # each row reduced in slot order, through the same segment sums
+            # as the CSR oracle — the result does not depend on the storage
+            # format (a column sum over the block would round per add in fp16)
+            prods = (block_vals * x_c[block_cols]).T.ravel()
+            row_segment_sums(prods, np.arange(rows_in_chunk + 1) * width,
+                             y[lo:hi])
         y = y.astype(out_prec.dtype, copy=False)
 
         if record:

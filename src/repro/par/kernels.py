@@ -82,68 +82,53 @@ def _block(ws: Workspace, name: str, size: int, k: int, dtype) -> np.ndarray:
 # ---------------------------------------------------------------------- #
 # CSR / ELL sparse products (gather-multiply-reduceat recipe)
 # ---------------------------------------------------------------------- #
-def _segment_products_into(ws: Workspace, vals_seg, gather_idx, x_c, staged,
-                           round_into) -> np.ndarray:
-    """The slab's product stream, exactly as the serial kernel computes it.
-
-    Direct mode: ``vals * x[idx]`` in the compute dtype.  Staged-fp16 mode
-    (``staged`` true): one fp32 gather-multiply pass snapped back onto the
-    fp16 grid — ``vals_seg``/``x_c`` are then the fp32-staged arrays and the
-    returned products are fp16, matching the serial staged path bit for bit.
-    """
-    size = gather_idx.shape[0]
-    if staged:
-        prods32 = _flat(ws, "par_prod32", size, x_c.dtype)
-        np.take(x_c, gather_idx, out=prods32)
-        np.multiply(prods32, vals_seg, out=prods32)
-        prods = _flat(ws, "par_prod16", size, np.float16)
-        return round_into(prods32, prods, scratch=ws)
-    prods = _flat(ws, "par_prod", size, x_c.dtype)
-    np.take(x_c, gather_idx, out=prods)
-    np.multiply(prods, vals_seg, out=prods)
+def _segment_products_into(ws: Workspace, name: str, vals_seg, gather_idx,
+                           x_c) -> np.ndarray:
+    """The slab's product stream ``vals * x[idx]`` in ``x_c``'s dtype, on
+    the worker's arena (fp32 operands give the exact products of the
+    staged-fp16 recipe)."""
+    shape = (gather_idx.shape[0],) + x_c.shape[1:]
+    prods = ws.get_rows(name, shape[0], shape[1:], x_c.dtype)
+    x_c.take(gather_idx, axis=0, out=prods)
+    np.multiply(prods, vals_seg.reshape((-1,) + (1,) * (x_c.ndim - 1)),
+                out=prods)
     return prods
 
 
-def spmv_csr_slabs(vals_c, indices, x_c, y, slabs, staged=False,
-                   round_into=None) -> np.ndarray:
-    """Partitioned gather-path CSR SpMV into caller-allocated ``y``."""
+def _segment_sums_into(ws: Workspace, prods, local, y_slab, staged) -> None:
+    """The slab's per-row sums into ``y_slab``: direct ``reduceat``, or
+    the staged-fp16 recipe (products rounded to fp16 in fp32, fp32 sums
+    rounded once) — exactly the serial kernel's arithmetic either way."""
     from ..backends.base import row_segment_sums
+    from ..backends.halfvec import segment_sums_round
+
+    if staged:
+        segment_sums_round(prods, local, y_slab, scratch=ws)
+    else:
+        row_segment_sums(prods, local, y_slab)
+
+
+def spmv_csr_slabs(vals_c, indices, x_c, y, slabs, staged=False) -> np.ndarray:
+    """Partitioned gather-path CSR SpMV into caller-allocated ``y``.
+
+    ``staged``: ``vals_c``/``x_c`` are the fp32-staged copies of fp16
+    operands and ``y`` is fp16.  ``x_c``/``y`` may be ``(n, k)`` blocks
+    (:func:`spmm_csr_slabs`).
+    """
 
     def task(r0, r1, s0, s1, local):
         ws = slab_workspace()
-        prods = _segment_products_into(ws, vals_c[s0:s1], indices[s0:s1], x_c,
-                                       staged, round_into)
-        row_segment_sums(prods, local, y[r0:r1])
+        prods = _segment_products_into(ws, "par_prod", vals_c[s0:s1],
+                                       indices[s0:s1], x_c)
+        _segment_sums_into(ws, prods, local, y[r0:r1], staged)
 
     run_tasks([(lambda s=s: task(*s)) for s in slabs])
     return y
 
 
-def spmm_csr_slabs(vals_c, indices, x_c, y, slabs, staged=False,
-                   round_into=None) -> np.ndarray:
+def spmm_csr_slabs(vals_c, indices, x_c, y, slabs, staged=False) -> np.ndarray:
     """Partitioned gather-path CSR SpMM (``x_c``/``y`` of shape ``(n, k)``)."""
-    from ..backends.base import row_segment_sums
-
-    k = x_c.shape[1]
-
-    def task(r0, r1, s0, s1, local):
-        ws = slab_workspace()
-        idx = indices[s0:s1]
-        vals_seg = vals_c[s0:s1]
-        if staged:
-            prods32 = _block(ws, "par_prod32_k", s1 - s0, k, x_c.dtype)
-            np.take(x_c, idx, axis=0, out=prods32)
-            np.multiply(prods32, vals_seg[:, None], out=prods32)
-            prods = _block(ws, "par_prod16_k", s1 - s0, k, np.float16)
-            round_into(prods32, prods, scratch=ws)
-        else:
-            prods = _block(ws, "par_prod_k", s1 - s0, k, x_c.dtype)
-            np.take(x_c, idx, axis=0, out=prods)
-            np.multiply(prods, vals_seg[:, None], out=prods)
-        row_segment_sums(prods, local, y[r0:r1])
-
-    run_tasks([(lambda s=s: task(*s)) for s in slabs])
-    return y
+    return spmv_csr_slabs(vals_c, indices, x_c, y, slabs, staged=staged)
 
 
 def csr_matvec_slabs(ncols, vals, indices, y, x_c, slabs) -> np.ndarray:
@@ -175,17 +160,15 @@ def csr_matvecs_slabs(ncols, k, vals, indices, y, x_c, slabs) -> np.ndarray:
     return y
 
 
-def spmv_ell_slabs(vals_rm, cols_rm, x_c, y, slabs, staged=False,
-                   round_into=None) -> np.ndarray:
+def spmv_ell_slabs(vals_rm, cols_rm, x_c, y, slabs, staged=False) -> np.ndarray:
     """Partitioned row-major sliced-ELL SpMV (same recipe as the CSR path,
     over the row-major gather plan's entry stream)."""
-    return spmv_csr_slabs(vals_rm, cols_rm, x_c, y, slabs, staged=staged,
-                          round_into=round_into)
+    return spmv_csr_slabs(vals_rm, cols_rm, x_c, y, slabs, staged=staged)
 
 
-def spmm_ell_slabs(vals_rm, cols_rm, x_c, y, slabs) -> np.ndarray:
+def spmm_ell_slabs(vals_rm, cols_rm, x_c, y, slabs, staged=False) -> np.ndarray:
     """Partitioned row-major sliced-ELL SpMM."""
-    return spmm_csr_slabs(vals_rm, cols_rm, x_c, y, slabs)
+    return spmm_csr_slabs(vals_rm, cols_rm, x_c, y, slabs, staged=staged)
 
 
 # ---------------------------------------------------------------------- #
