@@ -145,10 +145,11 @@ def force_threads(n: int):
 def pool_consumer():
     """Register the calling thread as one budget consumer for the scope.
 
-    The :class:`~repro.serve.BatchDispatcher` wraps each batch execution in
-    this: with ``c`` batches in flight on a budget of ``T`` threads, each
-    batch's kernels fan across ``max(1, T // c)`` threads, so the two layers
-    of parallelism never oversubscribe the machine.
+    The serving :class:`~repro.serve.executor.SetupExecutor` wraps each
+    batch execution in this: with ``c`` batches in flight on a budget of
+    ``T`` threads, each batch's kernels fan across ``max(1, T // c)``
+    threads, so the two layers of parallelism never oversubscribe the
+    machine.
     """
     global _ACTIVE_CONSUMERS, _PEAK_CONSUMERS
     with _LOCK:

@@ -1,68 +1,44 @@
 """Persistent process-pool execution tier (``REPRO_PROCS``).
 
-PR 5's thread pool runs the *kernels* wide, but every Python-level step —
-level scheduling, plan dispatch, Givens rotations, the solver loop itself —
-serializes on the GIL, capping useful Python work at roughly one core per
-host.  This module runs whole batched solves in **worker processes**: each
-worker imports the package fresh (spawn start method — no forked locks, no
-inherited thread state), attaches operator storage zero-copy from
-:mod:`repro.par.shm`, warms its preconditioner factors / level schedules /
-partitions from the ``REPRO_ARTIFACTS`` store instead of refactorizing, and
-then serves batches for the fingerprints routed to it.
+Every Python-level step of a solve serializes on the GIL, so the process
+tier runs whole batched solves in **worker processes**.  Each worker is
+spawned fresh (no forked locks or thread state), attaches operator storage
+zero-copy from :mod:`repro.par.shm`, warms its setups from the
+``REPRO_ARTIFACTS`` store, and runs every batch on its own
+:class:`~repro.serve.executor.SetupExecutor` — the executor of every
+serving member, so results are bit-identical for every ``REPRO_PROCS``
+value.  ``REPRO_PROCS`` (default ``1`` = in-process, ``auto`` = the core
+count) is read by :class:`repro.serve.ShardedGateway`, overridable with
+:func:`set_procs` / :func:`use_procs`.
 
-Configuration mirrors ``REPRO_THREADS``: ``REPRO_PROCS`` (default ``1`` =
-in-process execution, ``auto`` = the core count), overridable with
-:func:`set_procs` / scoped with :func:`use_procs`.  The knob is read by
-:class:`repro.serve.ShardedGateway`; this module never spawns unless a
-gateway asks for more than one process.
-
-Determinism is the PR 5 contract one level up: a worker executes exactly
-the arithmetic the in-process dispatcher would — same operator bytes (the
-shared segment), same batch composition (the gateway groups per fingerprint
-before the queue hop), same solver construction — so results are
-bit-identical for every ``REPRO_PROCS`` value.
-
-Protocol (one queue hop per *batch*, never per request):
+This module owns the worker's protocol — one queue hop per *batch*:
 
 ==========================  =============================================
 to worker                   from worker
 ==========================  =============================================
-``("solve", id, fp, setup,  ``("result", wid, id, [SolveResult |
-rhs_block, deadlines,       ExpiredRequest...], stats-snapshot)`` or
-degrade)``                  ``("error", wid, id, kind, type-name, message)``
-``("evict", fp)``           —  (drops solver/plans, closes the mapping)
-``("stats", token)``        ``("stats", wid, token, snapshot)``
+``("solve", id, fp, setup,  ``("result", wid, id, slots, snapshot)`` or
+rhs_block, deadlines,       ``("error", wid, id, kind, type-name, message)``
+degrade)``
+``("warm", id, fp, setup)`` the same, with no slots
+``("evict", fp)``           —  (drops solver, plans and the mapping)
 ``("stop",)``               ``("stopped", wid)`` then exit
 —                           ``("hb", wid)``  (idle heartbeat tick)
 ==========================  =============================================
 
-``setup`` travels only on a worker's first batch for a fingerprint
-(attach-on-first-use): a :class:`~repro.par.shm.ShmDescriptor` for
-publishable operators, or a one-time pickled operator for families with no
-shared-memory form.  ``deadlines`` are per-request *wall-clock* absolutes
-(``time.time()`` — monotonic clocks are not comparable across processes);
-the worker checks them on dequeue and returns an :class:`ExpiredRequest`
-marker instead of burning solve time on a request nobody is waiting for.
-``degrade`` (per-request flags, or ``None``) asks the worker to solve the
-flagged columns as their own batch one precision tier lower (the gateway's
-brownout policy; the recovery ladder re-escalates if the cheap tier
-stagnates).
+``setup`` travels only on a worker's first contact for a fingerprint: a
+:class:`~repro.par.shm.ShmDescriptor`, or a one-time pickled operator for
+families with no shared-memory form.  A worker asked about a fingerprint it
+no longer holds (its setup batch died, or its executor's ``cache_size`` LRU
+evicted it) replies ``stale`` and the caller reships.  ``deadlines`` are
+*wall-clock* absolutes (monotonic clocks are per-process).
 
-Worker death (injected via :func:`repro.faults.maybe_kill_process`, or
-real) fails the in-flight batches with :class:`WorkerDied`; the gateway
-respawns the slot and retries under its retry policy.  A worker that is
-*alive but silent* — wedged in a C-level stall, injected via
-:func:`repro.faults.maybe_hang` — is caught by the **watchdog**: every
-worker heartbeats through the response queue (piggybacked on every reply,
-plus idle ticks every ``heartbeat_interval``), and the collector classifies
-a worker with work outstanding and no beat for ``hang_timeout`` seconds as
-:class:`WorkerHung` (a :class:`WorkerDied` subtype, so the gateway's
-respawn/retry path needs no new cases), SIGKILLs it, and fails its in-flight
-batches.  Respawned workers do not reinstall a gateway-shipped fault plan —
-a replacement worker models a repaired host (``REPRO_FAULTS`` in the
-environment still applies everywhere); first-generation workers offset the
-shipped plan's seed by their worker id so a fleet does not fire faults in
-lockstep.
+Worker death (injected via :func:`repro.faults.maybe_kill_process`, or real)
+fails the in-flight batches with :class:`WorkerDied`.  The **watchdog**
+catches a worker that is alive but silent (:func:`repro.faults.maybe_hang`):
+workers heartbeat through the response queue, and one with work
+outstanding and no beat for ``hang_timeout`` seconds is SIGKILLed and its
+batches fail with :class:`WorkerHung`.  Respawned workers do not reinstall
+a shipped fault plan; first-generation workers offset its seed by their id.
 """
 
 from __future__ import annotations
@@ -73,14 +49,15 @@ import pickle
 import threading
 import time
 
-import numpy as np
 from concurrent.futures import Future
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 __all__ = [
     "ExpiredRequest",
     "ProcPool",
+    "RemoteError",
     "WorkerDied",
     "WorkerError",
     "WorkerHung",
@@ -175,6 +152,22 @@ class ExpiredRequest:
     overshoot_s: float
 
 
+@dataclass(frozen=True)
+class RemoteError:
+    """Per-slot failure marker in a result list (picklable).
+
+    ``kind`` follows the :class:`WorkerError` taxonomy; a ``"setup"`` slot
+    (the setup failed to build) feeds the caller's circuit breaker.
+    """
+
+    kind: str
+    type_name: str
+    message: str
+
+    def to_exception(self) -> Exception:
+        return WorkerError(self.kind, self.type_name, self.message)
+
+
 class WorkerError(RuntimeError):
     """An exception raised inside a worker, relayed by (type, message).
 
@@ -211,12 +204,13 @@ class WorkerInit:
     artifacts_dir: str | None = None
     threads: int = 1
     fault_spec: str | None = None
+    cache_size: int = 8
 
 
 # ---------------------------------------------------------------------- #
 # Worker process main
 # ---------------------------------------------------------------------- #
-def _worker_stats_snapshot(state: dict) -> dict:
+def _worker_stats_snapshot(state: dict, executor) -> dict:
     """Point-in-time worker counters shipped with every result message."""
     from ..cache import cold_start_stats
     from ..plans import plan_cache_stats
@@ -225,27 +219,22 @@ def _worker_stats_snapshot(state: dict) -> dict:
     warm = {kind: counts.get("hits", 0)
             for kind, counts in artifacts.get("by_kind", {}).items()}
     return {
-        "batches": state["batches"],
-        "requests": state["requests"],
+        **executor.stats(),
         "shm_attaches": state["shm_attaches"],
         "shm_bytes": state["shm_bytes"],
         "pickled_setups": state["pickled_setups"],
         "warm_from_artifacts": warm,
         "artifact_saved_ms": round(artifacts.get("saved_ms", 0.0), 3),
         "plan_cache": plan_cache_stats().get("cached", 0),
-        "escalations": state["escalations"],
-        "expired": state["expired"],
-        "degraded_batches": state["degraded_batches"],
     }
 
 
 def _worker_drop_fingerprint(state: dict, fp: str) -> None:
-    """Release everything a fingerprint pinned: solver, plans, shm views."""
+    """Release what a fingerprint pinned beside its solver: plans, shm views."""
     import gc as _gc
 
     from ..plans import drop_plans_for
 
-    state["solvers"].pop(fp, None)
     state["operators"].pop(fp, None)
     drop_plans_for(fp)
     attachment = state["attachments"].pop(fp, None)
@@ -255,7 +244,6 @@ def _worker_drop_fingerprint(state: dict, fp: str) -> None:
             # a view is still referenced somewhere; park it for the final
             # sweep at shutdown rather than leaking the mapping silently
             state["stubborn"].append(attachment)
-
 
 class _Heartbeat:
     """Worker-side heartbeat: idle ticks on the response queue.
@@ -301,8 +289,7 @@ def _worker_main(worker_id: int, init: WorkerInit, req_q, resp_q,
     """Entry point of one spawned worker (module-level for picklability)."""
     from .. import faults
     from ..cache import set_artifacts_dir
-    from ..core import F3RSolver, degraded_variant
-    from ..backends import use_backend
+    from ..serve.executor import SetupExecutor
     from .pool import set_threads
     from .shm import attach_arrays, operator_from_payload
 
@@ -322,19 +309,19 @@ def _worker_main(worker_id: int, init: WorkerInit, req_q, resp_q,
         heartbeat = _Heartbeat(resp_q, worker_id, hb_interval)
         heartbeat.start()
 
-    state = {
-        "solvers": {}, "operators": {}, "attachments": {}, "stubborn": [],
-        "batches": 0, "requests": 0, "shm_attaches": 0, "shm_bytes": 0,
-        "pickled_setups": 0, "escalations": 0, "expired": 0,
-        "degraded_batches": 0,
-    }
+    state = {"operators": {}, "attachments": {}, "stubborn": [],
+             "shm_attaches": 0, "shm_bytes": 0, "pickled_setups": 0}
+    executor = SetupExecutor(
+        init.config, init.preconditioner or "auto", init.nblocks, init.alpha,
+        init.backend, init.cache_size,
+        on_evict=lambda fp: _worker_drop_fingerprint(state, fp))
 
-    def build_solver(fp: str, setup) -> "F3RSolver":
-        solver = state["solvers"].get(fp)
-        if solver is not None:
-            return solver
-        if setup is None:
-            raise KeyError(f"no setup shipped for unknown fingerprint {fp}")
+    def operator_for(fp: str, setup) -> object:
+        """The fingerprint's operator: kept since its setup arrived, or
+        attached (or unpickled) from the shipped ``setup`` now."""
+        operator = state["operators"].get(fp)
+        if operator is not None:
+            return operator
         if "descriptor" in setup:
             attachment = attach_arrays(setup["descriptor"])
             state["attachments"][fp] = attachment
@@ -346,11 +333,26 @@ def _worker_main(worker_id: int, init: WorkerInit, req_q, resp_q,
             operator = pickle.loads(setup["pickle"])
             state["pickled_setups"] += 1
         state["operators"][fp] = operator
-        solver = F3RSolver(operator, preconditioner=init.preconditioner or "auto",
-                           config=init.config, nblocks=init.nblocks,
-                           alpha=init.alpha)
-        state["solvers"][fp] = solver
-        return solver
+        return operator
+
+    def check_known(fp: str, setup) -> None:
+        # the caller believed this worker knew the fingerprint, but its
+        # setup never arrived (a predecessor batch died with it) or was
+        # evicted since: a bookkeeping staleness, not a setup failure — the
+        # caller forgets the fingerprint and reships the setup
+        if setup is None and fp not in state["operators"]:
+            raise WorkerError("stale", "KeyError",
+                              f"no setup shipped for unknown fingerprint {fp}")
+
+    def hazards(fp: str, setup) -> None:
+        # injected process death, hang (heartbeat suppressed, so the
+        # watchdog path runs) and latency (a slow worker, whose heartbeat
+        # keeps ticking), before any work of a batch with live columns
+        faults.maybe_kill_process("gateway.worker")
+        faults.maybe_hang("gateway.worker",
+                          wedge=heartbeat.wedge if heartbeat else None)
+        faults.maybe_delay("gateway.latency")
+        check_known(fp, setup)
 
     while True:
         message = req_q.get()
@@ -358,100 +360,36 @@ def _worker_main(worker_id: int, init: WorkerInit, req_q, resp_q,
         if op == "stop":
             if heartbeat is not None:
                 heartbeat.stop()
-            for fp in list(state["attachments"]):
-                _worker_drop_fingerprint(state, fp)
+            for fp in list(state["operators"]):
+                executor.evict(fp)
             resp_q.put(("stopped", worker_id))
             return
         if op == "evict":
-            _worker_drop_fingerprint(state, message[1])
+            executor.evict(message[1])
             continue
-        if op == "stats":
-            resp_q.put(("stats", worker_id, message[1],
-                        _worker_stats_snapshot(state)))
+        if op not in ("solve", "warm"):   # pragma: no cover - protocol guard
             continue
-        if op == "warm":
-            _, batch_id, fp, setup = message
-            try:
-                build_solver(fp, setup)
-            except BaseException as exc:   # noqa: BLE001 - relayed
-                resp_q.put(("error", worker_id, batch_id, "setup",
-                            type(exc).__name__, str(exc)))
+        _, batch_id, fp, setup = message[:4]
+        factory = partial(operator_for, fp, setup)
+        try:
+            if op == "warm":
+                check_known(fp, setup)
+                executor.warm(fp, factory)
+                slots = []
             else:
-                resp_q.put(("result", worker_id, batch_id, [],
-                            _worker_stats_snapshot(state)))
-            continue
-        if op != "solve":      # pragma: no cover - protocol guard
-            continue
-        _, batch_id, fp, setup, rhs_block, deadlines, degrade = message
-        # worker-side deadline enforcement: a batch that sat in the shard
-        # queue past its requests' deadlines must not burn solve time —
-        # wall-clock absolutes, because monotonic clocks are per-process
-        now = time.time()
-        slots: list = [None] * rhs_block.shape[1]
-        live = []
-        for i in range(rhs_block.shape[1]):
-            wall = deadlines[i] if deadlines is not None else None
-            if wall is not None and now > wall:
-                slots[i] = ExpiredRequest(overshoot_s=now - wall)
-                state["expired"] += 1
-            else:
-                live.append(i)
-        if not live:
+                rhs_block, deadlines, degrade = message[4:]
+                slots = executor.run(fp, factory, rhs_block, deadlines, degrade,
+                                     before=partial(hazards, fp, setup))
+        except WorkerError as exc:
+            resp_q.put(("error", worker_id, batch_id, exc.kind,
+                        exc.type_name, exc.message))
+        except BaseException as exc:   # noqa: BLE001 - relayed to the gateway
+            resp_q.put(("error", worker_id, batch_id,
+                        "setup" if op == "warm" else "solve",
+                        type(exc).__name__, str(exc)))
+        else:
             resp_q.put(("result", worker_id, batch_id, slots,
-                        _worker_stats_snapshot(state)))
-            continue
-        # injected process death: a FaultPlan shipped in WorkerInit (or from
-        # REPRO_FAULTS) can hard-kill this worker here, before any work, so
-        # the gateway's death-detection and retry path is exercised against
-        # a real process exit rather than a raised exception
-        faults.maybe_kill_process("gateway.worker")
-        # injected hang: wedge the whole worker (heartbeat suppressed) so the
-        # watchdog path is exercised; injected latency models a merely *slow*
-        # worker, whose heartbeat keeps ticking and must NOT trip the watchdog
-        faults.maybe_hang("gateway.worker",
-                          wedge=heartbeat.wedge if heartbeat else None)
-        faults.maybe_delay("gateway.latency")
-        if setup is None and fp not in state["solvers"]:
-            # the caller believed this worker knew the fingerprint but the
-            # setup never arrived (a predecessor batch died with it): a
-            # bookkeeping staleness, not a setup failure — the caller
-            # forgets the fingerprint and the retry reships the setup
-            resp_q.put(("error", worker_id, batch_id, "stale", "KeyError",
-                        f"no setup shipped for unknown fingerprint {fp}"))
-            continue
-        try:
-            solver = build_solver(fp, setup)
-        except BaseException as exc:   # noqa: BLE001 - relayed to the gateway
-            resp_q.put(("error", worker_id, batch_id, "setup",
-                        type(exc).__name__, str(exc)))
-            continue
-        # brownout: the flagged columns solve as their own batch, after the
-        # others, on the sibling one precision tier lower
-        lower = degraded_variant(init.config.variant) if degrade else None
-        low = [i for i in live if degrade[i]] if lower else []
-        parts = [(cols, part_solver) for cols, part_solver in (
-            ([i for i in live if i not in low], solver),
-            (low, solver.degraded_sibling(lower) if low else None)) if cols]
-        try:
-            with use_backend(init.backend) if init.backend else nullcontext():
-                batches = [(cols, part_solver.solve_batch(
-                    rhs_block if len(cols) == rhs_block.shape[1]
-                    else np.ascontiguousarray(rhs_block[:, cols])))
-                    for cols, part_solver in parts]
-        except BaseException as exc:   # noqa: BLE001 - relayed to the gateway
-            resp_q.put(("error", worker_id, batch_id, "solve",
-                        type(exc).__name__, str(exc)))
-            continue
-        state["batches"] += len(batches)
-        state["degraded_batches"] += bool(low)
-        state["requests"] += len(live)
-        for cols, batch in batches:
-            for i, result in zip(cols, batch.results):
-                slots[i] = result
-                if result.recovery is not None:
-                    state["escalations"] += int(result.recovery.escalations)
-        resp_q.put(("result", worker_id, batch_id, slots,
-                    _worker_stats_snapshot(state)))
+                        _worker_stats_snapshot(state, executor)))
 
 
 # ---------------------------------------------------------------------- #
@@ -473,26 +411,19 @@ class _Slot:
 class ProcPool:
     """``nprocs`` persistent spawn-start worker processes plus a collector.
 
-    The gateway's process members are the intended callers (one per
-    worker slot): :meth:`submit_batch` performs
-    the one queue hop per batch, resolving the returned future with
-    ``(results, stats-snapshot)`` from the worker or failing it with
-    :class:`WorkerDied` / :class:`WorkerError`.  Setup payloads are shipped
-    once per (worker generation, fingerprint) via ``setup_factory`` —
-    attach-on-first-use, so the hot path carries only the fingerprint.
+    The gateway's process members call it, one worker slot each:
+    :meth:`submit_batch` is the one queue hop per batch, resolving with
+    ``(slots, snapshot)`` or failing with :class:`WorkerDied` /
+    :class:`WorkerError`.  A setup payload ships once per (worker
+    generation, fingerprint).
 
-    ``hang_timeout`` arms the watchdog: a worker with batches outstanding
-    and no heartbeat for that many seconds is classified as
-    :class:`WorkerHung`, SIGKILLed, and its in-flight batches failed (the
-    caller's retry path re-routes them).  The tight timeout applies only
-    once a worker generation has produced its first message — spawn +
-    import can exceed it, and a still-starting worker is not hung; a
-    never-heard generation is still classified after an additional
-    ``_STARTUP_GRACE`` seconds, and a worker that *crashes* during startup
-    is caught by death detection.
+    ``hang_timeout`` arms the watchdog (``None`` disables it): a worker with
+    batches outstanding and no heartbeat for that long is
+    :class:`WorkerHung`, SIGKILLed, and its batches failed.  A generation
+    that has not yet sent its first message gets ``_STARTUP_GRACE`` more
+    seconds (spawn + import can exceed a tight timeout).
     ``heartbeat_interval`` is the worker's idle-tick period (default:
-    ``min(1, hang_timeout / 4)``); ``hang_timeout=None`` disables the
-    watchdog entirely.
+    ``min(1, hang_timeout / 4)``).
     """
 
     _POLL = 0.05
@@ -563,9 +494,6 @@ class ProcPool:
             self.deaths += 1
             self._spawn(worker_id, fault_spec=None)
 
-    def outstanding(self, worker_id: int) -> int:
-        return self._slots[worker_id].outstanding
-
     def queue_depths(self) -> dict[int, int]:
         return {wid: slot.outstanding for wid, slot in enumerate(self._slots)}
 
@@ -575,12 +503,21 @@ class ProcPool:
         """One queue hop: dispatch a whole batch to ``worker_id``.
 
         ``setup_factory()`` is invoked only when this worker generation has
-        never seen ``fp`` — it returns the setup payload (descriptor or
-        pickled operator) that rides along with the first batch.
-        ``deadlines`` are optional per-request *wall-clock* absolutes the
-        worker enforces on dequeue; ``degrade`` flags the requests to start
-        one precision tier lower (brownout).
+        never seen ``fp`` — its payload (descriptor or pickled operator)
+        rides along.  ``deadlines`` are per-column *wall-clock* absolutes the
+        worker enforces on dequeue; ``degrade`` flags the columns to solve
+        one precision tier lower.  Resolves to ``(slots, snapshot)``.
         """
+        return self._send(worker_id, fp, setup_factory,
+                          (rhs_block, deadlines, degrade))
+
+    def submit_warm(self, worker_id: int, fp: str, setup_factory) -> Future:
+        """Build the solver for ``fp`` on ``worker_id`` without solving;
+        resolves to ``([], snapshot)``."""
+        return self._send(worker_id, fp, setup_factory, ())
+
+    def _send(self, worker_id: int, fp: str, setup_factory,
+              body: tuple) -> Future:
         future: Future = Future()
         with self._lock:
             if self._closed:
@@ -599,32 +536,8 @@ class ProcPool:
             # enqueue under the lock: concurrent submitters (the gateway's
             # retry timers) must not slip a no-setup batch into the queue
             # ahead of the batch that carries the fingerprint's setup
-            slot.req_q.put(("solve", batch_id, fp, setup, rhs_block,
-                            deadlines, degrade))
-        return future
-
-    def submit_warm(self, worker_id: int, fp: str, setup_factory) -> Future:
-        """Build the solver for ``fp`` on ``worker_id`` without solving.
-
-        The gateway's prewarm path: the worker factorizes (or warms from the
-        artifact store) before traffic arrives.  Resolves to ``([], stats)``.
-        """
-        future: Future = Future()
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("ProcPool is closed")
-            slot = self._slots[worker_id]
-            if slot.process is None or not slot.process.is_alive():
-                raise WorkerDied(worker_id, getattr(slot.process, "exitcode", None))
-            batch_id = self._next_batch
-            self._next_batch += 1
-            setup = None
-            if fp not in slot.known:
-                setup = setup_factory()
-                slot.known.add(fp)
-            self._pending[batch_id] = (future, worker_id)
-            slot.outstanding += 1
-            slot.req_q.put(("warm", batch_id, fp, setup))
+            slot.req_q.put(("solve" if body else "warm", batch_id, fp, setup)
+                           + body)
         return future
 
     def forget(self, fp: str) -> None:
@@ -644,24 +557,6 @@ class ProcPool:
         for slot in targets:
             if slot.process is not None and slot.process.is_alive():
                 slot.req_q.put(("evict", fp))
-
-    def request_stats(self, timeout: float = 5.0) -> dict[int, dict]:
-        """Fresh stats snapshots from every live worker (blocking poll)."""
-        token = f"stats-{time.monotonic_ns()}"
-        expected = 0
-        for slot in self._slots:
-            if slot.process is not None and slot.process.is_alive():
-                slot.req_q.put(("stats", token))
-                expected += 1
-        deadline = time.monotonic() + timeout
-        while expected > 0 and time.monotonic() < deadline:
-            with self._lock:
-                got = sum(1 for snap in self.stats_snapshots.values()
-                          if snap.get("__token__") == token)
-            if got >= expected:
-                break
-            time.sleep(self._POLL)
-        return dict(self.stats_snapshots)
 
     # -------------------------------------------------------------- #
     def _collect(self) -> None:
@@ -753,11 +648,6 @@ class ProcPool:
                     self._slots[wid].outstanding -= 1
             if entry is not None:
                 entry[0].set_exception(WorkerError(kind, type_name, text))
-        elif op == "stats":
-            _, wid, token, snapshot = message
-            snapshot["__token__"] = token
-            with self._lock:
-                self.stats_snapshots[wid] = snapshot
         # "stopped" needs no action: close() joins the process
 
     # -------------------------------------------------------------- #

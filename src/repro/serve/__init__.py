@@ -1,32 +1,23 @@
-"""Serving layer: request batching, preconditioner caching, worker execution.
+"""Serving layer: request batching, setup caching, member execution.
 
-:class:`BatchDispatcher` is the entry point for high-throughput deployments —
-it groups incoming ``(matrix, rhs)`` requests by matrix fingerprint, caches
-the per-matrix solver setups in an LRU, and executes each group as one
-batched multi-RHS solve on a thread pool.  See the README section "Batched
-solves & the dispatcher".
+Every front door is a :class:`ClusterGateway`: the request policy of
+:mod:`repro.serve.frontdoor` (validation, grouping, admission and shedding,
+deadlines, retry, the circuit breaker, drain and close) over a *ring* of
+members (:mod:`repro.serve.cluster`: rendezvous routing, hedging, failover,
+brownout degradation).  Each member runs its batches on a
+:class:`~repro.serve.executor.SetupExecutor` — one setup LRU, one solve
+path — in a thread pool, in a ``REPRO_PROCS`` worker process, or behind a
+:class:`ShardServer` that a :class:`RemoteShard` reaches over TCP
+(:mod:`repro.serve.remote`).  :class:`BatchDispatcher` is a ring of one
+thread member and :class:`ShardedGateway` a ring of process members (one
+thread member at ``procs=1``).  See the README section "The serving ring:
+thread, process and remote members".
 
-:class:`ClusterGateway` routes the same traffic over a *ring* of members by
-rendezvous hashing, with hedged dispatch and failover
-(:mod:`repro.serve.cluster`).  A member is a thread (an in-process
-dispatcher), a process (one ``REPRO_PROCS`` worker: zero-copy
-shared-memory operators, warm-from-artifact setup) or a :class:`RemoteShard`
-speaking the length-prefixed batch protocol to a :class:`ShardServer`
-elsewhere (:mod:`repro.serve.remote`).  :class:`ShardedGateway` builds the
-process ring, bit-identical for every process count.  See the README
-section "The serving ring: thread, process and remote members".
-
-Both are :class:`~repro.serve.frontdoor.FrontDoor` subclasses: the request
-policy (validation, admission and shedding, deadlines, retry, the circuit
-breaker, drain and close) is written once in :mod:`repro.serve.frontdoor`,
-and each door adds only its transport.
-
-The front doors share the overload-resilience layer
-(:mod:`repro.serve.overload`): priority admission with load shedding
-(:class:`LoadShed`), a hysteresis :class:`BrownoutController` that degrades
-service progressively under pressure, and worker watchdogs in the process
-tier.  :func:`render_metrics` exports ``stats.summary()`` in the Prometheus
-text format.  See the README section "Overload & graceful degradation".
+The overload layer (:mod:`repro.serve.overload`) adds priority admission
+with load shedding (:class:`LoadShed`) and a hysteresis
+:class:`BrownoutController`; :func:`render_metrics` exports
+``stats.summary()`` in the Prometheus text format.  See the README section
+"Overload & graceful degradation".
 """
 
 from .frontdoor import (

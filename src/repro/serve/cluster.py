@@ -1,28 +1,24 @@
-"""The member ring: the transport every multi-member front door shares.
+"""The member ring: the one transport under every serving front door.
 
-:class:`ClusterGateway` is a :class:`~repro.serve.frontdoor.FrontDoor` (the
-request policy is the shared core's) whose transport is a ring of members of
-three kinds, all speaking one contract — ``submit_batch(fp, rhs_block,
-setup_factory, deadlines, degrade) -> Future[(slots, snapshot)]``,
-``submit_warm``, ``evict``, ``healthy``, ``rtt_percentile``, ``stats`` and
-``close``:
-
-* **thread** — :class:`_LocalMember` (target ``"local"``), an in-process
-  :class:`~repro.serve.dispatcher.BatchDispatcher`;
-* **remote** — :class:`~repro.serve.remote.RemoteShard` (target
-  ``"host:port"``), the batch protocol over TCP;
-* **process** — one per worker slot of the process tier, the ring
-  :class:`~repro.serve.gateway.ShardedGateway` builds.
-
-What the ring owns:
+:class:`ClusterGateway` is the :class:`~repro.serve.frontdoor.FrontDoor`
+with a transport: a ring of members that all speak one contract —
+``submit_batch(fp, rhs_block, setup_factory, deadlines, degrade) ->
+Future[(slots, snapshot)]``, ``submit_warm``, ``evict``, ``healthy``,
+``rtt_percentile``, ``stats`` and ``close``.  A member is a
+:class:`~repro.serve.executor.ThreadMember` (target ``"local"``), a
+:class:`~repro.serve.remote.RemoteShard` (``"host:port"``), or a worker slot
+of the process tier.  ``BatchDispatcher`` and ``ShardedGateway`` only build
+rings.  What the ring owns:
 
 * **Routing** — :func:`rank_members` rendezvous-ranks the member names per
   fingerprint; the head is the primary, the tail the hedge/failover order.
 * **Launch and result slots** — a batch ships to its primary as one RHS
-  block with wall-clock deadlines and per-column ``degrade`` hints; every
-  slot that comes back (a ``SolveResult``, an ``ExpiredRequest`` or a
-  :class:`~repro.serve.remote.RemoteError`) is final — the member already
-  ran it — and ``"setup"`` slots charge the core's circuit breaker.
+  block with wall-clock deadlines; every slot that comes back (a
+  ``SolveResult``, an ``ExpiredRequest`` or a ``RemoteError``) is final, and
+  ``"setup"`` slots charge the core's circuit breaker.
+* **Brownout degradation** — under the door's brownout controller, the
+  degradable requests of a batch are flagged to solve one precision tier
+  lower; members obey the flags.  Without a controller nothing degrades.
 * **Hedging** — a deadline-carrying batch arms a timer (``hedge_ms``, or
   ``hedge_factor`` x the primary's ``hedge_percentile`` RTT once
   ``hedge_min_samples`` are in); when it trips first, the batch also ships
@@ -32,13 +28,12 @@ What the ring owns:
   member is :class:`~repro.serve.remote.ShardUnreachable` the retry skips
   to the next-ranked healthy member (``failovers``).
 * **Prewarm, evict, close** — warm-ups run on the primary and count once
-  completed; evictions reach every member; ``close(wait=True)`` lets
-  in-flight batches and warm-ups finish before the members close.
+  completed (a thread member's returning evicted fingerprint is rebuilt
+  opportunistically); evictions reach every member; ``close(wait=True)``
+  lets in-flight batches and warm-ups finish before the members close.
 
-A :class:`ClusterConfig` ring has no brownout controller: its ``max_queue``
-is a hard :class:`~repro.serve.AdmissionRefused` wall and priority admission
-is each member's concern.  ``stats.summary()["cluster"]`` carries the member
-table and the ring counters.
+``stats.summary()["cluster"]`` carries the member table and the ring
+counters.
 """
 
 from __future__ import annotations
@@ -47,16 +42,17 @@ import hashlib
 import threading
 import time
 from concurrent.futures import Future, wait as wait_futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import F3RConfig
+from ..core import F3RConfig, degraded_variant
 from ..par.procpool import ExpiredRequest
 from ..solvers import SolveResult
-from .dispatcher import BatchDispatcher, DispatchStats
-from .frontdoor import FrontDoor, _Request, _resolve_once
-from .remote import RemoteShard, ShardUnreachable, solve_slots
+from .executor import SetupExecutor, ThreadMember
+from .frontdoor import DispatchStats, FrontDoor, _Request, _resolve_once
+from .overload import resolve_controller
+from .remote import RemoteShard, ShardUnreachable
 
 __all__ = ["ClusterConfig", "ClusterGateway", "ClusterStats", "rank_members"]
 
@@ -128,9 +124,6 @@ class ClusterStats(DispatchStats):
     failovers: int = 0
     late_results: int = 0
 
-    #: the owning ring — summary() reads its member table
-    members_source: object = field(default=None, repr=False)
-
     def summary(self) -> dict:
         base = super().summary()
         gateway = self.members_source
@@ -157,81 +150,17 @@ class ClusterStats(DispatchStats):
         return base
 
 
-class _LocalMember:
-    """The thread member: an in-process :class:`BatchDispatcher` behind the
-    member contract (see the module docstring)."""
-
-    def __init__(self, name: str, dispatcher: BatchDispatcher) -> None:
-        self.name = name
-        self._dispatcher = dispatcher
-        self._batch_lock = threading.Lock()
-        self._closed = False
-
-    @property
-    def healthy(self) -> bool:
-        return not self._closed
-
-    def submit_batch(self, fingerprint: str, rhs_block: np.ndarray,
-                     setup_factory, deadlines=None, degrade=None) -> Future:
-        del fingerprint
-        outer: Future = Future()
-        solve_slots(self._dispatcher, self._batch_lock, setup_factory(),
-                    rhs_block, deadlines, degrade,
-                    lambda slots: _resolve_once(
-                        outer, result=(slots, self._snapshot())))
-        return outer
-
-    def submit_warm(self, fingerprint: str, setup_factory) -> Future:
-        del fingerprint
-        outer: Future = Future()
-        try:
-            (inner,) = self._dispatcher.prewarm([setup_factory()], wait=False)
-        except Exception as exc:   # noqa: BLE001 - closed dispatcher
-            _resolve_once(outer, exc=exc)
-            return outer
-
-        def _on_done(f: Future) -> None:
-            exc = f.exception()
-            if exc is None:
-                _resolve_once(outer, result=([], self._snapshot()))
-            else:
-                _resolve_once(outer, exc=exc)
-
-        inner.add_done_callback(_on_done)
-        return outer
-
-    def evict(self, fingerprint: str) -> bool:
-        return self._dispatcher.evict(fingerprint)
-
-    def rtt_percentile(self, q: float, min_samples: int = 1) -> None:
-        return None                      # local batches are never hedged off
-
-    def _snapshot(self) -> dict:
-        stats = self._dispatcher.stats
-        return {"name": self.name, "requests": stats.requests,
-                "batches": stats.batches, "cache_hits": stats.cache_hits,
-                "cache_misses": stats.cache_misses}
-
-    def stats(self) -> dict:
-        return {"name": self.name, "kind": "local",
-                "state": "closed" if self._closed else "up",
-                "server": self._snapshot()}
-
-    def close(self) -> None:
-        self._closed = True
-        self._dispatcher.close(wait=False)
-
-
 class _Flight:
     """One batch's journey through the ring: primary, hedge, failover."""
 
-    __slots__ = ("fp", "operator", "requests", "outstanding", "resolved",
-                 "hedge_timer")
+    __slots__ = ("fp", "operator", "requests", "degrade", "outstanding",
+                 "resolved", "hedge_timer")
 
     def __init__(self, fp: str, operator, requests: list) -> None:
         self.fp = fp
         self.operator = operator
         self.requests = requests
+        self.degrade = None
         self.outstanding: dict[str, Future] = {}
         self.resolved = False
         self.hedge_timer: threading.Timer | None = None
@@ -244,7 +173,7 @@ class ClusterGateway(FrontDoor):
     ----------
     config, preconditioner, nblocks, alpha, backend, cache_size,
     max_workers:
-        Solver/dispatcher parameters for *local* members (remote members
+        Solver and executor parameters for *local* members (remote members
         were configured when their server started).
     cluster:
         The :class:`ClusterConfig` naming the members and the
@@ -276,12 +205,8 @@ class ClusterGateway(FrontDoor):
         self._init_ring(config, cluster)
         for name, target in cluster.members:
             if target == "local":
-                dispatcher = BatchDispatcher(
-                    self.config, preconditioner=preconditioner,
-                    nblocks=nblocks, alpha=alpha, max_batch=1 << 30,
-                    cache_size=cache_size, max_workers=max_workers,
-                    backend=backend, overload=False)
-                self._members[name] = _LocalMember(name, dispatcher)
+                self._add_thread_member(name, preconditioner, nblocks, alpha,
+                                        backend, cache_size, max_workers)
             else:
                 self._members[name] = RemoteShard(
                     target, name=name,
@@ -295,9 +220,11 @@ class ClusterGateway(FrontDoor):
                     reconnect_attempts=cluster.reconnect_attempts)
 
     def _init_ring(self, config, cluster: ClusterConfig,
-                   priority_depths=None, controller=None) -> None:
-        """The core's policy from ``cluster`` plus an empty member table
-        (the caller adds the members)."""
+                   priority_depths=None, overload=False) -> None:
+        """The core's policy from ``cluster`` and ``overload`` (see
+        :func:`~repro.serve.overload.resolve_controller`) plus an empty
+        member table (the caller adds the members)."""
+        controller = resolve_controller(overload)
         super().__init__(
             max_batch=cluster.max_batch, max_queue=cluster.max_queue,
             max_retries=cluster.max_retries,
@@ -311,18 +238,11 @@ class ClusterGateway(FrontDoor):
         self.stats = self._stats_type(controller=controller,
                                       members_source=self)
 
-    def submit(self, matrix, rhs: np.ndarray, deadline: float | None = None,
-               degradable: bool = False) -> Future:
-        """Enqueue one solve request onto the ring; future resolves to its
-        :class:`~repro.solvers.SolveResult`.
-
-        ``deadline`` is seconds from now (crossing the wire as a wall-clock
-        absolute); deadline-carrying requests are the hedging candidates.
-        Priority admission is a per-shard concern — each member's local
-        dispatcher applies its own overload policy.
-        """
-        return super().submit(matrix, rhs, deadline=deadline,
-                              degradable=degradable)
+    def _add_thread_member(self, name: str, preconditioner, nblocks, alpha,
+                           backend, cache_size: int, max_workers: int) -> None:
+        self._members[name] = ThreadMember(name, SetupExecutor(
+            self.config, preconditioner, nblocks, alpha, backend, cache_size),
+            max_workers)
 
     def prewarm(self, operators, wait: bool = True,
                 timeout: float | None = None) -> list[Future]:
@@ -338,31 +258,58 @@ class ClusterGateway(FrontDoor):
             fp = operator.fingerprint()
             outer = self._track_warm()
             futures.append(outer)
-            member = self._first_healthy(fp)
-            begun = time.monotonic()
-            try:
-                if member is None:
-                    raise ShardUnreachable("cluster",
-                                           "no healthy member for prewarm")
-                inner = member.submit_warm(fp, lambda op=operator: op)
-            except Exception as exc:   # noqa: BLE001 - relayed typed
-                _resolve_once(outer, exc=exc)
-                continue
-            inner.add_done_callback(
-                lambda done, begun=begun, outer=outer:
-                    self._warm_done(done, begun, outer))
+            self._warm(self._first_healthy(fp), fp, operator, "prewarms",
+                       outer)
         if wait:
             for future in futures:
                 future.result(timeout)
         return futures
 
-    def _warm_done(self, done: Future, begun: float, outer: Future) -> None:
-        exc = done.exception()
-        if exc is None:
-            with self._lock:
-                self.stats.prewarms += 1
-                self.stats.prewarm_ms += (time.monotonic() - begun) * 1e3
-        _resolve_once(outer, exc=exc)
+    def _warm(self, member, fp: str, operator, counter: str,
+              outer: Future | None = None) -> None:
+        """Warm ``fp`` on ``member``; a completion counts ``counter`` and
+        its elapsed time, and the outcome is relayed onto ``outer``."""
+        begun = time.monotonic()
+        try:
+            if member is None:
+                raise ShardUnreachable("cluster",
+                                       "no healthy member for prewarm")
+            inner = member.submit_warm(fp, lambda: operator)
+        except Exception as exc:   # noqa: BLE001 - relayed typed
+            if outer is not None:
+                _resolve_once(outer, exc=exc)
+            return
+
+        def done(future: Future) -> None:
+            exc = future.exception()
+            if exc is None:
+                with self._lock:
+                    setattr(self.stats, counter,
+                            getattr(self.stats, counter) + 1)
+                    self.stats.prewarm_ms += (time.monotonic() - begun) * 1e3
+            if outer is not None:
+                _resolve_once(outer, exc=exc)
+
+        inner.add_done_callback(done)
+
+    def _admitted_locked(self, fp: str, operator):
+        # opportunistic warm-up: a fingerprint evicted from a thread
+        # member's setup LRU is back — rebuild it on an idle worker while its
+        # group fills, unless the brownout controller reports pressure
+        controller = self._overload
+        if controller is not None and controller.suppress_background():
+            return None
+        member = self._first_healthy(fp)
+        if not (isinstance(member, ThreadMember) and member.wants_warm(fp)):
+            return None
+        return lambda: self._warm(member, fp, operator,
+                                  "opportunistic_warmups")
+
+    def _occupancy_locked(self) -> float:
+        threads = [m for m in self._members.values()
+                   if isinstance(m, ThreadMember)]
+        return (sum(m.busy / m.max_workers for m in threads) / len(threads)
+                if threads else 0.0)
 
     def evict(self, fingerprint: str) -> bool:
         """Drop a fingerprint's setup on every member.  Returns whether a
@@ -399,6 +346,14 @@ class ClusterGateway(FrontDoor):
             self._count_batch_locked(len(requests))
             if failover_from is not None:
                 self.stats.failovers += 1
+            # brownout: the degradable requests solve one precision tier
+            # lower (members obey the flags; the recovery ladder stays on)
+            controller = self._overload
+            if (controller is not None and controller.should_degrade()
+                    and degraded_variant(self.config.variant) is not None
+                    and any(r.degradable for r in requests)):
+                flight.degrade = [r.degradable for r in requests]
+                self.stats.degraded += sum(flight.degrade)
         self._launch(flight, candidates[0], origin="primary")
         if (len(candidates) > 1
                 and any(r.deadline is not None for r in requests)):
@@ -439,15 +394,12 @@ class ClusterGateway(FrontDoor):
                      for r in flight.requests]
         if all(d is None for d in deadlines):
             deadlines = None
-        degrade = [r.degradable for r in flight.requests]
-        if not any(degrade):
-            degrade = None
         rhs_block = np.stack([r.rhs for r in flight.requests], axis=1)
         operator = flight.operator
         try:
             future = member.submit_batch(
                 flight.fp, rhs_block, lambda: operator,
-                deadlines=deadlines, degrade=degrade)
+                deadlines=deadlines, degrade=flight.degrade)
         except Exception as exc:   # noqa: BLE001 - typed transport failures
             self._transport_failed(flight, member, origin, exc)
             return

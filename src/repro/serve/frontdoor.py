@@ -1,10 +1,9 @@
 """The front-door core: one request policy for every serving entry point.
 
-:class:`~repro.serve.BatchDispatcher` (worker threads) and
-:class:`~repro.serve.ClusterGateway` (a ring of thread, process and remote
-members — :class:`~repro.serve.ShardedGateway` builds the process ring)
-differ only in how a batch reaches a solver.  Everything between a caller's
-``submit`` and that transport is :class:`FrontDoor`, written once here:
+Every door — :class:`~repro.serve.BatchDispatcher`,
+:class:`~repro.serve.ShardedGateway` and :class:`~repro.serve.ClusterGateway`
+— is a ring of members (:mod:`repro.serve.cluster`).  Everything between a
+caller's ``submit`` and that ring is :class:`FrontDoor`, written once here:
 
 * **Boundary validation** — a mis-shaped or non-finite right-hand side is
   rejected at ``submit`` with a structured
@@ -23,11 +22,11 @@ differ only in how a batch reaches a solver.  Everything between a caller's
   refuses the arrival itself when nothing pending is less important.
   ``priority_depths`` adds per-priority outstanding bounds.
 * **Brownout** — a :class:`~repro.serve.overload.BrownoutController`
-  (default on for the dispatcher and the gateway; ``REPRO_OVERLOAD=0``
+  (default on for the dispatcher and the sharded gateway; ``REPRO_OVERLOAD=0``
   disables) is fed queue fill, deadline-miss and breaker-trip rates and the
   door's occupancy on every admission and completion; at its SHED level it
-  refuses work below its priority floor at admission.  What BROWNOUT
-  degrades is the transport's business (see each door).
+  refuses work below its priority floor at admission; at BROWNOUT the ring
+  degrades ``degradable=True`` requests one precision tier.
 * **Deadlines** — ``submit(..., deadline=seconds)`` attaches a per-request
   deadline; a request still undispatched past it fails with
   :class:`DeadlineExceeded` instead of occupying a batch slot.
@@ -60,7 +59,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +69,7 @@ __all__ = [
     "AdmissionRefused",
     "CircuitOpen",
     "DeadlineExceeded",
+    "DispatchStats",
     "DispatcherClosed",
     "FrontDoor",
     "LoadShed",
@@ -119,6 +119,102 @@ class _Breaker:
     opened_at: float | None = None
 
 
+@dataclass
+class DispatchStats:
+    """Counters describing what a front door has done so far.
+
+    All mutation happens under the owning door's lock; the stats object
+    itself is plain data.  ``cache_hits`` / ``cache_misses`` are summed over
+    the setup executors of the door's members (``members_source``).
+    """
+
+    requests: int = 0
+    batches: int = 0
+    batched_requests: int = 0
+    largest_batch: int = 0
+    escalations: int = 0
+    retries: int = 0
+    breaker_trips: int = 0
+    deadline_misses: int = 0
+    rejected: int = 0
+    shed: int = 0
+    degraded: int = 0
+    shed_by_priority: dict = field(default_factory=dict)
+    prewarms: int = 0
+    opportunistic_warmups: int = 0
+    prewarm_ms: float = 0.0
+
+    #: the owning door's BrownoutController (None when disabled) —
+    #: summary() folds its state in
+    controller: object = None
+    #: the owning door — the cache counters are read from its members
+    members_source: object = field(default=None, repr=False)
+
+    def _members_total(self, key: str) -> int:
+        door = self.members_source
+        members = [] if door is None else list(door._members.values())
+        return sum(int(m.stats().get("server", {}).get(key, 0) or 0)
+                   for m in members)
+
+    @property
+    def cache_hits(self) -> int:
+        return self._members_total("cache_hits")
+
+    @property
+    def cache_misses(self) -> int:
+        return self._members_total("cache_misses")
+
+    def summary(self) -> dict:
+        """Door counters plus the plan-layer state a production
+        deployment watches: the plan/autotune caches, the autotuned
+        thread-count verdicts (``autotune.thread_verdicts``), the
+        worker-pool budget/occupancy (``pool``), the robustness
+        counters (``recovery``), and the cold-start picture
+        (``cold_start``: warm-up completions plus the persistent artifact
+        cache's hit/miss/saved-time counters)."""
+        from ..cache import cold_start_stats
+        from ..par import pool_stats
+        from ..plans import autotune_stats, plan_cache_stats
+
+        artifacts = cold_start_stats()
+        if self.controller is not None:
+            overload = dict(self.controller.summary())
+        else:
+            overload = {"state": "disabled", "pressure": 0.0,
+                        "observations": 0, "transitions": 0,
+                        "entries": {}, "last_transitions": []}
+        overload["shed"] = self.shed
+        overload["degraded"] = self.degraded
+        overload["shed_by_priority"] = {
+            str(p): n for p, n in sorted(self.shed_by_priority.items())}
+        return {
+            "requests": self.requests,
+            "batches": self.batches,
+            "batched_requests": self.batched_requests,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "largest_batch": self.largest_batch,
+            "recovery": {
+                "escalations": self.escalations,
+                "retries": self.retries,
+                "breaker_trips": self.breaker_trips,
+                "deadline_misses": self.deadline_misses,
+                "rejected": self.rejected,
+            },
+            "overload": overload,
+            "plan_cache": plan_cache_stats(),
+            "autotune": autotune_stats(),
+            "pool": pool_stats(),
+            "cold_start": {
+                "prewarms": self.prewarms,
+                "opportunistic_warmups": self.opportunistic_warmups,
+                "prewarm_ms": round(self.prewarm_ms, 3),
+                "setup_ms_saved": round(artifacts["saved_ms"], 3),
+                "artifacts": artifacts,
+            },
+        }
+
+
 def _resolve_once(future: Future, result=None, exc=None) -> None:
     """Resolve a future, tolerating a concurrent resolution (close vs task)."""
     if future.done():
@@ -151,13 +247,14 @@ class _Request:
 class FrontDoor:
     """Request policy shared by the serving front doors.
 
-    A subclass sets ``self.stats`` (a :class:`~repro.serve.DispatchStats`)
-    and implements :meth:`_launch_batch`, the hook that hands one batch to
-    its transport.  It may override :meth:`_occupancy_locked` (the brownout
-    occupancy signal), :meth:`_admitted_locked` (work to start once a
-    request is queued), :meth:`_quiesce` and :meth:`_teardown` (its part of
-    :meth:`close`).  ``_door`` names the door in messages and in
-    :class:`~repro.solvers.InvalidInput` sites.
+    The transport — :class:`~repro.serve.cluster.ClusterGateway` — sets
+    ``self.stats`` (a :class:`DispatchStats`) and implements the hooks:
+    ``_launch_batch(fp, operator, requests, **launch)`` hands one batch to
+    it (what it raises goes to the retry path), ``_occupancy_locked()`` is
+    the brownout occupancy signal, ``_admitted_locked(fp, operator)`` may
+    return work to start once a request is queued, and ``_quiesce(wait)``
+    and ``_teardown()`` are its part of :meth:`close`.  ``_door`` names the
+    door in messages and in :class:`~repro.solvers.InvalidInput` sites.
     """
 
     _door = "front door"
@@ -193,30 +290,6 @@ class FrontDoor:
         self._by_priority: dict[int, int] = {}
         self._seq = 0
         self._closed = False
-
-    # ------------------------------------------------------------------ #
-    # Transport hooks
-    # ------------------------------------------------------------------ #
-    def _launch_batch(self, fp: str, operator, requests: list[_Request],
-                      **launch) -> None:
-        """Hand one batch to the transport.  An exception raised here
-        routes the whole batch to the retry path."""
-        raise NotImplementedError
-
-    def _occupancy_locked(self) -> float:
-        """Busy fraction of the transport, for the brownout controller."""
-        return 0.0
-
-    def _admitted_locked(self, fp: str, operator):
-        """Called under the lock once a request joined its group; may return
-        a callable to run after the lock is released."""
-        return None
-
-    def _quiesce(self, wait: bool) -> None:
-        """Let in-flight work finish (``wait``) or abandon it, at close."""
-
-    def _teardown(self) -> None:
-        """Release the transport, last step of close."""
 
     # ------------------------------------------------------------------ #
     # Submission

@@ -1,17 +1,14 @@
 """The process tier: worker processes as members of the ring.
 
-``ShardedGateway(procs=N)`` with ``N > 1`` is a
-:class:`~repro.serve.cluster.ClusterGateway` whose ring holds one process
+``ShardedGateway(procs=N)`` is a :class:`~repro.serve.cluster.ClusterGateway`
+with a brownout controller.  With ``N > 1`` its ring holds one process
 member per :class:`~repro.par.procpool.ProcPool` worker slot, named ``"0"``
 … ``"N-1"``, so :func:`~repro.serve.cluster.rank_members` places every
-fingerprint on the slot :func:`route_fingerprint` names.  The ring does the
-routing, launch, result slots, retry, prewarm and close; the gateway gives
-it a brownout controller (priority admission, shedding and degradation work
-as on the dispatcher) and adds the ``procs`` stats section.  With ``N == 1``
-the gateway *is* a :class:`~repro.serve.dispatcher.BatchDispatcher` — same
-objects, same threads, no process.
-
-What a process member adds to the member contract:
+fingerprint on the slot :func:`route_fingerprint` names; with ``N == 1`` it
+holds one thread member, exactly like a
+:class:`~repro.serve.dispatcher.BatchDispatcher`.  The gateway adds the
+``procs`` stats section.  What a process member adds to the member
+contract:
 
 * **Setup payloads** — a (worker, fingerprint)'s first batch publishes the
   operator's storage into a :class:`~repro.par.shm.ShmRegistry` segment and
@@ -21,13 +18,8 @@ What a process member adds to the member contract:
   (:class:`~repro.par.procpool.WorkerDied`, or the watchdog's
   :class:`~repro.par.procpool.WorkerHung`) is respawned and stays healthy,
   so the ring's retry lands on the new process, never on another slot.
-* **Stale and failed setups** — a worker that never received a
-  fingerprint's setup replies ``stale``: the member forgets the fingerprint
-  and reships.  A setup that fails to build comes back as final ``"setup"``
-  slots, which charge the ring's circuit breaker.
-* **Brownout** — under the ring's controller the worker solves the
-  degradable columns of a batch as their own batch, one precision tier
-  lower; without a controller nothing degrades.
+* **Stale setups** — a worker that no longer holds a fingerprint's setup
+  replies ``stale``: the member forgets the fingerprint and reships.
 
 Pinning each fingerprint to one worker serializes its batches against one
 cached solver, which keeps results bit-identical for every ``REPRO_PROCS``.
@@ -40,7 +32,7 @@ from concurrent.futures import Future
 
 import numpy as np
 
-from ..core import F3RConfig, degraded_variant
+from ..core import F3RConfig
 from ..par.procpool import (
     ProcPool,
     WorkerDied,
@@ -50,10 +42,7 @@ from ..par.procpool import (
 )
 from ..par.shm import ShmRegistry, operator_payload
 from .cluster import ClusterConfig, ClusterGateway, ClusterStats, rank_members
-from .dispatcher import BatchDispatcher, DispatchStats
-from .frontdoor import FrontDoor, _resolve_once
-from .overload import resolve_controller
-from .remote import RemoteError
+from .frontdoor import _resolve_once
 
 __all__ = ["GatewayStats", "ShardedGateway", "route_fingerprint"]
 
@@ -74,8 +63,8 @@ def route_fingerprint(fingerprint: str, nshards: int) -> int:
     return int(rank_members(fingerprint, [str(s) for s in range(nshards)])[0])
 
 
-def _worker_init(config, preconditioner, nblocks, alpha,
-                 backend) -> WorkerInit:
+def _worker_init(config, preconditioner, nblocks, alpha, backend,
+                 cache_size) -> WorkerInit:
     """Snapshot the parent's effective execution settings for workers.
 
     Spawn inherits the environment; programmatic overrides (artifact dir,
@@ -90,7 +79,8 @@ def _worker_init(config, preconditioner, nblocks, alpha,
         config=config, preconditioner=preconditioner, nblocks=nblocks,
         alpha=alpha, backend=backend, artifacts_dir=artifacts_dir() or "",
         threads=configured_threads(),
-        fault_spec=plan.spec() if plan is not None else None)
+        fault_spec=plan.spec() if plan is not None else None,
+        cache_size=cache_size)
 
 
 class _ProcessMember:
@@ -113,10 +103,9 @@ class _ProcessMember:
         arrays, meta = payload
         return {"descriptor": self._gateway.registry.publish(fp, arrays, meta)}
 
-    def _run(self, fp: str, setup_factory, send, ncols: int | None = None):
+    def _run(self, fp: str, setup_factory, send) -> Future:
         """One pool submission, ``send(payload_factory)``, with the slot's
-        recovery: respawn a dead worker, reship a ``stale`` setup, and for a
-        batch of ``ncols`` columns turn a setup failure into final slots."""
+        recovery: respawn a dead worker, reship a ``stale`` setup."""
         pool = self._gateway.pool
         outer: Future = Future()
 
@@ -129,19 +118,13 @@ class _ProcessMember:
             exc = inner.exception()
             if isinstance(exc, WorkerDied):
                 pool.ensure_worker(self.slot)     # before the ring's retry
-            elif isinstance(exc, WorkerError) and exc.kind in ("stale",
-                                                                "setup"):
+            elif isinstance(exc, WorkerError) and exc.kind == "stale":
                 pool.forget(fp)                   # the next contact reships
-                if exc.kind == "stale":
-                    try:
-                        attempt()
-                    except Exception as again:   # noqa: BLE001 - relayed
-                        _resolve_once(outer, exc=again)
-                    return
-                if ncols is not None:
-                    slot = RemoteError("setup", exc.type_name, exc.message)
-                    _resolve_once(outer, result=([slot] * ncols, {}))
-                    return
+                try:
+                    attempt()
+                except Exception as again:   # noqa: BLE001 - relayed
+                    _resolve_once(outer, exc=again)
+                return
             if exc is None:
                 _resolve_once(outer, result=inner.result())
             else:
@@ -152,22 +135,12 @@ class _ProcessMember:
 
     def submit_batch(self, fingerprint: str, rhs_block: np.ndarray,
                      setup_factory, deadlines=None, degrade=None) -> Future:
-        gateway = self._gateway
-        controller = gateway._overload
-        if (degrade is None or controller is None
-                or not controller.should_degrade()
-                or degraded_variant(gateway.config.variant) is None):
-            degrade = None              # not in brownout: full precision
-        else:
-            with gateway._lock:
-                gateway.stats.degraded += sum(map(bool, degrade))
-        pool = gateway.pool
+        pool = self._gateway.pool
         return self._run(
             fingerprint, setup_factory,
             lambda setup: pool.submit_batch(self.slot, fingerprint, rhs_block,
                                             setup, deadlines=deadlines,
-                                            degrade=degrade),
-            ncols=rhs_block.shape[1])
+                                            degrade=degrade))
 
     def submit_warm(self, fingerprint: str, setup_factory) -> Future:
         pool = self._gateway.pool
@@ -200,17 +173,15 @@ class GatewayStats(ClusterStats):
     """Ring counters plus the process tier's ``procs`` section: process
     count, per-slot queue depth, in-flight occupancy, shm registry bytes,
     merged worker counters (including warm-from-artifact hits), deaths and
-    hangs.  In-process mode reports ``{"procs": 1, "mode": "in-process"}``
-    next to the dispatcher's own counters."""
+    hangs; ``{"procs": 1, "mode": "in-process"}`` at ``procs=1``."""
 
     def summary(self) -> dict:
         gateway = self.members_source
         pool = gateway.pool
+        base = super().summary()
         if pool is None:
-            base = DispatchStats.summary(self)
             base["procs"] = {"procs": 1, "mode": "in-process"}
             return base
-        base = super().summary()
         workers = dict.fromkeys(_WORKER_COUNTERS, 0)
         warm: dict[str, int] = {}
         for snap in list(pool.stats_snapshots.values()):
@@ -247,8 +218,8 @@ class ShardedGateway(ClusterGateway):
     ``hang_timeout`` / ``heartbeat_interval`` (forwarded to
     :class:`~repro.par.procpool.ProcPool`).  The policy knobs mean what the
     front-door core (:mod:`repro.serve.frontdoor`) says they mean.  With a
-    resolved count of 1 every call delegates to an internal
-    :class:`BatchDispatcher` — identical behavior, zero new processes.
+    resolved count of 1 the ring holds one thread member, as a
+    :class:`BatchDispatcher` does: zero new processes.
 
     Usage::
 
@@ -260,9 +231,6 @@ class ShardedGateway(ClusterGateway):
 
     _door = "gateway"
     _stats_type = GatewayStats
-    #: the full front-door surface: priorities matter here, because this
-    #: ring carries a brownout controller
-    submit = FrontDoor.submit
 
     def __init__(self, config: F3RConfig | None = None, preconditioner="auto",
                  nblocks: int | None = None, alpha: float = 1.0,
@@ -275,47 +243,32 @@ class ShardedGateway(ClusterGateway):
                  priority_depths: dict[int, int] | None = None,
                  overload=None, hang_timeout: float | None = 30.0,
                  heartbeat_interval: float | None = None) -> None:
-        config = config or F3RConfig()
         self.nprocs = resolve_procs(procs)
-        self.pool = self.registry = self._dispatcher = None
+        self.pool = self.registry = None
+        self._init_ring(config, ClusterConfig(
+            max_batch=max_batch, max_queue=max_queue, max_retries=max_retries,
+            retry_backoff=retry_backoff, breaker_threshold=breaker_threshold,
+            breaker_cooldown=breaker_cooldown), priority_depths, overload)
         if self.nprocs <= 1:
-            self.config = config
-            self._members = {}
-            self._dispatcher = BatchDispatcher(
-                config, preconditioner=preconditioner, nblocks=nblocks,
-                alpha=alpha, max_batch=max_batch, cache_size=cache_size,
-                max_workers=max_workers, backend=backend, max_queue=max_queue,
-                max_retries=max_retries, retry_backoff=retry_backoff,
-                breaker_threshold=breaker_threshold,
-                breaker_cooldown=breaker_cooldown,
-                priority_depths=priority_depths, overload=overload)
-            # the gateway stats view carries the procs section in both modes
-            self.stats = self._dispatcher.stats = GatewayStats(
-                controller=self._dispatcher._overload, members_source=self)
-            for name in ("submit", "flush", "drain", "prewarm", "evict",
-                         "close"):
-                setattr(self, name, getattr(self._dispatcher, name))
+            self._add_thread_member("local", preconditioner, nblocks, alpha,
+                                    backend, cache_size, max_workers)
             return
-        self._init_ring(
-            config, ClusterConfig(
-                max_batch=max_batch, max_queue=max_queue,
-                max_retries=max_retries, retry_backoff=retry_backoff,
-                breaker_threshold=breaker_threshold,
-                breaker_cooldown=breaker_cooldown),
-            priority_depths=priority_depths,
-            controller=resolve_controller(overload))
         self.registry = ShmRegistry(max_published=max_published)
         self.pool = ProcPool(
             self.nprocs,
-            _worker_init(config, preconditioner, nblocks, alpha, backend),
+            _worker_init(self.config, preconditioner, nblocks, alpha, backend,
+                         cache_size),
             hang_timeout=hang_timeout, heartbeat_interval=heartbeat_interval)
         for slot in range(self.nprocs):
             self._members[str(slot)] = _ProcessMember(slot, self)
 
     def _occupancy_locked(self) -> float:
+        if self.pool is None:
+            return super()._occupancy_locked()
         return min(1.0, sum(self.pool.queue_depths().values()) / self.nprocs)
 
     def _teardown(self) -> None:
         super()._teardown()
-        self.pool.close()
-        self.registry.close()
+        if self.pool is not None:
+            self.pool.close()
+            self.registry.close()

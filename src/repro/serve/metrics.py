@@ -68,7 +68,7 @@ _LABELED_NESTED = {
 }
 
 #: path components dropped from metric names (pure presentation nesting)
-_SKIPPED_KEYS = frozenset({"last_transitions", "__token__"})
+_SKIPPED_KEYS = frozenset({"last_transitions"})
 
 
 def _sanitize(name: str) -> str:

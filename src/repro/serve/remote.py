@@ -1,19 +1,15 @@
 """Remote shard transport: the batch protocol over TCP, partition-tolerant.
 
-The ROADMAP's multi-host step: the gateway's fingerprint->shard routing and
-one-hop batch protocol generalize from a local :class:`~repro.par.procpool.
-ProcPool` to remote workers.  This module is the transport layer of that
-step — :class:`ShardServer` wraps a local :class:`~repro.serve.dispatcher.
-BatchDispatcher` behind a socket, :class:`RemoteShard` is the client-side
-handle a :class:`~repro.serve.cluster.ClusterGateway` routes batches onto —
-and robustness across the socket is the headline:
+:class:`ShardServer` serves a :class:`~repro.serve.executor.ThreadMember`
+behind a socket; :class:`RemoteShard` is the client-side member a
+:class:`~repro.serve.cluster.ClusterGateway` routes batches onto.  What
+this module owns is robustness across the socket:
 
 * **Length-prefixed frames** — every message is ``magic | u32 length |
-  pickled tuple``, the tuple shapes mirroring the ProcPool pipe protocol
+  pickled tuple``, the tuple shapes mirroring the process worker's protocol
   (``("solve", req_id, fingerprint, setup, rhs_block, deadlines, degrade)``
   down, ``("result", req_id, slots, snapshot)`` / ``("error", req_id, kind,
-  type_name, message)`` up), so the serving tiers speak one dialect whether
-  the worker is a forked process or another host.
+  type_name, message)`` up).
 * **Heartbeats with miss-count detection** — both ends emit ``("hb",)``
   every ``heartbeat_interval``; a link silent for ``miss_limit`` intervals
   is declared dead and torn down, which converts a silent partition into
@@ -32,19 +28,15 @@ and robustness across the socket is the headline:
   responses plus the set of currently-executing ids.  A replayed request
   that already completed is answered from the cache (never re-executed);
   one replayed *while executing* just re-targets the reply at the newest
-  connection.  Both halves of the ambiguous-disconnect problem — the batch
-  the server finished but the client never heard about, and the batch the
-  server received but had not acknowledged — therefore resolve to exactly
-  one completion.
+  connection, so an ambiguous disconnect resolves to exactly one
+  completion.
 * **Deterministic network fault injection** — every frame send consults
   :func:`repro.faults.maybe_net` (sites ``net.client`` / ``net.server``):
   seeded drops, duplicated deliveries, injected per-message delay, and
-  abrupt disconnects replay exactly from ``REPRO_FAULTS``, so the chaos
-  hammer drives real sockets through real partitions deterministically.
+  abrupt disconnects replay exactly from ``REPRO_FAULTS``.
 
-Deadlines cross the wire as wall-clock absolutes (the PR 8 convention for
-crossing process boundaries); the server converts back to relative on
-arrival and expires overdue columns without solving them.
+Deadlines cross the wire as wall-clock absolutes; the executor expires
+overdue columns without solving them.
 """
 
 from __future__ import annotations
@@ -57,20 +49,14 @@ import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
-from dataclasses import dataclass
+from contextlib import nullcontext
 
 import numpy as np
 
 from .. import faults
-from ..par.procpool import ExpiredRequest, WorkerError
-from ..solvers.guards import InvalidInput
-from .dispatcher import BatchDispatcher
-from .frontdoor import (
-    AdmissionRefused,
-    CircuitOpen,
-    DeadlineExceeded,
-    _resolve_once,
-)
+from ..par.procpool import RemoteError, WorkerError
+from .executor import SetupExecutor, ThreadMember
+from .frontdoor import AdmissionRefused, _resolve_once
 
 __all__ = [
     "RemoteError",
@@ -94,24 +80,6 @@ class ShardUnreachable(RuntimeError):
         super().__init__(f"shard {name!r} unreachable: {reason}")
         self.shard = name
         self.reason = reason
-
-
-@dataclass(frozen=True)
-class RemoteError:
-    """Per-slot failure marker in a result frame (picklable).
-
-    ``kind`` follows the :class:`~repro.par.procpool.WorkerError` taxonomy:
-    ``"setup"`` feeds the caller's circuit breaker, ``"solve"`` is a
-    request-level execution failure (already past the server dispatcher's
-    own retries), ``"invalid"``/``"admission"`` are boundary rejections.
-    """
-
-    kind: str
-    type_name: str
-    message: str
-
-    def to_exception(self) -> Exception:
-        return WorkerError(self.kind, self.type_name, self.message)
 
 
 # ------------------------------------------------------------------ #
@@ -139,12 +107,7 @@ def send_frame(sock: socket.socket, obj, site: str | None = None,
             sock.close()
         finally:
             raise ConnectionResetError(f"injected disconnect at {site}")
-    if lock is not None:
-        with lock:
-            sock.sendall(frame)
-            if event == "dup":
-                sock.sendall(frame)
-    else:
+    with lock if lock is not None else nullcontext():
         sock.sendall(frame)
         if event == "dup":
             sock.sendall(frame)
@@ -174,65 +137,6 @@ def recv_frame(sock: socket.socket):
 # ------------------------------------------------------------------ #
 # Server
 # ------------------------------------------------------------------ #
-def solve_slots(dispatcher, lock: threading.Lock, operator,
-                rhs_block: np.ndarray, deadlines, degrade, complete) -> None:
-    """Run one protocol batch on a local dispatcher; ``complete(slots)``
-    fires once every column has its slot (a ``SolveResult``,
-    ``ExpiredRequest`` or :class:`RemoteError`).
-
-    ``lock`` serializes submit + flush, so concurrent batches for one
-    fingerprint never merge into a wider dispatcher batch (whose blocked
-    kernels would round differently from the batch the caller sent).
-    """
-    ncols = rhs_block.shape[1]
-    slots: list = [None] * ncols
-    futures: dict[int, Future] = {}
-    with lock:
-        now = time.time()
-        for i in range(ncols):
-            wall = None if deadlines is None else deadlines[i]
-            if wall is not None and wall <= now:
-                slots[i] = ExpiredRequest(overshoot_s=now - wall)
-                continue
-            degradable = bool(degrade[i]) if degrade is not None else False
-            try:
-                futures[i] = dispatcher.submit(
-                    operator, rhs_block[:, i],
-                    deadline=None if wall is None else wall - time.time(),
-                    degradable=degradable)
-            except InvalidInput as exc:
-                slots[i] = RemoteError("invalid", type(exc).__name__, str(exc))
-            except Exception as exc:   # noqa: BLE001 - admission/closed
-                slots[i] = RemoteError("admission", type(exc).__name__,
-                                       str(exc))
-        if futures:
-            dispatcher.flush()
-    if not futures:
-        complete(slots)
-        return
-    remaining = [len(futures)]
-    state_lock = threading.Lock()
-
-    def _on_done(index: int, future: Future) -> None:
-        exc = future.exception()
-        if exc is None:
-            slots[index] = future.result()
-        elif isinstance(exc, DeadlineExceeded):
-            slots[index] = ExpiredRequest(overshoot_s=0.0)
-        elif isinstance(exc, CircuitOpen):
-            slots[index] = RemoteError("setup", type(exc).__name__, str(exc))
-        else:
-            slots[index] = RemoteError("solve", type(exc).__name__, str(exc))
-        with state_lock:
-            remaining[0] -= 1
-            last = remaining[0] == 0
-        if last:
-            complete(slots)
-
-    for i, future in futures.items():
-        future.add_done_callback(lambda f, i=i: _on_done(i, f))
-
-
 class _Conn:
     """One accepted client connection (socket + its send lock)."""
 
@@ -253,10 +157,15 @@ class _Conn:
 
 
 class ShardServer:
-    """Serves the batch protocol over TCP on top of a local dispatcher.
+    """Serves the batch protocol over TCP on top of a thread member.
 
-    Parameters mirror :class:`~repro.serve.dispatcher.BatchDispatcher`
-    where they configure the wrapped dispatcher; transport-specific knobs:
+    ``config``, ``preconditioner``, ``nblocks``, ``alpha``, ``backend``,
+    ``cache_size`` and ``max_workers`` configure the served
+    :class:`~repro.serve.executor.ThreadMember` (as on
+    :class:`~repro.serve.dispatcher.BatchDispatcher`); each protocol batch
+    runs on it as sent, with its deadlines and ``degrade`` flags.  The
+    request policy — retry, breaker, brownout — is the calling ring's.
+    Transport-specific knobs:
 
     heartbeat_interval:
         Seconds between ``("hb",)`` frames to every live connection.
@@ -278,8 +187,7 @@ class ShardServer:
                  config=None, preconditioner="auto",
                  nblocks: int | None = None, alpha: float = 1.0,
                  backend: str | None = None, cache_size: int = 8,
-                 max_workers: int = 2, max_retries: int = 1,
-                 overload=False, heartbeat_interval: float = 0.5,
+                 max_workers: int = 2, heartbeat_interval: float = 0.5,
                  client_timeout: float | None = None,
                  dedup_cache: int = 1024, name: str | None = None,
                  fault_spec: str | None = None,
@@ -294,17 +202,14 @@ class ShardServer:
         self.client_timeout = (float(client_timeout) if client_timeout
                                is not None else 6.0 * self.heartbeat_interval)
         self.dedup_cache = int(dedup_cache)
-        self._dispatcher = BatchDispatcher(
-            config, preconditioner=preconditioner, nblocks=nblocks,
-            alpha=alpha, max_batch=1 << 30, cache_size=cache_size,
-            max_workers=max_workers, backend=backend,
-            max_retries=max_retries, overload=overload)
+        self._member = ThreadMember("server", SetupExecutor(
+            config, preconditioner, nblocks, alpha, backend, cache_size),
+            max_workers)
         self._host = host
         self._requested_port = int(port)
         self._listener: socket.socket | None = None
         self._nonce = os.urandom(8).hex()
         self._lock = threading.Lock()
-        self._batch_lock = threading.Lock()
         self._conns: list[_Conn] = []
         self._operators: dict[str, object] = {}
         self._done: OrderedDict[str, tuple] = OrderedDict()
@@ -450,10 +355,8 @@ class ShardServer:
             self._send(conn, ("error", rid, "stale", "KeyError",
                               f"unknown fingerprint {fp!r}"))
             return
-        solve_slots(self._dispatcher, self._batch_lock, operator, rhs_block,
-                    deadlines, degrade,
-                    lambda slots: self._complete(
-                        rid, ("result", rid, slots, self._snapshot())))
+        self._relay(rid, "solve", lambda: self._member.submit_batch(
+            fp, rhs_block, lambda: operator, deadlines, degrade))
 
     def _handle_warm(self, conn: _Conn, rid: str, fp: str, setup) -> None:
         if self._replay_check(conn, rid):
@@ -461,27 +364,32 @@ class ShardServer:
         with self._lock:
             self._operators[fp] = setup
             self._running[rid] = conn
-        try:
-            (future,) = self._dispatcher.prewarm([setup], wait=False)
-        except Exception as exc:   # noqa: BLE001 - closed dispatcher
-            self._complete(rid, ("error", rid, "setup",
-                                 type(exc).__name__, str(exc)))
-            return
+        self._relay(rid, "setup",
+                    lambda: self._member.submit_warm(fp, lambda: setup))
 
-        def _on_done(f: Future) -> None:
-            exc = f.exception()
+    def _relay(self, rid: str, kind: str, submit) -> None:
+        """Complete ``rid`` with the member future's slots, or with a
+        ``kind`` error when it fails (or cannot start)."""
+        def done(future: Future) -> None:
+            exc = future.exception()
             if exc is None:
-                self._complete(rid, ("result", rid, [], self._snapshot()))
+                slots, _ = future.result()
+                self._complete(rid, ("result", rid, slots, self._snapshot()))
             else:
-                self._complete(rid, ("error", rid, "setup",
-                                     type(exc).__name__, str(exc)))
+                self._complete(rid, ("error", rid, kind, type(exc).__name__,
+                                     str(exc)))
 
-        future.add_done_callback(_on_done)
+        try:
+            future = submit()
+        except Exception as exc:   # noqa: BLE001 - a closed member
+            future = Future()
+            future.set_exception(exc)
+        future.add_done_callback(done)
 
     def _handle_evict(self, fp: str) -> None:
         with self._lock:
             self._operators.pop(fp, None)
-        self._dispatcher.evict(fp)
+        self._member.evict(fp)
 
     def _complete(self, rid: str, response: tuple) -> None:
         """Cache the finished response for dedup, then deliver it."""
@@ -506,19 +414,9 @@ class ShardServer:
 
     # -------------------------------------------------------------- #
     def _snapshot(self) -> dict:
-        stats = self._dispatcher.stats
         with self._lock:
-            snapshot = dict(self._counters)
-        snapshot.update(
-            name=self.name,
-            cache_hits=stats.cache_hits,
-            cache_misses=stats.cache_misses,
-            escalations=stats.escalations,
-            deadline_misses=stats.deadline_misses,
-            retries=stats.retries,
-            prewarms=stats.prewarms,
-        )
-        return snapshot
+            counters = dict(self._counters)
+        return {**self._member.snapshot(), **counters, "name": self.name}
 
     def stats(self) -> dict:
         return self._snapshot()
@@ -537,7 +435,7 @@ class ShardServer:
             self._conns.clear()
         for conn in conns:
             conn.close()
-        self._dispatcher.close(wait=False)
+        self._member.close()
 
 
 # ------------------------------------------------------------------ #
@@ -715,12 +613,9 @@ class RemoteShard:
                     time.sleep(delay)
                     continue
                 with self._lock:
-                    revived = self._dead
-                    self._dead = False
+                    self._dead = False     # fresh traffic will find us up
                     self._counters["reconnects"] += 1
                 attempt = 0
-                if revived:
-                    pass                   # fresh traffic will find us up
                 self._replay_inflight()
                 continue
             try:

@@ -341,7 +341,8 @@ class TestBatchDispatcher:
                              max_batch=8) as dispatcher:
             future = dispatcher.submit(bad, rng.uniform(-1, 1, 40))
             # monkeypatch-free failure injection: close the pool's solver path
-            dispatcher._precond_spec = ("no-such-preconditioner", None, 1.0)
+            executor = dispatcher._members["local"].executor
+            executor._precond_spec = ("no-such-preconditioner", None, 1.0)
             dispatcher.flush()
             with pytest.raises(Exception):
                 future.result(timeout=120)

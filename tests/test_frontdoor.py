@@ -15,7 +15,13 @@ tier 1 (no network, no spawn), the two-process gateway in tier 2:
 * ``close`` failing pending requests and timer-pending retries typed;
 * ``drain`` waiting out a timer-pending retry;
 * ``prewarm`` counting completed warm-ups only, with their elapsed time;
+* a setup failure failing its requests at once, never retried;
+* ``cache_hits`` / ``cache_misses`` summed over the door's members;
 * ``max_batch`` / ``max_queue`` validation at construction.
+
+``test_member_contract_across_kinds`` pins the member contract underneath:
+one RHS block gives the same slots from a thread, a remote and a process
+member.
 
 Doors differ only in transport, so each door's :class:`_Harness` says how
 to build it and how to make its transport (or its setup) fail.
@@ -29,7 +35,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-import repro.serve.dispatcher as dispatcher_mod
+import repro.serve.executor as executor_mod
 from repro import (
     AdmissionRefused,
     BatchDispatcher,
@@ -44,8 +50,14 @@ from repro import (
 )
 from repro.matgen import poisson2d
 from repro.operators import LinearOperator
-from repro.par.procpool import WorkerError
-from repro.serve import RemoteError
+from repro.par.procpool import ExpiredRequest, WorkerError
+from repro.serve import (
+    RemoteError,
+    RemoteShard,
+    ShardServer,
+    route_fingerprint,
+)
+from repro.serve.executor import SetupExecutor, ThreadMember
 from repro.solvers import InvalidInput
 
 pytestmark = pytest.mark.tier1
@@ -131,7 +143,7 @@ class _DispatcherHarness(_Harness):
             if exc is not None:
                 raise exc
 
-        monkeypatch.setattr(dispatcher_mod, "maybe_fail_worker",
+        monkeypatch.setattr(executor_mod, "maybe_fail_worker",
                             maybe_fail_worker)
 
     def break_setup(self, door, monkeypatch, operator):
@@ -200,12 +212,13 @@ class _GatewayHarness(_Harness):
     def break_setup(self, door, monkeypatch, operator):
         real = door.pool.submit_batch
 
-        def submit_batch(*args, **kwargs):
+        def submit_batch(slot, fp, rhs_block, *args, **kwargs):
             if not operator.broken:
-                return real(*args, **kwargs)
+                return real(slot, fp, rhs_block, *args, **kwargs)
+            failure = RemoteError("setup", "ValueError",
+                                  "synthetic setup failure")
             future: Future = Future()
-            future.set_exception(WorkerError("setup", "ValueError",
-                                             "synthetic setup failure"))
+            future.set_result(([failure] * rhs_block.shape[1], {}))
             return future
 
         monkeypatch.setattr(door.pool, "submit_batch", submit_batch)
@@ -390,15 +403,28 @@ class TestFailurePolicy:
 @pytest.mark.parametrize("harness", DOORS)
 def test_prewarm_counts_completed_warmups_only(harness):
     operator = _ToggleOperator(name="warm")
-    with harness.make() as door:
+    with harness.make(breaker_threshold=1) as door:
         with pytest.raises(Exception, match="synthetic setup failure"):
             door.prewarm([operator], timeout=60)
         assert door.stats.summary()["cold_start"]["prewarms"] == 0
+        assert door.stats.breaker_trips == 0    # a warm-up is not traffic
         operator.broken = False
         door.prewarm([operator], timeout=60)
         cold_start = door.stats.summary()["cold_start"]
     assert cold_start["prewarms"] == 1
     assert cold_start["prewarm_ms"] > 0
+
+
+@pytest.mark.parametrize("harness", DOORS)
+def test_cache_counters_sum_over_members(harness, matrix):
+    """The door's ``cache_hits`` / ``cache_misses`` are its members'
+    executor counts: one build, then hits, whatever the transport."""
+    with harness.make(max_batch=1) as door:
+        for i in range(3):
+            door.solve_many([(matrix, _rhs(matrix, i))])
+        summary = door.stats.summary()
+    assert (summary["cache_hits"], summary["cache_misses"]) == (2, 1)
+    assert (door.stats.cache_hits, door.stats.cache_misses) == (2, 1)
 
 
 # ---------------------------------------------------------------------- #
@@ -434,23 +460,75 @@ class TestClose:
 # ---------------------------------------------------------------------- #
 # Transport-specific regressions
 # ---------------------------------------------------------------------- #
-def test_dispatcher_retry_backoff_does_not_stall_other_fingerprints():
+def test_dispatcher_retry_backoff_does_not_stall_other_fingerprints(
+        monkeypatch):
     """A died batch's backoff runs on a timer: with one worker, a healthy
     fingerprint queued behind a failing one completes without waiting the
     backoff out (the worker used to sleep through it)."""
     backoff = 1.0
-    healthy = poisson2d(8)
-    failing = _ToggleOperator()
+    healthy, flaky = poisson2d(8), poisson2d(9)
     with BatchDispatcher(CONFIG, max_batch=1, max_workers=1, max_retries=1,
                          retry_backoff=backoff) as dispatcher:
-        dispatcher.prewarm([healthy])
-        bad = dispatcher.submit(failing, np.ones(failing.nrows))
+        dispatcher.prewarm([healthy, flaky])
+        _DispatcherHarness().break_transport(dispatcher, monkeypatch, 1)
+        bad = dispatcher.submit(flaky, _rhs(flaky))
         start = time.monotonic()
         good = dispatcher.submit(healthy, _rhs(healthy))
         assert good.result(timeout=30).converged
         elapsed = time.monotonic() - start
         dispatcher.drain()
     assert elapsed < backoff / 2
-    with pytest.raises(ValueError, match="synthetic setup failure"):
-        bad.result()
+    assert bad.result().converged             # its retry ran after the backoff
     assert dispatcher.stats.retries == 1
+
+
+@pytest.mark.parametrize("harness", DOORS)
+def test_setup_failure_is_final_not_retried(harness, monkeypatch):
+    """A setup that fails to build fails its requests with a ``"setup"``
+    error at once: retrying cannot fix it, and the breaker counts it."""
+    operator = _ToggleOperator(name="final")
+    with harness.make(max_batch=1, max_retries=3) as door:
+        harness.break_setup(door, monkeypatch, operator)
+        future = door.submit(operator, np.ones(operator.nrows))
+        door.drain()
+        exc = future.exception(timeout=30)
+        summary = door.stats.summary()
+    assert isinstance(exc, WorkerError) and exc.kind == "setup"
+    assert "synthetic setup failure" in str(exc)
+    assert summary["recovery"]["retries"] == 0
+
+
+def test_member_contract_across_kinds(matrix):
+    """One RHS block — an already-expired column, a degrade-flagged column
+    and a plain one — gives the same slots from every member kind: a
+    thread member, an in-process ``ShardServer`` behind a ``RemoteShard``,
+    and a process member.  The solves are bit-identical and the
+    ``ExpiredRequest`` sits at the same index."""
+    config = F3RConfig(variant="fp64", m1=5)
+    fp = matrix.fingerprint()
+    block = np.stack([_rhs(matrix, i) for i in range(3)], axis=1)
+
+    def run(member):
+        future = member.submit_batch(
+            fp, block, lambda: matrix, deadlines=[time.time() - 1.0, None, None],
+            degrade=[False, True, False])
+        return future.result(timeout=60)[0]
+
+    kinds = {}
+    thread = ThreadMember("thread", SetupExecutor(config), max_workers=1)
+    try:
+        kinds["thread"] = run(thread)
+    finally:
+        thread.close()
+    with ShardServer(config=config, max_workers=1) as server, \
+            RemoteShard(server.address, name="server") as shard:
+        kinds["server"] = run(shard)
+    with ShardedGateway(config, procs=2, max_workers=1) as gateway:
+        kinds["process"] = run(
+            gateway._members[str(route_fingerprint(fp, 2))])
+    for name, slots in kinds.items():
+        assert isinstance(slots[0], ExpiredRequest), name
+        assert [s.solver_name for s in slots[1:]] == ["fp32-F3R", "fp64-F3R"]
+        for got, want in zip(slots[1:], kinds["thread"][1:]):
+            assert got.x.tobytes() == want.x.tobytes(), name
+            assert got.iterations == want.iterations, name

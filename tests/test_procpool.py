@@ -305,6 +305,36 @@ def test_stale_setup_is_reshipped_by_the_process_member():
     assert np.array_equal(first.x, again.x)       # a fresh solver both times
 
 
+def test_process_tier_enforces_cache_size():
+    """A worker keeps at most ``cache_size`` setups: an LRU eviction
+    releases the solver, its plans and its shm mapping, and a returning
+    fingerprint comes back through the ``stale`` reship — with results
+    bit-identical to an in-process dispatcher of the same ``cache_size``."""
+    from repro.matgen import poisson2d
+
+    ops = [op for op in map(poisson2d, range(5, 40))
+           if route_fingerprint(op.fingerprint(), 2) == 0][:3]
+    rng = np.random.default_rng(3)
+    pairs = [(op, rng.uniform(-1, 1, op.nrows)) for _ in range(3) for op in ops]
+    config = repro.F3RConfig()
+    with BatchDispatcher(config, max_batch=1, max_workers=1,
+                         cache_size=1) as dispatcher:
+        reference = dispatcher.solve_many(pairs)
+    with ShardedGateway(config, procs=2, max_batch=1, max_workers=1,
+                        cache_size=1) as gateway:
+        # one request at a time, so every return meets an evicted setup
+        results = [gateway.solve_many([pair])[0] for pair in pairs]
+        summary = gateway.stats.summary()
+    worker = summary["cluster"]["members"]["0"]["server"]
+    # three fingerprints cycling through a one-setup cache: every batch
+    # rebuilds, and every return after the first round reships its setup
+    assert (worker["cache_hits"], worker["cache_misses"]) == (0, 9)
+    assert worker["shm_attaches"] == 9
+    assert summary["recovery"]["retries"] == 0
+    for ref, got in zip(reference, results):
+        assert np.array_equal(ref.x, got.x)
+
+
 # ---------------------------------------------------------------------- #
 # Worker-death injection and recovery
 # ---------------------------------------------------------------------- #
@@ -385,10 +415,11 @@ class TestGatewayStats:
         with ShardedGateway(config, procs=1) as gateway:
             summary = gateway.stats.summary()
         assert summary["procs"] == {"procs": 1, "mode": "in-process"}
-        # the delegate is a real dispatcher sharing the stats object, and
-        # no worker process was spawned
-        assert gateway._dispatcher is not None and gateway.pool is None
-        assert gateway.stats is gateway._dispatcher.stats
+        # the ring holds one in-process thread member, and no worker
+        # process was spawned
+        assert gateway.pool is None
+        assert [m["kind"] for m in summary["cluster"]["members"].values()] \
+            == ["local"]
 
     def test_pool_mode_reports_queue_depth_and_shm(self):
         pairs = _mixed_traffic(2)

@@ -497,16 +497,16 @@ class TestAmbiguousDisconnect:
         # two pool workers: one is gated mid-solve, the other runs the
         # sequencing warm below
         with ShardServer(config=_config(), max_workers=2) as server:
-            dispatcher = server._dispatcher
-            inner = dispatcher._execute_batch
+            executor = server._member.executor
+            inner = executor.run
 
-            def gated(matrix, requests):
+            def gated(*args, **kwargs):
                 executions.append(1)
                 started.set()
                 assert release.wait(30.0)
-                return inner(matrix, requests)
+                return inner(*args, **kwargs)
 
-            dispatcher._execute_batch = gated
+            executor.run = gated
             solve = ("solve", "raw-rid-3", A.fingerprint(), A,
                      _rhs(A).reshape(-1, 1), None, None)
             conn1, _ = _client_conn(server.address)

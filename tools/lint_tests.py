@@ -23,11 +23,12 @@ variable ``src/`` still references — a new knob needs a documented
 production reason, and a retired one leaves the table.
 
 Finally it keeps each serving responsibility in one place: every pattern
-in :data:`SINGLE_DEFINITIONS` may match at most one module under
-``src/repro/serve/``.  They are the front-door core's request policy (the
-breaker, shed-victim choice and retry, in ``frontdoor.py``) and the ring's
-result-slot handling (``isinstance(..., ExpiredRequest)``, in
-``cluster.py``).
+in :data:`SINGLE_DEFINITIONS` may match at most one module among
+``src/repro/serve/*.py`` and ``src/repro/par/procpool.py``.  They are the
+front-door core's request policy (the breaker, shed-victim choice and
+retry, in ``frontdoor.py``), the ring's result-slot handling
+(``isinstance(..., ExpiredRequest)``, in ``cluster.py``) and the one solve
+path (``.solve_batch(`` and ``.degraded_sibling(``, in ``executor.py``).
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TESTS_DIR = ROOT / "tests"
 SRC_DIR = ROOT / "src"
 SERVE_DIR = SRC_DIR / "repro" / "serve"
+#: the modules the SINGLE_DEFINITIONS scan covers
+SERVING_MODULES = (*sorted(SERVE_DIR.glob("*.py")),
+                   SRC_DIR / "repro" / "par" / "procpool.py")
 README = ROOT / "README.md"
 
 #: a ``REPRO_*`` environment-variable name (``REPRO_*`` itself does not match)
@@ -87,7 +91,7 @@ REQUIRED_MODULES = (
 )
 
 #: serving responsibilities with one home: each pattern may match at most
-#: one module under src/repro/serve/
+#: one of the SERVING_MODULES
 SINGLE_DEFINITIONS = {
     "_breaker_check": re.compile(r"^\s*def _breaker_check\b", re.MULTILINE),
     "_breaker_record": re.compile(r"^\s*def _breaker_record\b", re.MULTILINE),
@@ -97,6 +101,8 @@ SINGLE_DEFINITIONS = {
     "class _Breaker": re.compile(r"^\s*class _Breaker\b", re.MULTILINE),
     "isinstance(..., ExpiredRequest)": re.compile(
         r"isinstance\([^)]*\bExpiredRequest\b"),
+    ".solve_batch(": re.compile(r"\.solve_batch\("),
+    ".degraded_sibling(": re.compile(r"\.degraded_sibling\("),
 }
 
 
@@ -118,9 +124,9 @@ def src_env_names() -> set[str]:
 
 
 def duplicated_definitions() -> dict[str, list[str]]:
-    """Policy definitions found in more than one serve module."""
+    """Serving definitions found in more than one serving module."""
     found: dict[str, list[str]] = {}
-    for path in sorted(SERVE_DIR.glob("*.py")):
+    for path in SERVING_MODULES:
         text = path.read_text(encoding="utf-8")
         for name, pattern in SINGLE_DEFINITIONS.items():
             if pattern.search(text):
@@ -161,9 +167,9 @@ def main() -> int:
         status = 1
     duplicated = duplicated_definitions()
     if duplicated:
-        print("lint-tests: serving logic found in more than one "
-              "src/repro/serve/ module (see SINGLE_DEFINITIONS for its "
-              "home):", file=sys.stderr)
+        print("lint-tests: serving logic found in more than one module of "
+              "src/repro/serve/ and src/repro/par/procpool.py (see "
+              "SINGLE_DEFINITIONS for its home):", file=sys.stderr)
         for name, modules in sorted(duplicated.items()):
             print(f"  {name}: {', '.join(modules)}", file=sys.stderr)
         status = 1
