@@ -2,9 +2,10 @@
 batched (multi-RHS) vs looped execution.
 
 Times the four hot kernels — CSR SpMV, sliced-ELLPACK SpMV, level-scheduled
-triangular solve, and one FGMRES(m) cycle — on both registered backends, the
-fp16 level solve on subnormal-heavy input for a wide-level factor (staged
-through fp32 by the fast engine) and a one-row-per-level chain (direct), plus
+triangular solve, and one FGMRES(m) cycle on a one-column block — on both
+registered backends, the fp16 level solve on subnormal-heavy input for a
+wide-level factor (staged through fp32 by the fast engine) and a
+one-row-per-level chain (direct), plus
 the batched kernels (CSR SpMM, batched trsm), a full ``solve_batch`` of
 the fp16-F3R solver against ``k`` sequential ``solve`` calls, and the
 matrix-free stencil applies (single + batched) against the assembled CSR
@@ -44,7 +45,7 @@ from repro.core import F3RConfig, F3RSolver
 from repro.matgen import hpcg_matrix, hpcg_operator, poisson2d
 from repro.precision import Precision
 from repro.precond import ilu0_factor
-from repro.solvers import fgmres_cycle
+from repro.solvers import fgmres_cycle_batch
 from repro.sparse import CSRMatrix, SlicedEllMatrix, TriangularFactor
 
 #: grid side of the 5-point Poisson problem per scale (n = side^2 unknowns)
@@ -142,8 +143,10 @@ def bench_backend(problem, backend: str, repeats: int, m: int) -> dict[str, floa
                                     repeats),
             "trsv_fp16_chain": _time(lambda: chain16.solve(problem["chain_b16"]),
                                      repeats),
+            # the one Arnoldi loop on a one-column block (a single RHS)
             "fgmres_cycle": _time(
-                lambda: fgmres_cycle(matrix, x, None, m=m, vec_prec=Precision.FP64),
+                lambda: fgmres_cycle_batch(matrix, x[:, None], None, m=m,
+                                           vec_prec=Precision.FP64),
                 repeats, warmup=1),
         }
     return times

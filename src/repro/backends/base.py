@@ -313,12 +313,15 @@ class KernelBackend(abc.ABC):
                         record: bool = True) -> np.ndarray:
         """Richardson weighted update ``z + ω·mr`` in the level dtype.
 
-        ``z`` is *consumed*: an override may update it in place and return
-        it, so callers must use only the returned array.
+        For ``(n, k)`` blocks ``omega`` is one weight or ``k`` per-column
+        weights; either way each column gets ``vo.axpy``'s arithmetic and
+        counters.  ``z`` is *consumed*: an override may update it in place
+        and return it, so callers must use only the returned array.
         """
         from ..sparse import vectorops as vo
 
-        return vo.axpy(omega, mr, z, out_precision=vec_prec, record=record)
+        update = vo.axpy_block if mr.ndim == 2 else vo.axpy
+        return update(omega, mr, z, out_precision=vec_prec, record=record)
 
     def orthonormalize(self, basis: np.ndarray, j: int, w: np.ndarray,
                        vec_prec: Precision, scratch=None, record: bool = True):

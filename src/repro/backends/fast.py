@@ -1164,7 +1164,7 @@ class FastBackend(KernelBackend):
             alpha_c = cdtype.type(omega)
             if z.dtype == cdtype == np.dtype(dtype) and mr.dtype == cdtype:
                 if scratch is not None:
-                    t = scratch.get("wupd_t", mr.size, cdtype)
+                    t = scratch.get("wupd_t", mr.shape, cdtype)
                     np.multiply(mr, alpha_c, out=t)
                 else:
                     t = alpha_c * mr
@@ -1175,7 +1175,8 @@ class FastBackend(KernelBackend):
                 z_c = z if z.dtype == cdtype else z.astype(cdtype)
                 result = (alpha_c * mr_c + z_c).astype(dtype, copy=False)
         if record:
-            self._record_axpy(pm, pz, vec_prec, compute, mr.size)
+            self._record_axpy(pm, pz, vec_prec, compute, mr.shape[0],
+                              mr.shape[1] if mr.ndim == 2 else 1)
         return result
 
     def spmv_axpy(self, values, indices, indptr, x, y, out_precision=None,

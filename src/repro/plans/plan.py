@@ -212,7 +212,10 @@ class SolvePlan:
                                    record=record)
 
     def apply_batch(self, x: np.ndarray, record: bool = True) -> np.ndarray:
-        """``Y = A·X`` for one RHS per column."""
+        """``Y = A·X`` for one RHS per column (a one-column block runs the
+        vector kernel)."""
+        if x.shape[1] == 1:
+            return self.apply(x[:, 0], record=record)[:, None]
         kind = self.kind
         if kind == "csr":
             m = self._csr
@@ -254,7 +257,10 @@ class SolvePlan:
 
     def residual_batch(self, v: np.ndarray, x: np.ndarray,
                        record: bool = True) -> np.ndarray:
-        """Batched fused residual ``R = V − A·X``."""
+        """Batched fused residual ``R = V − A·X`` (a one-column block runs
+        the vector kernel)."""
+        if x.shape[1] == 1:
+            return self.residual(v[:, 0], x[:, 0], record=record)[:, None]
         if self.kind == "csr":
             m = self._csr
             return self.backend.spmm_axpy(m.values, m.indices, m.indptr, x, v,

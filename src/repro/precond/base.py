@@ -55,12 +55,15 @@ class Preconditioner(abc.ABC):
 
         Counts ``k`` invocations so the paper's Table 3 metric — primary
         preconditioner applications until convergence — is independent of
-        whether solves were batched.
+        whether solves were batched.  A one-column block runs the vector
+        kernels (:meth:`_apply`).
         """
         r = np.asarray(r)
         if r.ndim != 2:
             raise ValueError(f"apply_batch expects R of shape (n, k); got {r.shape}")
         self.num_applications += r.shape[1]
+        if r.shape[1] == 1:
+            return self._apply(r[:, 0])[:, None]
         return self._apply_batch(r)
 
     # ------------------------------------------------------------------ #

@@ -124,12 +124,8 @@ class ClusterStats(DispatchStats):
     failovers: int = 0
     late_results: int = 0
 
-    def summary(self) -> dict:
-        base = super().summary()
-        gateway = self.members_source
-        members = ({} if gateway is None else
-                   {name: member.stats()
-                    for name, member in gateway._members.items()})
+    def _summary(self, members: dict) -> dict:
+        base = super()._summary(members)
 
         def agg(key: str) -> int:
             return sum(int(m.get(key, 0) or 0) for m in members.values())

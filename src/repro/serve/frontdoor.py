@@ -150,19 +150,24 @@ class DispatchStats:
     #: the owning door — the cache counters are read from its members
     members_source: object = field(default=None, repr=False)
 
-    def _members_total(self, key: str) -> int:
+    def _member_snapshots(self) -> dict:
+        """One ``stats()`` snapshot per member of the owning door, by name."""
         door = self.members_source
-        members = [] if door is None else list(door._members.values())
-        return sum(int(m.stats().get("server", {}).get(key, 0) or 0)
-                   for m in members)
+        return ({} if door is None else
+                {name: member.stats() for name, member in door._members.items()})
+
+    @staticmethod
+    def _executor_total(members: dict, key: str) -> int:
+        return sum(int(m.get("server", {}).get(key, 0) or 0)
+                   for m in members.values())
 
     @property
     def cache_hits(self) -> int:
-        return self._members_total("cache_hits")
+        return self._executor_total(self._member_snapshots(), "cache_hits")
 
     @property
     def cache_misses(self) -> int:
-        return self._members_total("cache_misses")
+        return self._executor_total(self._member_snapshots(), "cache_misses")
 
     def summary(self) -> dict:
         """Door counters plus the plan-layer state a production
@@ -171,7 +176,12 @@ class DispatchStats:
         worker-pool budget/occupancy (``pool``), the robustness
         counters (``recovery``), and the cold-start picture
         (``cold_start``: warm-up completions plus the persistent artifact
-        cache's hit/miss/saved-time counters)."""
+        cache's hit/miss/saved-time counters).  Every member is
+        snapshotted once per call."""
+        return self._summary(self._member_snapshots())
+
+    def _summary(self, members: dict) -> dict:
+        """:meth:`summary` over the given member snapshots."""
         from ..cache import cold_start_stats
         from ..par import pool_stats
         from ..plans import autotune_stats, plan_cache_stats
@@ -191,8 +201,8 @@ class DispatchStats:
             "requests": self.requests,
             "batches": self.batches,
             "batched_requests": self.batched_requests,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
+            "cache_hits": self._executor_total(members, "cache_hits"),
+            "cache_misses": self._executor_total(members, "cache_misses"),
             "largest_batch": self.largest_batch,
             "recovery": {
                 "escalations": self.escalations,

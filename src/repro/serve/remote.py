@@ -164,7 +164,10 @@ class ShardServer:
     :class:`~repro.serve.executor.ThreadMember` (as on
     :class:`~repro.serve.dispatcher.BatchDispatcher`); each protocol batch
     runs on it as sent, with its deadlines and ``degrade`` flags.  The
-    request policy — retry, breaker, brownout — is the calling ring's.
+    request policy — retry, breaker, brownout — is the calling ring's.  A
+    shipped operator is kept only while its setup is cached: when the
+    executor's LRU evicts the setup, the operator goes too, and a later
+    request for it is answered ``stale`` so the client reships it.
     Transport-specific knobs:
 
     heartbeat_interval:
@@ -202,9 +205,11 @@ class ShardServer:
         self.client_timeout = (float(client_timeout) if client_timeout
                                is not None else 6.0 * self.heartbeat_interval)
         self.dedup_cache = int(dedup_cache)
+        # an operator lives as long as its setup: an LRU eviction drops
+        # it too, and the client reships it on the "stale" reply
         self._member = ThreadMember("server", SetupExecutor(
-            config, preconditioner, nblocks, alpha, backend, cache_size),
-            max_workers)
+            config, preconditioner, nblocks, alpha, backend, cache_size,
+            on_evict=self._drop_operator), max_workers)
         self._host = host
         self._requested_port = int(port)
         self._listener: socket.socket | None = None
@@ -387,9 +392,11 @@ class ShardServer:
         future.add_done_callback(done)
 
     def _handle_evict(self, fp: str) -> None:
+        self._member.evict(fp)
+
+    def _drop_operator(self, fp: str) -> None:
         with self._lock:
             self._operators.pop(fp, None)
-        self._member.evict(fp)
 
     def _complete(self, rid: str, response: tuple) -> None:
         """Cache the finished response for dedup, then deliver it."""

@@ -21,7 +21,7 @@ from .guards import (
     validate_rhs,
 )
 from .richardson import RichardsonLevel, richardson_solve
-from .fgmres import FGMRESLevel, OuterFGMRES, fgmres_cycle, fgmres_cycle_batch
+from .fgmres import FGMRESLevel, OuterFGMRES, fgmres_cycle_batch
 from .gmres import RestartedFGMRES
 from .cg import ConjugateGradient
 from .bicgstab import BiCGStab
@@ -48,7 +48,6 @@ __all__ = [
     "richardson_solve",
     "FGMRESLevel",
     "OuterFGMRES",
-    "fgmres_cycle",
     "fgmres_cycle_batch",
     "RestartedFGMRES",
     "ConjugateGradient",

@@ -4,8 +4,8 @@ Terminology follows the paper's Section 3: a nested solver is a tuple
 ``(S1, S2, ..., SD, M)`` where each inner solver acts as a flexible
 preconditioner for its parent.  Anything that can appear on the right of a
 level — an inner solver or the primary preconditioner ``M`` — exposes
-``apply(v) ≈ A^{-1} v`` (approximate solve with zero initial guess), so the
-levels compose uniformly.
+``apply(v) ≈ A^{-1} v`` (approximate solve with zero initial guess) and its
+column-block form ``apply_batch(V)``, so the levels compose uniformly.
 """
 
 from __future__ import annotations
@@ -40,19 +40,18 @@ class InnerSolver(abc.ABC):
     """
 
     @abc.abstractmethod
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Return an approximate solution of ``A z = v`` (zero initial guess)."""
-
     def apply_batch(self, v: np.ndarray) -> np.ndarray:
         """Approximately solve ``A Z = V`` for ``V`` of shape ``(n, k)``.
 
-        The default loops :meth:`apply` column by column; levels whose
-        per-invocation work is identical for every column (fixed iteration
-        counts, no convergence check) override it with a lockstep batched
-        recurrence so the hot kernels run as SpMM / trsm.
+        The columns advance in lockstep through the level's one recurrence,
+        so the hot kernels run as SpMM / trsm (a one-column block runs the
+        vector kernels).
         """
-        cols = [self.apply(np.ascontiguousarray(v[:, j])) for j in range(v.shape[1])]
-        return np.stack(cols, axis=1)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """Return an approximate solution of ``A z = v`` (zero initial guess):
+        a one-column :meth:`apply_batch`."""
+        return self.apply_batch(np.asarray(v)[:, None])[:, 0]
 
     @property
     @abc.abstractmethod

@@ -27,7 +27,6 @@ import numpy as np
 from ..backends import get_backend
 from ..backends.workspace import ThreadLocalWorkspace
 from ..operators import as_operator
-from ..perf.counters import counters_enabled, record_bytes, record_flops, record_kernel
 from ..plans import plan_for
 from ..precision import LevelPrecision, Precision, as_precision
 from ..sparse import vectorops as vo
@@ -119,68 +118,21 @@ class RichardsonLevel(InnerSolver):
         return pair
 
     # ------------------------------------------------------------------ #
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        vec_prec = self.precisions.vector
-        wp = self.weight_precision
-        cntr = self.call_count + 1          # 1-based call index, as in Algorithm 1
-        refresh = self.adaptive and (cntr % self.cycle == 0)
-        plan, plan_wp = self._level_plans()
-        backend = plan.backend
-        ws = self._workspace.workspace
-
-        v_level = vo.cast_vector(np.asarray(v), vec_prec)
-        z = vo.vzeros(v_level.size, vec_prec)
-        r = v_level                          # r_0 = v because z_0 = 0
-
-        for k in range(self.m):
-            if k > 0:
-                # fused sweep: the next residual runs as one plan kernel
-                # (one-pass spmv_axpy on CSR, staged combine elsewhere)
-                r = plan.residual(v_level, z)
-
-            mr = self.preconditioner.apply(r)
-            mr = vo.cast_vector(mr, vec_prec)
-
-            if refresh:
-                # ω'_k computed in fp32: one extra SpMV and two reductions.
-                mr32 = vo.cast_vector(mr, wp)
-                amr = plan_wp.apply(mr32)
-                r32 = vo.cast_vector(r, wp)
-                denom = vo.dot(amr, amr)
-                numer = vo.dot(r32, amr)
-                if guards_enabled() and not (np.isfinite(denom) and np.isfinite(numer)):
-                    # a NaN weight numerator/denominator poisons the globally
-                    # shared weights for every later invocation — fail here,
-                    # at the two scalars the refresh computes anyway
-                    check_finite(float(denom if not np.isfinite(denom) else numer),
-                                 "richardson.weight", iteration=k)
-                omega = numer / denom if denom > 0.0 else self.weights[k]
-                l = cntr // self.cycle
-                self.weights[k] = (l * self.weights[k] + omega) / (l + 1)
-            else:
-                omega = float(self.weights[k])
-            # the weighted half of the sweep: x += ω·M⁻¹r (staged fp16 on
-            # the fast engine; bit-identical to the unfused axpy)
-            z = backend.weighted_update(z, mr, omega, vec_prec, scratch=ws)
-
-        if refresh:
-            self.update_count += 1
-            self.weight_history.append(self.weights.copy())
-        self.call_count = cntr
-        return z
-
-    # ------------------------------------------------------------------ #
     def apply_batch(self, v: np.ndarray) -> np.ndarray:
         """Lockstep Richardson sweep over ``k`` residual columns.
 
-        The recurrence is identical to ``k`` sequential :meth:`apply` calls
-        with the current weights — the matvec runs as SpMM and ``M`` through
-        its batched application.  The batched invocation counts as ``k``
-        calls of Algorithm 1's global counter; when the counter window
-        crosses a refresh boundary, ω'_k is computed per column (one batched
-        SpMM + column-wise reductions in fp32) and the globally shared weight
-        is blended with the batch mean — the batch analogue of Eq. (5)'s
-        cumulative average.
+        The matvec runs through the plan's batched product and ``M`` through
+        its batched application; each column's update is
+        ``z += ω·M⁻¹r`` with the current weights.  The invocation counts as
+        ``k`` calls of Algorithm 1's global counter.  When that counter
+        window crosses a refresh boundary, ω'_k is computed per column (one
+        batched product and per-column dot products in fp32), each column is
+        updated with its own ω'_k, and the shared weight is blended with the
+        batch mean — the batch analogue of Eq. (5)'s cumulative average.
+        A one-column call is exactly Algorithm 1's invocation; a wider one
+        equals ``k`` one-column calls only when no refresh falls inside it,
+        since the refresh sees the batch mean rather than the columns in
+        sequence.
         """
         v = np.asarray(v)
         if v.ndim != 2:
@@ -191,61 +143,55 @@ class RichardsonLevel(InnerSolver):
         cntr_end = self.call_count + k
         refresh = self.adaptive and (self.call_count // self.cycle) != (cntr_end // self.cycle)
         plan, plan_wp = self._level_plans()
+        backend = plan.backend
+        ws = self._workspace.workspace
 
         v_level = vo.cast_block(v, vec_prec)
         z = np.zeros(v_level.shape, dtype=vec_prec.dtype)
-        r = v_level
+        r = v_level                          # r_0 = v because z_0 = 0
 
         for step in range(self.m):
             if step > 0:
+                # fused sweep: the next residual runs as one plan kernel
+                # (one-pass spmv_axpy on CSR, staged combine elsewhere)
                 r = plan.residual_batch(v_level, z)
 
             mr = self.preconditioner.apply_batch(r)
             mr = vo.cast_block(mr, vec_prec)
 
             if refresh:
-                mr32 = vo.cast_block(mr, wp)
-                amr = plan_wp.apply_batch(mr32)
-                r32 = vo.cast_block(r, wp)
-                denom = np.einsum("nk,nk->k", amr, amr).astype(np.float64)
-                numer = np.einsum("nk,nk->k", r32, amr).astype(np.float64)
+                # ω'_k computed in fp32: one extra product and two dot
+                # products per column
+                amr = np.ascontiguousarray(
+                    plan_wp.apply_batch(vo.cast_block(mr, wp)).T)
+                r32 = np.ascontiguousarray(vo.cast_block(r, wp).T)
+                denom = np.array([vo.dot(col, col) for col in amr])
+                numer = np.array([vo.dot(rc, col) for rc, col in zip(r32, amr)])
                 if guards_enabled() and not (np.all(np.isfinite(denom))
                                              and np.all(np.isfinite(numer))):
+                    # a NaN weight numerator/denominator poisons the globally
+                    # shared weights for every later invocation — fail here,
+                    # at the scalars the refresh computes anyway
                     bad = np.flatnonzero(~(np.isfinite(denom) & np.isfinite(numer)))
                     check_finite(float(denom[bad[0]] if not np.isfinite(denom[bad[0]])
                                        else numer[bad[0]]),
                                  "richardson.weight", iteration=step,
                                  columns=bad.tolist())
-                if counters_enabled():
-                    record_kernel("dot", 2 * k)
-                    record_bytes(wp, 4 * k * amr.shape[0] * wp.bytes)
-                    record_flops(wp, 4 * k * amr.shape[0])
                 omega = np.where(denom > 0.0, numer / np.where(denom > 0.0, denom, 1.0),
                                  self.weights[step])
-                z = self._batched_weighted_update(omega, mr, z, vec_prec)
                 l = cntr_end // self.cycle
                 self.weights[step] = (l * self.weights[step] + float(omega.mean())) / (l + 1)
             else:
-                z = self._batched_weighted_update(
-                    np.full(k, self.weights[step]), mr, z, vec_prec)
+                omega = float(self.weights[step])
+            # the weighted half of the sweep: z += ω·M⁻¹r per column (staged
+            # fp16 on the fast engine; bit-identical to the unfused axpy)
+            z = backend.weighted_update(z, mr, omega, vec_prec, scratch=ws)
 
         if refresh:
             self.update_count += 1
             self.weight_history.append(self.weights.copy())
         self.call_count = cntr_end
         return z
-
-    def _batched_weighted_update(self, omega: np.ndarray, mr: np.ndarray,
-                                 z: np.ndarray, vec_prec: Precision) -> np.ndarray:
-        """``z + omega_j * mr_j`` per column, arithmetic in the level dtype."""
-        dtype = vec_prec.dtype
-        result = (omega.astype(dtype)[None, :] * mr + z).astype(dtype, copy=False)
-        if counters_enabled():
-            k, n = mr.shape[1], mr.shape[0]
-            record_kernel("axpy", k)
-            record_bytes(vec_prec, 3 * k * n * vec_prec.bytes)
-            record_flops(vec_prec, 2 * k * n)
-        return result
 
 
 def richardson_solve(matrix, b, preconditioner, m: int, weight: float = 1.0,

@@ -29,7 +29,7 @@ from repro.backends import (
 from repro.core import F3RConfig, solve_f3r
 from repro.perf import counting
 from repro.precision import Precision
-from repro.solvers import RestartedFGMRES, fgmres_cycle
+from repro.solvers import RestartedFGMRES, fgmres_cycle_batch
 from repro.sparse import COOMatrix, CSRMatrix, SlicedEllMatrix, TriangularFactor
 
 pytestmark = pytest.mark.tier1
@@ -222,8 +222,9 @@ class TestFgmresEquivalence:
         a = dd_matrix.astype(prec)
 
         def run(backend):
-            z, iters, est = fgmres_cycle(a, b.copy(), None, m=8, vec_prec=prec)
-            return z.astype(np.float64), iters
+            z, iters, est = fgmres_cycle_batch(a, b[:, None].copy(), None, m=8,
+                                               vec_prec=prec)
+            return z[:, 0].astype(np.float64), int(iters[0])
 
         (z_ref, it_ref), (z_fast, it_fast) = _both_backends(run)
         assert it_ref == it_fast
@@ -236,12 +237,15 @@ class TestFgmresEquivalence:
         b = np.random.default_rng(0).uniform(-1, 1, dd_matrix.nrows)
         ws = Workspace()
         with use_backend("fast"):
-            fgmres_cycle(dd_matrix, b, None, m=6, vec_prec=Precision.FP64,
-                         workspace=ws)
-            basis = ws.get("krylov_basis", (7, dd_matrix.nrows), np.float64)
-            fgmres_cycle(dd_matrix, b, None, m=6, vec_prec=Precision.FP64,
-                         workspace=ws)
-            assert ws.get("krylov_basis", (7, dd_matrix.nrows), np.float64) is basis
+            fgmres_cycle_batch(dd_matrix, b[:, None], None, m=6,
+                               vec_prec=Precision.FP64, workspace=ws)
+            basis = ws.get_rows("krylov_basis_batch", 1, (7, dd_matrix.nrows),
+                                np.float64)
+            fgmres_cycle_batch(dd_matrix, b[:, None], None, m=6,
+                               vec_prec=Precision.FP64, workspace=ws)
+            again = ws.get_rows("krylov_basis_batch", 1, (7, dd_matrix.nrows),
+                                np.float64)
+            assert again.base is basis.base
 
 
 # --------------------------------------------------------------------------- #
@@ -322,7 +326,8 @@ class TestCounterParity:
         b = np.random.default_rng(1).uniform(-1, 1, dd_matrix.nrows)
 
         def run():
-            fgmres_cycle(dd_matrix, b, None, m=5, vec_prec=Precision.FP64)
+            fgmres_cycle_batch(dd_matrix, b[:, None], None, m=5,
+                               vec_prec=Precision.FP64)
 
         ref = self._traffic(run, "reference")
         fast = self._traffic(run, "fast")

@@ -427,6 +427,25 @@ def test_cache_counters_sum_over_members(harness, matrix):
     assert (door.stats.cache_hits, door.stats.cache_misses) == (2, 1)
 
 
+@pytest.mark.parametrize("harness", DOORS)
+def test_summary_snapshots_each_member_once(harness, matrix, monkeypatch):
+    """One ``summary()`` reads each member's ``stats()`` once; the cache
+    counters and the ``cluster`` member table come from that one read."""
+    with harness.make(max_batch=1) as door:
+        door.solve_many([(matrix, _rhs(matrix))])
+        calls = dict.fromkeys(door._members, 0)
+        for name, member in door._members.items():
+            def counted(real=member.stats, name=name):
+                calls[name] += 1
+                return real()
+
+            monkeypatch.setattr(member, "stats", counted)
+        summary = door.stats.summary()
+    assert calls == dict.fromkeys(door._members, 1)
+    assert sorted(summary["cluster"]["members"]) == sorted(door._members)
+    assert (summary["cache_hits"], summary["cache_misses"]) == (0, 1)
+
+
 # ---------------------------------------------------------------------- #
 # Shutdown
 # ---------------------------------------------------------------------- #

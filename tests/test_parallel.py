@@ -11,6 +11,7 @@ autotuner directly.
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -329,9 +330,13 @@ class TestPoolAndBudget:
         with pytest.raises(ValueError):
             _parse_threads("lots")
 
-    def test_default_is_serial(self):
-        assert par.configured_threads() == 1
-        assert par.effective_threads() == 1
+    def test_default_is_serial(self, monkeypatch):
+        # the budget the module resolves at import, with REPRO_THREADS unset
+        # (a REPRO_THREADS sweep of this suite must not change the answer)
+        monkeypatch.delenv("REPRO_THREADS", raising=False)
+        with par.use_threads(_parse_threads(os.environ.get("REPRO_THREADS"))):
+            assert par.configured_threads() == 1
+            assert par.effective_threads() == 1
 
     def test_budget_divided_among_consumers(self):
         with par.use_threads(8):
@@ -418,6 +423,7 @@ class TestThreadAutotune:
 
     def test_serial_budget_skips_tuning(self):
         matrix = poisson2d(80)
-        plan = plan_for(matrix, Precision.FP64)
+        with par.use_threads(1):
+            plan = plan_for(matrix, Precision.FP64)
         assert plan.threads is None
         assert autotune_stats()["thread_measured"] == 0

@@ -346,6 +346,34 @@ class TestRemoteShardEndToEnd:
         assert stats["stale_recoveries"] >= 1
         assert stats["server"]["stale_misses"] >= 1
 
+    def test_lru_eviction_drops_the_operator(self, pinned):
+        # cache_size bounds the shipped operators as well as the setups: a
+        # returning fingerprint bounces "stale", is reshipped, and answers
+        # bit-identically to its first solve
+        operators = [_operator(n) for n in (8, 9, 10)]
+        b = _rhs(operators[0], 0)
+        with ShardServer(config=_config(), max_workers=1,
+                         cache_size=1) as server:
+            with RemoteShard(server.address, name="s0") as shard:
+                assert shard.wait_connected(10.0)
+
+                def solve(A, rhs):
+                    slots, _ = shard.submit_batch(
+                        A.fingerprint(), rhs.reshape(-1, 1),
+                        setup_factory=lambda: A).result(timeout=60)
+                    assert slots[0].converged
+                    return slots[0].x
+
+                first = solve(operators[0], b)
+                for A in operators[1:]:
+                    solve(A, _rhs(A, 0))
+                    assert len(server._operators) <= 1
+                again = solve(operators[0], b)
+                stats = shard.stats()
+            assert len(server._operators) <= 1
+        np.testing.assert_array_equal(again, first)
+        assert stats["stale_recoveries"] >= 1
+
     def test_expired_wall_deadline_returns_expired_slot(self, pinned):
         A = _operator()
         with ShardServer(config=_config(), max_workers=1) as server:

@@ -11,11 +11,20 @@ from repro.solvers import (
     FGMRESLevel,
     OuterFGMRES,
     RestartedFGMRES,
-    fgmres_cycle,
+    fgmres_cycle_batch,
 )
 from repro.sparse import residual_norm
 
 pytestmark = pytest.mark.tier1
+
+
+def _cycle(matrix, b, child, m, vec_prec, rel_tol=None, collect_residuals=None):
+    """One-column FGMRES cycle: ``(z, iterations, estimate)`` of column 0."""
+    z, iters, est = fgmres_cycle_batch(
+        matrix, np.asarray(b)[:, None], child, m, vec_prec,
+        rel_tol=None if rel_tol is None else np.array([rel_tol]),
+        collect_residuals=None if collect_residuals is None else [collect_residuals])
+    return z[:, 0], int(iters[0]), float(est[0])
 
 
 def _check_solution(matrix, result, b, tol=1e-7):
@@ -99,29 +108,29 @@ class TestBiCGStab:
 class TestFGMRESCycle:
     def test_solves_small_system_exactly(self, dd_matrix, rng):
         b = rng.standard_normal(dd_matrix.nrows)
-        z, iters, est = fgmres_cycle(dd_matrix, b, None, m=dd_matrix.nrows,
-                                     vec_prec=Precision.FP64, rel_tol=1e-12)
+        z, iters, est = _cycle(dd_matrix, b, None, m=dd_matrix.nrows,
+                               vec_prec=Precision.FP64, rel_tol=1e-12)
         assert np.linalg.norm(b - dd_matrix.to_dense() @ z) < 1e-8 * np.linalg.norm(b)
         assert iters <= dd_matrix.nrows
 
     def test_zero_rhs_returns_zero(self, dd_matrix):
-        z, iters, est = fgmres_cycle(dd_matrix, np.zeros(dd_matrix.nrows), None, m=5,
-                                     vec_prec=Precision.FP64)
+        z, iters, est = _cycle(dd_matrix, np.zeros(dd_matrix.nrows), None, m=5,
+                               vec_prec=Precision.FP64)
         assert iters == 0 and not z.any()
 
     def test_residual_estimate_decreases(self, dd_matrix, rng):
         b = rng.standard_normal(dd_matrix.nrows)
         residuals = []
-        fgmres_cycle(dd_matrix, b, None, m=20, vec_prec=Precision.FP64,
-                     collect_residuals=residuals)
+        _cycle(dd_matrix, b, None, m=20, vec_prec=Precision.FP64,
+               collect_residuals=residuals)
         assert residuals[-1] < residuals[0]
         assert all(residuals[i + 1] <= residuals[i] * (1 + 1e-10)
                    for i in range(len(residuals) - 1))
 
     def test_preconditioned_cycle_beats_unpreconditioned(self, spd_matrix, spd_rhs, spd_precond):
         m = spd_precond.astype("fp64")
-        _, _, est_plain = fgmres_cycle(spd_matrix, spd_rhs, None, m=10, vec_prec=Precision.FP64)
-        _, _, est_prec = fgmres_cycle(spd_matrix, spd_rhs, m, m=10, vec_prec=Precision.FP64)
+        _, _, est_plain = _cycle(spd_matrix, spd_rhs, None, m=10, vec_prec=Precision.FP64)
+        _, _, est_prec = _cycle(spd_matrix, spd_rhs, m, m=10, vec_prec=Precision.FP64)
         assert est_prec < est_plain
 
 

@@ -29,6 +29,12 @@ front-door core's request policy (the breaker, shed-victim choice and
 retry, in ``frontdoor.py``), the ring's result-slot handling
 (``isinstance(..., ExpiredRequest)``, in ``cluster.py``) and the one solve
 path (``.solve_batch(`` and ``.degraded_sibling(``, in ``executor.py``).
+
+It keeps one Krylov recurrence in ``src/repro/solvers/``
+(:data:`SOLVER_LIMITS`): no single-RHS ``def fgmres_cycle(`` exists beside
+the batch cycle, and the Gram-Schmidt kernel ``.orthonormalize(`` and the
+Richardson ``.weighted_update(`` each have at most one call site — the one
+Arnoldi loop and the one Richardson sweep.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ SERVE_DIR = SRC_DIR / "repro" / "serve"
 SERVING_MODULES = (*sorted(SERVE_DIR.glob("*.py")),
                    SRC_DIR / "repro" / "par" / "procpool.py")
 README = ROOT / "README.md"
+SOLVERS_DIR = SRC_DIR / "repro" / "solvers"
 
 #: a ``REPRO_*`` environment-variable name (``REPRO_*`` itself does not match)
 ENV_NAME_RE = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
@@ -105,6 +112,14 @@ SINGLE_DEFINITIONS = {
     ".degraded_sibling(": re.compile(r"\.degraded_sibling\("),
 }
 
+#: the one Krylov recurrence: how many matches each pattern may have across
+#: src/repro/solvers/*.py
+SOLVER_LIMITS = {
+    "def fgmres_cycle(": (re.compile(r"^def fgmres_cycle\(", re.MULTILINE), 0),
+    ".orthonormalize(": (re.compile(r"\.orthonormalize\("), 1),
+    ".weighted_update(": (re.compile(r"\.weighted_update\("), 1),
+}
+
 
 def documented_env_names() -> set[str]:
     """``REPRO_*`` names listed in README's environment-variable table."""
@@ -132,6 +147,18 @@ def duplicated_definitions() -> dict[str, list[str]]:
             if pattern.search(text):
                 found.setdefault(name, []).append(path.name)
     return {name: mods for name, mods in found.items() if len(mods) > 1}
+
+
+def solver_excess() -> dict[str, list[str]]:
+    """Solver patterns matched more often than :data:`SOLVER_LIMITS`
+    allows, with the module of every match."""
+    found: dict[str, list[str]] = {name: [] for name in SOLVER_LIMITS}
+    for path in sorted(SOLVERS_DIR.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for name, (pattern, _) in SOLVER_LIMITS.items():
+            found[name] += [path.name] * len(pattern.findall(text))
+    return {name: mods for name, mods in found.items()
+            if len(mods) > SOLVER_LIMITS[name][1]}
 
 
 def main() -> int:
@@ -173,11 +200,22 @@ def main() -> int:
         for name, modules in sorted(duplicated.items()):
             print(f"  {name}: {', '.join(modules)}", file=sys.stderr)
         status = 1
+    excess = solver_excess()
+    if excess:
+        print("lint-tests: src/repro/solvers/ holds a second Krylov "
+              "recurrence (one batch cycle and one Richardson sweep serve "
+              "every column count; see SOLVER_LIMITS):", file=sys.stderr)
+        for name, modules in sorted(excess.items()):
+            print(f"  {name}: {len(modules)} match(es), at most "
+                  f"{SOLVER_LIMITS[name][1]} allowed ({', '.join(modules)})",
+                  file=sys.stderr)
+        status = 1
     if status == 0:
         print(f"lint-tests: OK ({len(test_files)} test files, all tier-marked; "
               f"{len(REQUIRED_MODULES)} required suites present; "
               f"{len(used)} REPRO_* variables documented; "
-              f"{len(SINGLE_DEFINITIONS)} serving definitions unique)")
+              f"{len(SINGLE_DEFINITIONS)} serving definitions unique; "
+              f"one Krylov recurrence in solvers/)")
     return status
 
 
