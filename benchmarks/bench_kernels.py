@@ -6,7 +6,8 @@ triangular solve, and one FGMRES(m) cycle on a one-column block — on both
 registered backends, the fp16 level solve on subnormal-heavy input for a
 wide-level factor (staged through fp32 by the fast engine) and a
 one-row-per-level chain (direct), plus
-the batched kernels (CSR SpMM, batched trsm), a full ``solve_batch`` of
+the CSR product and the triangular solve on an ``(n, k)`` block against
+``k`` vector calls (rows ``spmm_csr`` and ``trsm``), a full ``solve_batch`` of
 the fp16-F3R solver against ``k`` sequential ``solve`` calls, and the
 matrix-free stencil applies (single + batched) against the assembled CSR
 kernels on the HPCG 27-point operator at a 64³ grid, and emits a
@@ -153,7 +154,9 @@ def bench_backend(problem, backend: str, repeats: int, m: int) -> dict[str, floa
 
 
 def bench_batched_kernels(problem, repeats: int, k: int = BATCH_K) -> dict[str, dict]:
-    """Batched-vs-looped timings of SpMM and trsm on the fast engine."""
+    """Block-vs-looped timings of the CSR product and the triangular solve
+    on the fast engine (one kernel call on ``(n, k)`` against ``k`` vector
+    calls; the rows keep their ``spmm_csr`` / ``trsm`` names)."""
     matrix = problem["matrix"]
     x_block = np.random.default_rng(1).uniform(-1.0, 1.0, (problem["n"], k))
     entries = {}

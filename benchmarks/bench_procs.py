@@ -5,7 +5,9 @@ matrix-free workload and reports, per process count in the sweep:
 
 * end-to-end throughput (requests/s) and wall time for the full workload,
 * the zero-copy picture — shm segments published, bytes shared, and how many
-  setups fell back to pickling (should be 0 for CSR/stencil traffic), and
+  setups fell back to pickling (should be 0 for CSR/stencil traffic),
+* batches per worker — every worker must run some (the workload's operators
+  are picked so each worker owns a fingerprint), and
 * bit-identity of every solution against the in-process
   :class:`~repro.serve.BatchDispatcher` reference (``max_workers=1`` — the
   deterministic configuration; see tests/test_procpool.py).
@@ -50,6 +52,7 @@ from repro.core import F3RConfig
 from repro.matgen import hpcg_matrix
 from repro.operators import AssembledOperator, StencilOperator
 from repro.serve import BatchDispatcher, ShardedGateway
+from repro.serve.gateway import route_fingerprint
 from repro.sparse import diagonal_scaling
 from repro.sparse.triangular import clear_levels_memo
 
@@ -62,17 +65,40 @@ BASELINE_PATH = Path(__file__).parent / "BENCH_procs_baseline.json"
 OUTPUT_PATH = Path(__file__).parent / "BENCH_procs.json"
 
 
-def _workload(hpcg_n: int, n_rhs: int):
-    """Mixed traffic: one assembled HPCG matrix + one matrix-free stencil."""
+def _operators(hpcg_n: int, sweep: list) -> list:
+    """One assembled HPCG matrix plus matrix-free 7-point stencils.
+
+    The gateway pins each fingerprint to one worker (rendezvous hashing), so
+    stencils with growing centre coefficients are added until every worker
+    of every swept process count owns at least one fingerprint — otherwise
+    some workers would sit idle and the sweep would measure fewer of them
+    than it names.
+    """
     A, _ = diagonal_scaling(hpcg_matrix(hpcg_n))
-    assembled = AssembledOperator(A)
+    operators = [AssembledOperator(A)]
     offsets = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                (0, 0, 1), (0, 0, -1)]
-    stencil = StencilOperator((hpcg_n,) * 3, offsets,
-                              [6.5, -1, -1, -1, -1, -1, -1])
+
+    def owned(op) -> set:
+        return {(p, route_fingerprint(op.fingerprint(), p)) for p in sweep}
+
+    missing = {(p, slot) for p in sweep for slot in range(p)} - owned(operators[0])
+    centre = 6.5
+    while missing:
+        stencil = StencilOperator((hpcg_n,) * 3, offsets,
+                                  [centre, -1, -1, -1, -1, -1, -1])
+        centre += 0.25
+        if owned(stencil) & missing:
+            operators.append(stencil)
+            missing -= owned(stencil)
+    return operators
+
+
+def _workload(operators: list, n_rhs: int):
+    """Mixed traffic cycling over ``operators``, one request per RHS."""
     rng = np.random.default_rng(2024)
-    return [((assembled if i % 2 == 0 else stencil),
-             rng.random(assembled.nrows if i % 2 == 0 else stencil.nrows))
+    return [(operators[i % len(operators)],
+             rng.random(operators[i % len(operators)].nrows))
             for i in range(n_rhs)]
 
 
@@ -98,7 +124,8 @@ def _run_gateway(pairs, config, procs, max_batch, repeats):
 
 def run(scale: str) -> dict:
     params = SCALES[scale]
-    pairs = _workload(params["hpcg_n"], params["n_rhs"])
+    operators = _operators(params["hpcg_n"], _procs_sweep())
+    pairs = _workload(operators, params["n_rhs"])
     config = F3RConfig(variant="fp16", backend="fast")
     n_rhs, max_batch = params["n_rhs"], params["max_batch"]
 
@@ -128,6 +155,9 @@ def run(scale: str) -> dict:
                 "bytes": procs_section["shm"]["bytes"],
             }
             entry["worker_batches"] = workers["batches"]
+            entry["batches_per_worker"] = {
+                name: member["server"].get("batches", 0)
+                for name, member in sorted(summary["cluster"]["members"].items())}
             entry["pickled_setups"] = workers["pickled_setups"]
         sweep[str(procs)] = entry
 
@@ -161,6 +191,7 @@ def run(scale: str) -> dict:
         "scale": scale,
         "cores": os.cpu_count() or 1,
         "n": pairs[0][0].nrows,
+        "operators": len(operators),
         "n_rhs": n_rhs,
         "max_batch": max_batch,
         "procs_sweep": sweep,
@@ -185,10 +216,18 @@ def check_regressions(report: dict, baseline: dict,
         failures.append("gateway results not bit-identical to the "
                         "in-process dispatcher")
     for procs, entry in report["procs_sweep"].items():
-        if entry.get("mode") == "process-pool" and entry["pickled_setups"]:
+        if entry.get("mode") != "process-pool":
+            continue
+        if entry["pickled_setups"]:
             failures.append(f"procs={procs}: {entry['pickled_setups']} "
                             f"setups fell back to pickling (zero-copy "
                             f"publish failed)")
+        idle = [name for name, batches in entry["batches_per_worker"].items()
+                if not batches]
+        if len(entry["batches_per_worker"]) != int(procs) or idle:
+            failures.append(f"procs={procs}: workers {idle} ran no batch "
+                            f"(per-worker batches "
+                            f"{entry['batches_per_worker']})")
     hits = report["warm_worker"]["worker_artifact_hits"]
     if not any(hits.values()):
         failures.append("fresh workers recorded no warm-from-artifact hits")
@@ -206,8 +245,9 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", choices=sorted(SCALES), default="smoke")
     parser.add_argument("--json", type=Path, default=OUTPUT_PATH)
     parser.add_argument("--check", action="store_true",
-                        help="fail on identity/zero-copy violations or a "
-                             ">2x procs=1 throughput regression vs baseline")
+                        help="fail on identity/zero-copy violations, an idle "
+                             "worker, or a >2x procs=1 throughput regression "
+                             "vs baseline")
     parser.add_argument("--baseline", type=Path, default=BASELINE_PATH)
     parser.add_argument("--write-baseline", action="store_true")
     args = parser.parse_args(argv)

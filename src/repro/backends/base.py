@@ -19,10 +19,14 @@ Both backends must preserve two contracts:
    bitwise.
 2. **Counter totals** — the bytes / flops / kernel-call totals recorded for a
    given logical operation are identical across backends; the ``fast`` backend
-   merely batches them into fewer ``record_*`` calls.  The batched multi-RHS
-   kernels (``spmm_csr``, ``spmm_ell``, ``trsm``) record exactly what ``k``
-   single-RHS calls would — per-column counter parity — so traffic-model
-   results are independent of whether solves were batched.
+   merely batches them into fewer ``record_*`` calls.
+
+Every kernel is one method for one and many right-hand sides: it takes a
+vector ``(n,)`` or a block ``(n, k)`` with one right-hand side per column.
+A block call equals ``k`` vector calls on its columns, bit for bit, and
+records exactly their counter totals — so results and traffic-model figures
+are independent of whether solves were batched.  :func:`column_loop` is that
+contract written as code; the ``reference`` oracle runs it on a block.
 
 To add a third backend (e.g. a CuPy/GPU one), subclass :class:`KernelBackend`,
 implement the abstract kernels, and register a factory with
@@ -38,8 +42,30 @@ import numpy as np
 from ..perf.counters import counters_enabled, record_bytes, record_flops, record_kernel
 from ..precision import BYTES_PER_INDEX, Precision, as_precision, precision_of_dtype, promote
 
-__all__ = ["KernelBackend", "ilu0_setup", "row_segment_sums", "segment_ramp",
-           "spmv_setup", "split_lower_upper"]
+__all__ = ["KernelBackend", "column_loop", "columns", "ilu0_setup", "per_row",
+           "row_segment_sums", "segment_ramp", "spmv_setup", "split_lower_upper"]
+
+
+def per_row(a: np.ndarray, ndim: int) -> np.ndarray:
+    """Per-row array ``a`` shaped to broadcast against an ``ndim``-D operand:
+    ``a`` itself for a vector, ``a[:, None]`` for an ``(n, k)`` block."""
+    return a if ndim == 1 else a[:, None]
+
+
+def columns(x: np.ndarray) -> int:
+    """Right-hand sides ``x`` carries: 1 for a vector, ``k`` for ``(n, k)``."""
+    return x.shape[1] if x.ndim == 2 else 1
+
+
+def column_loop(kernel, block: np.ndarray) -> np.ndarray:
+    """``kernel`` run on each column of an ``(n, k)`` block, stacked.
+
+    The per-column oracle of the kernel contract: a backend's block call
+    must equal this loop over its vector calls, bit for bit and counter for
+    counter.
+    """
+    return np.stack([kernel(np.ascontiguousarray(block[:, j]))
+                     for j in range(block.shape[1])], axis=1)
 
 
 def row_segment_sums(products: np.ndarray, indptr: np.ndarray,
@@ -143,7 +169,8 @@ class KernelBackend(abc.ABC):
     def spmv_csr(self, values: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
                  x: np.ndarray, out_precision=None, record: bool = True,
                  scratch=None, par=None) -> np.ndarray:
-        """``y = A @ x`` for CSR arrays; ``scratch`` is the matrix's workspace.
+        """``y = A @ x`` for CSR arrays and a vector or ``(n, k)`` block ``x``;
+        ``scratch`` is the matrix's workspace.
 
         ``par`` is the matrix's :class:`repro.par.ParState` (cached
         partitions + autotuned thread verdicts); backends that execute
@@ -154,49 +181,25 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def spmv_ell(self, ell, x: np.ndarray, out_precision=None,
                  record: bool = True) -> np.ndarray:
-        """``y = A @ x`` for a :class:`~repro.sparse.ell.SlicedEllMatrix`."""
-
-    # ------------------------------------------------------------------ #
-    # Batched (multi-RHS) sparse products
-    #
-    # The default implementations loop column by column over the single-RHS
-    # kernels and are therefore the batched *oracle*: a backend override must
-    # produce the same per-column results (up to summation-order tolerance)
-    # and record identical counter totals — one logical SpMV/trsv per column.
-    # ------------------------------------------------------------------ #
-    def spmm_csr(self, values: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-                 x: np.ndarray, out_precision=None, record: bool = True,
-                 scratch=None, par=None) -> np.ndarray:
-        """``Y = A @ X`` for CSR arrays and ``X`` of shape ``(n, k)``."""
-        cols = [self.spmv_csr(values, indices, indptr,
-                              np.ascontiguousarray(x[:, j]),
-                              out_precision=out_precision, record=record,
-                              scratch=scratch, par=par)
-                for j in range(x.shape[1])]
-        return np.stack(cols, axis=1)
-
-    def spmm_ell(self, ell, x: np.ndarray, out_precision=None,
-                 record: bool = True) -> np.ndarray:
-        """``Y = A @ X`` for a sliced-ELLPACK matrix and ``X`` of shape ``(n, k)``."""
-        cols = [self.spmv_ell(ell, np.ascontiguousarray(x[:, j]),
-                              out_precision=out_precision, record=record)
-                for j in range(x.shape[1])]
-        return np.stack(cols, axis=1)
+        """``y = A @ x`` for a :class:`~repro.sparse.ell.SlicedEllMatrix`
+        (``x`` a vector or an ``(n, k)`` block)."""
 
     # ------------------------------------------------------------------ #
     # Matrix-free stencil applies
     #
-    # The default single-RHS kernel is the loop-faithful oracle: it gathers
-    # each offset's products into the exact per-row, column-ordered slots of
-    # the assembled CSR product stream and reduces them with the same
+    # The default kernel is the loop-faithful oracle: it gathers each
+    # offset's products into the exact per-row, column-ordered slots of the
+    # assembled CSR product stream and reduces them with the same
     # ``row_segment_sums`` helper the CSR kernels use — so a stencil apply
     # on the oracle is bit-identical to the reference SpMV on the assembled
-    # matrix.  The batched default loops columns over the single-RHS kernel
-    # (the batched oracle); overrides must keep per-column counter parity.
+    # matrix.  A block runs the column loop.
     # ------------------------------------------------------------------ #
     def apply_stencil(self, op, x: np.ndarray, out_precision=None,
                       record: bool = True) -> np.ndarray:
         """``y = A @ x`` for a :class:`~repro.operators.StencilOperator`."""
+        if x.ndim == 2:
+            return column_loop(lambda xj: self.apply_stencil(
+                op, xj, out_precision=out_precision, record=record), x)
         mat_prec, vec_prec, compute, out_prec = spmv_setup(op.values.dtype, x.dtype,
                                                            out_precision)
         cdtype = compute.dtype
@@ -213,14 +216,6 @@ class KernelBackend(abc.ABC):
             self._record_stencil(mat_prec, vec_prec, out_prec, compute,
                                  op.nrows, op.nnz, op.npoints)
         return y
-
-    def apply_stencil_batch(self, op, x: np.ndarray, out_precision=None,
-                            record: bool = True) -> np.ndarray:
-        """``Y = A @ X`` for a stencil operator and ``X`` of shape ``(n, k)``."""
-        cols = [self.apply_stencil(op, np.ascontiguousarray(x[:, j]),
-                                   out_precision=out_precision, record=record)
-                for j in range(x.shape[1])]
-        return np.stack(cols, axis=1)
 
     # ------------------------------------------------------------------ #
     # Assembled-format preference (AssembledOperator auto-selection hook)
@@ -240,15 +235,8 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def trsv(self, factor, b: np.ndarray, out_precision=None,
              record: bool = True) -> np.ndarray:
-        """Solve ``T x = b`` for a prepared :class:`TriangularFactor`."""
-
-    def trsm(self, factor, b: np.ndarray, out_precision=None,
-             record: bool = True) -> np.ndarray:
-        """Solve ``T X = B`` for ``B`` of shape ``(n, k)`` (column-loop oracle)."""
-        cols = [self.trsv(factor, np.ascontiguousarray(b[:, j]),
-                          out_precision=out_precision, record=record)
-                for j in range(b.shape[1])]
-        return np.stack(cols, axis=1)
+        """Solve ``T x = b`` for a prepared :class:`TriangularFactor` (``b``
+        a vector or an ``(n, k)`` block)."""
 
     # ------------------------------------------------------------------ #
     # Fused solve-plan kernels
@@ -276,18 +264,6 @@ class KernelBackend(abc.ABC):
         return self.residual_update(y, ax, out_precision=out_precision,
                                     record=record, scratch=scratch)
 
-    def spmm_axpy(self, values: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-                  x: np.ndarray, y: np.ndarray, out_precision=None,
-                  record: bool = True, scratch=None, par=None) -> np.ndarray:
-        """Batched fused residual ``R = Y − A·X`` (column-loop oracle)."""
-        cols = [self.spmv_axpy(values, indices, indptr,
-                               np.ascontiguousarray(x[:, j]),
-                               np.ascontiguousarray(y[:, j]),
-                               out_precision=out_precision, record=record,
-                               scratch=scratch, par=par)
-                for j in range(x.shape[1])]
-        return np.stack(cols, axis=1)
-
     def residual_update(self, v: np.ndarray, az: np.ndarray, out_precision=None,
                         record: bool = True, scratch=None) -> np.ndarray:
         """``r = v − az`` with the axpy promotion/rounding/recording rules.
@@ -299,14 +275,6 @@ class KernelBackend(abc.ABC):
         from ..sparse import vectorops as vo
 
         return vo.axpy(-1.0, az, v, out_precision=out_precision, record=record)
-
-    def residual_update_batch(self, v: np.ndarray, az: np.ndarray,
-                              out_precision=None, record: bool = True,
-                              scratch=None) -> np.ndarray:
-        """``R = V − AZ`` column-wise (counter parity with ``k`` updates)."""
-        from ..sparse import vectorops as vo
-
-        return vo.axpy_block(-1.0, az, v, out_precision=out_precision, record=record)
 
     def weighted_update(self, z: np.ndarray, mr: np.ndarray, omega: float,
                         vec_prec: Precision, scratch=None,
@@ -320,8 +288,7 @@ class KernelBackend(abc.ABC):
         """
         from ..sparse import vectorops as vo
 
-        update = vo.axpy_block if mr.ndim == 2 else vo.axpy
-        return update(omega, mr, z, out_precision=vec_prec, record=record)
+        return vo.axpy(omega, mr, z, out_precision=vec_prec, record=record)
 
     def orthonormalize(self, basis: np.ndarray, j: int, w: np.ndarray,
                        vec_prec: Precision, scratch=None, record: bool = True):
@@ -379,22 +346,25 @@ class KernelBackend(abc.ABC):
     # ------------------------------------------------------------------ #
     @staticmethod
     def _record_spmv(mat_prec, vec_prec, out_prec, compute, n: int, nnz: int,
-                     index_bytes: int) -> None:
-        record_kernel("spmv")
-        record_bytes(mat_prec, nnz * mat_prec.bytes, index_bytes=index_bytes)
-        record_bytes(vec_prec, n * vec_prec.bytes)
-        record_bytes(out_prec, n * out_prec.bytes)
-        record_flops(compute, 2 * nnz)
+                     index_bytes: int, k: int = 1) -> None:
+        """Traffic of ``k`` SpMVs.  A block records its logical per-column
+        traffic; amortization shows up in wall-clock, not in the counters."""
+        record_kernel("spmv", k)
+        record_bytes(mat_prec, k * nnz * mat_prec.bytes, index_bytes=k * index_bytes)
+        record_bytes(vec_prec, k * n * vec_prec.bytes)
+        record_bytes(out_prec, k * n * out_prec.bytes)
+        record_flops(compute, k * 2 * nnz)
 
     @staticmethod
-    def _record_trsv(factor, vec_prec, out_prec, compute) -> None:
+    def _record_trsv(factor, vec_prec, out_prec, compute, k: int = 1) -> None:
+        """Traffic of ``k`` triangular solves."""
         nnz = factor.off_vals.size + (0 if factor.unit_diagonal else factor.nrows)
-        record_kernel("trsv")
-        record_bytes(factor.precision, nnz * factor.precision.bytes,
-                     index_bytes=factor.off_cols.size * BYTES_PER_INDEX)
-        record_bytes(vec_prec, factor.nrows * vec_prec.bytes)
-        record_bytes(out_prec, factor.nrows * out_prec.bytes)
-        record_flops(compute, 2 * factor.off_vals.size + 2 * factor.nrows)
+        record_kernel("trsv", k)
+        record_bytes(factor.precision, k * nnz * factor.precision.bytes,
+                     index_bytes=k * factor.off_cols.size * BYTES_PER_INDEX)
+        record_bytes(vec_prec, k * factor.nrows * vec_prec.bytes)
+        record_bytes(out_prec, k * factor.nrows * out_prec.bytes)
+        record_flops(compute, k * (2 * factor.off_vals.size + 2 * factor.nrows))
 
     @staticmethod
     def _record_stencil(mat_prec, vec_prec, out_prec, compute, n: int, nnz: int,
@@ -413,29 +383,6 @@ class KernelBackend(abc.ABC):
         record_bytes(vec_prec, k * n * vec_prec.bytes)
         record_bytes(out_prec, k * n * out_prec.bytes)
         record_flops(compute, k * 2 * nnz)
-
-    @staticmethod
-    def _record_spmm(mat_prec, vec_prec, out_prec, compute, n: int, nnz: int,
-                     index_bytes: int, k: int) -> None:
-        """Batched equivalent of ``k`` SpMVs: per-column counter parity with
-        the column-loop oracle (the traffic model counts logical per-column
-        traffic; amortization shows up in wall-clock, not in the counters)."""
-        record_kernel("spmv", k)
-        record_bytes(mat_prec, k * nnz * mat_prec.bytes, index_bytes=k * index_bytes)
-        record_bytes(vec_prec, k * n * vec_prec.bytes)
-        record_bytes(out_prec, k * n * out_prec.bytes)
-        record_flops(compute, k * 2 * nnz)
-
-    @staticmethod
-    def _record_trsm(factor, vec_prec, out_prec, compute, k: int) -> None:
-        """Batched equivalent of ``k`` triangular solves (per-column parity)."""
-        nnz = factor.off_vals.size + (0 if factor.unit_diagonal else factor.nrows)
-        record_kernel("trsv", k)
-        record_bytes(factor.precision, k * nnz * factor.precision.bytes,
-                     index_bytes=k * factor.off_cols.size * BYTES_PER_INDEX)
-        record_bytes(vec_prec, k * factor.nrows * vec_prec.bytes)
-        record_bytes(out_prec, k * factor.nrows * out_prec.bytes)
-        record_flops(compute, k * (2 * factor.off_vals.size + 2 * factor.nrows))
 
     @staticmethod
     def _record_axpy(px: Precision, py: Precision, out_prec: Precision,

@@ -22,11 +22,12 @@ passes:
 * **ILU(0)** keeps the (inherently sequential) elimination order but works on
   compact row segments with ``searchsorted`` intersections instead of
   scattering into size-``n`` pattern/work arrays for every row.
-* **Batched multi-RHS kernels** (``spmm_csr``, ``spmm_ell``, ``trsm``) stream
-  the matrix / the level schedule once over all ``k`` right-hand sides —
-  scipy's compiled CSR SpMM for fp32/fp64, gather-multiply-``reduceat`` on
-  ``(segment, k)`` blocks otherwise — instead of looping the single-RHS
-  kernels column by column as the base-class oracle does.
+* **One kernel per operation**: every product, solve and update takes a
+  vector or an ``(n, k)`` block.  A block streams the matrix / the level
+  schedule once over all ``k`` right-hand sides — scipy's compiled CSR SpMM
+  for fp32/fp64, gather-multiply-``reduceat`` on ``(segment, k)`` blocks
+  otherwise — bit-identical to ``k`` vector calls, column by column.
+  Per-row arrays get ``[:, None]`` only for a block, decided once per call.
 * **fp16** kernels stage through fp32 (:mod:`~repro.backends.halfvec`),
   bit-identical to the direct fp16 ufunc chains: SpMV/SpMM products are
   rounded to fp16 on the fp32 grid and summed in fp32, each row sum rounded
@@ -83,7 +84,9 @@ from ..precision import BYTES_PER_INDEX, Precision, as_precision, precision_of_d
 from . import halfvec
 from .base import (
     KernelBackend,
+    columns,
     ilu0_setup,
+    per_row,
     row_segment_sums,
     segment_ramp,
     split_lower_upper,
@@ -195,6 +198,15 @@ def _build_trsv_plan(factor) -> list[tuple]:
     return plan
 
 
+def _level_views(arrays: list, ndim: int) -> list:
+    """Per-level row arrays shaped for a vector (as cached) or an ``(n, k)``
+    block (``[:, None]`` views) — decided once per solve, outside the level
+    loop."""
+    if ndim == 1:
+        return arrays
+    return [None if a is None else a[:, None] for a in arrays]
+
+
 class FastBackend(KernelBackend):
     """Vectorized kernels with preallocated workspaces (the default engine)."""
 
@@ -211,18 +223,18 @@ class FastBackend(KernelBackend):
         kernel (scipy compiled / staged fp16 / generic gather), restricted
         per slab, so every output row is computed exactly as serially."""
         slabs = self._csr_slabs(par, indptr, nt)
-        y = np.zeros(n, dtype=cdtype)
+        y = np.zeros((n,) + x_c.shape[1:], dtype=cdtype)
         if _scipy_sparse is not None and np.dtype(cdtype) in _SCIPY_DTYPES:
             vals_c = scratch.cast("csr_values", values, cdtype)
-            par_kernels.csr_matvec_slabs(x_c.size, vals_c, indices, y, x_c, slabs)
+            par_kernels.scipy_slabs(x_c.shape[0], vals_c, indices, y,
+                                    np.ascontiguousarray(x_c), slabs)
         elif np.dtype(cdtype) == _HALF:
             vals32 = scratch.cast("csr_values_stage", values, _STAGE)
-            x32 = halfvec.upcast(x_c, scratch.get("spmv_x32", x_c.size, _STAGE),
-                                 scratch=scratch)
-            par_kernels.spmv_csr_slabs(vals32, indices, x32, y, slabs, staged=True)
+            x32 = halfvec.upcast(x_c, scratch.get("spmv_x32", x_c.shape, _STAGE))
+            par_kernels.gather_slabs(vals32, indices, x32, y, slabs, staged=True)
         else:
             vals_c = scratch.cast("csr_values", values, cdtype)
-            par_kernels.spmv_csr_slabs(vals_c, indices, x_c, y, slabs)
+            par_kernels.gather_slabs(vals_c, indices, x_c, y, slabs)
         return y
 
     def spmv_csr(self, values, indices, indptr, x, out_precision=None,
@@ -232,9 +244,10 @@ class FastBackend(KernelBackend):
         cdtype = compute.dtype
         n = indptr.size - 1
         nnz = values.size
+        tail = x.shape[1:]
         x_c = x if x.dtype == cdtype else x.astype(cdtype)
 
-        nt = (kernel_threads("spmv", nnz, par, rows=n)
+        nt = (kernel_threads("spmm" if tail else "spmv", nnz, par, rows=n)
               if par is not None and scratch is not None else 1)
         if (nt > 1 and np.dtype(cdtype) in _SCIPY_DTYPES
                 and _scipy_sparsetools is None):
@@ -242,101 +255,12 @@ class FastBackend(KernelBackend):
         if nt > 1:
             y = self._spmv_csr_slabbed(values, indices, indptr, x_c, cdtype, n,
                                        scratch, par, nt)
-            y = y.astype(out_prec.dtype, copy=False)
-            if record and counters_enabled():
-                self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, nnz,
-                                  nnz * BYTES_PER_INDEX + (n + 1) * BYTES_PER_INDEX)
-            return y
-
-        if (scratch is not None and _scipy_sparse is not None
+        elif (scratch is not None and _scipy_sparse is not None
                 and np.dtype(cdtype) in _SCIPY_DTYPES):
-            # scipy's compiled csr matvec: one fused pass, no product array.
-            # Accumulation runs in the compute dtype exactly like the reference
-            # (fused multiply-adds may differ in the last ulp).
-            vals_c = scratch.cast("csr_values", values, cdtype)
-            sp_mat = scratch.memo(
-                ("scipy_csr", np.dtype(cdtype)),
-                lambda: _scipy_sparse.csr_matrix((vals_c, indices, indptr),
-                                                 shape=(n, x.size)))
-            y = sp_mat @ x_c
-        elif scratch is not None and np.dtype(cdtype) == _HALF:
-            # fp16 staged through fp32: exact fp32 products (fp16 × fp16
-            # fits), each rounded to fp16 in place, fp32 row sums rounded
-            # once — bit-identical to fp16 products reduced by fp16 reduceat
-            vals32 = scratch.cast("csr_values_stage", values, _STAGE)
-            x32 = halfvec.upcast(x_c, scratch.get("spmv_x32", x_c.size, _STAGE),
-                                  scratch=scratch)
-            prods32 = scratch.get("spmv_prod32", nnz, _STAGE)
-            x32.take(indices, out=prods32)
-            np.multiply(prods32, vals32, out=prods32)
-            y = halfvec.segment_sums_round(prods32, indptr,
-                                           np.empty(n, dtype=cdtype),
-                                           scratch=scratch)
-        else:
-            if scratch is not None:
-                vals_c = scratch.cast("csr_values", values, cdtype)
-                prods = scratch.get("spmv_prod", nnz, cdtype)
-                np.take(x_c, indices, out=prods)
-                np.multiply(prods, vals_c, out=prods)
-            else:
-                vals_c = values if values.dtype == cdtype else values.astype(cdtype)
-                prods = vals_c * x_c[indices]
-            y = np.zeros(n, dtype=cdtype)
-            row_segment_sums(prods, indptr, y)
-        y = y.astype(out_prec.dtype, copy=False)
-
-        if record and counters_enabled():
-            self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, nnz,
-                              nnz * BYTES_PER_INDEX + (n + 1) * BYTES_PER_INDEX)
-        return y
-
-    # ------------------------------------------------------------------ #
-    def _spmm_csr_slabbed(self, values, indices, indptr, x_c, cdtype, n, k,
-                          scratch, par, nt):
-        """Thread-parallel CSR SpMM (slab analogue of the serial paths)."""
-        slabs = self._csr_slabs(par, indptr, nt)
-        y = np.zeros((n, k), dtype=cdtype)
-        if _scipy_sparse is not None and np.dtype(cdtype) in _SCIPY_DTYPES:
-            vals_c = scratch.cast("csr_values", values, cdtype)
-            par_kernels.csr_matvecs_slabs(x_c.shape[0], k, vals_c, indices, y,
-                                          np.ascontiguousarray(x_c), slabs)
-        elif np.dtype(cdtype) == _HALF:
-            vals32 = scratch.cast("csr_values_stage", values, _STAGE)
-            x32 = halfvec.upcast(x_c, scratch.get("spmm_x32", x_c.shape, _STAGE))
-            par_kernels.spmm_csr_slabs(vals32, indices, x32, y, slabs, staged=True)
-        else:
-            vals_c = scratch.cast("csr_values", values, cdtype)
-            par_kernels.spmm_csr_slabs(vals_c, indices, x_c, y, slabs)
-        return y
-
-    def spmm_csr(self, values, indices, indptr, x, out_precision=None,
-                 record=True, scratch=None, par=None):
-        mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
-                                                           out_precision)
-        cdtype = compute.dtype
-        n = indptr.size - 1
-        nnz = values.size
-        k = x.shape[1]
-        x_c = x if x.dtype == cdtype else x.astype(cdtype)
-
-        nt = (kernel_threads("spmm", nnz, par, rows=n)
-              if par is not None and scratch is not None else 1)
-        if (nt > 1 and np.dtype(cdtype) in _SCIPY_DTYPES
-                and _scipy_sparsetools is None):
-            nt = 1
-        if nt > 1:
-            y = self._spmm_csr_slabbed(values, indices, indptr, x_c, cdtype, n,
-                                       k, scratch, par, nt)
-            y = y.astype(out_prec.dtype, copy=False)
-            if record and counters_enabled():
-                self._record_spmm(mat_prec, vec_prec, out_prec, compute, n, nnz,
-                                  nnz * BYTES_PER_INDEX + (n + 1) * BYTES_PER_INDEX, k)
-            return y
-
-        if (scratch is not None and _scipy_sparse is not None
-                and np.dtype(cdtype) in _SCIPY_DTYPES):
-            # BLAS-3 shape: scipy's compiled CSR SpMM streams the matrix once
-            # over all k columns.
+            # scipy's compiled csr matvec / SpMM: one fused pass streaming the
+            # matrix once over all columns, no product array.  Accumulation
+            # runs in the compute dtype exactly like the reference (fused
+            # multiply-adds may differ in the last ulp).
             vals_c = scratch.cast("csr_values", values, cdtype)
             sp_mat = scratch.memo(
                 ("scipy_csr", np.dtype(cdtype)),
@@ -344,29 +268,34 @@ class FastBackend(KernelBackend):
                                                  shape=(n, x.shape[0])))
             y = sp_mat @ np.ascontiguousarray(x_c)
         elif scratch is not None and np.dtype(cdtype) == _HALF:
-            # staged fp16 product block (see spmv_csr): one fp32
-            # gather-multiply over all k columns, fp32 row sums along axis 0
+            # fp16 staged through fp32: exact fp32 products (fp16 × fp16
+            # fits), each rounded to fp16 in place, fp32 row sums rounded
+            # once — bit-identical to fp16 products reduced by fp16 reduceat
             vals32 = scratch.cast("csr_values_stage", values, _STAGE)
-            x32 = halfvec.upcast(x_c, scratch.get("spmm_x32", x_c.shape, _STAGE))
-            prods32 = scratch.get("spmm_prod32", (nnz, k), _STAGE)
+            x32 = halfvec.upcast(x_c, scratch.get("spmv_x32", x_c.shape, _STAGE))
+            prods32 = scratch.get("spmv_prod32", (nnz,) + tail, _STAGE)
             x32.take(indices, axis=0, out=prods32)
-            np.multiply(prods32, vals32[:, None], out=prods32)
+            np.multiply(prods32, per_row(vals32, x.ndim), out=prods32)
             y = halfvec.segment_sums_round(prods32, indptr,
-                                           np.empty((n, k), dtype=cdtype),
+                                           np.empty((n,) + tail, dtype=cdtype),
                                            scratch=scratch)
         else:
-            vals_c = (scratch.cast("csr_values", values, cdtype)
-                      if scratch is not None
-                      else values if values.dtype == cdtype
-                      else values.astype(cdtype))
-            prods = x_c[indices, :] * vals_c[:, None]
-            y = np.zeros((n, k), dtype=cdtype)
+            if scratch is not None:
+                vals_c = scratch.cast("csr_values", values, cdtype)
+                prods = scratch.get("spmv_prod", (nnz,) + tail, cdtype)
+                x_c.take(indices, axis=0, out=prods)
+                np.multiply(prods, per_row(vals_c, x.ndim), out=prods)
+            else:
+                vals_c = values if values.dtype == cdtype else values.astype(cdtype)
+                prods = x_c[indices] * per_row(vals_c, x.ndim)
+            y = np.zeros((n,) + tail, dtype=cdtype)
             row_segment_sums(prods, indptr, y)
         y = y.astype(out_prec.dtype, copy=False)
 
         if record and counters_enabled():
-            self._record_spmm(mat_prec, vec_prec, out_prec, compute, n, nnz,
-                              nnz * BYTES_PER_INDEX + (n + 1) * BYTES_PER_INDEX, k)
+            self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, nnz,
+                              nnz * BYTES_PER_INDEX + (n + 1) * BYTES_PER_INDEX,
+                              columns(x))
         return y
 
     # ------------------------------------------------------------------ #
@@ -374,6 +303,7 @@ class FastBackend(KernelBackend):
         mat_prec, vec_prec, compute, out_prec = spmv_setup(ell.values.dtype, x.dtype,
                                                            out_precision)
         cdtype = compute.dtype
+        tail = x.shape[1:]
         plan = ell._rm_plan
         if plan is None:
             plan = _build_ell_plan(ell)
@@ -394,96 +324,40 @@ class FastBackend(KernelBackend):
         x_c = x if x.dtype == cdtype else x.astype(cdtype)
         staged = np.dtype(cdtype) == _HALF
         if staged:
-            vals32 = _ell_stage_vals(ell, vals_rm)
+            # staged fp16 (see spmv_csr): exact fp32 gather-multiply, fp32
+            # row sums of the fp16-rounded products, rounded once
+            vals_rm = _ell_stage_vals(ell, vals_rm)
+            x_c = halfvec.upcast(x_c, scratch.get("spmv_x32", x_c.shape, _STAGE))
 
         st = par_state(ell)
-        nt = kernel_threads("spmv", order.size, st, rows=ell.nrows)
+        nt = kernel_threads("spmm" if tail else "spmv", order.size, st,
+                            rows=ell.nrows)
         if nt > 1:
             # slabbed over the row-major entry stream: same gather-multiply
             # (-round)-reduceat recipe per output row as the serial pass
             slabs = st.partition(("ell", nt),
                                  lambda: csr_partition(rm_indptr, nt))
-            y = np.zeros(ell.nrows, dtype=cdtype)
-            if staged:
-                x32 = halfvec.upcast(x_c,
-                                     scratch.get("spmv_x32", x_c.size, _STAGE),
-                                     scratch=scratch)
-                par_kernels.spmv_ell_slabs(vals32, cols_rm, x32, y, slabs, staged=True)
-            else:
-                par_kernels.spmv_ell_slabs(vals_rm, cols_rm, x_c, y, slabs)
-        elif staged:
-            # staged fp16 (see spmv_csr): exact fp32 gather-multiply, fp32
-            # row sums of the fp16-rounded products, rounded once
-            x32 = halfvec.upcast(x_c, scratch.get("spmv_x32", x_c.size, _STAGE),
-                                 scratch=scratch)
-            prods32 = scratch.get("spmv_prod32", order.size, _STAGE)
-            x32.take(cols_rm, out=prods32)
-            np.multiply(prods32, vals32, out=prods32)
-            y = halfvec.segment_sums_round(prods32, rm_indptr,
-                                           np.empty(ell.nrows, dtype=cdtype),
-                                           scratch=scratch)
+            y = np.zeros((ell.nrows,) + tail, dtype=cdtype)
+            par_kernels.gather_slabs(vals_rm, cols_rm, x_c, y, slabs,
+                                     staged=staged)
         else:
-            prods = scratch.get("spmv_prod", order.size, cdtype)
-            np.take(x_c, cols_rm, out=prods)
-            np.multiply(prods, vals_rm, out=prods)
-            y = np.zeros(ell.nrows, dtype=cdtype)
-            row_segment_sums(prods, rm_indptr, y)
+            prods = scratch.get("spmv_prod32" if staged else "spmv_prod",
+                                (order.size,) + tail, x_c.dtype)
+            x_c.take(cols_rm, axis=0, out=prods)
+            np.multiply(prods, per_row(vals_rm, x.ndim), out=prods)
+            if staged:
+                y = halfvec.segment_sums_round(
+                    prods, rm_indptr, np.empty((ell.nrows,) + tail, dtype=cdtype),
+                    scratch=scratch)
+            else:
+                y = np.zeros((ell.nrows,) + tail, dtype=cdtype)
+                row_segment_sums(prods, rm_indptr, y)
         y = y.astype(out_prec.dtype, copy=False)
 
         if record and counters_enabled():
             stored = ell.nnz
             self._record_spmv(mat_prec, vec_prec, out_prec, compute, ell.nrows,
-                              stored, stored * BYTES_PER_INDEX)
-        return y
-
-    # ------------------------------------------------------------------ #
-    def spmm_ell(self, ell, x, out_precision=None, record=True):
-        mat_prec, vec_prec, compute, out_prec = spmv_setup(ell.values.dtype, x.dtype,
-                                                           out_precision)
-        cdtype = compute.dtype
-        k = x.shape[1]
-        plan = ell._rm_plan
-        if plan is None:
-            plan = _build_ell_plan(ell)
-            ell._rm_plan = plan
-        vals_rm = ell._rm_vals.get(cdtype)
-        if vals_rm is None:
-            vals_rm = ell.values[plan["order"]].astype(cdtype, copy=False)
-            ell._rm_vals[cdtype] = vals_rm
-
-        x_c = x if x.dtype == cdtype else x.astype(cdtype)
-        staged = np.dtype(cdtype) == _HALF
-        if staged:
-            # staged fp16 block (see spmv_ell): the products and row sums
-            # run in fp32 over all k columns
-            scratch = ell.scratch()
-            vals_rm = _ell_stage_vals(ell, vals_rm)
-            x_c = halfvec.upcast(x_c, scratch.get("spmm_x32", x_c.shape, _STAGE))
-        st = par_state(ell)
-        nt = kernel_threads("spmm", ell.values.size, st, rows=ell.nrows)
-        if nt > 1:
-            slabs = st.partition(("ell", nt),
-                                 lambda: csr_partition(plan["rm_indptr"], nt))
-            y = np.zeros((ell.nrows, k), dtype=cdtype)
-            par_kernels.spmm_ell_slabs(vals_rm, plan["cols_rm"], x_c, y, slabs,
-                                       staged=staged)
-        elif staged:
-            prods32 = scratch.get("spmm_prod32", (vals_rm.size, k), _STAGE)
-            x_c.take(plan["cols_rm"], axis=0, out=prods32)
-            np.multiply(prods32, vals_rm[:, None], out=prods32)
-            y = halfvec.segment_sums_round(prods32, plan["rm_indptr"],
-                                           np.empty((ell.nrows, k), dtype=cdtype),
-                                           scratch=scratch)
-        else:
-            prods = x_c[plan["cols_rm"], :] * vals_rm[:, None]
-            y = np.zeros((ell.nrows, k), dtype=cdtype)
-            row_segment_sums(prods, plan["rm_indptr"], y)
-        y = y.astype(out_prec.dtype, copy=False)
-
-        if record and counters_enabled():
-            stored = ell.nnz
-            self._record_spmm(mat_prec, vec_prec, out_prec, compute, ell.nrows,
-                              stored, stored * BYTES_PER_INDEX, k)
+                              stored, stored * BYTES_PER_INDEX, columns(x))
         return y
 
     # ------------------------------------------------------------------ #
@@ -623,7 +497,7 @@ class FastBackend(KernelBackend):
                 np.add(dst, src, out=dst)
                 rounded = False
             else:
-                t = ws.get_rows("stencil_tap32_seg", dst.size, (), _STAGE)
+                t = ws.get("stencil_tap32_seg", dst.size, _STAGE)
                 np.multiply(src, w32, out=t)
                 halfvec.quantize32(t, scratch=ws)         # round the product
                 np.add(dst, t, out=dst)
@@ -772,8 +646,7 @@ class FastBackend(KernelBackend):
             elif v == 1.0:
                 np.add(acc, term, out=acc)
             else:
-                tmp = ws.get_rows("par_stencil_prod", term.size, (),
-                                  cdtype).reshape(term.shape)
+                tmp = ws.get("par_stencil_prod", term.shape, cdtype)
                 np.multiply(term, v, out=tmp)
                 np.add(acc, tmp, out=acc)
 
@@ -813,33 +686,18 @@ class FastBackend(KernelBackend):
         return y
 
     def apply_stencil(self, op, x, out_precision=None, record=True):
-        mat_prec, vec_prec, compute, out_prec = spmv_setup(op.values.dtype, x.dtype,
-                                                           out_precision)
-        cdtype = compute.dtype
-        x_c = np.ascontiguousarray(x, dtype=cdtype)
-        y = self._apply_stencil_separable(op, x_c, cdtype, 1)
-        if y is None:
-            y = self._apply_stencil_slabs(op, x_c, cdtype, 1)
-        y = y.astype(out_prec.dtype, copy=False)
-        if record and counters_enabled():
-            self._record_stencil(mat_prec, vec_prec, out_prec, compute,
-                                 op.nrows, op.nnz, op.npoints)
-        return y
-
-    def apply_stencil_batch(self, op, x, out_precision=None, record=True):
-        """Batched stencil apply: the ``k`` columns ride along as the
+        """Matrix-free apply; an ``(n, k)`` block's columns ride along as the
         fastest-varying axis of every slab/stream — the matrix-free analogue
-        of SpMM — with per-column counter parity and bit-identity between a
-        batched apply and ``k`` single applies."""
+        of SpMM — bit-identical to ``k`` vector applies."""
         mat_prec, vec_prec, compute, out_prec = spmv_setup(op.values.dtype, x.dtype,
                                                            out_precision)
         cdtype = compute.dtype
-        k = x.shape[1]
+        k = columns(x)
         x_c = np.ascontiguousarray(x, dtype=cdtype)
         y = self._apply_stencil_separable(op, x_c, cdtype, k)
         if y is None:
             y = self._apply_stencil_slabs(op, x_c, cdtype, k)
-        y = y.reshape(op.nrows, k).astype(out_prec.dtype, copy=False)
+        y = y.reshape(x.shape).astype(out_prec.dtype, copy=False)
         if record and counters_enabled():
             self._record_stencil(mat_prec, vec_prec, out_prec, compute,
                                  op.nrows, op.nnz, op.npoints, k)
@@ -912,8 +770,9 @@ class FastBackend(KernelBackend):
         return levels
 
     def _solve_levels_staged(self, factor, plan, stage_vals, level_inv, b16):
-        """Staged-fp16 level sweep (``trsv`` and, on ``(n, k)`` blocks,
-        ``trsm``); returns the fp32 solution in the factor's arena.
+        """Staged-fp16 level sweep; returns the fp32 solution in the
+        factor's arena.  The per-level arrays arrive shaped for ``b16`` (see
+        :func:`_level_views`).
 
         The solution stays in fp32 across levels.  Per level: gather from
         it, multiply by the fp32 level values (exact: fp16 × fp16 fits in
@@ -922,19 +781,16 @@ class FastBackend(KernelBackend):
         does — bit-identical to it (see :mod:`~repro.backends.halfvec`).
         """
         ws = factor.scratch()
-        batched = b16.ndim == 2
         x32 = ws.get("trsv_x32", b16.shape, _STAGE, zero=True)
         # level-size temporaries are fresh arrays: at these sizes numpy's
         # allocation is cheaper than an arena lookup
         for (rows, gather_idx, gather_cols, red_offsets, nonempty), lv32, inv in zip(
                 plan, stage_vals, level_inv):
-            if batched:
-                inv = inv[:, None]
             if gather_idx is None:
                 x32[rows] = b16[rows] * inv
                 continue
             prods = x32[gather_cols]
-            np.multiply(prods, lv32[:, None] if batched else lv32, out=prods)
+            np.multiply(prods, lv32, out=prods)
             halfvec.quantize32(prods)
             if nonempty is None:
                 sums = np.add.reduceat(prods, red_offsets, axis=0)
@@ -947,6 +803,10 @@ class FastBackend(KernelBackend):
         return x32
 
     def trsv(self, factor, b, out_precision=None, record=True):
+        """Level-scheduled substitution; an ``(n, k)`` block sweeps each level
+        once for all columns — the per-level index arithmetic and Python
+        overhead are amortized k-fold, and the gather/multiply/reduceat run
+        on ``(segment, k)`` blocks — bit-identical to ``k`` vector solves."""
         vec_prec = precision_of_dtype(b.dtype)
         compute = promote(factor.precision, vec_prec)
         out_prec = as_precision(out_precision) if out_precision is not None else vec_prec
@@ -954,84 +814,40 @@ class FastBackend(KernelBackend):
 
         plan, (level_vals, level_inv, stage_vals) = self._trsv_plan_and_vals(
             factor, cdtype)
-        par_levels = self._trsv_par_levels(factor, plan, "trsv")
+        par_levels = self._trsv_par_levels(factor, plan,
+                                           "trsv" if b.ndim == 1 else "trsm")
         b_c = b if b.dtype == cdtype else b.astype(cdtype)
+        level_inv = _level_views(level_inv, b.ndim)
 
         if stage_vals is not None and par_levels is None:
-            x = self._solve_levels_staged(factor, plan, stage_vals, level_inv, b_c)
+            x = self._solve_levels_staged(factor, plan,
+                                          _level_views(stage_vals, b.ndim),
+                                          level_inv, b_c)
             # fresh result (x is the arena's); fp16 values, so exact
             result = x.astype(out_prec.dtype)
-            if record and counters_enabled():
-                self._record_trsv(factor, vec_prec, out_prec, compute)
-            return result
+        else:
+            x = np.zeros(b.shape, dtype=cdtype)
+            for i, ((rows, gather_idx, gather_cols, red_offsets, nonempty), lv,
+                    inv) in enumerate(zip(plan, _level_views(level_vals, b.ndim),
+                                          level_inv)):
+                if par_levels is not None and par_levels[i] is not None:
+                    par_kernels.level_chunks(x, b_c, rows, gather_cols, lv, inv,
+                                             par_levels[i])
+                    continue
+                if gather_idx is None:
+                    x[rows] = b_c[rows] * inv
+                    continue
+                prods = lv * x[gather_cols]
+                if nonempty is None:
+                    sums = np.add.reduceat(prods, red_offsets)
+                else:
+                    sums = np.zeros((rows.size,) + b.shape[1:], dtype=cdtype)
+                    sums[nonempty] = np.add.reduceat(prods, red_offsets)
+                x[rows] = (b_c[rows] - sums) * inv
+            result = x.astype(out_prec.dtype, copy=False)
 
-        x = np.zeros(factor.nrows, dtype=cdtype)
-        for i, ((rows, gather_idx, gather_cols, red_offsets, nonempty), lv,
-                inv) in enumerate(zip(plan, level_vals, level_inv)):
-            if par_levels is not None and par_levels[i] is not None:
-                par_kernels.trsv_level_chunks(x, b_c, rows, gather_cols, lv,
-                                              inv, par_levels[i])
-                continue
-            if gather_idx is None:
-                x[rows] = b_c[rows] * inv
-                continue
-            prods = lv * x[gather_cols]
-            if nonempty is None:
-                sums = np.add.reduceat(prods, red_offsets)
-            else:
-                sums = np.zeros(rows.size, dtype=cdtype)
-                sums[nonempty] = np.add.reduceat(prods, red_offsets)
-            x[rows] = (b_c[rows] - sums) * inv
-
-        result = x.astype(out_prec.dtype, copy=False)
         if record and counters_enabled():
-            self._record_trsv(factor, vec_prec, out_prec, compute)
-        return result
-
-    # ------------------------------------------------------------------ #
-    def trsm(self, factor, b, out_precision=None, record=True):
-        vec_prec = precision_of_dtype(b.dtype)
-        compute = promote(factor.precision, vec_prec)
-        out_prec = as_precision(out_precision) if out_precision is not None else vec_prec
-        cdtype = compute.dtype
-        k = b.shape[1]
-
-        plan, (level_vals, level_inv, stage_vals) = self._trsv_plan_and_vals(
-            factor, cdtype)
-        par_levels = self._trsv_par_levels(factor, plan, "trsm")
-        b_c = b if b.dtype == cdtype else b.astype(cdtype)
-
-        if stage_vals is not None and par_levels is None:
-            x = self._solve_levels_staged(factor, plan, stage_vals, level_inv, b_c)
-            result = x.astype(out_prec.dtype)
-            if record and counters_enabled():
-                self._record_trsm(factor, vec_prec, out_prec, compute, k)
-            return result
-
-        # One level sweep serves all k columns: the per-level index arithmetic
-        # and Python overhead are amortized k-fold, and the gather/multiply/
-        # reduceat run on (segment, k) blocks instead of k separate vectors.
-        x = np.zeros((factor.nrows, k), dtype=cdtype)
-        for i, ((rows, gather_idx, gather_cols, red_offsets, nonempty), lv,
-                inv) in enumerate(zip(plan, level_vals, level_inv)):
-            if par_levels is not None and par_levels[i] is not None:
-                par_kernels.trsm_level_chunks(x, b_c, rows, gather_cols, lv,
-                                              inv, par_levels[i])
-                continue
-            if gather_idx is None:
-                x[rows] = b_c[rows] * inv[:, None]
-                continue
-            prods = x[gather_cols, :] * lv[:, None]
-            if nonempty is None:
-                sums = np.add.reduceat(prods, red_offsets)
-            else:
-                sums = np.zeros((rows.size, k), dtype=cdtype)
-                sums[nonempty] = np.add.reduceat(prods, red_offsets)
-            x[rows] = (b_c[rows] - sums) * inv[:, None]
-
-        result = x.astype(out_prec.dtype, copy=False)
-        if record and counters_enabled():
-            self._record_trsm(factor, vec_prec, out_prec, compute, k)
+            self._record_trsv(factor, vec_prec, out_prec, compute, columns(b))
         return result
 
     # ------------------------------------------------------------------ #
@@ -1097,9 +913,9 @@ class FastBackend(KernelBackend):
             def task(lo, hi):
                 ws = par_kernels.slab_workspace()
                 v32 = halfvec.upcast(
-                    v[lo:hi], ws.get_rows("par_resid_v32", hi - lo, tail, _STAGE))
+                    v[lo:hi], ws.get("par_resid_v32", (hi - lo,) + tail, _STAGE))
                 az32 = halfvec.upcast(
-                    az[lo:hi], ws.get_rows("par_resid_az32", hi - lo, tail, _STAGE))
+                    az[lo:hi], ws.get("par_resid_az32", (hi - lo,) + tail, _STAGE))
                 halfvec.binop_round(np.subtract, v32, az32, out16=r[lo:hi],
                                     scratch=ws)
         else:
@@ -1140,14 +956,8 @@ class FastBackend(KernelBackend):
             az_c = az if az.dtype == cdtype else az.astype(cdtype)
             r = np.subtract(v_c, az_c).astype(out_prec.dtype, copy=False)
         if record:
-            self._record_axpy(paz, pv, out_prec, compute, v.shape[0],
-                              v.shape[1] if v.ndim == 2 else 1)
+            self._record_axpy(paz, pv, out_prec, compute, v.shape[0], columns(v))
         return r
-
-    def residual_update_batch(self, v, az, out_precision=None, record=True,
-                              scratch=None):
-        return self.residual_update(v, az, out_precision=out_precision,
-                                    record=record, scratch=scratch)
 
     def weighted_update(self, z, mr, omega, vec_prec: Precision, scratch=None,
                         record=True):
@@ -1175,8 +985,7 @@ class FastBackend(KernelBackend):
                 z_c = z if z.dtype == cdtype else z.astype(cdtype)
                 result = (alpha_c * mr_c + z_c).astype(dtype, copy=False)
         if record:
-            self._record_axpy(pm, pz, vec_prec, compute, mr.shape[0],
-                              mr.shape[1] if mr.ndim == 2 else 1)
+            self._record_axpy(pm, pz, vec_prec, compute, mr.shape[0], columns(mr))
         return result
 
     def spmv_axpy(self, values, indices, indptr, x, y, out_precision=None,
@@ -1201,63 +1010,26 @@ class FastBackend(KernelBackend):
             return self.residual_update(y, ax, out_precision=out_precision,
                                         record=record, scratch=scratch)
         # one pass: r starts as a copy of y and scipy's compiled matvec
-        # accumulates (−A)·x into it — no intermediate product vector.
-        # Negated values are exact, so each row contributes −Σ aᵢⱼxⱼ with the
-        # usual reordering-tolerance agreement.
-        vals_c = scratch.cast("csr_values", values, cdtype)
-        neg_vals = scratch.memo(("csr_values_neg", np.dtype(cdtype)),
-                                lambda: -vals_c)
-        x_c = x if x.dtype == cdtype else x.astype(cdtype)
-        r = y.astype(cdtype, order="C", copy=True)
-        nt = kernel_threads("spmv", nnz, par, rows=n) if par is not None else 1
-        if nt > 1:
-            # same compiled accumulation per row slab (r rows are disjoint)
-            par_kernels.csr_matvec_slabs(x.size, neg_vals, indices, r, x_c,
-                                         self._csr_slabs(par, indptr, nt))
-        else:
-            _scipy_sparsetools.csr_matvec(n, x.size, indptr, indices, neg_vals,
-                                          x_c, r)
-        if record and counters_enabled():
-            self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, nnz,
-                              nnz * BYTES_PER_INDEX + (n + 1) * BYTES_PER_INDEX)
-            self._record_axpy(out_prec, precision_of_dtype(y.dtype), out_prec,
-                              promote(out_prec, precision_of_dtype(y.dtype)), n)
-        return r
-
-    def spmm_axpy(self, values, indices, indptr, x, y, out_precision=None,
-                  record=True, scratch=None, par=None):
-        mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
-                                                           out_precision)
-        cdtype = compute.dtype
-        n = indptr.size - 1
-        nnz = values.size
-        k = x.shape[1]
-        fusable = (scratch is not None and _scipy_sparse is not None
-                   and _scipy_sparsetools is not None
-                   and np.dtype(cdtype) in _SCIPY_DTYPES
-                   and out_prec.dtype == np.dtype(cdtype)
-                   and y.dtype == np.dtype(cdtype)
-                   and indptr.dtype == indices.dtype)
-        if not fusable:
-            az = self.spmm_csr(values, indices, indptr, x,
-                               out_precision=out_precision, record=record,
-                               scratch=scratch, par=par)
-            return self.residual_update_batch(y, az, out_precision=out_precision,
-                                              record=record, scratch=scratch)
+        # (matvecs on a block) accumulates (−A)·x into it — no intermediate
+        # product.  Negated values are exact, so each row contributes
+        # −Σ aᵢⱼxⱼ with the usual reordering-tolerance agreement.
         vals_c = scratch.cast("csr_values", values, cdtype)
         neg_vals = scratch.memo(("csr_values_neg", np.dtype(cdtype)),
                                 lambda: -vals_c)
         x_c = np.ascontiguousarray(x, dtype=cdtype)
         r = y.astype(cdtype, order="C", copy=True)
-        nt = kernel_threads("spmm", nnz, par, rows=n) if par is not None else 1
+        nt = (kernel_threads("spmv" if x.ndim == 1 else "spmm", nnz, par, rows=n)
+              if par is not None else 1)
         if nt > 1:
-            par_kernels.csr_matvecs_slabs(x.shape[0], k, neg_vals, indices, r,
-                                          x_c, self._csr_slabs(par, indptr, nt))
+            # same compiled accumulation per row slab (r rows are disjoint)
+            par_kernels.scipy_slabs(x.shape[0], neg_vals, indices, r, x_c,
+                                    self._csr_slabs(par, indptr, nt))
         else:
-            _scipy_sparsetools.csr_matvecs(n, x.shape[0], k, indptr, indices,
-                                           neg_vals, x_c.ravel(), r.ravel())
+            par_kernels.csr_accumulate(n, x.shape[0], indptr, indices, neg_vals,
+                                       x_c, r)
         if record and counters_enabled():
-            self._record_spmm(mat_prec, vec_prec, out_prec, compute, n, nnz,
+            k = columns(x)
+            self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, nnz,
                               nnz * BYTES_PER_INDEX + (n + 1) * BYTES_PER_INDEX, k)
             py = precision_of_dtype(y.dtype)
             self._record_axpy(out_prec, py, out_prec, promote(out_prec, py), n, k)

@@ -9,16 +9,15 @@ It records traffic at the same granularity the original code did: one
 reduced in slot order through the shared ``row_segment_sums``, exactly like
 a CSR row, so the oracle's answer does not depend on the storage format.
 
-The batched multi-RHS kernels (``spmm_csr``, ``spmm_ell``, ``trsm``) are
-inherited from :class:`~repro.backends.base.KernelBackend` unchanged: on this
-backend a batched call *is* the column-by-column loop over the single-RHS
-oracle kernels, which is exactly what the batched-vs-looped equivalence tests
-pin the ``fast`` engine against.  The matrix-free stencil kernels
-(``apply_stencil``/``apply_stencil_batch``) are likewise inherited: the base
-oracle materializes each offset's products in the assembled matrix's CSR
-slot order and reduces them with the shared ``row_segment_sums`` helper, so
-a stencil apply on this backend is bit-identical to the reference SpMV on
-the assembled twin.
+Every kernel takes a vector or an ``(n, k)`` block.  On this backend a block
+call *is* :func:`~repro.backends.base.column_loop` over the vector kernel —
+the per-column contract written as code, which the one-kernel equivalence
+sweep pins the ``fast`` engine against, bit for bit and counter for counter.
+The matrix-free stencil kernel is inherited from
+:class:`~repro.backends.base.KernelBackend`: the base oracle materializes
+each offset's products in the assembled matrix's CSR slot order and reduces
+them with the shared ``row_segment_sums`` helper, so a stencil apply on this
+backend is bit-identical to the reference SpMV on the assembled twin.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from ..precision import (
 from ..sparse import vectorops as vo
 from .base import (
     KernelBackend,
+    column_loop,
     ilu0_setup,
     row_segment_sums,
     segment_ramp,
@@ -70,6 +70,9 @@ class ReferenceBackend(KernelBackend):
                  record=True, scratch=None, par=None):
         # ``par`` (partition state) is part of the contract surface but the
         # reference oracle always runs serially
+        if x.ndim == 2:
+            return column_loop(lambda xj: self.spmv_csr(
+                values, indices, indptr, xj, out_precision, record), x)
         mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
                                                            out_precision)
         vals_c = values if values.dtype == compute.dtype else values.astype(compute.dtype)
@@ -88,6 +91,9 @@ class ReferenceBackend(KernelBackend):
 
     # ------------------------------------------------------------------ #
     def spmv_ell(self, ell, x, out_precision=None, record=True):
+        if x.ndim == 2:
+            return column_loop(lambda xj: self.spmv_ell(ell, xj, out_precision,
+                                                        record), x)
         mat_prec, vec_prec, compute, out_prec = spmv_setup(ell.values.dtype, x.dtype,
                                                            out_precision)
         vals = ell.values if ell.values.dtype == compute.dtype else ell.values.astype(compute.dtype)
@@ -122,6 +128,9 @@ class ReferenceBackend(KernelBackend):
 
     # ------------------------------------------------------------------ #
     def trsv(self, factor, b, out_precision=None, record=True):
+        if b.ndim == 2:
+            return column_loop(lambda bj: self.trsv(factor, bj, out_precision,
+                                                    record), b)
         vec_prec = precision_of_dtype(b.dtype)
         compute = promote(factor.precision, vec_prec)
         out_prec = as_precision(out_precision) if out_precision is not None else vec_prec

@@ -4,7 +4,7 @@ The hot paths of the solver stack (FGMRES cycles, Richardson sweeps, SpMV)
 used to reallocate every intermediate array on every call: the Krylov basis,
 the per-iteration correction vectors, the ``values * x[indices]`` product
 array of each SpMV.  A :class:`Workspace` is a small arena that hands out the
-same buffer for the same ``(name, shape, dtype)`` request, so a solver level
+same buffer for the same ``(name, dtype)`` request, so a solver level
 or a matrix can reuse its scratch storage across thousands of invocations.
 
 Ownership conventions:
@@ -13,7 +13,7 @@ Ownership conventions:
 * Each sparse matrix / triangular factor owns one workspace for its SpMV /
   substitution scratch, created lazily on the first fast-backend call.
 * Buffers returned by :meth:`get` are *transient*: they are valid until the
-  next ``get`` with the same key.  Kernels must never return an arena buffer
+  next ``get`` with the same name.  Kernels must never return an arena buffer
   to a caller — results are always freshly allocated.
 * :meth:`cast` caches a dtype-converted copy of a source array; it assumes the
   source is immutable after construction (true for all matrix values in this
@@ -34,6 +34,7 @@ Ownership conventions:
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -61,64 +62,54 @@ def _count_alloc() -> None:
 
 
 class Workspace:
-    """Arena of reusable scratch arrays keyed by ``(name, shape, dtype)``."""
+    """Arena of reusable scratch arrays keyed by ``(name, dtype)``."""
 
-    __slots__ = ("_buffers", "_casts", "_memos", "_rows", "alloc_count")
+    __slots__ = ("_buffers", "_casts", "_memos", "_views", "alloc_count")
 
     def __init__(self) -> None:
         self._buffers: dict = {}
         self._casts: dict = {}
         self._memos: dict = {}
-        self._rows: dict = {}
+        self._views: dict = {}
         #: fresh arena arrays created so far — a *stable* count after warm-up
         #: is what the allocation-regression tests assert (see
         #: ``tests/test_plans_alloc.py``)
         self.alloc_count: int = 0
 
     def get(self, name: str, shape, dtype, zero: bool = False) -> np.ndarray:
-        """Return a reusable buffer; contents are arbitrary unless ``zero``."""
+        """A reusable ``shape`` buffer; contents are arbitrary unless ``zero``.
+
+        The storage is keyed by ``(name, dtype)`` and its size is *capacity*,
+        not identity: the buffer is a flat array viewed as
+        ``[:size].reshape(shape)``, so a smaller request re-slices it and a
+        larger one grows it in place of the old.  One name therefore holds
+        one allocation whatever the batch width, slab size or deflated
+        column count — callers must not keep a view of a name across a
+        second request for it.  The hottest call sites request the same
+        shape on every iteration, so the last view of each name is cached
+        and returned as is.
+        """
         if not isinstance(shape, (tuple, list)):
             shape = (shape,)
-        # Key fast path: the hottest call sites request the same
-        # (shape, dtype) under one name on every iteration, so the canonical
-        # key — tuple of ints plus an np.dtype — is memoized per name instead
-        # of being rebuilt each call.  Memo keys are plain name strings; the
-        # other users of ``_memos`` (gather plans, scipy handles) key on
-        # tuples, so the namespaces cannot collide.
-        memo = self._memos.get(name)
-        if memo is not None and memo[0] == shape and memo[1] == dtype:
-            key = memo[2]
+        last = self._views.get(name)
+        if last is not None and last[0] == shape and last[1] == dtype:
+            view = last[2]
         else:
-            key = (name, tuple(int(s) for s in shape), np.dtype(dtype))
-            self._memos[name] = (shape, dtype, key)
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = np.zeros(key[1], dtype=key[2]) if zero else np.empty(key[1], dtype=key[2])
-            self._buffers[key] = buf
-            self.alloc_count += 1
-            _count_alloc()
-        elif zero:
-            buf.fill(0)
-        return buf
-
-    def get_rows(self, name: str, nrows: int, tail_shape, dtype) -> np.ndarray:
-        """A ``(nrows, *tail_shape)`` view of a buffer keyed by tail shape only.
-
-        Unlike :meth:`get`, the leading dimension is *capacity*, not identity:
-        requests with a smaller ``nrows`` reuse (a slice of) the same buffer,
-        and a larger request grows it in place of the old one.  Used by the
-        batched Krylov arenas, where deflation/restarts shrink the active
-        column count — keying on the full shape would retain one arena per
-        distinct count.
-        """
-        key = (name, tuple(int(s) for s in tail_shape), np.dtype(dtype))
-        buf = self._rows.get(key)
-        if buf is None or buf.shape[0] < nrows:
-            buf = np.empty((int(nrows),) + key[1], dtype=key[2])
-            self._rows[key] = buf
-            self.alloc_count += 1
-            _count_alloc()
-        return buf[:nrows]
+            dims = tuple(int(s) for s in shape)
+            dt = np.dtype(dtype)
+            size = math.prod(dims)
+            flat = self._buffers.get((name, dt))
+            if flat is None or flat.size < size:
+                flat = np.zeros(size, dtype=dt) if zero else np.empty(size, dtype=dt)
+                self._buffers[(name, dt)] = flat
+                self.alloc_count += 1
+                _count_alloc()
+                zero = False
+            view = flat[:size].reshape(dims)
+            self._views[name] = (shape, dtype, view)
+        if zero:
+            view.fill(0)
+        return view
 
     def cast(self, name: str, array: np.ndarray, dtype) -> np.ndarray:
         """A cached copy of ``array`` converted to ``dtype``.
@@ -139,11 +130,7 @@ class Workspace:
         return cached
 
     def memo(self, key, factory):
-        """Compute-once cache for derived arrays (gather plans, permutations).
-
-        Keys must be tuples (or anything that is not a plain string): string
-        keys are reserved for :meth:`get`'s per-name key memo.
-        """
+        """Compute-once cache for derived arrays (gather plans, permutations)."""
         value = self._memos.get(key)
         if value is None:
             value = factory()
@@ -155,14 +142,13 @@ class Workspace:
     def nbytes(self) -> int:
         """Total bytes currently held by the arena (buffers + cast caches)."""
         total = sum(b.nbytes for b in self._buffers.values())
-        total += sum(b.nbytes for b in self._rows.values())
         total += sum(c.nbytes for c in self._casts.values())
         total += sum(m.nbytes for m in self._memos.values() if hasattr(m, "nbytes"))
         return total
 
     def clear(self) -> None:
         self._buffers.clear()
-        self._rows.clear()
+        self._views.clear()
         self._casts.clear()
         self._memos.clear()
 

@@ -210,7 +210,7 @@ class F3RSolver:
 
         All right-hand sides share this solver's matrix casts, preconditioner
         factorization and level workspaces; the nested levels advance the
-        columns in lockstep so the hot kernels run batched (SpMM, trsm).  See
+        columns in lockstep so the hot kernels run on ``(n, k)`` blocks.  See
         :meth:`repro.solvers.OuterFGMRES.solve_batch`.  When recovery is
         active, poisoned or unconverged columns climb the escalation ladder
         individually (:func:`repro.core.recovery.recover_solve_batch`).

@@ -62,18 +62,15 @@ __all__ = [
     "maybe_net",
 ]
 
-#: kernel-method name -> fault site label
+#: kernel-method name -> fault site label.  Each kernel takes a vector or an
+#: ``(n, k)`` block, so one call counts once at its site whatever its width,
+#: and a fault poisons one entry of that call's output.
 _KERNEL_SITES = {
     "spmv_csr": "spmv",
-    "spmm_csr": "spmv",
     "spmv_ell": "spmv",
-    "spmm_ell": "spmv",
     "apply_stencil": "spmv",
-    "apply_stencil_batch": "spmv",
     "spmv_axpy": "spmv",
-    "spmm_axpy": "spmv",
     "trsv": "trsv",
-    "trsm": "trsv",
 }
 
 #: the active plan (process-global: dispatcher workers are other threads)

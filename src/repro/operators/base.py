@@ -17,8 +17,8 @@ The contract:
   coefficient and vector precisions exactly as for assembled matrices).
 * ``apply(x)`` / ``apply_batch(X)`` — the operator product, dispatched
   through the active kernel backend.  ``apply_batch`` defaults to a
-  column-by-column loop over ``apply`` (the batched oracle); implementations
-  with a genuinely batched kernel override it.
+  column-by-column loop over ``apply`` (the per-column oracle);
+  implementations whose kernel takes a block override it.
 * ``nnz_per_row`` — structural nonzeros per row, the ``cA`` input of the
   Section 4.1 cost model (exact for the shipped operators, an estimate in
   general).
@@ -44,6 +44,7 @@ import abc
 
 import numpy as np
 
+from ..backends.base import column_loop
 from ..precision import BYTES_PER_INDEX, Precision, as_precision, precision_of_dtype
 
 __all__ = ["LinearOperator", "as_operator"]
@@ -98,14 +99,12 @@ class LinearOperator(abc.ABC):
                     record: bool = True) -> np.ndarray:
         """``Y = A @ X`` for ``X`` of shape ``(ncols, k)``.
 
-        The default loops :meth:`apply` column by column (the batched
-        oracle); operators with a batched kernel override it with
-        bit-compatible, counter-parity semantics.
+        The default loops :meth:`apply` column by column (the per-column
+        oracle); operators with a block kernel override it with bit-identical,
+        counter-parity semantics.
         """
-        cols = [self.apply(np.ascontiguousarray(x[:, j]),
-                           out_precision=out_precision, record=record)
-                for j in range(x.shape[1])]
-        return np.stack(cols, axis=1)
+        return column_loop(lambda xj: self.apply(xj, out_precision=out_precision,
+                                                 record=record), x)
 
     # Aliases matching the assembled-matrix surface, so code written against
     # CSRMatrix (``matvec``/``matmat``/``@``) works on any operator.

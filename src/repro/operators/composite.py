@@ -58,7 +58,7 @@ class ShiftedOperator(LinearOperator):
         out = (as_precision(out_precision) if out_precision is not None
                else precision_of_dtype(x.dtype))
         y = self.base.apply_batch(x, out_precision=out_precision, record=record)
-        return vo.axpy_block(self.shift, x, y, out_precision=out, record=record)
+        return vo.axpy(self.shift, x, y, out_precision=out, record=record)
 
     def diagonal(self) -> np.ndarray:
         return self.base.diagonal() + self.shift

@@ -154,8 +154,8 @@ class StencilOperator(LinearOperator, ScratchOwner):
     def apply_batch(self, x: np.ndarray, out_precision: Precision | str | None = None,
                     record: bool = True) -> np.ndarray:
         x = self._validate_block(x)
-        return get_backend().apply_stencil_batch(self, x, out_precision=out_precision,
-                                                 record=record)
+        return get_backend().apply_stencil(self, x, out_precision=out_precision,
+                                           record=record)
 
     # ------------------------------------------------------------------ #
     # Geometry shared by the backend kernels

@@ -192,7 +192,19 @@ class SolvePlan:
 
     # ------------------------------------------------------------------ #
     def apply(self, x: np.ndarray, record: bool = True) -> np.ndarray:
-        """``y = A·x`` rounded to the plan's vector precision."""
+        """``y = A·x`` rounded to the plan's vector precision.
+
+        ``x`` is a vector or an ``(n, k)`` block with one right-hand side
+        per column.  A one-column block runs as a vector: the block kernels
+        cost more than the vector ones at ``k = 1``.
+        """
+        if x.ndim == 2 and x.shape[1] == 1:
+            return self._product(x[:, 0], record)[:, None]
+        return self._product(x, record)
+
+    apply_batch = apply
+
+    def _product(self, x: np.ndarray, record: bool) -> np.ndarray:
         kind = self.kind
         if kind == "csr":
             m = self._csr
@@ -208,69 +220,37 @@ class SolvePlan:
             return self.backend.apply_stencil(self._stencil, x,
                                               out_precision=self.vec_prec,
                                               record=record)
-        return self.operator.apply(x, out_precision=self.vec_prec,
-                                   record=record)
-
-    def apply_batch(self, x: np.ndarray, record: bool = True) -> np.ndarray:
-        """``Y = A·X`` for one RHS per column (a one-column block runs the
-        vector kernel)."""
-        if x.shape[1] == 1:
-            return self.apply(x[:, 0], record=record)[:, None]
-        kind = self.kind
-        if kind == "csr":
-            m = self._csr
-            return self.backend.spmm_csr(m.values, m.indices, m.indptr, x,
-                                         out_precision=self.vec_prec,
-                                         record=record, scratch=m.scratch(),
-                                         par=self.par)
-        if kind == "ell":
-            return self.backend.spmm_ell(self._ell, x,
-                                         out_precision=self.vec_prec,
-                                         record=record)
-        if kind == "stencil":
-            return self.backend.apply_stencil_batch(self._stencil, x,
-                                                    out_precision=self.vec_prec,
-                                                    record=record)
-        return self.operator.apply_batch(x, out_precision=self.vec_prec,
-                                         record=record)
+        apply = self.operator.apply if x.ndim == 1 else self.operator.apply_batch
+        return apply(x, out_precision=self.vec_prec, record=record)
 
     # ------------------------------------------------------------------ #
     def residual(self, v: np.ndarray, x: np.ndarray,
                  record: bool = True) -> np.ndarray:
-        """Fused residual update ``r = v − A·x``.
+        """Fused residual update ``r = v − A·x`` (vectors or ``(n, k)``
+        blocks; a one-column block runs as vectors, as in :meth:`apply`).
 
         CSR storage runs the one-pass ``spmv_axpy`` kernel; other storages
-        compose the bound apply with the backend's ``residual_update`` —
+        compose the bound product with the backend's ``residual_update`` —
         either way the rounding chain and counters match the unfused
         apply-then-axpy sequence.
         """
+        if x.ndim == 2 and x.shape[1] == 1:
+            return self._residual(v[:, 0], x[:, 0], record)[:, None]
+        return self._residual(v, x, record)
+
+    residual_batch = residual
+
+    def _residual(self, v: np.ndarray, x: np.ndarray, record: bool) -> np.ndarray:
         if self.kind == "csr":
             m = self._csr
             return self.backend.spmv_axpy(m.values, m.indices, m.indptr, x, v,
                                           out_precision=self.vec_prec,
                                           record=record, scratch=m.scratch(),
                                           par=self.par)
-        az = self.apply(x, record=record)
+        az = self._product(x, record)
         return self.backend.residual_update(v, az, out_precision=self.vec_prec,
                                             record=record,
                                             scratch=self.workspace())
-
-    def residual_batch(self, v: np.ndarray, x: np.ndarray,
-                       record: bool = True) -> np.ndarray:
-        """Batched fused residual ``R = V − A·X`` (a one-column block runs
-        the vector kernel)."""
-        if x.shape[1] == 1:
-            return self.residual(v[:, 0], x[:, 0], record=record)[:, None]
-        if self.kind == "csr":
-            m = self._csr
-            return self.backend.spmm_axpy(m.values, m.indices, m.indptr, x, v,
-                                          out_precision=self.vec_prec,
-                                          record=record, scratch=m.scratch(),
-                                          par=self.par)
-        az = self.apply_batch(x, record=record)
-        return self.backend.residual_update_batch(
-            v, az, out_precision=self.vec_prec, record=record,
-            scratch=self.workspace())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SolvePlan(kind={self.kind!r}, backend={self.backend.name!r}, "

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..backends.base import columns, per_row
 from ..perf.counters import record_bytes, record_flops, record_kernel
 from ..precision import Precision, as_precision, precision_of_dtype, promote
 from ..sparse import CSRMatrix, scale_diagonal_entries, split_triangular
@@ -138,13 +139,15 @@ class SDAINVPreconditioner(Preconditioner):
     def _apply(self, r: np.ndarray) -> np.ndarray:
         vec_prec = precision_of_dtype(r.dtype)
         compute = promote(self.precision, vec_prec)
+        k = columns(r)
         wt = self._zt if self.symmetric else self._wt
-        t = wt.matvec(r)                       # first SpMV
-        t = (t.astype(compute.dtype) * self._inv_d.astype(compute.dtype)).astype(r.dtype)
-        record_kernel("precond_ainv_scale")
-        record_bytes(self.precision, self._n * self.precision.bytes)
-        record_flops(compute, self._n)
-        z = self._z.matvec(t)                  # second SpMV
+        t = wt @ r                             # first SpMV
+        t = (t.astype(compute.dtype)
+             * per_row(self._inv_d.astype(compute.dtype), r.ndim)).astype(r.dtype)
+        record_kernel("precond_ainv_scale", k)
+        record_bytes(self.precision, k * self._n * self.precision.bytes)
+        record_flops(compute, k * self._n)
+        z = self._z @ t                        # second SpMV
         return z.astype(r.dtype, copy=False)
 
     def astype(self, precision: Precision | str) -> "SDAINVPreconditioner":

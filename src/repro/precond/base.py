@@ -33,30 +33,25 @@ class Preconditioner(abc.ABC):
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
     def _apply(self, r: np.ndarray) -> np.ndarray:
-        """Implementation hook: return ``M^{-1} r`` (no counting)."""
+        """Implementation hook: return ``M^{-1} r`` (no counting).
+
+        ``r`` is a vector or an ``(n, k)`` block with one residual per
+        column; a block's result equals ``k`` vector applications, column
+        by column, bit for bit, with their counter totals.
+        """
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Apply the preconditioner and count the invocation."""
         self.num_applications += 1
         return self._apply(np.asarray(r))
 
-    def _apply_batch(self, r: np.ndarray) -> np.ndarray:
-        """Implementation hook for ``M^{-1} R`` on ``R`` of shape ``(n, k)``.
-
-        The default loops :meth:`_apply` column by column; subclasses whose
-        kernels have a batched form (ILU(0) via trsm, Jacobi via broadcast)
-        override it.
-        """
-        cols = [self._apply(np.ascontiguousarray(r[:, j])) for j in range(r.shape[1])]
-        return np.stack(cols, axis=1)
-
     def apply_batch(self, r: np.ndarray) -> np.ndarray:
         """Apply the preconditioner to ``k`` residuals at once (one per column).
 
         Counts ``k`` invocations so the paper's Table 3 metric — primary
         preconditioner applications until convergence — is independent of
-        whether solves were batched.  A one-column block runs the vector
-        kernels (:meth:`_apply`).
+        whether solves were batched.  A one-column block runs as a vector:
+        the block kernels cost more than the vector ones at ``k = 1``.
         """
         r = np.asarray(r)
         if r.ndim != 2:
@@ -64,7 +59,7 @@ class Preconditioner(abc.ABC):
         self.num_applications += r.shape[1]
         if r.shape[1] == 1:
             return self._apply(r[:, 0])[:, None]
-        return self._apply_batch(r)
+        return self._apply(r)
 
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
@@ -103,9 +98,6 @@ class IdentityPreconditioner(Preconditioner):
         self._n = int(n)
 
     def _apply(self, r: np.ndarray) -> np.ndarray:
-        return r.astype(self.precision.dtype, copy=True)
-
-    def _apply_batch(self, r: np.ndarray) -> np.ndarray:
         return r.astype(self.precision.dtype, copy=True)
 
     def astype(self, precision: Precision | str) -> "IdentityPreconditioner":

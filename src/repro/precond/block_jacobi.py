@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..backends.base import columns
 from ..perf.counters import counters_enabled, record_kernel
 from ..precision import Precision, as_precision
 from ..sparse import BlockPartition, CSRMatrix, fuse_block_diagonal, partition_rows
 from .base import Preconditioner
-from .ilu0 import IC0Preconditioner, ILU0Preconditioner
+from .ilu0 import IC0Preconditioner, ILU0Preconditioner, ic0_solve
 
 __all__ = ["BlockJacobiILU0", "BlockJacobiIC0"]
 
@@ -59,40 +60,32 @@ class _BlockJacobiBase(Preconditioner):
 
     # ------------------------------------------------------------------ #
     def _apply(self, r: np.ndarray) -> np.ndarray:
-        if self.nblocks > 1:
-            # Single-RHS application runs on the fused block-diagonal factors
-            # too.  The blocks are independent, so the merged level schedule
-            # executes the same per-level arithmetic as a per-block loop —
-            # numerically identical — with one level sweep across all blocks.
-            return self._apply_fused_single(r, self._fused_parts())
-        # block preconditioners do their own traffic accounting; only the
-        # outer object counts as "one invocation of the primary M"
-        return self._blocks[0]._apply(r).astype(r.dtype, copy=False)
-
-    def _apply_batch(self, r: np.ndarray) -> np.ndarray:
-        # Batched application runs on *fused* block-diagonal factors: the
-        # blocks are mutually independent, so their dependency-level schedules
-        # merge (level i of every block solves together) and one level sweep
-        # serves all blocks and all k columns.  This is the emulation analogue
-        # of the paper's thread-per-block parallel execution — numerically
-        # identical to the per-block loop, exactly.
-        return self._apply_fused(r, self._fused_parts())
+        if self.nblocks == 1:
+            # the block does its own traffic accounting; only the outer
+            # object counts as "one invocation of the primary M"
+            return self._blocks[0]._apply(r).astype(r.dtype, copy=False)
+        # Application runs on *fused* block-diagonal factors: the blocks are
+        # mutually independent, so their dependency-level schedules merge
+        # (level i of every block solves together) and one level sweep serves
+        # all blocks and all columns.  This is the emulation analogue of the
+        # paper's thread-per-block parallel execution — numerically identical
+        # to the per-block loop, exactly.
+        z = self._apply_fused(r, self._fused_parts())
+        if counters_enabled():
+            # kernel-count parity with the per-block loop: the fused solves
+            # record one trsv per column per stage, the loop one per block;
+            # byte/flop totals already match (the fused factor is the
+            # blocks' union)
+            record_kernel("trsv", 2 * (self.nblocks - 1) * columns(r))
+        return z
 
     def _fused_parts(self):
-        """Fused block-diagonal factors, built lazily on the first batched
+        """Fused block-diagonal factors, built lazily on the first
         application (idempotent: a concurrent duplicate build is identical)."""
         fused = self._fused
         if fused is None:
             fused = self._fused = self._build_fused()
         return fused
-
-    def _record_fused_trsv_calls(self, k: int) -> None:
-        """Kernel-count parity with the per-block loop: the fused solves
-        record one trsv per column per stage; the loop records one per block.
-        Byte/flop totals already match (the fused factor is the blocks'
-        union), so only the call counts need topping up."""
-        if counters_enabled() and self.nblocks > 1:
-            record_kernel("trsv", 2 * (self.nblocks - 1) * k)
 
     def astype(self, precision: Precision | str):
         p = as_precision(precision)
@@ -122,16 +115,7 @@ class BlockJacobiILU0(_BlockJacobiBase):
 
     def _apply_fused(self, r: np.ndarray, fused) -> np.ndarray:
         lower, upper = fused
-        y = lower.solve_batch(r)
-        z = upper.solve_batch(y)
-        self._record_fused_trsv_calls(r.shape[1])
-        return z
-
-    def _apply_fused_single(self, r: np.ndarray, fused) -> np.ndarray:
-        lower, upper = fused
-        z = upper.solve(lower.solve(r))
-        self._record_fused_trsv_calls(1)
-        return z
+        return upper.solve(lower.solve(r))
 
 
 class BlockJacobiIC0(_BlockJacobiBase):
@@ -147,20 +131,4 @@ class BlockJacobiIC0(_BlockJacobiBase):
 
     def _apply_fused(self, r: np.ndarray, fused) -> np.ndarray:
         lower, upper_t, inv_diag = fused
-        vec_dtype = r.dtype
-        y = lower.solve_batch(r)
-        y = (y.astype(np.result_type(y.dtype, inv_diag.dtype))
-             * inv_diag[:, None]).astype(vec_dtype, copy=False)
-        z = upper_t.solve_batch(y)
-        self._record_fused_trsv_calls(r.shape[1])
-        return z
-
-    def _apply_fused_single(self, r: np.ndarray, fused) -> np.ndarray:
-        lower, upper_t, inv_diag = fused
-        vec_dtype = r.dtype
-        y = lower.solve(r)
-        y = (y.astype(np.result_type(y.dtype, inv_diag.dtype))
-             * inv_diag).astype(vec_dtype, copy=False)
-        z = upper_t.solve(y)
-        self._record_fused_trsv_calls(1)
-        return z
+        return ic0_solve(lower, inv_diag, upper_t, r)

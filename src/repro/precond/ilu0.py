@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..backends import get_backend
+from ..backends.base import per_row
 from ..precision import Precision, as_precision
 from ..sparse import CSRMatrix, TriangularFactor
 from .base import Preconditioner
@@ -100,6 +101,17 @@ def _factors_from_arrays(arrays: dict, n: int) -> tuple[CSRMatrix, CSRMatrix] | 
     return lower, upper
 
 
+def ic0_solve(lower: TriangularFactor, inv_diag: np.ndarray,
+              upper_t: TriangularFactor, r: np.ndarray) -> np.ndarray:
+    """``L^{-T} D^{-1} L^{-1} r`` for a vector or an ``(n, k)`` block ``r``:
+    the two substitutions with the diagonal scaling between them, rounded
+    back to ``r``'s dtype (shared by IC(0) and its block-Jacobi fusion)."""
+    y = lower.solve(r)
+    y = (y.astype(np.result_type(y.dtype, inv_diag.dtype))
+         * per_row(inv_diag, r.ndim)).astype(r.dtype, copy=False)
+    return upper_t.solve(y)
+
+
 class ILU0Preconditioner(Preconditioner):
     """ILU(0) preconditioner: ``M^{-1} r = U^{-1} (L^{-1} r)``.
 
@@ -129,12 +141,7 @@ class ILU0Preconditioner(Preconditioner):
         return obj
 
     def _apply(self, r: np.ndarray) -> np.ndarray:
-        y = self._lower.solve(r)
-        return self._upper.solve(y)
-
-    def _apply_batch(self, r: np.ndarray) -> np.ndarray:
-        y = self._lower.solve_batch(r)
-        return self._upper.solve_batch(y)
+        return self._upper.solve(self._lower.solve(r))
 
     def astype(self, precision: Precision | str) -> "ILU0Preconditioner":
         p = as_precision(precision)
@@ -191,18 +198,7 @@ class IC0Preconditioner(Preconditioner):
         return obj
 
     def _apply(self, r: np.ndarray) -> np.ndarray:
-        vec_dtype = r.dtype
-        y = self._lower.solve(r)
-        y = (y.astype(np.result_type(y.dtype, self._inv_diag.dtype))
-             * self._inv_diag).astype(vec_dtype, copy=False)
-        return self._upper_t.solve(y)
-
-    def _apply_batch(self, r: np.ndarray) -> np.ndarray:
-        vec_dtype = r.dtype
-        y = self._lower.solve_batch(r)
-        y = (y.astype(np.result_type(y.dtype, self._inv_diag.dtype))
-             * self._inv_diag[:, None]).astype(vec_dtype, copy=False)
-        return self._upper_t.solve_batch(y)
+        return ic0_solve(self._lower, self._inv_diag, self._upper_t, r)
 
     def astype(self, precision: Precision | str) -> "IC0Preconditioner":
         p = as_precision(precision)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..backends import halfvec
+from ..backends.base import columns, per_row
 from ..backends.workspace import ScratchOwner
 from ..perf.counters import record_bytes, record_flops, record_kernel
 from ..precision import Precision, as_precision, precision_of_dtype, promote
@@ -70,27 +71,14 @@ class JacobiPreconditioner(Preconditioner, ScratchOwner):
             inv32 = self._cast_inv(halfvec.STAGE)
             r32 = halfvec.upcast(r, ws.get("jacobi_r32", r.shape, halfvec.STAGE),
                                  scratch=ws)
-            scale = inv32 if r.ndim == 1 else inv32[:, None]
-            return halfvec.binop_round(np.multiply, r32, scale, scratch=ws)
-        inv = self._cast_inv(cdtype)
-        if r.ndim == 2:
-            inv = inv[:, None]
-        return r.astype(cdtype, copy=False) * inv
+            return halfvec.binop_round(np.multiply, r32, per_row(inv32, r.ndim),
+                                       scratch=ws)
+        return r.astype(cdtype, copy=False) * per_row(self._cast_inv(cdtype), r.ndim)
 
     def _apply(self, r: np.ndarray) -> np.ndarray:
         vec_prec = precision_of_dtype(r.dtype)
         compute = promote(self.precision, vec_prec)
-        z = self._scaled(r, compute)
-        record_kernel("precond_jacobi")
-        record_bytes(self.precision, self._n * self.precision.bytes)
-        record_bytes(vec_prec, 2 * self._n * vec_prec.bytes)
-        record_flops(compute, self._n)
-        return z.astype(vec_prec.dtype, copy=False)
-
-    def _apply_batch(self, r: np.ndarray) -> np.ndarray:
-        vec_prec = precision_of_dtype(r.dtype)
-        compute = promote(self.precision, vec_prec)
-        k = r.shape[1]
+        k = columns(r)
         z = self._scaled(r, compute)
         record_kernel("precond_jacobi", k)
         record_bytes(self.precision, k * self._n * self.precision.bytes)

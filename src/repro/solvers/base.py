@@ -44,8 +44,8 @@ class InnerSolver(abc.ABC):
         """Approximately solve ``A Z = V`` for ``V`` of shape ``(n, k)``.
 
         The columns advance in lockstep through the level's one recurrence,
-        so the hot kernels run as SpMM / trsm (a one-column block runs the
-        vector kernels).
+        so the hot kernels run on ``(n, k)`` blocks (a one-column block runs
+        them on vectors).
         """
 
     def apply(self, v: np.ndarray) -> np.ndarray:

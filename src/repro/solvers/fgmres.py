@@ -173,12 +173,12 @@ def fgmres_cycle_batch(matrix, rhs: np.ndarray, child, m: int, vec_prec: Precisi
     # columns reuse the same storage and a warm cycle allocates no arena
     # arrays.  Deflation compacts the active columns into the leading rows,
     # so the hot loop works on contiguous prefixes.
-    basis = ws.get_rows("krylov_basis_batch", k, (m + 1, n), dtype)
-    z_vectors = ws.get_rows("krylov_corrections_batch", k, (m, n), dtype)
-    hessenberg = ws.get_rows("fgmres_hessenberg_batch", k, (m + 1, m), dtype)
-    cs = ws.get_rows("fgmres_cs_batch", k, (m,), dtype)
-    sn = ws.get_rows("fgmres_sn_batch", k, (m,), dtype)
-    g = ws.get_rows("fgmres_g_batch", k, (m + 1,), dtype)
+    basis = ws.get("krylov_basis_batch", (k, m + 1, n), dtype)
+    z_vectors = ws.get("krylov_corrections_batch", (k, m, n), dtype)
+    hessenberg = ws.get("fgmres_hessenberg_batch", (k, m + 1, m), dtype)
+    cs = ws.get("fgmres_cs_batch", (k, m), dtype)
+    sn = ws.get("fgmres_sn_batch", (k, m), dtype)
+    g = ws.get("fgmres_g_batch", (k, m + 1), dtype)
     for state in (hessenberg, cs, sn, g):
         state.fill(0)
     for pos, col in enumerate(cols):
@@ -201,7 +201,7 @@ def fgmres_cycle_batch(matrix, rhs: np.ndarray, child, m: int, vec_prec: Precisi
                 if event.columns is not None:
                     event.columns = [cols[c] for c in event.columns if c < ka]
                 raise
-        zj = vo.cast_block(block, vec_prec)
+        zj = vo.cast_vector(block, vec_prec)
         z_vectors[:ka, j, :] = zj.T
         w = np.ascontiguousarray(plan.apply_batch(zj).T)        # (ka, n)
 
@@ -312,7 +312,7 @@ class FGMRESLevel(InnerSolver):
         # convergence check, so the lockstep cycle is column-for-column the
         # recurrence of k one-column applies.
         vec_prec = self.precisions.vector
-        v_level = vo.cast_block(np.asarray(v), vec_prec)
+        v_level = vo.cast_vector(np.asarray(v), vec_prec)
         z, _, _ = fgmres_cycle_batch(self.matrix, v_level, self.child, self.m,
                                      vec_prec, workspace=self._workspace.workspace,
                                      plan=self._plan())
@@ -482,7 +482,7 @@ class OuterFGMRES:
                 r = b_block[:, act]
             else:
                 r = plan64.residual_batch(b_block[:, act], x_act, record=False)
-            r_level = vo.cast_block(r, vec_prec)
+            r_level = vo.cast_vector(r, vec_prec)
             r_norm = [float(np.linalg.norm(row)) for row in np.ascontiguousarray(r.T)]
             level_norm = [float(np.linalg.norm(row)) or 1.0
                           for row in np.ascontiguousarray(r_level.T)]

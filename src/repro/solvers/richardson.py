@@ -86,7 +86,6 @@ class RichardsonLevel(InnerSolver):
         self.weights = np.full(self.m, float(weight), dtype=np.float64)
         self.call_count = 0          # cntr in Algorithm 1 (number of completed calls)
         self.update_count = 0        # l in Eq. (5)
-        self.weight_history: list[np.ndarray] = []
         # compiled plans (per backend) and fused-sweep scratch (per thread)
         self._plans: dict = {}
         self._workspace = ThreadLocalWorkspace()
@@ -105,7 +104,6 @@ class RichardsonLevel(InnerSolver):
         self.weights.fill(1.0)
         self.call_count = 0
         self.update_count = 0
-        self.weight_history.clear()
 
     def _level_plans(self):
         """``(level plan, weight-precision plan)`` on the active backend."""
@@ -146,7 +144,7 @@ class RichardsonLevel(InnerSolver):
         backend = plan.backend
         ws = self._workspace.workspace
 
-        v_level = vo.cast_block(v, vec_prec)
+        v_level = vo.cast_vector(v, vec_prec)
         z = np.zeros(v_level.shape, dtype=vec_prec.dtype)
         r = v_level                          # r_0 = v because z_0 = 0
 
@@ -157,14 +155,14 @@ class RichardsonLevel(InnerSolver):
                 r = plan.residual_batch(v_level, z)
 
             mr = self.preconditioner.apply_batch(r)
-            mr = vo.cast_block(mr, vec_prec)
+            mr = vo.cast_vector(mr, vec_prec)
 
             if refresh:
                 # ω'_k computed in fp32: one extra product and two dot
                 # products per column
                 amr = np.ascontiguousarray(
-                    plan_wp.apply_batch(vo.cast_block(mr, wp)).T)
-                r32 = np.ascontiguousarray(vo.cast_block(r, wp).T)
+                    plan_wp.apply_batch(vo.cast_vector(mr, wp)).T)
+                r32 = np.ascontiguousarray(vo.cast_vector(r, wp).T)
                 denom = np.array([vo.dot(col, col) for col in amr])
                 numer = np.array([vo.dot(rc, col) for rc, col in zip(r32, amr)])
                 if guards_enabled() and not (np.all(np.isfinite(denom))
@@ -189,7 +187,6 @@ class RichardsonLevel(InnerSolver):
 
         if refresh:
             self.update_count += 1
-            self.weight_history.append(self.weights.copy())
         self.call_count = cntr_end
         return z
 

@@ -136,9 +136,15 @@ class CSRMatrix(ScratchOwner):
     # ------------------------------------------------------------------ #
     def matvec(self, x: np.ndarray, out_precision: Precision | str | None = None,
                record: bool = True) -> np.ndarray:
-        """Sparse matrix-vector product ``A @ x`` with precision emulation."""
+        """Sparse product ``A @ x`` with precision emulation.
+
+        ``x`` is a vector or an ``(ncols, k)`` block with one right-hand side
+        per column; the active backend's kernel streams the matrix once over
+        all columns (the ``fast`` engine) or loops the columns
+        (``reference``), bit-identical to ``k`` vector products either way.
+        """
         x = np.asarray(x)
-        if x.shape != (self.ncols,):
+        if x.ndim not in (1, 2) or x.shape[0] != self.ncols:
             raise ValueError(f"dimension mismatch: A is {self.shape}, x has shape {x.shape}")
         return get_backend().spmv_csr(self.values, self.indices, self.indptr, x,
                                       out_precision=out_precision, record=record,
@@ -146,18 +152,11 @@ class CSRMatrix(ScratchOwner):
 
     def matmat(self, x: np.ndarray, out_precision: Precision | str | None = None,
                record: bool = True) -> np.ndarray:
-        """Batched product ``A @ X`` for ``X`` of shape ``(ncols, k)``.
-
-        One column per right-hand side; the active backend's SpMM kernel
-        streams the matrix once over all columns (the ``fast`` engine) or
-        loops the SpMV oracle column by column (``reference``).
-        """
+        """Batched product ``A @ X`` for ``X`` of shape ``(ncols, k)``."""
         x = np.asarray(x)
-        if x.ndim != 2 or x.shape[0] != self.ncols:
+        if x.ndim != 2:
             raise ValueError(f"dimension mismatch: A is {self.shape}, X has shape {x.shape}")
-        return get_backend().spmm_csr(self.values, self.indices, self.indptr, x,
-                                      out_precision=out_precision, record=record,
-                                      scratch=self.scratch(), par=par_state(self))
+        return self.matvec(x, out_precision=out_precision, record=record)
 
     # Operator-contract aliases: a CSRMatrix satisfies the
     # :class:`repro.operators.LinearOperator` surface structurally, so the
@@ -172,8 +171,7 @@ class CSRMatrix(ScratchOwner):
         return self.matmat(x, out_precision=out_precision, record=record)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        return self.matmat(x) if x.ndim == 2 else self.matvec(x)
+        return self.matvec(x)
 
     def rmatvec(self, x: np.ndarray, record: bool = True) -> np.ndarray:
         """Transpose product ``A.T @ x`` (used by AINV construction and tests)."""

@@ -158,13 +158,14 @@ class SlicedEllMatrix(ScratchOwner):
     # ------------------------------------------------------------------ #
     def matvec(self, x: np.ndarray, out_precision: Precision | str | None = None,
                record: bool = True) -> np.ndarray:
-        """y = A @ x using the sliced-ELLPACK layout.
+        """y = A @ x using the sliced-ELLPACK layout (``x`` a vector or an
+        ``(ncols, k)`` block, one right-hand side per column).
 
         Traffic accounting includes the padded entries — the whole point of
         modelling this format for the GPU experiments.
         """
         x = np.asarray(x)
-        if x.shape != (self.ncols,):
+        if x.ndim not in (1, 2) or x.shape[0] != self.ncols:
             raise ValueError("dimension mismatch in sliced-ELLPACK matvec")
         return get_backend().spmv_ell(self, x, out_precision=out_precision,
                                       record=record)
@@ -173,10 +174,9 @@ class SlicedEllMatrix(ScratchOwner):
                record: bool = True) -> np.ndarray:
         """Batched product ``A @ X`` for ``X`` of shape ``(ncols, k)``."""
         x = np.asarray(x)
-        if x.ndim != 2 or x.shape[0] != self.ncols:
+        if x.ndim != 2:
             raise ValueError("dimension mismatch in sliced-ELLPACK matmat")
-        return get_backend().spmm_ell(self, x, out_precision=out_precision,
-                                      record=record)
+        return self.matvec(x, out_precision=out_precision, record=record)
 
     # operator-contract aliases (see CSRMatrix.apply)
     def apply(self, x: np.ndarray, out_precision: Precision | str | None = None,
@@ -188,8 +188,7 @@ class SlicedEllMatrix(ScratchOwner):
         return self.matmat(x, out_precision=out_precision, record=record)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        return self.matmat(x) if x.ndim == 2 else self.matvec(x)
+        return self.matvec(x)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SlicedEllMatrix(shape={self.shape}, chunk_size={self.chunk_size}, "

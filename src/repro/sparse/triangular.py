@@ -260,7 +260,8 @@ class TriangularFactor(ScratchOwner):
     # ------------------------------------------------------------------ #
     def solve(self, b: np.ndarray, out_precision: Precision | str | None = None,
               record: bool = True) -> np.ndarray:
-        """Solve ``T x = b`` by level-scheduled substitution."""
+        """Solve ``T x = b`` by level-scheduled substitution (``b`` a vector
+        or an ``(n, k)`` block, one right-hand side per column)."""
         return get_backend().trsv(self, np.asarray(b), out_precision=out_precision,
                                   record=record)
 
@@ -271,14 +272,13 @@ class TriangularFactor(ScratchOwner):
 
         The ``fast`` engine sweeps each dependency level once for all columns,
         amortizing the level-schedule traversal; ``reference`` loops the
-        single-RHS oracle.
+        columns — bit-identical to ``k`` vector solves either way.
         """
         b = np.asarray(b)
         if b.ndim != 2 or b.shape[0] != self.nrows:
             raise ValueError(f"batched triangular solve needs B of shape "
                              f"({self.nrows}, k); got {b.shape}")
-        return get_backend().trsm(self, b, out_precision=out_precision,
-                                  record=record)
+        return self.solve(b, out_precision=out_precision, record=record)
 
 
 def fuse_block_diagonal(factors: list[TriangularFactor]) -> TriangularFactor:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..backends.base import columns
 from ..perf.counters import record_bytes, record_flops, record_kernel
 from ..precision import Precision, as_precision, precision_of_dtype, promote
 
-__all__ = ["dot", "nrm2", "axpy", "axpy_block", "diagmul", "xpby", "waxpby",
-           "scal", "vcopy", "vzeros", "cast_vector", "cast_block"]
+__all__ = ["dot", "nrm2", "axpy", "diagmul", "xpby", "waxpby",
+           "scal", "vcopy", "vzeros", "cast_vector"]
 
 
 def _prec(x: np.ndarray) -> Precision:
@@ -31,25 +32,12 @@ def vzeros(n: int, precision: Precision | str) -> np.ndarray:
 
 
 def cast_vector(x: np.ndarray, precision: Precision | str, record: bool = True) -> np.ndarray:
-    """Round a vector to ``precision`` (a read + write of the vector)."""
+    """Round a vector or an ``(n, k)`` block to ``precision`` (a read + write;
+    a block counts as ``k`` casts)."""
     p = as_precision(precision)
     src = _prec(x)
     if record and p != src:
-        record_kernel("cast")
-        record_bytes(src, x.size * src.bytes)
-        record_bytes(p, x.size * p.bytes)
-    if x.dtype == p.dtype:
-        return x
-    return x.astype(p.dtype)
-
-
-def cast_block(x: np.ndarray, precision: Precision | str, record: bool = True) -> np.ndarray:
-    """Round a ``(n, k)`` block to ``precision`` (counter parity with ``k``
-    :func:`cast_vector` calls)."""
-    p = as_precision(precision)
-    src = _prec(x)
-    if record and p != src:
-        record_kernel("cast", x.shape[1])
+        record_kernel("cast", columns(x))
         record_bytes(src, x.size * src.bytes)
         record_bytes(p, x.size * p.bytes)
     if x.dtype == p.dtype:
@@ -83,9 +71,13 @@ def nrm2(x: np.ndarray, record: bool = True) -> float:
     return float(result)
 
 
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray,
+def axpy(alpha, x: np.ndarray, y: np.ndarray,
          out_precision: Precision | str | None = None, record: bool = True) -> np.ndarray:
-    """Return ``alpha * x + y`` rounded to ``out_precision`` (default: y's precision)."""
+    """Return ``alpha * x + y`` rounded to ``out_precision`` (default: y's precision).
+
+    ``x``/``y`` may be ``(n, k)`` blocks, with ``alpha`` one scalar or ``k``
+    per-column weights; a block counts as ``k`` axpys.
+    """
     px, py = _prec(x), _prec(y)
     compute = promote(px, py)
     out = as_precision(out_precision) if out_precision is not None else py
@@ -94,35 +86,11 @@ def axpy(alpha: float, x: np.ndarray, y: np.ndarray,
     yc = y if y.dtype == compute.dtype else y.astype(compute.dtype)
     result = (alpha_c * xc + yc).astype(out.dtype, copy=False)
     if record:
-        record_kernel("axpy")
+        record_kernel("axpy", columns(x))
         record_bytes(px, x.size * px.bytes)
         record_bytes(py, y.size * py.bytes)
         record_bytes(out, result.size * out.bytes)
         record_flops(compute, 2 * x.size)
-    return result
-
-
-def axpy_block(alpha: float, x: np.ndarray, y: np.ndarray,
-               out_precision: Precision | str | None = None,
-               record: bool = True) -> np.ndarray:
-    """``alpha * X + Y`` column-wise for ``(n, k)`` blocks.
-
-    Counter parity with ``k`` :func:`axpy` calls — the batched form used by
-    the composite operators and lockstep solver levels.
-    """
-    px, py = _prec(x), _prec(y)
-    compute = promote(px, py)
-    out = as_precision(out_precision) if out_precision is not None else py
-    alpha_c = compute.dtype.type(alpha)
-    result = (alpha_c * x.astype(compute.dtype, copy=False)
-              + y.astype(compute.dtype, copy=False)).astype(out.dtype, copy=False)
-    if record:
-        n, k = x.shape
-        record_kernel("axpy", k)
-        record_bytes(px, k * n * px.bytes)
-        record_bytes(py, k * n * py.bytes)
-        record_bytes(out, k * n * out.bytes)
-        record_flops(compute, 2 * k * n)
     return result
 
 
@@ -144,8 +112,7 @@ def diagmul(scale: np.ndarray, x: np.ndarray,
         s = s[:, None]
     result = (x.astype(compute.dtype, copy=False) * s).astype(out.dtype, copy=False)
     if record:
-        n = x.shape[0]
-        k = x.shape[1] if x.ndim == 2 else 1
+        n, k = x.shape[0], columns(x)
         record_kernel("diag_scale", k)
         record_bytes(sp, k * n * sp.bytes)
         record_bytes(vp, k * n * vp.bytes)

@@ -27,10 +27,17 @@ from repro.backends import (
     use_backend,
 )
 from repro.core import F3RConfig, solve_f3r
+from repro.par import par_state
 from repro.perf import counting
 from repro.precision import Precision
 from repro.solvers import RestartedFGMRES, fgmres_cycle_batch
-from repro.sparse import COOMatrix, CSRMatrix, SlicedEllMatrix, TriangularFactor
+from repro.sparse import (
+    COOMatrix,
+    CSRMatrix,
+    SlicedEllMatrix,
+    TriangularFactor,
+    fuse_block_diagonal,
+)
 
 pytestmark = pytest.mark.tier1
 
@@ -239,12 +246,12 @@ class TestFgmresEquivalence:
         with use_backend("fast"):
             fgmres_cycle_batch(dd_matrix, b[:, None], None, m=6,
                                vec_prec=Precision.FP64, workspace=ws)
-            basis = ws.get_rows("krylov_basis_batch", 1, (7, dd_matrix.nrows),
-                                np.float64)
+            basis = ws.get("krylov_basis_batch", (1, 7, dd_matrix.nrows),
+                           np.float64)
             fgmres_cycle_batch(dd_matrix, b[:, None], None, m=6,
                                vec_prec=Precision.FP64, workspace=ws)
-            again = ws.get_rows("krylov_basis_batch", 1, (7, dd_matrix.nrows),
-                                np.float64)
+            again = ws.get("krylov_basis_batch", (1, 7, dd_matrix.nrows),
+                           np.float64)
             assert again.base is basis.base
 
 
@@ -590,128 +597,159 @@ class TestConfigBackendScopesConstruction:
 
 
 # --------------------------------------------------------------------------- #
-def _looped_matvec(op, x: np.ndarray, record: bool = False) -> np.ndarray:
-    """Column-by-column oracle for any operator with a ``matvec`` method."""
-    return np.stack([op.matvec(np.ascontiguousarray(x[:, j]), record=record)
-                     for j in range(x.shape[1])], axis=1)
+# The one-kernel contract: each kernel takes a vector or an (n, k) block, and a
+# block call equals k vector calls — column by column, bit for bit, with the
+# same counter totals — on every engine.
+# --------------------------------------------------------------------------- #
+CONTRACT_KERNELS = ("spmv_csr", "spmv_ell", "apply_stencil", "trsv",
+                    "spmv_axpy", "residual_update", "weighted_update")
 
 
-class TestBatchedKernelEquivalence:
-    """Batched multi-RHS kernels must equal the column-by-column loop.
+def _contract_calls(kernel, ops, mat_prec, vec_prec):
+    """``(run, operands)`` for one kernel: ``run(be, *operands)`` calls it on
+    ``(n,)`` vectors or ``(n, k)`` blocks (blocks in ``operands``).
 
-    On ``reference`` the batched entry points *are* the loop (the base-class
-    oracle); on ``fast`` they are vectorized SpMM / batched-trsm kernels, so
-    these sweeps are what licenses using them interchangeably.  SpMM may fuse
-    multiply-adds (scipy path), so it matches to compute-precision tolerance;
-    the batched triangular solve performs the identical operation order per
-    column and must match exactly.
+    ``ops`` holds the contract fixture's operators; matrix data is stored at
+    ``mat_prec`` and vectors at ``vec_prec``.
     """
+    a = ops["csr"].astype(mat_prec)
+    n = a.nrows
+    vec = vec_prec.dtype
+    if kernel == "spmv_csr":
+        def run(be, x):
+            return be.spmv_csr(a.values, a.indices, a.indptr, x,
+                               scratch=a.scratch(), par=par_state(a))
+        return run, ("x",)
+    if kernel == "spmv_ell":
+        ell = SlicedEllMatrix(ops["csr"], chunk_size=8).astype(mat_prec)
+        return (lambda be, x: be.spmv_ell(ell, x)), ("x",)
+    if kernel == "apply_stencil":
+        # the separable sweep and the general per-offset slab path
+        stencils = [op.astype(mat_prec) for op in ops["stencils"]]
+        return (lambda be, x: np.concatenate(
+            [be.apply_stencil(op, x[:op.nrows]) for op in stencils])), ("x",)
+    if kernel == "trsv":
+        # a unit-diagonal L and a non-unit U, wide enough for the staged
+        # fp16 level sweep
+        lower, upper = (f.astype(mat_prec) for f in ops["factors"])
+        return (lambda be, b: be.trsv(upper, be.trsv(lower, b))), ("x",)
+    if kernel == "spmv_axpy":
+        def run(be, x, y):
+            return be.spmv_axpy(a.values, a.indices, a.indptr, x, y,
+                                out_precision=vec_prec, scratch=a.scratch(),
+                                par=par_state(a))
+        return run, ("x", "y")
+    if kernel == "residual_update":
+        return (lambda be, v, az: be.residual_update(
+            v, az, out_precision=vec_prec, scratch=Workspace())), ("y", "m")
+    assert kernel == "weighted_update"
 
-    @pytest.mark.tier2
-    @settings(**COMMON)
-    @given(csr_matrices(), st.sampled_from(DTYPES), st.sampled_from(DTYPES),
-           st.integers(1, 6), st.integers(0, 2**31 - 1))
-    def test_spmm_csr_matches_looped(self, csr, mat_prec, vec_prec, k, seed):
-        a = csr.astype(mat_prec)
-        x = (np.random.default_rng(seed)
-             .uniform(-1, 1, (a.ncols, k)).astype(vec_prec.dtype))
-        compute = mat_prec if mat_prec.bytes >= vec_prec.bytes else vec_prec
-        for backend in ("reference", "fast"):
-            with use_backend(backend):
-                batched = a.matmat(x, record=False)
-                looped = _looped_matvec(a, x)
-            assert batched.shape == (a.nrows, k)
-            assert batched.dtype == looped.dtype
-            assert np.allclose(batched.astype(np.float64),
-                               looped.astype(np.float64), **TOLS[compute])
+    def run(be, z, mr, omega):
+        return be.weighted_update(z.copy(), mr, omega, vec_prec,
+                                  scratch=Workspace())
+    return run, ("y", "m", "omega")
 
-    @pytest.mark.tier2
-    @settings(**COMMON)
-    @given(csr_matrices(), st.sampled_from(DTYPES), st.sampled_from([1, 3, 8, 32]),
-           st.integers(1, 6), st.integers(0, 2**31 - 1))
-    def test_spmm_ell_matches_looped(self, csr, mat_prec, chunk_size, k, seed):
-        ell = SlicedEllMatrix(csr, chunk_size=chunk_size).astype(mat_prec)
-        x = np.random.default_rng(seed).uniform(-1, 1, (csr.ncols, k))
-        for backend in ("reference", "fast"):
-            with use_backend(backend):
-                batched = ell.matmat(x, record=False)
-                looped = _looped_matvec(ell, x)
-            assert np.allclose(batched, looped, **TOLS[Precision.FP64])
-            assert batched.dtype == looped.dtype
+
+def _contract_operands(names, n, k, mat_prec, vec_prec, seed):
+    """Blocks for the named operands: vectors at ``vec_prec``, ``m`` at
+    ``mat_prec`` and per-column weights ``omega``."""
+    rng = np.random.default_rng(seed)
+    dtypes = {"x": vec_prec.dtype, "y": vec_prec.dtype, "m": mat_prec.dtype}
+    return [rng.uniform(0.5, 1.5, k) if name == "omega"
+            else rng.uniform(-1, 1, (n, k)).astype(dtypes[name])
+            for name in names]
+
+
+def _column(operand, j):
+    return operand[j] if operand.ndim == 1 else np.ascontiguousarray(operand[:, j])
+
+
+def assert_column_contract(run, operands, backend):
+    """``run`` on the blocks equals ``run`` on each column, bit for bit,
+    and records the same counter totals."""
+    with use_backend(backend):
+        be = get_backend()
+        with counting() as block_traffic:
+            block = run(be, *operands)
+        k = operands[0].shape[1]
+        with counting() as column_traffic:
+            cols = [run(be, *(_column(op, j) for op in operands))
+                    for j in range(k)]
+    assert block.shape == (cols[0].shape[0], k)
+    for j, col in enumerate(cols):
+        assert block.dtype == col.dtype
+        assert np.array_equal(_column(block, j).view(np.uint8), col.view(np.uint8)), \
+            f"column {j} differs"
+    assert block_traffic.summary() == column_traffic.summary()
+
+
+@pytest.fixture(scope="module")
+def contract_ops():
+    from repro.matgen import convection_diffusion_2d_operator, hpcg_matrix, hpcg_operator
+    from repro.precond import ilu0_factor
+
+    lower, upper = ilu0_factor(hpcg_matrix(10))
+    # two fused blocks average > STAGED_LEVEL_GATHERS gathers per level, so
+    # fp16 solves take the staged level sweep
+    factors = tuple(fuse_block_diagonal([f, f]) for f in (
+        TriangularFactor(lower, lower=True, unit_diagonal=True),
+        TriangularFactor(upper, lower=False)))
+    return {
+        "csr": hpcg_matrix(10, 10, 20),
+        "factors": factors,
+        # separable box stencil and an upwind (non-separable) one, each no
+        # larger than the CSR operand
+        "stencils": (hpcg_operator(10, 10, 20),
+                     convection_diffusion_2d_operator(24)),
+    }
+
+
+class TestPerColumnContract:
+    """One sweep over every shape-generic kernel, engine, width and precision
+    pair: an ``(n, k)`` call equals ``k`` ``(n,)`` calls."""
+
+    @pytest.mark.parametrize("vec_prec", DTYPES, ids=lambda p: p.label)
+    @pytest.mark.parametrize("mat_prec", DTYPES, ids=lambda p: p.label)
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize("kernel", CONTRACT_KERNELS)
+    def test_block_equals_columns(self, contract_ops, kernel, backend, k,
+                                  mat_prec, vec_prec):
+        run, names = _contract_calls(kernel, contract_ops, mat_prec, vec_prec)
+        operands = _contract_operands(names, contract_ops["csr"].nrows, k,
+                                      mat_prec, vec_prec, seed=k)
+        assert_column_contract(run, operands, backend)
 
     @pytest.mark.tier2
     @settings(**COMMON)
     @given(csr_matrices(with_diagonal=True), st.sampled_from(DTYPES),
-           st.booleans(), st.booleans(), st.integers(1, 6),
-           st.integers(0, 2**31 - 1))
-    def test_trsm_matches_looped_trsv(self, csr, prec, lower, unit_diagonal, k,
-                                      seed):
+           st.sampled_from(DTYPES), st.sampled_from([1, 3, 8, 32]),
+           st.integers(1, 6), st.integers(0, 2**31 - 1))
+    def test_adversarial_sparsity(self, csr, mat_prec, vec_prec, chunk_size, k,
+                                  seed):
+        """Random patterns (empty rows and columns, single rows) through the
+        CSR, sliced-ELL and triangular kernels."""
         from repro.sparse import split_triangular
 
         lo, diag, up = split_triangular(csr)
-        tri = lo if lower else up
-        if not unit_diagonal:
-            n = csr.nrows
-            coo = tri.to_coo()
-            tri = COOMatrix(np.concatenate([coo.rows, np.arange(n, dtype=np.int32)]),
-                            np.concatenate([coo.cols, np.arange(n, dtype=np.int32)]),
-                            np.concatenate([coo.values, diag]), (n, n)).to_csr()
-        b = np.random.default_rng(seed).uniform(-1, 1, (csr.nrows, k))
-
-        results = {}
+        n = csr.nrows
+        coo = up.to_coo()
+        upper = COOMatrix(np.concatenate([coo.rows, np.arange(n, dtype=np.int32)]),
+                          np.concatenate([coo.cols, np.arange(n, dtype=np.int32)]),
+                          np.concatenate([coo.values, diag]), (n, n)).to_csr()
+        ops = {"csr": csr,
+               "factors": (TriangularFactor(lo, lower=True, unit_diagonal=True),
+                           TriangularFactor(upper, lower=False))}
+        for kernel in ("spmv_csr", "trsv", "spmv_axpy"):
+            run, names = _contract_calls(kernel, ops, mat_prec, vec_prec)
+            operands = _contract_operands(names, n, k, mat_prec, vec_prec, seed)
+            for backend in ("reference", "fast"):
+                assert_column_contract(run, operands, backend)
+        ell = SlicedEllMatrix(csr, chunk_size=chunk_size).astype(mat_prec)
+        (x,) = _contract_operands(("x",), n, k, mat_prec, vec_prec, seed)
         for backend in ("reference", "fast"):
-            with use_backend(backend):
-                factor = TriangularFactor(tri.astype(prec), lower=lower,
-                                          unit_diagonal=unit_diagonal)
-                batched = factor.solve_batch(b, record=False)
-                looped = np.stack([factor.solve(np.ascontiguousarray(b[:, j]),
-                                                record=False)
-                                   for j in range(k)], axis=1)
-            # identical per-column operation order => exact equality
-            assert np.array_equal(batched, looped, equal_nan=True), backend
-            results[backend] = batched
-        assert np.array_equal(results["reference"], results["fast"], equal_nan=True)
-
-    # -- deterministic tier-1 coverage across every precision pair ---------- #
-    @pytest.mark.parametrize("mat_prec", DTYPES)
-    @pytest.mark.parametrize("vec_prec", DTYPES)
-    def test_batched_kernels_fixed_matrix(self, mat_prec, vec_prec):
-        from repro.precond import ilu0_factor
-
-        rng = np.random.default_rng(17)
-        dense = rng.uniform(-1, 1, (41, 41)) * (rng.random((41, 41)) < 0.2)
-        np.fill_diagonal(dense, 4.0 + rng.random(41))
-        csr = CSRMatrix.from_dense(dense)
-        a = csr.astype(mat_prec)
-        ell = SlicedEllMatrix(csr, chunk_size=8).astype(mat_prec)
-        x = rng.uniform(-1, 1, (41, 5)).astype(vec_prec.dtype)
-        compute = mat_prec if mat_prec.bytes >= vec_prec.bytes else vec_prec
-        lower, _ = ilu0_factor(csr)
-
-        for backend in ("reference", "fast"):
-            with use_backend(backend):
-                assert np.allclose(a.matmat(x, record=False).astype(np.float64),
-                                   _looped_matvec(a, x).astype(np.float64),
-                                   **TOLS[compute])
-                assert np.allclose(ell.matmat(x, record=False),
-                                   _looped_matvec(ell, x), **TOLS[compute])
-                factor = TriangularFactor(lower.astype(mat_prec), lower=True,
-                                          unit_diagonal=True)
-                assert np.array_equal(
-                    factor.solve_batch(x, record=False),
-                    np.stack([factor.solve(np.ascontiguousarray(x[:, j]),
-                                           record=False) for j in range(5)],
-                             axis=1),
-                    equal_nan=True)
-
-    def test_empty_and_single_column_batches(self):
-        csr = CSRMatrix.from_dense(np.diag(np.arange(1.0, 6.0)) + np.tri(5, k=-1))
-        x1 = np.arange(1.0, 6.0)[:, None]
-        for backend in ("reference", "fast"):
-            with use_backend(backend):
-                batched = csr.matmat(x1, record=False)
-                assert np.array_equal(batched[:, 0],
-                                      csr.matvec(x1[:, 0], record=False))
+            assert_column_contract(lambda be, xb: be.spmv_ell(ell, xb), [x],
+                                   backend)
 
     def test_matmul_operator_dispatches_on_ndim(self):
         csr = CSRMatrix.from_dense(np.eye(4) * 2.0)
@@ -728,44 +766,17 @@ class TestBatchedKernelEquivalence:
             csr.matmat(np.zeros((5, 2)))
         with pytest.raises(ValueError, match="dimension mismatch"):
             csr.matmat(np.zeros(4))
-
-
-class TestBatchedCounterParity:
-    """Per-column counter parity: a batched kernel records exactly what the
-    column-by-column loop records, on both engines."""
-
-    def _traffic(self, fn, backend):
-        with use_backend(backend):
-            with counting() as counter:
-                fn()
-        return counter.summary()
-
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_spmm_parity(self, spd_matrix, backend):
-        x = np.random.default_rng(5).uniform(-1, 1, (spd_matrix.ncols, 4))
-        looped = self._traffic(lambda: _looped_matvec(spd_matrix, x, record=True),
-                               backend)
-        batched = self._traffic(lambda: spd_matrix.matmat(x), backend)
-        assert looped == batched
-
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_trsm_parity(self, spd_matrix, backend):
-        from repro.precond import ilu0_factor
-
-        lower, _ = ilu0_factor(spd_matrix)
-        b = np.random.default_rng(6).uniform(-1, 1, (spd_matrix.nrows, 4))
-        factor = TriangularFactor(lower, lower=True, unit_diagonal=True)
-        looped = self._traffic(
-            lambda: [factor.solve(np.ascontiguousarray(b[:, j]))
-                     for j in range(4)], backend)
-        batched = self._traffic(lambda: factor.solve_batch(b), backend)
-        assert looped == batched
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            csr.matvec(np.zeros(5))
 
     def test_spmm_parity_across_backends(self, spd_matrix):
         x = np.random.default_rng(7).uniform(-1, 1, (spd_matrix.ncols, 3))
-        ref = self._traffic(lambda: spd_matrix.matmat(x), "reference")
-        fast = self._traffic(lambda: spd_matrix.matmat(x), "fast")
-        assert ref == fast
+        traffic = {}
+        for backend in ("reference", "fast"):
+            with use_backend(backend), counting() as counter:
+                spd_matrix.matmat(x)
+            traffic[backend] = counter.summary()
+        assert traffic["reference"] == traffic["fast"]
 
     def test_precond_apply_batch_counts_k_applications(self, spd_matrix):
         from repro.precond import BlockJacobiILU0

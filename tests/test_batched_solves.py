@@ -127,14 +127,14 @@ class TestSolveBatch:
             fgmres_cycle_batch(poisson, rhs, None, 5, Precision.FP64,
                                workspace=ws)
         # one capacity-keyed buffer per arena-resident array (basis,
-        # corrections, Hessenberg, cs, sn, g) — and no growth across
-        # shrinking column counts
-        count_after_first = len(ws._rows)
-        assert count_after_first == 6
+        # corrections, Hessenberg, cs, sn, g, and the Gram-Schmidt update) —
+        # and no growth across shrinking column counts
+        count_after_first = len(ws._buffers)
+        assert count_after_first == 7
         allocs = ws.alloc_count
         rhs = rng.uniform(-1, 1, (poisson.nrows, 6))
         fgmres_cycle_batch(poisson, rhs, None, 5, Precision.FP64, workspace=ws)
-        assert len(ws._rows) == count_after_first
+        assert len(ws._buffers) == count_after_first
         assert ws.alloc_count == allocs  # warm cycle: zero arena allocations
 
     def test_restarts_only_reenter_unconverged_columns(self, poisson):
@@ -420,7 +420,7 @@ class TestFusedBlockJacobi:
                 looped = np.stack(
                     [precond._apply(np.ascontiguousarray(r[:, j]))
                      for j in range(4)], axis=1)
-                batched = precond._apply_batch(r)
+                batched = precond._apply(r)
             assert np.array_equal(looped, batched, equal_nan=True)
 
     def test_fused_traffic_matches_per_block_loop(self, spd_matrix):
@@ -437,7 +437,7 @@ class TestFusedBlockJacobi:
         with use_backend("fast"):
             looped = traffic(lambda: [precond._apply(np.ascontiguousarray(r[:, j]))
                                       for j in range(3)])
-            batched = traffic(lambda: precond._apply_batch(r))
+            batched = traffic(lambda: precond._apply(r))
         assert looped == batched
 
     def test_fuse_block_diagonal_merges_levels(self):

@@ -134,10 +134,10 @@ class TestKernelBitIdentity:
         vb = rng.uniform(-1, 1, (1500, 4)).astype(dtype)
         azb = rng.uniform(-1, 1, (1500, 4)).astype(dtype)
         r1 = backend.residual_update(v, az)
-        rb1 = backend.residual_update_batch(vb, azb)
+        rb1 = backend.residual_update(vb, azb)
         with _forced(threads):
             r = backend.residual_update(v, az)
-            rb = backend.residual_update_batch(vb, azb)
+            rb = backend.residual_update(vb, azb)
         assert np.array_equal(r1, r)
         assert np.array_equal(rb1, rb)
 

@@ -251,7 +251,7 @@ class TestFusedKernels:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_spmm_axpy_parity(self, poisson_matrix, backend):
+    def test_spmv_axpy_block_parity(self, poisson_matrix, backend):
         rng = np.random.default_rng(8)
         n = poisson_matrix.nrows
         X = rng.uniform(-1, 1, (n, 3))
@@ -261,9 +261,9 @@ class TestFusedKernels:
             c1, c2 = TrafficCounter(), TrafficCounter()
             with counting(c1):
                 AZ = poisson_matrix.matmat(X)
-                want = vo.axpy_block(-1.0, AZ, Y, out_precision=Precision.FP64)
+                want = vo.axpy(-1.0, AZ, Y, out_precision=Precision.FP64)
             with counting(c2):
-                got = be.spmm_axpy(poisson_matrix.values, poisson_matrix.indices,
+                got = be.spmv_axpy(poisson_matrix.values, poisson_matrix.indices,
                                    poisson_matrix.indptr, X, Y,
                                    out_precision=Precision.FP64,
                                    scratch=poisson_matrix.scratch())

@@ -70,3 +70,22 @@ class TestAllocationRegression:
         # slack for interpreter-level noise (caches, interned objects)
         assert current - first < 128 * 1024, \
             f"warm solves grew traced memory by {current - first} bytes"
+
+    def test_one_staging_set_per_name_across_batch_widths(self):
+        """A served solver sees many batch widths; its Richardson workspace
+        keeps one staging buffer per name, re-sliced for each width, instead
+        of one set per width seen."""
+        from repro.matgen import get_matrix
+        from repro.solvers import RichardsonLevel
+        from repro.sparse import diagonal_scaling
+
+        matrix, _ = diagonal_scaling(get_matrix("vas_stokes_1M", "tiny"))
+        solver = _warm_solver(matrix, nblocks=4)
+        level = solver._outer
+        while not isinstance(level, RichardsonLevel):
+            level = level.child
+        rng = np.random.default_rng(3)
+        for k in (1, 2, 3, 4):
+            solver.solve_batch(rng.uniform(-1, 1, (matrix.nrows, k)))
+        names = [key[0] for key in level._workspace.workspace._buffers]
+        assert names and len(names) == len(set(names)), sorted(names)

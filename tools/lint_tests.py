@@ -35,6 +35,12 @@ It keeps one Krylov recurrence in ``src/repro/solvers/``
 the batch cycle, and the Gram-Schmidt kernel ``.orthonormalize(`` and the
 Richardson ``.weighted_update(`` each have at most one call site — the one
 Arnoldi loop and the one Richardson sweep.
+
+And it keeps one kernel per operation below the solver
+(:data:`BACKEND_LIMITS`): every kernel takes a vector or an ``(n, k)`` block,
+so no second, block-only form (``spmm_csr``, ``trsm``, ``axpy_block``, their
+slab executors and recorders, ...) may be defined anywhere in
+``src/repro/``.
 """
 
 from __future__ import annotations
@@ -121,6 +127,23 @@ SOLVER_LIMITS = {
 }
 
 
+
+def _definition(name: str) -> re.Pattern:
+    """A ``def NAME(`` at any indentation (``NAME`` is a regex)."""
+    return re.compile(rf"^\s*def {name}\(", re.MULTILINE)
+
+
+#: one kernel per operation: the block-only second forms of the kernels,
+#: none of which may be defined across src/repro/**/*.py
+BACKEND_LIMITS = {
+    name.replace(r"\w+", "*"): (_definition(name), 0) for name in (
+        "spmm_csr", "spmm_ell", "apply_stencil_batch", "trsm", "spmm_axpy",
+        "residual_update_batch", "_record_spmm", "_record_trsm",
+        "trsm_level_chunks", "csr_matvecs_slabs", r"spmm_\w+_slabs",
+        "axpy_block", "cast_block", "_apply_fused_single")
+}
+
+
 def documented_env_names() -> set[str]:
     """``REPRO_*`` names listed in README's environment-variable table."""
     text = README.read_text(encoding="utf-8")
@@ -149,16 +172,24 @@ def duplicated_definitions() -> dict[str, list[str]]:
     return {name: mods for name, mods in found.items() if len(mods) > 1}
 
 
-def solver_excess() -> dict[str, list[str]]:
-    """Solver patterns matched more often than :data:`SOLVER_LIMITS`
-    allows, with the module of every match."""
-    found: dict[str, list[str]] = {name: [] for name in SOLVER_LIMITS}
-    for path in sorted(SOLVERS_DIR.glob("*.py")):
+def limit_excess(paths, limits: dict) -> dict[str, list[str]]:
+    """Patterns of ``limits`` matched more often across ``paths`` than they
+    allow, with the module of every match."""
+    found: dict[str, list[str]] = {name: [] for name in limits}
+    for path in paths:
         text = path.read_text(encoding="utf-8")
-        for name, (pattern, _) in SOLVER_LIMITS.items():
+        for name, (pattern, _) in limits.items():
             found[name] += [path.name] * len(pattern.findall(text))
     return {name: mods for name, mods in found.items()
-            if len(mods) > SOLVER_LIMITS[name][1]}
+            if len(mods) > limits[name][1]}
+
+
+def _report_excess(excess: dict, limits: dict, headline: str) -> None:
+    print(headline, file=sys.stderr)
+    for name, modules in sorted(excess.items()):
+        print(f"  {name}: {len(modules)} match(es), at most "
+              f"{limits[name][1]} allowed ({', '.join(modules)})",
+              file=sys.stderr)
 
 
 def main() -> int:
@@ -200,22 +231,28 @@ def main() -> int:
         for name, modules in sorted(duplicated.items()):
             print(f"  {name}: {', '.join(modules)}", file=sys.stderr)
         status = 1
-    excess = solver_excess()
+    excess = limit_excess(sorted(SOLVERS_DIR.glob("*.py")), SOLVER_LIMITS)
     if excess:
-        print("lint-tests: src/repro/solvers/ holds a second Krylov "
-              "recurrence (one batch cycle and one Richardson sweep serve "
-              "every column count; see SOLVER_LIMITS):", file=sys.stderr)
-        for name, modules in sorted(excess.items()):
-            print(f"  {name}: {len(modules)} match(es), at most "
-                  f"{SOLVER_LIMITS[name][1]} allowed ({', '.join(modules)})",
-                  file=sys.stderr)
+        _report_excess(excess, SOLVER_LIMITS,
+                       "lint-tests: src/repro/solvers/ holds a second Krylov "
+                       "recurrence (one batch cycle and one Richardson sweep "
+                       "serve every column count; see SOLVER_LIMITS):")
+        status = 1
+    excess = limit_excess(sorted((SRC_DIR / "repro").rglob("*.py")),
+                          BACKEND_LIMITS)
+    if excess:
+        _report_excess(excess, BACKEND_LIMITS,
+                       "lint-tests: src/repro/ defines a second, block-only "
+                       "kernel form (one kernel takes vectors and (n, k) "
+                       "blocks; see BACKEND_LIMITS):")
         status = 1
     if status == 0:
         print(f"lint-tests: OK ({len(test_files)} test files, all tier-marked; "
               f"{len(REQUIRED_MODULES)} required suites present; "
               f"{len(used)} REPRO_* variables documented; "
               f"{len(SINGLE_DEFINITIONS)} serving definitions unique; "
-              f"one Krylov recurrence in solvers/)")
+              f"one Krylov recurrence in solvers/; one kernel per "
+              f"operation in src/)")
     return status
 
 
