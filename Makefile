@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-all test-faults test-chaos test-remote lint-tests bench-smoke bench-kernels bench-baseline bench-parallel-smoke bench-parallel-baseline bench-cold-smoke bench-cold-baseline bench-procs-smoke bench-procs-baseline
+.PHONY: test test-all test-faults test-chaos test-remote lint-tests bench-smoke bench-kernels bench-baseline bench-parallel-smoke bench-parallel-baseline bench-cold-smoke bench-cold-baseline
 
 ## Tier-1 test suite (the CI gate): fast deterministic tests only
 ## (pytest.ini's addopts deselect the tier2 marker by default)
@@ -14,15 +14,15 @@ test-all:
 	$(PYTHON) -m pytest -q -m "tier1 or tier2"
 
 ## Robustness machinery under deterministic fault injection: the guards /
-## recovery suites, the front-door contract (every door, tier-2 gateway
-## included) plus the seeded tier-2 hammer runs
+## recovery suites, the front-door contract (every door) plus the seeded
+## tier-2 hammer runs
 test-faults:
 	$(PYTHON) -m pytest -q -m "tier1 or tier2" tests/test_robustness.py tests/test_frontdoor.py tests/test_faults.py
 
-## Overload + chaos: priority shedding, brownout, worker watchdog, and the
-## hang/kill/corruption hammer against the process tier (tier-2 included)
+## Overload + chaos: priority shedding, brownout, and the worker-failure /
+## corruption hammer against a two-worker dispatcher (tier-2 included)
 test-chaos:
-	$(PYTHON) -m pytest -q -m "tier1 or tier2" tests/test_overload.py tests/test_watchdog.py tests/test_faults.py
+	$(PYTHON) -m pytest -q -m "tier1 or tier2" tests/test_overload.py tests/test_faults.py
 	REPRO_FAULTS="seed=11,rate=0,drop_rate=0.08,dup_rate=0.05,disconnect_rate=0.04,net_delay_ms=2" \
 		$(PYTHON) -m pytest -q -m "tier1 or tier2" tests/test_remote.py -k env_plan
 
@@ -70,14 +70,3 @@ bench-cold-smoke:
 ## Regenerate the committed cold-start baseline (machine-dependent)
 bench-cold-baseline:
 	$(PYTHON) benchmarks/bench_cold_start.py --write-baseline
-
-## Process-tier benchmark at smoke scale: gateway throughput across
-## REPRO_PROCS, zero-copy shm accounting, warm-worker artifact hits;
-## bit-identity gated.  On a 1-core box the multi-process entries measure
-## spawn/queue overhead, so only the procs=1 throughput is floored.
-bench-procs-smoke:
-	$(PYTHON) benchmarks/bench_procs.py --check
-
-## Regenerate the committed process-tier baseline (machine-dependent)
-bench-procs-baseline:
-	$(PYTHON) benchmarks/bench_procs.py --write-baseline

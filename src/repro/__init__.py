@@ -52,9 +52,7 @@ from .par import (
     configured_procs,
     configured_threads,
     pool_stats,
-    set_procs,
     set_threads,
-    use_procs,
     use_threads,
 )
 from .plans import SolvePlan, plan_cache_stats, plan_for
@@ -75,7 +73,6 @@ from .serve import (
     RemoteShard,
     ShardServer,
     ShardUnreachable,
-    ShardedGateway,
     overload_enabled,
     render_metrics,
 )
@@ -108,9 +105,7 @@ __all__ = [
     "configured_procs",
     "configured_threads",
     "pool_stats",
-    "set_procs",
     "set_threads",
-    "use_procs",
     "use_threads",
     "F3RConfig",
     "F3RSolver",
@@ -128,7 +123,6 @@ __all__ = [
     "SolveResult",
     "BatchSolveResult",
     "BatchDispatcher",
-    "ShardedGateway",
     "ClusterGateway",
     "ClusterConfig",
     "RemoteShard",

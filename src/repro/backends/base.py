@@ -39,7 +39,13 @@ import abc
 
 import numpy as np
 
-from ..perf.counters import counters_enabled, record_bytes, record_flops, record_kernel
+from ..perf.counters import (
+    counters_disabled,
+    counters_enabled,
+    record_bytes,
+    record_flops,
+    record_kernel,
+)
 from ..precision import BYTES_PER_INDEX, Precision, as_precision, precision_of_dtype, promote
 
 __all__ = ["KernelBackend", "column_loop", "columns", "ilu0_setup", "per_row",
@@ -62,8 +68,13 @@ def column_loop(kernel, block: np.ndarray) -> np.ndarray:
 
     The per-column oracle of the kernel contract: a backend's block call
     must equal this loop over its vector calls, bit for bit and counter for
-    counter.
+    counter.  A zero-column block records nothing and keeps the row count
+    and dtype of a vector call, read off one unrecorded call.
     """
+    if block.shape[1] == 0:
+        with counters_disabled():
+            y = kernel(np.zeros(block.shape[0], dtype=block.dtype))
+        return np.empty((y.shape[0], 0), dtype=y.dtype)
     return np.stack([kernel(np.ascontiguousarray(block[:, j]))
                      for j in range(block.shape[1])], axis=1)
 

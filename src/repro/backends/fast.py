@@ -693,6 +693,8 @@ class FastBackend(KernelBackend):
                                                            out_precision)
         cdtype = compute.dtype
         k = columns(x)
+        if k == 0:                          # an empty block: no sweep
+            return np.empty(x.shape, dtype=out_prec.dtype)
         x_c = np.ascontiguousarray(x, dtype=cdtype)
         y = self._apply_stencil_separable(op, x_c, cdtype, k)
         if y is None:

@@ -2,9 +2,8 @@
 
 A long-lived serving host accretes artifacts without bound: every new
 operator fingerprint adds ILU(0) factors, level schedules, and partition
-boundaries that nothing ever deletes — and the process tier accelerates the
-growth (every worker warm-starts from, and writes back to, the same store).
-This module bounds it:
+boundaries that nothing ever deletes — and every ``ShardServer`` sharing
+the store warm-starts from, and writes back to, it.  This module bounds it:
 
 * :func:`gc` — one pruning pass over ``REPRO_ARTIFACTS``: first drop
   artifacts older than the age bound, then drop least-recently-*used*

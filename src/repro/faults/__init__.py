@@ -11,7 +11,8 @@ end instead of waiting for a real fp16 overflow:
   NaN/Inf at deterministic ``(site, call-count)`` coordinates.
 * **Worker failures** — :func:`maybe_fail_worker` raises
   :class:`InjectedFault` inside dispatcher workers at seeded call counts,
-  exercising the retry/backoff path.
+  exercising the retry/backoff path; :func:`maybe_kill_process` hard-exits
+  a spawned ``ShardServer``, exercising failover.
 * **Latency** — :func:`maybe_delay` sleeps a configured amount at seeded
   call counts, exercising deadlines.
 * **Network faults** — :func:`maybe_net` tells a transport what to do with
@@ -57,7 +58,6 @@ __all__ = [
     "install_from_env",
     "maybe_delay",
     "maybe_fail_worker",
-    "maybe_hang",
     "maybe_kill_process",
     "maybe_net",
 ]
@@ -119,18 +119,12 @@ class FaultPlan:
         Per-call probability that :func:`maybe_fail_worker` raises.
     kill_rate:
         Per-call probability that :func:`maybe_kill_process` hard-exits the
-        calling process (``os._exit``) — worker-death injection for the
-        process tier, where a "worker failure" must be a real process exit,
-        not a catchable exception.
+        calling process (``os._exit``) — server-death injection for a
+        spawned ``ShardServer``, where a failure must be a real process
+        exit, not a catchable exception.
     latency, latency_rate:
         :func:`maybe_delay` sleeps ``latency`` seconds with probability
         ``latency_rate`` per call.
-    hang_rate, hang_ms:
-        :func:`maybe_hang` wedges the calling worker for ``hang_ms``
-        milliseconds with probability ``hang_rate`` per call — unlike
-        latency, a hang also suppresses the worker's heartbeat (via the
-        ``wedge`` hook), modeling a whole-process stall that the ProcPool
-        watchdog must classify as :class:`~repro.par.procpool.WorkerHung`.
     drop_rate, dup_rate, disconnect_rate, net_delay_ms:
         Network-message faults consulted by :func:`maybe_net` per frame:
         probability the message is silently dropped, delivered twice, or
@@ -149,7 +143,6 @@ class FaultPlan:
                  kinds: tuple[str, ...] = ("nan", "inf"),
                  worker_rate: float = 0.0, latency: float = 0.0,
                  latency_rate: float = 0.0, kill_rate: float = 0.0,
-                 hang_rate: float = 0.0, hang_ms: float = 0.0,
                  drop_rate: float = 0.0, dup_rate: float = 0.0,
                  disconnect_rate: float = 0.0, net_delay_ms: float = 0.0,
                  max_faults: int | None = None) -> None:
@@ -161,8 +154,6 @@ class FaultPlan:
         self.latency = float(latency)
         self.latency_rate = float(latency_rate)
         self.kill_rate = float(kill_rate)
-        self.hang_rate = float(hang_rate)
-        self.hang_ms = float(hang_ms)
         self.drop_rate = float(drop_rate)
         self.dup_rate = float(dup_rate)
         self.disconnect_rate = float(disconnect_rate)
@@ -215,7 +206,7 @@ class FaultPlan:
             return call
         return None
 
-    def kill_fires(self, site: str = "gateway.worker") -> int | None:
+    def kill_fires(self, site: str = "remote.server") -> int | None:
         """Call index when a process kill fires this call, else ``None``."""
         if self.kill_rate <= 0.0:
             return None
@@ -225,18 +216,6 @@ class FaultPlan:
                 self.records.append(FaultRecord(site=site, call=call,
                                                 kind="kill"))
             return call
-        return None
-
-    def hang_fires(self, site: str = "gateway.worker") -> float | None:
-        """Hang duration (seconds) when a wedge fires this call, else ``None``."""
-        if self.hang_rate <= 0.0 or self.hang_ms <= 0.0:
-            return None
-        call = self._next_call(site + ".hang")
-        if self._rolls(site + ".hang", call, 1)[0] < self.hang_rate:
-            with self._lock:
-                self.records.append(FaultRecord(site=site, call=call,
-                                                kind="hang"))
-            return self.hang_ms / 1e3
         return None
 
     def net_fires(self, site: str = "net.link") -> tuple[str | None, float]:
@@ -295,10 +274,11 @@ class FaultPlan:
     def spec(self) -> str:
         """The plan as a ``REPRO_FAULTS``-format string.
 
-        Round-trips through :func:`install_from_env`: the gateway ships the
-        active plan to spawned workers this way, so both sides replay the
-        same seeded schedule (call counters start fresh in each process —
-        per-process determinism, as with any multi-process ``REPRO_FAULTS``).
+        Round-trips through :func:`install_from_env`: a spawned
+        ``ShardServer`` receives its plan this way (``fault_spec``), so both
+        sides replay the same seeded schedule (call counters start fresh in
+        each process — per-process determinism, as with any multi-process
+        ``REPRO_FAULTS``).
         """
         parts = [f"seed={self.seed}", f"rate={self.rate}",
                  "sites=" + "+".join(self.sites),
@@ -311,10 +291,6 @@ class FaultPlan:
             parts.append(f"latency_rate={self.latency_rate}")
         if self.kill_rate:
             parts.append(f"kill_rate={self.kill_rate}")
-        if self.hang_rate:
-            parts.append(f"hang_rate={self.hang_rate}")
-        if self.hang_ms:
-            parts.append(f"hang_ms={self.hang_ms}")
         if self.drop_rate:
             parts.append(f"drop_rate={self.drop_rate}")
         if self.dup_rate:
@@ -460,39 +436,18 @@ def maybe_fail_worker(site: str = "dispatcher.worker") -> None:
                             site=site, call=call)
 
 
-def maybe_kill_process(site: str = "gateway.worker") -> None:
+def maybe_kill_process(site: str = "remote.server") -> None:
     """Hard-exit the calling process when the active plan schedules a kill.
 
     ``os._exit`` (no cleanup, no exception) — the point is to present the
-    gateway with a *real* worker death: a closed queue and a dead pid, not a
-    pickled traceback.  No-op without an active plan or with ``kill_rate=0``.
+    ring with a *real* server death: a closed socket and a dead pid, not a
+    relayed traceback.  No-op without an active plan or with ``kill_rate=0``.
     """
     plan = _PLAN
     if plan is None:
         return
     if plan.kill_fires(site) is not None:
         os._exit(86)
-
-
-def maybe_hang(site: str = "gateway.worker", wedge=None) -> float:
-    """Wedge the caller when the active plan schedules a hang at this call.
-
-    Models a whole-process stall (a C-level deadlock, a GIL-holding loop):
-    ``wedge(duration)``, when given, is invoked *before* the sleep so the
-    worker's heartbeat thread stops ticking for the duration — a plain
-    latency injection would keep heartbeating and must NOT be classified as
-    a hang by the watchdog.  Returns the seconds slept (0.0 when idle).
-    """
-    plan = _PLAN
-    if plan is None:
-        return 0.0
-    duration = plan.hang_fires(site)
-    if duration is None:
-        return 0.0
-    if wedge is not None:
-        wedge(duration)
-    time.sleep(duration)
-    return duration
 
 
 def maybe_delay(site: str = "dispatcher.latency") -> None:
@@ -524,8 +479,8 @@ def install_from_env(spec: str | None = None) -> FaultPlan | None:
     Format: comma-separated ``key=value`` pairs — ``seed``, ``rate``,
     ``sites`` (``+``-separated), ``kinds`` (``+``-separated),
     ``worker_rate``, ``latency``, ``latency_rate``, ``kill_rate``,
-    ``hang_rate``, ``hang_ms``, ``drop_rate``, ``dup_rate``,
-    ``disconnect_rate``, ``net_delay_ms``, ``max`` — e.g.
+    ``drop_rate``, ``dup_rate``, ``disconnect_rate``, ``net_delay_ms``,
+    ``max`` — e.g.
     ``REPRO_FAULTS="seed=7,rate=0.02,sites=spmv+trsv,kinds=nan"``.
     A bare truthy value (``"1"``) installs the defaults.
     """
@@ -541,8 +496,8 @@ def install_from_env(spec: str | None = None) -> FaultPlan | None:
             if key in ("seed",):
                 kwargs["seed"] = int(value)
             elif key in ("rate", "worker_rate", "latency", "latency_rate",
-                         "kill_rate", "hang_rate", "hang_ms", "drop_rate",
-                         "dup_rate", "disconnect_rate", "net_delay_ms"):
+                         "kill_rate", "drop_rate", "dup_rate",
+                         "disconnect_rate", "net_delay_ms"):
                 kwargs[key] = float(value)
             elif key == "sites":
                 kwargs["sites"] = tuple(value.split("+"))

@@ -19,11 +19,9 @@ Layout:
   heuristic).
 * :mod:`repro.par.kernels` — the partitioned executors the ``fast``
   backend dispatches to.
-* :mod:`repro.par.procpool` — the ``REPRO_PROCS`` process tier: persistent
-  spawn-start workers executing whole batched solves past the GIL, fed by
-  :class:`repro.serve.ShardedGateway`.
-* :mod:`repro.par.shm` — zero-copy shared-memory operator storage for the
-  process tier (publish once, attach-on-first-use, refcounted registry).
+
+Serving past one process is the serving ring's job: ``ShardServer``
+processes on localhost (:mod:`repro.serve.remote`).
 
 The :mod:`repro.plans` layer prebuilds partitions and autotunes
 per-(fingerprint, kernel) thread counts at plan-compile time, so small
@@ -41,29 +39,9 @@ from .partition import (
     par_state,
     span_partition,
 )
-from .procpool import (
-    ExpiredRequest,
-    ProcPool,
-    WorkerDied,
-    WorkerError,
-    WorkerHung,
-    configured_procs,
-    resolve_procs,
-    set_procs,
-    use_procs,
-)
-from .shm import (
-    AttachedArrays,
-    ShmDescriptor,
-    ShmRegistry,
-    attach_arrays,
-    operator_from_payload,
-    operator_payload,
-    publish_arrays,
-    segment_exists,
-)
 from .pool import (
     active_consumers,
+    configured_procs,
     configured_threads,
     effective_threads,
     force_threads,
@@ -78,17 +56,8 @@ from .pool import (
 
 __all__ = [
     "MIN_WORK_PER_THREAD",
-    "AttachedArrays",
-    "ExpiredRequest",
     "ParState",
-    "ProcPool",
-    "ShmDescriptor",
-    "ShmRegistry",
-    "WorkerDied",
-    "WorkerError",
-    "WorkerHung",
     "active_consumers",
-    "attach_arrays",
     "balanced_boundaries",
     "configured_procs",
     "configured_threads",
@@ -99,19 +68,12 @@ __all__ = [
     "forced_threads",
     "kernel_threads",
     "level_partition",
-    "operator_from_payload",
-    "operator_payload",
     "par_state",
     "parallel_enabled",
     "pool_consumer",
     "pool_stats",
-    "publish_arrays",
-    "resolve_procs",
     "run_tasks",
-    "segment_exists",
-    "set_procs",
     "set_threads",
     "span_partition",
-    "use_procs",
     "use_threads",
 ]

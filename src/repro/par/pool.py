@@ -43,6 +43,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 
 __all__ = [
+    "configured_procs",
     "configured_threads",
     "effective_threads",
     "force_threads",
@@ -92,6 +93,11 @@ _TLS = threading.local()
 def configured_threads() -> int:
     """The process-wide thread budget (``REPRO_THREADS`` / :func:`set_threads`)."""
     return _CONFIGURED
+
+
+def configured_procs() -> int:
+    """Always ``1``: the process tier is retired; e2e results record it."""
+    return 1
 
 
 def set_threads(spec: str | int) -> int:

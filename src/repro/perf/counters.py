@@ -219,8 +219,11 @@ def counting(counter: TrafficCounter | None = None):
 
 
 def record_bytes(precision: Precision | str, nbytes: int, index_bytes: int = 0) -> None:
-    """Record ``nbytes`` of value traffic in ``precision`` (+ optional index bytes)."""
-    if not _STACK.enabled:
+    """Record ``nbytes`` of value traffic in ``precision`` (+ optional index bytes).
+
+    A zero record (an empty block's traffic) records nothing.
+    """
+    if not _STACK.enabled or not (nbytes or index_bytes):
         return
     p = as_precision(precision)
     for counter in _STACK.stack:
@@ -233,7 +236,7 @@ def record_bytes(precision: Precision | str, nbytes: int, index_bytes: int = 0) 
 
 
 def record_flops(precision: Precision | str, nflops: int) -> None:
-    if not _STACK.enabled:
+    if not _STACK.enabled or not nflops:
         return
     p = as_precision(precision)
     for counter in _STACK.stack:
@@ -242,7 +245,7 @@ def record_flops(precision: Precision | str, nflops: int) -> None:
 
 
 def record_kernel(kernel: str, count: int = 1) -> None:
-    if not _STACK.enabled:
+    if not _STACK.enabled or not count:
         return
     for counter in _STACK.stack:
         counter.add_call(kernel, count)

@@ -33,7 +33,6 @@ from .plan import (
     SolvePlan,
     clear_plan_cache,
     compile_plan,
-    drop_plans_for,
     plan_cache_stats,
     plan_for,
     plans_enabled,
@@ -46,7 +45,6 @@ __all__ = [
     "plans_enabled",
     "plan_cache_stats",
     "clear_plan_cache",
-    "drop_plans_for",
     "tuning_enabled",
     "set_tuning_enabled",
     "measured_assembled_format",

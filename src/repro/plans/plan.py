@@ -313,21 +313,6 @@ def plan_cache_stats() -> dict:
         return dict(_STATS, cached=len(_PLAN_CACHE))
 
 
-def drop_plans_for(fingerprint: str) -> int:
-    """Drop every cached plan compiled for one operator fingerprint.
-
-    Compiled plans pre-bind the operator's storage arrays; when that storage
-    is a shared-memory view (the process tier), the mapping cannot close
-    while a cached plan pins it.  Eviction paths call this before releasing
-    the segment.  Returns the number of plans dropped.
-    """
-    with _CACHE_LOCK:
-        doomed = [key for key in _PLAN_CACHE if key[0] == fingerprint]
-        for key in doomed:
-            del _PLAN_CACHE[key]
-    return len(doomed)
-
-
 def clear_plan_cache() -> None:
     """Drop every cached plan and reset the counters (tests)."""
     with _CACHE_LOCK:

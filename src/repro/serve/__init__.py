@@ -6,12 +6,12 @@ deadlines, retry, the circuit breaker, drain and close) over a *ring* of
 members (:mod:`repro.serve.cluster`: rendezvous routing, hedging, failover,
 brownout degradation).  Each member runs its batches on a
 :class:`~repro.serve.executor.SetupExecutor` — one setup LRU, one solve
-path — in a thread pool, in a ``REPRO_PROCS`` worker process, or behind a
-:class:`ShardServer` that a :class:`RemoteShard` reaches over TCP
-(:mod:`repro.serve.remote`).  :class:`BatchDispatcher` is a ring of one
-thread member and :class:`ShardedGateway` a ring of process members (one
-thread member at ``procs=1``).  See the README section "The serving ring:
-thread, process and remote members".
+path — in a thread pool, or behind a :class:`ShardServer` that a
+:class:`RemoteShard` reaches over TCP (:mod:`repro.serve.remote`).
+:class:`BatchDispatcher` is a ring of one thread member; several cores on
+one host are reached by ``max_workers`` threads or by ``ShardServer``
+processes on localhost.  See the README section "The serving ring: thread
+and remote members".
 
 The overload layer (:mod:`repro.serve.overload`) adds priority admission
 with load shedding (:class:`LoadShed`) and a hysteresis
@@ -29,9 +29,9 @@ from .frontdoor import (
 )
 from .dispatcher import BatchDispatcher, DispatchStats
 from .cluster import ClusterConfig, ClusterGateway, ClusterStats, rank_members
-from .gateway import GatewayStats, ShardedGateway, route_fingerprint
 from .metrics import render_metrics
-from .remote import RemoteError, RemoteShard, ShardServer, ShardUnreachable
+from .executor import RemoteError
+from .remote import RemoteShard, ShardServer, ShardUnreachable
 from .overload import (
     BrownoutConfig,
     BrownoutController,
@@ -53,16 +53,13 @@ __all__ = [
     "DeadlineExceeded",
     "DispatchStats",
     "DispatcherClosed",
-    "GatewayStats",
     "LoadShed",
     "RemoteError",
     "RemoteShard",
     "ShardServer",
     "ShardUnreachable",
-    "ShardedGateway",
     "overload_enabled",
     "rank_members",
     "render_metrics",
     "resolve_controller",
-    "route_fingerprint",
 ]

@@ -5,10 +5,11 @@ with a transport: a ring of members that all speak one contract —
 ``submit_batch(fp, rhs_block, setup_factory, deadlines, degrade) ->
 Future[(slots, snapshot)]``, ``submit_warm``, ``evict``, ``healthy``,
 ``rtt_percentile``, ``stats`` and ``close``.  A member is a
-:class:`~repro.serve.executor.ThreadMember` (target ``"local"``), a
-:class:`~repro.serve.remote.RemoteShard` (``"host:port"``), or a worker slot
-of the process tier.  ``BatchDispatcher`` and ``ShardedGateway`` only build
-rings.  What the ring owns:
+:class:`~repro.serve.executor.ThreadMember` (target ``"local"``) or a
+:class:`~repro.serve.remote.RemoteShard` (``"host:port"``); several
+processes on one host are :class:`~repro.serve.remote.ShardServer`
+processes on localhost.  ``BatchDispatcher`` only builds a ring.  What the
+ring owns:
 
 * **Routing** — :func:`rank_members` rendezvous-ranks the member names per
   fingerprint; the head is the primary, the tail the hedge/failover order.
@@ -47,9 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import F3RConfig, degraded_variant
-from ..par.procpool import ExpiredRequest
 from ..solvers import SolveResult
-from .executor import SetupExecutor, ThreadMember
+from .executor import ExpiredRequest, SetupExecutor, ThreadMember
 from .frontdoor import DispatchStats, FrontDoor, _Request, _resolve_once
 from .overload import resolve_controller
 from .remote import RemoteShard, ShardUnreachable
@@ -115,35 +115,8 @@ class ClusterConfig:
             raise ValueError("cluster member names must be unique")
 
 
-@dataclass
-class ClusterStats(DispatchStats):
-    """Front-door counters plus the ring's routing/hedging/failover view."""
-
-    hedges: int = 0
-    hedge_wins: int = 0
-    failovers: int = 0
-    late_results: int = 0
-
-    def _summary(self, members: dict) -> dict:
-        base = super()._summary(members)
-
-        def agg(key: str) -> int:
-            return sum(int(m.get(key, 0) or 0) for m in members.values())
-
-        base["cluster"] = {
-            "members": members,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "failovers": self.failovers,
-            "late_results": self.late_results,
-            "reconnects": agg("reconnects"),
-            "resends": agg("resends"),
-            "heartbeat_misses": agg("heartbeat_misses"),
-            "dead_members": sorted(
-                name for name, m in members.items()
-                if m.get("state") in ("down", "closed")),
-        }
-        return base
+#: the ring's stats are the front door's: one class, exported under both names
+ClusterStats = DispatchStats
 
 
 class _Flight:
@@ -163,7 +136,7 @@ class _Flight:
 
 
 class ClusterGateway(FrontDoor):
-    """Routes batches over a ring of thread, process and remote members.
+    """Routes batches over a ring of thread and remote members.
 
     Parameters
     ----------
@@ -189,7 +162,6 @@ class ClusterGateway(FrontDoor):
     """
 
     _door = "cluster"
-    _stats_type = ClusterStats
 
     def __init__(self, config: F3RConfig | None = None,
                  cluster: ClusterConfig | None = None,
@@ -231,8 +203,8 @@ class ClusterGateway(FrontDoor):
         self.config = config or F3RConfig()
         self.cluster = cluster
         self._members: dict[str, object] = {}
-        self.stats = self._stats_type(controller=controller,
-                                      members_source=self)
+        self.stats = DispatchStats(controller=controller,
+                                   members_source=self)
 
     def _add_thread_member(self, name: str, preconditioner, nblocks, alpha,
                            backend, cache_size: int, max_workers: int) -> None:

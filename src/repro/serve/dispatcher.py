@@ -24,7 +24,7 @@ ring holds that one thread member, so the request policy is the front-door
 core's (:mod:`repro.serve.frontdoor`) and launch, result slots, brownout
 degradation, prewarm and close are the ring's.  A setup that fails to build
 fails its requests with a ``"setup"``
-:class:`~repro.par.procpool.WorkerError` (it charges the circuit breaker and
+:class:`~repro.serve.executor.WorkerError` (it charges the circuit breaker and
 is not retried); a batch that dies while solving is retried.
 """
 

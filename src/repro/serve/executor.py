@@ -13,15 +13,13 @@ module is that job, written once:
   Compiled plans sit in their own fingerprint-keyed cache alongside the
   LRU, so a setup rebuilt after eviction re-binds its plans instantly.
 * :class:`ThreadMember` is the executor on a thread pool: the member of
-  ``BatchDispatcher``, of ``ShardedGateway(procs=1)`` and of a ``"local"``
-  cluster target, and what a ``ShardServer`` serves.  Each process worker
-  (:mod:`repro.par.procpool`) runs the same executor.
+  ``BatchDispatcher`` and of a ``"local"`` cluster target, and what a
+  ``ShardServer`` serves.
 
-A batch's slots are final: a ``SolveResult``, an
-:class:`~repro.par.procpool.ExpiredRequest` for a column whose wall-clock
-deadline passed before it ran, or a ``"setup"``
-:class:`~repro.par.procpool.RemoteError` when the setup failed to build.  A
-failure while solving raises instead, so the ring retries the batch.
+A batch's slots are final: a ``SolveResult``, an :class:`ExpiredRequest`
+for a column whose wall-clock deadline passed before it ran, or a
+``"setup"`` :class:`RemoteError` when the setup failed to build.  A failure
+while solving raises instead, so the ring retries the batch.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,14 +37,55 @@ from ..backends import use_backend
 from ..core import F3RConfig, F3RSolver, degraded_variant
 from ..faults import maybe_delay, maybe_fail_worker
 from ..par import pool_consumer
-from ..par.procpool import ExpiredRequest, RemoteError
 from .frontdoor import DispatcherClosed, _resolve_once
 
-__all__ = ["SetupExecutor", "ThreadMember"]
+__all__ = ["ExpiredRequest", "RemoteError", "SetupExecutor", "ThreadMember",
+           "WorkerError"]
 
 #: the counters an executor reports in every member snapshot
 _COUNTERS = ("batches", "requests", "cache_hits", "cache_misses",
              "escalations", "expired", "degraded_batches")
+
+
+@dataclass(frozen=True)
+class ExpiredRequest:
+    """Per-request marker in a result list: its deadline passed before the
+    batch ran, so no solve was attempted (picklable)."""
+
+    overshoot_s: float
+
+
+@dataclass(frozen=True)
+class RemoteError:
+    """Per-slot failure marker in a result list (picklable).
+
+    ``kind`` follows the :class:`WorkerError` taxonomy; a ``"setup"`` slot
+    (the setup failed to build) feeds the caller's circuit breaker.
+    """
+
+    kind: str
+    type_name: str
+    message: str
+
+    def to_exception(self) -> Exception:
+        return WorkerError(self.kind, self.type_name, self.message)
+
+
+class WorkerError(RuntimeError):
+    """An exception raised inside a member, relayed by (type, message).
+
+    ``kind`` distinguishes ``"setup"`` failures (solver construction — feeds
+    the door's per-fingerprint circuit breaker) from ``"solve"`` failures
+    (retryable like any died batch) and ``"stale"`` bookkeeping misses (the
+    server no longer holds the fingerprint's setup — the caller forgets the
+    fingerprint and reships it, without charging the breaker).
+    """
+
+    def __init__(self, kind: str, type_name: str, message: str) -> None:
+        super().__init__(f"worker {kind} error: {type_name}: {message}")
+        self.kind = kind
+        self.type_name = type_name
+        self.message = message
 
 
 class SetupExecutor:
@@ -57,7 +97,8 @@ class SetupExecutor:
     solves run on (default: the process default).  ``on_evict(fp)`` runs
     after a fingerprint's setup leaves the cache (LRU eviction,
     :meth:`evict`, or a failed build), outside the executor's lock — the
-    process worker releases the fingerprint's shared-memory mapping there.
+    :class:`~repro.serve.remote.ShardServer` drops the fingerprint's shipped
+    operator there.
     """
 
     def __init__(self, config: F3RConfig | None = None, preconditioner="auto",

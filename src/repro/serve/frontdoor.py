@@ -1,9 +1,9 @@
 """The front-door core: one request policy for every serving entry point.
 
-Every door — :class:`~repro.serve.BatchDispatcher`,
-:class:`~repro.serve.ShardedGateway` and :class:`~repro.serve.ClusterGateway`
-— is a ring of members (:mod:`repro.serve.cluster`).  Everything between a
-caller's ``submit`` and that ring is :class:`FrontDoor`, written once here:
+Every door — :class:`~repro.serve.BatchDispatcher` and
+:class:`~repro.serve.ClusterGateway` — is a ring of members
+(:mod:`repro.serve.cluster`).  Everything between a caller's ``submit`` and
+that ring is :class:`FrontDoor`, written once here:
 
 * **Boundary validation** — a mis-shaped or non-finite right-hand side is
   rejected at ``submit`` with a structured
@@ -22,16 +22,16 @@ caller's ``submit`` and that ring is :class:`FrontDoor`, written once here:
   refuses the arrival itself when nothing pending is less important.
   ``priority_depths`` adds per-priority outstanding bounds.
 * **Brownout** — a :class:`~repro.serve.overload.BrownoutController`
-  (default on for the dispatcher and the sharded gateway; ``REPRO_OVERLOAD=0``
-  disables) is fed queue fill, deadline-miss and breaker-trip rates and the
-  door's occupancy on every admission and completion; at its SHED level it
+  (default on for the dispatcher; ``REPRO_OVERLOAD=0`` disables) is fed
+  queue fill, deadline-miss and breaker-trip rates and the door's
+  occupancy on every admission and completion; at its SHED level it
   refuses work below its priority floor at admission; at BROWNOUT the ring
   degrades ``degradable=True`` requests one precision tier.
 * **Deadlines** — ``submit(..., deadline=seconds)`` attaches a per-request
   deadline; a request still undispatched past it fails with
   :class:`DeadlineExceeded` instead of occupying a batch slot.
 * **Retry** — a batch that dies in transport (worker exception, dead
-  process, unreachable shard) is re-dispatched after a linear backoff
+  server, unreachable shard) is re-dispatched after a linear backoff
   (``retry_backoff`` x attempts, on a timer — no worker sleeps through
   it), up to ``max_retries`` per request; only exhausted requests see the
   error.  :class:`~repro.solvers.InvalidInput`, :class:`DispatcherClosed`
@@ -121,11 +121,13 @@ class _Breaker:
 
 @dataclass
 class DispatchStats:
-    """Counters describing what a front door has done so far.
+    """Counters describing what a front door and its ring have done so far.
 
     All mutation happens under the owning door's lock; the stats object
     itself is plain data.  ``cache_hits`` / ``cache_misses`` are summed over
-    the setup executors of the door's members (``members_source``).
+    the setup executors of the door's members (``members_source``); the
+    ring's routing counters (``hedges`` … ``late_results``) sit beside the
+    core's.
     """
 
     requests: int = 0
@@ -143,6 +145,10 @@ class DispatchStats:
     prewarms: int = 0
     opportunistic_warmups: int = 0
     prewarm_ms: float = 0.0
+    hedges: int = 0
+    hedge_wins: int = 0
+    failovers: int = 0
+    late_results: int = 0
 
     #: the owning door's BrownoutController (None when disabled) —
     #: summary() folds its state in
@@ -174,18 +180,16 @@ class DispatchStats:
         deployment watches: the plan/autotune caches, the autotuned
         thread-count verdicts (``autotune.thread_verdicts``), the
         worker-pool budget/occupancy (``pool``), the robustness
-        counters (``recovery``), and the cold-start picture
-        (``cold_start``: warm-up completions plus the persistent artifact
-        cache's hit/miss/saved-time counters).  Every member is
+        counters (``recovery``), the cold-start picture (``cold_start``:
+        warm-up completions plus the persistent artifact cache's
+        hit/miss/saved-time counters) and the ring (``cluster``: the
+        member table and the routing counters).  Every member is
         snapshotted once per call."""
-        return self._summary(self._member_snapshots())
-
-    def _summary(self, members: dict) -> dict:
-        """:meth:`summary` over the given member snapshots."""
         from ..cache import cold_start_stats
         from ..par import pool_stats
         from ..plans import autotune_stats, plan_cache_stats
 
+        members = self._member_snapshots()
         artifacts = cold_start_stats()
         if self.controller is not None:
             overload = dict(self.controller.summary())
@@ -197,6 +201,10 @@ class DispatchStats:
         overload["degraded"] = self.degraded
         overload["shed_by_priority"] = {
             str(p): n for p, n in sorted(self.shed_by_priority.items())}
+
+        def agg(key: str) -> int:
+            return sum(int(m.get(key, 0) or 0) for m in members.values())
+
         return {
             "requests": self.requests,
             "batches": self.batches,
@@ -221,6 +229,19 @@ class DispatchStats:
                 "prewarm_ms": round(self.prewarm_ms, 3),
                 "setup_ms_saved": round(artifacts["saved_ms"], 3),
                 "artifacts": artifacts,
+            },
+            "cluster": {
+                "members": members,
+                "hedges": self.hedges,
+                "hedge_wins": self.hedge_wins,
+                "failovers": self.failovers,
+                "late_results": self.late_results,
+                "reconnects": agg("reconnects"),
+                "resends": agg("resends"),
+                "heartbeat_misses": agg("heartbeat_misses"),
+                "dead_members": sorted(
+                    name for name, m in members.items()
+                    if m.get("state") in ("down", "closed")),
             },
         }
 

@@ -1,7 +1,7 @@
 """Prometheus-style text exposition of the serving stats.
 
 :func:`render_metrics` flattens the nested ``stats.summary()`` dict from a
-:class:`~repro.serve.BatchDispatcher` / :class:`~repro.serve.ShardedGateway`
+:class:`~repro.serve.BatchDispatcher` / :class:`~repro.serve.ClusterGateway`
 into the Prometheus text format (version 0.0.4): one ``# HELP`` / ``# TYPE``
 header per metric followed by its samples, so any Prometheus-compatible
 scraper can watch a serving deployment without calling Python::
@@ -17,9 +17,9 @@ Rendering rules (pure function of the dict — no registry, no deps):
 * Nested dicts join their path with ``_`` (``recovery.retries`` →
   ``repro_recovery_retries``).
 * A dict whose values are all scalars *and* whose parent key is a known
-  per-key breakdown (``queue_depth``, ``shed_by_priority``,
-  ``thread_verdicts``, ``warm_from_artifacts``, ``entries``) renders as one
-  labeled metric family instead of one metric per key.
+  per-key breakdown (``shed_by_priority``, ``thread_verdicts``,
+  ``entries``, ``by_kind``, ``by_site``) renders as one labeled metric
+  family instead of one metric per key.
 * Known cumulative counters are typed ``counter``, everything else
   ``gauge``; booleans render as 0/1; non-numeric leaves are skipped.
 
@@ -38,8 +38,7 @@ _COUNTERS = frozenset({
     "requests", "batches", "batched_requests", "cache_hits", "cache_misses",
     "escalations", "retries", "breaker_trips", "deadline_misses", "rejected",
     "shed", "degraded", "prewarms", "opportunistic_warmups", "transitions",
-    "observations", "worker_deaths", "worker_hangs", "expired",
-    "degraded_batches", "shm_attaches", "pickled_setups", "measured",
+    "observations", "expired", "degraded_batches", "measured",
     "hits", "disk_hits", "thread_measured", "thread_hits", "saves",
     "misses", "evictions",
     # remote shard / cluster tier
@@ -51,10 +50,8 @@ _COUNTERS = frozenset({
 #: parent keys whose scalar-valued dict children render as one labeled
 #: family: parent key -> label name
 _LABELED = {
-    "queue_depth": "shard",
     "shed_by_priority": "priority",
     "thread_verdicts": "threads",
-    "warm_from_artifacts": "kind",
     "entries": "state",
     "by_kind": "kind",
     "by_site": "site",

@@ -1,8 +1,8 @@
 """Brownout controller: the serving tier's graceful-degradation policy.
 
-The dispatcher and the gateway already *survive* failure (PR 6's recovery
-ladder and circuit breakers, PR 8's worker respawn); this module decides how
-they behave *before* failure, when load approaches capacity.  The
+The serving doors already *survive* failure (the recovery ladder, circuit
+breakers, retry and failover); this module decides how they behave
+*before* failure, when load approaches capacity.  The
 :class:`BrownoutController` is a hysteresis state machine::
 
     NORMAL ──pressure high──► BROWNOUT ──pressure higher──► SHED

@@ -6,10 +6,9 @@ behind a socket; :class:`RemoteShard` is the client-side member a
 this module owns is robustness across the socket:
 
 * **Length-prefixed frames** — every message is ``magic | u32 length |
-  pickled tuple``, the tuple shapes mirroring the process worker's protocol
-  (``("solve", req_id, fingerprint, setup, rhs_block, deadlines, degrade)``
-  down, ``("result", req_id, slots, snapshot)`` / ``("error", req_id, kind,
-  type_name, message)`` up).
+  pickled tuple``: ``("solve", req_id, fingerprint, setup, rhs_block,
+  deadlines, degrade)`` down, ``("result", req_id, slots, snapshot)`` /
+  ``("error", req_id, kind, type_name, message)`` up.
 * **Heartbeats with miss-count detection** — both ends emit ``("hb",)``
   every ``heartbeat_interval``; a link silent for ``miss_limit`` intervals
   is declared dead and torn down, which converts a silent partition into
@@ -54,12 +53,10 @@ from contextlib import nullcontext
 import numpy as np
 
 from .. import faults
-from ..par.procpool import RemoteError, WorkerError
-from .executor import SetupExecutor, ThreadMember
+from .executor import RemoteError, SetupExecutor, ThreadMember, WorkerError
 from .frontdoor import AdmissionRefused, _resolve_once
 
 __all__ = [
-    "RemoteError",
     "RemoteShard",
     "ShardServer",
     "ShardUnreachable",
@@ -479,11 +476,11 @@ def _parse_address(address) -> tuple[str, int]:
 class RemoteShard:
     """Client-side transport handle for one remote shard server.
 
-    Mirrors the :class:`~repro.par.procpool.ProcPool` submission surface at
-    batch granularity — :meth:`submit_batch` returns a future resolving to
-    ``(slots, snapshot)`` where each slot is a
-    :class:`~repro.solvers.SolveResult`, an
-    :class:`~repro.par.procpool.ExpiredRequest`, or a :class:`RemoteError`
+    Speaks the ring's member contract at batch granularity —
+    :meth:`submit_batch` returns a future resolving to ``(slots,
+    snapshot)`` where each slot is a :class:`~repro.solvers.SolveResult`,
+    an :class:`~repro.serve.executor.ExpiredRequest`, or a
+    :class:`RemoteError`
     — and owns every link-level concern (heartbeats, reconnect with
     jittered exponential backoff, bounded inflight replay, resend after
     silence, request-id dedup cooperation).  See the module docstring for
@@ -872,8 +869,10 @@ def spawn_server(timeout: float = 60.0, **kwargs):
     """Start a :class:`ShardServer` in a fresh spawned process.
 
     Returns ``(process, (host, port))``.  The process is a daemon serving
-    until terminated — the real-process tier that kill injection and
-    failover tests need (an in-process server cannot die independently).
+    until terminated.  Servers spawned on localhost are how a ring reaches
+    several cores past the GIL, and the real process that kill injection
+    and failover tests need (an in-process server cannot die
+    independently).
     """
     import multiprocessing as mp
 

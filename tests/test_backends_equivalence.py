@@ -666,7 +666,8 @@ def _column(operand, j):
 
 def assert_column_contract(run, operands, backend):
     """``run`` on the blocks equals ``run`` on each column, bit for bit,
-    and records the same counter totals."""
+    and records the same counter totals.  A zero-column block keeps the
+    row count and dtype of a one-column call and records nothing."""
     with use_backend(backend):
         be = get_backend()
         with counting() as block_traffic:
@@ -675,7 +676,11 @@ def assert_column_contract(run, operands, backend):
         with counting() as column_traffic:
             cols = [run(be, *(_column(op, j) for op in operands))
                     for j in range(k)]
-    assert block.shape == (cols[0].shape[0], k)
+        probe = cols[0] if cols else run(be, *(
+            _column(np.ones(op.shape[:-1] + (1,), op.dtype), 0)
+            for op in operands))
+    assert block.shape == (probe.shape[0], k)
+    assert block.dtype == probe.dtype
     for j, col in enumerate(cols):
         assert block.dtype == col.dtype
         assert np.array_equal(_column(block, j).view(np.uint8), col.view(np.uint8)), \
@@ -710,7 +715,7 @@ class TestPerColumnContract:
 
     @pytest.mark.parametrize("vec_prec", DTYPES, ids=lambda p: p.label)
     @pytest.mark.parametrize("mat_prec", DTYPES, ids=lambda p: p.label)
-    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("k", [0, 1, 3, 8])
     @pytest.mark.parametrize("backend", ["reference", "fast"])
     @pytest.mark.parametrize("kernel", CONTRACT_KERNELS)
     def test_block_equals_columns(self, contract_ops, kernel, backend, k,

@@ -1,10 +1,10 @@
 """The front-door contract: one scenario suite for every serving door.
 
-:class:`~repro.serve.BatchDispatcher`, :class:`~repro.serve.ClusterGateway`
-and :class:`~repro.serve.ShardedGateway` share one request policy
+:class:`~repro.serve.BatchDispatcher` and
+:class:`~repro.serve.ClusterGateway` share one request policy
 (:mod:`repro.serve.frontdoor`).  Each scenario here runs against every door
-that supports it — the dispatcher and a one-``"local"``-member cluster in
-tier 1 (no network, no spawn), the two-process gateway in tier 2:
+that supports it — the dispatcher and a one-``"local"``-member cluster (no
+network, no spawn):
 
 * RHS validation before admission;
 * the ``max_queue`` wall and slot release;
@@ -16,12 +16,12 @@ tier 1 (no network, no spawn), the two-process gateway in tier 2:
 * ``drain`` waiting out a timer-pending retry;
 * ``prewarm`` counting completed warm-ups only, with their elapsed time;
 * a setup failure failing its requests at once, never retried;
-* ``cache_hits`` / ``cache_misses`` summed over the door's members;
+* ``cache_hits`` / ``cache_misses`` summed over the door's members, and
+  ``evict`` turning the next solve into a miss;
 * ``max_batch`` / ``max_queue`` validation at construction.
 
 ``test_member_contract_across_kinds`` pins the member contract underneath:
-one RHS block gives the same slots from a thread, a remote and a process
-member.
+one RHS block gives the same slots from a thread and a remote member.
 
 Doors differ only in transport, so each door's :class:`_Harness` says how
 to build it and how to make its transport (or its setup) fail.
@@ -46,18 +46,16 @@ from repro import (
     DispatcherClosed,
     F3RConfig,
     LoadShed,
-    ShardedGateway,
 )
 from repro.matgen import poisson2d
 from repro.operators import LinearOperator
-from repro.par.procpool import ExpiredRequest, WorkerError
-from repro.serve import (
-    RemoteError,
-    RemoteShard,
-    ShardServer,
-    route_fingerprint,
+from repro.serve import RemoteError, RemoteShard, ShardServer
+from repro.serve.executor import (
+    ExpiredRequest,
+    SetupExecutor,
+    ThreadMember,
+    WorkerError,
 )
-from repro.serve.executor import SetupExecutor, ThreadMember
 from repro.solvers import InvalidInput
 
 pytestmark = pytest.mark.tier1
@@ -188,53 +186,13 @@ class _ClusterHarness(_Harness):
         monkeypatch.setattr(member, "submit_batch", submit_batch)
 
 
-class _GatewayHarness(_Harness):
-    name = "gateway"
-    controlled = True
-
-    def make(self, **policy):
-        return ShardedGateway(CONFIG, procs=2, max_workers=1, **policy)
-
-    def break_transport(self, door, monkeypatch, times):
-        real = door.pool.submit_batch
-        left = [times]
-
-        def submit_batch(*args, **kwargs):
-            exc = _failing(left, lambda: RuntimeError("synthetic worker death"))
-            if exc is None:
-                return real(*args, **kwargs)
-            future: Future = Future()
-            future.set_exception(exc)
-            return future
-
-        monkeypatch.setattr(door.pool, "submit_batch", submit_batch)
-
-    def break_setup(self, door, monkeypatch, operator):
-        real = door.pool.submit_batch
-
-        def submit_batch(slot, fp, rhs_block, *args, **kwargs):
-            if not operator.broken:
-                return real(slot, fp, rhs_block, *args, **kwargs)
-            failure = RemoteError("setup", "ValueError",
-                                  "synthetic setup failure")
-            future: Future = Future()
-            future.set_result(([failure] * rhs_block.shape[1], {}))
-            return future
-
-        monkeypatch.setattr(door.pool, "submit_batch", submit_batch)
-
-
-_TIER2 = pytest.mark.tier2
 DOORS = [
     pytest.param(_DispatcherHarness(), id="dispatcher"),
     pytest.param(_ClusterHarness(), id="cluster"),
-    pytest.param(_GatewayHarness(), id="gateway", marks=_TIER2),
 ]
-#: doors with a brownout controller; the gateway's shedding case stays in
-#: tier 1, where its single-door predecessor ran
+#: doors with a brownout controller
 CONTROLLED = [
     pytest.param(_DispatcherHarness(), id="dispatcher"),
-    pytest.param(_GatewayHarness(), id="gateway"),
 ]
 
 
@@ -246,12 +204,7 @@ def matrix():
 # ---------------------------------------------------------------------- #
 # Construction
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("harness", [
-    pytest.param(_DispatcherHarness(), id="dispatcher"),
-    pytest.param(_ClusterHarness(), id="cluster"),
-    # validation runs before any worker process is spawned
-    pytest.param(_GatewayHarness(), id="gateway"),
-])
+@pytest.mark.parametrize("harness", DOORS)
 @pytest.mark.parametrize("policy", [{"max_batch": 0}, {"max_queue": 0}],
                          ids=["max_batch", "max_queue"])
 def test_invalid_policy_rejected(harness, policy):
@@ -428,6 +381,19 @@ def test_cache_counters_sum_over_members(harness, matrix):
 
 
 @pytest.mark.parametrize("harness", DOORS)
+def test_solve_after_evict_is_a_cache_miss(harness, matrix):
+    """``evict`` drops the cached setup: the next solve rebuilds it."""
+    rhs = _rhs(matrix)
+    with harness.make(max_batch=1) as door:
+        door.solve_many([(matrix, rhs)])
+        assert door.evict(matrix.fingerprint())
+        assert not door.evict(matrix.fingerprint())     # nothing left
+        door.solve_many([(matrix, rhs)])
+        summary = door.stats.summary()
+    assert (summary["cache_hits"], summary["cache_misses"]) == (0, 2)
+
+
+@pytest.mark.parametrize("harness", DOORS)
 def test_summary_snapshots_each_member_once(harness, matrix, monkeypatch):
     """One ``summary()`` reads each member's ``stats()`` once; the cache
     counters and the ``cluster`` member table come from that one read."""
@@ -520,8 +486,8 @@ def test_setup_failure_is_final_not_retried(harness, monkeypatch):
 def test_member_contract_across_kinds(matrix):
     """One RHS block — an already-expired column, a degrade-flagged column
     and a plain one — gives the same slots from every member kind: a
-    thread member, an in-process ``ShardServer`` behind a ``RemoteShard``,
-    and a process member.  The solves are bit-identical and the
+    thread member and an in-process ``ShardServer`` behind a
+    ``RemoteShard``.  The solves are bit-identical and the
     ``ExpiredRequest`` sits at the same index."""
     config = F3RConfig(variant="fp64", m1=5)
     fp = matrix.fingerprint()
@@ -542,12 +508,16 @@ def test_member_contract_across_kinds(matrix):
     with ShardServer(config=config, max_workers=1) as server, \
             RemoteShard(server.address, name="server") as shard:
         kinds["server"] = run(shard)
-    with ShardedGateway(config, procs=2, max_workers=1) as gateway:
-        kinds["process"] = run(
-            gateway._members[str(route_fingerprint(fp, 2))])
     for name, slots in kinds.items():
         assert isinstance(slots[0], ExpiredRequest), name
         assert [s.solver_name for s in slots[1:]] == ["fp32-F3R", "fp64-F3R"]
         for got, want in zip(slots[1:], kinds["thread"][1:]):
             assert got.x.tobytes() == want.x.tobytes(), name
             assert got.iterations == want.iterations, name
+
+
+def test_expired_request_marker():
+    marker = ExpiredRequest(overshoot_s=0.5)
+    assert marker.overshoot_s == 0.5
+    with pytest.raises(Exception):   # frozen dataclass
+        marker.overshoot_s = 1.0

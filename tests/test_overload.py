@@ -18,10 +18,11 @@ Pins the PR 9 overload layer:
 * **Metrics export** — :func:`repro.serve.render_metrics` renders
   ``stats.summary()`` as Prometheus text.
 * **Shutdown races** — ``close(wait=False)`` racing ``prewarm(wait=False)``
-  fails the warm futures typed (:class:`DispatcherClosed`) on both front
-  doors instead of leaking cancelled/forever-pending futures.
+  fails the warm futures typed (:class:`DispatcherClosed`) on the
+  dispatcher and on a ring of ``ShardServer`` members instead of leaking
+  cancelled/forever-pending futures.
 * **The tier-2 overload hammer** — a priority-mixed, deadline-mixed
-  100-request burst against a 2-process gateway under hang + kill +
+  100-request burst against a two-worker dispatcher under worker-failure +
   corruption injection: every non-shed request completes bit-identically
   or fails typed, and the overload counters are live.
 """
@@ -37,11 +38,14 @@ import repro
 from repro import (
     AdmissionRefused,
     BatchDispatcher,
+    ClusterConfig,
+    ClusterGateway,
     DeadlineExceeded,
     DispatcherClosed,
     F3RConfig,
     LoadShed,
-    ShardedGateway,
+    RemoteShard,
+    ShardServer,
     render_metrics,
 )
 from repro.matgen import poisson2d
@@ -279,6 +283,11 @@ class TestPriorityAdmission:
             d.flush()
             d.drain()
 
+    def test_controller_on_by_default(self):
+        with self._dispatcher() as d:
+            assert d._overload is not None
+            assert d.stats.summary()["overload"]["state"] == "normal"
+
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_OVERLOAD", "0")
         with BatchDispatcher(F3RConfig(variant="fp32", m1=5)) as d:
@@ -289,18 +298,35 @@ class TestPriorityAdmission:
 # ---------------------------------------------------------------------- #
 # Brownout degradation and background suppression
 # ---------------------------------------------------------------------- #
+class _ServedDoor(ClusterGateway):
+    """A ring of one in-process :class:`ShardServer` member whose door
+    carries a brownout controller, built the way ``BatchDispatcher`` builds
+    its ring: the degrade flags cross a real transport."""
+
+    _door = "served"
+
+    def __init__(self, config, overload) -> None:
+        self._server = ShardServer(config=config, max_workers=1).start()
+        self._init_ring(config, ClusterConfig(max_batch=4), None, overload)
+        self._members["server"] = RemoteShard(self._server.address,
+                                              name="server")
+
+    def _teardown(self) -> None:
+        super()._teardown()
+        self._server.close()
+
+
 def _degrading_door(door: str, config, overload):
     """The doors whose brownout controller degrades: the dispatcher, and
-    the two-process gateway (whose ring carries the controller)."""
+    a ring whose member is a ``ShardServer`` behind a socket."""
     if door == "dispatcher":
         return BatchDispatcher(config, max_batch=4, max_workers=1,
                                overload=overload)
-    return ShardedGateway(config, procs=2, max_batch=4, max_workers=1,
-                          overload=overload)
+    return _ServedDoor(config, overload)
 
 
 class TestDegradation:
-    @pytest.mark.parametrize("door", ["dispatcher", "gateway"])
+    @pytest.mark.parametrize("door", ["dispatcher", "served"])
     def test_degradable_requests_run_one_tier_lower(self, door):
         A = _matrix()
         config = F3RConfig(variant="fp64", m1=10)
@@ -318,7 +344,7 @@ class TestDegradation:
             assert result.solver_name == expected
         assert summary["overload"]["degraded"] == 2
 
-    @pytest.mark.parametrize("door", ["dispatcher", "gateway"])
+    @pytest.mark.parametrize("door", ["dispatcher", "served"])
     def test_no_controller_never_degrades(self, door):
         A = _matrix()
         config = F3RConfig(variant="fp64", m1=10)
@@ -400,15 +426,16 @@ class TestMetrics:
                 "shed_by_priority": {"0": 2, "1": 1},
                 "last_transitions": [{"from": "normal"}],   # skipped
             },
-            "procs": {"queue_depth": {0: 2, 1: 0}, "worker_hangs": 1},
+            "faults": {"by_site": {"spmv": 2, "trsv": 0}},
+            "cluster": {"failovers": 1},
             "autotune": {"suppressed": True},
             "ratio": 0.5,
         }
         text = render_metrics(summary, prefix="x")
         assert "# TYPE x_requests counter" in text
         assert 'x_overload_shed_by_priority{priority="0"} 2' in text
-        assert 'x_procs_queue_depth{shard="1"} 0' in text
-        assert "# TYPE x_procs_worker_hangs counter" in text
+        assert 'x_faults_by_site{site="trsv"} 0' in text
+        assert "# TYPE x_cluster_failovers counter" in text
         assert 'x_overload_state{state="brownout"} 1' in text
         assert "x_autotune_suppressed 1" in text
         assert "x_ratio 0.5" in text
@@ -443,51 +470,31 @@ class TestPrewarmCloseRace:
         with pytest.raises(DispatcherClosed):
             d.prewarm([_matrix()], wait=False)
 
-    def test_gateway_warm_futures_fail_typed(self):
+    def test_served_ring_warm_futures_fail_typed(self):
         operators = [poisson2d(6 + i) for i in range(4)]
-        gateway = ShardedGateway(F3RConfig(variant="fp32", m1=5), procs=2,
-                                 max_retries=0)
-        futures = gateway.prewarm(operators, wait=False)
-        gateway.close(wait=False)
-        for future in futures:
-            exc = future.exception(timeout=10)
-            assert exc is None or isinstance(exc, DispatcherClosed)
+        config = F3RConfig(variant="fp32", m1=5)
+        with ShardServer(config=config, max_workers=1) as s0, \
+                ShardServer(config=config, max_workers=1) as s1:
+            gateway = ClusterGateway(config, cluster=ClusterConfig(
+                members=(("s0", "%s:%d" % s0.address),
+                         ("s1", "%s:%d" % s1.address)), max_retries=0))
+            futures = gateway.prewarm(operators, wait=False)
+            gateway.close(wait=False)
+            for future in futures:
+                exc = future.exception(timeout=10)
+                assert exc is None or isinstance(exc, DispatcherClosed)
 
-    def test_gateway_close_wait_lets_warmups_finish(self):
-        operators = [poisson2d(6)]
-        gateway = ShardedGateway(F3RConfig(variant="fp32", m1=5), procs=2)
-        futures = gateway.prewarm(operators, wait=False)
-        gateway.close(wait=True)
-        assert futures[0].exception(timeout=1) is None
-        assert gateway.stats.prewarms == 1
-
-
-# ---------------------------------------------------------------------- #
-# Gateway delegate mode carries the admission layer (proc-mode shedding is
-# in test_frontdoor.py)
-# ---------------------------------------------------------------------- #
-class TestGatewayAdmission:
-    def test_delegate_mode_carries_controller(self):
-        gateway = ShardedGateway(F3RConfig(variant="fp32", m1=5), procs=1)
-        try:
-            summary = gateway.stats.summary()
-            assert summary["overload"]["state"] == "normal"
-            assert summary["procs"]["mode"] == "in-process"
-        finally:
-            gateway.close()
-
-    def test_delegate_mode_passes_priority_through(self):
-        A = _matrix()
-        gateway = ShardedGateway(F3RConfig(variant="fp32", m1=5), procs=1,
-                                 max_batch=100, max_queue=1)
-        try:
-            gateway.submit(A, _rhs(A, 0), priority=1)
-            with pytest.raises(LoadShed):
-                gateway.submit(A, _rhs(A, 1), priority=0)
-            gateway.flush()
-            gateway.drain()
-        finally:
-            gateway.close()
+    def test_served_ring_close_wait_lets_warmups_finish(self):
+        config = F3RConfig(variant="fp32", m1=5)
+        with ShardServer(config=config, max_workers=1) as s0, \
+                ShardServer(config=config, max_workers=1) as s1:
+            gateway = ClusterGateway(config, cluster=ClusterConfig(
+                members=(("s0", "%s:%d" % s0.address),
+                         ("s1", "%s:%d" % s1.address))))
+            futures = gateway.prewarm([poisson2d(6)], wait=False)
+            gateway.close(wait=True)
+            assert futures[0].exception(timeout=1) is None
+            assert gateway.stats.prewarms == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -496,70 +503,68 @@ class TestGatewayAdmission:
 @pytest.mark.tier2
 class TestOverloadHammer:
     def test_hundred_request_burst_under_chaos(self, monkeypatch):
-        """Priority-mixed, deadline-mixed burst with hangs, kills, and
+        """Priority-mixed, deadline-mixed burst with worker failures and
         corruption: every non-shed, non-expired request completes
         bit-identically to an unfaulted reference; shed/expired requests
         fail typed; the overload counters are live."""
+        from repro import set_recovery_enabled
         from repro.faults import FaultPlan, inject
 
         # determinism pins: stateless solves (bit-identity under retries),
-        # no measured autotune, no recovery ladder divergence
+        # no measured autotune, and no recovery ladder, so a corrupted solve
+        # fails its batch into the retry path instead of recovering
         monkeypatch.setenv("REPRO_TUNE", "0")
-        monkeypatch.setenv("REPRO_RECOVERY", "0")
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        # two operators routing to *different* shards, so both workers see
-        # traffic (and each can contribute its own first chaos event)
-        from repro.serve import route_fingerprint
         ops = [poisson2d(8), poisson2d(9)]
-        assert {route_fingerprint(op.fingerprint(), 2) for op in ops} == {0, 1}
         config = F3RConfig(variant="fp32", m1=10, adaptive_weight=False)
         pairs = [(ops[i % 2], _rhs(ops[i % 2], i)) for i in range(100)]
+        prev_recovery = set_recovery_enabled(False)
+        try:
+            # unfaulted reference, one request per batch, single worker
+            with BatchDispatcher(config, max_batch=1, max_workers=1,
+                                 overload=False) as ref:
+                reference = [f.result() for f in
+                             [ref.submit(op, b) for op, b in pairs]]
 
-        # unfaulted reference, one request per batch, single worker
-        with BatchDispatcher(config, max_batch=1, max_workers=1,
-                             overload=False) as ref:
-            reference = [f.result() for f in
-                         [ref.submit(op, b) for op, b in pairs]]
-
-        plan = FaultPlan(seed=20, rate=0.004, sites=("spmv",), kinds=("nan",),
-                         max_faults=2, kill_rate=0.03, hang_rate=0.05,
-                         hang_ms=1500.0)
-        shed, expired, completed = [], [], {}
-        with inject(plan):
-            gateway = ShardedGateway(
-                config, procs=2, max_batch=1, max_queue=64, max_retries=10,
-                retry_backoff=0.02, hang_timeout=0.4, heartbeat_interval=0.1)
-            try:
-                futures = {}
-                for i, (op, b) in enumerate(pairs):
-                    priority = i % 3
-                    deadline = 0.002 if priority == 0 and i % 10 == 0 else None
-                    try:
-                        futures[i] = gateway.submit(op, b, priority=priority,
-                                                    degradable=False,
-                                                    deadline=deadline)
-                    except LoadShed:
-                        shed.append(i)
-                gateway.flush()
-                gateway.drain()
-                for i, future in futures.items():
-                    exc = future.exception()
-                    if exc is None:
-                        completed[i] = future.result()
-                    elif isinstance(exc, DeadlineExceeded):
-                        expired.append(i)
-                    elif isinstance(exc, LoadShed):
-                        shed.append(i)
-                    else:
-                        raise AssertionError(
-                            f"request {i} failed untyped: {exc!r}")
-                summary = gateway.stats.summary()
-            finally:
-                gateway.close()
+            plan = FaultPlan(seed=20, rate=0.004, sites=("spmv",),
+                             kinds=("nan",), max_faults=2, worker_rate=0.03)
+            shed, expired, completed = [], [], {}
+            with inject(plan):
+                dispatcher = BatchDispatcher(
+                    config, max_batch=1, max_workers=2, max_queue=64,
+                    max_retries=10, retry_backoff=0.02)
+                try:
+                    futures = {}
+                    for i, (op, b) in enumerate(pairs):
+                        priority = i % 3
+                        deadline = (0.002 if priority == 0 and i % 10 == 0
+                                    else None)
+                        try:
+                            futures[i] = dispatcher.submit(
+                                op, b, priority=priority, degradable=False,
+                                deadline=deadline)
+                        except LoadShed:
+                            shed.append(i)
+                    dispatcher.flush()
+                    dispatcher.drain()
+                    for i, future in futures.items():
+                        exc = future.exception()
+                        if exc is None:
+                            completed[i] = future.result()
+                        elif isinstance(exc, DeadlineExceeded):
+                            expired.append(i)
+                        elif isinstance(exc, LoadShed):
+                            shed.append(i)
+                        else:
+                            raise AssertionError(
+                                f"request {i} failed untyped: {exc!r}")
+                    summary = dispatcher.stats.summary()
+                finally:
+                    dispatcher.close()
+        finally:
+            set_recovery_enabled(prev_recovery)
 
         # the chaos actually happened and the overload machinery saw it
-        assert summary["procs"]["worker_hangs"] >= 1
-        assert summary["procs"]["worker_deaths"] >= 1
         assert summary["recovery"]["retries"] >= 1
         assert summary["overload"]["shed"] >= 1
         assert summary["overload"]["transitions"] >= 1

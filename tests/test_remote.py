@@ -9,9 +9,8 @@ Pins the multi-host serving layer:
   / ``net_delay_ms`` are pure Philox functions of ``(seed, site,
   call-count)``; the ``REPRO_FAULTS`` spec round-trips them.
 * **Rendezvous ranking** — :func:`~repro.serve.rank_members` is a stable
-  permutation whose head agrees with the process tier's
-  :func:`~repro.serve.route_fingerprint`, and whose tail is the
-  failover/hedge order (minimal-disruption member removal).
+  permutation whose tail is the failover/hedge order (minimal-disruption
+  member removal).
 * **The ambiguous-disconnect contract** — a request id replayed after the
   server already answered is served from the dedup cache (never
   re-executed); one replayed *while executing* re-targets the newest
@@ -55,9 +54,9 @@ from repro import (
 )
 from repro.faults import FaultPlan, inject, maybe_net
 from repro.matgen import poisson2d
-from repro.par.procpool import ExpiredRequest, WorkerError
-from repro.serve import rank_members, route_fingerprint
+from repro.serve import rank_members
 from repro.serve.cluster import ClusterStats
+from repro.serve.executor import ExpiredRequest, WorkerError
 from repro.serve.remote import recv_frame, send_frame, spawn_server
 from repro.solvers.guards import InvalidInput
 
@@ -84,7 +83,7 @@ def pinned(monkeypatch):
     (fused or not — the blocked kernels reorder reductions), so every
     bit-identity test here pins ``max_batch=1`` on both the reference and
     the cluster under test, plus tune/recovery off, matching the
-    process-tier hammer methodology.
+    overload hammer methodology.
     """
     monkeypatch.setenv("REPRO_TUNE", "0")
     monkeypatch.setenv("REPRO_RECOVERY", "0")
@@ -243,14 +242,6 @@ class TestRankMembers:
         names = ["alpha", "beta", "gamma", "delta"]
         ranked = rank_members("fp-1", names)
         assert sorted(ranked) == sorted(names)
-
-    def test_head_agrees_with_route_fingerprint(self):
-        for i in range(50):
-            fp = f"fingerprint-{i}"
-            for nshards in (1, 2, 3, 5, 8):
-                names = [str(s) for s in range(nshards)]
-                assert route_fingerprint(fp, nshards) == \
-                    int(rank_members(fp, names)[0])
 
     def test_removing_a_loser_never_moves_the_winner(self):
         # the rendezvous property the failover order relies on: dropping a
@@ -902,7 +893,7 @@ class TestExportSurface:
         from repro import serve
         for name in ("RemoteShard", "RemoteError", "ShardServer",
                      "ShardUnreachable", "ClusterConfig", "ClusterGateway",
-                     "ClusterStats", "rank_members", "route_fingerprint"):
+                     "ClusterStats", "rank_members"):
             assert hasattr(serve, name), name
             assert name in serve.__all__, name
 

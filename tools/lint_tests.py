@@ -23,8 +23,8 @@ variable ``src/`` still references — a new knob needs a documented
 production reason, and a retired one leaves the table.
 
 Finally it keeps each serving responsibility in one place: every pattern
-in :data:`SINGLE_DEFINITIONS` may match at most one module among
-``src/repro/serve/*.py`` and ``src/repro/par/procpool.py``.  They are the
+in :data:`SINGLE_DEFINITIONS` may match at most one module of
+``src/repro/serve/``.  They are the
 front-door core's request policy (the breaker, shed-victim choice and
 retry, in ``frontdoor.py``), the ring's result-slot handling
 (``isinstance(..., ExpiredRequest)``, in ``cluster.py``) and the one solve
@@ -41,6 +41,13 @@ And it keeps one kernel per operation below the solver
 so no second, block-only form (``spmm_csr``, ``trsm``, ``axpy_block``, their
 slab executors and recorders, ...) may be defined anywhere in
 ``src/repro/``.
+
+It keeps one multi-process transport (:data:`PROCESS_LIMITS`): the retired
+process tier's entry points (``ProcPool``, ``ShardedGateway``,
+``ShmRegistry``, ``WorkerHung``, ``set_procs``, ``use_procs``,
+``maybe_hang``) may not be defined anywhere in ``src/repro/``, and no module
+but ``serve/remote.py`` (``spawn_server``) may import ``multiprocessing``:
+several processes are ``ShardServer`` members of a ring.
 """
 
 from __future__ import annotations
@@ -54,8 +61,9 @@ TESTS_DIR = ROOT / "tests"
 SRC_DIR = ROOT / "src"
 SERVE_DIR = SRC_DIR / "repro" / "serve"
 #: the modules the SINGLE_DEFINITIONS scan covers
-SERVING_MODULES = (*sorted(SERVE_DIR.glob("*.py")),
-                   SRC_DIR / "repro" / "par" / "procpool.py")
+SERVING_MODULES = tuple(sorted(SERVE_DIR.glob("*.py")))
+#: the one module that may import multiprocessing (spawn_server)
+MULTIPROCESSING_HOME = SERVE_DIR / "remote.py"
 README = ROOT / "README.md"
 SOLVERS_DIR = SRC_DIR / "repro" / "solvers"
 
@@ -88,13 +96,9 @@ REQUIRED_MODULES = (
                                        # tolerance, restart-skip, autotune
                                        # disk-cache merge (PR 7)
     "test_sparse_io*.py",              # MatrixMarket reader/writer fixes (PR 7)
-    "test_procpool*.py",               # process tier: shm lifecycle, REPRO_PROCS
-                                       # bit-identity, crash recovery (PR 8)
     "test_overload*.py",               # priority admission / load shedding,
                                        # brownout hysteresis, metrics export,
                                        # the tier-2 overload hammer (PR 9)
-    "test_watchdog*.py",               # worker heartbeats, hang classification,
-                                       # respawn semantics (PR 9)
     "test_remote*.py",                 # remote shard tier: frame codec, net
                                        # faults, reconnect + replay, dedup,
                                        # hedging, failover, the tier-2
@@ -141,6 +145,19 @@ BACKEND_LIMITS = {
         "residual_update_batch", "_record_spmm", "_record_trsm",
         "trsm_level_chunks", "csr_matvecs_slabs", r"spmm_\w+_slabs",
         "axpy_block", "cast_block", "_apply_fused_single")
+}
+
+#: one multi-process transport: the retired process tier's entry points,
+#: none of which may be defined (as a class or a function) in src/repro/
+PROCESS_LIMITS = {
+    name: (re.compile(rf"^\s*(?:class|def) {name}\b", re.MULTILINE), 0)
+    for name in ("ProcPool", "ShardedGateway", "ShmRegistry", "WorkerHung",
+                 "set_procs", "use_procs", "maybe_hang")
+}
+#: ... and no module but MULTIPROCESSING_HOME may import multiprocessing
+MULTIPROCESSING_LIMITS = {
+    "import multiprocessing": (re.compile(
+        r"^\s*(?:import|from)\s+multiprocessing\b", re.MULTILINE), 0),
 }
 
 
@@ -226,8 +243,8 @@ def main() -> int:
     duplicated = duplicated_definitions()
     if duplicated:
         print("lint-tests: serving logic found in more than one module of "
-              "src/repro/serve/ and src/repro/par/procpool.py (see "
-              "SINGLE_DEFINITIONS for its home):", file=sys.stderr)
+              "src/repro/serve/ (see SINGLE_DEFINITIONS for its home):",
+              file=sys.stderr)
         for name, modules in sorted(duplicated.items()):
             print(f"  {name}: {', '.join(modules)}", file=sys.stderr)
         status = 1
@@ -238,13 +255,24 @@ def main() -> int:
                        "recurrence (one batch cycle and one Richardson sweep "
                        "serve every column count; see SOLVER_LIMITS):")
         status = 1
-    excess = limit_excess(sorted((SRC_DIR / "repro").rglob("*.py")),
-                          BACKEND_LIMITS)
+    src_modules = sorted((SRC_DIR / "repro").rglob("*.py"))
+    excess = limit_excess(src_modules, BACKEND_LIMITS)
     if excess:
         _report_excess(excess, BACKEND_LIMITS,
                        "lint-tests: src/repro/ defines a second, block-only "
                        "kernel form (one kernel takes vectors and (n, k) "
                        "blocks; see BACKEND_LIMITS):")
+        status = 1
+    excess = {
+        **limit_excess(src_modules, PROCESS_LIMITS),
+        **limit_excess([path for path in src_modules
+                        if path != MULTIPROCESSING_HOME],
+                       MULTIPROCESSING_LIMITS)}
+    if excess:
+        _report_excess(excess, {**PROCESS_LIMITS, **MULTIPROCESSING_LIMITS},
+                       "lint-tests: src/repro/ holds a second multi-process "
+                       "transport (several processes are ShardServers; see "
+                       "PROCESS_LIMITS):")
         status = 1
     if status == 0:
         print(f"lint-tests: OK ({len(test_files)} test files, all tier-marked; "
@@ -252,7 +280,7 @@ def main() -> int:
               f"{len(used)} REPRO_* variables documented; "
               f"{len(SINGLE_DEFINITIONS)} serving definitions unique; "
               f"one Krylov recurrence in solvers/; one kernel per "
-              f"operation in src/)")
+              f"operation in src/; one multi-process transport)")
     return status
 
 
