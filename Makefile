@@ -1,12 +1,18 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-all test-faults test-chaos test-remote lint-tests bench-smoke bench-kernels bench-baseline bench-parallel-smoke bench-parallel-baseline bench-cold-smoke bench-cold-baseline
+.PHONY: test test-fast test-all test-faults test-chaos test-remote lint-tests bench-smoke bench-kernels bench-baseline bench-parallel-smoke bench-parallel-baseline bench-cold-smoke bench-cold-baseline
 
 ## Tier-1 test suite (the CI gate): fast deterministic tests only
 ## (pytest.ini's addopts deselect the tier2 marker by default)
 test:
 	$(PYTHON) -m pytest -x -q
+
+## Tier-1 on the numpy `fast` engine: where the compiled `native` engine
+## builds it is the default, so this keeps the path every host without a C
+## compiler runs gated too
+test-fast:
+	REPRO_BACKEND=fast $(PYTHON) -m pytest -x -q
 
 ## Both tiers: tier1 plus the hypothesis sweeps and paper-claim integration
 ## tests (the trailing -m overrides the addopts default)

@@ -5,8 +5,10 @@ Times the four hot kernels — CSR SpMV, sliced-ELLPACK SpMV, level-scheduled
 triangular solve, and one FGMRES(m) cycle on a one-column block — on both
 registered backends, the fp16 level solve on subnormal-heavy input for a
 wide-level factor (staged through fp32 by the fast engine) and a
-one-row-per-level chain (direct), plus
-the CSR product and the triangular solve on an ``(n, k)`` block against
+one-row-per-level chain (direct), the fp16 CSR product on subnormal-heavy
+input, the compiled ``native`` engine's rows (the triangular solves and the
+fp16 CSR product, where it builds; each must equal ``fast`` bit for bit),
+plus the CSR product and the triangular solve on an ``(n, k)`` block against
 ``k`` vector calls (rows ``spmm_csr`` and ``trsm``), a full ``solve_batch`` of
 the fp16-F3R solver against ``k`` sequential ``solve`` calls, and the
 matrix-free stencil applies (single + batched) against the assembled CSR
@@ -41,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backends import use_backend
+from repro.backends import available_backends, use_backend
 from repro.core import F3RConfig, F3RSolver
 from repro.matgen import hpcg_matrix, hpcg_operator, poisson2d
 from repro.precision import Precision
@@ -65,6 +67,9 @@ BATCH_K = 8
 #: level, the shape of G3_circuit's fused IC(0) at ``tiny`` scale
 WIDE_GRID = 16
 CHAIN_ROWS = 600
+
+#: the rows the compiled native engine ports, timed on it where it builds
+NATIVE_ROWS = ("trsv", "trsv_fp16_wide", "trsv_fp16_chain", "spmv_csr_fp16")
 
 #: grid side of the matrix-free stencil benchmark (HPCG 27-point); 64³ is the
 #: operator-layer acceptance threshold — the batched matrix-free apply must
@@ -111,7 +116,9 @@ def build_problem(side: int):
     wide, _ = ilu0_factor(hpcg_matrix(WIDE_GRID))
     wide_b16 = (rng.uniform(-1.0, 1.0, wide.nrows) * 6e-5).astype(np.float16)
     chain_b16 = (rng.uniform(-1.0, 1.0, CHAIN_ROWS) * 6e-5).astype(np.float16)
+    x16 = (rng.uniform(-1.0, 1.0, n) * 6e-5).astype(np.float16)
     return {"matrix": matrix, "ell": ell, "lower": lower, "x": x, "n": n,
+            "matrix16": matrix.astype(Precision.FP16), "x16": x16,
             "wide": wide, "wide_b16": wide_b16,
             "chain": _chain_lower(CHAIN_ROWS), "chain_b16": chain_b16}
 
@@ -124,7 +131,10 @@ def _chain_lower(n: int) -> CSRMatrix:
     return CSRMatrix(vals, cols.astype(np.int32), indptr.astype(np.int32), (n, n))
 
 
-def bench_backend(problem, backend: str, repeats: int, m: int) -> dict[str, float]:
+def bench_backend(problem, backend: str, repeats: int, m: int,
+                  rows=None) -> tuple[dict[str, float], dict[str, np.ndarray]]:
+    """Best-of wall time of each kernel row (all, or ``rows``) on
+    ``backend``, and the result of each :data:`NATIVE_ROWS` row."""
     matrix = problem["matrix"]
     ell = problem["ell"]
     x = problem["x"]
@@ -136,21 +146,25 @@ def bench_backend(problem, backend: str, repeats: int, m: int) -> dict[str, floa
                                   unit_diagonal=True).astype(Precision.FP16)
         chain16 = TriangularFactor(problem["chain"], lower=True).astype(
             Precision.FP16)
-        times = {
-            "spmv_csr": _time(lambda: matrix.matvec(x), repeats),
-            "spmv_ell": _time(lambda: ell.matvec(x), repeats),
-            "trsv": _time(lambda: factor.solve(x), repeats),
-            "trsv_fp16_wide": _time(lambda: wide16.solve(problem["wide_b16"]),
-                                    repeats),
-            "trsv_fp16_chain": _time(lambda: chain16.solve(problem["chain_b16"]),
-                                     repeats),
+        calls = {
+            "spmv_csr": lambda: matrix.matvec(x),
+            "spmv_ell": lambda: ell.matvec(x),
+            "spmv_csr_fp16": lambda: problem["matrix16"].matvec(problem["x16"]),
+            "trsv": lambda: factor.solve(x),
+            "trsv_fp16_wide": lambda: wide16.solve(problem["wide_b16"]),
+            "trsv_fp16_chain": lambda: chain16.solve(problem["chain_b16"]),
             # the one Arnoldi loop on a one-column block (a single RHS)
-            "fgmres_cycle": _time(
-                lambda: fgmres_cycle_batch(matrix, x[:, None], None, m=m,
-                                           vec_prec=Precision.FP64),
-                repeats, warmup=1),
+            "fgmres_cycle": lambda: fgmres_cycle_batch(matrix, x[:, None], None, m=m,
+                                                       vec_prec=Precision.FP64),
         }
-    return times
+        times = {name: _time(calls[name], repeats) for name in rows or calls}
+        outputs = {name: calls[name]() for name in times if name in NATIVE_ROWS}
+    return times, outputs
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
 
 
 def bench_batched_kernels(problem, repeats: int, k: int = BATCH_K) -> dict[str, dict]:
@@ -311,8 +325,8 @@ def bench_fused(problem, repeats: int) -> dict[str, dict]:
 def run(scale: str, repeats: int, m: int) -> dict:
     side = SCALES[scale]
     problem = build_problem(side)
-    reference = bench_backend(problem, "reference", repeats, m)
-    fast = bench_backend(problem, "fast", repeats, m)
+    reference, _ = bench_backend(problem, "reference", repeats, m)
+    fast, fast_out = bench_backend(problem, "fast", repeats, m)
     kernels = {}
     for name in reference:
         speedup = reference[name] / fast[name] if fast[name] > 0 else float("inf")
@@ -321,6 +335,15 @@ def run(scale: str, repeats: int, m: int) -> dict:
             "fast_s": fast[name],
             "speedup": round(speedup, 3),
         }
+    if "native" in available_backends():
+        native, native_out = bench_backend(problem, "native", repeats, m,
+                                           rows=NATIVE_ROWS)
+        for name in NATIVE_ROWS:
+            kernels[name].update(
+                native_s=native[name],
+                native_speedup=round(fast[name] / native[name]
+                                     if native[name] > 0 else float("inf"), 3),
+                native_bit_identical=_same_bits(native_out[name], fast_out[name]))
     batched = bench_batched_kernels(problem, repeats)
     batched["solve_batch"] = bench_solve_batch(scale)
     stencil = bench_stencil(repeats)
@@ -409,8 +432,14 @@ def main(argv=None) -> int:
     print(f"kernel engine micro-benchmarks — scale={args.scale} "
           f"(n={report['n']}, nnz={report['nnz']})")
     for name, row in report["kernels"].items():
-        print(f"  {name:<14} reference {row['reference_s'] * 1e3:9.3f} ms   "
-              f"fast {row['fast_s'] * 1e3:9.3f} ms   speedup {row['speedup']:6.2f}x")
+        native = ""
+        if "native_s" in row:
+            native = (f"   native {row['native_s'] * 1e3:9.3f} ms "
+                      f"({row['native_speedup']:.2f}x over fast, "
+                      f"{'bit-identical' if row['native_bit_identical'] else 'DIFFERS'})")
+        print(f"  {name:<15} reference {row['reference_s'] * 1e3:9.3f} ms   "
+              f"fast {row['fast_s'] * 1e3:9.3f} ms   speedup {row['speedup']:6.2f}x"
+              f"{native}")
     print(f"batched (k={BATCH_K}) vs looped — fast engine")
     for name, row in report["batched"].items():
         print(f"  {name:<14} looped    {row['looped_s'] * 1e3:9.3f} ms   "
@@ -434,6 +463,12 @@ def main(argv=None) -> int:
         print(f"wrote baseline {args.baseline}")
 
     status = 0
+    differs = [name for name, row in report["kernels"].items()
+               if row.get("native_bit_identical") is False]
+    if differs:
+        print(f"native results differ from fast on: {', '.join(differs)}",
+              file=sys.stderr)
+        status = 1
     if args.check:
         if not args.baseline.exists():
             print(f"no baseline at {args.baseline}; run with --write-baseline first",

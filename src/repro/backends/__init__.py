@@ -7,7 +7,12 @@ orthogonalization, ILU(0) construction) dispatches through the *active*
 * ``"reference"`` — the original emulation-faithful NumPy kernels; the
   correctness oracle.
 * ``"fast"`` — fully vectorized kernels with workspace reuse and batched
-  counter recording; the default.
+  counter recording.
+* ``"native"`` — ``fast`` with the triangular solve and the fp16 CSR
+  products compiled from C (:mod:`repro.backends.native`), bit-identical to
+  ``reference``; **the default** wherever ``$CC`` builds it and its
+  load-time self-check passes.  Otherwise it is not registered, one
+  ``RuntimeWarning`` says why, and ``fast`` is the default.
 
 Selection, in precedence order:
 
@@ -17,12 +22,15 @@ Selection, in precedence order:
    the backend inside each worker (or via ``REPRO_BACKEND``) when
    parallelizing solves.
 3. The ``REPRO_BACKEND`` environment variable at import time.
-4. The built-in default (``"fast"``).
+4. The built-in default: ``"native"`` when available, else ``"fast"``.
 
-Backend implementations are imported lazily so this module stays cheap to
-import and free of circular imports with :mod:`repro.sparse`.  Third-party
-backends (e.g. a CuPy/GPU engine) can be added at runtime with
-:func:`register_backend`.
+Whether ``native`` is available is decided once per process, lazily: on the
+first kernel dispatch through the default, the first
+:func:`available_backends` call or the first request for ``"native"`` —
+never at import.  Backend implementations are imported lazily too, so this
+module stays cheap to import and free of circular imports with
+:mod:`repro.sparse`.  Third-party backends (e.g. a CuPy/GPU engine) can be
+added at runtime with :func:`register_backend`.
 """
 
 from __future__ import annotations
@@ -56,15 +64,60 @@ _FACTORIES: dict[str, object] = {
     "fast": "repro.backends.fast:FastBackend",
 }
 
+#: the compiled engine's factory: registered (as "native") by _probe_native
+#: only where it builds and passes its self-check
+_NATIVE_FACTORY = "repro.backends.native:NativeBackend"
+
 # empty/whitespace REPRO_BACKEND means "unset": fall back to the default
-DEFAULT_BACKEND = os.environ.get("REPRO_BACKEND", "").strip().lower() or "fast"
-if DEFAULT_BACKEND not in _FACTORIES:
+_ENV_BACKEND = os.environ.get("REPRO_BACKEND", "").strip().lower()
+if _ENV_BACKEND and _ENV_BACKEND not in (*_FACTORIES, "native"):
     # fail fast at import instead of deep inside the first kernel call;
     # third-party backends registered at runtime cannot be the env default —
     # select those with set_backend()/use_backend() after registering.
     raise ValueError(
-        f"REPRO_BACKEND={DEFAULT_BACKEND!r} is not a registered kernel backend; "
-        f"choose from {', '.join(sorted(_FACTORIES))}")
+        f"REPRO_BACKEND={_ENV_BACKEND!r} is not a registered kernel backend; "
+        f"choose from {', '.join(sorted((*_FACTORIES, 'native')))}")
+
+#: the resolved default engine's name (None until first needed)
+_DEFAULT: str | None = None
+_PROBE_LOCK = threading.Lock()
+_PROBED = False
+
+
+def _probe_native() -> None:
+    """Register ``native`` if it builds and passes its self-check (decided
+    once per process; a failure warns once, inside
+    :func:`repro.backends.native.library`)."""
+    global _PROBED
+    if _PROBED:
+        return
+    with _PROBE_LOCK:
+        if not _PROBED:
+            from . import native
+
+            if native.library() is not None:
+                _FACTORIES.setdefault("native", _NATIVE_FACTORY)
+            _PROBED = True
+
+
+def _default_name() -> str:
+    """``REPRO_BACKEND`` when it names ``fast`` or ``reference``, else
+    ``native`` when available, else ``fast``."""
+    global _DEFAULT
+    if _DEFAULT is None:
+        if _ENV_BACKEND in ("fast", "reference"):
+            _DEFAULT = _ENV_BACKEND
+        else:
+            _probe_native()
+            _DEFAULT = "native" if "native" in _FACTORIES else "fast"
+    return _DEFAULT
+
+
+def __getattr__(name: str):
+    # DEFAULT_BACKEND resolves on first access: it may need the native probe
+    if name == "DEFAULT_BACKEND":
+        return _default_name()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _ActiveState(threading.local):
@@ -105,17 +158,20 @@ def register_backend(name: str, factory) -> None:
 
 
 def available_backends() -> tuple[str, ...]:
-    """Names of all registered backends."""
+    """Names of all registered backends (``native`` only where it builds)."""
+    _probe_native()
     return tuple(sorted(_FACTORIES))
 
 
 def get_backend(name: str | None = None) -> KernelBackend:
     """The backend registered under ``name`` (default: the active backend)."""
     if name is None:
-        name = _ACTIVE.name or DEFAULT_BACKEND
+        name = _ACTIVE.name or _DEFAULT or _default_name()
     key = name.strip().lower()
     instance = _INSTANCES.get(key)
     if instance is None:
+        if key == "native":
+            _probe_native()
         factory = _FACTORIES.get(key)
         if factory is None:
             raise ValueError(

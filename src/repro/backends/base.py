@@ -3,14 +3,17 @@
 Every hot kernel of the reproduction — CSR/sliced-ELLPACK SpMV, the
 level-scheduled triangular solve, FGMRES classical Gram-Schmidt, the Krylov
 solution combination, and the ILU(0) factorization — dispatches through a
-:class:`KernelBackend`.  Two implementations ship with the package:
+:class:`KernelBackend`.  Three implementations ship with the package:
 
 * ``reference`` (:mod:`repro.backends.reference`): the original
   emulation-faithful NumPy code, kept verbatim as the correctness oracle.
 * ``fast`` (:mod:`repro.backends.fast`): fully vectorized kernels with
   preallocated workspace buffers and batched counter recording.
+* ``native`` (:mod:`repro.backends.native`): ``fast`` with the triangular
+  solve and the fp16 CSR products compiled from C, bit-identical to
+  ``reference``; registered only where it builds.
 
-Both backends must preserve two contracts:
+Every backend must preserve two contracts:
 
 1. **Precision-emulation semantics** — arithmetic runs in the promotion of the
    operand precisions and results are rounded to the requested output
@@ -28,7 +31,7 @@ records exactly their counter totals — so results and traffic-model figures
 are independent of whether solves were batched.  :func:`column_loop` is that
 contract written as code; the ``reference`` oracle runs it on a block.
 
-To add a third backend (e.g. a CuPy/GPU one), subclass :class:`KernelBackend`,
+To add another backend (e.g. a CuPy/GPU one), subclass :class:`KernelBackend`,
 implement the abstract kernels, and register a factory with
 :func:`repro.backends.register_backend`; see the README for a walkthrough.
 """

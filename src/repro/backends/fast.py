@@ -126,7 +126,9 @@ _SCIPY_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 #: structural but the payoff is data-dependent: a wide factor whose products
 #: stay normal-range (hpcg_7_7_7 at ``small``: ~330 gathers per level, ~4%
 #: subnormal) still solves ~1.5x slower staged.  Decided once per factor and
-#: dtype, when its level values are cached.
+#: dtype, when its level values are cached.  The gate applies to ``fast``
+#: only: the ``native`` engine's compiled solve has no per-level call cost
+#: and runs one recipe for every factor width.
 STAGED_LEVEL_GATHERS = 256
 
 

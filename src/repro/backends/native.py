@@ -1,0 +1,469 @@
+"""Native backend: compiled C kernels for the level-scheduled triangular
+solve and the fp16 CSR products, bit-identical to ``reference``.
+
+numpy's per-call dispatch sets the floor of the ``fast`` engine's
+level-scheduled ``trsv``: a level is a handful of rows, so every level costs
+a dozen vectorized calls for little arithmetic.  ``native.c`` runs the whole
+substitution — and the fp16 CSR products ``spmv_csr`` / ``spmv_axpy`` —
+in one call each, with exactly the ``reference`` recipes (see the C file):
+rows in level order, each row sum in ``np.add.reduceat``'s pairwise order,
+fp16 values on the fp32 grid rounded after every operation.  Every other
+kernel is inherited from :class:`~repro.backends.fast.FastBackend`, and so
+are the counter totals.
+
+**Build.**  ``native.c`` is compiled once with ``$CC`` (default ``cc``) and
+:data:`FLAGS` — no ``-march=native``, no fast-math, no FMA contraction, no
+``_Float16``.  The shared object lives in a per-user cache directory
+(:func:`cache_dir`: ``$XDG_CACHE_HOME/repro-native``, else
+``~/.cache/repro-native``, mode 0700), named by a hash of the source, the
+flags and the compiler's ``--version``, and is written atomically (built
+under a temporary name, then renamed), so concurrent processes never load a
+half-written file.  A cached file that does not load, or loads with another
+ABI, is rebuilt.
+
+**Availability.**  :func:`library` builds or loads the library once per
+process and runs :func:`self_check`: every ported kernel, on small operands
+with fp16-subnormal products, overflow, signed zeros and NaN, must equal the
+``reference`` backend bit for bit.  Only then is ``native`` registered (and
+the default engine, see :mod:`repro.backends`); otherwise one
+``RuntimeWarning`` names the reason and ``fast`` serves.
+
+**Threads.**  ctypes releases the interpreter lock for the duration of a
+call, so solves on several threads run truly concurrently.  The kernels keep
+no state: their fp32 scratch is allocated per call, never per factor.  The
+derived arrays cached on a factor are immutable once built (a cross-thread
+race at worst builds them twice).  The kernels are serial;
+``REPRO_THREADS``' within-kernel partitioning applies to the inherited
+kernels only.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shlex
+import shutil
+import subprocess
+import tempfile
+import threading
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from ..perf.counters import counters_enabled
+from ..precision import BYTES_PER_INDEX, as_precision, precision_of_dtype, promote
+from .base import columns, spmv_setup
+from .fast import FastBackend
+
+__all__ = ["FLAGS", "NativeBackend", "NativeUnavailable", "cache_dir",
+           "library", "library_path", "self_check"]
+
+SOURCE = Path(__file__).with_name("native.c")
+#: compile flags; the kernels' bit-identity depends on the absence of FMA
+#: contraction and fast-math
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: must equal NATIVE_ABI in native.c
+ABI = 1
+
+_HALF = np.dtype(np.float16)
+_F32 = np.dtype(np.float32)
+_F64 = np.dtype(np.float64)
+_I32 = np.dtype(np.int32)
+#: compute dtype -> (C trsv symbol, value dtype the kernel reads)
+_TRSV = {_F64: ("trsv_f64", _F64), _F32: ("trsv_f32", _F32),
+         _HALF: ("trsv_f16", _F32)}
+
+_P = ctypes.c_void_p
+_I = ctypes.c_int64
+#: every exported symbol's (argtypes, restype); pointers pass as addresses
+_SIGNATURES = {
+    "repro_native_abi": ((), _I),
+    "trsv_f64": ((_I, _P, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int),
+    "trsv_f32": ((_I, _P, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int),
+    "trsv_f16": ((_I, _P, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int),
+    "spmv_csr_f16": ((_I, _I, _P, _P, _P, _P, _P, _I), ctypes.c_int),
+    "spmv_axpy_f16": ((_I, _I, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int),
+    "quantize32": ((_P, _P, _I), None),
+}
+
+
+class NativeUnavailable(RuntimeError):
+    """The native library could not be built, loaded or trusted."""
+
+
+# ---------------------------------------------------------------------- #
+# Build and load
+# ---------------------------------------------------------------------- #
+def cache_dir() -> Path:
+    """The per-user directory holding the compiled library."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache")
+    return Path(base) / "repro-native"
+
+
+def _compiler() -> tuple[list[str], str]:
+    """``$CC`` as an argument list, and its ``--version`` text."""
+    argv = shlex.split(os.environ.get("CC", "").strip() or "cc")
+    if shutil.which(argv[0]) is None:
+        raise NativeUnavailable(f"no C compiler: {argv[0]!r} not found")
+    try:
+        proc = subprocess.run([*argv, "--version"], capture_output=True,
+                              text=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        raise NativeUnavailable(f"C compiler {argv[0]!r} does not run: {exc}") from exc
+    if proc.returncode != 0:
+        raise NativeUnavailable(f"C compiler {argv[0]!r} does not run: "
+                                f"{proc.stderr.strip()[-200:]}")
+    return argv, proc.stdout
+
+
+def library_path(compiler: tuple[list[str], str] | None = None) -> Path:
+    """Where the library built from this source, flags and compiler lives."""
+    argv, version = compiler or _compiler()
+    key = hashlib.sha256()
+    for part in (SOURCE.read_bytes(), "\0".join(FLAGS).encode(),
+                 "\0".join(argv).encode(), version.encode()):
+        key.update(part)
+        key.update(b"\0\0")
+    return cache_dir() / f"native-{key.hexdigest()[:24]}.so"
+
+
+def _private_dir(path: Path) -> None:
+    """Create ``path`` (mode 0700) or check an existing one is ours alone:
+    the library is code this process will execute."""
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = path.stat()
+        if st.st_uid != os.getuid():
+            raise NativeUnavailable(f"cache directory {path} belongs to "
+                                    f"another user")
+        if st.st_mode & 0o077:
+            path.chmod(0o700)
+    except OSError as exc:
+        raise NativeUnavailable(f"cache directory {path} unusable: {exc}") from exc
+
+
+def _build(argv: list[str], target: Path) -> Path:
+    """Compile to a fresh file beside ``target``; returns its path."""
+    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=target.parent)
+    os.close(fd)
+    try:
+        proc = subprocess.run([*argv, *FLAGS, "-o", tmp, str(SOURCE)],
+                              capture_output=True, text=True, timeout=300)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        os.unlink(tmp)
+        raise NativeUnavailable(f"compiling {SOURCE.name} failed: {exc}") from exc
+    if proc.returncode != 0:
+        os.unlink(tmp)
+        raise NativeUnavailable(f"compiling {SOURCE.name} failed: "
+                                f"{proc.stderr.strip()[-400:]}")
+    return Path(tmp)
+
+
+def _open(path: Path) -> ctypes.CDLL:
+    """Load ``path`` and declare every kernel's signature."""
+    lib = ctypes.CDLL(str(path))
+    for name, (argtypes, restype) in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = restype
+    if lib.repro_native_abi() != ABI:
+        raise OSError(f"{path.name} has ABI {lib.repro_native_abi()}, not {ABI}")
+    return lib
+
+
+def build_and_load() -> ctypes.CDLL:
+    """The compiled library, from the cache or freshly built into it."""
+    compiler = _compiler()
+    target = library_path(compiler)
+    _private_dir(target.parent)
+    if target.is_file():
+        try:
+            return _open(target)
+        except (OSError, AttributeError):
+            pass                      # corrupt or stale: rebuild below
+    # load the fresh build under its unique temporary name (a failed dlopen
+    # of `target` may be remembered under that name), then publish it
+    fresh = _build(compiler[0], target)
+    try:
+        lib = _open(fresh)
+    except (OSError, AttributeError) as exc:
+        fresh.unlink(missing_ok=True)
+        raise NativeUnavailable(f"the freshly built library does not load: "
+                                f"{exc}") from exc
+    os.replace(fresh, target)
+    return lib
+
+
+_LOCK = threading.Lock()
+_STATE: dict = {}
+
+
+def library() -> ctypes.CDLL | None:
+    """The built, loaded and self-checked library, or ``None`` when the
+    engine is unavailable in this process (one ``RuntimeWarning`` says
+    why).  Decided once per process."""
+    with _LOCK:
+        if "lib" not in _STATE:
+            lib = None
+            try:
+                lib = build_and_load()
+                self_check(NativeBackend(lib))
+            except Exception as exc:       # any failure: fast keeps serving
+                lib = None
+                reason = (str(exc) if isinstance(exc, NativeUnavailable)
+                          else f"{type(exc).__name__}: {exc}")
+                warnings.warn(f"native kernel engine unavailable ({reason}); "
+                              f"using 'fast'", RuntimeWarning, stacklevel=2)
+            _STATE["lib"] = lib
+        return _STATE["lib"]
+
+
+# ---------------------------------------------------------------------- #
+# The engine
+# ---------------------------------------------------------------------- #
+def _addr(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _trsv_plan(factor, cdtype) -> tuple:
+    """The arrays the C substitution reads, cached on the factor per compute
+    dtype (immutable once built): rows in level order, the off-diagonal row
+    pointer and columns, values and inverse diagonal in the kernel's value
+    dtype (fp16 ones expanded exactly to fp32) — with their addresses."""
+    key = ("native", cdtype)
+    plan = factor._fast_vals.get(key)
+    if plan is None:
+        symbol, vdtype = _TRSV[cdtype]
+        order = (np.concatenate(factor.levels).astype(np.int64) if factor.levels
+                 else np.empty(0, dtype=np.int64))
+        rowptr = np.ascontiguousarray(factor.off_rowptr, dtype=np.int64)
+        cols = np.ascontiguousarray(factor.off_cols, dtype=np.int64)
+        n = factor.nrows
+        if (rowptr.shape != (n + 1,) or rowptr[0] != 0 or np.any(np.diff(rowptr) < 0)
+                or rowptr[-1] != cols.size or factor.off_vals.size != cols.size
+                or (cols.size and (cols.min() < 0 or cols.max() >= n))
+                or np.any(np.bincount(order, minlength=n) != 1)):
+            raise ValueError("the factor's arrays are inconsistent")
+        vals = factor.off_vals.astype(cdtype).astype(vdtype)
+        inv = factor.inv_diag.astype(cdtype).astype(vdtype)
+        arrays = (order, rowptr, cols, vals, inv)
+        plan = (symbol, arrays, tuple(_addr(a) for a in arrays))
+        factor._fast_vals[key] = plan
+    return plan
+
+
+def _min_columns(indices, indptr, values) -> np.ndarray:
+    """The column count the CSR arrays need (validated: consistent sizes,
+    non-negative indices); a 0-d array so the workspace memo can hold it."""
+    if (indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0
+            or indptr[-1] != indices.size or values.size != indices.size
+            or np.any(np.diff(indptr) < 0)
+            or (indices.size and indices.min() < 0)):
+        raise ValueError("inconsistent CSR arrays")
+    return np.array(int(indices.max()) + 1 if indices.size else 0)
+
+
+def _check(status: int) -> None:
+    if status != 0:
+        raise MemoryError("native kernel could not allocate its scratch")
+
+
+class NativeBackend(FastBackend):
+    """Compiled ``trsv`` and fp16 CSR products; everything else is ``fast``."""
+
+    name = "native"
+
+    def __init__(self, lib: ctypes.CDLL | None = None) -> None:
+        if lib is None:
+            lib = library()
+            if lib is None:
+                raise NativeUnavailable("the native library is unavailable")
+        self._lib = lib
+
+    # ------------------------------------------------------------------ #
+    def trsv(self, factor, b, out_precision=None, record=True):
+        """Level-scheduled substitution in one C call; an ``(n, k)`` block
+        runs the row kernel on every column."""
+        vec_prec = precision_of_dtype(b.dtype)
+        compute = promote(factor.precision, vec_prec)
+        out_prec = as_precision(out_precision) if out_precision is not None else vec_prec
+        cdtype = np.dtype(compute.dtype)
+        if b.ndim not in (1, 2) or b.shape[0] != factor.nrows:
+            raise ValueError(f"right-hand side of shape {b.shape} for a factor "
+                             f"of {factor.nrows} rows")
+        symbol, _, (order, rowptr, cols, vals, inv) = _trsv_plan(factor, cdtype)
+        b_c = np.ascontiguousarray(b, dtype=cdtype)
+        x = np.zeros(b.shape, dtype=cdtype)
+        _check(getattr(self._lib, symbol)(factor.nrows, order, rowptr, cols, vals,
+                                          inv, _addr(b_c), _addr(x), columns(b)))
+        if record and counters_enabled():
+            self._record_trsv(factor, vec_prec, out_prec, compute, columns(b))
+        return x.astype(out_prec.dtype, copy=False)
+
+    # ------------------------------------------------------------------ #
+    def _half_csr(self, values, indices, indptr, x, scratch):
+        """Operands of an fp16 CSR kernel, or ``None`` when the C kernels do
+        not apply (a wider compute dtype or non-int32 indices)."""
+        if (values.dtype != _HALF or x.dtype != _HALF
+                or indices.dtype != _I32 or indptr.dtype != _I32):
+            return None
+        # the C kernels index x without bounds checks
+        ncols = (scratch.memo("native_ncols", lambda: _min_columns(indices, indptr, values))
+                 if scratch is not None else _min_columns(indices, indptr, values))
+        if x.ndim not in (1, 2) or x.shape[0] < ncols:
+            raise ValueError(f"operand of shape {x.shape} for a matrix with "
+                             f"column indices up to {ncols - 1}")
+        vals32 = (scratch.cast("csr_values_stage", values, _F32)
+                  if scratch is not None else values.astype(_F32))
+        return (np.ascontiguousarray(indptr), np.ascontiguousarray(indices),
+                np.ascontiguousarray(vals32), np.ascontiguousarray(x))
+
+    def spmv_csr(self, values, indices, indptr, x, out_precision=None,
+                 record=True, scratch=None, par=None):
+        ops = self._half_csr(values, indices, indptr, x, scratch)
+        if ops is None:
+            return super().spmv_csr(values, indices, indptr, x, out_precision,
+                                    record=record, scratch=scratch, par=par)
+        mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
+                                                           out_precision)
+        ptr, idx, vals32, x16 = ops
+        n = indptr.size - 1
+        y = np.empty((n,) + x.shape[1:], dtype=_HALF)
+        _check(self._lib.spmv_csr_f16(n, x.shape[0], _addr(ptr), _addr(idx),
+                                      _addr(vals32), _addr(x16), _addr(y),
+                                      columns(x)))
+        if record and counters_enabled():
+            self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, values.size,
+                              (values.size + n + 1) * BYTES_PER_INDEX, columns(x))
+        return y.astype(out_prec.dtype, copy=False)
+
+    def spmv_axpy(self, values, indices, indptr, x, y, out_precision=None,
+                  record=True, scratch=None, par=None):
+        """``r = y − A·x`` in one pass for fp16: products rounded to fp16,
+        summed in fp32, the sum rounded once, then ``y − s`` rounded."""
+        ops = None
+        if (y.dtype == _HALF and y.shape == (indptr.size - 1,) + x.shape[1:]
+                and (out_precision is None
+                     or as_precision(out_precision).dtype == _HALF)):
+            ops = self._half_csr(values, indices, indptr, x, scratch)
+        if ops is None:
+            return super().spmv_axpy(values, indices, indptr, x, y, out_precision,
+                                     record=record, scratch=scratch, par=par)
+        mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
+                                                           out_precision)
+        ptr, idx, vals32, x16 = ops
+        n = indptr.size - 1
+        y16 = np.ascontiguousarray(y)
+        r = np.empty(y.shape, dtype=_HALF)
+        _check(self._lib.spmv_axpy_f16(n, x.shape[0], _addr(ptr), _addr(idx),
+                                       _addr(vals32), _addr(x16), _addr(y16),
+                                       _addr(r), columns(x)))
+        if record and counters_enabled():
+            k = columns(x)
+            self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, values.size,
+                              (values.size + n + 1) * BYTES_PER_INDEX, k)
+            self._record_axpy(out_prec, out_prec, out_prec, compute, n, k)
+        return r
+
+
+# ---------------------------------------------------------------------- #
+# The load-time self-check
+# ---------------------------------------------------------------------- #
+def _check_operands(rng) -> tuple:
+    """A 160-row lower factor in three levels and a 160 x 160 CSR matrix,
+    each with a 140-entry row (the halving branch of the pairwise sum),
+    short rows and empty ones, and a row whose products are all −0."""
+    from types import SimpleNamespace
+
+    from ..precision import Precision
+
+    n, wide = 160, 140
+    rows, cols = [], []
+    for r in range(wide, n):                   # level 0: rows 0..139, no deps
+        if r == wide:
+            deps = np.arange(wide)             # the long row
+        elif r == wide + 1:
+            deps = np.arange(3)                # the all −0 products row
+        elif r < 152:
+            deps = np.sort(rng.choice(wide, int(rng.integers(1, 20)), replace=False))
+        else:                                  # level 2: one dep in level 1
+            deps = np.sort(np.concatenate([rng.choice(wide, 5, replace=False),
+                                           [wide + 2 + (r - 152)]]))
+        rows += [r] * deps.size
+        cols += list(deps)
+    rowptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(rowptr, np.asarray(rows) + 1, 1)
+    np.cumsum(rowptr, out=rowptr)
+    vals = rng.uniform(-1, 1, len(cols)) * np.exp(rng.uniform(-9, 4, len(cols)))
+    vals[rowptr[wide + 1]:rowptr[wide + 2]] = -0.0
+    inv = rng.uniform(0.5, 2.0, n)
+    factor = SimpleNamespace(
+        nrows=n, levels=[np.arange(wide), np.arange(wide, 152), np.arange(152, n)],
+        off_rowptr=rowptr, off_cols=np.asarray(cols, dtype=np.int32), off_vals=vals,
+        inv_diag=inv, unit_diagonal=False, precision=Precision.FP64, _fast_vals={})
+    b = rng.uniform(-1, 1, (n, 2)) * np.exp(rng.uniform(-12, 10, (n, 2)))
+    b[:3] = np.abs(b[:3])                      # positive x under the −0 row
+    b[wide + 1] = -0.0
+    b[5, 1] = np.nan
+    # the CSR matrix: the factor's pattern plus its transpose
+    dense = np.zeros((n, n))
+    dense[rows, cols] = vals
+    dense += dense.T
+    dense[np.arange(n), np.arange(n)] = rng.uniform(-2, 2, n)
+    dense[[9, 10]] = 0.0                       # empty rows
+    return factor, b, dense
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape, dtype, NaN positions and every non-NaN bit pattern."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    nan_a, nan_b = np.isnan(a), np.isnan(b)
+    kind = {2: np.uint16, 4: np.uint32, 8: np.uint64}[a.dtype.itemsize]
+    return bool(np.array_equal(nan_a, nan_b)
+                and np.array_equal(a.view(kind)[~nan_a], b.view(kind)[~nan_b]))
+
+
+def self_check(backend: NativeBackend) -> None:
+    """Every native kernel against ``reference``, bit for bit; raises
+    :class:`NativeUnavailable` on the first difference."""
+    from .reference import ReferenceBackend
+
+    oracle = ReferenceBackend()
+    factor, b, dense = _check_operands(np.random.default_rng(20251018))
+    indptr = np.zeros(dense.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(dense, axis=1), out=indptr[1:])
+    indices = np.nonzero(dense)[1].astype(np.int32)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        values16 = dense[dense != 0].astype(_HALF)
+        cases = []
+        for dtype in (_F64, _F32, _HALF):
+            f = _cast_factor(factor, dtype)
+            for rhs in (b[:, 0].astype(dtype), b.astype(dtype)):
+                cases.append((f"trsv {dtype}",
+                              lambda be, f=f, rhs=rhs: be.trsv(f, rhs, record=False)))
+        x16, y16 = (b * 1e-3).astype(_HALF), b[::-1].astype(_HALF)
+        for x, y in ((x16[:, 0], y16[:, 0]), (x16, y16)):
+            cases.append(("spmv_csr fp16", lambda be, x=x: be.spmv_csr(
+                values16, indices, indptr, x, record=False)))
+            cases.append(("spmv_axpy fp16", lambda be, x=x, y=y: be.spmv_axpy(
+                values16, indices, indptr, x, y, record=False)))
+        for label, run in cases:
+            if not _same_bits(run(backend), run(oracle)):
+                raise NativeUnavailable(f"self-check failed: {label} differs "
+                                        f"from the reference backend")
+
+
+def _cast_factor(factor, dtype):
+    """A copy of the self-check factor with values in ``dtype`` (the inverse
+    diagonal rounded to it, as ``TriangularFactor.astype`` does)."""
+    from types import SimpleNamespace
+
+    return SimpleNamespace(**{**vars(factor), "off_vals": factor.off_vals.astype(dtype),
+                              "inv_diag": factor.inv_diag.astype(dtype).astype(_F64),
+                              "precision": precision_of_dtype(dtype),
+                              "_fast_vals": {}})

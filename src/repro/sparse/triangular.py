@@ -11,7 +11,8 @@ is processed with vectorized gathers and segment sums.
 
 The substitution kernel dispatches through the active :mod:`repro.backends`
 engine.  The ``fast`` backend additionally caches per-level gather indices on
-the factor (``_fast_plan``) so repeated applications do no index arithmetic.
+the factor (``_fast_plan``) so repeated applications do no index arithmetic;
+the ``native`` engine runs the whole sweep in one compiled call.
 
 Precision: gathers and the per-level update run in the promotion of the factor
 and right-hand-side precisions, and the solution vector is stored back in the
@@ -220,8 +221,9 @@ class TriangularFactor(ScratchOwner):
         self.diag = diag
         self.inv_diag = np.where(diag != 0.0, 1.0 / np.where(diag == 0.0, 1.0, diag), 0.0)
         self.precision = precision_of_dtype(values.dtype)
-        # fast-backend caches: per-level gather plan (layout-only, shared by
-        # astype copies), per-dtype gathered off-diagonal values, and
+        # engine caches: fast's per-level gather plan (layout-only, shared
+        # by astype copies), per-dtype derived values (fast's gathered level
+        # values; native's solve arrays under ("native", dtype)), and
         # per-thread scratch buffers
         self._fast_plan: list | None = None
         self._fast_vals: dict = {}

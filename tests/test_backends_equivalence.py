@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.backends import (
+    DEFAULT_BACKEND,
     Workspace,
     available_backends,
     get_backend,
@@ -57,6 +58,10 @@ TOLS = {
 }
 
 DTYPES = [Precision.FP16, Precision.FP32, Precision.FP64]
+
+#: every kernel engine; ``native`` where it builds on this host
+ENGINES = ["reference", "fast"] + (
+    ["native"] if "native" in available_backends() else [])
 
 
 @st.composite
@@ -348,6 +353,12 @@ class TestBackendRegistry:
     def test_available_and_default(self):
         names = available_backends()
         assert "reference" in names and "fast" in names
+        # the compiled engine is the default wherever it builds; the numpy
+        # engine otherwise (and always under REPRO_BACKEND=fast)
+        env = os.environ.get("REPRO_BACKEND", "").strip().lower()
+        want = env if env in ("fast", "reference") else (
+            "native" if "native" in names else "fast")
+        assert DEFAULT_BACKEND == want
 
     def test_use_backend_restores(self):
         before = get_backend().name
@@ -716,7 +727,7 @@ class TestPerColumnContract:
     @pytest.mark.parametrize("vec_prec", DTYPES, ids=lambda p: p.label)
     @pytest.mark.parametrize("mat_prec", DTYPES, ids=lambda p: p.label)
     @pytest.mark.parametrize("k", [0, 1, 3, 8])
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize("backend", ENGINES)
     @pytest.mark.parametrize("kernel", CONTRACT_KERNELS)
     def test_block_equals_columns(self, contract_ops, kernel, backend, k,
                                   mat_prec, vec_prec):
@@ -748,11 +759,11 @@ class TestPerColumnContract:
         for kernel in ("spmv_csr", "trsv", "spmv_axpy"):
             run, names = _contract_calls(kernel, ops, mat_prec, vec_prec)
             operands = _contract_operands(names, n, k, mat_prec, vec_prec, seed)
-            for backend in ("reference", "fast"):
+            for backend in ENGINES:
                 assert_column_contract(run, operands, backend)
         ell = SlicedEllMatrix(csr, chunk_size=chunk_size).astype(mat_prec)
         (x,) = _contract_operands(("x",), n, k, mat_prec, vec_prec, seed)
-        for backend in ("reference", "fast"):
+        for backend in ENGINES:
             assert_column_contract(lambda be, xb: be.spmv_ell(ell, xb), [x],
                                    backend)
 

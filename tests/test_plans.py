@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import Workspace, get_backend, halfvec, use_backend
+from repro.backends import Workspace, available_backends, get_backend, halfvec, use_backend
 from repro.matgen import hpcg_operator, poisson2d
 from repro.operators import AssembledOperator, as_operator
 from repro.perf import TrafficCounter, counting
@@ -48,7 +48,11 @@ from repro.sparse import vectorops as vo
 
 pytestmark = pytest.mark.tier1
 
-BACKENDS = ("reference", "fast")
+#: every engine; ``native`` where it builds on this host
+BACKENDS = ("reference", "fast") + (
+    ("native",) if "native" in available_backends() else ())
+#: the engines checked against the reference oracle
+ENGINES = BACKENDS[1:]
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -416,8 +420,9 @@ class TestSolvePlan:
                 level = RichardsonLevel(m16, pre, m=3, cycle=2)
                 outputs[backend] = ([level.apply(v[:, j]) for j in range(3)]
                                     + [level.apply_batch(v)])
-        for fast, ref in zip(outputs["fast"], outputs["reference"]):
-            assert_bit_equal(fast, ref)
+        for engine in ENGINES:
+            for got, ref in zip(outputs[engine], outputs["reference"]):
+                assert_bit_equal(got, ref)
 
     def test_planned_solve_matches_reference(self, poisson_matrix):
         # whole solves differ only in the FGMRES Gram-Schmidt summation
@@ -433,12 +438,15 @@ class TestSolvePlan:
             with counting(traffic[backend]):
                 results[backend] = F3RSolver(poisson_matrix, preconditioner="auto",
                                              nblocks=4, config=cfg).solve(b)
-        r_fast, r_ref = results["fast"], results["reference"]
-        assert r_fast.converged and r_ref.converged
-        assert r_fast.iterations == r_ref.iterations
-        assert r_fast.preconditioner_applications == r_ref.preconditioner_applications
-        np.testing.assert_allclose(r_fast.x, r_ref.x, rtol=0, atol=1e-12)
-        assert traffic["fast"].summary() == traffic["reference"].summary()
+        r_ref = results["reference"]
+        assert r_ref.converged
+        for engine in ENGINES:
+            r_eng = results[engine]
+            assert r_eng.converged
+            assert r_eng.iterations == r_ref.iterations
+            assert r_eng.preconditioner_applications == r_ref.preconditioner_applications
+            np.testing.assert_allclose(r_eng.x, r_ref.x, rtol=0, atol=1e-12)
+            assert traffic[engine].summary() == traffic["reference"].summary()
 
     def test_block_jacobi_fused_single_apply_bitwise(self, poisson_matrix):
         from repro.precond import BlockJacobiIC0

@@ -9,7 +9,8 @@ solution carried across levels.  Every one of those kernels must equal the
 reference backend's direct fp16 ufunc chains bit for bit, on subnormal-heavy
 data, overflow to inf, signed zeros and NaN inputs, with one factor on each
 side of the gate.  Two whole fp16-F3R solves are pinned by digest, one per
-gate side.
+gate side.  Where the compiled ``native`` engine builds, every kernel case
+must also give ``fast``'s bits on it, and its solves the same digests.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import F3RConfig, F3RSolver, par
-from repro.backends import get_backend, halfvec, use_backend
+from repro.backends import available_backends, get_backend, halfvec, use_backend
 from repro.backends.fast import STAGED_LEVEL_GATHERS
 from repro.matgen import get_matrix
 from repro.precision import Precision
@@ -65,13 +66,24 @@ def _block(kind: str, n: int, seed: int) -> np.ndarray:
     return np.stack([_vector(kind, n, seed + j) for j in range(3)], axis=1)
 
 
+#: engines that must equal ``fast`` bit for bit (``native`` where it builds)
+COMPILED = ("native",) if "native" in available_backends() else ()
+
+
 def _both(fn):
+    """``fn`` on the reference oracle and on ``fast``; on every compiled
+    engine it must return exactly what ``fast`` returns."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with use_backend("reference"):
             ref = fn()
         with use_backend("fast"):
             fast = fn()
+        for engine in COMPILED:
+            with use_backend(engine):
+                got = fn()
+            for a, b in zip(fast, got) if isinstance(fast, tuple) else [(fast, got)]:
+                assert_bit_equal(a, b)
     return ref, fast
 
 
@@ -267,15 +279,29 @@ SOLVE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name,scale", sorted(SOLVE_DIGESTS))
-def test_fp16_f3r_solve_digest(name, scale):
+def _digest_solve(name: str, scale: str, engine: str):
     matrix, _ = diagonal_scaling(get_matrix(name, scale))
     b = np.random.default_rng(2025).random(matrix.nrows)
-    with use_backend("fast"):
+    with use_backend(engine):
         solver = F3RSolver(matrix, config=F3RConfig(variant="fp16"))
         result = solver.solve(b)
+    return solver, result
+
+
+@pytest.mark.parametrize("name,scale", sorted(SOLVE_DIGESTS))
+def test_fp16_f3r_solve_digest(name, scale):
+    solver, result = _digest_solve(name, scale, "fast")
     assert result.converged
     fused = solver.preconditioner.astype(Precision.FP16)._fused_parts()[0]
     wide = fused.off_vals.size >= STAGED_LEVEL_GATHERS * fused.nlevels
     assert wide == (name == "hpcg_7_7_7")           # one operator per gate side
+    assert hashlib.sha256(result.x.tobytes()).hexdigest() == SOLVE_DIGESTS[name, scale]
+
+
+@pytest.mark.skipif(not COMPILED, reason="the native engine does not build here")
+@pytest.mark.parametrize("name,scale", sorted(SOLVE_DIGESTS))
+def test_fp16_f3r_solve_digest_native(name, scale):
+    """The compiled engine reproduces the pinned digests unchanged."""
+    _, result = _digest_solve(name, scale, "native")
+    assert result.converged
     assert hashlib.sha256(result.x.tobytes()).hexdigest() == SOLVE_DIGESTS[name, scale]

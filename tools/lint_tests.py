@@ -48,6 +48,9 @@ process tier's entry points (``ProcPool``, ``ShardedGateway``,
 ``maybe_hang``) may not be defined anywhere in ``src/repro/``, and no module
 but ``serve/remote.py`` (``spawn_server``) may import ``multiprocessing``:
 several processes are ``ShardServer`` members of a ring.
+
+And it keeps compiled code in one place (:data:`NATIVE_LIMITS`): no module
+but ``backends/native.py`` may import ``ctypes``.
 """
 
 from __future__ import annotations
@@ -105,6 +108,9 @@ REQUIRED_MODULES = (
                                        # cluster chaos hammer (PR 10)
     "test_frontdoor*.py",              # one request-policy contract run
                                        # against every serving front door
+    "test_native*.py",                 # compiled engine: bit identity with
+                                       # reference, thread safety, and the
+                                       # fallback to fast without a compiler
 )
 
 #: serving responsibilities with one home: each pattern may match at most
@@ -158,6 +164,14 @@ PROCESS_LIMITS = {
 MULTIPROCESSING_LIMITS = {
     "import multiprocessing": (re.compile(
         r"^\s*(?:import|from)\s+multiprocessing\b", re.MULTILINE), 0),
+}
+
+#: the one module that may load compiled code (the native engine)
+NATIVE_HOME = SRC_DIR / "repro" / "backends" / "native.py"
+#: no module but NATIVE_HOME may import ctypes
+NATIVE_LIMITS = {
+    "import ctypes": (re.compile(r"^\s*(?:import|from)\s+ctypes\b",
+                                 re.MULTILINE), 0),
 }
 
 
@@ -274,13 +288,22 @@ def main() -> int:
                        "transport (several processes are ShardServers; see "
                        "PROCESS_LIMITS):")
         status = 1
+    excess = limit_excess([path for path in src_modules if path != NATIVE_HOME],
+                          NATIVE_LIMITS)
+    if excess:
+        _report_excess(excess, NATIVE_LIMITS,
+                       "lint-tests: src/repro/ loads compiled code outside "
+                       "backends/native.py (one native engine; see "
+                       "NATIVE_LIMITS):")
+        status = 1
     if status == 0:
         print(f"lint-tests: OK ({len(test_files)} test files, all tier-marked; "
               f"{len(REQUIRED_MODULES)} required suites present; "
               f"{len(used)} REPRO_* variables documented; "
               f"{len(SINGLE_DEFINITIONS)} serving definitions unique; "
               f"one Krylov recurrence in solvers/; one kernel per "
-              f"operation in src/; one multi-process transport)")
+              f"operation in src/; one multi-process transport; ctypes "
+              f"only in backends/native.py)")
     return status
 
 
