@@ -6,8 +6,10 @@ triangular solve, and one FGMRES(m) cycle on a one-column block — on both
 registered backends, the fp16 level solve on subnormal-heavy input for a
 wide-level factor (staged through fp32 by the fast engine) and a
 one-row-per-level chain (direct), the fp16 CSR product on subnormal-heavy
-input, the compiled ``native`` engine's rows (the triangular solves and the
-fp16 CSR product, where it builds; each must equal ``fast`` bit for bit),
+input, the fp16 Richardson update ``z + ω·mr`` and residual ``v − az`` on
+subnormal-heavy vectors, the compiled ``native`` engine's rows (the
+triangular solves, the fp16 CSR product and the two fp16 updates, where it
+builds; each must equal ``fast`` bit for bit),
 plus the CSR product and the triangular solve on an ``(n, k)`` block against
 ``k`` vector calls (rows ``spmm_csr`` and ``trsm``), a full ``solve_batch`` of
 the fp16-F3R solver against ``k`` sequential ``solve`` calls, and the
@@ -43,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backends import available_backends, use_backend
+from repro.backends import available_backends, get_backend, use_backend
 from repro.core import F3RConfig, F3RSolver
 from repro.matgen import hpcg_matrix, hpcg_operator, poisson2d
 from repro.precision import Precision
@@ -69,7 +71,8 @@ WIDE_GRID = 16
 CHAIN_ROWS = 600
 
 #: the rows the compiled native engine ports, timed on it where it builds
-NATIVE_ROWS = ("trsv", "trsv_fp16_wide", "trsv_fp16_chain", "spmv_csr_fp16")
+NATIVE_ROWS = ("trsv", "trsv_fp16_wide", "trsv_fp16_chain", "spmv_csr_fp16",
+               "weighted_update_fp16", "residual_update_fp16")
 
 #: grid side of the matrix-free stencil benchmark (HPCG 27-point); 64³ is the
 #: operator-layer acceptance threshold — the batched matrix-free apply must
@@ -117,8 +120,9 @@ def build_problem(side: int):
     wide_b16 = (rng.uniform(-1.0, 1.0, wide.nrows) * 6e-5).astype(np.float16)
     chain_b16 = (rng.uniform(-1.0, 1.0, CHAIN_ROWS) * 6e-5).astype(np.float16)
     x16 = (rng.uniform(-1.0, 1.0, n) * 6e-5).astype(np.float16)
+    z16 = (rng.uniform(-1.0, 1.0, n) * 2e-5).astype(np.float16)
     return {"matrix": matrix, "ell": ell, "lower": lower, "x": x, "n": n,
-            "matrix16": matrix.astype(Precision.FP16), "x16": x16,
+            "matrix16": matrix.astype(Precision.FP16), "x16": x16, "z16": z16,
             "wide": wide, "wide_b16": wide_b16,
             "chain": _chain_lower(CHAIN_ROWS), "chain_b16": chain_b16}
 
@@ -138,7 +142,9 @@ def bench_backend(problem, backend: str, repeats: int, m: int,
     matrix = problem["matrix"]
     ell = problem["ell"]
     x = problem["x"]
+    z16, x16 = problem["z16"], problem["x16"]
     with use_backend(backend):
+        engine = get_backend()
         # fresh factor per backend so plan caching is part of the measurement's
         # warmup, not carried over from the other engine
         factor = TriangularFactor(problem["lower"], lower=True, unit_diagonal=True)
@@ -153,6 +159,11 @@ def bench_backend(problem, backend: str, repeats: int, m: int,
             "trsv": lambda: factor.solve(x),
             "trsv_fp16_wide": lambda: wide16.solve(problem["wide_b16"]),
             "trsv_fp16_chain": lambda: chain16.solve(problem["chain_b16"]),
+            # the Richardson update consumes z: each call updates a copy
+            "weighted_update_fp16": lambda: engine.weighted_update(
+                z16.copy(), x16, 0.97, Precision.FP16, record=False),
+            "residual_update_fp16": lambda: engine.residual_update(
+                z16, x16, record=False),
             # the one Arnoldi loop on a one-column block (a single RHS)
             "fgmres_cycle": lambda: fgmres_cycle_batch(matrix, x[:, None], None, m=m,
                                                        vec_prec=Precision.FP64),
@@ -262,7 +273,7 @@ def bench_fused(problem, repeats: int) -> dict[str, dict]:
     steady-state regime of the inner Richardson level) — the case the staged
     float32 paths exist for.
     """
-    from repro.backends import Workspace, get_backend
+    from repro.backends import Workspace
     from repro.sparse import vectorops as vo
 
     matrix = problem["matrix"]
@@ -437,7 +448,7 @@ def main(argv=None) -> int:
             native = (f"   native {row['native_s'] * 1e3:9.3f} ms "
                       f"({row['native_speedup']:.2f}x over fast, "
                       f"{'bit-identical' if row['native_bit_identical'] else 'DIFFERS'})")
-        print(f"  {name:<15} reference {row['reference_s'] * 1e3:9.3f} ms   "
+        print(f"  {name:<20} reference {row['reference_s'] * 1e3:9.3f} ms   "
               f"fast {row['fast_s'] * 1e3:9.3f} ms   speedup {row['speedup']:6.2f}x"
               f"{native}")
     print(f"batched (k={BATCH_K}) vs looped — fast engine")

@@ -17,6 +17,23 @@
  *    kernel runs the same row kernel on each column, so a block column
  *    equals the single-vector call by construction.
  *
+ * The fp16 kernels come in two instantiations of the same macros: the
+ * portable scalar one (q16 and bit-manipulating converters), and on x86-64
+ * one compiled for AVX2 + F16C (function-level target attributes; the file
+ * as a whole keeps the baseline ISA).  The F16C round trip
+ * cvtph2ps(cvtps2ph(x, round-to-nearest-even)) equals q16(x) on every
+ * non-NaN float32 and keeps NaN a NaN, so the converters swap freely.  The
+ * row sum vectorizes without reordering anything: numpy's pairwise block
+ * keeps exactly 8 accumulators r0..r7, r_j summing terms j, j + 8, j + 16,
+ * ... in that order, so lane j of one 8-wide fp32 vector, fed 8 consecutive
+ * terms per add, performs r_j's additions in r_j's order (a lane-wise add
+ * rounds like a scalar one).  The lanes then combine in numpy's tree
+ * ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the remainder adds
+ * sequentially.  repro_native_avx2() reports, once per load, whether the
+ * AVX2 set exists and the CPU runs it; native.py calls the scalar set
+ * otherwise, and for any call whose strided gather index col * k might not
+ * fit in int32.
+ *
  * Kernels keep no state between calls: the only scratch is allocated per
  * call, so concurrent calls on one factor or matrix are safe.  They return 0
  * on success and -1 when a scratch allocation fails.
@@ -26,10 +43,27 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define NATIVE_ABI 1
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define HAVE_AVX2_SET 1
+#include <immintrin.h>
+#define AVX2_FN __attribute__((target("avx2,f16c")))
+#endif
+
+#define NATIVE_ABI 2
 #define PW_BLOCKSIZE 128
 
 int64_t repro_native_abi(void) { return NATIVE_ABI; }
+
+/* 1 when the AVX2 + F16C kernels were compiled and this CPU runs them */
+int64_t repro_native_avx2(void)
+{
+#ifdef HAVE_AVX2_SET
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
+#else
+    return 0;
+#endif
+}
 
 /* ------------------------------------------------------------------------ */
 /* fp16 on the fp32 grid                                                     */
@@ -101,6 +135,33 @@ static inline uint16_t f2h(float f)
     return sign | (uint16_t)(float_of(bits & ~SIGN_MASK) * 0x1p24f);
 }
 
+#ifdef HAVE_AVX2_SET
+/* The same three operations on F16C: round to nearest even, and the exact
+ * conversions between fp16 bits and float32. */
+#define F16C_RNE _MM_FROUND_TO_NEAREST_INT
+AVX2_FN static inline float q16_f16c(float x)
+{
+    return _cvtsh_ss(_cvtss_sh(x, F16C_RNE));
+}
+AVX2_FN static inline float h2f_f16c(uint16_t h) { return _cvtsh_ss(h); }
+AVX2_FN static inline uint16_t f2h_f16c(float f)
+{
+    return _cvtss_sh(f, F16C_RNE);
+}
+AVX2_FN static inline __m256 q16x8(__m256 v)
+{
+    return _mm256_cvtph_ps(_mm256_cvtps_ph(v, F16C_RNE));
+}
+AVX2_FN static inline __m256 load_h8(const uint16_t *h)
+{
+    return _mm256_cvtph_ps(_mm_loadu_si128((const __m128i *)h));
+}
+AVX2_FN static inline void store_h8(uint16_t *h, __m256 v)
+{
+    _mm_storeu_si128((__m128i *)h, _mm256_cvtps_ph(v, F16C_RNE));
+}
+#endif
+
 /* ------------------------------------------------------------------------ */
 /* Row sums in np.add.reduceat's order, over terms computed on the fly       */
 /*                                                                           */
@@ -108,10 +169,15 @@ static inline uint16_t f2h(float f)
 /* first entry and `k` is the row stride of the block.  NAME(lo, n) is       */
 /* TERM(lo) + pairwise(TERM(lo + 1 .. lo + n - 1)) for n >= 1; NAME##_blocks */
 /* is numpy's pairwise sum for n >= 8 (its halves are never shorter).        */
+/* BLOCK(T, TERM, RES) declares RES, that pairwise sum for 8 <= n <=        */
+/* PW_BLOCKSIZE: numpy's 8 accumulators over TERM(p .. p + n - n % 8 - 1),   */
+/* combined in its tree, plus the remaining terms one by one.                */
+/* SHORT(T, TERM, FIRST, REST) declares, for a row of n <= 8 terms, its      */
+/* FIRST term and the sequential sum REST (from -0.0) of the others.         */
 /* ------------------------------------------------------------------------ */
-#define DEFINE_ROW_SUM(NAME, T, V, I, TERM)                                   \
-    static T NAME##_blocks(const V *vals, const I *cols, const T *x,          \
-                           int64_t k, int64_t p, int64_t n)                   \
+#define DEFINE_ROW_SUM(NAME, ATTR, T, V, I, TERM, BLOCK, SHORT)               \
+    ATTR static T NAME##_blocks(const V *vals, const I *cols, const T *x,     \
+                                int64_t k, int64_t p, int64_t n)              \
     {                                                                         \
         if (n > PW_BLOCKSIZE) {                                               \
             int64_t n2 = n / 2;                                               \
@@ -119,44 +185,117 @@ static inline uint16_t f2h(float f)
             return NAME##_blocks(vals, cols, x, k, p, n2) +                   \
                    NAME##_blocks(vals, cols, x, k, p + n2, n - n2);           \
         }                                                                     \
-        T r0 = TERM(p), r1 = TERM(p + 1), r2 = TERM(p + 2), r3 = TERM(p + 3); \
-        T r4 = TERM(p + 4), r5 = TERM(p + 5), r6 = TERM(p + 6);               \
-        T r7 = TERM(p + 7);                                                   \
-        int64_t i;                                                            \
-        for (i = 8; i < n - (n % 8); i += 8) {                                \
-            r0 += TERM(p + i);                                                \
-            r1 += TERM(p + i + 1);                                            \
-            r2 += TERM(p + i + 2);                                            \
-            r3 += TERM(p + i + 3);                                            \
-            r4 += TERM(p + i + 4);                                            \
-            r5 += TERM(p + i + 5);                                            \
-            r6 += TERM(p + i + 6);                                            \
-            r7 += TERM(p + i + 7);                                            \
-        }                                                                     \
-        T res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));            \
-        for (; i < n; i++)                                                    \
-            res += TERM(p + i);                                               \
+        BLOCK(T, TERM, res)                                                   \
         return res;                                                           \
     }                                                                         \
-    static inline T NAME(const V *vals, const I *cols, const T *x, int64_t k, \
-                         int64_t lo, int64_t n)                               \
+    ATTR static inline T NAME(const V *vals, const I *cols, const T *x,       \
+                              int64_t k, int64_t lo, int64_t n)               \
     {                                                                         \
-        T first = TERM(lo);                                                   \
         if (n - 1 >= 8)                                                       \
-            return first + NAME##_blocks(vals, cols, x, k, lo + 1, n - 1);    \
-        T rest = -0.0;                                                        \
-        for (int64_t i = 1; i < n; i++)                                       \
-            rest += TERM(lo + i);                                             \
+            return TERM(lo) + NAME##_blocks(vals, cols, x, k, lo + 1, n - 1); \
+        SHORT(T, TERM, first, rest)                                           \
         return first + rest;                                                  \
     }
+
+/* numpy's accumulators as 8 scalars */
+#define SCALAR_BLOCK(T, TERM, RES)                                            \
+    T r0 = TERM(p), r1 = TERM(p + 1), r2 = TERM(p + 2), r3 = TERM(p + 3);     \
+    T r4 = TERM(p + 4), r5 = TERM(p + 5), r6 = TERM(p + 6);                   \
+    T r7 = TERM(p + 7);                                                       \
+    int64_t i;                                                                \
+    for (i = 8; i < n - (n % 8); i += 8) {                                    \
+        r0 += TERM(p + i);                                                    \
+        r1 += TERM(p + i + 1);                                                \
+        r2 += TERM(p + i + 2);                                                \
+        r3 += TERM(p + i + 3);                                                \
+        r4 += TERM(p + i + 4);                                                \
+        r5 += TERM(p + i + 5);                                                \
+        r6 += TERM(p + i + 6);                                                \
+        r7 += TERM(p + i + 7);                                                \
+    }                                                                         \
+    T RES = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));                \
+    for (; i < n; i++)                                                        \
+        RES += TERM(p + i);
+
+/* a short row's terms one by one */
+#define SCALAR_SHORT(T, TERM, FIRST, REST)                                    \
+    T FIRST = TERM(lo);                                                       \
+    T REST = -0.0;                                                            \
+    for (int64_t i = 1; i < n; i++)                                           \
+        REST += TERM(lo + i);
 
 #define PLAIN_TERM(q) (vals[q] * x[(int64_t)cols[q] * k])
 #define HALF_TERM(q) q16(vals[q] * x[(int64_t)cols[q] * k])
 
-DEFINE_ROW_SUM(row_sum_f64, double, double, int64_t, PLAIN_TERM)
-DEFINE_ROW_SUM(row_sum_f32, float, float, int64_t, PLAIN_TERM)
-DEFINE_ROW_SUM(row_sum_f16, float, float, int64_t, HALF_TERM)
-DEFINE_ROW_SUM(row_sum_csr_f16, float, float, int32_t, HALF_TERM)
+DEFINE_ROW_SUM(row_sum_f64, , double, double, int64_t, PLAIN_TERM, SCALAR_BLOCK,
+               SCALAR_SHORT)
+DEFINE_ROW_SUM(row_sum_f32, , float, float, int64_t, PLAIN_TERM, SCALAR_BLOCK,
+               SCALAR_SHORT)
+DEFINE_ROW_SUM(row_sum_f16, , float, float, int32_t, HALF_TERM, SCALAR_BLOCK,
+               SCALAR_SHORT)
+
+#ifdef HAVE_AVX2_SET
+/* The 8 fp16-rounded products at q .. q + 7, one per lane.  The caller
+ * guarantees col * k fits in int32 (native.py picks the scalar set
+ * otherwise). */
+AVX2_FN static inline __m256 half_terms8(const float *vals, const int32_t *cols,
+                                         const float *x, int64_t k, int64_t q)
+{
+    __m256i idx = _mm256_loadu_si256((const __m256i *)(cols + q));
+    if (k != 1)
+        idx = _mm256_mullo_epi32(idx, _mm256_set1_epi32((int32_t)k));
+    return q16x8(_mm256_mul_ps(_mm256_loadu_ps(vals + q),
+                               _mm256_i32gather_ps(x, idx, 4)));
+}
+
+/* The fp16-rounded products at q .. q + m - 1 (1 <= m <= 8) in the first m
+ * lanes; masked loads read nothing past them. */
+AVX2_FN static inline __m256 half_terms_upto8(const float *vals,
+                                              const int32_t *cols,
+                                              const float *x, int64_t k,
+                                              int64_t q, int64_t m)
+{
+    __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    __m256i mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((int32_t)m), lane);
+    __m256i idx = _mm256_maskload_epi32(cols + q, mask);
+    if (k != 1)
+        idx = _mm256_mullo_epi32(idx, _mm256_set1_epi32((int32_t)k));
+    __m256 xv = _mm256_mask_i32gather_ps(_mm256_setzero_ps(), x, idx,
+                                         _mm256_castsi256_ps(mask), 4);
+    return q16x8(_mm256_mul_ps(_mm256_maskload_ps(vals + q, mask), xv));
+}
+
+/* a short row's terms in one vector, summed lane by lane */
+#define AVX2_SHORT(T, TERM, FIRST, REST)                                      \
+    T t[8];                                                                   \
+    _mm256_storeu_ps(t, half_terms_upto8(vals, cols, x, k, lo, n));           \
+    T FIRST = t[0];                                                           \
+    T REST = -0.0;                                                            \
+    for (int64_t i = 1; i < n; i++)                                           \
+        REST += t[i];
+
+/* numpy's accumulators as the 8 lanes of one vector; the remaining terms in
+ * one more, summed lane by lane */
+#define AVX2_BLOCK(T, TERM, RES)                                              \
+    __m256 acc = half_terms8(vals, cols, x, k, p);                            \
+    int64_t i;                                                                \
+    for (i = 8; i < n - (n % 8); i += 8)                                      \
+        acc = _mm256_add_ps(acc, half_terms8(vals, cols, x, k, p + i));       \
+    T r[8];                                                                   \
+    _mm256_storeu_ps(r, acc);                                                 \
+    T RES = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])); \
+    if (i < n) {                                                              \
+        _mm256_storeu_ps(r, half_terms_upto8(vals, cols, x, k, p + i, n - i)); \
+        for (int64_t l = 0; l < n - i; l++)                                   \
+            RES += r[l];                                                      \
+    }
+
+/* a long row's first term */
+#define F16C_TERM(q) q16_f16c(vals[q] * x[(int64_t)cols[q] * k])
+
+DEFINE_ROW_SUM(row_sum_f16_avx2, AVX2_FN, float, float, int32_t, F16C_TERM,
+               AVX2_BLOCK, AVX2_SHORT)
+#endif
 
 /* ------------------------------------------------------------------------ */
 /* Triangular substitution                                                   */
@@ -187,94 +326,197 @@ DEFINE_ROW_SUM(row_sum_csr_f16, float, float, int32_t, HALF_TERM)
 DEFINE_TRSV(trsv_f64, double, row_sum_f64)
 DEFINE_TRSV(trsv_f32, float, row_sum_f32)
 
-/* fp16: the solution is carried in fp32 (on the fp16 grid) for the gathers
- * and written to fp16 storage row by row; every operation rounds once. */
-int trsv_f16(int64_t nrows, const int64_t *order, const int64_t *rowptr,
-             const int64_t *cols, const float *vals, const float *inv,
-             const uint16_t *b, uint16_t *x16, int64_t k)
+/* ------------------------------------------------------------------------ */
+/* The fp16 kernels, instantiated once per instruction set                   */
+/*                                                                           */
+/* SFX names the set; Q16, H2F and F2H are its rounding and conversions,     */
+/* ROW_SUM its row sum; X8_EXPAND, X8_WEIGHTED and X8_RESIDUAL are its       */
+/* 8-wide loop prefixes (empty in the scalar set), each advancing `e` past   */
+/* the elements it wrote and leaving the rest to the scalar loop after it.   */
+/* ------------------------------------------------------------------------ */
+#define DEFINE_HALF_KERNELS(SFX, ATTR, Q16, H2F, F2H, ROW_SUM, X8_EXPAND,     \
+                            X8_WEIGHTED, X8_RESIDUAL)                         \
+/* fp16: the solution is carried in fp32 (on the fp16 grid) for the gathers  \
+ * and written to fp16 storage row by row; every operation rounds once. */    \
+ATTR int trsv_f16##SFX(int64_t nrows, const int64_t *order,                   \
+                       const int64_t *rowptr, const int32_t *cols,            \
+                       const float *vals, const float *inv,                   \
+                       const uint16_t *b, uint16_t *x16, int64_t k)           \
+{                                                                             \
+    float *x = calloc((size_t)(nrows * k > 0 ? nrows * k : 1), sizeof(float)); \
+    if (!x)                                                                   \
+        return -1;                                                            \
+    for (int64_t t = 0; t < nrows; t++) {                                     \
+        int64_t r = order[t];                                                 \
+        int64_t lo = rowptr[r], n = rowptr[r + 1] - lo;                       \
+        for (int64_t j = 0; j < k; j++) {                                     \
+            const float *xj = x + j;                                          \
+            float s = 0.0f;                                                   \
+            if (n)                                                            \
+                s = Q16(ROW_SUM(vals, cols, xj, k, lo, n));                   \
+            float d = Q16(H2F(b[r * k + j]) - s);                             \
+            float v = Q16(d * inv[r]);                                        \
+            x[r * k + j] = v;                                                 \
+            x16[r * k + j] = F2H(v);                                          \
+        }                                                                     \
+    }                                                                         \
+    free(x);                                                                  \
+    return 0;                                                                 \
+}                                                                             \
+                                                                              \
+/* The (ncols, k) fp16 operand expanded to fp32 once per call. */             \
+ATTR static float *expand_f16##SFX(const uint16_t *x16, int64_t size)        \
+{                                                                             \
+    float *x = malloc((size_t)(size > 0 ? size : 1) * sizeof(float));         \
+    if (x) {                                                                  \
+        int64_t e = 0;                                                        \
+        X8_EXPAND                                                             \
+        for (; e < size; e++)                                                 \
+            x[e] = H2F(x16[e]);                                               \
+    }                                                                         \
+    return x;                                                                 \
+}                                                                             \
+                                                                              \
+/* The fp16 row sum of row i, column j: products rounded to fp16, summed in   \
+ * fp32 like reduceat, rounded once.  An empty row sums to +0. */             \
+ATTR static inline float csr_row_f16##SFX(const int32_t *indptr,              \
+                                          const int32_t *indices,             \
+                                          const float *vals, const float *x,  \
+                                          int64_t k, int64_t i, int64_t j)    \
+{                                                                             \
+    int64_t lo = indptr[i], n = indptr[i + 1] - lo;                           \
+    if (!n)                                                                   \
+        return 0.0f;                                                          \
+    return Q16(ROW_SUM(vals, indices, x + j, k, lo, n));                      \
+}                                                                             \
+                                                                              \
+/* y = A x */                                                                 \
+ATTR int spmv_csr_f16##SFX(int64_t nrows, int64_t ncols,                      \
+                           const int32_t *indptr, const int32_t *indices,     \
+                           const float *vals,                                 \
+                           const uint16_t *x16, uint16_t *y, int64_t k)       \
+{                                                                             \
+    float *x = expand_f16##SFX(x16, ncols * k);                               \
+    if (!x)                                                                   \
+        return -1;                                                            \
+    for (int64_t i = 0; i < nrows; i++)                                       \
+        for (int64_t j = 0; j < k; j++)                                       \
+            y[i * k + j] = F2H(csr_row_f16##SFX(indptr, indices, vals, x, k,  \
+                                                i, j));                       \
+    free(x);                                                                  \
+    return 0;                                                                 \
+}                                                                             \
+                                                                              \
+/* r = y - A x, with A x rounded to fp16 first (the unfused pair's order) */  \
+ATTR int spmv_axpy_f16##SFX(int64_t nrows, int64_t ncols,                     \
+                            const int32_t *indptr, const int32_t *indices,    \
+                            const float *vals, const uint16_t *x16,           \
+                            const uint16_t *y, uint16_t *r, int64_t k)        \
+{                                                                             \
+    float *x = expand_f16##SFX(x16, ncols * k);                               \
+    if (!x)                                                                   \
+        return -1;                                                            \
+    for (int64_t i = 0; i < nrows; i++)                                       \
+        for (int64_t j = 0; j < k; j++) {                                     \
+            float s = csr_row_f16##SFX(indptr, indices, vals, x, k, i, j);    \
+            r[i * k + j] = F2H(Q16(H2F(y[i * k + j]) - s));                   \
+        }                                                                     \
+    free(x);                                                                  \
+    return 0;                                                                 \
+}                                                                             \
+                                                                              \
+/* out = round16(round16(alpha[j] * mr) + z) over `size` entries of an       \
+ * (n, k) row-major block, alpha[j] (fp16 values, in fp32) weighting column   \
+ * j. */                                                                      \
+ATTR int weighted_update_f16##SFX(int64_t size, int64_t k, const float *alpha, \
+                                  const uint16_t *mr, const uint16_t *z,      \
+                                  uint16_t *out)                              \
+{                                                                             \
+    if (size <= 0)                                                            \
+        return 0;                                                             \
+    int64_t e = 0;                                                            \
+    X8_WEIGHTED                                                               \
+    for (int64_t j = e % k; e < size; e++) {                                  \
+        out[e] = F2H(Q16(Q16(alpha[j] * H2F(mr[e])) + H2F(z[e])));            \
+        if (++j == k)                                                         \
+            j = 0;                                                            \
+    }                                                                         \
+    return 0;                                                                 \
+}                                                                             \
+                                                                              \
+/* out = round16(v - az) over `size` entries */                               \
+ATTR int residual_update_f16##SFX(int64_t size, const uint16_t *v,            \
+                                  const uint16_t *az, uint16_t *out)          \
+{                                                                             \
+    int64_t e = 0;                                                            \
+    X8_RESIDUAL                                                               \
+    for (; e < size; e++)                                                     \
+        out[e] = F2H(Q16(H2F(v[e]) - H2F(az[e])));                            \
+    return 0;                                                                 \
+}                                                                             \
+                                                                              \
+/* halfvec.quantize32 on n values (the quantizer's own test surface) */       \
+ATTR void quantize32##SFX(const float *in, float *out, int64_t n)             \
+{                                                                             \
+    for (int64_t i = 0; i < n; i++)                                           \
+        out[i] = Q16(in[i]);                                                  \
+}
+
+DEFINE_HALF_KERNELS(, , q16, h2f, f2h, row_sum_f16, , , )
+
+#ifdef HAVE_AVX2_SET
+#define X8_EXPAND_AVX2                                                        \
+    for (; e + 8 <= size; e += 8)                                             \
+        _mm256_storeu_ps(x + e, load_h8(x16 + e));
+
+/* alpha laid out over 8 periods of the row (8k entries), so the weights of
+ * any 8 consecutive entries starting at a multiple of 8 are contiguous */
+#define X8_WEIGHTED_AVX2                                                      \
+    if (size >= 8) {                                                          \
+        float *rep = malloc((size_t)(8 * k) * sizeof(float));                 \
+        if (!rep)                                                             \
+            return -1;                                                        \
+        for (int64_t t = 0; t < 8 * k; t++)                                   \
+            rep[t] = alpha[t % k];                                            \
+        for (int64_t off = 0; e + 8 <= size; e += 8) {                        \
+            __m256 a = _mm256_loadu_ps(rep + off);                            \
+            store_h8(out + e, _mm256_add_ps(                                  \
+                q16x8(_mm256_mul_ps(a, load_h8(mr + e))), load_h8(z + e)));   \
+            off += 8;                                                         \
+            if (off == 8 * k)                                                 \
+                off = 0;                                                      \
+        }                                                                     \
+        free(rep);                                                            \
+    }
+
+#define X8_RESIDUAL_AVX2                                                      \
+    for (; e + 8 <= size; e += 8)                                             \
+        store_h8(out + e, _mm256_sub_ps(load_h8(v + e), load_h8(az + e)));
+
+DEFINE_HALF_KERNELS(_avx2, AVX2_FN, q16_f16c, h2f_f16c, f2h_f16c,
+                    row_sum_f16_avx2, X8_EXPAND_AVX2, X8_WEIGHTED_AVX2,
+                    X8_RESIDUAL_AVX2)
+
+/* Patterns in [lo, hi) of the 2^32 float32 bit patterns on which the F16C
+ * round trip and q16 disagree: different bits on a non-NaN input, or a NaN
+ * input that either one does not keep a NaN. */
+AVX2_FN uint64_t quantize32_avx2_disagreements(uint64_t lo, uint64_t hi)
 {
-    float *x = calloc((size_t)(nrows * k > 0 ? nrows * k : 1), sizeof(float));
-    if (!x)
-        return -1;
-    for (int64_t t = 0; t < nrows; t++) {
-        int64_t r = order[t];
-        int64_t lo = rowptr[r], n = rowptr[r + 1] - lo;
-        for (int64_t j = 0; j < k; j++) {
-            const float *xj = x + j;
-            float s = 0.0f;
-            if (n)
-                s = q16(row_sum_f16(vals, cols, xj, k, lo, n));
-            float d = q16(h2f(b[r * k + j]) - s);
-            float v = q16(d * inv[r]);
-            x[r * k + j] = v;
-            x16[r * k + j] = f2h(v);
+    uint64_t bad = 0;
+    float in[8], out[8];
+    for (uint64_t u = lo; u < hi; u += 8) {
+        int m = hi - u < 8 ? (int)(hi - u) : 8;
+        for (int l = 0; l < 8; l++)
+            in[l] = float_of((uint32_t)(u + (l < m ? l : 0)));
+        _mm256_storeu_ps(out, q16x8(_mm256_loadu_ps(in)));
+        for (int l = 0; l < m; l++) {
+            float want = q16(in[l]);
+            if (in[l] != in[l])
+                bad += out[l] == out[l] || want == want;
+            else
+                bad += bits_of(out[l]) != bits_of(want);
         }
     }
-    free(x);
-    return 0;
+    return bad;
 }
-
-/* ------------------------------------------------------------------------ */
-/* fp16 CSR products                                                         */
-/* ------------------------------------------------------------------------ */
-/* The (ncols, k) fp16 operand expanded to fp32 once per call. */
-static float *expand_f16(const uint16_t *x16, int64_t size)
-{
-    float *x = malloc((size_t)(size > 0 ? size : 1) * sizeof(float));
-    if (x)
-        for (int64_t i = 0; i < size; i++)
-            x[i] = h2f(x16[i]);
-    return x;
-}
-
-/* The fp16 row sum of row i, column j: products rounded to fp16, summed in
- * fp32 like reduceat, rounded once.  An empty row sums to +0. */
-static inline float csr_row_f16(const int32_t *indptr, const int32_t *indices,
-                                const float *vals, const float *x, int64_t k,
-                                int64_t i, int64_t j)
-{
-    int64_t lo = indptr[i], n = indptr[i + 1] - lo;
-    if (!n)
-        return 0.0f;
-    return q16(row_sum_csr_f16(vals, indices, x + j, k, lo, n));
-}
-
-/* y = A x */
-int spmv_csr_f16(int64_t nrows, int64_t ncols, const int32_t *indptr,
-                 const int32_t *indices, const float *vals, const uint16_t *x16,
-                 uint16_t *y, int64_t k)
-{
-    float *x = expand_f16(x16, ncols * k);
-    if (!x)
-        return -1;
-    for (int64_t i = 0; i < nrows; i++)
-        for (int64_t j = 0; j < k; j++)
-            y[i * k + j] = f2h(csr_row_f16(indptr, indices, vals, x, k, i, j));
-    free(x);
-    return 0;
-}
-
-/* r = y - A x, with A x rounded to fp16 first (the unfused pair's order) */
-int spmv_axpy_f16(int64_t nrows, int64_t ncols, const int32_t *indptr,
-                  const int32_t *indices, const float *vals,
-                  const uint16_t *x16, const uint16_t *y, uint16_t *r,
-                  int64_t k)
-{
-    float *x = expand_f16(x16, ncols * k);
-    if (!x)
-        return -1;
-    for (int64_t i = 0; i < nrows; i++)
-        for (int64_t j = 0; j < k; j++) {
-            float s = csr_row_f16(indptr, indices, vals, x, k, i, j);
-            r[i * k + j] = f2h(q16(h2f(y[i * k + j]) - s));
-        }
-    free(x);
-    return 0;
-}
-
-/* halfvec.quantize32 on n values (the quantizer's own test surface) */
-void quantize32(const float *in, float *out, int64_t n)
-{
-    for (int64_t i = 0; i < n; i++)
-        out[i] = q16(in[i]);
-}
+#endif

@@ -1,15 +1,26 @@
 """Native backend: compiled C kernels for the level-scheduled triangular
-solve and the fp16 CSR products, bit-identical to ``reference``.
+solve, the fp16 CSR products and the fp16 vector updates, bit-identical to
+``reference``.
 
 numpy's per-call dispatch sets the floor of the ``fast`` engine's
 level-scheduled ``trsv``: a level is a handful of rows, so every level costs
 a dozen vectorized calls for little arithmetic.  ``native.c`` runs the whole
-substitution — and the fp16 CSR products ``spmv_csr`` / ``spmv_axpy`` —
-in one call each, with exactly the ``reference`` recipes (see the C file):
-rows in level order, each row sum in ``np.add.reduceat``'s pairwise order,
-fp16 values on the fp32 grid rounded after every operation.  Every other
-kernel is inherited from :class:`~repro.backends.fast.FastBackend`, and so
-are the counter totals.
+substitution — and the fp16 CSR products ``spmv_csr`` / ``spmv_axpy`` and
+the fp16 updates ``weighted_update`` / ``residual_update`` — in one call
+each, with exactly the ``reference`` recipes (see the C file): rows in level
+order, each row sum in ``np.add.reduceat``'s pairwise order, fp16 values on
+the fp32 grid rounded after every operation.  Every other kernel is
+inherited from :class:`~repro.backends.fast.FastBackend`, and so are the
+counter totals.
+
+**Instruction sets.**  The fp16 kernels are compiled twice from the same C
+macros (:data:`ISAS`): a portable scalar set, and on x86-64 an AVX2 + F16C
+set (function-level target attributes, not :data:`FLAGS`), whose row sums
+keep numpy's 8 pairwise accumulators in the 8 lanes of one vector and round
+with the hardware's fp16 converters.  The library reports once whether this
+CPU runs the vector set (:func:`isas`); the engine uses it where it does and
+the scalar set elsewhere, and for any call whose strided gather index
+``col · k`` might overflow int32.
 
 **Build.**  ``native.c`` is compiled once with ``$CC`` (default ``cc``) and
 :data:`FLAGS` — no ``-march=native``, no fast-math, no FMA contraction, no
@@ -22,8 +33,9 @@ half-written file.  A cached file that does not load, or loads with another
 ABI, is rebuilt.
 
 **Availability.**  :func:`library` builds or loads the library once per
-process and runs :func:`self_check`: every ported kernel, on small operands
-with fp16-subnormal products, overflow, signed zeros and NaN, must equal the
+process and runs :func:`self_check` on every instruction set this CPU runs:
+every ported kernel, on small operands with fp16-subnormal products,
+overflow, signed zeros, NaN and order-sensitive row sums, must equal the
 ``reference`` backend bit for bit.  Only then is ``native`` registered (and
 the default engine, see :mod:`repro.backends`); otherwise one
 ``RuntimeWarning`` names the reason and ``fast`` serves.
@@ -53,40 +65,68 @@ from pathlib import Path
 import numpy as np
 
 from ..perf.counters import counters_enabled
-from ..precision import BYTES_PER_INDEX, as_precision, precision_of_dtype, promote
+from ..precision import (BYTES_PER_INDEX, Precision, as_precision,
+                         precision_of_dtype, promote)
 from .base import columns, spmv_setup
 from .fast import FastBackend
 
-__all__ = ["FLAGS", "NativeBackend", "NativeUnavailable", "cache_dir",
-           "library", "library_path", "self_check"]
+__all__ = ["FLAGS", "ISAS", "NativeBackend", "NativeUnavailable", "cache_dir",
+           "isas", "library", "library_path", "self_check"]
 
 SOURCE = Path(__file__).with_name("native.c")
 #: compile flags; the kernels' bit-identity depends on the absence of FMA
 #: contraction and fast-math
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 #: must equal NATIVE_ABI in native.c
-ABI = 1
+ABI = 2
 
 _HALF = np.dtype(np.float16)
 _F32 = np.dtype(np.float32)
 _F64 = np.dtype(np.float64)
 _I32 = np.dtype(np.int32)
-#: compute dtype -> (C trsv symbol, value dtype the kernel reads)
-_TRSV = {_F64: ("trsv_f64", _F64), _F32: ("trsv_f32", _F32),
-         _HALF: ("trsv_f16", _F32)}
+_I64 = np.dtype(np.int64)
+_FP16 = Precision.FP16
+#: compute dtype -> (C trsv symbol, value dtype, column-index dtype it reads)
+_TRSV = {_F64: ("trsv_f64", _F64, _I64), _F32: ("trsv_f32", _F32, _I64),
+         _HALF: ("trsv_f16", _F32, _I32)}
+#: the largest gather index the AVX2 kernels form (col * k, as int32)
+_INT32_MAX = 2 ** 31 - 1
 
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
-#: every exported symbol's (argtypes, restype); pointers pass as addresses
+_TRSV_ARGS = ((_I, _P, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int)
+_SPMV_ARGS = ((_I, _I, _P, _P, _P, _P, _P, _I), ctypes.c_int)
+_AXPY_ARGS = ((_I, _I, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int)
+_WEIGHTED_ARGS = ((_I, _I, _P, _P, _P, _P), ctypes.c_int)
+_RESIDUAL_ARGS = ((_I, _P, _P, _P), ctypes.c_int)
+#: every exported symbol's (argtypes, restype); pointers pass as addresses.
+#: Names ending in ``_avx2`` are the AVX2 + F16C set, declared only where
+#: ``repro_native_avx2()`` says it was compiled and this CPU runs it.
 _SIGNATURES = {
     "repro_native_abi": ((), _I),
-    "trsv_f64": ((_I, _P, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int),
-    "trsv_f32": ((_I, _P, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int),
-    "trsv_f16": ((_I, _P, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int),
-    "spmv_csr_f16": ((_I, _I, _P, _P, _P, _P, _P, _I), ctypes.c_int),
-    "spmv_axpy_f16": ((_I, _I, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int),
+    "repro_native_avx2": ((), _I),
+    "trsv_f64": _TRSV_ARGS,
+    "trsv_f32": _TRSV_ARGS,
+    "trsv_f16": _TRSV_ARGS,
+    "spmv_csr_f16": _SPMV_ARGS,
+    "spmv_axpy_f16": _AXPY_ARGS,
+    "weighted_update_f16": _WEIGHTED_ARGS,
+    "residual_update_f16": _RESIDUAL_ARGS,
     "quantize32": ((_P, _P, _I), None),
+    "trsv_f16_avx2": _TRSV_ARGS,
+    "spmv_csr_f16_avx2": _SPMV_ARGS,
+    "spmv_axpy_f16_avx2": _AXPY_ARGS,
+    "weighted_update_f16_avx2": _WEIGHTED_ARGS,
+    "residual_update_f16_avx2": _RESIDUAL_ARGS,
+    "quantize32_avx2": ((_P, _P, _I), None),
+    "quantize32_avx2_disagreements": ((ctypes.c_uint64, ctypes.c_uint64),
+                                      ctypes.c_uint64),
 }
+#: the kernels that exist once per instruction set
+_PER_ISA = ("trsv_f16", "spmv_csr_f16", "spmv_axpy_f16", "weighted_update_f16",
+            "residual_update_f16", "quantize32")
+#: the instruction sets, by symbol suffix
+ISAS = {"scalar": "", "avx2": "_avx2"}
 
 
 class NativeUnavailable(RuntimeError):
@@ -165,7 +205,11 @@ def _build(argv: list[str], target: Path) -> Path:
 def _open(path: Path) -> ctypes.CDLL:
     """Load ``path`` and declare every kernel's signature."""
     lib = ctypes.CDLL(str(path))
+    lib.repro_native_avx2.restype = _I
+    simd = lib.repro_native_avx2()
     for name, (argtypes, restype) in _SIGNATURES.items():
+        if "_avx2" in name and not simd:
+            continue
         fn = getattr(lib, name)
         fn.argtypes = argtypes
         fn.restype = restype
@@ -210,7 +254,8 @@ def library() -> ctypes.CDLL | None:
             lib = None
             try:
                 lib = build_and_load()
-                self_check(NativeBackend(lib))
+                for isa in isas(lib):
+                    self_check(NativeBackend(lib, isa))
             except Exception as exc:       # any failure: fast keeps serving
                 lib = None
                 reason = (str(exc) if isinstance(exc, NativeUnavailable)
@@ -224,6 +269,12 @@ def library() -> ctypes.CDLL | None:
 # ---------------------------------------------------------------------- #
 # The engine
 # ---------------------------------------------------------------------- #
+def isas(lib: ctypes.CDLL) -> tuple[str, ...]:
+    """The instruction sets of :data:`ISAS` that ``lib`` runs on this CPU,
+    the fastest last."""
+    return ("scalar", "avx2") if lib.repro_native_avx2() else ("scalar",)
+
+
 def _addr(a: np.ndarray) -> int:
     return a.__array_interface__["data"][0]
 
@@ -236,7 +287,7 @@ def _trsv_plan(factor, cdtype) -> tuple:
     key = ("native", cdtype)
     plan = factor._fast_vals.get(key)
     if plan is None:
-        symbol, vdtype = _TRSV[cdtype]
+        symbol, vdtype, idtype = _TRSV[cdtype]
         order = (np.concatenate(factor.levels).astype(np.int64) if factor.levels
                  else np.empty(0, dtype=np.int64))
         rowptr = np.ascontiguousarray(factor.off_rowptr, dtype=np.int64)
@@ -247,6 +298,7 @@ def _trsv_plan(factor, cdtype) -> tuple:
                 or (cols.size and (cols.min() < 0 or cols.max() >= n))
                 or np.any(np.bincount(order, minlength=n) != 1)):
             raise ValueError("the factor's arrays are inconsistent")
+        cols = cols.astype(idtype, copy=False)
         vals = factor.off_vals.astype(cdtype).astype(vdtype)
         inv = factor.inv_diag.astype(cdtype).astype(vdtype)
         arrays = (order, rowptr, cols, vals, inv)
@@ -272,16 +324,38 @@ def _check(status: int) -> None:
 
 
 class NativeBackend(FastBackend):
-    """Compiled ``trsv`` and fp16 CSR products; everything else is ``fast``."""
+    """Compiled ``trsv``, fp16 CSR products and fp16 vector updates;
+    everything else is ``fast``.
+
+    ``isa`` picks the fp16 kernels' instruction set (:data:`ISAS`); by
+    default the fastest that :func:`isas` reports for this CPU.
+    """
 
     name = "native"
 
-    def __init__(self, lib: ctypes.CDLL | None = None) -> None:
+    def __init__(self, lib: ctypes.CDLL | None = None, isa: str | None = None) -> None:
         if lib is None:
             lib = library()
             if lib is None:
                 raise NativeUnavailable("the native library is unavailable")
+        supported = isas(lib)
+        if isa is None:
+            isa = supported[-1]
+        elif isa not in supported:
+            raise NativeUnavailable(f"instruction set {isa!r} is unavailable "
+                                    f"on this host")
         self._lib = lib
+        self.isa = isa
+        #: the fp16 kernels of ``isa``, and the scalar ones (the fallback for
+        #: a call whose gather index col * k might overflow int32)
+        self._half = {name: getattr(lib, name + ISAS[isa]) for name in _PER_ISA}
+        self._scalar = {name: getattr(lib, name) for name in _PER_ISA}
+
+    def _half_kernels(self, rows: int, k: int) -> dict:
+        """The fp16 kernels for an operand of ``rows`` rows and ``k``
+        columns: the scalar set when a strided gather index might not fit
+        in int32."""
+        return self._half if rows * k <= _INT32_MAX else self._scalar
 
     # ------------------------------------------------------------------ #
     def trsv(self, factor, b, out_precision=None, record=True):
@@ -294,13 +368,18 @@ class NativeBackend(FastBackend):
         if b.ndim not in (1, 2) or b.shape[0] != factor.nrows:
             raise ValueError(f"right-hand side of shape {b.shape} for a factor "
                              f"of {factor.nrows} rows")
+        if cdtype == _HALF and factor.nrows > _INT32_MAX:
+            return super().trsv(factor, b, out_precision, record=record)
         symbol, _, (order, rowptr, cols, vals, inv) = _trsv_plan(factor, cdtype)
+        k = columns(b)
+        kernel = (self._half_kernels(factor.nrows, k)[symbol] if cdtype == _HALF
+                  else getattr(self._lib, symbol))
         b_c = np.ascontiguousarray(b, dtype=cdtype)
         x = np.zeros(b.shape, dtype=cdtype)
-        _check(getattr(self._lib, symbol)(factor.nrows, order, rowptr, cols, vals,
-                                          inv, _addr(b_c), _addr(x), columns(b)))
+        _check(kernel(factor.nrows, order, rowptr, cols, vals, inv, _addr(b_c),
+                      _addr(x), k))
         if record and counters_enabled():
-            self._record_trsv(factor, vec_prec, out_prec, compute, columns(b))
+            self._record_trsv(factor, vec_prec, out_prec, compute, k)
         return x.astype(out_prec.dtype, copy=False)
 
     # ------------------------------------------------------------------ #
@@ -330,14 +409,14 @@ class NativeBackend(FastBackend):
         mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
                                                            out_precision)
         ptr, idx, vals32, x16 = ops
-        n = indptr.size - 1
+        n, k = indptr.size - 1, columns(x)
         y = np.empty((n,) + x.shape[1:], dtype=_HALF)
-        _check(self._lib.spmv_csr_f16(n, x.shape[0], _addr(ptr), _addr(idx),
-                                      _addr(vals32), _addr(x16), _addr(y),
-                                      columns(x)))
+        kernel = self._half_kernels(x.shape[0], k)["spmv_csr_f16"]
+        _check(kernel(n, x.shape[0], _addr(ptr), _addr(idx), _addr(vals32),
+                      _addr(x16), _addr(y), k))
         if record and counters_enabled():
             self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, values.size,
-                              (values.size + n + 1) * BYTES_PER_INDEX, columns(x))
+                              (values.size + n + 1) * BYTES_PER_INDEX, k)
         return y.astype(out_prec.dtype, copy=False)
 
     def spmv_axpy(self, values, indices, indptr, x, y, out_precision=None,
@@ -355,18 +434,55 @@ class NativeBackend(FastBackend):
         mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
                                                            out_precision)
         ptr, idx, vals32, x16 = ops
-        n = indptr.size - 1
+        n, k = indptr.size - 1, columns(x)
         y16 = np.ascontiguousarray(y)
         r = np.empty(y.shape, dtype=_HALF)
-        _check(self._lib.spmv_axpy_f16(n, x.shape[0], _addr(ptr), _addr(idx),
-                                       _addr(vals32), _addr(x16), _addr(y16),
-                                       _addr(r), columns(x)))
+        kernel = self._half_kernels(x.shape[0], k)["spmv_axpy_f16"]
+        _check(kernel(n, x.shape[0], _addr(ptr), _addr(idx), _addr(vals32),
+                      _addr(x16), _addr(y16), _addr(r), k))
         if record and counters_enabled():
-            k = columns(x)
             self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, values.size,
                               (values.size + n + 1) * BYTES_PER_INDEX, k)
             self._record_axpy(out_prec, out_prec, out_prec, compute, n, k)
         return r
+
+    # ------------------------------------------------------------------ #
+    def residual_update(self, v, az, out_precision=None, record=True,
+                        scratch=None):
+        """``r = v − az`` in one C pass when all three are fp16."""
+        if not (v.dtype == _HALF and az.dtype == _HALF and v.shape == az.shape
+                and (out_precision is None
+                     or as_precision(out_precision).dtype == _HALF)):
+            return super().residual_update(v, az, out_precision, record=record,
+                                           scratch=scratch)
+        v_c, az_c = np.ascontiguousarray(v), np.ascontiguousarray(az)
+        r = np.empty(v.shape, dtype=_HALF)
+        _check(self._half["residual_update_f16"](v.size, _addr(v_c), _addr(az_c),
+                                                 _addr(r)))
+        if record and counters_enabled():
+            self._record_axpy(_FP16, _FP16, _FP16, _FP16, v.shape[0], columns(v))
+        return r
+
+    def weighted_update(self, z, mr, omega, vec_prec: Precision, scratch=None,
+                        record=True):
+        """``z + ω·mr`` in one C pass when all three are fp16:
+        ``round16(round16(ω16·mr) + z)``, ``ω`` one weight or one per
+        column."""
+        if not (z.dtype == _HALF and mr.dtype == _HALF and z.shape == mr.shape
+                and vec_prec.dtype == _HALF and np.ndim(omega) <= 1):
+            return super().weighted_update(z, mr, omega, vec_prec,
+                                           scratch=scratch, record=record)
+        k = columns(mr)
+        alpha = np.empty(k, dtype=_F32)
+        alpha[...] = np.float16(omega)       # ω rounded to fp16, as vo.axpy does
+        mr_c, z_c = np.ascontiguousarray(mr), np.ascontiguousarray(z)
+        out = np.empty(z.shape, dtype=_HALF)
+        _check(self._half["weighted_update_f16"](z.size, k, _addr(alpha),
+                                                 _addr(mr_c), _addr(z_c),
+                                                 _addr(out)))
+        if record and counters_enabled():
+            self._record_axpy(_FP16, _FP16, _FP16, _FP16, mr.shape[0], k)
+        return out
 
 
 # ---------------------------------------------------------------------- #
@@ -417,6 +533,24 @@ def _check_operands(rng) -> tuple:
     return factor, b, dense
 
 
+def _cancelling_rows(rng) -> tuple:
+    """fp16 CSR arrays of 48 rows of 5, 9, 13 and 17 entries (a short row,
+    one or two 8-term blocks, with and without a remainder) over 17 columns:
+    ±2^13 mixed with values near its float32 half-ulp, so an fp32 row sum
+    depends on the order its terms meet in (any order but numpy's shows
+    after the fp16 rounding), and an x of ±1."""
+    lengths = np.tile([5, 9, 13, 17], 12)
+    indptr = np.zeros(lengths.size + 1, dtype=np.int32)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = np.concatenate([np.arange(n, dtype=np.int32) for n in lengths])
+    nnz = indices.size
+    values = np.where(rng.random(nnz) < 0.3, 2.0 ** 13,
+                      rng.uniform(2.0 ** -13, 2.0 ** -10, nnz))
+    values *= rng.choice([-1.0, 1.0], nnz)
+    x = rng.choice([-1.0, 1.0], (17, 2))
+    return values.astype(_HALF), indices, indptr, x.astype(_HALF)
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shape, dtype, NaN positions and every non-NaN bit pattern."""
     if a.shape != b.shape or a.dtype != b.dtype:
@@ -428,12 +562,14 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def self_check(backend: NativeBackend) -> None:
-    """Every native kernel against ``reference``, bit for bit; raises
-    :class:`NativeUnavailable` on the first difference."""
+    """Every native kernel of ``backend``'s instruction set against
+    ``reference``, bit for bit; raises :class:`NativeUnavailable` on the
+    first difference."""
     from .reference import ReferenceBackend
 
     oracle = ReferenceBackend()
-    factor, b, dense = _check_operands(np.random.default_rng(20251018))
+    rng = np.random.default_rng(20251018)
+    factor, b, dense = _check_operands(rng)
     indptr = np.zeros(dense.shape[0] + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(dense, axis=1), out=indptr[1:])
     indices = np.nonzero(dense)[1].astype(np.int32)
@@ -452,10 +588,23 @@ def self_check(backend: NativeBackend) -> None:
                 values16, indices, indptr, x, record=False)))
             cases.append(("spmv_axpy fp16", lambda be, x=x, y=y: be.spmv_axpy(
                 values16, indices, indptr, x, y, record=False)))
+        cvals, cidx, cptr, cx = _cancelling_rows(rng)
+        for x in (cx[:, 0], cx):
+            cases.append(("spmv_csr fp16 (row-sum order)", lambda be, x=x: be.spmv_csr(
+                cvals, cidx, cptr, x, record=False)))
+        # 157 rows: 8-wide passes plus a tail, per-column weights that wrap
+        # mid-vector, and a weight that overflows fp16 products
+        for z, mr, omega in ((y16[:157, 0], x16[:157, 0], 0.97),
+                             (y16[:157], x16[:157], np.array([0.5, 3.0e4]))):
+            cases.append(("weighted_update fp16", lambda be, z=z, mr=mr, omega=omega:
+                          be.weighted_update(z.copy(), mr, omega, _FP16, record=False)))
+            cases.append(("residual_update fp16", lambda be, z=z, mr=mr:
+                          be.residual_update(z, mr, record=False)))
         for label, run in cases:
             if not _same_bits(run(backend), run(oracle)):
-                raise NativeUnavailable(f"self-check failed: {label} differs "
-                                        f"from the reference backend")
+                raise NativeUnavailable(f"self-check failed: {label} "
+                                        f"({backend.isa}) differs from the "
+                                        f"reference backend")
 
 
 def _cast_factor(factor, dtype):

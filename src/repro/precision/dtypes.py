@@ -83,6 +83,11 @@ class Precision(enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
+    #: members are singletons, so identity is equality: the C-level object
+    #: hash replaces ``Enum.__hash__`` (a Python call hashing the name),
+    #: which the per-kernel traffic counters invoke on every record
+    __hash__ = object.__hash__
+
 
 _DTYPES = {
     Precision.FP64: np.dtype(np.float64),
@@ -177,9 +182,8 @@ def promote(*precisions: Precision | str) -> Precision:
     if not precisions:
         raise ValueError("promote() requires at least one precision")
     widest = Precision.FP16
-    order = {Precision.FP16: 0, Precision.FP32: 1, Precision.FP64: 2}
     for p in precisions:
         p = as_precision(p)
-        if order[p] > order[widest]:
+        if _BITS[p] > _BITS[widest]:
             widest = p
     return widest

@@ -1,15 +1,19 @@
 """The compiled ``native`` engine: bit for bit against the ``reference`` oracle.
 
-``native`` ports two kernels to C — the level-scheduled triangular solve
-(fp64, fp32 and fp16 compute) and the fp16 CSR products ``spmv_csr`` /
-``spmv_axpy`` — and inherits everything else from ``fast``.  Here every
-ported kernel must equal ``reference`` bit for bit (NaN by position, not
-payload) on lower and upper ILU(0), IC(0), fused block-ILU(0) and long-row factors and
-on a CSR matrix with long, short and empty rows, for vectors and for blocks
-of 0, 1, 2 and 8 columns, on inputs with fp16-subnormal products, overflow
-to ±inf, signed zeros and NaN.  Counter totals must equal ``fast``'s, and
-four threads solving on one factor (ctypes releases the interpreter lock, so
-they truly overlap) must each match a serial solve.
+``native`` ports kernels to C — the level-scheduled triangular solve (fp64,
+fp32 and fp16 compute), the fp16 CSR products ``spmv_csr`` / ``spmv_axpy``
+and the fp16 vector updates ``weighted_update`` / ``residual_update`` — and
+inherits everything else from ``fast``.  Here every ported kernel must equal
+``reference`` bit for bit (NaN by position, not payload) on lower and upper
+ILU(0), IC(0), fused block-ILU(0) and long-row factors, on a CSR matrix with
+long, short and empty rows and on vectors, for blocks of 0 to 9 columns, on
+inputs with fp16-subnormal products, overflow to ±inf, signed zeros and NaN.
+The fp16 kernels exist once per instruction set (``native.ISAS``): each test
+of them runs the portable scalar set and, where this CPU has AVX2 + F16C,
+the vector set, both reached through the loaded library's symbols.  Counter
+totals must equal ``fast``'s, and four threads on shared operands (ctypes
+releases the interpreter lock, so they truly overlap) must each match a
+serial run.
 
 The whole module skips when the host has no C compiler;
 ``test_native_fallback.py`` covers that path.  With a compiler, the engine
@@ -18,6 +22,7 @@ must have registered (its load-time self-check passed) and be the default.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import shutil
 import sys
@@ -29,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import available_backends, get_backend, use_backend
+from repro.backends import available_backends, get_backend, native, use_backend
 from repro.matgen import get_matrix, hpcg_matrix
 from repro.perf import counting
 from repro.precision import Precision, precision_of_dtype
@@ -82,10 +87,24 @@ def _operand(kind: str, n: int, width, dtype, seed: int) -> np.ndarray:
 
 
 def _on(engine: str, fn):
+    """``fn(backend)`` on a registered engine, or on the native engine with
+    the fp16 kernels of one instruction set (an entry of ``native.ISAS``)."""
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
+        if engine in native.ISAS:
+            with use_backend("native"):
+                return fn(native.NativeBackend(get_backend()._lib, engine))
         with use_backend(engine):
             return fn(get_backend())
+
+
+@pytest.fixture(params=sorted(native.ISAS))
+def isa(request) -> str:
+    """Each fp16 kernel set: the scalar one everywhere, the AVX2 + F16C one
+    where the library has it and this CPU runs it."""
+    if request.param not in native.isas(get_backend("native")._lib):
+        pytest.skip(f"the {request.param} kernel set does not run on this host")
+    return request.param
 
 
 # ---------------------------------------------------------------------- #
@@ -144,11 +163,20 @@ def test_registered_and_default():
 # The fp16 quantizer
 # ---------------------------------------------------------------------- #
 class TestQuantizer:
-    def _native(self, x32: np.ndarray) -> np.ndarray:
+    """``quantize32`` (scalar ``q16``) against numpy's float32 → float16 →
+    float32 round trip, and ``quantize32_avx2`` (the F16C round trip) against
+    ``quantize32``."""
+
+    def _native(self, x32: np.ndarray, symbol: str = "quantize32") -> np.ndarray:
         out = np.empty_like(x32)
-        get_backend("native")._lib.quantize32(x32.ctypes.data, out.ctypes.data,
-                                               x32.size)
+        getattr(get_backend("native")._lib, symbol)(x32.ctypes.data, out.ctypes.data,
+                                                    x32.size)
         return out
+
+    def _f16c(self, x32: np.ndarray) -> np.ndarray:
+        if "avx2" not in native.isas(get_backend("native")._lib):
+            pytest.skip("no AVX2 + F16C on this host")
+        return self._native(x32, "quantize32_avx2")
 
     def _numpy(self, x32: np.ndarray) -> np.ndarray:
         with warnings.catch_warnings():
@@ -161,6 +189,7 @@ class TestQuantizer:
         x = np.arange(0, 2 ** 32, 4099, dtype=np.uint64).astype(np.uint32)
         x32 = x.view(np.float32)
         assert_bit_equal(self._native(x32), self._numpy(x32))
+        assert_bit_equal(self._f16c(x32), self._native(x32))
 
     def test_every_fp16_tie_and_overflow_boundary(self):
         # every finite fp16 value, every midpoint between neighbours (a tie)
@@ -174,6 +203,15 @@ class TestQuantizer:
                                  np.nextafter(values, np.float32(np.inf))])
         values = np.concatenate([values, -values])
         assert_bit_equal(self._native(values), self._numpy(values))
+        assert_bit_equal(self._f16c(values), self._native(values))
+
+    @pytest.mark.tier2
+    def test_f16c_equals_q16_on_every_float32(self):
+        """All 2^32 patterns, looped in C: the F16C round trip keeps every
+        non-NaN bit of ``q16`` and keeps NaN a NaN."""
+        lib = get_backend("native")._lib
+        self._f16c(np.zeros(1, dtype=np.float32))            # skips without F16C
+        assert lib.quantize32_avx2_disagreements(0, 2 ** 32) == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -184,26 +222,39 @@ class TestTrsv:
     @pytest.mark.parametrize("dtype", DTYPES, ids=str)
     @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("name", ["ilu0", "ic0", "block_ilu0", "long_rows"])
-    def test_bitwise_against_reference(self, factors, name, side, dtype, width):
+    def test_bitwise_against_reference(self, factors, isa, name, side, dtype, width):
         factor = factors[name][side == "upper"].astype(precision_of_dtype(dtype))
         for i, kind in enumerate(INPUTS):
             b = _operand(kind, factor.nrows, width, dtype, seed=10 * i + 1)
             want = _on("reference", lambda be: be.trsv(factor, b))
-            got = _on("native", lambda be: be.trsv(factor, b))
+            got = _on(isa, lambda be: be.trsv(factor, b))
             assert_bit_equal(got, want)
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=str)
-    def test_block_column_equals_single_solve(self, factors, dtype):
+    def test_block_column_equals_single_solve(self, factors, isa, dtype):
         lower, _ = factors["block_ilu0"]
         factor = lower.astype(precision_of_dtype(dtype))
         bb = _operand("subnormal", factor.nrows, 8, dtype, seed=3)
-        block = _on("native", lambda be: be.trsv(factor, bb))
+        block = _on(isa, lambda be: be.trsv(factor, bb))
         for j in range(8):
             col = np.ascontiguousarray(bb[:, j])
-            assert_bit_equal(block[:, j], _on("native", lambda be: be.trsv(factor, col)))
+            assert_bit_equal(block[:, j], _on(isa, lambda be: be.trsv(factor, col)))
+
+    def test_kernel_per_compute_dtype(self, factors):
+        """fp64 and fp32 solves run ``trsv_f64`` / ``trsv_f32``; fp16 runs
+        ``trsv_f16`` (the scalar set) or ``trsv_f16_avx2``."""
+        lower, _ = factors["ilu0"]
+        symbols = {str(dtype): native._trsv_plan(lower, dtype)[0] for dtype in DTYPES}
+        assert symbols == {"float64": "trsv_f64", "float32": "trsv_f32",
+                           "float16": "trsv_f16"}
+        lib = get_backend("native")._lib
+        for isa, symbol in (("scalar", "trsv_f16"), ("avx2", "trsv_f16_avx2")):
+            if isa in native.isas(lib):
+                kernels = native.NativeBackend(lib, isa)._half
+                assert kernels["trsv_f16"] is getattr(lib, symbol)
 
     @pytest.mark.parametrize("out", [Precision.FP32, Precision.FP64])
-    def test_mixed_precisions(self, factors, out):
+    def test_mixed_precisions(self, factors, isa, out):
         """An fp16 factor with an fp32 right-hand side computes in fp32; an
         fp16 solve may round into a wider output."""
         lower, _ = factors["ilu0"]
@@ -212,7 +263,7 @@ class TestTrsv:
         b16 = _operand("subnormal", f16.nrows, None, HALF, seed=6)
         for run in (lambda be: be.trsv(f16, b32),
                     lambda be: be.trsv(f16, b16, out_precision=out)):
-            assert_bit_equal(_on("native", run), _on("reference", run))
+            assert_bit_equal(_on(isa, run), _on("reference", run))
 
     @pytest.mark.parametrize("width", [None, 3])
     def test_counters_equal_fast(self, factors, width):
@@ -238,17 +289,17 @@ class TestTrsv:
 class TestHalfCsr:
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("kind", INPUTS)
-    def test_spmv_csr(self, matrix16, kind, width):
+    def test_spmv_csr(self, matrix16, isa, kind, width):
         a = matrix16
         x = _operand(kind, a.ncols, width, HALF, seed=21)
 
         def run(be):
             return be.spmv_csr(a.values, a.indices, a.indptr, x, scratch=a.scratch())
-        assert_bit_equal(_on("native", run), _on("reference", run))
+        assert_bit_equal(_on(isa, run), _on("reference", run))
 
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("kind", INPUTS)
-    def test_spmv_axpy(self, matrix16, kind, width):
+    def test_spmv_axpy(self, matrix16, isa, kind, width):
         a = matrix16
         x = _operand(kind, a.ncols, width, HALF, seed=31)
         y = _operand("ordinary" if kind == "nan" else kind, a.nrows, width, HALF,
@@ -257,16 +308,35 @@ class TestHalfCsr:
         def run(be):
             return be.spmv_axpy(a.values, a.indices, a.indptr, x, y,
                                 out_precision=Precision.FP16, scratch=a.scratch())
-        assert_bit_equal(_on("native", run), _on("reference", run))
+        assert_bit_equal(_on(isa, run), _on("reference", run))
+
+    @pytest.mark.parametrize("width", [None, 3, 8])
+    def test_row_sum_order(self, isa, width):
+        """Rows whose fp32 sums change with the order their terms meet in
+        (±2^13 beside values near its half-ulp): any row-sum order but
+        numpy's — a lane tree, a short row or a remainder summed otherwise —
+        shows after the fp16 rounding."""
+        for seed in range(8):
+            values, indices, indptr, x = native._cancelling_rows(
+                np.random.default_rng(seed))
+            if width is not None:
+                x = np.repeat(x[:, :1], width, axis=1)
+                x[:, ::2] = -x[:, ::2]
+            else:
+                x = np.ascontiguousarray(x[:, 0])
+
+            def run(be):
+                return be.spmv_csr(values, indices, indptr, x)
+            assert_bit_equal(_on(isa, run), _on("reference", run))
 
     @pytest.mark.parametrize("out", [Precision.FP32, Precision.FP64])
-    def test_wider_output_and_no_scratch(self, matrix16, out):
+    def test_wider_output_and_no_scratch(self, matrix16, isa, out):
         a = matrix16
         x = _operand("subnormal", a.ncols, 2, HALF, seed=41)
 
         def run(be):
             return be.spmv_csr(a.values, a.indices, a.indptr, x, out_precision=out)
-        assert_bit_equal(_on("native", run), _on("reference", run))
+        assert_bit_equal(_on(isa, run), _on("reference", run))
 
     @pytest.mark.parametrize("width", [None, 3])
     def test_counters_equal_fast(self, matrix16, width):
@@ -291,6 +361,131 @@ class TestHalfCsr:
 
 
 # ---------------------------------------------------------------------- #
+# fp16 vector updates
+# ---------------------------------------------------------------------- #
+#: None: a vector; else an (n, k) block — 0 columns, one, the 8-wide lanes
+#: wrapping mid-row (2, 3, 9) and exactly one row per lane set (8)
+UPDATE_WIDTHS = (None, 0, 1, 2, 3, 8, 9)
+#: 203 rows: 8-wide passes plus a tail at every width
+UPDATE_ROWS = 203
+
+
+def _weights(width) -> list:
+    """One weight, one past fp16's range, and for a block one per column
+    (a tiny, a negative and an overflowing one among them)."""
+    weights = [0.97, 7.0e4]
+    if width is not None:
+        per_column = np.random.default_rng(width).uniform(-2, 2, width)
+        special = min(width, 3)
+        per_column[:special] = [1e-6, -1.7, 3.1e4][:special]
+        weights.append(per_column)
+    return weights
+
+
+class TestHalfUpdates:
+    @pytest.mark.parametrize("width", UPDATE_WIDTHS)
+    @pytest.mark.parametrize("kind", INPUTS)
+    def test_weighted_update(self, isa, kind, width):
+        mr = _operand(kind, UPDATE_ROWS, width, HALF, seed=81)
+        z = _operand("ordinary" if kind == "nan" else kind, UPDATE_ROWS, width, HALF,
+                     seed=82)
+        for omega in _weights(width):
+            def run(be):
+                return be.weighted_update(z.copy(), mr, omega, Precision.FP16)
+            assert_bit_equal(_on(isa, run), _on("reference", run))
+
+    @pytest.mark.parametrize("width", UPDATE_WIDTHS)
+    @pytest.mark.parametrize("kind", INPUTS)
+    def test_residual_update(self, isa, kind, width):
+        v = _operand(kind, UPDATE_ROWS, width, HALF, seed=91)
+        az = _operand("signed_zero" if kind == "nan" else kind, UPDATE_ROWS, width,
+                      HALF, seed=92)
+        for out in (None, Precision.FP16):
+            def run(be):
+                return be.residual_update(v, az, out_precision=out)
+            assert_bit_equal(_on(isa, run), _on("reference", run))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_wider_operands_take_the_inherited_kernels(self, isa, dtype):
+        z = _operand("ordinary", UPDATE_ROWS, 3, dtype, seed=95)
+        mr = _operand("subnormal", UPDATE_ROWS, 3, HALF, seed=96)
+        prec = precision_of_dtype(dtype)
+        for run in (lambda be: be.weighted_update(z.copy(), mr, 0.3, prec),
+                    lambda be: be.residual_update(z, mr),
+                    lambda be: be.residual_update(mr, mr, out_precision=prec)):
+            assert_bit_equal(_on(isa, run), _on("reference", run))
+
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_counters_equal_fast(self, width):
+        mr = _operand("ordinary", UPDATE_ROWS, width, HALF, seed=97)
+        z = _operand("ordinary", UPDATE_ROWS, width, HALF, seed=98)
+        omega = 0.8 if width is None else np.array([0.8, 1.1, 0.4])
+        totals = {}
+        for engine in ("fast", "native"):
+            with counting() as traffic:
+                _on(engine, lambda be: (
+                    be.weighted_update(z.copy(), mr, omega, Precision.FP16),
+                    be.residual_update(z, mr, out_precision=Precision.FP16)))
+            totals[engine] = traffic.summary()
+        assert totals["native"] == totals["fast"]
+
+
+# ---------------------------------------------------------------------- #
+# The library: its symbols, its instruction sets and its self-check
+# ---------------------------------------------------------------------- #
+def test_abi_and_instruction_sets():
+    lib = get_backend("native")._lib
+    assert lib.repro_native_abi() == native.ABI
+    sets = native.isas(lib)
+    assert sets == (("scalar", "avx2") if lib.repro_native_avx2() else ("scalar",))
+    # the default engine runs the fastest set this CPU has
+    assert get_backend("native").isa == sets[-1]
+    scalar = native.NativeBackend(lib, "scalar")
+    for name in ("trsv_f16", "spmv_csr_f16", "spmv_axpy_f16", "weighted_update_f16",
+                 "residual_update_f16", "quantize32"):
+        assert scalar._half[name] is getattr(lib, name)
+    if "avx2" in sets:
+        vector = native.NativeBackend(lib, "avx2")
+        for name, symbol in (("trsv_f16", "trsv_f16_avx2"),
+                             ("spmv_csr_f16", "spmv_csr_f16_avx2"),
+                             ("spmv_axpy_f16", "spmv_axpy_f16_avx2"),
+                             ("weighted_update_f16", "weighted_update_f16_avx2"),
+                             ("residual_update_f16", "residual_update_f16_avx2"),
+                             ("quantize32", "quantize32_avx2")):
+            assert vector._half[name] is getattr(lib, symbol)
+    else:
+        with pytest.raises(native.NativeUnavailable):
+            native.NativeBackend(lib, "avx2")
+
+
+def test_wide_gather_index_takes_the_scalar_kernels(isa):
+    """The AVX2 kernels gather at col * k as int32: a call whose operand has
+    more than 2^31 - 1 entries runs the scalar kernels instead."""
+    be = native.NativeBackend(get_backend("native")._lib, isa)
+    assert be._half_kernels(2 ** 20, 2 ** 11 - 1) is be._half
+    assert be._half_kernels(2 ** 20, 2 ** 11) is be._scalar
+    assert be._half_kernels(2 ** 31, 1) is be._scalar
+
+
+def test_self_check_rejects_a_differing_kernel(isa):
+    """A kernel set whose result differs in one bit fails the load-time
+    self-check (here the fp16 triangular solve, corrupted after the call)."""
+    be = native.NativeBackend(get_backend("native")._lib, isa)
+    native.self_check(be)
+    kernel = be._half["trsv_f16"]
+
+    def corrupted(nrows, *args):
+        status = kernel(nrows, *args)
+        x16 = ctypes.cast(args[-2], ctypes.POINTER(ctypes.c_uint16))
+        x16[nrows - 1] ^= 1
+        return status
+
+    be._half = {**be._half, "trsv_f16": corrupted}
+    with pytest.raises(native.NativeUnavailable, match="trsv"):
+        native.self_check(be)
+
+
+# ---------------------------------------------------------------------- #
 # Concurrency: the kernels run without the interpreter lock
 # ---------------------------------------------------------------------- #
 def test_four_threads_on_one_factor_match_serial(factors, matrix16):
@@ -304,7 +499,10 @@ def test_four_threads_on_one_factor_match_serial(factors, matrix16):
     def work(be, t):
         return (be.trsv(upper, be.trsv(lower, rhs[t])),
                 be.spmv_axpy(a.values, a.indices, a.indptr, xs[t], xs[t][:a.nrows],
-                             scratch=a.scratch()))
+                             scratch=a.scratch()),
+                be.weighted_update(rhs[t].copy(), rhs[(t + 2) % 4], 0.9,
+                                   Precision.FP16)
+                if t < 2 else be.residual_update(rhs[t], rhs[(t + 2) % 4]))
 
     serial = [_on("native", lambda be, t=t: work(be, t)) for t in range(4)]
     results: dict = {}
@@ -327,9 +525,10 @@ def test_four_threads_on_one_factor_match_serial(factors, matrix16):
     assert not any(thread.is_alive() for thread in threads)
     for t in range(4):
         assert len(results[t]) == 25
-        for solve, product in results[t]:
+        for solve, product, update in results[t]:
             assert_bit_equal(solve, serial[t][0])
             assert_bit_equal(product, serial[t][1])
+            assert_bit_equal(update, serial[t][2])
 
 
 # ---------------------------------------------------------------------- #
@@ -351,7 +550,10 @@ def _triangular_case(draw):
 @settings(deadline=None, max_examples=60)
 @given(_triangular_case(), st.sampled_from(DTYPES), st.sampled_from(WIDTHS),
        st.sampled_from(INPUTS), st.booleans())
-def test_random_patterns_bitwise(case, dtype, width, kind, unit):
+@pytest.mark.parametrize("isa_name", sorted(native.ISAS))
+def test_random_patterns_bitwise(isa_name, case, dtype, width, kind, unit):
+    if isa_name not in native.isas(get_backend("native")._lib):
+        pytest.skip(f"the {isa_name} kernel set does not run on this host")
     dense, seed = case
     n = dense.shape[0]
     factors = [TriangularFactor(CSRMatrix.from_dense(np.tril(dense)), lower=True,
@@ -360,11 +562,11 @@ def test_random_patterns_bitwise(case, dtype, width, kind, unit):
     b = _operand(kind, n, width, dtype, seed)
     for factor in factors:
         f = factor.astype(precision_of_dtype(dtype))
-        assert_bit_equal(_on("native", lambda be: be.trsv(f, b)),
+        assert_bit_equal(_on(isa_name, lambda be: be.trsv(f, b)),
                          _on("reference", lambda be: be.trsv(f, b)))
     a = CSRMatrix.from_dense(dense).astype(Precision.FP16)
     x = _operand(kind, n, width, HALF, seed + 1)
     y = _operand("ordinary", n, width, HALF, seed + 2)
     for run in (lambda be: be.spmv_csr(a.values, a.indices, a.indptr, x),
                 lambda be: be.spmv_axpy(a.values, a.indices, a.indptr, x, y)):
-        assert_bit_equal(_on("native", run), _on("reference", run))
+        assert_bit_equal(_on(isa_name, run), _on("reference", run))

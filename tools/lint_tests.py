@@ -49,12 +49,16 @@ process tier's entry points (``ProcPool``, ``ShardedGateway``,
 but ``serve/remote.py`` (``spawn_server``) may import ``multiprocessing``:
 several processes are ``ShardServer`` members of a ring.
 
-And it keeps compiled code in one place (:data:`NATIVE_LIMITS`): no module
-but ``backends/native.py`` may import ``ctypes``.
+And it keeps compiled code in one place and tested (:data:`NATIVE_LIMITS`):
+no module but ``backends/native.py`` may import ``ctypes``, and every symbol
+in that module's ``_SIGNATURES`` table — each compiled kernel of every
+instruction set — must be named in a ``tests/test_native*.py`` file, so a
+kernel cannot ship without a test.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -173,6 +177,31 @@ NATIVE_LIMITS = {
     "import ctypes": (re.compile(r"^\s*(?:import|from)\s+ctypes\b",
                                  re.MULTILINE), 0),
 }
+#: the test files that must name every compiled symbol
+NATIVE_TESTS = "test_native*.py"
+
+
+def native_symbols(path: Path = NATIVE_HOME) -> list[str]:
+    """The keys of the module-level ``_SIGNATURES`` dict literal in
+    ``path``: every symbol the native engine loads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and any(isinstance(t, ast.Name) and t.id == "_SIGNATURES"
+                        for t in node.targets)):
+            return [key.value for key in node.value.keys
+                    if isinstance(key, ast.Constant)]
+    return []
+
+
+def untested_native_symbols(path: Path = NATIVE_HOME,
+                            tests_dir: Path = TESTS_DIR) -> list[str]:
+    """Symbols of :func:`native_symbols` that no ``test_native*.py`` names
+    (as a whole word: ``trsv_f16`` is not named by ``trsv_f16_avx2``)."""
+    text = "\n".join(p.read_text(encoding="utf-8")
+                     for p in sorted(tests_dir.glob(NATIVE_TESTS)))
+    return [name for name in native_symbols(path)
+            if not re.search(rf"\b{re.escape(name)}\b", text)]
 
 
 def documented_env_names() -> set[str]:
@@ -296,6 +325,16 @@ def main() -> int:
                        "backends/native.py (one native engine; see "
                        "NATIVE_LIMITS):")
         status = 1
+    symbols = native_symbols()
+    untested = untested_native_symbols()
+    if not symbols or untested:
+        print("lint-tests: compiled symbols of backends/native.py's "
+              f"_SIGNATURES that no tests/{NATIVE_TESTS} names (every "
+              "compiled kernel needs a test; see NATIVE_LIMITS):",
+              file=sys.stderr)
+        for name in untested or ["(no _SIGNATURES table found)"]:
+            print(f"  {name}", file=sys.stderr)
+        status = 1
     if status == 0:
         print(f"lint-tests: OK ({len(test_files)} test files, all tier-marked; "
               f"{len(REQUIRED_MODULES)} required suites present; "
@@ -303,7 +342,8 @@ def main() -> int:
               f"{len(SINGLE_DEFINITIONS)} serving definitions unique; "
               f"one Krylov recurrence in solvers/; one kernel per "
               f"operation in src/; one multi-process transport; ctypes "
-              f"only in backends/native.py)")
+              f"only in backends/native.py; {len(symbols)} compiled symbols "
+              f"named by tests)")
     return status
 
 
