@@ -7,9 +7,11 @@ registered backends, the fp16 level solve on subnormal-heavy input for a
 wide-level factor (staged through fp32 by the fast engine) and a
 one-row-per-level chain (direct), the fp16 CSR product on subnormal-heavy
 input, the fp16 Richardson update ``z + ω·mr`` and residual ``v − az`` on
-subnormal-heavy vectors, the compiled ``native`` engine's rows (the
-triangular solves, the fp16 CSR product and the two fp16 updates, where it
-builds; each must equal ``fast`` bit for bit),
+subnormal-heavy vectors, the fp16 separable stencil sweep (HPCG 24³, one
+column and eight) and the 8-column fp16 diagonal scaling, the compiled
+``native`` engine's rows (the triangular solves, the fp16 CSR product, the
+two fp16 updates, the stencil sweeps and the diagonal scaling, where it
+builds; each must equal ``fast`` bit for bit, or the run exits 1),
 plus the CSR product and the triangular solve on an ``(n, k)`` block against
 ``k`` vector calls (rows ``spmm_csr`` and ``trsm``), a full ``solve_batch`` of
 the fp16-F3R solver against ``k`` sequential ``solve`` calls, and the
@@ -72,7 +74,12 @@ CHAIN_ROWS = 600
 
 #: the rows the compiled native engine ports, timed on it where it builds
 NATIVE_ROWS = ("trsv", "trsv_fp16_wide", "trsv_fp16_chain", "spmv_csr_fp16",
-               "weighted_update_fp16", "residual_update_fp16")
+               "weighted_update_fp16", "residual_update_fp16",
+               "apply_stencil_fp16", "apply_stencil_fp16_k8", "diag_scale_fp16")
+
+#: grid side of the fp16 stencil-sweep and diagonal-scaling rows: the
+#: matrix-free e2e workload's HPCG grid
+HALF_STENCIL_GRID = 24
 
 #: grid side of the matrix-free stencil benchmark (HPCG 27-point); 64³ is the
 #: operator-layer acceptance threshold — the batched matrix-free apply must
@@ -121,10 +128,17 @@ def build_problem(side: int):
     chain_b16 = (rng.uniform(-1.0, 1.0, CHAIN_ROWS) * 6e-5).astype(np.float16)
     x16 = (rng.uniform(-1.0, 1.0, n) * 6e-5).astype(np.float16)
     z16 = (rng.uniform(-1.0, 1.0, n) * 2e-5).astype(np.float16)
+    # the fp16 stencil sweep on one column and on eight, and a Jacobi-style
+    # diagonal scaling of the eight
+    stencil16 = hpcg_operator(HALF_STENCIL_GRID).astype(Precision.FP16)
+    block16 = rng.uniform(-1.0, 1.0, (stencil16.nrows, BATCH_K)).astype(np.float16)
+    scale16 = (1.0 / rng.uniform(20.0, 30.0, stencil16.nrows)).astype(np.float16)
     return {"matrix": matrix, "ell": ell, "lower": lower, "x": x, "n": n,
             "matrix16": matrix.astype(Precision.FP16), "x16": x16, "z16": z16,
             "wide": wide, "wide_b16": wide_b16,
-            "chain": _chain_lower(CHAIN_ROWS), "chain_b16": chain_b16}
+            "chain": _chain_lower(CHAIN_ROWS), "chain_b16": chain_b16,
+            "stencil16": stencil16, "block16": block16, "scale16": scale16,
+            "column16": np.ascontiguousarray(block16[:, 0])}
 
 
 def _chain_lower(n: int) -> CSRMatrix:
@@ -143,6 +157,7 @@ def bench_backend(problem, backend: str, repeats: int, m: int,
     ell = problem["ell"]
     x = problem["x"]
     z16, x16 = problem["z16"], problem["x16"]
+    stencil16, block16 = problem["stencil16"], problem["block16"]
     with use_backend(backend):
         engine = get_backend()
         # fresh factor per backend so plan caching is part of the measurement's
@@ -164,6 +179,12 @@ def bench_backend(problem, backend: str, repeats: int, m: int,
                 z16.copy(), x16, 0.97, Precision.FP16, record=False),
             "residual_update_fp16": lambda: engine.residual_update(
                 z16, x16, record=False),
+            "apply_stencil_fp16": lambda: engine.apply_stencil(
+                stencil16, problem["column16"], record=False),
+            "apply_stencil_fp16_k8": lambda: engine.apply_stencil(
+                stencil16, block16, record=False),
+            "diag_scale_fp16": lambda: engine.diag_scale(
+                problem["scale16"], block16, record=False),
             # the one Arnoldi loop on a one-column block (a single RHS)
             "fgmres_cycle": lambda: fgmres_cycle_batch(matrix, x[:, None], None, m=m,
                                                        vec_prec=Precision.FP64),
@@ -448,7 +469,7 @@ def main(argv=None) -> int:
             native = (f"   native {row['native_s'] * 1e3:9.3f} ms "
                       f"({row['native_speedup']:.2f}x over fast, "
                       f"{'bit-identical' if row['native_bit_identical'] else 'DIFFERS'})")
-        print(f"  {name:<20} reference {row['reference_s'] * 1e3:9.3f} ms   "
+        print(f"  {name:<22} reference {row['reference_s'] * 1e3:9.3f} ms   "
               f"fast {row['fast_s'] * 1e3:9.3f} ms   speedup {row['speedup']:6.2f}x"
               f"{native}")
     print(f"batched (k={BATCH_K}) vs looped — fast engine")

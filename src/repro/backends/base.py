@@ -10,8 +10,10 @@ solution combination, and the ILU(0) factorization — dispatches through a
 * ``fast`` (:mod:`repro.backends.fast`): fully vectorized kernels with
   preallocated workspace buffers and batched counter recording.
 * ``native`` (:mod:`repro.backends.native`): ``fast`` with the triangular
-  solve and the fp16 CSR products compiled from C, bit-identical to
-  ``reference``; registered only where it builds.
+  solve, the fp16 CSR products and updates, the separable stencil sweep and
+  the fp16 diagonal scaling compiled from C, bit-identical to its oracle
+  (``reference``, or ``fast`` for the separable sweep); registered only
+  where it builds.
 
 Every backend must preserve two contracts:
 
@@ -232,6 +234,30 @@ class KernelBackend(abc.ABC):
         return y
 
     # ------------------------------------------------------------------ #
+    # Diagonal scaling
+    # ------------------------------------------------------------------ #
+    def diag_scale(self, scale: np.ndarray, x: np.ndarray, out_precision=None,
+                   record: bool = True, scratch=None) -> np.ndarray:
+        """``diag(scale) @ x`` for a vector or an ``(n, k)`` block.
+
+        Arithmetic in the promotion of the scale and vector precisions,
+        rounded to ``out_precision`` (default: the vector precision); a
+        block records ``k`` scalings.  ``scratch`` is the scale owner's
+        arena: an engine may cache a converted copy of ``scale`` there, so
+        one arena must always see the same scale.
+        """
+        sp, vp = precision_of_dtype(scale.dtype), precision_of_dtype(x.dtype)
+        compute = promote(sp, vp)
+        out = as_precision(out_precision) if out_precision is not None else vp
+        s = (scratch.cast("diag_scale", scale, compute.dtype) if scratch is not None
+             else scale.astype(compute.dtype, copy=False))
+        result = (x.astype(compute.dtype, copy=False) * per_row(s, x.ndim)).astype(
+            out.dtype, copy=False)
+        if record:
+            self._record_diag_scale(sp, vp, out, compute, x.shape[0], columns(x))
+        return result
+
+    # ------------------------------------------------------------------ #
     # Assembled-format preference (AssembledOperator auto-selection hook)
     # ------------------------------------------------------------------ #
     def preferred_assembled_format(self, precision) -> str | None:
@@ -409,6 +435,18 @@ class KernelBackend(abc.ABC):
         record_bytes(py, k * n * py.bytes)
         record_bytes(out_prec, k * n * out_prec.bytes)
         record_flops(compute, 2 * k * n)
+
+    @staticmethod
+    def _record_diag_scale(sp: Precision, vp: Precision, out_prec: Precision,
+                           compute: Precision, n: int, k: int = 1) -> None:
+        """Traffic of ``k`` diagonal scalings (one multiply per entry)."""
+        if not counters_enabled():
+            return
+        record_kernel("diag_scale", k)
+        record_bytes(sp, k * n * sp.bytes)
+        record_bytes(vp, k * n * vp.bytes)
+        record_bytes(out_prec, k * n * out_prec.bytes)
+        record_flops(compute, k * n)
 
     @staticmethod
     def _record_scal(p: Precision, n: int) -> None:

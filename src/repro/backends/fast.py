@@ -708,6 +708,27 @@ class FastBackend(KernelBackend):
         return y
 
     # ------------------------------------------------------------------ #
+    def diag_scale(self, scale, x, out_precision=None, record=True, scratch=None):
+        """``diag(scale) @ x``; the fp16 product is staged through fp32 —
+        one SIMD multiply rounded by the same conversion the fp16 ufunc
+        applies per element, so the result is bit-identical to the direct
+        fp16 multiply."""
+        if not (scale.dtype == _HALF and x.dtype == _HALF):
+            return super().diag_scale(scale, x, out_precision, record=record,
+                                      scratch=scratch)
+        fp16 = Precision.FP16
+        out = as_precision(out_precision) if out_precision is not None else fp16
+        s32 = (scratch.cast("diag_scale", scale, _STAGE) if scratch is not None
+               else halfvec.upcast(scale))
+        x32 = halfvec.upcast(x, None if scratch is None else
+                             scratch.get("diag_scale_x32", x.shape, _STAGE))
+        result = halfvec.binop_round(np.multiply, x32, per_row(s32, x.ndim),
+                                     scratch=scratch)
+        if record:
+            self._record_diag_scale(fp16, fp16, out, fp16, x.shape[0], columns(x))
+        return result.astype(out.dtype, copy=False)
+
+    # ------------------------------------------------------------------ #
     def preferred_assembled_format(self, precision):
         """Pin CSR when scipy's compiled matvec/SpMM handles the dtype —
         the fused CSR pass beats the ELL gather path regardless of padding."""

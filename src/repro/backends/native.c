@@ -34,9 +34,11 @@
  * otherwise, and for any call whose strided gather index col * k might not
  * fit in int32.
  *
- * Kernels keep no state between calls: the only scratch is allocated per
- * call, so concurrent calls on one factor or matrix are safe.  They return 0
- * on success and -1 when a scratch allocation fails.
+ * Kernels keep no state between calls: their scratch is allocated per call,
+ * or (the stencil sweeps' grid-sized buffers) passed in by the caller from
+ * the calling thread's arena, so concurrent calls on one factor, matrix or
+ * stencil are safe.  They return 0 on success and -1 when a scratch
+ * allocation fails.
  */
 
 #include <stdint.h>
@@ -49,7 +51,7 @@
 #define AVX2_FN __attribute__((target("avx2,f16c")))
 #endif
 
-#define NATIVE_ABI 2
+#define NATIVE_ABI 3
 #define PW_BLOCKSIZE 128
 
 int64_t repro_native_abi(void) { return NATIVE_ABI; }
@@ -327,6 +329,188 @@ DEFINE_TRSV(trsv_f64, double, row_sum_f64)
 DEFINE_TRSV(trsv_f32, float, row_sum_f32)
 
 /* ------------------------------------------------------------------------ */
+/* The separable stencil sweep                                               */
+/*                                                                           */
+/* A box-separable stencil is y = alpha x + Conv_{D-1}(... Conv_0(x)), one   */
+/* 1-D convolution per axis of a C-ordered grid whose k columns are the      */
+/* fastest axis (fast.py's _apply_stencil_separable, the oracle of these     */
+/* kernels).  Axis d's pass sets each element to the chain of its taps j in */
+/* range (0 <= c + j < dims[d], c its coordinate on the axis), in tap order: */
+/* the first tap's product, then each further tap's product added; an        */
+/* element with no tap in range is +0.  In fp16 every product and every sum  */
+/* is rounded (a +-1 tap's product is exact, so its rounding is a no-op).    */
+/* Offsets are int64: the sweep forms no int32 index.                        */
+/*                                                                           */
+/* CHAIN(src, dst, count, m, off, w) sets dst[e], e < count, to the chain of */
+/* taps w[t] * src[e + off[t]], t < m.                                       */
+/* ------------------------------------------------------------------------ */
+#define DEFINE_TAP_CHAIN(NAME, ATTR, T, FIRST, NEXT, XV_CHAIN)                \
+    ATTR static void NAME(const T *restrict src, T *restrict dst,             \
+                          int64_t count, int64_t m, const int64_t *off,       \
+                          const T *w)                                         \
+    {                                                                         \
+        int64_t e = 0;                                                        \
+        if (m == 0) {                                                         \
+            for (; e < count; e++)                                            \
+                dst[e] = 0;                                                   \
+            return;                                                           \
+        }                                                                     \
+        XV_CHAIN                                                              \
+        for (int64_t t = 0; t < m; t++) {                                     \
+            const T *restrict tap = src + off[t];                             \
+            T wt = w[t];                                                      \
+            if (t == 0)                                                       \
+                for (int64_t i = e; i < count; i++)                           \
+                    dst[i] = FIRST(wt, tap[i]);                               \
+            else                                                              \
+                for (int64_t i = e; i < count; i++)                           \
+                    dst[i] = NEXT(dst[i], wt, tap[i]);                        \
+        }                                                                     \
+    }
+
+/* Every axis pass over x (n = k * prod(dims) elements), alternating between */
+/* the buffers a and b; returns the one the last pass wrote, or NULL when    */
+/* the tap lists cannot be allocated.  ntaps[d] taps per axis, their offsets */
+/* and weights concatenated in tap_j / tap_w.                                */
+#define DEFINE_SEPARABLE_SWEEP(NAME, ATTR, T, CHAIN)                          \
+    ATTR static T *NAME(int64_t ndim, const int64_t *dims, int64_t k,         \
+                        const int64_t *ntaps, const int64_t *tap_j,           \
+                        const T *tap_w, const T *x, T *a, T *b)               \
+    {                                                                         \
+        int64_t most = 1, inner = k;                                          \
+        for (int64_t d = 0; d < ndim; d++) {                                  \
+            most = ntaps[d] > most ? ntaps[d] : most;                         \
+            inner *= dims[d];                                                 \
+        }                                                                     \
+        int64_t *off = malloc((size_t)(2 * most) * sizeof(int64_t));          \
+        T *edge_w = malloc((size_t)most * sizeof(T));                         \
+        if (!off || !edge_w) {                                                \
+            free(off);                                                        \
+            free(edge_w);                                                     \
+            return NULL;                                                      \
+        }                                                                     \
+        int64_t *edge_off = off + most;                                       \
+        const T *cur = x;                                                     \
+        T *nxt = a;                                                           \
+        int64_t outer = 1;                                                    \
+        for (int64_t d = 0; d < ndim; d++) {                                  \
+            int64_t dim = dims[d], m = ntaps[d];                              \
+            inner /= dim;                                                     \
+            /* coordinates in [lo, hi) have every tap in range */             \
+            int64_t lo = 0, hi = dim;                                         \
+            for (int64_t t = 0; t < m; t++) {                                 \
+                lo = -tap_j[t] > lo ? -tap_j[t] : lo;                         \
+                hi = dim - tap_j[t] < hi ? dim - tap_j[t] : hi;               \
+                off[t] = tap_j[t] * inner;                                    \
+            }                                                                 \
+            lo = lo < dim ? lo : dim;                                         \
+            hi = hi > lo ? hi : lo;                                           \
+            for (int64_t o = 0; o < outer; o++) {                             \
+                const T *src = cur + o * dim * inner;                         \
+                T *dst = nxt + o * dim * inner;                               \
+                CHAIN(src + lo * inner, dst + lo * inner, (hi - lo) * inner,  \
+                      m, off, tap_w);                                         \
+                for (int64_t c = 0; c < dim; c++) {   /* the edge planes */   \
+                    if (c == lo && (c = hi) == dim)                           \
+                        break;                                                \
+                    int64_t in = 0;                                           \
+                    for (int64_t t = 0; t < m; t++)                           \
+                        if (c + tap_j[t] >= 0 && c + tap_j[t] < dim) {        \
+                            edge_off[in] = off[t];                            \
+                            edge_w[in++] = tap_w[t];                          \
+                        }                                                     \
+                    CHAIN(src + c * inner, dst + c * inner, inner, in,        \
+                          edge_off, edge_w);                                  \
+                }                                                             \
+            }                                                                 \
+            outer *= dim;                                                     \
+            tap_j += m;                                                       \
+            tap_w += m;                                                       \
+            cur = nxt;                                                        \
+            nxt = nxt == a ? b : a;                                           \
+        }                                                                     \
+        free(off);                                                            \
+        free(edge_w);                                                         \
+        return (T *)cur;                                                      \
+    }
+
+/* y = alpha x + the sweep of x (just the sweep when has_alpha is 0), alpha  */
+/* in coef[0] and the tap weights after it; x and y hold n = k * prod(dims)  */
+/* elements, and `work` 2n, the caller's scratch (fresh pages for every      */
+/* call would cost more than the sweep).  XV_COMBINE is a vector prefix of   */
+/* the combine loop.                                                         */
+#define DEFINE_STENCIL(NAME, ATTR, T, SWEEP, XV_COMBINE)                      \
+    ATTR int NAME(int64_t ndim, const int64_t *dims, int64_t k,               \
+                  const int64_t *ntaps, const int64_t *tap_j, const T *coef,  \
+                  int64_t has_alpha, const T *x, T *y, T *work)               \
+    {                                                                         \
+        int64_t n = k;                                                        \
+        for (int64_t d = 0; d < ndim; d++)                                    \
+            n *= dims[d];                                                     \
+        const T *cur = SWEEP(ndim, dims, k, ntaps, tap_j, coef + 1, x, work,  \
+                             work + n);                                       \
+        if (cur) {                                                            \
+            int64_t e = 0;                                                    \
+            if (has_alpha) {                                                  \
+                XV_COMBINE                                                    \
+                for (; e < n; e++)                                            \
+                    y[e] = x[e] * coef[0] + cur[e];                           \
+            } else {                                                          \
+                memcpy(y, cur, (size_t)n * sizeof(T));                        \
+            }                                                                 \
+        }                                                                     \
+        return cur ? 0 : -1;                                                  \
+    }
+
+#define PLAIN_FIRST(w, v) ((w) * (v))
+#define PLAIN_NEXT(acc, w, v) ((acc) + (w) * (v))
+
+DEFINE_TAP_CHAIN(tap_chain_f64, , double, PLAIN_FIRST, PLAIN_NEXT, )
+DEFINE_TAP_CHAIN(tap_chain_f32, , float, PLAIN_FIRST, PLAIN_NEXT, )
+DEFINE_SEPARABLE_SWEEP(sweep_f64, , double, tap_chain_f64)
+DEFINE_SEPARABLE_SWEEP(sweep_f32, , float, tap_chain_f32)
+DEFINE_STENCIL(stencil_sep_f64, , double, sweep_f64, )
+DEFINE_STENCIL(stencil_sep_f32, , float, sweep_f32, )
+
+#ifdef HAVE_AVX2_SET
+/* The same sweeps with the chain of W consecutive elements in the lanes of
+ * one vector (a lane-wise multiply or add rounds like a scalar one, and the
+ * target has no FMA to contract them into); ROUND is fp16's rounding after
+ * each operation (EXACT in fp64 and fp32). */
+#define XV_CHAIN_AVX2(V, W, SET1, LOAD, STORE, MUL, ADD, ROUND)               \
+    for (; e + W <= count; e += W) {                                          \
+        V acc = ROUND(MUL(SET1(w[0]), LOAD(src + e + off[0])));               \
+        for (int64_t t = 1; t < m; t++) {                                     \
+            V p = MUL(SET1(w[t]), LOAD(src + e + off[t]));                    \
+            if (w[t] != 1 && w[t] != -1)     /* else p is exact */           \
+                p = ROUND(p);                                                 \
+            acc = ROUND(ADD(acc, p));                                         \
+        }                                                                     \
+        STORE(dst + e, acc);                                                  \
+    }
+#define XV_COMBINE_AVX2(V, W, SET1, LOAD, STORE, MUL, ADD, ROUND)             \
+    for (V alpha = SET1(coef[0]); e + W <= n; e += W)                         \
+        STORE(y + e, ADD(MUL(LOAD(x + e), alpha), LOAD(cur + e)));
+#define EXACT(v) (v)
+#define F64_AVX2 __m256d, 4, _mm256_set1_pd, _mm256_loadu_pd, _mm256_storeu_pd, \
+                 _mm256_mul_pd, _mm256_add_pd, EXACT
+#define F32_AVX2 __m256, 8, _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps, \
+                 _mm256_mul_ps, _mm256_add_ps, EXACT
+#define APPLY(MACRO, ARGS) MACRO(ARGS)
+
+DEFINE_TAP_CHAIN(tap_chain_f64_avx2, AVX2_FN, double, PLAIN_FIRST, PLAIN_NEXT,
+                 APPLY(XV_CHAIN_AVX2, F64_AVX2))
+DEFINE_TAP_CHAIN(tap_chain_f32_avx2, AVX2_FN, float, PLAIN_FIRST, PLAIN_NEXT,
+                 APPLY(XV_CHAIN_AVX2, F32_AVX2))
+DEFINE_SEPARABLE_SWEEP(sweep_f64_avx2, AVX2_FN, double, tap_chain_f64_avx2)
+DEFINE_SEPARABLE_SWEEP(sweep_f32_avx2, AVX2_FN, float, tap_chain_f32_avx2)
+DEFINE_STENCIL(stencil_sep_f64_avx2, AVX2_FN, double, sweep_f64_avx2,
+               APPLY(XV_COMBINE_AVX2, F64_AVX2))
+DEFINE_STENCIL(stencil_sep_f32_avx2, AVX2_FN, float, sweep_f32_avx2,
+               APPLY(XV_COMBINE_AVX2, F32_AVX2))
+#endif
+
+/* ------------------------------------------------------------------------ */
 /* The fp16 kernels, instantiated once per instruction set                   */
 /*                                                                           */
 /* SFX names the set; Q16, H2F and F2H are its rounding and conversions,     */
@@ -335,7 +519,7 @@ DEFINE_TRSV(trsv_f32, float, row_sum_f32)
 /* the elements it wrote and leaving the rest to the scalar loop after it.   */
 /* ------------------------------------------------------------------------ */
 #define DEFINE_HALF_KERNELS(SFX, ATTR, Q16, H2F, F2H, ROW_SUM, X8_EXPAND,     \
-                            X8_WEIGHTED, X8_RESIDUAL)                         \
+                            X8_WEIGHTED, X8_RESIDUAL, X8_STENCIL, X8_DIAG)    \
 /* fp16: the solution is carried in fp32 (on the fp16 grid) for the gathers  \
  * and written to fp16 storage row by row; every operation rounds once. */    \
 ATTR int trsv_f16##SFX(int64_t nrows, const int64_t *order,                   \
@@ -364,16 +548,21 @@ ATTR int trsv_f16##SFX(int64_t nrows, const int64_t *order,                   \
     return 0;                                                                 \
 }                                                                             \
                                                                               \
+/* `size` fp16 values expanded to fp32 in x */                                \
+ATTR static void widen_f16##SFX(const uint16_t *x16, float *x, int64_t size)  \
+{                                                                             \
+    int64_t e = 0;                                                            \
+    X8_EXPAND                                                                 \
+    for (; e < size; e++)                                                     \
+        x[e] = H2F(x16[e]);                                                   \
+}                                                                             \
+                                                                              \
 /* The (ncols, k) fp16 operand expanded to fp32 once per call. */             \
 ATTR static float *expand_f16##SFX(const uint16_t *x16, int64_t size)        \
 {                                                                             \
     float *x = malloc((size_t)(size > 0 ? size : 1) * sizeof(float));         \
-    if (x) {                                                                  \
-        int64_t e = 0;                                                        \
-        X8_EXPAND                                                             \
-        for (; e < size; e++)                                                 \
-            x[e] = H2F(x16[e]);                                               \
-    }                                                                         \
+    if (x)                                                                    \
+        widen_f16##SFX(x16, x, size);                                         \
     return x;                                                                 \
 }                                                                             \
                                                                               \
@@ -455,6 +644,47 @@ ATTR int residual_update_f16##SFX(int64_t size, const uint16_t *v,            \
     return 0;                                                                 \
 }                                                                             \
                                                                               \
+/* The separable stencil (DEFINE_STENCIL) in fp16: x expanded to fp32, the \
+ * sweep on the fp32 grid, y = round16(round16(alpha * x) + sweep) (just the  \
+ * sweep when has_alpha is 0), alpha and the weights fp16 values in fp32;    \
+ * `work` holds 3n floats. */                                                 \
+ATTR int stencil_sep_f16##SFX(int64_t ndim, const int64_t *dims, int64_t k,   \
+                              const int64_t *ntaps, const int64_t *tap_j,     \
+                              const float *coef, int64_t has_alpha,           \
+                              const uint16_t *x16, uint16_t *y16,             \
+                              float *work)                                    \
+{                                                                             \
+    int64_t n = k;                                                            \
+    for (int64_t d = 0; d < ndim; d++)                                        \
+        n *= dims[d];                                                         \
+    float *x = work;                                                          \
+    widen_f16##SFX(x16, x, n);                                                \
+    const float *cur = sweep_f16##SFX(ndim, dims, k, ntaps, tap_j, coef + 1,  \
+                                      x, work + n, work + 2 * n);             \
+    if (cur) {                                                                \
+        int64_t e = 0;                                                        \
+        X8_STENCIL                                                            \
+        for (; e < n; e++)                                                    \
+            y16[e] = F2H(has_alpha ? Q16(Q16(coef[0] * x[e]) + cur[e])        \
+                                   : cur[e]);                                 \
+    }                                                                         \
+    return cur ? 0 : -1;                                                      \
+}                                                                             \
+                                                                              \
+/* out = round16(scale[i] * x[i, j]) over an (n, k) row-major block */        \
+ATTR int diag_scale_f16##SFX(int64_t n, int64_t k, const uint16_t *scale,     \
+                             const uint16_t *x, uint16_t *out)                \
+{                                                                             \
+    int64_t i = 0;                                                            \
+    X8_DIAG                                                                   \
+    for (; i < n; i++) {                                                      \
+        float s = H2F(scale[i]);                                              \
+        for (int64_t j = i * k; j < (i + 1) * k; j++)                         \
+            out[j] = F2H(Q16(s * H2F(x[j])));                                 \
+    }                                                                         \
+    return 0;                                                                 \
+}                                                                             \
+                                                                              \
 /* halfvec.quantize32 on n values (the quantizer's own test surface) */       \
 ATTR void quantize32##SFX(const float *in, float *out, int64_t n)             \
 {                                                                             \
@@ -462,7 +692,13 @@ ATTR void quantize32##SFX(const float *in, float *out, int64_t n)             \
         out[i] = Q16(in[i]);                                                  \
 }
 
-DEFINE_HALF_KERNELS(, , q16, h2f, f2h, row_sum_f16, , , )
+/* fp16 tap chains: every product and every sum rounded */
+#define HALF_FIRST(w, v) q16((w) * (v))
+#define HALF_NEXT(acc, w, v) q16((acc) + q16((w) * (v)))
+DEFINE_TAP_CHAIN(tap_chain_f16, , float, HALF_FIRST, HALF_NEXT, )
+DEFINE_SEPARABLE_SWEEP(sweep_f16, , float, tap_chain_f16)
+
+DEFINE_HALF_KERNELS(, , q16, h2f, f2h, row_sum_f16, , , , , )
 
 #ifdef HAVE_AVX2_SET
 #define X8_EXPAND_AVX2                                                        \
@@ -493,9 +729,50 @@ DEFINE_HALF_KERNELS(, , q16, h2f, f2h, row_sum_f16, , , )
     for (; e + 8 <= size; e += 8)                                             \
         store_h8(out + e, _mm256_sub_ps(load_h8(v + e), load_h8(az + e)));
 
+#define F16C_FIRST(w, v) q16_f16c((w) * (v))
+#define F16C_NEXT(acc, w, v) q16_f16c((acc) + q16_f16c((w) * (v)))
+#define F16_AVX2 __m256, 8, _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps, \
+                 _mm256_mul_ps, _mm256_add_ps, q16x8
+DEFINE_TAP_CHAIN(tap_chain_f16_avx2, AVX2_FN, float, F16C_FIRST, F16C_NEXT,
+                 APPLY(XV_CHAIN_AVX2, F16_AVX2))
+DEFINE_SEPARABLE_SWEEP(sweep_f16_avx2, AVX2_FN, float, tap_chain_f16_avx2)
+
+#define X8_STENCIL_AVX2                                                       \
+    if (has_alpha) {                                                          \
+        __m256 alpha = _mm256_set1_ps(coef[0]);                               \
+        for (; e + 8 <= n; e += 8)                                            \
+            store_h8(y16 + e, _mm256_add_ps(                                  \
+                q16x8(_mm256_mul_ps(alpha, _mm256_loadu_ps(x + e))),          \
+                _mm256_loadu_ps(cur + e)));                                   \
+    } else {                                                                  \
+        for (; e + 8 <= n; e += 8)                                            \
+            store_h8(y16 + e, _mm256_loadu_ps(cur + e));                      \
+    }
+
+/* 8 rows (8k entries, k vectors) at a time: the 8 rows' scales in one
+ * vector, permuted into each entry's lane by lanes[l] = l / k */
+#define X8_DIAG_AVX2                                                          \
+    if (n >= 8 && k > 0) {                                                    \
+        int32_t *lanes = malloc((size_t)(8 * k) * sizeof(int32_t));           \
+        if (!lanes)                                                           \
+            return -1;                                                        \
+        for (int64_t l = 0; l < 8 * k; l++)                                   \
+            lanes[l] = (int32_t)(l / k);                                      \
+        for (; i + 8 <= n; i += 8) {                                          \
+            __m256 s = load_h8(scale + i);                                    \
+            for (int64_t v = 0; v < k; v++) {                                 \
+                __m256i to = _mm256_loadu_si256((const __m256i *)(lanes + 8 * v)); \
+                int64_t at = i * k + 8 * v;                                   \
+                store_h8(out + at, _mm256_mul_ps(_mm256_permutevar8x32_ps(s, to), \
+                                                 load_h8(x + at)));           \
+            }                                                                 \
+        }                                                                     \
+        free(lanes);                                                          \
+    }
+
 DEFINE_HALF_KERNELS(_avx2, AVX2_FN, q16_f16c, h2f_f16c, f2h_f16c,
                     row_sum_f16_avx2, X8_EXPAND_AVX2, X8_WEIGHTED_AVX2,
-                    X8_RESIDUAL_AVX2)
+                    X8_RESIDUAL_AVX2, X8_STENCIL_AVX2, X8_DIAG_AVX2)
 
 /* Patterns in [lo, hi) of the 2^32 float32 bit patterns on which the F16C
  * round trip and q16 disagree: different bits on a non-NaN input, or a NaN

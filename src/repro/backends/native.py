@@ -1,26 +1,34 @@
 """Native backend: compiled C kernels for the level-scheduled triangular
-solve, the fp16 CSR products and the fp16 vector updates, bit-identical to
-``reference``.
+solve, the fp16 CSR products, the fp16 vector updates, the separable
+stencil sweep and the fp16 diagonal scaling, each bit-identical to its
+oracle.
 
 numpy's per-call dispatch sets the floor of the ``fast`` engine's
 level-scheduled ``trsv``: a level is a handful of rows, so every level costs
 a dozen vectorized calls for little arithmetic.  ``native.c`` runs the whole
-substitution — and the fp16 CSR products ``spmv_csr`` / ``spmv_axpy`` and
-the fp16 updates ``weighted_update`` / ``residual_update`` — in one call
-each, with exactly the ``reference`` recipes (see the C file): rows in level
-order, each row sum in ``np.add.reduceat``'s pairwise order, fp16 values on
-the fp32 grid rounded after every operation.  Every other kernel is
-inherited from :class:`~repro.backends.fast.FastBackend`, and so are the
-counter totals.
+substitution — and the fp16 CSR products ``spmv_csr`` / ``spmv_axpy``, the
+fp16 updates ``weighted_update`` / ``residual_update``, the fp16
+``diag_scale`` (the Jacobi preconditioner's apply) and the box-separable
+``apply_stencil`` sweep in fp64, fp32 and fp16 — in one call each.  The
+oracle of every kernel is ``reference`` (see the C file for the recipes:
+rows in level order, each row sum in ``np.add.reduceat``'s pairwise order,
+fp16 values on the fp32 grid rounded after every operation), except the
+separable sweep's: ``fast``'s ``_apply_stencil_separable`` (per element and
+axis, the in-range taps chained in tap order, then the diagonal term),
+which is only tolerance-close to ``reference``'s CSR-order stencil.
+Non-separable stencils, and every other kernel, are inherited from
+:class:`~repro.backends.fast.FastBackend`, and so are the counter totals.
 
-**Instruction sets.**  The fp16 kernels are compiled twice from the same C
-macros (:data:`ISAS`): a portable scalar set, and on x86-64 an AVX2 + F16C
-set (function-level target attributes, not :data:`FLAGS`), whose row sums
-keep numpy's 8 pairwise accumulators in the 8 lanes of one vector and round
-with the hardware's fp16 converters.  The library reports once whether this
-CPU runs the vector set (:func:`isas`); the engine uses it where it does and
-the scalar set elsewhere, and for any call whose strided gather index
-``col · k`` might overflow int32.
+**Instruction sets.**  The fp16 kernels and the stencil sweeps are compiled
+twice from the same C macros (:data:`ISAS`): a portable scalar set, and on
+x86-64 an AVX2 + F16C set (function-level target attributes, not
+:data:`FLAGS`), whose row sums keep numpy's 8 pairwise accumulators in the
+8 lanes of one vector, whose sweeps chain 8 (fp64: 4) consecutive elements
+in the lanes of one, and which round with the hardware's fp16 converters.
+The library reports once whether this CPU runs the vector set
+(:func:`isas`); the engine uses it where it does and the scalar set
+elsewhere, and for any call whose strided gather index ``col · k`` might
+overflow int32 (the sweeps form no int32 index).
 
 **Build.**  ``native.c`` is compiled once with ``$CC`` (default ``cc``) and
 :data:`FLAGS` — no ``-march=native``, no fast-math, no FMA contraction, no
@@ -35,18 +43,20 @@ ABI, is rebuilt.
 **Availability.**  :func:`library` builds or loads the library once per
 process and runs :func:`self_check` on every instruction set this CPU runs:
 every ported kernel, on small operands with fp16-subnormal products,
-overflow, signed zeros, NaN and order-sensitive row sums, must equal the
-``reference`` backend bit for bit.  Only then is ``native`` registered (and
+overflow, signed zeros, NaN and order-sensitive row sums, must equal its
+oracle bit for bit.  Only then is ``native`` registered (and
 the default engine, see :mod:`repro.backends`); otherwise one
 ``RuntimeWarning`` names the reason and ``fast`` serves.
 
 **Threads.**  ctypes releases the interpreter lock for the duration of a
 call, so solves on several threads run truly concurrently.  The kernels keep
-no state: their fp32 scratch is allocated per call, never per factor.  The
-derived arrays cached on a factor are immutable once built (a cross-thread
-race at worst builds them twice).  The kernels are serial;
+no state: their fp32 scratch is allocated per call, never per factor, or
+(the stencil sweeps' buffers) drawn from the calling thread's arena.  The
+derived arrays cached on a factor, and the operand addresses and stencil
+plans cached in a matrix's or stencil's arena, are immutable once built (a
+cross-thread race at worst builds them twice).  The kernels are serial;
 ``REPRO_THREADS``' within-kernel partitioning applies to the inherited
-kernels only.
+kernels only, so it no longer partitions separable stencil applies.
 """
 
 from __future__ import annotations
@@ -78,7 +88,7 @@ SOURCE = Path(__file__).with_name("native.c")
 #: contraction and fast-math
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 #: must equal NATIVE_ABI in native.c
-ABI = 2
+ABI = 3
 
 _HALF = np.dtype(np.float16)
 _F32 = np.dtype(np.float32)
@@ -99,6 +109,8 @@ _SPMV_ARGS = ((_I, _I, _P, _P, _P, _P, _P, _I), ctypes.c_int)
 _AXPY_ARGS = ((_I, _I, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int)
 _WEIGHTED_ARGS = ((_I, _I, _P, _P, _P, _P), ctypes.c_int)
 _RESIDUAL_ARGS = ((_I, _P, _P, _P), ctypes.c_int)
+_STENCIL_ARGS = ((_I, _P, _I, _P, _P, _P, _I, _P, _P, _P), ctypes.c_int)
+_DIAG_ARGS = ((_I, _I, _P, _P, _P), ctypes.c_int)
 #: every exported symbol's (argtypes, restype); pointers pass as addresses.
 #: Names ending in ``_avx2`` are the AVX2 + F16C set, declared only where
 #: ``repro_native_avx2()`` says it was compiled and this CPU runs it.
@@ -112,19 +124,32 @@ _SIGNATURES = {
     "spmv_axpy_f16": _AXPY_ARGS,
     "weighted_update_f16": _WEIGHTED_ARGS,
     "residual_update_f16": _RESIDUAL_ARGS,
+    "stencil_sep_f64": _STENCIL_ARGS,
+    "stencil_sep_f32": _STENCIL_ARGS,
+    "stencil_sep_f16": _STENCIL_ARGS,
+    "diag_scale_f16": _DIAG_ARGS,
     "quantize32": ((_P, _P, _I), None),
     "trsv_f16_avx2": _TRSV_ARGS,
     "spmv_csr_f16_avx2": _SPMV_ARGS,
     "spmv_axpy_f16_avx2": _AXPY_ARGS,
     "weighted_update_f16_avx2": _WEIGHTED_ARGS,
     "residual_update_f16_avx2": _RESIDUAL_ARGS,
+    "stencil_sep_f64_avx2": _STENCIL_ARGS,
+    "stencil_sep_f32_avx2": _STENCIL_ARGS,
+    "stencil_sep_f16_avx2": _STENCIL_ARGS,
+    "diag_scale_f16_avx2": _DIAG_ARGS,
     "quantize32_avx2": ((_P, _P, _I), None),
     "quantize32_avx2_disagreements": ((ctypes.c_uint64, ctypes.c_uint64),
                                       ctypes.c_uint64),
 }
-#: the kernels that exist once per instruction set
+#: the kernels that exist once per instruction set: the fp16 kernels and
+#: the stencil sweeps
 _PER_ISA = ("trsv_f16", "spmv_csr_f16", "spmv_axpy_f16", "weighted_update_f16",
-            "residual_update_f16", "quantize32")
+            "residual_update_f16", "stencil_sep_f64", "stencil_sep_f32",
+            "stencil_sep_f16", "diag_scale_f16", "quantize32")
+#: compute dtype -> C separable-sweep symbol
+_STENCIL = {_F64: "stencil_sep_f64", _F32: "stencil_sep_f32",
+            _HALF: "stencil_sep_f16"}
 #: the instruction sets, by symbol suffix
 ISAS = {"scalar": "", "avx2": "_avx2"}
 
@@ -254,8 +279,7 @@ def library() -> ctypes.CDLL | None:
             lib = None
             try:
                 lib = build_and_load()
-                for isa in isas(lib):
-                    self_check(NativeBackend(lib, isa))
+                self_check(*(NativeBackend(lib, isa) for isa in isas(lib)))
             except Exception as exc:       # any failure: fast keeps serving
                 lib = None
                 reason = (str(exc) if isinstance(exc, NativeUnavailable)
@@ -307,15 +331,42 @@ def _trsv_plan(factor, cdtype) -> tuple:
     return plan
 
 
-def _min_columns(indices, indptr, values) -> np.ndarray:
-    """The column count the CSR arrays need (validated: consistent sizes,
-    non-negative indices); a 0-d array so the workspace memo can hold it."""
+def _stencil_plan(op, cdtype) -> tuple:
+    """The arrays the C sweep reads for ``op.box_separable()`` in compute
+    dtype ``cdtype`` — grid extents, taps per axis, tap offsets, and alpha
+    followed by the tap weights, each rounded as ``fast``'s sweep rounds it
+    (fp16 ones then expanded exactly to fp32) — with their addresses and
+    whether alpha is nonzero."""
+    alpha, taps = op.box_separable()
+    if cdtype == _HALF:
+        def value(w):
+            return np.float32(np.float16(w))
+    else:
+        value = cdtype.type
+    arrays = (np.asarray(op.dims, dtype=np.int64),
+              np.array([len(t) for t in taps], dtype=np.int64),
+              np.array([j for t in taps for j, _ in t], dtype=np.int64),
+              np.array([value(alpha)] + [value(w) for t in taps for _, w in t],
+                       dtype=_F32 if cdtype == _HALF else cdtype))
+    return arrays, tuple(_addr(a) for a in arrays), int(alpha != 0.0)
+
+
+def _csr_operands(values, indices, indptr, scratch) -> tuple:
+    """The source arrays, the column count they need (validated: consistent
+    sizes, non-negative indices — the C kernels index x without bounds
+    checks), and the addresses of the row pointer, the column indices and
+    the values expanded to fp32, followed by those arrays (kept alive)."""
     if (indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0
             or indptr[-1] != indices.size or values.size != indices.size
             or np.any(np.diff(indptr) < 0)
             or (indices.size and indices.min() < 0)):
         raise ValueError("inconsistent CSR arrays")
-    return np.array(int(indices.max()) + 1 if indices.size else 0)
+    ncols = int(indices.max()) + 1 if indices.size else 0
+    vals32 = (scratch.cast("csr_values_stage", values, _F32) if scratch is not None
+              else values.astype(_F32))
+    arrays = (np.ascontiguousarray(indptr), np.ascontiguousarray(indices),
+              np.ascontiguousarray(vals32))
+    return (values, indices, indptr, ncols, *(_addr(a) for a in arrays), arrays)
 
 
 def _check(status: int) -> None:
@@ -324,11 +375,12 @@ def _check(status: int) -> None:
 
 
 class NativeBackend(FastBackend):
-    """Compiled ``trsv``, fp16 CSR products and fp16 vector updates;
-    everything else is ``fast``.
+    """Compiled ``trsv``, fp16 CSR products, fp16 vector updates, separable
+    stencil sweeps and fp16 diagonal scaling; everything else is ``fast``.
 
-    ``isa`` picks the fp16 kernels' instruction set (:data:`ISAS`); by
-    default the fastest that :func:`isas` reports for this CPU.
+    ``isa`` picks the instruction set of :data:`_PER_ISA`'s kernels
+    (:data:`ISAS`); by default the fastest that :func:`isas` reports for
+    this CPU.
     """
 
     name = "native"
@@ -346,8 +398,9 @@ class NativeBackend(FastBackend):
                                     f"on this host")
         self._lib = lib
         self.isa = isa
-        #: the fp16 kernels of ``isa``, and the scalar ones (the fallback for
-        #: a call whose gather index col * k might overflow int32)
+        #: the kernels of ``isa`` (:data:`_PER_ISA`), and the scalar ones
+        #: (the fallback for a call whose gather index col * k might
+        #: overflow int32)
         self._half = {name: getattr(lib, name + ISAS[isa]) for name in _PER_ISA}
         self._scalar = {name: getattr(lib, name) for name in _PER_ISA}
 
@@ -384,21 +437,23 @@ class NativeBackend(FastBackend):
 
     # ------------------------------------------------------------------ #
     def _half_csr(self, values, indices, indptr, x, scratch):
-        """Operands of an fp16 CSR kernel, or ``None`` when the C kernels do
-        not apply (a wider compute dtype or non-int32 indices)."""
+        """The addresses of the row pointer, the column indices and the fp32
+        values of an fp16 CSR kernel, and the arrays behind them (to keep
+        alive for the call), or ``None`` when the C kernels do not apply (a
+        wider compute dtype or non-int32 indices).  The matrix's arena
+        (``scratch``) caches them for its arrays."""
         if (values.dtype != _HALF or x.dtype != _HALF
                 or indices.dtype != _I32 or indptr.dtype != _I32):
             return None
-        # the C kernels index x without bounds checks
-        ncols = (scratch.memo("native_ncols", lambda: _min_columns(indices, indptr, values))
-                 if scratch is not None else _min_columns(indices, indptr, values))
-        if x.ndim not in (1, 2) or x.shape[0] < ncols:
+        ops = (scratch.memo("native_csr", lambda: _csr_operands(
+            values, indices, indptr, scratch)) if scratch is not None else None)
+        if ops is None or not (ops[0] is values and ops[1] is indices
+                               and ops[2] is indptr):
+            ops = _csr_operands(values, indices, indptr, None)
+        if x.ndim not in (1, 2) or x.shape[0] < ops[3]:
             raise ValueError(f"operand of shape {x.shape} for a matrix with "
-                             f"column indices up to {ncols - 1}")
-        vals32 = (scratch.cast("csr_values_stage", values, _F32)
-                  if scratch is not None else values.astype(_F32))
-        return (np.ascontiguousarray(indptr), np.ascontiguousarray(indices),
-                np.ascontiguousarray(vals32), np.ascontiguousarray(x))
+                             f"column indices up to {ops[3] - 1}")
+        return ops[4:]
 
     def spmv_csr(self, values, indices, indptr, x, out_precision=None,
                  record=True, scratch=None, par=None):
@@ -408,12 +463,12 @@ class NativeBackend(FastBackend):
                                     record=record, scratch=scratch, par=par)
         mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
                                                            out_precision)
-        ptr, idx, vals32, x16 = ops
+        ptr, idx, vals32, _ = ops
         n, k = indptr.size - 1, columns(x)
+        x16 = np.ascontiguousarray(x)
         y = np.empty((n,) + x.shape[1:], dtype=_HALF)
         kernel = self._half_kernels(x.shape[0], k)["spmv_csr_f16"]
-        _check(kernel(n, x.shape[0], _addr(ptr), _addr(idx), _addr(vals32),
-                      _addr(x16), _addr(y), k))
+        _check(kernel(n, x.shape[0], ptr, idx, vals32, _addr(x16), _addr(y), k))
         if record and counters_enabled():
             self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, values.size,
                               (values.size + n + 1) * BYTES_PER_INDEX, k)
@@ -433,18 +488,62 @@ class NativeBackend(FastBackend):
                                      record=record, scratch=scratch, par=par)
         mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
                                                            out_precision)
-        ptr, idx, vals32, x16 = ops
+        ptr, idx, vals32, _ = ops
         n, k = indptr.size - 1, columns(x)
-        y16 = np.ascontiguousarray(y)
+        x16, y16 = np.ascontiguousarray(x), np.ascontiguousarray(y)
         r = np.empty(y.shape, dtype=_HALF)
         kernel = self._half_kernels(x.shape[0], k)["spmv_axpy_f16"]
-        _check(kernel(n, x.shape[0], _addr(ptr), _addr(idx), _addr(vals32),
-                      _addr(x16), _addr(y16), _addr(r), k))
+        _check(kernel(n, x.shape[0], ptr, idx, vals32, _addr(x16), _addr(y16),
+                      _addr(r), k))
         if record and counters_enabled():
             self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, values.size,
                               (values.size + n + 1) * BYTES_PER_INDEX, k)
             self._record_axpy(out_prec, out_prec, out_prec, compute, n, k)
         return r
+
+    # ------------------------------------------------------------------ #
+    def apply_stencil(self, op, x, out_precision=None, record=True):
+        """A box-separable stencil's sweep in one serial C call — ``fast``'s
+        separable sweep, bit for bit; every other stencil, and an empty
+        block, is ``fast``'s."""
+        if (op.box_separable() is None or x.ndim not in (1, 2)
+                or x.shape[0] != op.nrows or columns(x) == 0):
+            return super().apply_stencil(op, x, out_precision, record=record)
+        mat_prec, vec_prec, compute, out_prec = spmv_setup(op.values.dtype, x.dtype,
+                                                           out_precision)
+        cdtype = np.dtype(compute.dtype)
+        ws = op.scratch()
+        _, (dims, ntaps, tap_j, coef), has_alpha = ws.memo(
+            ("native_stencil", cdtype), lambda: _stencil_plan(op, cdtype))
+        kernel = self._half[_STENCIL[cdtype]]
+        k = columns(x)
+        x_c = np.ascontiguousarray(x, dtype=cdtype)
+        y = np.empty(x.shape, dtype=cdtype)
+        # the ping-pong buffers (and fp16's fp32 expansion of x)
+        work = (ws.get("native_stencil32", 3 * x.size, _F32) if cdtype == _HALF
+                else ws.get("native_stencil", 2 * x.size, cdtype))
+        _check(kernel(len(op.dims), dims, k, ntaps, tap_j, coef, has_alpha,
+                      _addr(x_c), _addr(y), _addr(work)))
+        if record and counters_enabled():
+            self._record_stencil(mat_prec, vec_prec, out_prec, compute, op.nrows,
+                                 op.nnz, op.npoints, k)
+        return y.astype(out_prec.dtype, copy=False)
+
+    def diag_scale(self, scale, x, out_precision=None, record=True, scratch=None):
+        """``diag(scale) @ x`` in one C pass when both are fp16:
+        ``round16(scale_i · x_ij)``."""
+        if not (scale.dtype == _HALF and x.dtype == _HALF and x.ndim in (1, 2)
+                and scale.shape == x.shape[:1]):
+            return super().diag_scale(scale, x, out_precision, record=record,
+                                      scratch=scratch)
+        out_prec = as_precision(out_precision) if out_precision is not None else _FP16
+        n, k = x.shape[0], columns(x)
+        s16, x16 = np.ascontiguousarray(scale), np.ascontiguousarray(x)
+        out = np.empty(x.shape, dtype=_HALF)
+        _check(self._half["diag_scale_f16"](n, k, _addr(s16), _addr(x16), _addr(out)))
+        if record and counters_enabled():
+            self._record_diag_scale(_FP16, _FP16, out_prec, _FP16, n, k)
+        return out.astype(out_prec.dtype, copy=False)
 
     # ------------------------------------------------------------------ #
     def residual_update(self, v, az, out_precision=None, record=True,
@@ -551,6 +650,22 @@ def _cancelling_rows(rng) -> tuple:
     return values.astype(_HALF), indices, indptr, x.astype(_HALF)
 
 
+def _separable_stencil():
+    """A 5 x 4 x 3 box-separable stencil, alpha = 2.5 beside the sweep:
+    axis 0 taps (-1, 2.5, 0.375), axis 1 (-1, 1, -1) and axis 2
+    (-1, -0.75, 1.25) — ±1 taps and rounded ones, on every axis an interior
+    and both edge planes, in the 8-wide passes and the tails after them."""
+    import itertools
+
+    from ..operators import StencilOperator
+
+    k0, k1, k2 = (-1.0, 2.5, 0.375), (1.0, -1.0, 1.0), (1.0, 0.75, -1.25)
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+    values = np.array([k0[i + 1] * k1[j + 1] * k2[m + 1] for i, j, m in offsets])
+    values[13] += 2.5                          # the centre, offset (0, 0, 0)
+    return StencilOperator((5, 4, 3), offsets, values)
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shape, dtype, NaN positions and every non-NaN bit pattern."""
     if a.shape != b.shape or a.dtype != b.dtype:
@@ -561,13 +676,14 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
                 and np.array_equal(a.view(kind)[~nan_a], b.view(kind)[~nan_b]))
 
 
-def self_check(backend: NativeBackend) -> None:
-    """Every native kernel of ``backend``'s instruction set against
-    ``reference``, bit for bit; raises :class:`NativeUnavailable` on the
-    first difference."""
+def self_check(*backends: NativeBackend) -> None:
+    """Every native kernel of each backend's instruction set against its
+    oracle, bit for bit — ``reference``, and ``fast`` for the separable
+    stencil sweep (each oracle runs once for all the backends); raises
+    :class:`NativeUnavailable` on the first difference."""
     from .reference import ReferenceBackend
 
-    oracle = ReferenceBackend()
+    reference, fast = ReferenceBackend(), FastBackend()
     rng = np.random.default_rng(20251018)
     factor, b, dense = _check_operands(rng)
     indptr = np.zeros(dense.shape[0] + 1, dtype=np.int32)
@@ -600,11 +716,27 @@ def self_check(backend: NativeBackend) -> None:
                           be.weighted_update(z.copy(), mr, omega, _FP16, record=False)))
             cases.append(("residual_update fp16", lambda be, z=z, mr=mr:
                           be.residual_update(z, mr, record=False)))
-        for label, run in cases:
-            if not _same_bits(run(backend), run(oracle)):
-                raise NativeUnavailable(f"self-check failed: {label} "
-                                        f"({backend.isa}) differs from the "
-                                        f"reference backend")
+            # one row per 8 lanes plus a tail at both widths
+            cases.append(("diag_scale fp16", lambda be, z=z, mr=mr: be.diag_scale(
+                z[:, 0] if z.ndim == 2 else z, mr, record=False)))
+        cases = [(label, run, reference) for label, run in cases]
+        stencil = _separable_stencil()
+        # magnitudes from fp16-subnormal to past its range, ±0, and NaN and
+        # ±inf in the second column only; and an fp16 stencil computed in fp32
+        x = b[:60].copy()
+        x[[7, 20], 0] = -0.0
+        x[[21, 40], 1] = [np.inf, -np.inf]
+        for mat, vec in ((_F64, _F64), (_F32, _F32), (_HALF, _HALF), (_HALF, _F32)):
+            op, xv = stencil.astype(precision_of_dtype(mat)), x.astype(vec)
+            cases.append((f"apply_stencil {mat} x {vec}", lambda be, op=op, xv=xv:
+                          be.apply_stencil(op, xv, record=False), fast))
+        for label, run, oracle in cases:
+            want = run(oracle)
+            for backend in backends:
+                if not _same_bits(run(backend), want):
+                    raise NativeUnavailable(f"self-check failed: {label} "
+                                            f"({backend.isa}) differs from "
+                                            f"the {oracle.name} backend")
 
 
 def _cast_factor(factor, dtype):

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backends import halfvec
-from ..backends.base import columns, per_row
+from ..backends import get_backend
+from ..backends.base import columns
 from ..backends.workspace import ScratchOwner
 from ..perf.counters import record_bytes, record_flops, record_kernel
 from ..precision import Precision, as_precision, precision_of_dtype, promote
@@ -38,7 +38,6 @@ class JacobiPreconditioner(Preconditioner, ScratchOwner):
             raise ValueError("Jacobi preconditioner requires a zero-free diagonal")
         self._n = matrix.nrows
         self.inv_diag = (1.0 / diag).astype(self.precision.dtype)
-        self._inv_casts: dict = {}
         self._scratch = None
 
     @classmethod
@@ -47,44 +46,19 @@ class JacobiPreconditioner(Preconditioner, ScratchOwner):
         Preconditioner.__init__(obj, precision)
         obj._n = inv_diag.size
         obj.inv_diag = inv_diag.astype(precision.dtype)
-        obj._inv_casts = {}
         obj._scratch = None
         return obj
 
-    def _cast_inv(self, dtype) -> np.ndarray:
-        """``inv_diag`` in the compute dtype (cached — it never mutates)."""
-        cached = self._inv_casts.get(dtype)
-        if cached is None:
-            cached = self._inv_casts[dtype] = self.inv_diag.astype(dtype, copy=False)
-        return cached
-
-    def _scaled(self, r: np.ndarray, compute) -> np.ndarray:
-        """``r ∘ inv_diag`` in the compute dtype (vector or ``(n, k)`` block).
-
-        The fp16 product is staged through fp32 — one SIMD multiply rounded
-        by the same conversion the fp16 ufunc applies per element, so the
-        result is bit-identical to the direct fp16 multiply.
-        """
-        cdtype = compute.dtype
-        if np.dtype(cdtype) == halfvec.HALF:
-            ws = self.scratch()
-            inv32 = self._cast_inv(halfvec.STAGE)
-            r32 = halfvec.upcast(r, ws.get("jacobi_r32", r.shape, halfvec.STAGE),
-                                 scratch=ws)
-            return halfvec.binop_round(np.multiply, r32, per_row(inv32, r.ndim),
-                                       scratch=ws)
-        return r.astype(cdtype, copy=False) * per_row(self._cast_inv(cdtype), r.ndim)
-
     def _apply(self, r: np.ndarray) -> np.ndarray:
         vec_prec = precision_of_dtype(r.dtype)
-        compute = promote(self.precision, vec_prec)
         k = columns(r)
-        z = self._scaled(r, compute)
+        z = get_backend().diag_scale(self.inv_diag, r, record=False,
+                                     scratch=self.scratch())
         record_kernel("precond_jacobi", k)
         record_bytes(self.precision, k * self._n * self.precision.bytes)
         record_bytes(vec_prec, 2 * k * self._n * vec_prec.bytes)
-        record_flops(compute, k * self._n)
-        return z.astype(vec_prec.dtype, copy=False)
+        record_flops(promote(self.precision, vec_prec), k * self._n)
+        return z
 
     def astype(self, precision: Precision | str) -> "JacobiPreconditioner":
         p = as_precision(precision)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..backends import get_backend
 from ..backends.base import columns
 from ..perf.counters import record_bytes, record_flops, record_kernel
 from ..precision import Precision, as_precision, precision_of_dtype, promote
@@ -101,24 +102,11 @@ def diagmul(scale: np.ndarray, x: np.ndarray,
 
     Arithmetic in the promotion of the scale and vector precisions, rounded
     to ``out_precision`` (default: the vector precision); counter parity
-    with ``k`` single-vector multiplies (Jacobi-style accounting).
+    with ``k`` single-vector multiplies.  The active kernel engine's
+    ``diag_scale`` runs it.
     """
-    sp = _prec(scale)
-    vp = _prec(x)
-    compute = promote(sp, vp)
-    out = as_precision(out_precision) if out_precision is not None else vp
-    s = scale.astype(compute.dtype, copy=False)
-    if x.ndim == 2:
-        s = s[:, None]
-    result = (x.astype(compute.dtype, copy=False) * s).astype(out.dtype, copy=False)
-    if record:
-        n, k = x.shape[0], columns(x)
-        record_kernel("diag_scale", k)
-        record_bytes(sp, k * n * sp.bytes)
-        record_bytes(vp, k * n * vp.bytes)
-        record_bytes(out, k * n * out.bytes)
-        record_flops(compute, k * n)
-    return result
+    return get_backend().diag_scale(scale, x, out_precision=out_precision,
+                                    record=record)
 
 
 def xpby(x: np.ndarray, beta: float, y: np.ndarray,

@@ -613,7 +613,8 @@ class TestConfigBackendScopesConstruction:
 # same counter totals — on every engine.
 # --------------------------------------------------------------------------- #
 CONTRACT_KERNELS = ("spmv_csr", "spmv_ell", "apply_stencil", "trsv",
-                    "spmv_axpy", "residual_update", "weighted_update")
+                    "spmv_axpy", "residual_update", "weighted_update",
+                    "diag_scale")
 
 
 def _contract_calls(kernel, ops, mat_prec, vec_prec):
@@ -653,6 +654,10 @@ def _contract_calls(kernel, ops, mat_prec, vec_prec):
     if kernel == "residual_update":
         return (lambda be, v, az: be.residual_update(
             v, az, out_precision=vec_prec, scratch=Workspace())), ("y", "m")
+    if kernel == "diag_scale":
+        # a Jacobi-style scale at the matrix precision
+        scale = (1.0 / np.linspace(1.0, 9.0, n)).astype(mat_prec.dtype)
+        return (lambda be, x: be.diag_scale(scale, x)), ("x",)
     assert kernel == "weighted_update"
 
     def run(be, z, mr, omega):

@@ -1,16 +1,20 @@
-"""The compiled ``native`` engine: bit for bit against the ``reference`` oracle.
+"""The compiled ``native`` engine: bit for bit against its oracle.
 
 ``native`` ports kernels to C — the level-scheduled triangular solve (fp64,
-fp32 and fp16 compute), the fp16 CSR products ``spmv_csr`` / ``spmv_axpy``
-and the fp16 vector updates ``weighted_update`` / ``residual_update`` — and
-inherits everything else from ``fast``.  Here every ported kernel must equal
-``reference`` bit for bit (NaN by position, not payload) on lower and upper
-ILU(0), IC(0), fused block-ILU(0) and long-row factors, on a CSR matrix with
-long, short and empty rows and on vectors, for blocks of 0 to 9 columns, on
-inputs with fp16-subnormal products, overflow to ±inf, signed zeros and NaN.
-The fp16 kernels exist once per instruction set (``native.ISAS``): each test
-of them runs the portable scalar set and, where this CPU has AVX2 + F16C,
-the vector set, both reached through the loaded library's symbols.  Counter
+fp32 and fp16 compute), the fp16 CSR products ``spmv_csr`` / ``spmv_axpy``,
+the fp16 vector updates ``weighted_update`` / ``residual_update``, the fp16
+``diag_scale`` and the box-separable ``apply_stencil`` sweep (fp64, fp32 and
+fp16) — and inherits everything else from ``fast``.  Here every ported
+kernel must equal its oracle bit for bit (NaN by position, not payload):
+``reference``, except for the separable sweep, whose oracle is ``fast``'s
+sweep.  The operands are lower and upper ILU(0), IC(0), fused block-ILU(0)
+and long-row factors, a CSR matrix with long, short and empty rows,
+separable stencils on grids with axes of 1, 2, 7 and 24 points, and vectors
+and blocks of 0 to 9 columns with fp16-subnormal products, overflow to
+±inf, signed zeros and NaN.  The fp16 kernels and the sweeps exist once per
+instruction set (``native.ISAS``): each test of them runs the portable
+scalar set and, where this CPU has AVX2 + F16C, the vector set, both
+reached through the loaded library's symbols.  Counter
 totals must equal ``fast``'s, and four threads on shared operands (ctypes
 releases the interpreter lock, so they truly overlap) must each match a
 serial run.
@@ -23,6 +27,7 @@ must have registered (its load-time self-check passed) and be the default.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import os
 import shutil
 import sys
@@ -36,6 +41,7 @@ from hypothesis import strategies as st
 
 from repro.backends import available_backends, get_backend, native, use_backend
 from repro.matgen import get_matrix, hpcg_matrix
+from repro.operators import StencilOperator
 from repro.perf import counting
 from repro.precision import Precision, precision_of_dtype
 from repro.precond import BlockJacobiILU0, IC0Preconditioner, ILU0Preconditioner
@@ -78,6 +84,10 @@ def _operand(kind: str, n: int, width, dtype, seed: int) -> np.ndarray:
         x = np.where(rng.random(shape) < 0.6, 0.0, rng.uniform(-1, 1, shape) * 1e-7)
         x = np.where(rng.random(shape) < 0.5, -x, x)
         x[rng.random(shape) < 0.3] = -0.0
+    elif kind == "inf":
+        x = rng.uniform(-1, 1, shape)
+        x[n // 3] = np.inf
+        x[n // 2] = -np.inf
     else:
         x = rng.uniform(-1, 1, shape)
         x[n // 3] = np.nan
@@ -431,6 +441,186 @@ class TestHalfUpdates:
 
 
 # ---------------------------------------------------------------------- #
+# The separable stencil sweep (oracle: fast's sweep)
+# ---------------------------------------------------------------------- #
+#: None: a vector; else an (n, k) block
+STENCIL_WIDTHS = (None, 0, 1, 3, 8, 9)
+
+
+def _box_stencil(dims, kernels, alpha) -> StencilOperator:
+    """The 3-D box stencil ``alpha·I + k0 ⊗ k1 ⊗ k2`` (three taps per axis at
+    offsets −1, 0, 1); dyadic weights keep it exactly separable at every
+    storage precision."""
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+    values = np.array([kernels[0][i + 1] * kernels[1][j + 1] * kernels[2][m + 1]
+                       for i, j, m in offsets])
+    values[13] += alpha                      # the centre, offset (0, 0, 0)
+    return StencilOperator(dims, offsets, values)
+
+
+#: ±1 taps and rounded ones on every axis
+ROUNDED_TAPS = ((-1.0, 2.5, 0.375), (1.0, -1.0, 1.0), (0.5, 0.75, -1.25))
+
+
+def _stencils() -> dict:
+    """HPCG stencils on grids whose axes are 1, 2, 7 and 24 points long; a
+    box stencil with rounded taps, with α = 2.5, α = 0 and an α that rounds
+    to 0 in fp16 (so 0 · inf = NaN shows); and a non-separable one."""
+    from repro.matgen.operators import convection_diffusion_2d_operator, hpcg_operator
+
+    return {"hpcg_24_7_2": hpcg_operator(24, 7, 2),
+            "hpcg_1_24_7": hpcg_operator(1, 24, 7),
+            "hpcg_7_2_1": hpcg_operator(7, 2, 1),
+            "box_alpha": _box_stencil((7, 2, 24), ROUNDED_TAPS, 2.5),
+            "box_no_alpha": _box_stencil((2, 7, 7), ROUNDED_TAPS, 0.0),
+            "box_tiny_alpha": _box_stencil((7, 7, 2), ROUNDED_TAPS, 2.0 ** -30),
+            "upwind": convection_diffusion_2d_operator(7)}
+
+
+@pytest.fixture(scope="module")
+def stencils() -> dict:
+    return _stencils()
+
+
+class TestStencil:
+    @pytest.mark.parametrize("width", STENCIL_WIDTHS)
+    @pytest.mark.parametrize("dtype", DTYPES, ids=str)
+    @pytest.mark.parametrize("name", sorted(_stencils()))
+    def test_bitwise_against_fast(self, stencils, isa, name, dtype, width):
+        op = stencils[name].astype(precision_of_dtype(dtype))
+        for i, kind in enumerate(INPUTS + ("inf",)):
+            x = _operand(kind, op.nrows, width, dtype, seed=100 + i)
+
+            def run(be):
+                return be.apply_stencil(op, x)
+            assert_bit_equal(_on(isa, run), _on("fast", run))
+
+    def test_separable_and_alpha(self, stencils):
+        seps = {name: op.box_separable() for name, op in stencils.items()}
+        assert seps.pop("upwind") is None
+        assert all(sep is not None for sep in seps.values())
+        assert seps["box_no_alpha"][0] == 0.0
+        assert seps["box_tiny_alpha"][0] != 0.0
+        assert np.float16(seps["box_tiny_alpha"][0]) == 0.0
+
+    @pytest.mark.parametrize("out", [None, Precision.FP16, Precision.FP64])
+    @pytest.mark.parametrize("mat,vec", [(HALF, np.dtype(np.float32)),
+                                         (np.dtype(np.float64), HALF),
+                                         (np.dtype(np.float32), HALF)])
+    def test_mixed_precisions(self, stencils, isa, mat, vec, out):
+        """An fp16 stencil with an fp32 operand computes in fp32, a wider
+        stencil with an fp16 operand in the stencil's precision."""
+        op = stencils["box_alpha"].astype(precision_of_dtype(mat))
+        x = _operand("subnormal", op.nrows, 3, vec, seed=120)
+
+        def run(be):
+            return be.apply_stencil(op, x, out_precision=out)
+        assert_bit_equal(_on(isa, run), _on("fast", run))
+
+    def test_block_column_equals_single_apply(self, stencils, isa):
+        op = stencils["hpcg_24_7_2"].astype(Precision.FP16)
+        xx = _operand("overflow", op.nrows, 8, HALF, seed=121)
+        block = _on(isa, lambda be: be.apply_stencil(op, xx))
+        for j in range(8):
+            col = np.ascontiguousarray(xx[:, j])
+            assert_bit_equal(block[:, j], _on(isa, lambda be: be.apply_stencil(op, col)))
+
+    def test_kernel_per_compute_dtype(self):
+        """Each compute dtype has its sweep in each instruction set:
+        ``stencil_sep_f64`` / ``stencil_sep_f32`` / ``stencil_sep_f16`` in
+        the scalar one, ``stencil_sep_f64_avx2`` / ``stencil_sep_f32_avx2`` /
+        ``stencil_sep_f16_avx2`` in the vector one."""
+        assert native._STENCIL == {np.dtype(np.float64): "stencil_sep_f64",
+                                   np.dtype(np.float32): "stencil_sep_f32",
+                                   HALF: "stencil_sep_f16"}
+        lib = get_backend("native")._lib
+        for isa in native.isas(lib):
+            kernels = native.NativeBackend(lib, isa)._half
+            for name in native._STENCIL.values():
+                assert kernels[name] is getattr(lib, name + native.ISAS[isa])
+
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_counters_equal_fast(self, stencils, width):
+        for name in ("hpcg_24_7_2", "box_no_alpha", "upwind"):
+            op = stencils[name].astype(Precision.FP16)
+            x = _operand("ordinary", op.nrows, width, HALF, seed=122)
+            totals = {}
+            for engine in ("fast", "native"):
+                with counting() as traffic:
+                    _on(engine, lambda be: be.apply_stencil(op, x))
+                totals[engine] = traffic.summary()
+            assert totals["native"] == totals["fast"]
+
+    def test_rejects_mismatched_operand(self, stencils):
+        op = stencils["hpcg_7_2_1"]
+        with pytest.raises(ValueError):
+            _on("native", lambda be: be.apply_stencil(op, np.ones(op.nrows + 1)))
+
+
+# ---------------------------------------------------------------------- #
+# fp16 diagonal scaling
+# ---------------------------------------------------------------------- #
+class TestDiagScale:
+    @pytest.mark.parametrize("width", UPDATE_WIDTHS)
+    @pytest.mark.parametrize("kind", INPUTS)
+    def test_bitwise_against_reference(self, isa, kind, width):
+        x = _operand(kind, UPDATE_ROWS, width, HALF, seed=131)
+        for skind in ("ordinary", "overflow", "subnormal"):
+            scale = _operand(skind, UPDATE_ROWS, None, HALF, seed=132)
+            for out in (None, Precision.FP16, Precision.FP32):
+                def run(be):
+                    return be.diag_scale(scale, x, out_precision=out)
+                assert_bit_equal(_on(isa, run), _on("reference", run))
+
+    @pytest.mark.parametrize("sdtype,xdtype", [(HALF, np.float32), (np.float32, HALF),
+                                               (np.float64, HALF),
+                                               (np.float32, np.float64)])
+    def test_wider_operands_take_the_inherited_kernels(self, isa, sdtype, xdtype):
+        x = _operand("subnormal", UPDATE_ROWS, 3, xdtype, seed=133)
+        scale = _operand("overflow", UPDATE_ROWS, None, sdtype, seed=134)
+        for run in (lambda be: be.diag_scale(scale, x),
+                    lambda be: be.diag_scale(scale, x, out_precision=Precision.FP16)):
+            assert_bit_equal(_on(isa, run), _on("reference", run))
+            assert_bit_equal(_on("fast", run), _on("reference", run))
+
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_counters_equal_fast(self, width):
+        x = _operand("ordinary", UPDATE_ROWS, width, HALF, seed=135)
+        scale = _operand("ordinary", UPDATE_ROWS, None, HALF, seed=136)
+        totals = {}
+        for engine in ("reference", "fast", "native"):
+            with counting() as traffic:
+                _on(engine, lambda be: be.diag_scale(scale, x))
+            totals[engine] = traffic.summary()
+        assert totals["native"] == totals["fast"] == totals["reference"]
+
+    @pytest.mark.parametrize("width", [None, 8])
+    def test_jacobi_and_diagmul(self, width):
+        """The Jacobi preconditioner and ``vo.diagmul`` run the engine's
+        kernel: the same bits and the same counter totals on every engine,
+        Jacobi's under its own kernel name."""
+        from repro.precond import JacobiPreconditioner
+        from repro.sparse import vectorops as vo
+
+        a, _ = diagonal_scaling(hpcg_matrix(6))
+        jacobi = JacobiPreconditioner(a, precision=Precision.FP16)
+        r = _operand("subnormal", a.nrows, width, HALF, seed=137)
+        results, totals = {}, {}
+        for engine in ("reference", "fast", "native"):
+            with counting() as traffic:
+                results[engine] = _on(engine, lambda be: (
+                    jacobi.apply(r) if width is None else jacobi.apply_batch(r),
+                    vo.diagmul(jacobi.inv_diag, r)))
+            totals[engine] = traffic.summary()
+        for engine in ("fast", "native"):
+            for got, want in zip(results[engine], results["reference"]):
+                assert_bit_equal(got, want)
+            assert totals[engine] == totals["reference"]
+        kernels = totals["native"]["kernel_calls"]
+        assert set(kernels) >= {"precond_jacobi", "diag_scale"}
+
+
+# ---------------------------------------------------------------------- #
 # The library: its symbols, its instruction sets and its self-check
 # ---------------------------------------------------------------------- #
 def test_abi_and_instruction_sets():
@@ -442,7 +632,8 @@ def test_abi_and_instruction_sets():
     assert get_backend("native").isa == sets[-1]
     scalar = native.NativeBackend(lib, "scalar")
     for name in ("trsv_f16", "spmv_csr_f16", "spmv_axpy_f16", "weighted_update_f16",
-                 "residual_update_f16", "quantize32"):
+                 "residual_update_f16", "stencil_sep_f64", "stencil_sep_f32",
+                 "stencil_sep_f16", "diag_scale_f16", "quantize32"):
         assert scalar._half[name] is getattr(lib, name)
     if "avx2" in sets:
         vector = native.NativeBackend(lib, "avx2")
@@ -451,6 +642,10 @@ def test_abi_and_instruction_sets():
                              ("spmv_axpy_f16", "spmv_axpy_f16_avx2"),
                              ("weighted_update_f16", "weighted_update_f16_avx2"),
                              ("residual_update_f16", "residual_update_f16_avx2"),
+                             ("stencil_sep_f64", "stencil_sep_f64_avx2"),
+                             ("stencil_sep_f32", "stencil_sep_f32_avx2"),
+                             ("stencil_sep_f16", "stencil_sep_f16_avx2"),
+                             ("diag_scale_f16", "diag_scale_f16_avx2"),
                              ("quantize32", "quantize32_avx2")):
             assert vector._half[name] is getattr(lib, symbol)
     else:
@@ -488,13 +683,19 @@ def test_self_check_rejects_a_differing_kernel(isa):
 # ---------------------------------------------------------------------- #
 # Concurrency: the kernels run without the interpreter lock
 # ---------------------------------------------------------------------- #
-def test_four_threads_on_one_factor_match_serial(factors, matrix16):
+def test_four_threads_on_one_factor_match_serial(factors, matrix16, stencils):
     lower, upper = (f.astype(Precision.FP16) for f in factors["block_ilu0"])
     a = matrix16
+    # one stencil per precision: the threads share each one's stencil plan,
+    # and each draws its sweep buffers from its own arena
+    ops = [stencils["box_alpha"].astype(p)
+           for p in (Precision.FP16, Precision.FP32, Precision.FP64, Precision.FP16)]
     rhs = [_operand("subnormal", lower.nrows, None if t % 2 else 3, HALF, seed=60 + t)
            for t in range(4)]
     xs = [_operand("ordinary", a.ncols, None if t % 2 else 3, HALF, seed=70 + t)
           for t in range(4)]
+    grid = [_operand("ordinary", ops[t].nrows, None if t % 2 else 3,
+                     ops[t].precision.dtype, seed=80 + t) for t in range(4)]
 
     def work(be, t):
         return (be.trsv(upper, be.trsv(lower, rhs[t])),
@@ -502,7 +703,9 @@ def test_four_threads_on_one_factor_match_serial(factors, matrix16):
                              scratch=a.scratch()),
                 be.weighted_update(rhs[t].copy(), rhs[(t + 2) % 4], 0.9,
                                    Precision.FP16)
-                if t < 2 else be.residual_update(rhs[t], rhs[(t + 2) % 4]))
+                if t < 2 else be.residual_update(rhs[t], rhs[(t + 2) % 4]),
+                be.apply_stencil(ops[t], grid[t]),
+                be.diag_scale(rhs[t][:, 0] if t % 2 == 0 else rhs[t], rhs[t]))
 
     serial = [_on("native", lambda be, t=t: work(be, t)) for t in range(4)]
     results: dict = {}
@@ -525,10 +728,9 @@ def test_four_threads_on_one_factor_match_serial(factors, matrix16):
     assert not any(thread.is_alive() for thread in threads)
     for t in range(4):
         assert len(results[t]) == 25
-        for solve, product, update in results[t]:
-            assert_bit_equal(solve, serial[t][0])
-            assert_bit_equal(product, serial[t][1])
-            assert_bit_equal(update, serial[t][2])
+        for outputs in results[t]:
+            for got, want in zip(outputs, serial[t], strict=True):
+                assert_bit_equal(got, want)
 
 
 # ---------------------------------------------------------------------- #

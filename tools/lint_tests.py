@@ -49,6 +49,11 @@ process tier's entry points (``ProcPool``, ``ShardedGateway``,
 but ``serve/remote.py`` (``spawn_server``) may import ``multiprocessing``:
 several processes are ``ShardServer`` members of a ring.
 
+It keeps fp16 staging inside the kernel engines (:data:`HALFVEC_HOMES`):
+no module but those under ``backends/`` and ``par/kernels.py`` may import
+``backends.halfvec``; a caller that needs an fp16 operation asks the engine
+for a kernel.
+
 And it keeps compiled code in one place and tested (:data:`NATIVE_LIMITS`):
 no module but ``backends/native.py`` may import ``ctypes``, and every symbol
 in that module's ``_SIGNATURES`` table — each compiled kernel of every
@@ -179,6 +184,36 @@ NATIVE_LIMITS = {
 }
 #: the test files that must name every compiled symbol
 NATIVE_TESTS = "test_native*.py"
+
+#: the modules that may import backends.halfvec (the fp16 staging helpers):
+#: the engines, and the partition workers that run their slabs
+HALFVEC_HOMES = (SRC_DIR / "repro" / "backends",
+                 SRC_DIR / "repro" / "par" / "kernels.py")
+
+
+def imports_halfvec(path: Path) -> bool:
+    """Whether ``path`` imports the ``halfvec`` module of a ``backends``
+    package, in any import form."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            if any(alias.name.endswith("backends.halfvec") for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if parts[-1] == "halfvec" or (
+                    parts[-1] == "backends"
+                    and any(alias.name == "halfvec" for alias in node.names)):
+                return True
+    return False
+
+
+def halfvec_importers(paths) -> list[str]:
+    """The modules of ``paths`` outside :data:`HALFVEC_HOMES` that import
+    ``backends.halfvec``."""
+    return [str(path.relative_to(SRC_DIR)) for path in paths
+            if not any(path == home or home in path.parents
+                       for home in HALFVEC_HOMES)
+            and imports_halfvec(path)]
 
 
 def native_symbols(path: Path = NATIVE_HOME) -> list[str]:
@@ -325,6 +360,14 @@ def main() -> int:
                        "backends/native.py (one native engine; see "
                        "NATIVE_LIMITS):")
         status = 1
+    staging = halfvec_importers(src_modules)
+    if staging:
+        print("lint-tests: modules outside the kernel engines import "
+              "backends.halfvec (fp16 staging belongs to backends/ and "
+              "par/kernels.py; see HALFVEC_HOMES):", file=sys.stderr)
+        for name in staging:
+            print(f"  {name}", file=sys.stderr)
+        status = 1
     symbols = native_symbols()
     untested = untested_native_symbols()
     if not symbols or untested:
@@ -341,9 +384,10 @@ def main() -> int:
               f"{len(used)} REPRO_* variables documented; "
               f"{len(SINGLE_DEFINITIONS)} serving definitions unique; "
               f"one Krylov recurrence in solvers/; one kernel per "
-              f"operation in src/; one multi-process transport; ctypes "
-              f"only in backends/native.py; {len(symbols)} compiled symbols "
-              f"named by tests)")
+              f"operation in src/; one multi-process transport; fp16 "
+              f"staging only in the engines; ctypes only in "
+              f"backends/native.py; {len(symbols)} compiled symbols named by "
+              f"tests)")
     return status
 
 
