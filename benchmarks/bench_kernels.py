@@ -8,9 +8,11 @@ wide-level factor (staged through fp32 by the fast engine) and a
 one-row-per-level chain (direct), the fp16 CSR product on subnormal-heavy
 input, the fp16 Richardson update ``z + ω·mr`` and residual ``v − az`` on
 subnormal-heavy vectors, the fp16 separable stencil sweep (HPCG 24³, one
-column and eight) and the 8-column fp16 diagonal scaling, the compiled
-``native`` engine's rows (the triangular solves, the fp16 CSR product, the
-two fp16 updates, the stencil sweeps and the diagonal scaling, where it
+column and eight), the 8-column fp16 diagonal scaling, the fp32 → fp16 and
+fp16 → fp32 casts of a normalized Krylov-basis block (HPCG 24³ × 8, and one
+729-entry vector below ``native``'s cast gate), the compiled ``native``
+engine's rows (the triangular solves, the fp16 CSR product, the two fp16
+updates, the stencil sweeps, the diagonal scaling and the casts, where it
 builds; each must equal ``fast`` bit for bit, or the run exits 1),
 plus the CSR product and the triangular solve on an ``(n, k)`` block against
 ``k`` vector calls (rows ``spmm_csr`` and ``trsm``), a full ``solve_batch`` of
@@ -75,11 +77,17 @@ CHAIN_ROWS = 600
 #: the rows the compiled native engine ports, timed on it where it builds
 NATIVE_ROWS = ("trsv", "trsv_fp16_wide", "trsv_fp16_chain", "spmv_csr_fp16",
                "weighted_update_fp16", "residual_update_fp16",
-               "apply_stencil_fp16", "apply_stencil_fp16_k8", "diag_scale_fp16")
+               "apply_stencil_fp16", "apply_stencil_fp16_k8", "diag_scale_fp16",
+               "cast_f32_f16", "cast_f16_f32", "cast_f32_f16_729",
+               "cast_f16_f32_729")
 
 #: grid side of the fp16 stencil-sweep and diagonal-scaling rows: the
 #: matrix-free e2e workload's HPCG grid
 HALF_STENCIL_GRID = 24
+
+#: grid side of the small cast rows: 9³ = 729 entries, the largest operator
+#: of the serving workload, below ``native``'s cast gate
+SMALL_CAST_GRID = 9
 
 #: grid side of the matrix-free stencil benchmark (HPCG 27-point); 64³ is the
 #: operator-layer acceptance threshold — the batched matrix-free apply must
@@ -133,12 +141,28 @@ def build_problem(side: int):
     stencil16 = hpcg_operator(HALF_STENCIL_GRID).astype(Precision.FP16)
     block16 = rng.uniform(-1.0, 1.0, (stencil16.nrows, BATCH_K)).astype(np.float16)
     scale16 = (1.0 / rng.uniform(20.0, 30.0, stencil16.nrows)).astype(np.float16)
+    # the level-boundary casts, on the magnitudes they see in a solve
+    krylov32 = _krylov_block(HALF_STENCIL_GRID, BATCH_K, rng)
+    small32 = _krylov_block(SMALL_CAST_GRID, 1, rng)[:, 0]
     return {"matrix": matrix, "ell": ell, "lower": lower, "x": x, "n": n,
             "matrix16": matrix.astype(Precision.FP16), "x16": x16, "z16": z16,
             "wide": wide, "wide_b16": wide_b16,
             "chain": _chain_lower(CHAIN_ROWS), "chain_b16": chain_b16,
             "stencil16": stencil16, "block16": block16, "scale16": scale16,
-            "column16": np.ascontiguousarray(block16[:, 0])}
+            "column16": np.ascontiguousarray(block16[:, 0]),
+            "krylov32": krylov32, "krylov16": krylov32.astype(np.float16),
+            "small32": small32, "small16": small32.astype(np.float16)}
+
+
+def _krylov_block(side: int, k: int, rng) -> np.ndarray:
+    """fp32 ``(side³, k)``: the unit-norm columns ``A² b / ‖A² b‖`` of the
+    HPCG operator for ``k`` uniform right-hand sides ``b``, the magnitudes a
+    Krylov basis hands the fp16 level."""
+    op = hpcg_operator(side)
+    w = rng.random((op.nrows, k))
+    for _ in range(2):
+        w = op.apply_batch(w)
+    return np.ascontiguousarray(w / np.linalg.norm(w, axis=0), dtype=np.float32)
 
 
 def _chain_lower(n: int) -> CSRMatrix:
@@ -185,6 +209,14 @@ def bench_backend(problem, backend: str, repeats: int, m: int,
                 stencil16, block16, record=False),
             "diag_scale_fp16": lambda: engine.diag_scale(
                 problem["scale16"], block16, record=False),
+            "cast_f32_f16": lambda: engine.cast(
+                problem["krylov32"], Precision.FP16, record=False),
+            "cast_f16_f32": lambda: engine.cast(
+                problem["krylov16"], Precision.FP32, record=False),
+            "cast_f32_f16_729": lambda: engine.cast(
+                problem["small32"], Precision.FP16, record=False),
+            "cast_f16_f32_729": lambda: engine.cast(
+                problem["small16"], Precision.FP32, record=False),
             # the one Arnoldi loop on a one-column block (a single RHS)
             "fgmres_cycle": lambda: fgmres_cycle_batch(matrix, x[:, None], None, m=m,
                                                        vec_prec=Precision.FP64),

@@ -10,8 +10,9 @@ solution combination, and the ILU(0) factorization — dispatches through a
 * ``fast`` (:mod:`repro.backends.fast`): fully vectorized kernels with
   preallocated workspace buffers and batched counter recording.
 * ``native`` (:mod:`repro.backends.native`): ``fast`` with the triangular
-  solve, the fp16 CSR products and updates, the separable stencil sweep and
-  the fp16 diagonal scaling compiled from C, bit-identical to its oracle
+  solve, the fp16 CSR products and updates, the separable stencil sweep,
+  the fp16 diagonal scaling and the fp32 ↔ fp16 casts compiled from C,
+  bit-identical to its oracle
   (``reference``, or ``fast`` for the separable sweep); registered only
   where it builds.
 
@@ -258,6 +259,22 @@ class KernelBackend(abc.ABC):
         return result
 
     # ------------------------------------------------------------------ #
+    # Precision casts
+    # ------------------------------------------------------------------ #
+    def cast(self, x: np.ndarray, precision, record: bool = True) -> np.ndarray:
+        """``x`` (a vector or an ``(n, k)`` block) rounded to ``precision``
+        in one correctly rounded step: a read and a write, and a block
+        records ``k`` casts.  ``x`` itself when it is stored in
+        ``precision`` already."""
+        p = as_precision(precision)
+        src = precision_of_dtype(x.dtype)
+        if record and p != src:
+            self._record_cast(src, p, x.size, columns(x))
+        if x.dtype == p.dtype:
+            return x
+        return x.astype(p.dtype)
+
+    # ------------------------------------------------------------------ #
     # Assembled-format preference (AssembledOperator auto-selection hook)
     # ------------------------------------------------------------------ #
     def preferred_assembled_format(self, precision) -> str | None:
@@ -447,6 +464,13 @@ class KernelBackend(abc.ABC):
         record_bytes(vp, k * n * vp.bytes)
         record_bytes(out_prec, k * n * out_prec.bytes)
         record_flops(compute, k * n)
+
+    @staticmethod
+    def _record_cast(src: Precision, dst: Precision, size: int, k: int = 1) -> None:
+        """Traffic of ``k`` casts over ``size`` entries in all."""
+        record_kernel("cast", k)
+        record_bytes(src, size * src.bytes)
+        record_bytes(dst, size * dst.bytes)
 
     @staticmethod
     def _record_scal(p: Precision, n: int) -> None:

@@ -51,7 +51,7 @@
 #define AVX2_FN __attribute__((target("avx2,f16c")))
 #endif
 
-#define NATIVE_ABI 3
+#define NATIVE_ABI 4
 #define PW_BLOCKSIZE 128
 
 int64_t repro_native_abi(void) { return NATIVE_ABI; }
@@ -514,12 +514,14 @@ DEFINE_STENCIL(stencil_sep_f32_avx2, AVX2_FN, float, sweep_f32_avx2,
 /* The fp16 kernels, instantiated once per instruction set                   */
 /*                                                                           */
 /* SFX names the set; Q16, H2F and F2H are its rounding and conversions,     */
-/* ROW_SUM its row sum; X8_EXPAND, X8_WEIGHTED and X8_RESIDUAL are its       */
-/* 8-wide loop prefixes (empty in the scalar set), each advancing `e` past   */
-/* the elements it wrote and leaving the rest to the scalar loop after it.   */
+/* ROW_SUM its row sum; X8_EXPAND, X8_NARROW, X8_WEIGHTED, X8_RESIDUAL,      */
+/* X8_STENCIL and X8_DIAG are its 8-wide loop prefixes (empty in the scalar  */
+/* set), each advancing its index past the elements it wrote and leaving the */
+/* rest to the scalar loop after it.                                         */
 /* ------------------------------------------------------------------------ */
 #define DEFINE_HALF_KERNELS(SFX, ATTR, Q16, H2F, F2H, ROW_SUM, X8_EXPAND,     \
-                            X8_WEIGHTED, X8_RESIDUAL, X8_STENCIL, X8_DIAG)    \
+                            X8_NARROW, X8_WEIGHTED, X8_RESIDUAL, X8_STENCIL,  \
+                            X8_DIAG)                                          \
 /* fp16: the solution is carried in fp32 (on the fp16 grid) for the gathers  \
  * and written to fp16 storage row by row; every operation rounds once. */    \
 ATTR int trsv_f16##SFX(int64_t nrows, const int64_t *order,                   \
@@ -548,13 +550,24 @@ ATTR int trsv_f16##SFX(int64_t nrows, const int64_t *order,                   \
     return 0;                                                                 \
 }                                                                             \
                                                                               \
-/* `size` fp16 values expanded to fp32 in x */                                \
-ATTR static void widen_f16##SFX(const uint16_t *x16, float *x, int64_t size)  \
+/* `size` fp16 values expanded to fp32 (exact): the fp16 -> fp32 cast */      \
+ATTR int cast_f16_f32##SFX(int64_t size, const uint16_t *x16, float *x)       \
 {                                                                             \
     int64_t e = 0;                                                            \
     X8_EXPAND                                                                 \
     for (; e < size; e++)                                                     \
         x[e] = H2F(x16[e]);                                                   \
+    return 0;                                                                 \
+}                                                                             \
+                                                                              \
+/* `size` fp32 values rounded to fp16, ties to even: the fp32 -> fp16 cast */ \
+ATTR int cast_f32_f16##SFX(int64_t size, const float *x, uint16_t *x16)       \
+{                                                                             \
+    int64_t e = 0;                                                            \
+    X8_NARROW                                                                 \
+    for (; e < size; e++)                                                     \
+        x16[e] = F2H(Q16(x[e]));                                              \
+    return 0;                                                                 \
 }                                                                             \
                                                                               \
 /* The (ncols, k) fp16 operand expanded to fp32 once per call. */             \
@@ -562,7 +575,7 @@ ATTR static float *expand_f16##SFX(const uint16_t *x16, int64_t size)        \
 {                                                                             \
     float *x = malloc((size_t)(size > 0 ? size : 1) * sizeof(float));         \
     if (x)                                                                    \
-        widen_f16##SFX(x16, x, size);                                         \
+        cast_f16_f32##SFX(size, x16, x);                                      \
     return x;                                                                 \
 }                                                                             \
                                                                               \
@@ -658,7 +671,7 @@ ATTR int stencil_sep_f16##SFX(int64_t ndim, const int64_t *dims, int64_t k,   \
     for (int64_t d = 0; d < ndim; d++)                                        \
         n *= dims[d];                                                         \
     float *x = work;                                                          \
-    widen_f16##SFX(x16, x, n);                                                \
+    cast_f16_f32##SFX(n, x16, x);                                             \
     const float *cur = sweep_f16##SFX(ndim, dims, k, ntaps, tap_j, coef + 1,  \
                                       x, work + n, work + 2 * n);             \
     if (cur) {                                                                \
@@ -698,12 +711,16 @@ ATTR void quantize32##SFX(const float *in, float *out, int64_t n)             \
 DEFINE_TAP_CHAIN(tap_chain_f16, , float, HALF_FIRST, HALF_NEXT, )
 DEFINE_SEPARABLE_SWEEP(sweep_f16, , float, tap_chain_f16)
 
-DEFINE_HALF_KERNELS(, , q16, h2f, f2h, row_sum_f16, , , , , )
+DEFINE_HALF_KERNELS(, , q16, h2f, f2h, row_sum_f16, , , , , , )
 
 #ifdef HAVE_AVX2_SET
 #define X8_EXPAND_AVX2                                                        \
     for (; e + 8 <= size; e += 8)                                             \
         _mm256_storeu_ps(x + e, load_h8(x16 + e));
+
+#define X8_NARROW_AVX2                                                        \
+    for (; e + 8 <= size; e += 8)                                             \
+        store_h8(x16 + e, _mm256_loadu_ps(x + e));
 
 /* alpha laid out over 8 periods of the row (8k entries), so the weights of
  * any 8 consecutive entries starting at a multiple of 8 are contiguous */
@@ -771,8 +788,9 @@ DEFINE_SEPARABLE_SWEEP(sweep_f16_avx2, AVX2_FN, float, tap_chain_f16_avx2)
     }
 
 DEFINE_HALF_KERNELS(_avx2, AVX2_FN, q16_f16c, h2f_f16c, f2h_f16c,
-                    row_sum_f16_avx2, X8_EXPAND_AVX2, X8_WEIGHTED_AVX2,
-                    X8_RESIDUAL_AVX2, X8_STENCIL_AVX2, X8_DIAG_AVX2)
+                    row_sum_f16_avx2, X8_EXPAND_AVX2, X8_NARROW_AVX2,
+                    X8_WEIGHTED_AVX2, X8_RESIDUAL_AVX2, X8_STENCIL_AVX2,
+                    X8_DIAG_AVX2)
 
 /* Patterns in [lo, hi) of the 2^32 float32 bit patterns on which the F16C
  * round trip and q16 disagree: different bits on a non-NaN input, or a NaN

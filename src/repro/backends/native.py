@@ -1,15 +1,19 @@
 """Native backend: compiled C kernels for the level-scheduled triangular
 solve, the fp16 CSR products, the fp16 vector updates, the separable
-stencil sweep and the fp16 diagonal scaling, each bit-identical to its
-oracle.
+stencil sweep, the fp16 diagonal scaling and the fp32 ↔ fp16 casts, each
+bit-identical to its oracle.
 
 numpy's per-call dispatch sets the floor of the ``fast`` engine's
 level-scheduled ``trsv``: a level is a handful of rows, so every level costs
 a dozen vectorized calls for little arithmetic.  ``native.c`` runs the whole
 substitution — and the fp16 CSR products ``spmv_csr`` / ``spmv_axpy``, the
 fp16 updates ``weighted_update`` / ``residual_update``, the fp16
-``diag_scale`` (the Jacobi preconditioner's apply) and the box-separable
-``apply_stencil`` sweep in fp64, fp32 and fp16 — in one call each.  The
+``diag_scale`` (the Jacobi preconditioner's apply), the box-separable
+``apply_stencil`` sweep in fp64, fp32 and fp16, and ``cast`` — fp32 → fp16
+and fp16 → fp32, the nesting levels' boundary crossings that
+``vo.cast_vector`` makes, which numpy converts in software — in one call
+each.  ``cast`` runs C only from :data:`CAST_GATE` entries on: below it
+numpy's ``astype`` costs less than the call's fixed overhead.  The
 oracle of every kernel is ``reference`` (see the C file for the recipes:
 rows in level order, each row sum in ``np.add.reduceat``'s pairwise order,
 fp16 values on the fp32 grid rounded after every operation), except the
@@ -19,12 +23,13 @@ which is only tolerance-close to ``reference``'s CSR-order stencil.
 Non-separable stencils, and every other kernel, are inherited from
 :class:`~repro.backends.fast.FastBackend`, and so are the counter totals.
 
-**Instruction sets.**  The fp16 kernels and the stencil sweeps are compiled
-twice from the same C macros (:data:`ISAS`): a portable scalar set, and on
-x86-64 an AVX2 + F16C set (function-level target attributes, not
-:data:`FLAGS`), whose row sums keep numpy's 8 pairwise accumulators in the
-8 lanes of one vector, whose sweeps chain 8 (fp64: 4) consecutive elements
-in the lanes of one, and which round with the hardware's fp16 converters.
+**Instruction sets.**  The fp16 kernels (the casts among them) and the
+stencil sweeps are compiled twice from the same C macros (:data:`ISAS`): a
+portable scalar set, and on x86-64 an AVX2 + F16C set (function-level target
+attributes, not :data:`FLAGS`), whose row sums keep numpy's 8 pairwise
+accumulators in the 8 lanes of one vector, whose sweeps chain 8 (fp64: 4)
+consecutive elements in the lanes of one, and which round with the
+hardware's fp16 converters.
 The library reports once whether this CPU runs the vector set
 (:func:`isas`); the engine uses it where it does and the scalar set
 elsewhere, and for any call whose strided gather index ``col · k`` might
@@ -88,7 +93,7 @@ SOURCE = Path(__file__).with_name("native.c")
 #: contraction and fast-math
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 #: must equal NATIVE_ABI in native.c
-ABI = 3
+ABI = 4
 
 _HALF = np.dtype(np.float16)
 _F32 = np.dtype(np.float32)
@@ -111,6 +116,7 @@ _WEIGHTED_ARGS = ((_I, _I, _P, _P, _P, _P), ctypes.c_int)
 _RESIDUAL_ARGS = ((_I, _P, _P, _P), ctypes.c_int)
 _STENCIL_ARGS = ((_I, _P, _I, _P, _P, _P, _I, _P, _P, _P), ctypes.c_int)
 _DIAG_ARGS = ((_I, _I, _P, _P, _P), ctypes.c_int)
+_CAST_ARGS = ((_I, _P, _P), ctypes.c_int)
 #: every exported symbol's (argtypes, restype); pointers pass as addresses.
 #: Names ending in ``_avx2`` are the AVX2 + F16C set, declared only where
 #: ``repro_native_avx2()`` says it was compiled and this CPU runs it.
@@ -128,6 +134,8 @@ _SIGNATURES = {
     "stencil_sep_f32": _STENCIL_ARGS,
     "stencil_sep_f16": _STENCIL_ARGS,
     "diag_scale_f16": _DIAG_ARGS,
+    "cast_f32_f16": _CAST_ARGS,
+    "cast_f16_f32": _CAST_ARGS,
     "quantize32": ((_P, _P, _I), None),
     "trsv_f16_avx2": _TRSV_ARGS,
     "spmv_csr_f16_avx2": _SPMV_ARGS,
@@ -138,6 +146,8 @@ _SIGNATURES = {
     "stencil_sep_f32_avx2": _STENCIL_ARGS,
     "stencil_sep_f16_avx2": _STENCIL_ARGS,
     "diag_scale_f16_avx2": _DIAG_ARGS,
+    "cast_f32_f16_avx2": _CAST_ARGS,
+    "cast_f16_f32_avx2": _CAST_ARGS,
     "quantize32_avx2": ((_P, _P, _I), None),
     "quantize32_avx2_disagreements": ((ctypes.c_uint64, ctypes.c_uint64),
                                       ctypes.c_uint64),
@@ -146,7 +156,16 @@ _SIGNATURES = {
 #: the stencil sweeps
 _PER_ISA = ("trsv_f16", "spmv_csr_f16", "spmv_axpy_f16", "weighted_update_f16",
             "residual_update_f16", "stencil_sep_f64", "stencil_sep_f32",
-            "stencil_sep_f16", "diag_scale_f16", "quantize32")
+            "stencil_sep_f16", "diag_scale_f16", "cast_f32_f16", "cast_f16_f32",
+            "quantize32")
+#: (source dtype, target dtype) -> C cast symbol
+_CASTS = {(_F32, _HALF): "cast_f32_f16", (_HALF, _F32): "cast_f16_f32"}
+#: the element count (n·k) from which ``cast`` runs its compiled pass.  A
+#: call costs ~5 µs of fixed overhead (ctypes and two addresses); on the
+#: AVX2 + F16C set C wins from ~1.5k (fp32 → fp16) and ~3k (fp16 → fp32)
+#: entries.  4096 keeps the ≤ 2,916-entry blocks of the small problems on
+#: numpy, and passes a 24³ grid's single vector.
+CAST_GATE = 4096
 #: compute dtype -> C separable-sweep symbol
 _STENCIL = {_F64: "stencil_sep_f64", _F32: "stencil_sep_f32",
             _HALF: "stencil_sep_f16"}
@@ -376,7 +395,8 @@ def _check(status: int) -> None:
 
 class NativeBackend(FastBackend):
     """Compiled ``trsv``, fp16 CSR products, fp16 vector updates, separable
-    stencil sweeps and fp16 diagonal scaling; everything else is ``fast``.
+    stencil sweeps, fp16 diagonal scaling and fp32 ↔ fp16 casts; everything
+    else is ``fast``.
 
     ``isa`` picks the instruction set of :data:`_PER_ISA`'s kernels
     (:data:`ISAS`); by default the fastest that :func:`isas` reports for
@@ -545,6 +565,21 @@ class NativeBackend(FastBackend):
             self._record_diag_scale(_FP16, _FP16, out_prec, _FP16, n, k)
         return out.astype(out_prec.dtype, copy=False)
 
+    def cast(self, x, precision, record=True):
+        """fp32 → fp16 (rounded to nearest even) and fp16 → fp32 (exact) in
+        one C pass over a C-contiguous vector or block of at least
+        :data:`CAST_GATE` entries; every other cast is the inherited
+        ``astype``."""
+        p = as_precision(precision)
+        symbol = _CASTS.get((x.dtype, p.dtype)) if x.size >= CAST_GATE else None
+        if symbol is None or not x.flags.c_contiguous:
+            return super().cast(x, p, record=record)
+        out = np.empty(x.shape, dtype=p.dtype)
+        _check(self._half[symbol](x.size, _addr(x), _addr(out)))
+        if record and counters_enabled():
+            self._record_cast(precision_of_dtype(x.dtype), p, x.size, columns(x))
+        return out
+
     # ------------------------------------------------------------------ #
     def residual_update(self, v, az, out_precision=None, record=True,
                         scratch=None):
@@ -666,6 +701,27 @@ def _separable_stencil():
     return StencilOperator((5, 4, 3), offsets, values)
 
 
+def _cast_patterns() -> tuple:
+    """fp16 and fp32 operands of the two casts, each past
+    :data:`CAST_GATE`: every third fp16 bit pattern (normal, subnormal,
+    −inf and NaN among them), and float32 values at the fp16 rounding
+    boundaries — on every seventh finite fp16 value (both mantissa
+    parities, normal and subnormal), each value, the tie above it and the
+    float32 neighbours of that tie; the overflow edge 65504 / 65519.996 /
+    65520; 0, inf, a quiet NaN and two NaNs whose payload lies only below
+    bit 13 — with both signs."""
+    every16 = np.arange(0, 2 ** 16, 3, dtype=np.uint16).view(_HALF)
+    h16 = np.arange(0, 0x7C00, 7, dtype=np.uint16).view(_HALF)
+    h = h16.astype(_F32)
+    up = np.nextafter(h16, _HALF.type(np.inf)).astype(_F64)
+    tie = ((h + up) / 2).astype(_F32)
+    edge = np.array([65504.0, 65519.996, 65520.0, 0.0, np.inf], dtype=_F32)
+    nans = np.array([0x7F800001, 0x7F801FFF, 0x7FC00000], dtype=np.uint32).view(_F32)
+    values = np.concatenate([h, tie, np.nextafter(tie, _F32.type(0)),
+                             np.nextafter(tie, _F32.type(np.inf)), edge, nans])
+    return every16, np.concatenate([values, -values])
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shape, dtype, NaN positions and every non-NaN bit pattern."""
     if a.shape != b.shape or a.dtype != b.dtype:
@@ -692,7 +748,9 @@ def self_check(*backends: NativeBackend) -> None:
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         values16 = dense[dense != 0].astype(_HALF)
-        cases = []
+        every16, narrow = _cast_patterns()
+        cases = [("cast fp16 -> fp32", lambda be: be.cast(every16, _F32, record=False)),
+                 ("cast fp32 -> fp16", lambda be: be.cast(narrow, _FP16, record=False))]
         for dtype in (_F64, _F32, _HALF):
             f = _cast_factor(factor, dtype)
             for rhs in (b[:, 0].astype(dtype), b.astype(dtype)):

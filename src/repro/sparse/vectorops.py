@@ -34,16 +34,16 @@ def vzeros(n: int, precision: Precision | str) -> np.ndarray:
 
 def cast_vector(x: np.ndarray, precision: Precision | str, record: bool = True) -> np.ndarray:
     """Round a vector or an ``(n, k)`` block to ``precision`` (a read + write;
-    a block counts as ``k`` casts)."""
+    a block counts as ``k`` casts).
+
+    ``x`` itself, unrecorded, when it is stored in ``precision`` already;
+    otherwise the active kernel engine's ``cast`` runs it (``native``
+    compiles the fp32 ↔ fp16 pair above a size gate).
+    """
     p = as_precision(precision)
-    src = _prec(x)
-    if record and p != src:
-        record_kernel("cast", columns(x))
-        record_bytes(src, x.size * src.bytes)
-        record_bytes(p, x.size * p.bytes)
     if x.dtype == p.dtype:
         return x
-    return x.astype(p.dtype)
+    return get_backend().cast(x, p, record=record)
 
 
 def dot(x: np.ndarray, y: np.ndarray, record: bool = True) -> float:

@@ -614,7 +614,7 @@ class TestConfigBackendScopesConstruction:
 # --------------------------------------------------------------------------- #
 CONTRACT_KERNELS = ("spmv_csr", "spmv_ell", "apply_stencil", "trsv",
                     "spmv_axpy", "residual_update", "weighted_update",
-                    "diag_scale")
+                    "diag_scale", "cast")
 
 
 def _contract_calls(kernel, ops, mat_prec, vec_prec):
@@ -658,6 +658,10 @@ def _contract_calls(kernel, ops, mat_prec, vec_prec):
         # a Jacobi-style scale at the matrix precision
         scale = (1.0 / np.linspace(1.0, 9.0, n)).astype(mat_prec.dtype)
         return (lambda be, x: be.diag_scale(scale, x)), ("x",)
+    if kernel == "cast":
+        # vectors to the matrix precision; blocks of 3 and 8 columns pass
+        # native's size gate, single columns do not
+        return (lambda be, x: be.cast(x, mat_prec)), ("x",)
     assert kernel == "weighted_update"
 
     def run(be, z, mr, omega):

@@ -3,16 +3,17 @@
 ``native`` ports kernels to C — the level-scheduled triangular solve (fp64,
 fp32 and fp16 compute), the fp16 CSR products ``spmv_csr`` / ``spmv_axpy``,
 the fp16 vector updates ``weighted_update`` / ``residual_update``, the fp16
-``diag_scale`` and the box-separable ``apply_stencil`` sweep (fp64, fp32 and
-fp16) — and inherits everything else from ``fast``.  Here every ported
-kernel must equal its oracle bit for bit (NaN by position, not payload):
-``reference``, except for the separable sweep, whose oracle is ``fast``'s
-sweep.  The operands are lower and upper ILU(0), IC(0), fused block-ILU(0)
-and long-row factors, a CSR matrix with long, short and empty rows,
-separable stencils on grids with axes of 1, 2, 7 and 24 points, and vectors
-and blocks of 0 to 9 columns with fp16-subnormal products, overflow to
-±inf, signed zeros and NaN.  The fp16 kernels and the sweeps exist once per
-instruction set (``native.ISAS``): each test of them runs the portable
+``diag_scale``, the box-separable ``apply_stencil`` sweep (fp64, fp32 and
+fp16) and the fp32 ↔ fp16 ``cast`` — and inherits everything else from
+``fast``.  Here every ported kernel must equal its oracle bit for bit (NaN
+by position, not payload): ``reference``, except for the separable sweep,
+whose oracle is ``fast``'s sweep.  The operands are lower and upper ILU(0),
+IC(0), fused block-ILU(0) and long-row factors, a CSR matrix with long,
+short and empty rows, separable stencils on grids with axes of 1, 2, 7 and
+24 points, and vectors and blocks of 0 to 9 columns with fp16-subnormal
+products, overflow to ±inf, signed zeros and NaN; the casts also see every
+fp16 bit pattern and every fp16 rounding boundary, on both sides of their
+size gate.  The fp16 kernels and the sweeps exist once per instruction set (``native.ISAS``): each test of them runs the portable
 scalar set and, where this CPU has AVX2 + F16C, the vector set, both
 reached through the loaded library's symbols.  Counter
 totals must equal ``fast``'s, and four threads on shared operands (ctypes
@@ -621,6 +622,205 @@ class TestDiagScale:
 
 
 # ---------------------------------------------------------------------- #
+# The fp32 <-> fp16 casts
+# ---------------------------------------------------------------------- #
+#: None: a vector; else an (n, k) block
+CAST_WIDTHS = (None, 0, 1, 3, 8, 9)
+F32 = np.dtype(np.float32)
+
+
+def _shaped(values: np.ndarray, width) -> np.ndarray:
+    """``values`` as a vector, or repeated cyclically into an ``(n, width)``
+    block that holds every one of them (``n`` rows even for no columns)."""
+    if width is None:
+        return values
+    rows = -(-values.size // max(width, 1))
+    return np.resize(values, rows * width).reshape(rows, width)
+
+
+def _narrow_boundaries() -> np.ndarray:
+    """float32 values at every fp16 rounding boundary: each finite fp16
+    value (normal, and subnormal on the 2^-24 grid), the tie between it and
+    the next one up and the float32 neighbours of that tie; 65504, the
+    largest float32 under 65520 and 65520 itself (which overflows); 0, inf
+    and NaNs whose payload lies only below bit 13 — all with both signs."""
+    h = np.arange(0, 0x7C00, dtype=np.uint16).view(HALF)
+    with np.errstate(over="ignore"):
+        up = np.nextafter(h, HALF.type(np.inf)).astype(np.float64)
+    tie = ((h.astype(np.float64) + up) / 2).astype(F32)
+    edge = np.array([65504.0, np.nextafter(F32.type(65520), F32.type(0)), 65520.0,
+                     0.0, np.inf], dtype=F32)
+    nans = np.array([0x7F800001, 0x7F800FFF, 0x7F801FFF], dtype=np.uint32).view(F32)
+    values = np.concatenate([h.astype(F32), tie, np.nextafter(tie, F32.type(0)),
+                             np.nextafter(tie, F32.type(np.inf)), edge, nans])
+    return np.concatenate([values, -values])
+
+
+class TestCast:
+    """``cast`` narrows fp32 to fp16 (ties to even) and widens fp16 to fp32
+    in one C pass per C-contiguous operand of ``CAST_GATE`` entries or
+    more; every other operand and dtype pair is the inherited ``astype``."""
+
+    @pytest.mark.parametrize("width", CAST_WIDTHS)
+    def test_widen_every_fp16_pattern(self, isa, width):
+        x = _shaped(np.arange(2 ** 16, dtype=np.uint16).view(HALF), width)
+        run = lambda be: be.cast(x, Precision.FP32)          # noqa: E731
+        assert_bit_equal(_on(isa, run), _on("reference", run))
+
+    @pytest.mark.parametrize("width", CAST_WIDTHS)
+    def test_narrow_at_every_rounding_boundary(self, isa, width):
+        x = _shaped(_narrow_boundaries(), width)
+        run = lambda be: be.cast(x, Precision.FP16)          # noqa: E731
+        assert_bit_equal(_on(isa, run), _on("reference", run))
+
+    def test_boundary_values(self, isa):
+        """The overflow edge and the subnormal ties, element by element."""
+        x = np.array([65504.0, 65519.996, 65520.0, 2.0 ** -25, 3 * 2.0 ** -25,
+                      2.0 ** -26, -(2.0 ** -25), -0.0] * native.CAST_GATE,
+                     dtype=F32)
+        got = _on(isa, lambda be: be.cast(x, Precision.FP16))
+        assert got[:8].tolist() == [65504.0, 65504.0, np.inf, 0.0, 2.0 ** -23, 0.0,
+                                    -0.0, -0.0]
+        assert np.signbit(got[6]) and np.signbit(got[7])
+
+    @pytest.mark.parametrize("width", CAST_WIDTHS)
+    @pytest.mark.parametrize("kind", INPUTS)
+    def test_input_families(self, isa, kind, width):
+        for rows in (native.CAST_GATE // 4 - 1, native.CAST_GATE + 5):
+            x32 = _operand(kind, rows, width, F32, seed=141)
+            x16 = _operand(kind, rows, width, HALF, seed=142)
+            for x, out in ((x32, Precision.FP16), (x16, Precision.FP32)):
+                def run(be):
+                    return be.cast(x, out)
+                assert_bit_equal(_on(isa, run), _on("reference", run))
+
+    def _spied(self, isa):
+        """A native backend of ``isa`` whose compiled casts count their
+        calls."""
+        be = native.NativeBackend(get_backend("native")._lib, isa)
+        calls = []
+
+        def spy(symbol):
+            kernel = be._half[symbol]
+            return lambda *args: calls.append(symbol) or kernel(*args)
+
+        be._half = {**be._half, **{s: spy(s) for s in ("cast_f32_f16",
+                                                       "cast_f16_f32")}}
+        return be, calls
+
+    def test_the_gate(self, isa):
+        """Below ``CAST_GATE`` entries numpy casts; from it on, C does."""
+        be, calls = self._spied(isa)
+        gate = native.CAST_GATE
+        for size in (gate - 4, gate - 1, gate, gate + 4):
+            for src, dst in ((F32, Precision.FP16), (HALF, Precision.FP32)):
+                for x in (_operand("subnormal", size, None, src, seed=size),
+                          _operand("ordinary", size // 4, 4, src, seed=size)):
+                    calls.clear()
+                    got = _on(isa, lambda _: be.cast(x, dst))
+                    assert_bit_equal(got, _on("reference", lambda r: r.cast(x, dst)))
+                    assert bool(calls) == (x.size >= gate)
+
+    @pytest.mark.parametrize("src,dst", [(F32, Precision.FP16), (HALF, Precision.FP32)])
+    def test_non_contiguous_operands_fall_back(self, isa, src, dst):
+        be, calls = self._spied(isa)
+        block = _operand("subnormal", native.CAST_GATE, 6, src, seed=143)
+        for x in (np.asfortranarray(block), block[:, ::2], block[::2], block.T):
+            got = _on(isa, lambda _: be.cast(x, dst))
+            want = _on("reference", lambda r: r.cast(x, dst))
+            assert_bit_equal(got, want)
+            assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert calls == []
+
+    @pytest.mark.parametrize("src,dst", [(np.float64, Precision.FP16),
+                                         (HALF, Precision.FP64),
+                                         (np.float64, Precision.FP32),
+                                         (F32, Precision.FP64)])
+    def test_other_dtype_pairs_take_the_inherited_kernel(self, isa, src, dst):
+        """fp64 -> fp16 rounds once, directly: 1 + 2^-11 + 2^-40 is past
+        the tie, so it rounds up, where a detour through fp32 would land on
+        the tie and round to even (down)."""
+        be, calls = self._spied(isa)
+        x = np.resize(np.array([1 + 2.0 ** -11 + 2.0 ** -40]),
+                      native.CAST_GATE).astype(src)
+        x[1:] = _operand("subnormal", x.size - 1, None, src, seed=144)
+        got = _on(isa, lambda _: be.cast(x, dst))
+        assert_bit_equal(got, _on("reference", lambda r: r.cast(x, dst)))
+        assert calls == []
+        if src == np.float64 and dst == Precision.FP16:
+            assert got[0] == np.float16(1 + 2.0 ** -10)
+
+    def test_same_dtype_is_the_operand(self, isa):
+        x = _operand("ordinary", native.CAST_GATE, 2, HALF, seed=145)
+        with counting() as traffic:
+            assert _on(isa, lambda be: be.cast(x, Precision.FP16)) is x
+        assert traffic.summary()["kernel_calls"] == {}
+
+    @pytest.mark.parametrize("width", [None, 0, 3])
+    def test_counters_equal_reference(self, width):
+        totals = {}
+        for engine in ("reference", "fast", "native"):
+            with counting() as traffic:
+                for rows in (7, native.CAST_GATE):
+                    for src, dst in ((F32, Precision.FP16), (HALF, Precision.FP32)):
+                        x = _operand("ordinary", rows, width, src, seed=146)
+                        _on(engine, lambda be: be.cast(x, dst))
+                        _on(engine, lambda be: be.cast(x, dst, record=False))
+            totals[engine] = traffic.summary()
+        assert totals["native"] == totals["fast"] == totals["reference"]
+        assert totals["native"]["kernel_calls"].get("cast", 0) == 4 * (
+            1 if width is None else width)
+
+    def test_cast_vector_runs_the_engine_kernel(self):
+        """``vo.cast_vector`` is the engine's ``cast``: the same bits and
+        counter totals on every engine; a cast to the operand's own
+        precision returns the operand and records nothing."""
+        from repro.sparse import vectorops as vo
+
+        x = _operand("subnormal", native.CAST_GATE, 8, F32, seed=147)
+        results, totals = {}, {}
+        for engine in ("reference", "fast", "native"):
+            with counting() as traffic:
+                results[engine] = _on(engine, lambda be: vo.cast_vector(
+                    vo.cast_vector(x, Precision.FP16), Precision.FP32))
+                assert _on(engine, lambda be: vo.cast_vector(x, Precision.FP32)) is x
+            totals[engine] = traffic.summary()
+        for engine in ("fast", "native"):
+            assert_bit_equal(results[engine], results["reference"])
+            assert totals[engine] == totals["reference"]
+        assert totals["native"]["kernel_calls"] == {"cast": 16}
+
+    @pytest.mark.parametrize("fault", ["truncating narrow", "flushing widen"])
+    def test_self_check_rejects_a_wrong_cast(self, isa, fault):
+        """A narrow that rounds toward zero, or a widen that flushes fp16
+        subnormals to zero, fails the load-time self-check."""
+        be = native.NativeBackend(get_backend("native")._lib, isa)
+        symbol = "cast_f32_f16" if fault.endswith("narrow") else "cast_f16_f32"
+        kernel = be._half[symbol]
+
+        def view(addr, dtype, size):
+            ctype = {2: ctypes.c_uint16, 4: ctypes.c_float}[np.dtype(dtype).itemsize]
+            return np.ctypeslib.as_array(ctypes.cast(addr, ctypes.POINTER(ctype)),
+                                         (size,)).view(dtype)
+
+        def corrupted(size, src, dst):
+            status = kernel(size, src, dst)
+            if symbol == "cast_f32_f16":
+                x, out = view(src, F32, size), view(dst, HALF, size)
+                away = np.abs(out.astype(F32)) > np.abs(x)
+                out[away] = np.nextafter(out[away], HALF.type(0))
+            else:
+                x, out = view(src, HALF, size), view(dst, F32, size)
+                out[(x.view(np.uint16) & 0x7C00) == 0] = 0.0
+            return status
+
+        native.self_check(be)
+        be._half = {**be._half, symbol: corrupted}
+        with pytest.raises(native.NativeUnavailable, match="cast"):
+            native.self_check(be)
+
+
+# ---------------------------------------------------------------------- #
 # The library: its symbols, its instruction sets and its self-check
 # ---------------------------------------------------------------------- #
 def test_abi_and_instruction_sets():
@@ -633,7 +833,8 @@ def test_abi_and_instruction_sets():
     scalar = native.NativeBackend(lib, "scalar")
     for name in ("trsv_f16", "spmv_csr_f16", "spmv_axpy_f16", "weighted_update_f16",
                  "residual_update_f16", "stencil_sep_f64", "stencil_sep_f32",
-                 "stencil_sep_f16", "diag_scale_f16", "quantize32"):
+                 "stencil_sep_f16", "diag_scale_f16", "cast_f32_f16", "cast_f16_f32",
+                 "quantize32"):
         assert scalar._half[name] is getattr(lib, name)
     if "avx2" in sets:
         vector = native.NativeBackend(lib, "avx2")
@@ -646,6 +847,8 @@ def test_abi_and_instruction_sets():
                              ("stencil_sep_f32", "stencil_sep_f32_avx2"),
                              ("stencil_sep_f16", "stencil_sep_f16_avx2"),
                              ("diag_scale_f16", "diag_scale_f16_avx2"),
+                             ("cast_f32_f16", "cast_f32_f16_avx2"),
+                             ("cast_f16_f32", "cast_f16_f32_avx2"),
                              ("quantize32", "quantize32_avx2")):
             assert vector._half[name] is getattr(lib, symbol)
     else:
@@ -696,6 +899,9 @@ def test_four_threads_on_one_factor_match_serial(factors, matrix16, stencils):
           for t in range(4)]
     grid = [_operand("ordinary", ops[t].nrows, None if t % 2 else 3,
                      ops[t].precision.dtype, seed=80 + t) for t in range(4)]
+    # fp32 past the cast gate, so both casts run their compiled pass
+    casts = [_operand("subnormal", native.CAST_GATE, None if t % 2 else 3,
+                      np.float32, seed=90 + t) for t in range(4)]
 
     def work(be, t):
         return (be.trsv(upper, be.trsv(lower, rhs[t])),
@@ -705,7 +911,8 @@ def test_four_threads_on_one_factor_match_serial(factors, matrix16, stencils):
                                    Precision.FP16)
                 if t < 2 else be.residual_update(rhs[t], rhs[(t + 2) % 4]),
                 be.apply_stencil(ops[t], grid[t]),
-                be.diag_scale(rhs[t][:, 0] if t % 2 == 0 else rhs[t], rhs[t]))
+                be.diag_scale(rhs[t][:, 0] if t % 2 == 0 else rhs[t], rhs[t]),
+                be.cast(be.cast(casts[t], Precision.FP16), Precision.FP32))
 
     serial = [_on("native", lambda be, t=t: work(be, t)) for t in range(4)]
     results: dict = {}

@@ -34,7 +34,11 @@ It keeps one Krylov recurrence in ``src/repro/solvers/``
 (:data:`SOLVER_LIMITS`): no single-RHS ``def fgmres_cycle(`` exists beside
 the batch cycle, and the Gram-Schmidt kernel ``.orthonormalize(`` and the
 Richardson ``.weighted_update(`` each have at most one call site — the one
-Arnoldi loop and the one Richardson sweep.
+Arnoldi loop and the one Richardson sweep.  Those two level loops
+(:data:`LEVEL_LOOPS`: ``fgmres_cycle_batch`` and
+``RichardsonLevel.apply_batch``) make no ``.astype(`` call: a level-boundary
+cast goes through ``vo.cast_vector``, the engine's ``cast`` kernel, which
+``native`` compiles; both loops must exist.
 
 And it keeps one kernel per operation below the solver
 (:data:`BACKEND_LIMITS`): every kernel takes a vector or an ``(n, k)`` block,
@@ -137,12 +141,18 @@ SINGLE_DEFINITIONS = {
     ".degraded_sibling(": re.compile(r"\.degraded_sibling\("),
 }
 
+#: the level loops of src/repro/solvers/ (``function`` or ``Class.method``),
+#: whose level-boundary casts run the engine's ``cast`` kernel
+LEVEL_LOOPS = ("fgmres_cycle_batch", "RichardsonLevel.apply_batch")
+
 #: the one Krylov recurrence: how many matches each pattern may have across
-#: src/repro/solvers/*.py
+#: src/repro/solvers/*.py (a third element limits the scan to those
+#: functions' source)
 SOLVER_LIMITS = {
     "def fgmres_cycle(": (re.compile(r"^def fgmres_cycle\(", re.MULTILINE), 0),
     ".orthonormalize(": (re.compile(r"\.orthonormalize\("), 1),
     ".weighted_update(": (re.compile(r"\.weighted_update\("), 1),
+    ".astype( in the level loops": (re.compile(r"\.astype\("), 0, LEVEL_LOOPS),
 }
 
 
@@ -267,14 +277,34 @@ def duplicated_definitions() -> dict[str, list[str]]:
     return {name: mods for name, mods in found.items() if len(mods) > 1}
 
 
+def function_sources(text: str, names) -> dict[str, str]:
+    """The source of each function of module ``text`` that ``names`` lists,
+    as ``function`` or ``Class.method``, by that name."""
+    found = {}
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and prefix + node.name in names):
+                found[prefix + node.name] = ast.get_source_segment(text, node)
+
+    visit(ast.parse(text).body, "")
+    return found
+
+
 def limit_excess(paths, limits: dict) -> dict[str, list[str]]:
     """Patterns of ``limits`` matched more often across ``paths`` than they
-    allow, with the module of every match."""
+    allow, with the module of every match; a limit with a third element
+    counts matches only inside the functions it names."""
     found: dict[str, list[str]] = {name: [] for name in limits}
     for path in paths:
         text = path.read_text(encoding="utf-8")
-        for name, (pattern, _) in limits.items():
-            found[name] += [path.name] * len(pattern.findall(text))
+        for name, (pattern, _, *scope) in limits.items():
+            body = ("\n".join(function_sources(text, scope[0]).values())
+                    if scope else text)
+            found[name] += [path.name] * len(pattern.findall(body))
     return {name: mods for name, mods in found.items()
             if len(mods) > limits[name][1]}
 
@@ -326,12 +356,24 @@ def main() -> int:
         for name, modules in sorted(duplicated.items()):
             print(f"  {name}: {', '.join(modules)}", file=sys.stderr)
         status = 1
-    excess = limit_excess(sorted(SOLVERS_DIR.glob("*.py")), SOLVER_LIMITS)
+    solver_modules = sorted(SOLVERS_DIR.glob("*.py"))
+    excess = limit_excess(solver_modules, SOLVER_LIMITS)
     if excess:
         _report_excess(excess, SOLVER_LIMITS,
                        "lint-tests: src/repro/solvers/ holds a second Krylov "
-                       "recurrence (one batch cycle and one Richardson sweep "
-                       "serve every column count; see SOLVER_LIMITS):")
+                       "recurrence, or a level loop casts outside the "
+                       "engine's cast kernel (one batch cycle and one "
+                       "Richardson sweep serve every column count; see "
+                       "SOLVER_LIMITS):")
+        status = 1
+    loops = {name for path in solver_modules for name in function_sources(
+        path.read_text(encoding="utf-8"), LEVEL_LOOPS)}
+    if loops != set(LEVEL_LOOPS):
+        print("lint-tests: level loops of LEVEL_LOOPS not found in "
+              "src/repro/solvers/ (renamed? update LEVEL_LOOPS):",
+              file=sys.stderr)
+        for name in sorted(set(LEVEL_LOOPS) - loops):
+            print(f"  {name}", file=sys.stderr)
         status = 1
     src_modules = sorted((SRC_DIR / "repro").rglob("*.py"))
     excess = limit_excess(src_modules, BACKEND_LIMITS)
@@ -383,7 +425,8 @@ def main() -> int:
               f"{len(REQUIRED_MODULES)} required suites present; "
               f"{len(used)} REPRO_* variables documented; "
               f"{len(SINGLE_DEFINITIONS)} serving definitions unique; "
-              f"one Krylov recurrence in solvers/; one kernel per "
+              f"one Krylov recurrence in solvers/, no casts outside the "
+              f"engine's kernel in its level loops; one kernel per "
               f"operation in src/; one multi-process transport; fp16 "
               f"staging only in the engines; ctypes only in "
               f"backends/native.py; {len(symbols)} compiled symbols named by "
