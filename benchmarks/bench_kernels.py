@@ -5,13 +5,15 @@ Times the four hot kernels — CSR SpMV, sliced-ELLPACK SpMV, level-scheduled
 triangular solve, and one FGMRES(m) cycle on a one-column block — on both
 registered backends, the fp16 level solve on subnormal-heavy input for a
 wide-level factor (staged through fp32 by the fast engine) and a
-one-row-per-level chain (direct), the fp16 CSR product on subnormal-heavy
-input, the fp16 Richardson update ``z + ω·mr`` and residual ``v − az`` on
-subnormal-heavy vectors, the fp16 separable stencil sweep (HPCG 24³, one
+one-row-per-level chain (direct), one application of the end-to-end hard
+operator's preconditioner M (its fused block-ILU(0) L then U solve, fp64 and
+fp16) and that operator's fp16 residual ``y − A·x``, the fp16 CSR product on
+subnormal-heavy input, the fp16 Richardson update ``z + ω·mr`` and residual
+``v − az`` on subnormal-heavy vectors, the fp16 separable stencil sweep (HPCG 24³, one
 column and eight), the 8-column fp16 diagonal scaling, the fp32 → fp16 and
 fp16 → fp32 casts of a normalized Krylov-basis block (HPCG 24³ × 8, and one
 729-entry vector below ``native``'s cast gate), the compiled ``native``
-engine's rows (the triangular solves, the fp16 CSR product, the two fp16
+engine's rows (the triangular solves, the fp16 CSR products, the two fp16
 updates, the stencil sweeps, the diagonal scaling and the casts, where it
 builds; each must equal ``fast`` bit for bit, or the run exits 1),
 plus the CSR product and the triangular solve on an ``(n, k)`` block against
@@ -51,11 +53,12 @@ import numpy as np
 
 from repro.backends import available_backends, get_backend, use_backend
 from repro.core import F3RConfig, F3RSolver
-from repro.matgen import hpcg_matrix, hpcg_operator, poisson2d
+from repro.matgen import get_matrix, hpcg_matrix, hpcg_operator, poisson2d
 from repro.precision import Precision
-from repro.precond import ilu0_factor
+from repro.precond import BlockJacobiILU0, ilu0_factor
 from repro.solvers import fgmres_cycle_batch
-from repro.sparse import CSRMatrix, SlicedEllMatrix, TriangularFactor
+from repro.sparse import (CSRMatrix, SlicedEllMatrix, TriangularFactor,
+                          diagonal_scaling)
 
 #: grid side of the 5-point Poisson problem per scale (n = side^2 unknowns)
 SCALES = {"smoke": 90, "small": 160, "medium": 300}
@@ -75,11 +78,18 @@ WIDE_GRID = 16
 CHAIN_ROWS = 600
 
 #: the rows the compiled native engine ports, timed on it where it builds
-NATIVE_ROWS = ("trsv", "trsv_fp16_wide", "trsv_fp16_chain", "spmv_csr_fp16",
+NATIVE_ROWS = ("trsv", "trsv_fp16_wide", "trsv_fp16_chain", "trsv_blocks",
+               "trsv_fp16_blocks", "spmv_csr_fp16", "spmv_axpy_fp16",
                "weighted_update_fp16", "residual_update_fp16",
                "apply_stencil_fp16", "apply_stencil_fp16_k8", "diag_scale_fp16",
                "cast_f32_f16", "cast_f16_f32", "cast_f32_f16_729",
                "cast_f16_f32_729")
+
+#: the hard e2e workload's operator (``benchmarks/e2e``): the Table-2
+#: ``vas_stokes_1M`` surrogate at ``small`` scale, diagonally scaled, with a
+#: block-ILU(0) preconditioner over 10 blocks
+HARD_MATRIX = ("vas_stokes_1M", "small")
+HARD_BLOCKS = 10
 
 #: grid side of the fp16 stencil-sweep and diagonal-scaling rows: the
 #: matrix-free e2e workload's HPCG grid
@@ -144,6 +154,10 @@ def build_problem(side: int):
     # the level-boundary casts, on the magnitudes they see in a solve
     krylov32 = _krylov_block(HALF_STENCIL_GRID, BATCH_K, rng)
     small32 = _krylov_block(SMALL_CAST_GRID, 1, rng)[:, 0]
+    # the hard workload's M (fused block-ILU(0) factors) and fp16 residual
+    hard, _ = diagonal_scaling(get_matrix(*HARD_MATRIX))
+    hard_lower, hard_upper = BlockJacobiILU0(hard, nblocks=HARD_BLOCKS)._fused_parts()
+    hard_b = rng.uniform(-1.0, 1.0, hard.nrows)
     return {"matrix": matrix, "ell": ell, "lower": lower, "x": x, "n": n,
             "matrix16": matrix.astype(Precision.FP16), "x16": x16, "z16": z16,
             "wide": wide, "wide_b16": wide_b16,
@@ -151,7 +165,11 @@ def build_problem(side: int):
             "stencil16": stencil16, "block16": block16, "scale16": scale16,
             "column16": np.ascontiguousarray(block16[:, 0]),
             "krylov32": krylov32, "krylov16": krylov32.astype(np.float16),
-            "small32": small32, "small16": small32.astype(np.float16)}
+            "small32": small32, "small16": small32.astype(np.float16),
+            "hard16": hard.astype(Precision.FP16), "hard_lower": hard_lower,
+            "hard_upper": hard_upper, "hard_b": hard_b,
+            "hard_b16": hard_b.astype(np.float16),
+            "hard_y16": rng.uniform(-1.0, 1.0, hard.nrows).astype(np.float16)}
 
 
 def _krylov_block(side: int, k: int, rng) -> np.ndarray:
@@ -191,6 +209,10 @@ def bench_backend(problem, backend: str, repeats: int, m: int,
                                   unit_diagonal=True).astype(Precision.FP16)
         chain16 = TriangularFactor(problem["chain"], lower=True).astype(
             Precision.FP16)
+        blocks = [problem[f"hard_{side}"].astype(p) for p in (Precision.FP64,
+                                                              Precision.FP16)
+                  for side in ("lower", "upper")]
+        hard16 = problem["hard16"]
         calls = {
             "spmv_csr": lambda: matrix.matvec(x),
             "spmv_ell": lambda: ell.matvec(x),
@@ -198,6 +220,13 @@ def bench_backend(problem, backend: str, repeats: int, m: int,
             "trsv": lambda: factor.solve(x),
             "trsv_fp16_wide": lambda: wide16.solve(problem["wide_b16"]),
             "trsv_fp16_chain": lambda: chain16.solve(problem["chain_b16"]),
+            # one application of M: the L solve, then the U solve
+            "trsv_blocks": lambda: blocks[1].solve(blocks[0].solve(problem["hard_b"])),
+            "trsv_fp16_blocks": lambda: blocks[3].solve(
+                blocks[2].solve(problem["hard_b16"])),
+            "spmv_axpy_fp16": lambda: engine.spmv_axpy(
+                hard16.values, hard16.indices, hard16.indptr, problem["hard_b16"],
+                problem["hard_y16"], record=False, scratch=hard16.scratch()),
             # the Richardson update consumes z: each call updates a copy
             "weighted_update_fp16": lambda: engine.weighted_update(
                 z16.copy(), x16, 0.97, Precision.FP16, record=False),

@@ -17,28 +17,41 @@
  *    kernel runs the same row kernel on each column, so a block column
  *    equals the single-vector call by construction.
  *
+ * The triangular solves and the fp16 CSR products read a row-interleaved
+ * plan (SELL-8, after Kreutzer et al.'s SELL-C-sigma): native.py packs
+ * independent rows (one dependency level's, or the matrix's) eight to a
+ * chunk, and entry i of the 8 rows sits side by side, so a lane is a row.
+ * Each lane performs its own row's arithmetic exactly: the first term, plus
+ * numpy's pairwise sum of the rest — 8 accumulators over the blocks of 8
+ * terms, combined in numpy's tree, then the remainder one by one, or for a
+ * row of fewer than 9 terms the remainder alone from -0.0.  A chunk's lanes
+ * share its largest block and remainder counts; where a lane's row has no
+ * term, the slot holds the product -0.0, and x + -0.0 == x for every x
+ * (+0.0 would turn a sum of -0 into +0), so the padding changes no bit.  A
+ * chunk of one row (a narrow level's straggler, or a row of more than
+ * PW_BLOCKSIZE + 1 terms, whose pairwise sum halves) stores it in order and
+ * runs the row sums below.
+ *
  * The fp16 kernels come in two instantiations of the same macros: the
- * portable scalar one (q16 and bit-manipulating converters), and on x86-64
- * one compiled for AVX2 + F16C (function-level target attributes; the file
- * as a whole keeps the baseline ISA).  The F16C round trip
- * cvtph2ps(cvtps2ph(x, round-to-nearest-even)) equals q16(x) on every
- * non-NaN float32 and keeps NaN a NaN, so the converters swap freely.  The
- * row sum vectorizes without reordering anything: numpy's pairwise block
- * keeps exactly 8 accumulators r0..r7, r_j summing terms j, j + 8, j + 16,
- * ... in that order, so lane j of one 8-wide fp32 vector, fed 8 consecutive
- * terms per add, performs r_j's additions in r_j's order (a lane-wise add
- * rounds like a scalar one).  The lanes then combine in numpy's tree
- * ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the remainder adds
- * sequentially.  repro_native_avx2() reports, once per load, whether the
- * AVX2 set exists and the CPU runs it; native.py calls the scalar set
- * otherwise, and for any call whose strided gather index col * k might not
- * fit in int32.
+ * portable scalar one (q16 and bit-manipulating converters, walking a chunk
+ * lane by lane), and on x86-64 one compiled for AVX2 + F16C
+ * (function-level target attributes; the file as a whole keeps the baseline
+ * ISA), whose 8 fp32 lanes are a chunk's 8 rows: one gather fetches slot
+ * i's x of every row, and a lane-wise add rounds like a scalar one.  The
+ * F16C round trip cvtph2ps(cvtps2ph(x, round-to-nearest-even)) equals
+ * q16(x) on every non-NaN float32 and keeps NaN a NaN, so the converters
+ * swap freely.  A single row's sum keeps numpy's 8 accumulators r0..r7 in
+ * the 8 lanes of one vector instead (lane j sums terms j, j + 8, ... in
+ * r_j's order) and combines them in numpy's tree.  repro_native_avx2()
+ * reports, once per load, whether the AVX2 set exists and the CPU runs it;
+ * native.py calls the scalar set otherwise, and for any call whose strided
+ * gather index col * k might not fit in int32.
  *
  * Kernels keep no state between calls: their scratch is allocated per call,
- * or (the stencil sweeps' grid-sized buffers) passed in by the caller from
- * the calling thread's arena, so concurrent calls on one factor, matrix or
- * stencil are safe.  They return 0 on success and -1 when a scratch
- * allocation fails.
+ * or (the fp16 triangular solve's fp32 copy of x, the stencil sweeps'
+ * grid-sized buffers) passed in by the caller from the calling thread's
+ * arena, so concurrent calls on one factor, matrix or stencil are safe.
+ * They return 0 on success and -1 when a scratch allocation fails.
  */
 
 #include <stdint.h>
@@ -51,7 +64,7 @@
 #define AVX2_FN __attribute__((target("avx2,f16c")))
 #endif
 
-#define NATIVE_ABI 4
+#define NATIVE_ABI 5
 #define PW_BLOCKSIZE 128
 
 int64_t repro_native_abi(void) { return NATIVE_ABI; }
@@ -229,9 +242,9 @@ AVX2_FN static inline void store_h8(uint16_t *h, __m256 v)
 #define PLAIN_TERM(q) (vals[q] * x[(int64_t)cols[q] * k])
 #define HALF_TERM(q) q16(vals[q] * x[(int64_t)cols[q] * k])
 
-DEFINE_ROW_SUM(row_sum_f64, , double, double, int64_t, PLAIN_TERM, SCALAR_BLOCK,
+DEFINE_ROW_SUM(row_sum_f64, , double, double, int32_t, PLAIN_TERM, SCALAR_BLOCK,
                SCALAR_SHORT)
-DEFINE_ROW_SUM(row_sum_f32, , float, float, int64_t, PLAIN_TERM, SCALAR_BLOCK,
+DEFINE_ROW_SUM(row_sum_f32, , float, float, int32_t, PLAIN_TERM, SCALAR_BLOCK,
                SCALAR_SHORT)
 DEFINE_ROW_SUM(row_sum_f16, , float, float, int32_t, HALF_TERM, SCALAR_BLOCK,
                SCALAR_SHORT)
@@ -267,15 +280,6 @@ AVX2_FN static inline __m256 half_terms_upto8(const float *vals,
     return q16x8(_mm256_mul_ps(_mm256_maskload_ps(vals + q, mask), xv));
 }
 
-/* a short row's terms in one vector, summed lane by lane */
-#define AVX2_SHORT(T, TERM, FIRST, REST)                                      \
-    T t[8];                                                                   \
-    _mm256_storeu_ps(t, half_terms_upto8(vals, cols, x, k, lo, n));           \
-    T FIRST = t[0];                                                           \
-    T REST = -0.0;                                                            \
-    for (int64_t i = 1; i < n; i++)                                           \
-        REST += t[i];
-
 /* numpy's accumulators as the 8 lanes of one vector; the remaining terms in
  * one more, summed lane by lane */
 #define AVX2_BLOCK(T, TERM, RES)                                              \
@@ -292,41 +296,138 @@ AVX2_FN static inline __m256 half_terms_upto8(const float *vals,
             RES += r[l];                                                      \
     }
 
-/* a long row's first term */
+/* a long row's first term, and a short row's terms one by one: a lone short
+ * row is a chain link (a one-row level), where scalar loads beat a gather */
 #define F16C_TERM(q) q16_f16c(vals[q] * x[(int64_t)cols[q] * k])
 
 DEFINE_ROW_SUM(row_sum_f16_avx2, AVX2_FN, float, float, int32_t, F16C_TERM,
-               AVX2_BLOCK, AVX2_SHORT)
+               AVX2_BLOCK, SCALAR_SHORT)
+#endif
+
+/* ------------------------------------------------------------------------ */
+/* Row-interleaved plans                                                     */
+/*                                                                           */
+/* Chunk c's record meta[4c .. 4c + 3] is (off, lanes, blocks, rest).  A     */
+/* chunk of one lane holds its row's `rest` terms in stored order from off   */
+/* on.  A chunk of 2 to 8 lanes holds slot i of lane l at off + 8 i + l:     */
+/* slot 0 the first term, slots 1 .. 8 blocks the accumulators' blocks       */
+/* (accumulator a of block b at 1 + 8 b + a), then `rest` slots added one by */
+/* one.  A slot a lane's row does not fill has the value -0.0 and column -1, */
+/* the zero row the caller keeps before x; an empty row's first slot has     */
+/* +0.0, its sum.  rows[8c + l] is lane l's row, for l < lanes.              */
+/*                                                                           */
+/* NAME(vals, cols, x, k, chunk, s) sets s[l] = ROUND(the row sum of lane l) */
+/* for l < lanes of `chunk` (a lane chunk), x pointing at column j of row 0, */
+/* walking the chunk lane by lane with numpy's accumulators in r0 .. r7.     */
+/* CHUNK_SUMS does that for any chunk, a one-lane chunk by ROW_SUM.          */
+/* ------------------------------------------------------------------------ */
+#define DEFINE_LANE_SUMS(NAME, T, TERM, ROUND)                                \
+    static void NAME(const T *vals, const int32_t *cols, const T *x,          \
+                     int64_t k, const int64_t *chunk, T *s)                   \
+    {                                                                         \
+        for (int64_t l = 0; l < chunk[1]; l++) {                              \
+            int64_t q = chunk[0] + 8 + l, end = q + 64 * chunk[2];            \
+            T res = -0.0;                                                     \
+            if (q < end) {                                                    \
+                T r0 = TERM(q), r1 = TERM(q + 8), r2 = TERM(q + 16);          \
+                T r3 = TERM(q + 24), r4 = TERM(q + 32), r5 = TERM(q + 40);    \
+                T r6 = TERM(q + 48), r7 = TERM(q + 56);                       \
+                for (q += 64; q < end; q += 64) {                             \
+                    r0 += TERM(q);                                            \
+                    r1 += TERM(q + 8);                                        \
+                    r2 += TERM(q + 16);                                       \
+                    r3 += TERM(q + 24);                                       \
+                    r4 += TERM(q + 32);                                       \
+                    r5 += TERM(q + 40);                                       \
+                    r6 += TERM(q + 48);                                       \
+                    r7 += TERM(q + 56);                                       \
+                }                                                             \
+                res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));      \
+            }                                                                 \
+            for (end += 8 * chunk[3]; q < end; q += 8)                        \
+                res += TERM(q);                                               \
+            s[l] = ROUND(TERM(chunk[0] + l) + res);                           \
+        }                                                                     \
+    }
+
+#define CHUNK_SUMS(LANE_SUMS, ROW_SUM, ROUND, x, chunk, s)                    \
+    if (chunk[1] > 1)                                                         \
+        LANE_SUMS(vals, cols, x, k, chunk, s);                                \
+    else                                                                      \
+        s[0] = chunk[3] ? ROUND(ROW_SUM(vals, cols, x, k, chunk[0], chunk[3])) \
+                        : 0.0f;
+
+#define SAME(v) (v)
+DEFINE_LANE_SUMS(lane_sums_f64, double, PLAIN_TERM, SAME)
+DEFINE_LANE_SUMS(lane_sums_f32, float, PLAIN_TERM, SAME)
+DEFINE_LANE_SUMS(lane_sums_f16, float, HALF_TERM, q16)
+
+#ifdef HAVE_AVX2_SET
+/* The fp16 lane sums with a chunk's 8 rows in the 8 lanes (a lane past
+ * `lanes` sums its -0.0 padding): one gather per slot, each accumulator one
+ * vector, every lane's result in s */
+#define LANE_TERMS8(q) half_terms8(vals, cols, x, k, q)
+AVX2_FN static void lane_sums_f16_avx2(const float *vals, const int32_t *cols,
+                                       const float *x, int64_t k,
+                                       const int64_t *chunk, float *s)
+{
+    int64_t off = chunk[0], q = off + 8, end = q + 64 * chunk[2];
+    __m256 res = _mm256_set1_ps(-0.0f);
+    if (q < end) {
+        __m256 a0 = LANE_TERMS8(q), a1 = LANE_TERMS8(q + 8);
+        __m256 a2 = LANE_TERMS8(q + 16), a3 = LANE_TERMS8(q + 24);
+        __m256 a4 = LANE_TERMS8(q + 32), a5 = LANE_TERMS8(q + 40);
+        __m256 a6 = LANE_TERMS8(q + 48), a7 = LANE_TERMS8(q + 56);
+        for (q += 64; q < end; q += 64) {
+            a0 = _mm256_add_ps(a0, LANE_TERMS8(q));
+            a1 = _mm256_add_ps(a1, LANE_TERMS8(q + 8));
+            a2 = _mm256_add_ps(a2, LANE_TERMS8(q + 16));
+            a3 = _mm256_add_ps(a3, LANE_TERMS8(q + 24));
+            a4 = _mm256_add_ps(a4, LANE_TERMS8(q + 32));
+            a5 = _mm256_add_ps(a5, LANE_TERMS8(q + 40));
+            a6 = _mm256_add_ps(a6, LANE_TERMS8(q + 48));
+            a7 = _mm256_add_ps(a7, LANE_TERMS8(q + 56));
+        }
+        res = _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(a0, a1),
+                                          _mm256_add_ps(a2, a3)),
+                            _mm256_add_ps(_mm256_add_ps(a4, a5),
+                                          _mm256_add_ps(a6, a7)));
+    }
+    for (end += 8 * chunk[3]; q < end; q += 8)
+        res = _mm256_add_ps(res, LANE_TERMS8(q));
+    _mm256_storeu_ps(s, q16x8(_mm256_add_ps(LANE_TERMS8(off), res)));
+}
 #endif
 
 /* ------------------------------------------------------------------------ */
 /* Triangular substitution                                                   */
 /*                                                                           */
-/* Rows run in level order (`order`, nrows entries); row r's off-diagonal     */
-/* entries are rowptr[r]..rowptr[r+1] of cols/vals, summed like reduceat,     */
-/* and x[r] = (b[r] - sum) * inv[r].  An empty row's sum is +0.               */
+/* Chunks run in plan order: level by level, a level's rows independent, so  */
+/* a chunk reads only rows that earlier chunks wrote.  inv[8c + l] is lane   */
+/* l's inverse diagonal, and x[r] = (b[r] - sum) * inv[r]; x[-k .. -1] is    */
+/* the zero row (the caller's).                                              */
 /* ------------------------------------------------------------------------ */
-#define DEFINE_TRSV(NAME, T, ROW_SUM)                                         \
-    int NAME(int64_t nrows, const int64_t *order, const int64_t *rowptr,      \
-             const int64_t *cols, const T *vals, const T *inv, const T *b,    \
+#define DEFINE_TRSV(NAME, T, LANE_SUMS, ROW_SUM)                              \
+    int NAME(int64_t nchunks, const int64_t *meta, const int64_t *rows,       \
+             const int32_t *cols, const T *vals, const T *inv, const T *b,    \
              T *x, int64_t k)                                                 \
     {                                                                         \
-        for (int64_t t = 0; t < nrows; t++) {                                 \
-            int64_t r = order[t];                                             \
-            int64_t lo = rowptr[r], n = rowptr[r + 1] - lo;                   \
+        for (int64_t c = 0; c < nchunks; c++) {                               \
+            const int64_t *chunk = meta + 4 * c, *rc = rows + 8 * c;          \
             for (int64_t j = 0; j < k; j++) {                                 \
-                const T *xj = x + j;                                          \
-                T s = 0.0;                                                    \
-                if (n)                                                        \
-                    s = ROW_SUM(vals, cols, xj, k, lo, n);                    \
-                x[r * k + j] = (b[r * k + j] - s) * inv[r];                   \
+                T s[8];                                                       \
+                CHUNK_SUMS(LANE_SUMS, ROW_SUM, SAME, x + j, chunk, s)         \
+                for (int64_t l = 0; l < chunk[1]; l++) {                      \
+                    int64_t at = rc[l] * k + j;                               \
+                    x[at] = (b[at] - s[l]) * inv[8 * c + l];                  \
+                }                                                             \
             }                                                                 \
         }                                                                     \
         return 0;                                                             \
     }
 
-DEFINE_TRSV(trsv_f64, double, row_sum_f64)
-DEFINE_TRSV(trsv_f32, float, row_sum_f32)
+DEFINE_TRSV(trsv_f64, double, lane_sums_f64, row_sum_f64)
+DEFINE_TRSV(trsv_f32, float, lane_sums_f32, row_sum_f32)
 
 /* ------------------------------------------------------------------------ */
 /* The separable stencil sweep                                               */
@@ -514,39 +615,41 @@ DEFINE_STENCIL(stencil_sep_f32_avx2, AVX2_FN, float, sweep_f32_avx2,
 /* The fp16 kernels, instantiated once per instruction set                   */
 /*                                                                           */
 /* SFX names the set; Q16, H2F and F2H are its rounding and conversions,     */
-/* ROW_SUM its row sum; X8_EXPAND, X8_NARROW, X8_WEIGHTED, X8_RESIDUAL,      */
-/* X8_STENCIL and X8_DIAG are its 8-wide loop prefixes (empty in the scalar  */
-/* set), each advancing its index past the elements it wrote and leaving the */
-/* rest to the scalar loop after it.                                         */
+/* ROW_SUM and LANE_SUMS its row sums; X8_TRSV, X8_SPMV, X8_AXPY (a lane    */
+/* chunk's rows), X8_EXPAND, X8_NARROW, X8_WEIGHTED, X8_RESIDUAL, X8_STENCIL */
+/* and X8_DIAG are its 8-wide loop prefixes (empty in the scalar set), each  */
+/* advancing its index past the elements it wrote and leaving the rest to    */
+/* the scalar loop after it.                                                 */
 /* ------------------------------------------------------------------------ */
-#define DEFINE_HALF_KERNELS(SFX, ATTR, Q16, H2F, F2H, ROW_SUM, X8_EXPAND,     \
-                            X8_NARROW, X8_WEIGHTED, X8_RESIDUAL, X8_STENCIL,  \
-                            X8_DIAG)                                          \
-/* fp16: the solution is carried in fp32 (on the fp16 grid) for the gathers  \
- * and written to fp16 storage row by row; every operation rounds once. */    \
-ATTR int trsv_f16##SFX(int64_t nrows, const int64_t *order,                   \
-                       const int64_t *rowptr, const int32_t *cols,            \
+#define DEFINE_HALF_KERNELS(SFX, ATTR, Q16, H2F, F2H, ROW_SUM, LANE_SUMS,    \
+                            X8_TRSV, X8_SPMV, X8_AXPY, X8_EXPAND, X8_NARROW, X8_WEIGHTED, X8_RESIDUAL,   \
+                            X8_STENCIL, X8_DIAG)                              \
+/* fp16: the solution is carried in fp32 (on the fp16 grid) for the gathers,  \
+ * in `work` ((n + 1) k floats from the caller: the zero row, then x), and    \
+ * written to fp16 storage row by row; every operation rounds once. */        \
+ATTR int trsv_f16##SFX(int64_t nchunks, const int64_t *meta,                  \
+                       const int64_t *rows, const int32_t *cols,              \
                        const float *vals, const float *inv,                   \
-                       const uint16_t *b, uint16_t *x16, int64_t k)           \
+                       const uint16_t *b, uint16_t *x16, int64_t k,           \
+                       float *work)                                           \
 {                                                                             \
-    float *x = calloc((size_t)(nrows * k > 0 ? nrows * k : 1), sizeof(float)); \
-    if (!x)                                                                   \
-        return -1;                                                            \
-    for (int64_t t = 0; t < nrows; t++) {                                     \
-        int64_t r = order[t];                                                 \
-        int64_t lo = rowptr[r], n = rowptr[r + 1] - lo;                       \
+    float *x = work + k;                                                      \
+    memset(work, 0, (size_t)k * sizeof(float));                               \
+    for (int64_t c = 0; c < nchunks; c++) {                                   \
+        const int64_t *chunk = meta + 4 * c, *rc = rows + 8 * c;              \
         for (int64_t j = 0; j < k; j++) {                                     \
-            const float *xj = x + j;                                          \
-            float s = 0.0f;                                                   \
-            if (n)                                                            \
-                s = Q16(ROW_SUM(vals, cols, xj, k, lo, n));                   \
-            float d = Q16(H2F(b[r * k + j]) - s);                             \
-            float v = Q16(d * inv[r]);                                        \
-            x[r * k + j] = v;                                                 \
-            x16[r * k + j] = F2H(v);                                          \
+            float s[8];                                                       \
+            CHUNK_SUMS(LANE_SUMS, ROW_SUM, Q16, x + j, chunk, s)              \
+            int64_t l = 0;                                                    \
+            X8_TRSV                                                           \
+            for (; l < chunk[1]; l++) {                                       \
+                int64_t at = rc[l] * k + j;                                   \
+                float v = Q16(Q16(H2F(b[at]) - s[l]) * inv[8 * c + l]);       \
+                x[at] = v;                                                    \
+                x16[at] = F2H(v);                                             \
+            }                                                                 \
         }                                                                     \
     }                                                                         \
-    free(x);                                                                  \
     return 0;                                                                 \
 }                                                                             \
                                                                               \
@@ -570,59 +673,67 @@ ATTR int cast_f32_f16##SFX(int64_t size, const float *x, uint16_t *x16)       \
     return 0;                                                                 \
 }                                                                             \
                                                                               \
-/* The (ncols, k) fp16 operand expanded to fp32 once per call. */             \
-ATTR static float *expand_f16##SFX(const uint16_t *x16, int64_t size)        \
+/* The (ncols, k) fp16 operand expanded to fp32 once per call, after the     \
+ * zero row (the returned buffer's first k floats). */                        \
+ATTR static float *expand_f16##SFX(const uint16_t *x16, int64_t size,        \
+                                   int64_t k)                                 \
 {                                                                             \
-    float *x = malloc((size_t)(size > 0 ? size : 1) * sizeof(float));         \
-    if (x)                                                                    \
-        cast_f16_f32##SFX(size, x16, x);                                      \
+    float *x = malloc((size_t)(size + k > 0 ? size + k : 1) * sizeof(float)); \
+    if (x) {                                                                  \
+        memset(x, 0, (size_t)k * sizeof(float));                              \
+        cast_f16_f32##SFX(size, x16, x + k);                                  \
+    }                                                                         \
     return x;                                                                 \
 }                                                                             \
                                                                               \
-/* The fp16 row sum of row i, column j: products rounded to fp16, summed in   \
- * fp32 like reduceat, rounded once.  An empty row sums to +0. */             \
-ATTR static inline float csr_row_f16##SFX(const int32_t *indptr,              \
-                                          const int32_t *indices,             \
-                                          const float *vals, const float *x,  \
-                                          int64_t k, int64_t i, int64_t j)    \
-{                                                                             \
-    int64_t lo = indptr[i], n = indptr[i + 1] - lo;                           \
-    if (!n)                                                                   \
-        return 0.0f;                                                          \
-    return Q16(ROW_SUM(vals, indices, x + j, k, lo, n));                      \
-}                                                                             \
-                                                                              \
-/* y = A x */                                                                 \
-ATTR int spmv_csr_f16##SFX(int64_t nrows, int64_t ncols,                      \
-                           const int32_t *indptr, const int32_t *indices,     \
-                           const float *vals,                                 \
+/* y = A x: a row's products rounded to fp16, summed in fp32 like reduceat, \
+ * the sum rounded once (an empty row's is +0) */                             \
+ATTR int spmv_csr_f16##SFX(int64_t nchunks, int64_t ncols,                    \
+                           const int64_t *meta, const int64_t *rows,          \
+                           const int32_t *cols, const float *vals,            \
                            const uint16_t *x16, uint16_t *y, int64_t k)       \
 {                                                                             \
-    float *x = expand_f16##SFX(x16, ncols * k);                               \
+    float *x = expand_f16##SFX(x16, ncols * k, k);                            \
     if (!x)                                                                   \
         return -1;                                                            \
-    for (int64_t i = 0; i < nrows; i++)                                       \
-        for (int64_t j = 0; j < k; j++)                                       \
-            y[i * k + j] = F2H(csr_row_f16##SFX(indptr, indices, vals, x, k,  \
-                                                i, j));                       \
+    for (int64_t c = 0; c < nchunks; c++) {                                   \
+        const int64_t *chunk = meta + 4 * c, *rc = rows + 8 * c;              \
+        for (int64_t j = 0; j < k; j++) {                                     \
+            float s[8];                                                       \
+            CHUNK_SUMS(LANE_SUMS, ROW_SUM, Q16, x + k + j, chunk, s)          \
+            int64_t l = 0;                                                    \
+            X8_SPMV                                                           \
+            for (; l < chunk[1]; l++)                                         \
+                y[rc[l] * k + j] = F2H(s[l]);                                 \
+        }                                                                     \
+    }                                                                         \
     free(x);                                                                  \
     return 0;                                                                 \
 }                                                                             \
                                                                               \
 /* r = y - A x, with A x rounded to fp16 first (the unfused pair's order) */  \
-ATTR int spmv_axpy_f16##SFX(int64_t nrows, int64_t ncols,                     \
-                            const int32_t *indptr, const int32_t *indices,    \
-                            const float *vals, const uint16_t *x16,           \
-                            const uint16_t *y, uint16_t *r, int64_t k)        \
+ATTR int spmv_axpy_f16##SFX(int64_t nchunks, int64_t ncols,                   \
+                            const int64_t *meta, const int64_t *rows,         \
+                            const int32_t *cols, const float *vals,           \
+                            const uint16_t *x16, const uint16_t *y,           \
+                            uint16_t *r, int64_t k)                           \
 {                                                                             \
-    float *x = expand_f16##SFX(x16, ncols * k);                               \
+    float *x = expand_f16##SFX(x16, ncols * k, k);                            \
     if (!x)                                                                   \
         return -1;                                                            \
-    for (int64_t i = 0; i < nrows; i++)                                       \
+    for (int64_t c = 0; c < nchunks; c++) {                                   \
+        const int64_t *chunk = meta + 4 * c, *rc = rows + 8 * c;              \
         for (int64_t j = 0; j < k; j++) {                                     \
-            float s = csr_row_f16##SFX(indptr, indices, vals, x, k, i, j);    \
-            r[i * k + j] = F2H(Q16(H2F(y[i * k + j]) - s));                   \
+            float s[8];                                                       \
+            CHUNK_SUMS(LANE_SUMS, ROW_SUM, Q16, x + k + j, chunk, s)          \
+            int64_t l = 0;                                                    \
+            X8_AXPY                                                           \
+            for (; l < chunk[1]; l++) {                                       \
+                int64_t at = rc[l] * k + j;                                   \
+                r[at] = F2H(Q16(H2F(y[at]) - s[l]));                          \
+            }                                                                 \
         }                                                                     \
+    }                                                                         \
     free(x);                                                                  \
     return 0;                                                                 \
 }                                                                             \
@@ -711,9 +822,47 @@ ATTR void quantize32##SFX(const float *in, float *out, int64_t n)             \
 DEFINE_TAP_CHAIN(tap_chain_f16, , float, HALF_FIRST, HALF_NEXT, )
 DEFINE_SEPARABLE_SWEEP(sweep_f16, , float, tap_chain_f16)
 
-DEFINE_HALF_KERNELS(, , q16, h2f, f2h, row_sum_f16, , , , , , )
+DEFINE_HALF_KERNELS(, , q16, h2f, f2h, row_sum_f16, lane_sums_f16, , , , , , , ,
+                    , )
 
 #ifdef HAVE_AVX2_SET
+/* a lane chunk's 8 rows at once: b gathered, x rounded in the lanes */
+#define X8_TRSV_AVX2                                                          \
+    if (chunk[1] > 1) {                                                       \
+        uint16_t h[8];                                                        \
+        float v[8];                                                           \
+        for (int i = 0; i < 8; i++)                                           \
+            h[i] = b[rc[i] * k + j];                                          \
+        __m256 d = q16x8(_mm256_sub_ps(load_h8(h), _mm256_loadu_ps(s)));      \
+        __m128i vh = _mm256_cvtps_ph(_mm256_mul_ps(                           \
+            d, _mm256_loadu_ps(inv + 8 * c)), F16C_RNE);                      \
+        _mm256_storeu_ps(v, _mm256_cvtph_ps(vh));                             \
+        _mm_storeu_si128((__m128i *)h, vh);                                   \
+        for (; l < chunk[1]; l++) {                                           \
+            x[rc[l] * k + j] = v[l];                                          \
+            x16[rc[l] * k + j] = h[l];                                        \
+        }                                                                     \
+    }
+
+/* the same for the CSR products: the rounded sums narrowed in one vector */
+#define X8_SPMV_AVX2                                                          \
+    if (chunk[1] > 1) {                                                       \
+        uint16_t h[8];                                                        \
+        store_h8(h, _mm256_loadu_ps(s));                                      \
+        for (; l < chunk[1]; l++)                                             \
+            y[rc[l] * k + j] = h[l];                                          \
+    }
+
+#define X8_AXPY_AVX2                                                          \
+    if (chunk[1] > 1) {                                                       \
+        uint16_t h[8];                                                        \
+        for (int i = 0; i < 8; i++)                                           \
+            h[i] = y[rc[i] * k + j];                                          \
+        store_h8(h, _mm256_sub_ps(load_h8(h), _mm256_loadu_ps(s)));           \
+        for (; l < chunk[1]; l++)                                             \
+            r[rc[l] * k + j] = h[l];                                          \
+    }
+
 #define X8_EXPAND_AVX2                                                        \
     for (; e + 8 <= size; e += 8)                                             \
         _mm256_storeu_ps(x + e, load_h8(x16 + e));
@@ -788,7 +937,8 @@ DEFINE_SEPARABLE_SWEEP(sweep_f16_avx2, AVX2_FN, float, tap_chain_f16_avx2)
     }
 
 DEFINE_HALF_KERNELS(_avx2, AVX2_FN, q16_f16c, h2f_f16c, f2h_f16c,
-                    row_sum_f16_avx2, X8_EXPAND_AVX2, X8_NARROW_AVX2,
+                    row_sum_f16_avx2, lane_sums_f16_avx2, X8_TRSV_AVX2,
+                    X8_SPMV_AVX2, X8_AXPY_AVX2, X8_EXPAND_AVX2, X8_NARROW_AVX2,
                     X8_WEIGHTED_AVX2, X8_RESIDUAL_AVX2, X8_STENCIL_AVX2,
                     X8_DIAG_AVX2)
 

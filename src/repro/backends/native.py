@@ -12,24 +12,40 @@ fp16 updates ``weighted_update`` / ``residual_update``, the fp16
 ``apply_stencil`` sweep in fp64, fp32 and fp16, and ``cast`` — fp32 → fp16
 and fp16 → fp32, the nesting levels' boundary crossings that
 ``vo.cast_vector`` makes, which numpy converts in software — in one call
-each.  ``cast`` runs C only from :data:`CAST_GATE` entries on: below it
-numpy's ``astype`` costs less than the call's fixed overhead.  The
-oracle of every kernel is ``reference`` (see the C file for the recipes:
-rows in level order, each row sum in ``np.add.reduceat``'s pairwise order,
-fp16 values on the fp32 grid rounded after every operation), except the
-separable sweep's: ``fast``'s ``_apply_stencil_separable`` (per element and
-axis, the in-range taps chained in tap order, then the diagonal term),
-which is only tolerance-close to ``reference``'s CSR-order stencil.
+each.  ``cast`` runs C only from its instruction set's :data:`CAST_GATE`
+entries on: below it numpy's ``astype`` costs less than the call's fixed
+overhead.  The oracle of every kernel is ``reference`` (see the C file for
+the recipes: rows in level order, each row sum in ``np.add.reduceat``'s
+pairwise order, fp16 values on the fp32 grid rounded after every
+operation), except the separable sweep's: ``fast``'s
+``_apply_stencil_separable`` (per element and axis, the in-range taps
+chained in tap order, then the diagonal term), which is only
+tolerance-close to ``reference``'s CSR-order stencil.
 Non-separable stencils, and every other kernel, are inherited from
 :class:`~repro.backends.fast.FastBackend`, and so are the counter totals.
 
+**Row-interleaved plans.**  The triangular solves (fp64, fp32, fp16) and the
+fp16 CSR products read a SELL-8 plan (:func:`_interleave`, after Kreutzer et
+al.'s SELL-C-σ): the rows of one dependency level — or of the whole matrix
+— packed eight to a chunk by term count, entry ``i`` of every row stored
+side by side, so each of a vector's 8 lanes is one row and runs that row's
+own rounding chain independently of the other seven.  Every lane performs
+exactly its row's arithmetic; absent terms add −0.0, which changes no bit.
+A row too long for a lane (more than 129 terms) and a level's lone
+straggler get one-row chunks, summed as before.  A factor's plan is built
+with vectorized numpy on its first solve — validated: the levels a
+permutation of the rows, every dependency in a strictly earlier level —
+and cached on it; a matrix's lives in its arena's ``native_csr`` memo.
+
 **Instruction sets.**  The fp16 kernels (the casts among them) and the
 stencil sweeps are compiled twice from the same C macros (:data:`ISAS`): a
-portable scalar set, and on x86-64 an AVX2 + F16C set (function-level target
-attributes, not :data:`FLAGS`), whose row sums keep numpy's 8 pairwise
-accumulators in the 8 lanes of one vector, whose sweeps chain 8 (fp64: 4)
-consecutive elements in the lanes of one, and which round with the
-hardware's fp16 converters.
+portable scalar set, which walks a chunk lane by lane, and on x86-64 an
+AVX2 + F16C set (function-level target attributes, not :data:`FLAGS`),
+whose chunk sums run a chunk's 8 rows in the 8 lanes of one vector (a lone
+row keeps numpy's 8 pairwise accumulators in them instead), whose sweeps
+chain 8 (fp64: 4) consecutive elements in the lanes of one, and which round
+with the hardware's fp16 converters.  The fp64 and fp32 solves exist once,
+walking the plan lane by lane.
 The library reports once whether this CPU runs the vector set
 (:func:`isas`); the engine uses it where it does and the scalar set
 elsewhere, and for any call whose strided gather index ``col · k`` might
@@ -56,12 +72,13 @@ the default engine, see :mod:`repro.backends`); otherwise one
 **Threads.**  ctypes releases the interpreter lock for the duration of a
 call, so solves on several threads run truly concurrently.  The kernels keep
 no state: their fp32 scratch is allocated per call, never per factor, or
-(the stencil sweeps' buffers) drawn from the calling thread's arena.  The
-derived arrays cached on a factor, and the operand addresses and stencil
-plans cached in a matrix's or stencil's arena, are immutable once built (a
-cross-thread race at worst builds them twice).  The kernels are serial;
-``REPRO_THREADS``' within-kernel partitioning applies to the inherited
-kernels only, so it no longer partitions separable stencil applies.
+(the fp16 solve's copy of x, the stencil sweeps' buffers) drawn from the
+calling thread's arena.  The plans cached on a factor, and the CSR plans
+and stencil plans cached in a matrix's or stencil's arena, are immutable
+once built (a cross-thread race at worst builds them twice).  The kernels
+are serial; ``REPRO_THREADS``' within-kernel partitioning applies to the
+inherited kernels only, so it no longer partitions separable stencil
+applies.
 """
 
 from __future__ import annotations
@@ -93,7 +110,7 @@ SOURCE = Path(__file__).with_name("native.c")
 #: contraction and fast-math
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 #: must equal NATIVE_ABI in native.c
-ABI = 4
+ABI = 5
 
 _HALF = np.dtype(np.float16)
 _F32 = np.dtype(np.float32)
@@ -101,17 +118,25 @@ _F64 = np.dtype(np.float64)
 _I32 = np.dtype(np.int32)
 _I64 = np.dtype(np.int64)
 _FP16 = Precision.FP16
-#: compute dtype -> (C trsv symbol, value dtype, column-index dtype it reads)
-_TRSV = {_F64: ("trsv_f64", _F64, _I64), _F32: ("trsv_f32", _F32, _I64),
-         _HALF: ("trsv_f16", _F32, _I32)}
+#: compute dtype -> (C trsv symbol, value dtype of its plan: fp16 values
+#: expanded exactly to fp32)
+_TRSV = {_F64: ("trsv_f64", _F64), _F32: ("trsv_f32", _F32),
+         _HALF: ("trsv_f16", _F32)}
 #: the largest gather index the AVX2 kernels form (col * k, as int32)
 _INT32_MAX = 2 ** 31 - 1
+#: rows per chunk of a row-interleaved plan: one AVX2 vector of fp32 lanes
+_LANES = 8
+#: the most terms a lane's row may have: its first term plus numpy's 8
+#: accumulators over up to PW_BLOCKSIZE (128) more; a longer row's pairwise
+#: sum halves, so it gets a chunk of its own
+_LANE_TERMS = 129
 
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _TRSV_ARGS = ((_I, _P, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int)
-_SPMV_ARGS = ((_I, _I, _P, _P, _P, _P, _P, _I), ctypes.c_int)
-_AXPY_ARGS = ((_I, _I, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int)
+_TRSV16_ARGS = ((_I, _P, _P, _P, _P, _P, _P, _P, _I, _P), ctypes.c_int)
+_SPMV_ARGS = ((_I, _I, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int)
+_AXPY_ARGS = ((_I, _I, _P, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int)
 _WEIGHTED_ARGS = ((_I, _I, _P, _P, _P, _P), ctypes.c_int)
 _RESIDUAL_ARGS = ((_I, _P, _P, _P), ctypes.c_int)
 _STENCIL_ARGS = ((_I, _P, _I, _P, _P, _P, _I, _P, _P, _P), ctypes.c_int)
@@ -125,7 +150,7 @@ _SIGNATURES = {
     "repro_native_avx2": ((), _I),
     "trsv_f64": _TRSV_ARGS,
     "trsv_f32": _TRSV_ARGS,
-    "trsv_f16": _TRSV_ARGS,
+    "trsv_f16": _TRSV16_ARGS,
     "spmv_csr_f16": _SPMV_ARGS,
     "spmv_axpy_f16": _AXPY_ARGS,
     "weighted_update_f16": _WEIGHTED_ARGS,
@@ -137,7 +162,7 @@ _SIGNATURES = {
     "cast_f32_f16": _CAST_ARGS,
     "cast_f16_f32": _CAST_ARGS,
     "quantize32": ((_P, _P, _I), None),
-    "trsv_f16_avx2": _TRSV_ARGS,
+    "trsv_f16_avx2": _TRSV16_ARGS,
     "spmv_csr_f16_avx2": _SPMV_ARGS,
     "spmv_axpy_f16_avx2": _AXPY_ARGS,
     "weighted_update_f16_avx2": _WEIGHTED_ARGS,
@@ -160,12 +185,12 @@ _PER_ISA = ("trsv_f16", "spmv_csr_f16", "spmv_axpy_f16", "weighted_update_f16",
             "quantize32")
 #: (source dtype, target dtype) -> C cast symbol
 _CASTS = {(_F32, _HALF): "cast_f32_f16", (_HALF, _F32): "cast_f16_f32"}
-#: the element count (n·k) from which ``cast`` runs its compiled pass.  A
-#: call costs ~5 µs of fixed overhead (ctypes and two addresses); on the
-#: AVX2 + F16C set C wins from ~1.5k (fp32 → fp16) and ~3k (fp16 → fp32)
-#: entries.  4096 keeps the ≤ 2,916-entry blocks of the small problems on
-#: numpy, and passes a 24³ grid's single vector.
-CAST_GATE = 4096
+#: per instruction set, the element count (n·k) from which ``cast`` runs its
+#: compiled pass; below it numpy's ``astype`` costs less than the call's
+#: fixed ~4 µs (ctypes, two addresses, the output).  Best-of timeit on
+#: unit-norm vectors: the AVX2 + F16C set wins from ~0.7k entries
+#: (fp32 → fp16) and ~1.5k (fp16 → fp32), the scalar one from ~6k and ~8k.
+CAST_GATE = {"scalar": 8192, "avx2": 1536}
 #: compute dtype -> C separable-sweep symbol
 _STENCIL = {_F64: "stencil_sep_f64", _F32: "stencil_sep_f32",
             _HALF: "stencil_sep_f16"}
@@ -319,33 +344,141 @@ def isas(lib: ctypes.CDLL) -> tuple[str, ...]:
 
 
 def _addr(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
+    """The address of ``a``'s data: a ctypes view of its buffer (the cheap
+    read), or numpy's array interface where ``a`` is read-only or empty."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):
+        return a.__array_interface__["data"][0]
 
 
-def _trsv_plan(factor, cdtype) -> tuple:
-    """The arrays the C substitution reads, cached on the factor per compute
-    dtype (immutable once built): rows in level order, the off-diagonal row
-    pointer and columns, values and inverse diagonal in the kernel's value
-    dtype (fp16 ones expanded exactly to fp32) — with their addresses."""
-    key = ("native", cdtype)
-    plan = factor._fast_vals.get(key)
-    if plan is None:
-        symbol, vdtype, idtype = _TRSV[cdtype]
-        order = (np.concatenate(factor.levels).astype(np.int64) if factor.levels
-                 else np.empty(0, dtype=np.int64))
+def _interleave(levels, rowptr, cols, values) -> tuple:
+    """The row-interleaved plan (SELL-8, see ``native.c``) of the rows in
+    ``levels`` — index arrays of independent rows, in dependency order —
+    over CSR arrays ``rowptr`` / ``cols`` / ``values``: ``(meta, rows, cols,
+    values)``, each chunk's (offset, lanes, blocks, rest), each chunk's 8
+    lane rows, and the packed int32 columns and values (see :func:`_pack`).
+
+    Within a level the rows go by term count, the fewest first, 8 to a
+    chunk, so a chunk's lanes share nearly one shape; a row too long for a
+    lane, and a level's one row past its last full chunk, get a chunk of
+    their own."""
+    widths = np.array([len(rows) for rows in levels], dtype=np.int64)
+    order = (np.concatenate(levels).astype(np.int64) if levels
+             else np.empty(0, dtype=np.int64))
+    level = np.repeat(np.arange(widths.size), widths)
+    terms = np.diff(rowptr)[order]
+    by_terms = np.lexsort((terms, level))          # keeps the levels in order
+    order, terms = order[by_terms], terms[by_terms]
+    pos = np.arange(order.size)
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = level[1:] != level[:-1]
+    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    new = first | (terms > _LANE_TERMS) | (rank % _LANES == 0)
+    starts = np.flatnonzero(new)
+    chunk = np.cumsum(new) - 1
+    lanes = np.diff(np.append(starts, order.size))
+    lane = pos - starts[chunk]
+    # a lane row's accumulator blocks, and the terms added one by one after
+    # them (all of a short row's terms but the first)
+    rest = np.maximum(terms - 1, 0)
+    blocks = np.where(rest >= 8, rest // 8, 0)
+    if starts.size:
+        c_blocks = np.maximum.reduceat(blocks, starts)
+        c_rest = np.maximum.reduceat(rest - 8 * blocks, starts)
+    else:
+        c_blocks = c_rest = np.empty(0, dtype=np.int64)
+    single = lanes == 1
+    c_blocks[single] = 0
+    c_rest[single] = terms[starts[single]]
+    size = np.where(single, c_rest, _LANES * (1 + 8 * c_blocks + c_rest))
+    off = np.concatenate(([0], np.cumsum(size)))
+    meta = np.ascontiguousarray(np.stack([off[:-1], lanes, c_blocks, c_rest], axis=1),
+                                dtype=np.int64)
+    lane_rows = np.repeat(order[starts], _LANES)
+    lane_rows[_LANES * chunk + lane] = order
+    # where each row's terms go: term t of a lane row at base + 8 t, past the
+    # lane's own blocks `jump` further (after the chunk's blocks); a
+    # one-lane chunk's row at base + t
+    lanes_row = ~single[chunk]
+    rule = np.empty((4, rowptr.size - 1), dtype=np.int64)
+    rule[:, order] = (off[chunk] + np.where(lanes_row, lane, 0),
+                      np.where(lanes_row, _LANES, 1), 8 * blocks,
+                      np.where(lanes_row, 64 * (c_blocks[chunk] - blocks), 0))
+    # the stored entries in CSR order: their rows and places in the row
+    # (int32 where they fit: the largest transients of a plan build)
+    index = np.int32 if rowptr[-1] <= _INT32_MAX else np.int64
+    row = np.repeat(np.arange(rowptr.size - 1, dtype=index), np.diff(rowptr))
+    t = np.arange(row.size, dtype=index)
+    t -= rowptr[row].astype(index)
+    dest = rule[1][row]
+    dest *= t
+    dest += rule[0][row]
+    past = t > rule[2][row]
+    del t
+    dest[past] += rule[3][row[past]]
+    del row, past
+    packed_cols = np.full(off[-1], -1, dtype=np.int32)
+    packed_cols[dest] = cols
+    empty = (terms == 0) & lanes_row
+    return (meta, lane_rows, packed_cols,
+            _pack(values, dest, off[-1], off[chunk[empty]] + lane[empty]))
+
+
+def _pack(values, dest, size, empty) -> np.ndarray:
+    """``values`` at their slots ``dest`` of a plan of ``size`` slots; the
+    padding −0.0 (x + −0.0 == x for every x, where +0.0 would turn a sum of
+    −0 into +0), and +0.0, its sum, in an empty row's first slot
+    ``empty``."""
+    out = np.full(size, -0.0, dtype=values.dtype)
+    out[dest] = values
+    out[empty] = 0.0
+    return out
+
+
+def _trsv_layout(factor) -> tuple:
+    """:func:`_interleave` of the factor's levels, its values in their own
+    dtype, validated (its arrays consistent, the levels a permutation of the
+    rows, every off-diagonal column in a strictly earlier level than its
+    row) and cached on the factor."""
+    layout = factor._fast_vals.get("native")
+    if layout is None:
         rowptr = np.ascontiguousarray(factor.off_rowptr, dtype=np.int64)
         cols = np.ascontiguousarray(factor.off_cols, dtype=np.int64)
         n = factor.nrows
+        order = (np.concatenate(factor.levels).astype(np.int64) if factor.levels
+                 else np.empty(0, dtype=np.int64))
         if (rowptr.shape != (n + 1,) or rowptr[0] != 0 or np.any(np.diff(rowptr) < 0)
                 or rowptr[-1] != cols.size or factor.off_vals.size != cols.size
                 or (cols.size and (cols.min() < 0 or cols.max() >= n))
                 or np.any(np.bincount(order, minlength=n) != 1)):
             raise ValueError("the factor's arrays are inconsistent")
-        cols = cols.astype(idtype, copy=False)
-        vals = factor.off_vals.astype(cdtype).astype(vdtype)
-        inv = factor.inv_diag.astype(cdtype).astype(vdtype)
-        arrays = (order, rowptr, cols, vals, inv)
-        plan = (symbol, arrays, tuple(_addr(a) for a in arrays))
+        level = np.empty(n, dtype=np.int64)
+        level[order] = np.repeat(np.arange(len(factor.levels)),
+                                 [len(rows) for rows in factor.levels])
+        if np.any(level[cols] >= np.repeat(level, np.diff(rowptr))):
+            raise ValueError("the factor's levels break a dependency: a row "
+                             "reads a row of its own or a later level")
+        layout = factor._fast_vals["native"] = _interleave(factor.levels, rowptr, cols,
+                                                           factor.off_vals)
+    return layout
+
+
+def _trsv_plan(factor, cdtype) -> tuple:
+    """The arrays the C substitution reads, cached on the factor per compute
+    dtype (immutable once built): its symbol, the chunk count, and the
+    chunk records, lane rows, packed columns, packed values and per-lane
+    inverse diagonal in the kernel's value dtype (fp16 ones expanded
+    exactly to fp32), with their addresses."""
+    key = ("native", cdtype)
+    plan = factor._fast_vals.get(key)
+    if plan is None:
+        symbol, vdtype = _TRSV[cdtype]
+        meta, rows, cols, packed = _trsv_layout(factor)
+        vals = packed.astype(cdtype, copy=False).astype(vdtype, copy=False)
+        inv = factor.inv_diag.astype(cdtype).astype(vdtype)[rows]
+        arrays = (meta, rows, cols, vals, inv)
+        plan = (symbol, len(meta), arrays, tuple(_addr(a) for a in arrays))
         factor._fast_vals[key] = plan
     return plan
 
@@ -370,22 +503,22 @@ def _stencil_plan(op, cdtype) -> tuple:
     return arrays, tuple(_addr(a) for a in arrays), int(alpha != 0.0)
 
 
-def _csr_operands(values, indices, indptr, scratch) -> tuple:
+def _csr_operands(values, indices, indptr) -> tuple:
     """The source arrays, the column count they need (validated: consistent
     sizes, non-negative indices — the C kernels index x without bounds
-    checks), and the addresses of the row pointer, the column indices and
-    the values expanded to fp32, followed by those arrays (kept alive)."""
+    checks), the chunk count of their row-interleaved plan (every row one
+    level) and the addresses of its chunk records, lane rows, packed columns
+    and packed fp32 values, followed by those arrays (kept alive)."""
     if (indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0
             or indptr[-1] != indices.size or values.size != indices.size
             or np.any(np.diff(indptr) < 0)
             or (indices.size and indices.min() < 0)):
         raise ValueError("inconsistent CSR arrays")
     ncols = int(indices.max()) + 1 if indices.size else 0
-    vals32 = (scratch.cast("csr_values_stage", values, _F32) if scratch is not None
-              else values.astype(_F32))
-    arrays = (np.ascontiguousarray(indptr), np.ascontiguousarray(indices),
-              np.ascontiguousarray(vals32))
-    return (values, indices, indptr, ncols, *(_addr(a) for a in arrays), arrays)
+    arrays = _interleave([np.arange(indptr.size - 1)], indptr.astype(np.int64),
+                         indices, values.astype(_F32))
+    return (values, indices, indptr, ncols, len(arrays[0]),
+            *(_addr(a) for a in arrays), arrays)
 
 
 def _check(status: int) -> None:
@@ -423,6 +556,8 @@ class NativeBackend(FastBackend):
         #: overflow int32)
         self._half = {name: getattr(lib, name + ISAS[isa]) for name in _PER_ISA}
         self._scalar = {name: getattr(lib, name) for name in _PER_ISA}
+        #: the size from which ``cast`` runs C (:data:`CAST_GATE`)
+        self.cast_gate = CAST_GATE[isa]
 
     def _half_kernels(self, rows: int, k: int) -> dict:
         """The fp16 kernels for an operand of ``rows`` rows and ``k``
@@ -432,44 +567,52 @@ class NativeBackend(FastBackend):
 
     # ------------------------------------------------------------------ #
     def trsv(self, factor, b, out_precision=None, record=True):
-        """Level-scheduled substitution in one C call; an ``(n, k)`` block
-        runs the row kernel on every column."""
+        """Level-scheduled substitution in one C call over the factor's
+        row-interleaved plan; an ``(n, k)`` block runs every chunk on each
+        column."""
         vec_prec = precision_of_dtype(b.dtype)
         compute = promote(factor.precision, vec_prec)
         out_prec = as_precision(out_precision) if out_precision is not None else vec_prec
         cdtype = np.dtype(compute.dtype)
-        if b.ndim not in (1, 2) or b.shape[0] != factor.nrows:
+        n = factor.nrows
+        if b.ndim not in (1, 2) or b.shape[0] != n:
             raise ValueError(f"right-hand side of shape {b.shape} for a factor "
-                             f"of {factor.nrows} rows")
-        if cdtype == _HALF and factor.nrows > _INT32_MAX:
+                             f"of {n} rows")
+        if n >= _INT32_MAX:                       # the plan's columns are int32
             return super().trsv(factor, b, out_precision, record=record)
-        symbol, _, (order, rowptr, cols, vals, inv) = _trsv_plan(factor, cdtype)
+        symbol, nchunks, _, (meta, rows, cols, vals, inv) = _trsv_plan(factor, cdtype)
         k = columns(b)
-        kernel = (self._half_kernels(factor.nrows, k)[symbol] if cdtype == _HALF
-                  else getattr(self._lib, symbol))
         b_c = np.ascontiguousarray(b, dtype=cdtype)
-        x = np.zeros(b.shape, dtype=cdtype)
-        _check(kernel(factor.nrows, order, rowptr, cols, vals, inv, _addr(b_c),
-                      _addr(x), k))
+        if cdtype == _HALF:
+            x = np.empty(b.shape, dtype=_HALF)
+            work = factor.scratch().get("native_trsv32", (n + 1) * k, _F32)
+            _check(self._half_kernels(n, k)[symbol](
+                nchunks, meta, rows, cols, vals, inv, _addr(b_c), _addr(x), k,
+                _addr(work)))
+        else:
+            # the zero row the plan's padding reads, just before x
+            x = np.zeros((n + 1,) + b.shape[1:], dtype=cdtype)[1:]
+            _check(getattr(self._lib, symbol)(nchunks, meta, rows, cols, vals, inv,
+                                              _addr(b_c), _addr(x), k))
         if record and counters_enabled():
             self._record_trsv(factor, vec_prec, out_prec, compute, k)
         return x.astype(out_prec.dtype, copy=False)
 
     # ------------------------------------------------------------------ #
     def _half_csr(self, values, indices, indptr, x, scratch):
-        """The addresses of the row pointer, the column indices and the fp32
-        values of an fp16 CSR kernel, and the arrays behind them (to keep
-        alive for the call), or ``None`` when the C kernels do not apply (a
-        wider compute dtype or non-int32 indices).  The matrix's arena
+        """The chunk count and the addresses of an fp16 CSR kernel's plan
+        (:func:`_csr_operands`), and the arrays behind them (to keep alive
+        for the call), or ``None`` when the C kernels do not apply (a wider
+        compute dtype or non-int32 indices).  The matrix's arena
         (``scratch``) caches them for its arrays."""
         if (values.dtype != _HALF or x.dtype != _HALF
                 or indices.dtype != _I32 or indptr.dtype != _I32):
             return None
         ops = (scratch.memo("native_csr", lambda: _csr_operands(
-            values, indices, indptr, scratch)) if scratch is not None else None)
+            values, indices, indptr)) if scratch is not None else None)
         if ops is None or not (ops[0] is values and ops[1] is indices
                                and ops[2] is indptr):
-            ops = _csr_operands(values, indices, indptr, None)
+            ops = _csr_operands(values, indices, indptr)
         if x.ndim not in (1, 2) or x.shape[0] < ops[3]:
             raise ValueError(f"operand of shape {x.shape} for a matrix with "
                              f"column indices up to {ops[3] - 1}")
@@ -483,12 +626,13 @@ class NativeBackend(FastBackend):
                                     record=record, scratch=scratch, par=par)
         mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
                                                            out_precision)
-        ptr, idx, vals32, _ = ops
+        nchunks, meta, rows, cols, vals32, _ = ops
         n, k = indptr.size - 1, columns(x)
         x16 = np.ascontiguousarray(x)
         y = np.empty((n,) + x.shape[1:], dtype=_HALF)
         kernel = self._half_kernels(x.shape[0], k)["spmv_csr_f16"]
-        _check(kernel(n, x.shape[0], ptr, idx, vals32, _addr(x16), _addr(y), k))
+        _check(kernel(nchunks, x.shape[0], meta, rows, cols, vals32, _addr(x16),
+                      _addr(y), k))
         if record and counters_enabled():
             self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, values.size,
                               (values.size + n + 1) * BYTES_PER_INDEX, k)
@@ -508,13 +652,13 @@ class NativeBackend(FastBackend):
                                      record=record, scratch=scratch, par=par)
         mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
                                                            out_precision)
-        ptr, idx, vals32, _ = ops
+        nchunks, meta, rows, cols, vals32, _ = ops
         n, k = indptr.size - 1, columns(x)
         x16, y16 = np.ascontiguousarray(x), np.ascontiguousarray(y)
         r = np.empty(y.shape, dtype=_HALF)
         kernel = self._half_kernels(x.shape[0], k)["spmv_axpy_f16"]
-        _check(kernel(n, x.shape[0], ptr, idx, vals32, _addr(x16), _addr(y16),
-                      _addr(r), k))
+        _check(kernel(nchunks, x.shape[0], meta, rows, cols, vals32, _addr(x16),
+                      _addr(y16), _addr(r), k))
         if record and counters_enabled():
             self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, values.size,
                               (values.size + n + 1) * BYTES_PER_INDEX, k)
@@ -568,10 +712,10 @@ class NativeBackend(FastBackend):
     def cast(self, x, precision, record=True):
         """fp32 → fp16 (rounded to nearest even) and fp16 → fp32 (exact) in
         one C pass over a C-contiguous vector or block of at least
-        :data:`CAST_GATE` entries; every other cast is the inherited
+        :attr:`cast_gate` entries; every other cast is the inherited
         ``astype``."""
         p = as_precision(precision)
-        symbol = _CASTS.get((x.dtype, p.dtype)) if x.size >= CAST_GATE else None
+        symbol = _CASTS.get((x.dtype, p.dtype)) if x.size >= self.cast_gate else None
         if symbol is None or not x.flags.c_contiguous:
             return super().cast(x, p, record=record)
         out = np.empty(x.shape, dtype=p.dtype)
@@ -626,10 +770,6 @@ def _check_operands(rng) -> tuple:
     """A 160-row lower factor in three levels and a 160 x 160 CSR matrix,
     each with a 140-entry row (the halving branch of the pairwise sum),
     short rows and empty ones, and a row whose products are all −0."""
-    from types import SimpleNamespace
-
-    from ..precision import Precision
-
     n, wide = 160, 140
     rows, cols = [], []
     for r in range(wide, n):                   # level 0: rows 0..139, no deps
@@ -650,10 +790,8 @@ def _check_operands(rng) -> tuple:
     vals = rng.uniform(-1, 1, len(cols)) * np.exp(rng.uniform(-9, 4, len(cols)))
     vals[rowptr[wide + 1]:rowptr[wide + 2]] = -0.0
     inv = rng.uniform(0.5, 2.0, n)
-    factor = SimpleNamespace(
-        nrows=n, levels=[np.arange(wide), np.arange(wide, 152), np.arange(152, n)],
-        off_rowptr=rowptr, off_cols=np.asarray(cols, dtype=np.int32), off_vals=vals,
-        inv_diag=inv, unit_diagonal=False, precision=Precision.FP64, _fast_vals={})
+    factor = _check_factor([np.arange(wide), np.arange(wide, 152), np.arange(152, n)],
+                           rowptr, np.asarray(cols, dtype=np.int32), vals, inv)
     b = rng.uniform(-1, 1, (n, 2)) * np.exp(rng.uniform(-12, 10, (n, 2)))
     b[:3] = np.abs(b[:3])                      # positive x under the −0 row
     b[wide + 1] = -0.0
@@ -665,6 +803,38 @@ def _check_operands(rng) -> tuple:
     dense[np.arange(n), np.arange(n)] = rng.uniform(-2, 2, n)
     dense[[9, 10]] = 0.0                       # empty rows
     return factor, b, dense
+
+
+def _chained_levels(rng) -> tuple:
+    """A 36-row lower factor of six levels, 5, 9, 3, 11, 1 and 7 rows wide,
+    every row reading every row of the level before, and a right-hand side
+    of two columns: any chunk that packs rows of two levels together holds
+    a row and a row it reads."""
+    widths = (5, 9, 3, 11, 1, 7)
+    bounds = np.concatenate(([0], np.cumsum(widths)))
+    levels = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    deps = [np.empty(0, dtype=np.int64)] * widths[0]
+    for before, rows in zip(levels, levels[1:]):
+        deps += [before] * rows.size
+    rowptr = np.concatenate(([0], np.cumsum([d.size for d in deps])))
+    cols = np.concatenate(deps).astype(np.int32)
+    vals = rng.uniform(0.25, 1.0, cols.size) * rng.choice([-1.0, 1.0], cols.size)
+    factor = _check_factor(levels, rowptr, cols, vals, rng.uniform(0.5, 2.0, bounds[-1]))
+    return factor, rng.uniform(0.5, 2.0, (bounds[-1], 2))
+
+
+def _check_factor(levels, rowptr, cols, vals, inv):
+    """A self-check lower factor: the fields the engines read, fp64, with
+    its own scratch arena."""
+    from types import SimpleNamespace
+
+    from .workspace import Workspace
+
+    arena = Workspace()
+    return SimpleNamespace(
+        nrows=inv.size, levels=levels, off_rowptr=rowptr, off_cols=cols, off_vals=vals,
+        inv_diag=inv, unit_diagonal=False, precision=Precision.FP64, _fast_vals={},
+        scratch=lambda: arena)
 
 
 def _cancelling_rows(rng) -> tuple:
@@ -751,11 +921,13 @@ def self_check(*backends: NativeBackend) -> None:
         every16, narrow = _cast_patterns()
         cases = [("cast fp16 -> fp32", lambda be: be.cast(every16, _F32, record=False)),
                  ("cast fp32 -> fp16", lambda be: be.cast(narrow, _FP16, record=False))]
+        chained, chained_b = _chained_levels(rng)
         for dtype in (_F64, _F32, _HALF):
-            f = _cast_factor(factor, dtype)
-            for rhs in (b[:, 0].astype(dtype), b.astype(dtype)):
-                cases.append((f"trsv {dtype}",
-                              lambda be, f=f, rhs=rhs: be.trsv(f, rhs, record=False)))
+            for f, rhs in ((_cast_factor(factor, dtype), b),
+                           (_cast_factor(chained, dtype), chained_b)):
+                for r in (rhs[:, 0].astype(dtype), rhs.astype(dtype)):
+                    cases.append((f"trsv {dtype}", lambda be, f=f, r=r:
+                                  be.trsv(f, r, record=False)))
         x16, y16 = (b * 1e-3).astype(_HALF), b[::-1].astype(_HALF)
         for x, y in ((x16[:, 0], y16[:, 0]), (x16, y16)):
             cases.append(("spmv_csr fp16", lambda be, x=x: be.spmv_csr(

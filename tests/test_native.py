@@ -8,12 +8,14 @@ fp16) and the fp32 ↔ fp16 ``cast`` — and inherits everything else from
 ``fast``.  Here every ported kernel must equal its oracle bit for bit (NaN
 by position, not payload): ``reference``, except for the separable sweep,
 whose oracle is ``fast``'s sweep.  The operands are lower and upper ILU(0),
-IC(0), fused block-ILU(0) and long-row factors, a CSR matrix with long,
-short and empty rows, separable stencils on grids with axes of 1, 2, 7 and
-24 points, and vectors and blocks of 0 to 9 columns with fp16-subnormal
-products, overflow to ±inf, signed zeros and NaN; the casts also see every
-fp16 bit pattern and every fp16 rounding boundary, on both sides of their
-size gate.  The fp16 kernels and the sweeps exist once per instruction set (``native.ISAS``): each test of them runs the portable
+IC(0), fused block-ILU(0) and long-row factors, factors whose levels mix
+rows of every shape a row-interleaved plan packs (0 to 140 terms, partial
+and one-row chunks, a one-row-per-level chain, a row of −0 terms), CSR
+matrices with long, short and empty rows, separable stencils on grids with
+axes of 1, 2, 7 and 24 points, and vectors and blocks of 0 to 9 columns
+with fp16-subnormal products, overflow to ±inf, signed zeros and NaN; the
+casts also see every fp16 bit pattern and every fp16 rounding boundary, on
+both sides of their size gate.  The fp16 kernels and the sweeps exist once per instruction set (``native.ISAS``): each test of them runs the portable
 scalar set and, where this CPU has AVX2 + F16C, the vector set, both
 reached through the loaded library's symbols.  Counter
 totals must equal ``fast``'s, and four threads on shared operands (ctypes
@@ -57,7 +59,9 @@ pytestmark = [pytest.mark.tier1, NATIVE_ONLY]
 
 HALF = np.dtype(np.float16)
 DTYPES = (np.dtype(np.float64), np.dtype(np.float32), HALF)
-WIDTHS = (None, 0, 1, 2, 8)          # None: a vector; else an (n, k) block
+#: None: a vector; else an (n, k) block — no columns, one, and widths on
+#: both sides of the 8 lanes
+WIDTHS = (None, 0, 1, 2, 3, 8, 9)
 INPUTS = ("ordinary", "subnormal", "overflow", "signed_zero", "nan")
 
 
@@ -135,8 +139,9 @@ def _long_rows(n: int = 300, wide: int = 260) -> np.ndarray:
 @pytest.fixture(scope="module")
 def factors() -> dict:
     """(lower, upper) pairs: ILU(0) of a non-symmetric matrix, IC(0) of an
-    SPD one (unit L and unit Lᵀ), block-ILU(0) fused over 3 blocks, and a
-    factor with rows of 130-260 entries."""
+    SPD one (unit L and unit Lᵀ), block-ILU(0) fused over 3 blocks, a
+    factor with rows of 130-260 entries, and levels mixing every lane shape
+    (:func:`_mixed_factors`)."""
     nonsym, _ = diagonal_scaling(get_matrix("atmosmodd", "tiny"))
     spd, _ = diagonal_scaling(hpcg_matrix(6))
     ilu = ILU0Preconditioner(nonsym)
@@ -144,10 +149,26 @@ def factors() -> dict:
     dense = _long_rows()
     return {"ilu0": (ilu._lower, ilu._upper),
             "ic0": (ic._lower, ic._upper_t),
+            "mixed": _mixed_factors(),
             "block_ilu0": BlockJacobiILU0(nonsym, nblocks=3)._fused_parts(),
             "long_rows": (TriangularFactor(CSRMatrix.from_dense(dense), lower=True),
                           TriangularFactor(CSRMatrix.from_dense(dense[::-1, ::-1].copy()),
                                            lower=False))}
+
+
+@pytest.fixture(scope="module")
+def mixed() -> CSRMatrix:
+    """fp16 CSR of 203 rows cycling through ``TERMS`` over 160 columns
+    (the rows sorted by length fill 22 chunks and a partial one; the
+    140-term rows take one each), plus rows of 5 terms whose values are
+    −0."""
+    rng = np.random.default_rng(28)
+    deps = [rng.choice(160, TERMS[i % len(TERMS)], replace=False) for i in range(195)]
+    deps += [rng.choice(160, 5, replace=False) for _ in range(8)]
+    a = _rows_csr(deps, 203, rng, diagonal=False)
+    a = CSRMatrix(a.values, a.indices, a.indptr, (203, 160))
+    a.values[a.indptr[195]:] = -0.0
+    return a.astype(Precision.FP16)
 
 
 @pytest.fixture(scope="module")
@@ -226,13 +247,94 @@ class TestQuantizer:
 
 
 # ---------------------------------------------------------------------- #
+# Row-interleaved plans: rows of every lane shape
+# ---------------------------------------------------------------------- #
+#: term counts a chunk must mix: an empty row, one term, a short row (the
+#: rest summed one by one), one 8-term block with and without remainder, two
+#: blocks with and without one, and a row whose pairwise sum halves
+TERMS = (0, 1, 7, 8, 9, 16, 17, 140)
+#: rows of the first level (no dependencies): enough for a 140-term row
+BASE = 150
+
+
+def _rows_csr(deps: list, n: int, rng, diagonal: bool = True) -> CSRMatrix:
+    """The n x n matrix whose row r holds the columns ``deps[r]`` (values
+    across fp16's range, both signs) and, with ``diagonal``, a diagonal."""
+    cols = [np.sort(np.concatenate([d, [r]] if diagonal else [d])).astype(np.int32)
+            for r, d in enumerate(deps)]
+    vals = [rng.uniform(-1, 1, c.size) * np.exp(rng.uniform(-5, 1, c.size)) for c in cols]
+    for r, c in enumerate(cols):
+        if diagonal:
+            vals[r][c == r] = rng.uniform(1.0, 2.0) * rng.choice([-1.0, 1.0])
+    indptr = np.concatenate(([0], np.cumsum([c.size for c in cols]))).astype(np.int32)
+    return CSRMatrix(np.concatenate(vals), np.concatenate(cols), indptr, (n, n))
+
+
+def _mixed_factors() -> tuple:
+    """A lower factor (and its mirror image, upper) with custom levels: a
+    first level of BASE rows without terms; two levels of 43 and 46 rows
+    cycling through ``TERMS``, each row reading at least one row of the
+    level before — past their 140-term rows (one-row chunks), 38 rows fill
+    4 chunks and a partial one of 6, and 41 rows fill 5 chunks and leave a
+    lone straggler; then a chain of 12 one-row levels.
+    Row BASE + 3 has three terms whose values are −0 on rows of the first
+    level (see :func:`_negative_zero_rhs`)."""
+    rng = np.random.default_rng(27)
+    levels = [np.arange(BASE)]
+    deps = [np.empty(0, dtype=np.int64)] * BASE
+    for width in (43, 46):
+        before, start = levels[-1], len(deps)
+        for i in range(width):
+            t = TERMS[i % len(TERMS)]
+            d = rng.choice(start, t, replace=False)
+            if t and len(levels) > 1:
+                d[0] = rng.choice(before)
+                d = np.unique(d)
+                while d.size < t:
+                    d = np.unique(np.concatenate([d, rng.choice(start, t - d.size)]))
+            deps.append(np.sort(d))
+        levels.append(np.arange(start, start + width))
+    deps[BASE + 3] = np.array([0, 1, 2])
+    for i in range(12):                         # the chain
+        r = len(deps)
+        t = TERMS[i % len(TERMS)] or 1
+        d = np.unique(np.concatenate([[r - 1], rng.choice(r - 1, t - 1, replace=False)]))
+        deps.append(d)
+        levels.append(np.array([r]))
+    n = len(deps)
+    a = _rows_csr(deps, n, rng)
+    lo, hi = a.indptr[BASE + 3], a.indptr[BASE + 4]
+    a.values[lo:hi][a.indices[lo:hi] != BASE + 3] = -0.0
+    for r in (0, 1, 2, BASE + 3):              # positive diagonals there
+        at = a.indptr[r] + np.flatnonzero(a.indices[a.indptr[r]:a.indptr[r + 1]] == r)
+        a.values[at] = np.abs(a.values[at])
+    lower = TriangularFactor(a, lower=True)
+    lower.levels = levels
+    dense = a.to_dense()[::-1, ::-1]
+    mirror = CSRMatrix.from_dense(dense)
+    upper = TriangularFactor(mirror, lower=False)
+    upper.levels = [n - 1 - rows for rows in levels]
+    return lower, upper
+
+
+def _negative_zero_rhs(factor, dtype) -> np.ndarray:
+    """A right-hand side under which row BASE + 3 of the lower mixed factor
+    sums three −0 products (its reads are positive) and has b = −0, so
+    x = (−0 − sum) · inv is +0 and a +0 sum would make it −0."""
+    b = np.abs(_operand("ordinary", factor.nrows, None, dtype, seed=71))
+    b[BASE + 3] = -0.0
+    return b
+
+
+# ---------------------------------------------------------------------- #
 # Triangular solves
 # ---------------------------------------------------------------------- #
 class TestTrsv:
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("dtype", DTYPES, ids=str)
     @pytest.mark.parametrize("side", ["lower", "upper"])
-    @pytest.mark.parametrize("name", ["ilu0", "ic0", "block_ilu0", "long_rows"])
+    @pytest.mark.parametrize("name", ["ilu0", "ic0", "block_ilu0", "long_rows",
+                                      "mixed"])
     def test_bitwise_against_reference(self, factors, isa, name, side, dtype, width):
         factor = factors[name][side == "upper"].astype(precision_of_dtype(dtype))
         for i, kind in enumerate(INPUTS):
@@ -293,6 +395,89 @@ class TestTrsv:
         with pytest.raises(ValueError):
             _on("native", lambda be: be.trsv(lower, np.ones(lower.nrows + 1)))
 
+    def test_plan_shapes(self):
+        """The plan holds every row once, chunks of at most 8 rows of one
+        level, every 140-term row and a wide level's lone straggler in a
+        chunk of its own, and pads the −0 row's lane."""
+        lower, _ = _mixed_factors()
+        meta, rows, cols, vals = native._trsv_layout(lower)
+        lanes = meta[:, 1]
+        assert lanes.min() >= 1 and lanes.max() == 8
+        level = np.empty(lower.nrows, dtype=np.int64)
+        for i, r in enumerate(lower.levels):
+            level[r] = i
+        seen = np.concatenate([rows[8 * c:8 * c + m] for c, m in enumerate(lanes)])
+        assert np.array_equal(np.sort(seen), np.arange(lower.nrows))
+        for c, m in enumerate(lanes):
+            assert np.unique(level[rows[8 * c:8 * c + m]]).size == 1
+        terms = np.diff(lower.off_rowptr)
+        single = rows[8 * np.flatnonzero(lanes == 1)]
+        assert set(np.flatnonzero(terms == 140)) <= set(single)
+        assert [r for r in single if terms[r] != 140 and level[r] == 2]
+        c = np.flatnonzero(rows == BASE + 3)[0] // 8
+        off, m, blocks, rest = meta[c]
+        assert m > 1 and 8 * blocks + rest > 2      # padded past its 2 rests
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=str)
+    def test_negative_zero_row_sum(self, isa, dtype):
+        """A row whose terms are all −0: its padding adds −0.0, so its sum
+        stays −0 and its x +0; +0.0 padding would flip x to −0."""
+        lower, _ = _mixed_factors()
+        factor = lower.astype(precision_of_dtype(dtype))
+        b = _negative_zero_rhs(factor, dtype)
+        got = _on(isa, lambda be: be.trsv(factor, b))
+        assert_bit_equal(got, _on("reference", lambda be: be.trsv(factor, b)))
+        assert got[BASE + 3] == 0 and not np.signbit(got[BASE + 3])
+
+    def test_rejects_a_broken_dependency(self, factors):
+        """Levels whose rows read a row of their own level, or of a later
+        one, are refused when the plan is built."""
+        lower, _ = _mixed_factors()
+        merged = lower.astype(lower.precision)
+        merged.levels = [np.concatenate(lower.levels[:2]), *lower.levels[2:]]
+        swapped = lower.astype(lower.precision)
+        swapped.levels = [lower.levels[0], lower.levels[2], lower.levels[1],
+                          *lower.levels[3:]]
+        for factor in (merged, swapped):
+            b = np.ones(factor.nrows)
+            with pytest.raises(ValueError, match="dependency"):
+                _on("native", lambda be: be.trsv(factor, b))
+
+    def test_work_buffer_comes_from_the_arena(self, isa):
+        """The fp16 solve's fp32 copy of x lives in the factor's per-thread
+        arena: one allocation, reused by later solves of any width up to
+        it."""
+        lower, _ = _mixed_factors()
+        factor = lower.astype(Precision.FP16)
+        b = _operand("ordinary", factor.nrows, 9, HALF, seed=73)
+        _on(isa, lambda be: be.trsv(factor, b))
+        arena = factor.scratch()
+        before = arena.alloc_count
+        for width in (None, 3, 9):
+            rhs = b[:, 0].copy() if width is None else np.ascontiguousarray(b[:, :width])
+            assert_bit_equal(_on(isa, lambda be: be.trsv(factor, rhs)),
+                             _on("reference", lambda be: be.trsv(factor, rhs)))
+        assert arena.alloc_count == before
+
+    @pytest.mark.parametrize("mutation", ["+0.0 padding", "a chunk across two levels"])
+    def test_self_check_rejects_a_broken_plan(self, isa, monkeypatch, mutation):
+        """Padding with +0.0 in place of −0.0, or packing rows of two levels
+        into one chunk, fails the load-time self-check."""
+        be = native.NativeBackend(get_backend("native")._lib, isa)
+        native.self_check(be)
+        if mutation == "+0.0 padding":
+            def pack(values, dest, size, empty):
+                out = np.zeros(size, dtype=values.dtype)
+                out[dest] = values
+                return out
+            monkeypatch.setattr(native, "_pack", pack)
+        else:
+            interleave = native._interleave
+            monkeypatch.setattr(native, "_interleave", lambda levels, *arrays:
+                                interleave([np.concatenate(levels)], *arrays))
+        with pytest.raises(native.NativeUnavailable, match="trsv"):
+            native.self_check(be)
+
 
 # ---------------------------------------------------------------------- #
 # fp16 CSR products
@@ -300,8 +485,9 @@ class TestTrsv:
 class TestHalfCsr:
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("kind", INPUTS)
-    def test_spmv_csr(self, matrix16, isa, kind, width):
-        a = matrix16
+    @pytest.mark.parametrize("name", ["matrix16", "mixed"])
+    def test_spmv_csr(self, request, isa, name, kind, width):
+        a = request.getfixturevalue(name)
         x = _operand(kind, a.ncols, width, HALF, seed=21)
 
         def run(be):
@@ -310,8 +496,9 @@ class TestHalfCsr:
 
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("kind", INPUTS)
-    def test_spmv_axpy(self, matrix16, isa, kind, width):
-        a = matrix16
+    @pytest.mark.parametrize("name", ["matrix16", "mixed"])
+    def test_spmv_axpy(self, request, isa, name, kind, width):
+        a = request.getfixturevalue(name)
         x = _operand(kind, a.ncols, width, HALF, seed=31)
         y = _operand("ordinary" if kind == "nan" else kind, a.nrows, width, HALF,
                      seed=32)
@@ -369,6 +556,17 @@ class TestHalfCsr:
         x = np.ones(a.ncols - 1, dtype=HALF)
         with pytest.raises(ValueError):
             _on("native", lambda be: be.spmv_csr(a.values, a.indices, a.indptr, x))
+
+    def test_negative_zero_row_sum(self, mixed, isa):
+        """Rows whose terms are all −0 keep a −0 sum: their padding adds
+        −0.0."""
+        a = mixed
+        x = np.abs(_operand("ordinary", a.ncols, 3, HALF, seed=63))
+        y = _on(isa, lambda be: be.spmv_csr(a.values, a.indices, a.indptr, x))
+        zero_rows = np.flatnonzero(np.diff(a.indptr) == 5)
+        assert np.all(y[zero_rows] == 0) and np.all(np.signbit(y[zero_rows]))
+        assert_bit_equal(y, _on("reference", lambda be: be.spmv_csr(
+            a.values, a.indices, a.indptr, x)))
 
 
 # ---------------------------------------------------------------------- #
@@ -627,6 +825,8 @@ class TestDiagScale:
 #: None: a vector; else an (n, k) block
 CAST_WIDTHS = (None, 0, 1, 3, 8, 9)
 F32 = np.dtype(np.float32)
+#: past every instruction set's gate: the compiled pass on any host
+GATE = max(native.CAST_GATE.values())
 
 
 def _shaped(values: np.ndarray, width) -> np.ndarray:
@@ -658,8 +858,9 @@ def _narrow_boundaries() -> np.ndarray:
 
 class TestCast:
     """``cast`` narrows fp32 to fp16 (ties to even) and widens fp16 to fp32
-    in one C pass per C-contiguous operand of ``CAST_GATE`` entries or
-    more; every other operand and dtype pair is the inherited ``astype``."""
+    in one C pass per C-contiguous operand of the instruction set's
+    ``CAST_GATE`` entries or more; every other operand and dtype pair is the
+    inherited ``astype``."""
 
     @pytest.mark.parametrize("width", CAST_WIDTHS)
     def test_widen_every_fp16_pattern(self, isa, width):
@@ -676,7 +877,7 @@ class TestCast:
     def test_boundary_values(self, isa):
         """The overflow edge and the subnormal ties, element by element."""
         x = np.array([65504.0, 65519.996, 65520.0, 2.0 ** -25, 3 * 2.0 ** -25,
-                      2.0 ** -26, -(2.0 ** -25), -0.0] * native.CAST_GATE,
+                      2.0 ** -26, -(2.0 ** -25), -0.0] * native.CAST_GATE[isa],
                      dtype=F32)
         got = _on(isa, lambda be: be.cast(x, Precision.FP16))
         assert got[:8].tolist() == [65504.0, 65504.0, np.inf, 0.0, 2.0 ** -23, 0.0,
@@ -686,7 +887,7 @@ class TestCast:
     @pytest.mark.parametrize("width", CAST_WIDTHS)
     @pytest.mark.parametrize("kind", INPUTS)
     def test_input_families(self, isa, kind, width):
-        for rows in (native.CAST_GATE // 4 - 1, native.CAST_GATE + 5):
+        for rows in (native.CAST_GATE[isa] // 4 - 1, native.CAST_GATE[isa] + 5):
             x32 = _operand(kind, rows, width, F32, seed=141)
             x16 = _operand(kind, rows, width, HALF, seed=142)
             for x, out in ((x32, Precision.FP16), (x16, Precision.FP32)):
@@ -709,9 +910,11 @@ class TestCast:
         return be, calls
 
     def test_the_gate(self, isa):
-        """Below ``CAST_GATE`` entries numpy casts; from it on, C does."""
+        """Below the set's ``CAST_GATE`` entries numpy casts; from it on, C
+        does."""
         be, calls = self._spied(isa)
-        gate = native.CAST_GATE
+        gate = native.CAST_GATE[isa]
+        assert be.cast_gate == gate
         for size in (gate - 4, gate - 1, gate, gate + 4):
             for src, dst in ((F32, Precision.FP16), (HALF, Precision.FP32)):
                 for x in (_operand("subnormal", size, None, src, seed=size),
@@ -724,7 +927,7 @@ class TestCast:
     @pytest.mark.parametrize("src,dst", [(F32, Precision.FP16), (HALF, Precision.FP32)])
     def test_non_contiguous_operands_fall_back(self, isa, src, dst):
         be, calls = self._spied(isa)
-        block = _operand("subnormal", native.CAST_GATE, 6, src, seed=143)
+        block = _operand("subnormal", native.CAST_GATE[isa], 6, src, seed=143)
         for x in (np.asfortranarray(block), block[:, ::2], block[::2], block.T):
             got = _on(isa, lambda _: be.cast(x, dst))
             want = _on("reference", lambda r: r.cast(x, dst))
@@ -742,7 +945,7 @@ class TestCast:
         the tie and round to even (down)."""
         be, calls = self._spied(isa)
         x = np.resize(np.array([1 + 2.0 ** -11 + 2.0 ** -40]),
-                      native.CAST_GATE).astype(src)
+                      native.CAST_GATE[isa]).astype(src)
         x[1:] = _operand("subnormal", x.size - 1, None, src, seed=144)
         got = _on(isa, lambda _: be.cast(x, dst))
         assert_bit_equal(got, _on("reference", lambda r: r.cast(x, dst)))
@@ -751,7 +954,7 @@ class TestCast:
             assert got[0] == np.float16(1 + 2.0 ** -10)
 
     def test_same_dtype_is_the_operand(self, isa):
-        x = _operand("ordinary", native.CAST_GATE, 2, HALF, seed=145)
+        x = _operand("ordinary", native.CAST_GATE[isa], 2, HALF, seed=145)
         with counting() as traffic:
             assert _on(isa, lambda be: be.cast(x, Precision.FP16)) is x
         assert traffic.summary()["kernel_calls"] == {}
@@ -761,7 +964,7 @@ class TestCast:
         totals = {}
         for engine in ("reference", "fast", "native"):
             with counting() as traffic:
-                for rows in (7, native.CAST_GATE):
+                for rows in (7, GATE):
                     for src, dst in ((F32, Precision.FP16), (HALF, Precision.FP32)):
                         x = _operand("ordinary", rows, width, src, seed=146)
                         _on(engine, lambda be: be.cast(x, dst))
@@ -777,7 +980,7 @@ class TestCast:
         precision returns the operand and records nothing."""
         from repro.sparse import vectorops as vo
 
-        x = _operand("subnormal", native.CAST_GATE, 8, F32, seed=147)
+        x = _operand("subnormal", GATE, 8, F32, seed=147)
         results, totals = {}, {}
         for engine in ("reference", "fast", "native"):
             with counting() as traffic:
@@ -872,10 +1075,10 @@ def test_self_check_rejects_a_differing_kernel(isa):
     native.self_check(be)
     kernel = be._half["trsv_f16"]
 
-    def corrupted(nrows, *args):
-        status = kernel(nrows, *args)
-        x16 = ctypes.cast(args[-2], ctypes.POINTER(ctypes.c_uint16))
-        x16[nrows - 1] ^= 1
+    def corrupted(*args):
+        status = kernel(*args)
+        x16 = ctypes.cast(args[7], ctypes.POINTER(ctypes.c_uint16))
+        x16[0] ^= 1
         return status
 
     be._half = {**be._half, "trsv_f16": corrupted}
@@ -900,7 +1103,7 @@ def test_four_threads_on_one_factor_match_serial(factors, matrix16, stencils):
     grid = [_operand("ordinary", ops[t].nrows, None if t % 2 else 3,
                      ops[t].precision.dtype, seed=80 + t) for t in range(4)]
     # fp32 past the cast gate, so both casts run their compiled pass
-    casts = [_operand("subnormal", native.CAST_GATE, None if t % 2 else 3,
+    casts = [_operand("subnormal", GATE, None if t % 2 else 3,
                       np.float32, seed=90 + t) for t in range(4)]
 
     def work(be, t):
