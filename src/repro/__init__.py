@@ -48,13 +48,6 @@ from .operators import (
     StencilOperator,
     as_operator,
 )
-from .par import (
-    configured_procs,
-    configured_threads,
-    pool_stats,
-    set_threads,
-    use_threads,
-)
 from .plans import SolvePlan, plan_cache_stats, plan_for
 from .precision import Precision
 from .precond import make_primary_preconditioner
@@ -101,12 +94,24 @@ __version__ = "1.0.0"
 if __import__("os").environ.get("REPRO_FAULTS", "").strip():
     from . import faults  # noqa: F401
 
+
+def configured_threads() -> int:
+    """Always ``1``: kernels run serially.  Kept only because
+    ``benchmarks/e2e/workloads.py::_environment`` records it; it goes at the
+    next change to the benchmark."""
+    return 1
+
+
+def configured_procs() -> int:
+    """Always ``1``: the process tier is retired.  Kept only because
+    ``benchmarks/e2e/workloads.py::_environment`` records it; it goes at the
+    next change to the benchmark."""
+    return 1
+
+
 __all__ = [
     "configured_procs",
     "configured_threads",
-    "pool_stats",
-    "set_threads",
-    "use_threads",
     "F3RConfig",
     "F3RSolver",
     "build_f3r",

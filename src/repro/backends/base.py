@@ -185,15 +185,9 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def spmv_csr(self, values: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
                  x: np.ndarray, out_precision=None, record: bool = True,
-                 scratch=None, par=None) -> np.ndarray:
+                 scratch=None) -> np.ndarray:
         """``y = A @ x`` for CSR arrays and a vector or ``(n, k)`` block ``x``;
-        ``scratch`` is the matrix's workspace.
-
-        ``par`` is the matrix's :class:`repro.par.ParState` (cached
-        partitions + autotuned thread verdicts); backends that execute
-        thread-parallel slabs use it, others ignore it.  A parallel
-        execution must be bit-identical to the backend's serial one.
-        """
+        ``scratch`` is the matrix's workspace."""
 
     @abc.abstractmethod
     def spmv_ell(self, ell, x: np.ndarray, out_precision=None,
@@ -309,7 +303,7 @@ class KernelBackend(abc.ABC):
     # ------------------------------------------------------------------ #
     def spmv_axpy(self, values: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
                   x: np.ndarray, y: np.ndarray, out_precision=None,
-                  record: bool = True, scratch=None, par=None) -> np.ndarray:
+                  record: bool = True, scratch=None) -> np.ndarray:
         """Fused residual update ``r = y − A·x`` for CSR arrays.
 
         Semantics of the unfused pair: the product is rounded to
@@ -317,7 +311,7 @@ class KernelBackend(abc.ABC):
         promotion rules (``vo.axpy(-1.0, A@x, y)``).
         """
         ax = self.spmv_csr(values, indices, indptr, x, out_precision=out_precision,
-                           record=record, scratch=scratch, par=par)
+                           record=record, scratch=scratch)
         return self.residual_update(y, ax, out_precision=out_precision,
                                     record=record, scratch=scratch)
 

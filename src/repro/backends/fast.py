@@ -38,47 +38,24 @@ Counter totals (bytes, flops, kernel calls) are identical to the reference;
 they are recorded in one batched call per logical group, and skipped entirely
 when :func:`repro.perf.counters.counters_enabled` is off.
 
-**Thread-parallel execution** (:mod:`repro.par`): the CSR/ELL products, the
-fused residuals, the stencil sweeps and the within-level triangular solves
-each carry a partitioned variant that fans nnz-balanced row slabs across
-the worker pool — same sub-path family (scipy compiled / staged fp16 /
-generic gather) and exactly the serial per-row arithmetic, so results are
-bit-identical for every thread count.  Workspace discipline under
-partitioning (the PR-5 thread-safety audit):
+**Thread safety**: one matrix, factor, operator or plan may be used from
+several threads at once (dispatcher workers share cached solvers):
 
-* a partition worker never touches the caller's arena — its temporaries
-  come from a dedicated per-worker slab arena
-  (:func:`repro.par.kernels.slab_workspace`);
-* caller-arena buffers cross into workers only as *read-only* inputs
-  (value casts, staged ``x32`` expansions) or as *disjoint output spans*
-  (the separable sweep's ping-pong buffers), and the caller is blocked in
-  ``run_tasks`` for the duration, so no concurrent mutation exists;
-* per-object caches that workers read (``ell._rm_vals``, ``_fast_vals``,
-  gather plans) are immutable-once-built derived data — a benign
-  cross-thread build race at worst derives them twice;
-* counters are recorded once, in the calling thread (they are
-  thread-local), with the exact serial totals — counter parity under
-  partitioning is structural.
+* every kernel temporary comes from the *calling* thread's arena
+  (:class:`~repro.backends.workspace.ThreadLocalWorkspace`);
+* per-object caches (``ell._rm_vals``, ``_fast_vals``, gather plans) are
+  immutable-once-built derived data — a benign cross-thread build race at
+  worst derives them twice;
+* counters are thread-local.
 
-``tests/test_parallel_threadsafety.py`` hammers one plan/solver/factor from
-four threads (each fanning across the pool) and requires every concurrent
-result to be bit-identical to serial.
+``tests/test_plans_alloc.py`` hammers one plan, solver and factor from four
+threads and requires every concurrent result to be bit-identical to serial.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..par import kernels as par_kernels
-from ..par.partition import (
-    MIN_LEVEL_ROWS,
-    csr_partition,
-    kernel_threads,
-    level_partition,
-    par_state,
-    span_partition,
-)
-from ..par.pool import forced_threads
 from ..perf.counters import counters_enabled
 from ..precision import BYTES_PER_INDEX, Precision, as_precision, precision_of_dtype, promote
 from . import halfvec
@@ -215,32 +192,8 @@ class FastBackend(KernelBackend):
     name = "fast"
 
     # ------------------------------------------------------------------ #
-    def _csr_slabs(self, par, indptr, nt):
-        """The matrix's nnz-balanced row slabs for ``nt`` threads (cached)."""
-        return par.partition(("csr", nt), lambda: csr_partition(indptr, nt))
-
-    def _spmv_csr_slabbed(self, values, indices, indptr, x_c, cdtype, n,
-                          scratch, par, nt):
-        """Thread-parallel CSR SpMV: same sub-path family as the serial
-        kernel (scipy compiled / staged fp16 / generic gather), restricted
-        per slab, so every output row is computed exactly as serially."""
-        slabs = self._csr_slabs(par, indptr, nt)
-        y = np.zeros((n,) + x_c.shape[1:], dtype=cdtype)
-        if _scipy_sparse is not None and np.dtype(cdtype) in _SCIPY_DTYPES:
-            vals_c = scratch.cast("csr_values", values, cdtype)
-            par_kernels.scipy_slabs(x_c.shape[0], vals_c, indices, y,
-                                    np.ascontiguousarray(x_c), slabs)
-        elif np.dtype(cdtype) == _HALF:
-            vals32 = scratch.cast("csr_values_stage", values, _STAGE)
-            x32 = halfvec.upcast(x_c, scratch.get("spmv_x32", x_c.shape, _STAGE))
-            par_kernels.gather_slabs(vals32, indices, x32, y, slabs, staged=True)
-        else:
-            vals_c = scratch.cast("csr_values", values, cdtype)
-            par_kernels.gather_slabs(vals_c, indices, x_c, y, slabs)
-        return y
-
     def spmv_csr(self, values, indices, indptr, x, out_precision=None,
-                 record=True, scratch=None, par=None):
+                 record=True, scratch=None):
         mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
                                                            out_precision)
         cdtype = compute.dtype
@@ -249,15 +202,7 @@ class FastBackend(KernelBackend):
         tail = x.shape[1:]
         x_c = x if x.dtype == cdtype else x.astype(cdtype)
 
-        nt = (kernel_threads("spmm" if tail else "spmv", nnz, par, rows=n)
-              if par is not None and scratch is not None else 1)
-        if (nt > 1 and np.dtype(cdtype) in _SCIPY_DTYPES
-                and _scipy_sparsetools is None):
-            nt = 1          # can't partition the compiled path; stay serial
-        if nt > 1:
-            y = self._spmv_csr_slabbed(values, indices, indptr, x_c, cdtype, n,
-                                       scratch, par, nt)
-        elif (scratch is not None and _scipy_sparse is not None
+        if (scratch is not None and _scipy_sparse is not None
                 and np.dtype(cdtype) in _SCIPY_DTYPES):
             # scipy's compiled csr matvec / SpMM: one fused pass streaming the
             # matrix once over all columns, no product array.  Accumulation
@@ -331,29 +276,17 @@ class FastBackend(KernelBackend):
             vals_rm = _ell_stage_vals(ell, vals_rm)
             x_c = halfvec.upcast(x_c, scratch.get("spmv_x32", x_c.shape, _STAGE))
 
-        st = par_state(ell)
-        nt = kernel_threads("spmm" if tail else "spmv", order.size, st,
-                            rows=ell.nrows)
-        if nt > 1:
-            # slabbed over the row-major entry stream: same gather-multiply
-            # (-round)-reduceat recipe per output row as the serial pass
-            slabs = st.partition(("ell", nt),
-                                 lambda: csr_partition(rm_indptr, nt))
-            y = np.zeros((ell.nrows,) + tail, dtype=cdtype)
-            par_kernels.gather_slabs(vals_rm, cols_rm, x_c, y, slabs,
-                                     staged=staged)
+        prods = scratch.get("spmv_prod32" if staged else "spmv_prod",
+                            (order.size,) + tail, x_c.dtype)
+        x_c.take(cols_rm, axis=0, out=prods)
+        np.multiply(prods, per_row(vals_rm, x.ndim), out=prods)
+        if staged:
+            y = halfvec.segment_sums_round(
+                prods, rm_indptr, np.empty((ell.nrows,) + tail, dtype=cdtype),
+                scratch=scratch)
         else:
-            prods = scratch.get("spmv_prod32" if staged else "spmv_prod",
-                                (order.size,) + tail, x_c.dtype)
-            x_c.take(cols_rm, axis=0, out=prods)
-            np.multiply(prods, per_row(vals_rm, x.ndim), out=prods)
-            if staged:
-                y = halfvec.segment_sums_round(
-                    prods, rm_indptr, np.empty((ell.nrows,) + tail, dtype=cdtype),
-                    scratch=scratch)
-            else:
-                y = np.zeros((ell.nrows,) + tail, dtype=cdtype)
-                row_segment_sums(prods, rm_indptr, y)
+            y = np.zeros((ell.nrows,) + tail, dtype=cdtype)
+            row_segment_sums(prods, rm_indptr, y)
         y = y.astype(out_prec.dtype, copy=False)
 
         if record and counters_enabled():
@@ -381,38 +314,28 @@ class FastBackend(KernelBackend):
     #   27-point stencil into ~11 contiguous streams — this is the path
     #   that beats the assembled CSR SpMM at ≥ 64³ grid points.
     # ------------------------------------------------------------------ #
-    def _conv_axis_taps(self, op, cur, nxt, axis, taps, kk, cdtype,
-                        lo=0, hi=None):
-        """The shifted-add tap passes of ``nxt = conv1d(cur)`` along ``axis``,
-        restricted to the flat output range ``[lo, hi)``.
+    def _conv_axis_taps(self, op, cur, nxt, axis, taps, kk, cdtype):
+        """The shifted-add tap passes of ``nxt = conv1d(cur)`` along ``axis``.
 
         Interior entries come from flat shifted adds (contiguous,
-        bandwidth-bound).  Each output element receives its full tap
-        sequence inside its owning range — in serial tap order — so any
-        span decomposition of ``[0, n)`` produces bit-identical interiors;
+        bandwidth-bound), each output element receiving its taps in order;
         :meth:`_conv_axis_edges` then rewrites the wrap-contaminated edge
-        planes exactly (serially, they are ``O(reach)`` planes).
+        planes exactly (they are ``O(reach)`` planes).
         """
         n_flat = cur.size
-        if hi is None:
-            hi = n_flat
         stride = int(op.strides[axis]) * kk
         first = True
         for j, w in taps:
             off = j * stride
-            glo = max(0, -off)
-            ghi = n_flat - max(0, off)
-            dlo = min(max(glo, lo), hi)
-            dhi = max(min(ghi, hi), dlo)
+            dlo = min(max(0, -off), n_flat)
+            dhi = max(n_flat - max(0, off), dlo)
             dst = nxt[dlo:dhi]
             src = cur[dlo + off:dhi + off]
             wc = cdtype.type(w)
             if first:
                 np.multiply(src, wc, out=dst)
-                if lo < dlo:
-                    nxt[lo:dlo] = 0
-                if dhi < hi:
-                    nxt[dhi:hi] = 0
+                nxt[:dlo] = 0
+                nxt[dhi:] = 0
                 first = False
             elif w == -1.0:
                 np.subtract(dst, src, out=dst)
@@ -448,8 +371,7 @@ class FastBackend(KernelBackend):
             didx[axis] = c
             nxtg[tuple(didx)] = 0 if acc is None else acc
 
-    def _conv_axis_taps_staged(self, op, cur32, nxt32, axis, taps, kk, ws,
-                               lo=0, hi=None):
+    def _conv_axis_taps_staged(self, op, cur32, nxt32, axis, taps, kk, ws):
         """Staged-fp16 variant of :meth:`_conv_axis_taps`.
 
         ``cur32``/``nxt32`` are fp32 arrays holding exactly
@@ -458,22 +380,16 @@ class FastBackend(KernelBackend):
         with :func:`~repro.backends.halfvec.quantize32` — reproducing the
         direct ``np.float16`` ufunc chain bit for bit without ever touching
         the scalar half-conversion routines.  Sign flips and ``±1`` copies
-        are exact and skip the redundant rounding.  The rounding chain is
-        per-element, so the ``[lo, hi)`` restriction preserves bit-identity
-        exactly as in the direct variant; ``ws`` is the executing thread's
-        scratch arena (a partition worker passes its own).
+        are exact and skip the redundant rounding.  ``ws`` is the operator's
+        scratch arena.
         """
         n_flat = cur32.size
-        if hi is None:
-            hi = n_flat
         stride = int(op.strides[axis]) * kk
         first = True
         for j, w in taps:
             off = j * stride
-            glo = max(0, -off)
-            ghi = n_flat - max(0, off)
-            dlo = min(max(glo, lo), hi)
-            dhi = max(min(ghi, hi), dlo)
+            dlo = min(max(0, -off), n_flat)
+            dhi = max(n_flat - max(0, off), dlo)
             dst = nxt32[dlo:dhi]
             src = cur32[dlo + off:dhi + off]
             w16 = np.float16(w)
@@ -487,10 +403,8 @@ class FastBackend(KernelBackend):
                 else:
                     np.multiply(src, w32, out=dst)
                     rounded = False
-                if lo < dlo:
-                    nxt32[lo:dlo] = 0
-                if dhi < hi:
-                    nxt32[dhi:hi] = 0
+                nxt32[:dlo] = 0
+                nxt32[dhi:] = 0
                 first = False
             elif w16 == -1.0:
                 np.subtract(dst, src, out=dst)
@@ -538,23 +452,12 @@ class FastBackend(KernelBackend):
             didx[axis] = c
             nxtg[tuple(didx)] = 0 if acc is None else acc
 
-    def _stencil_spans(self, op, kk, nt):
-        """Flat-range spans for the separable sweep (grid-point aligned),
-        cached on the operator's partition state."""
-        st = par_state(op)
-        spans = st.partition(("sep", kk, nt),
-                             lambda: span_partition(op.nrows * kk, nt, align=kk))
-        return spans if len(spans) > 1 else None
-
     def _apply_stencil_separable_staged(self, op, x_c, kk):
         """fp16 separable sweep on fp32-staged buffers (bit-identical)."""
         ws = op.scratch()
         sep = op.box_separable()
         alpha, taps = sep
         n_flat = op.nrows * kk
-        nt = kernel_threads("stencil" if kk == 1 else "stencil_batch", n_flat,
-                            par_state(op), rows=op.dims[0])
-        spans = self._stencil_spans(op, kk, nt) if nt > 1 else None
         x32 = halfvec.upcast(x_c.reshape(-1),
                              ws.get("stencil_x32", n_flat, _STAGE), scratch=ws)
         buffers = (ws.get("stencil_sep_a32", n_flat, _STAGE),
@@ -562,17 +465,7 @@ class FastBackend(KernelBackend):
         cur = x32
         for axis, axis_taps in enumerate(taps):
             nxt = buffers[axis % 2]
-            if spans is not None:
-                # workers sweep disjoint flat ranges of nxt with their own
-                # arenas; the per-element rounding chain is unchanged
-                par_kernels.run_spans(
-                    spans,
-                    lambda lo, hi, c=cur, nx=nxt, a=axis, t=axis_taps:
-                        self._conv_axis_taps_staged(
-                            op, c, nx, a, t, kk, par_kernels.slab_workspace(),
-                            lo=lo, hi=hi))
-            else:
-                self._conv_axis_taps_staged(op, cur, nxt, axis, axis_taps, kk, ws)
+            self._conv_axis_taps_staged(op, cur, nxt, axis, axis_taps, kk, ws)
             self._conv_axis_edges_staged(op, cur, nxt, axis, axis_taps, kk, ws)
             cur = nxt
         # fresh fp16 output: y = alpha * x + chain, each op rounded; the
@@ -599,22 +492,12 @@ class FastBackend(KernelBackend):
         alpha, taps = sep
         ws = op.scratch()
         n_flat = op.nrows * kk
-        nt = kernel_threads("stencil" if kk == 1 else "stencil_batch", n_flat,
-                            par_state(op), rows=op.dims[0])
-        spans = self._stencil_spans(op, kk, nt) if nt > 1 else None
         buffers = (ws.get("stencil_sep_a", n_flat, cdtype),
                    ws.get("stencil_sep_b", n_flat, cdtype))
         cur = x_c.reshape(-1)
         for axis, axis_taps in enumerate(taps):
             nxt = buffers[axis % 2]
-            if spans is not None:
-                par_kernels.run_spans(
-                    spans,
-                    lambda lo, hi, c=cur, nx=nxt, a=axis, t=axis_taps:
-                        self._conv_axis_taps(op, c, nx, a, t, kk, cdtype,
-                                             lo=lo, hi=hi))
-            else:
-                self._conv_axis_taps(op, cur, nxt, axis, axis_taps, kk, cdtype)
+            self._conv_axis_taps(op, cur, nxt, axis, axis_taps, kk, cdtype)
             self._conv_axis_edges(op, cur, nxt, axis, axis_taps, kk, cdtype)
             cur = nxt
         # fresh output (never an arena buffer): y = alpha * x + chain
@@ -626,32 +509,6 @@ class FastBackend(KernelBackend):
             np.copyto(y, cur)
         return y
 
-    def _stencil_slab_span(self, op, xg, yg, vals_c, cdtype, kk, tail, a0, b0):
-        """One worker's outermost-axis plane range ``[a0, b0)`` of the
-        per-offset slab accumulation: the serial offset loop with every
-        destination slab clipped to the owned planes (and its source slab
-        shifted identically), so each grid point accumulates its offsets in
-        exactly the serial order."""
-        ws = par_kernels.slab_workspace()
-        for pos, dst, src in op.slice_plan():
-            d0 = dst[0]
-            lo0 = max(d0.start, a0)
-            hi0 = min(d0.stop, b0)
-            if lo0 >= hi0:
-                continue
-            shift = src[0].start - d0.start
-            v = vals_c[pos]
-            acc = yg[(slice(lo0, hi0),) + dst[1:] + tail]
-            term = xg[(slice(lo0 + shift, hi0 + shift),) + src[1:] + tail]
-            if v == -1.0:
-                np.subtract(acc, term, out=acc)
-            elif v == 1.0:
-                np.add(acc, term, out=acc)
-            else:
-                tmp = ws.get("par_stencil_prod", term.shape, cdtype)
-                np.multiply(term, v, out=tmp)
-                np.add(acc, tmp, out=acc)
-
     def _apply_stencil_slabs(self, op, x_c, cdtype, kk):
         """Per-offset slab accumulation (the general fused path)."""
         vals_c = op.values.astype(cdtype, copy=False)
@@ -661,18 +518,6 @@ class FastBackend(KernelBackend):
         shape = op.dims + ((kk,) if kk > 1 else ())
         xg = x_c.reshape(shape)
         yg = y.reshape(shape)
-        st = par_state(op)
-        nt = kernel_threads("stencil" if kk == 1 else "stencil_batch",
-                            op.nrows * kk, st, rows=op.dims[0])
-        if nt > 1:
-            spans = st.partition(("slab0", nt),
-                                 lambda: span_partition(op.dims[0], nt))
-            if len(spans) > 1:
-                par_kernels.run_spans(
-                    spans,
-                    lambda a0, b0: self._stencil_slab_span(
-                        op, xg, yg, vals_c, cdtype, kk, tail, a0, b0))
-                return y
         for pos, dst, src in op.slice_plan():
             v = vals_c[pos]
             acc = yg[dst + tail]
@@ -768,32 +613,6 @@ class FastBackend(KernelBackend):
             factor._fast_vals[cdtype] = cached
         return plan, cached
 
-    def _trsv_par_levels(self, factor, plan, kernel):
-        """Per-level chunk decompositions for a within-level parallel solve.
-
-        ``None`` disables parallelism for this call; otherwise a list
-        aligned with ``plan`` whose entries are either ``None`` (level runs
-        the serial code — too narrow for a barrier) or the level's chunk
-        list.  Wide levels are exactly the fused block-diagonal factors'
-        regime: level ``i`` of every block merges into one schedule row,
-        the thread-per-block analogue the paper executes.
-        """
-        st = par_state(factor)
-        nt = kernel_threads(kernel, factor.off_vals.size, st,
-                            rows=factor.nrows)
-        if nt <= 1:
-            return None
-        min_rows = 1 if forced_threads() is not None else MIN_LEVEL_ROWS
-        levels = st.partition(
-            ("trsv", nt, min_rows),
-            lambda: [None if entry[1] is None
-                     else level_partition(factor.off_rowptr, entry[0], nt,
-                                          min_rows)
-                     for entry in plan])
-        if all(chunks is None for chunks in levels):
-            return None
-        return levels
-
     def _solve_levels_staged(self, factor, plan, stage_vals, level_inv, b16):
         """Staged-fp16 level sweep; returns the fp32 solution in the
         factor's arena.  The per-level arrays arrive shaped for ``b16`` (see
@@ -839,12 +658,10 @@ class FastBackend(KernelBackend):
 
         plan, (level_vals, level_inv, stage_vals) = self._trsv_plan_and_vals(
             factor, cdtype)
-        par_levels = self._trsv_par_levels(factor, plan,
-                                           "trsv" if b.ndim == 1 else "trsm")
         b_c = b if b.dtype == cdtype else b.astype(cdtype)
         level_inv = _level_views(level_inv, b.ndim)
 
-        if stage_vals is not None and par_levels is None:
+        if stage_vals is not None:
             x = self._solve_levels_staged(factor, plan,
                                           _level_views(stage_vals, b.ndim),
                                           level_inv, b_c)
@@ -852,13 +669,8 @@ class FastBackend(KernelBackend):
             result = x.astype(out_prec.dtype)
         else:
             x = np.zeros(b.shape, dtype=cdtype)
-            for i, ((rows, gather_idx, gather_cols, red_offsets, nonempty), lv,
-                    inv) in enumerate(zip(plan, _level_views(level_vals, b.ndim),
-                                          level_inv)):
-                if par_levels is not None and par_levels[i] is not None:
-                    par_kernels.level_chunks(x, b_c, rows, gather_cols, lv, inv,
-                                             par_levels[i])
-                    continue
+            for (rows, gather_idx, gather_cols, red_offsets, nonempty), lv, inv in zip(
+                    plan, _level_views(level_vals, b.ndim), level_inv):
                 if gather_idx is None:
                     x[rows] = b_c[rows] * inv
                     continue
@@ -926,34 +738,6 @@ class FastBackend(KernelBackend):
                 self._record_scal(vec_prec, w.size)
         return h_col, h_norm, normalized
 
-    def _residual_update_spans(self, v, az, cdtype, out_prec, staged, nt):
-        """Thread-parallel elementwise residual: disjoint row spans, each
-        computed with the serial recipe (direct subtract or the staged-fp16
-        upcast-subtract-round chain on the worker's own arena)."""
-        spans = span_partition(v.shape[0], nt)
-        tail = v.shape[1:]
-        if staged:
-            r = np.empty(v.shape, dtype=_HALF)
-
-            def task(lo, hi):
-                ws = par_kernels.slab_workspace()
-                v32 = halfvec.upcast(
-                    v[lo:hi], ws.get("par_resid_v32", (hi - lo,) + tail, _STAGE))
-                az32 = halfvec.upcast(
-                    az[lo:hi], ws.get("par_resid_az32", (hi - lo,) + tail, _STAGE))
-                halfvec.binop_round(np.subtract, v32, az32, out16=r[lo:hi],
-                                    scratch=ws)
-        else:
-            v_c = v if v.dtype == cdtype else v.astype(cdtype)
-            az_c = az if az.dtype == cdtype else az.astype(cdtype)
-            r = np.empty(v.shape, dtype=cdtype)
-
-            def task(lo, hi):
-                np.subtract(v_c[lo:hi], az_c[lo:hi], out=r[lo:hi])
-
-        par_kernels.run_spans(spans, task)
-        return r.astype(out_prec.dtype, copy=False)
-
     def residual_update(self, v, az, out_precision=None, record=True,
                         scratch=None):
         pv = precision_of_dtype(v.dtype)
@@ -962,10 +746,7 @@ class FastBackend(KernelBackend):
         out_prec = as_precision(out_precision) if out_precision is not None else pv
         cdtype = compute.dtype
         staged = np.dtype(cdtype) == _HALF and out_prec.dtype == _HALF
-        nt = kernel_threads("axpy", v.size, None, rows=v.shape[0])
-        if nt > 1:
-            r = self._residual_update_spans(v, az, cdtype, out_prec, staged, nt)
-        elif staged:
+        if staged:
             # v − az == (−1)·az + v bitwise (negation is exact, addition is
             # commutative), staged through fp32
             if scratch is not None:
@@ -1014,7 +795,7 @@ class FastBackend(KernelBackend):
         return result
 
     def spmv_axpy(self, values, indices, indptr, x, y, out_precision=None,
-                  record=True, scratch=None, par=None):
+                  record=True, scratch=None):
         mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
                                                            out_precision)
         cdtype = compute.dtype
@@ -1028,10 +809,10 @@ class FastBackend(KernelBackend):
                    and indptr.dtype == indices.dtype)
         if not fusable:
             # compose (the oracle order); both halves use their own fast
-            # paths — including their partitioned variants
+            # paths
             ax = self.spmv_csr(values, indices, indptr, x,
                                out_precision=out_precision, record=record,
-                               scratch=scratch, par=par)
+                               scratch=scratch)
             return self.residual_update(y, ax, out_precision=out_precision,
                                         record=record, scratch=scratch)
         # one pass: r starts as a copy of y and scipy's compiled matvec
@@ -1043,15 +824,13 @@ class FastBackend(KernelBackend):
                                 lambda: -vals_c)
         x_c = np.ascontiguousarray(x, dtype=cdtype)
         r = y.astype(cdtype, order="C", copy=True)
-        nt = (kernel_threads("spmv" if x.ndim == 1 else "spmm", nnz, par, rows=n)
-              if par is not None else 1)
-        if nt > 1:
-            # same compiled accumulation per row slab (r rows are disjoint)
-            par_kernels.scipy_slabs(x.shape[0], neg_vals, indices, r, x_c,
-                                    self._csr_slabs(par, indptr, nt))
+        if x.ndim == 1:
+            _scipy_sparsetools.csr_matvec(n, x.shape[0], indptr, indices,
+                                          neg_vals, x_c, r)
         else:
-            par_kernels.csr_accumulate(n, x.shape[0], indptr, indices, neg_vals,
-                                       x_c, r)
+            _scipy_sparsetools.csr_matvecs(n, x.shape[0], x.shape[1], indptr,
+                                           indices, neg_vals, x_c.ravel(),
+                                           r.ravel())
         if record and counters_enabled():
             k = columns(x)
             self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, nnz,

@@ -76,9 +76,7 @@ no state: their fp32 scratch is allocated per call, never per factor, or
 calling thread's arena.  The plans cached on a factor, and the CSR plans
 and stencil plans cached in a matrix's or stencil's arena, are immutable
 once built (a cross-thread race at worst builds them twice).  The kernels
-are serial; ``REPRO_THREADS``' within-kernel partitioning applies to the
-inherited kernels only, so it no longer partitions separable stencil
-applies.
+are serial.
 """
 
 from __future__ import annotations
@@ -619,11 +617,11 @@ class NativeBackend(FastBackend):
         return ops[4:]
 
     def spmv_csr(self, values, indices, indptr, x, out_precision=None,
-                 record=True, scratch=None, par=None):
+                 record=True, scratch=None):
         ops = self._half_csr(values, indices, indptr, x, scratch)
         if ops is None:
             return super().spmv_csr(values, indices, indptr, x, out_precision,
-                                    record=record, scratch=scratch, par=par)
+                                    record=record, scratch=scratch)
         mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
                                                            out_precision)
         nchunks, meta, rows, cols, vals32, _ = ops
@@ -639,7 +637,7 @@ class NativeBackend(FastBackend):
         return y.astype(out_prec.dtype, copy=False)
 
     def spmv_axpy(self, values, indices, indptr, x, y, out_precision=None,
-                  record=True, scratch=None, par=None):
+                  record=True, scratch=None):
         """``r = y − A·x`` in one pass for fp16: products rounded to fp16,
         summed in fp32, the sum rounded once, then ``y − s`` rounded."""
         ops = None
@@ -649,7 +647,7 @@ class NativeBackend(FastBackend):
             ops = self._half_csr(values, indices, indptr, x, scratch)
         if ops is None:
             return super().spmv_axpy(values, indices, indptr, x, y, out_precision,
-                                     record=record, scratch=scratch, par=par)
+                                     record=record, scratch=scratch)
         mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
                                                            out_precision)
         nchunks, meta, rows, cols, vals32, _ = ops

@@ -67,9 +67,7 @@ class ReferenceBackend(KernelBackend):
 
     # ------------------------------------------------------------------ #
     def spmv_csr(self, values, indices, indptr, x, out_precision=None,
-                 record=True, scratch=None, par=None):
-        # ``par`` (partition state) is part of the contract surface but the
-        # reference oracle always runs serially
+                 record=True, scratch=None):
         if x.ndim == 2:
             return column_loop(lambda xj: self.spmv_csr(
                 values, indices, indptr, xj, out_precision, record), x)

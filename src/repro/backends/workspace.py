@@ -25,11 +25,6 @@ Ownership conventions:
   kernel engine existed).  Note that some solver levels carry *algorithmic*
   shared state regardless (the adaptive Richardson weights are global across
   invocations by design) — the arenas don't change that.
-* Partition workers (:mod:`repro.par`) never borrow a caller's arena: each
-  pool worker draws slab temporaries from its own thread's arena
-  (:func:`repro.par.kernels.slab_workspace`), and caller buffers reach
-  workers only as read-only inputs or disjoint output spans while the
-  caller blocks in the join.
 """
 
 from __future__ import annotations

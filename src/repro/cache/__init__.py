@@ -10,9 +10,7 @@ kind       payload
            ``(matrix fingerprint, alpha, breakdown_shift)``
 ``levels`` triangular dependency-level schedules, keyed by the
            structural hash of the dependency edge list
-``partition`` CSR slab boundaries, keyed by
-           ``(fingerprint, kind, nparts)``
-``autotune``  format/thread verdicts (JSON, managed by
+``autotune``  format verdicts (JSON, managed by
            :mod:`repro.plans.autotune` — falls back to
            ``<REPRO_ARTIFACTS>/autotune.json`` when
            ``REPRO_TUNE_CACHE`` is unset)

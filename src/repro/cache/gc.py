@@ -1,8 +1,8 @@
 """Size- and age-bounded pruning of the persistent artifact store.
 
 A long-lived serving host accretes artifacts without bound: every new
-operator fingerprint adds ILU(0) factors, level schedules, and partition
-boundaries that nothing ever deletes — and every ``ShardServer`` sharing
+operator fingerprint adds ILU(0) factors and level schedules that nothing
+ever deletes — and every ``ShardServer`` sharing
 the store warm-starts from, and writes back to, it.  This module bounds it:
 
 * :func:`gc` — one pruning pass over ``REPRO_ARTIFACTS``: first drop

@@ -1,8 +1,7 @@
 """Fingerprint-keyed on-disk artifact store for compiled setup products.
 
 Cold start pays for work that is a pure function of the operator: ILU(0)/IC(0)
-factor values, triangular level schedules, CSR partition boundaries, autotune
-verdicts.  This store persists those artifacts under a directory named by the
+factor values, triangular level schedules, autotune verdicts.  This store persists those artifacts under a directory named by the
 ``REPRO_ARTIFACTS`` environment variable so a restarted process loads them
 instead of recomputing — the serving analogue of a compiled-kernel cache.
 

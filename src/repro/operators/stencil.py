@@ -106,7 +106,6 @@ class StencilOperator(LinearOperator, ScratchOwner):
         self._astype_cache: dict[Precision, "StencilOperator"] = {}
         self._fingerprint: str | None = None
         self._scratch: ThreadLocalWorkspace | None = None
-        self._par = None          # repro.par.ParState, attached on first use
 
     # ------------------------------------------------------------------ #
     @property

@@ -38,7 +38,6 @@ __all__ = [
     "measurement_suppressed",
     "set_measurement_suppressed",
     "measured_assembled_format",
-    "measured_plan_threads",
     "autotune_stats",
     "clear_autotune_cache",
 ]
@@ -64,14 +63,7 @@ _REPEATS = 3
 _LOCK = threading.Lock()
 _CACHE: dict[tuple, str] = {}
 _DISK_LOADED = False
-_STATS = {"measured": 0, "hits": 0, "disk_hits": 0,
-          "thread_measured": 0, "thread_hits": 0}
-
-#: plan kind → the kernel name a thread verdict is measured under (the
-#: batched sibling inherits the verdict: more work per row, never less
-#: parallel-friendly)
-_THREAD_KERNELS = {"csr": ("spmv", "spmm"), "ell": ("spmv", "spmm"),
-                   "stencil": ("stencil", "stencil_batch")}
+_STATS = {"measured": 0, "hits": 0, "disk_hits": 0}
 
 
 def tuning_enabled() -> bool:
@@ -107,23 +99,9 @@ def set_measurement_suppressed(suppressed: bool) -> bool:
 
 
 def autotune_stats() -> dict:
-    """Counters describing the tuner's cache behaviour (for tests/serving).
-
-    ``thread_verdicts`` histograms the autotuned thread counts currently
-    cached (``{"1": 3, "4": 2}`` = three operators pinned serial, two fanned
-    to four threads) so parallel-placement regressions are observable from
-    the dispatcher's stats.
-    """
+    """Counters describing the tuner's cache behaviour (for tests/serving)."""
     with _LOCK:
-        verdicts: dict[str, int] = {}
-        formats = 0
-        for key, choice in _CACHE.items():
-            if "threads" in key:
-                verdicts[choice] = verdicts.get(choice, 0) + 1
-            else:
-                formats += 1
-        return dict(_STATS, cached=formats, thread_verdicts=verdicts,
-                    suppressed=_SUPPRESSED)
+        return dict(_STATS, cached=len(_CACHE), suppressed=_SUPPRESSED)
 
 
 def clear_autotune_cache() -> None:
@@ -150,12 +128,13 @@ def _cache_path() -> str | None:
     return None
 
 
-def _valid_entry(key: tuple, choice) -> bool:
-    """Whether a (key, verdict) pair parsed from disk is structurally sane."""
-    if not isinstance(choice, str):
-        return False
-    if "threads" in key:
-        return choice.isdigit()
+def _valid_entry(choice) -> bool:
+    """Whether a verdict parsed from disk is a storage format.
+
+    Anything else, such as the thread counts an earlier version stored under
+    ``...|threads|...`` keys, is ignored on load and dropped at the next
+    merge.
+    """
     return choice in ("csr", "ell")
 
 
@@ -172,9 +151,8 @@ def _load_disk_cache_locked() -> None:
         with open(path, encoding="utf-8") as fh:
             stored = json.load(fh)
         for key_str, choice in stored.items():
-            key = tuple(key_str.split("|"))
-            if _valid_entry(key, choice):
-                _CACHE.setdefault(key, choice)
+            if _valid_entry(choice):
+                _CACHE.setdefault(tuple(key_str.split("|")), choice)
     except (OSError, ValueError, AttributeError):  # pragma: no cover - corrupt cache
         pass
 
@@ -195,7 +173,7 @@ def _store_disk_cache(snapshot: dict[tuple, str]) -> None:
         with open(path, encoding="utf-8") as fh:
             existing = json.load(fh)
         for key_str, choice in existing.items():
-            if _valid_entry(tuple(key_str.split("|")), choice):
+            if _valid_entry(choice):
                 payload[key_str] = choice
     except (OSError, ValueError, AttributeError):
         pass
@@ -273,98 +251,3 @@ def measured_assembled_format(operator, backend) -> str | None:
         snapshot = dict(_CACHE)
     _store_disk_cache(snapshot)
     return choice
-
-
-# ---------------------------------------------------------------------- #
-# Per-(fingerprint, kernel) thread-count autotuning
-# ---------------------------------------------------------------------- #
-def _thread_candidates(budget: int) -> list[int]:
-    """``[1, 2, 4, ...]`` powers of two up to and including the budget."""
-    candidates = [1]
-    t = 2
-    while t < budget:
-        candidates.append(t)
-        t *= 2
-    if budget > 1:
-        candidates.append(budget)
-    return candidates
-
-
-def measured_plan_threads(plan) -> int | None:
-    """Timed thread-count verdict for a compiled :class:`~repro.plans.SolvePlan`.
-
-    Measures the plan's bound apply kernel at 1, 2, 4, … threads (up to the
-    configured ``REPRO_THREADS`` budget) and records the fastest count on
-    the storage's :class:`~repro.par.ParState` — the partitioned kernels
-    then consult that verdict instead of the size heuristic, so *small
-    operators stay serial* (a measured verdict of 1 pins them there) and
-    large ones fan out exactly as wide as actually helps on this machine.
-    The verdict is cached per ``(fingerprint, backend, precision, kernel,
-    budget)`` in-process and, with ``REPRO_TUNE_CACHE``, on disk.
-
-    Returns the verdict, or ``None`` when tuning is disabled, the budget is
-    1, or the plan's storage kind has no parallel apply.
-    """
-    from ..par import configured_threads, force_threads
-    from ..par.partition import par_state
-
-    budget = configured_threads()
-    kernels = _THREAD_KERNELS.get(plan.kind)
-    if not _ENABLED or budget <= 1 or kernels is None:
-        return None
-    storage = plan._csr if plan.kind == "csr" else (
-        plan._ell if plan.kind == "ell" else plan._stencil)
-    nrows = plan.shape[0]
-    state = par_state(storage)
-
-    def adopt(verdict: int) -> int:
-        for kernel in kernels:
-            state.threads[kernel] = verdict
-        return verdict
-
-    if nrows < _MIN_TUNE_ROWS:
-        # too small to time reliably — and too small to benefit: pin serial
-        return adopt(1)
-
-    fingerprint = getattr(plan.operator, "fingerprint", None)
-    key = None
-    if fingerprint is not None:
-        key = (fingerprint(), plan.backend.name, plan.vec_prec.label,
-               "threads", kernels[0], str(budget))
-        with _LOCK:
-            _load_disk_cache_locked()
-            cached = _CACHE.get(key)
-            if cached is not None:
-                _STATS["thread_hits"] += 1
-                return adopt(int(cached))
-    if _SUPPRESSED:
-        # brownout: no new timing runs while serving is under pressure
-        return None
-
-    try:
-        x = (np.random.default_rng(nrows)
-             .uniform(-1.0, 1.0, plan.shape[1]).astype(plan.vec_prec.dtype))
-        timings = []
-        with counters_disabled():
-            for t in _thread_candidates(budget):
-                with force_threads(t):
-                    timings.append((_time_apply(
-                        lambda: plan.apply(x, record=False)), t))
-        # a wider fan-out must *clearly* beat serial — on a loaded or
-        # undersized machine near-tied timings are noise, and adopting a
-        # parallel verdict then taxes every future solve
-        serial_s = timings[0][0]
-        best_s, best = min(timings)
-        if best > 1 and best_s > 0.95 * serial_s:
-            best = 1
-    except Exception:  # pragma: no cover - measurement must never break solves
-        return None
-
-    adopt(best)
-    if key is not None:
-        with _LOCK:
-            _CACHE[key] = str(best)
-            _STATS["thread_measured"] += 1
-            snapshot = dict(_CACHE)
-        _store_disk_cache(snapshot)
-    return best

@@ -74,46 +74,6 @@ def _storage_config(operator) -> tuple:
     return (fmt, int(chunk) if chunk is not None else None)
 
 
-def _cached_csr_partition(matrix, nparts: int) -> list[tuple]:
-    """``csr_partition`` with persisted boundaries (:mod:`repro.cache`).
-
-    The slab tuples rebuild from the boundary array alone, so only the
-    boundaries hit disk; an unusable payload falls back to recomputing the
-    balance exactly as before.
-    """
-    from ..cache import (artifact_key, artifacts_enabled, load_arrays,
-                         store_arrays)
-    from ..par import balanced_boundaries, csr_slabs_from_boundaries
-
-    if not artifacts_enabled():
-        from ..par import csr_partition
-        return csr_partition(matrix.indptr, nparts)
-
-    key = artifact_key("partition", matrix.fingerprint(), "csr", int(nparts))
-    cached = load_arrays("partition", key)
-    if cached is not None:
-        try:
-            boundaries = np.ascontiguousarray(cached["boundaries"],
-                                              dtype=np.int64)
-            n = matrix.indptr.size - 1
-            if (boundaries.ndim == 1 and boundaries.size >= 2
-                    and boundaries[0] == 0 and boundaries[-1] == n
-                    and np.all(np.diff(boundaries) > 0)):
-                return csr_slabs_from_boundaries(matrix.indptr, boundaries)
-        except Exception:
-            pass
-
-    from time import perf_counter
-    start = perf_counter()
-    boundaries = balanced_boundaries(
-        np.asarray(matrix.indptr, dtype=np.int64), nparts)
-    slabs = csr_slabs_from_boundaries(matrix.indptr, boundaries)
-    cost_ms = (perf_counter() - start) * 1e3
-    store_arrays("partition", key, {"boundaries": boundaries},
-                 cost_ms=cost_ms)
-    return slabs
-
-
 class SolvePlan:
     """Pre-bound apply/residual kernels for one operator on one backend.
 
@@ -124,8 +84,8 @@ class SolvePlan:
     unrecorded true-residual refreshes).
     """
 
-    __slots__ = ("operator", "vec_prec", "backend", "kind", "par",
-                 "threads", "_csr", "_ell", "_stencil", "_tls")
+    __slots__ = ("operator", "vec_prec", "backend", "kind", "_csr", "_ell",
+                 "_stencil", "_tls")
 
     def __init__(self, operator, vec_prec: Precision | str, backend=None) -> None:
         from ..operators.assembled import AssembledOperator
@@ -156,31 +116,6 @@ class SolvePlan:
         else:
             self.kind = "operator"
 
-        # Parallel execution state: the resolved storage's partition cache +
-        # autotuned per-kernel thread verdicts.  When a thread budget is
-        # configured (REPRO_THREADS > 1), plan compile measures the apply at
-        # 1, 2, 4, … threads and pins the fastest count — so small operators
-        # stay serial and the solve hot loop never partitions or re-decides.
-        self.par = None
-        self.threads = None
-        storage_obj = self._csr or self._ell or self._stencil
-        if storage_obj is not None:
-            from ..par import configured_threads, par_state
-            from .autotune import measured_plan_threads
-
-            self.par = par_state(storage_obj)
-            if configured_threads() > 1:
-                self.threads = measured_plan_threads(self)
-                if (self.threads is not None and self.threads > 1
-                        and self._csr is not None):
-                    # prebuild the slab partition a cache-hit verdict skips;
-                    # with REPRO_ARTIFACTS set, persisted boundaries replace
-                    # the balance computation across restarts
-                    m = self._csr
-                    self.par.partition(
-                        ("csr", self.threads),
-                        lambda: _cached_csr_partition(m, self.threads))
-
     # ------------------------------------------------------------------ #
     @property
     def shape(self) -> tuple[int, int]:
@@ -210,8 +145,7 @@ class SolvePlan:
             m = self._csr
             return self.backend.spmv_csr(m.values, m.indices, m.indptr, x,
                                          out_precision=self.vec_prec,
-                                         record=record, scratch=m.scratch(),
-                                         par=self.par)
+                                         record=record, scratch=m.scratch())
         if kind == "ell":
             return self.backend.spmv_ell(self._ell, x,
                                          out_precision=self.vec_prec,
@@ -245,8 +179,7 @@ class SolvePlan:
             m = self._csr
             return self.backend.spmv_axpy(m.values, m.indices, m.indptr, x, v,
                                           out_precision=self.vec_prec,
-                                          record=record, scratch=m.scratch(),
-                                          par=self.par)
+                                          record=record, scratch=m.scratch())
         az = self._product(x, record)
         return self.backend.residual_update(v, az, out_precision=self.vec_prec,
                                             record=record,

@@ -16,8 +16,8 @@ cached setups:
   :class:`~repro.serve.executor.SetupExecutor` of a single
   :class:`~repro.serve.executor.ThreadMember`: a bounded setup LRU,
   single-flight builds, per-fingerprint dispatch order (``max_workers=N``
-  is bit-identical to ``max_workers=1``), the ``pool_consumer`` budget and
-  opportunistic rebuilds of evicted fingerprints.
+  is bit-identical to ``max_workers=1``) and opportunistic rebuilds of
+  evicted fingerprints.
 
 The dispatcher *is* a :class:`~repro.serve.cluster.ClusterGateway` whose
 ring holds that one thread member, so the request policy is the front-door

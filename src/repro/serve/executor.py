@@ -8,8 +8,8 @@ module is that job, written once:
   ``cache_size`` setups keyed by operator fingerprint, single-flight builds,
   the per-fingerprint FIFO order that keeps ``max_workers=N`` bit-identical
   to ``max_workers=1`` for a fixed dispatch order, the brownout split of
-  flagged columns onto ``degraded_sibling``, the backend and
-  ``pool_consumer`` scopes, and the counters every member reports.
+  flagged columns onto ``degraded_sibling``, the backend scope, and the
+  counters every member reports.
   Compiled plans sit in their own fingerprint-keyed cache alongside the
   LRU, so a setup rebuilt after eviction re-binds its plans instantly.
 * :class:`ThreadMember` is the executor on a thread pool: the member of
@@ -36,7 +36,6 @@ import numpy as np
 from ..backends import use_backend
 from ..core import F3RConfig, F3RSolver, degraded_variant
 from ..faults import maybe_delay, maybe_fail_worker
-from ..par import pool_consumer
 from .frontdoor import DispatcherClosed, _resolve_once
 
 __all__ = ["ExpiredRequest", "RemoteError", "SetupExecutor", "ThreadMember",
@@ -185,8 +184,7 @@ class SetupExecutor:
 
     def warm(self, fp: str, setup_factory) -> None:
         """Build (or touch) the fingerprint's setup without solving."""
-        with pool_consumer():
-            self.setup(fp, setup_factory)
+        self.setup(fp, setup_factory)
 
     def take_evicted(self, fp: str) -> bool:
         """Whether ``fp`` was evicted and is neither cached nor building;
@@ -284,26 +282,23 @@ class SetupExecutor:
             return slots
         if before is not None:
             before()
-        # one budget across both parallelism layers: each executing batch
-        # is a consumer, so its kernels get budget // active-batches threads
-        with pool_consumer():
-            try:
-                solver = self.setup(fp, setup_factory)
-            except Exception as exc:   # noqa: BLE001 - final "setup" slots
-                failure = RemoteError("setup", type(exc).__name__, str(exc))
-                for i in live:
-                    slots[i] = failure
-                return slots
-            lower = degraded_variant(self.config.variant) if degrade else None
-            low = [i for i in live if degrade[i]] if lower else []
-            parts = [([i for i in live if i not in low], solver)]
-            if low:
-                parts.append((low, solver.degraded_sibling(lower)))
-            with use_backend(self.backend) if self.backend else nullcontext():
-                batches = [(cols, part_solver.solve_batch(
-                    rhs_block if len(cols) == ncols
-                    else np.ascontiguousarray(rhs_block[:, cols])))
-                    for cols, part_solver in parts if cols]
+        try:
+            solver = self.setup(fp, setup_factory)
+        except Exception as exc:   # noqa: BLE001 - final "setup" slots
+            failure = RemoteError("setup", type(exc).__name__, str(exc))
+            for i in live:
+                slots[i] = failure
+            return slots
+        lower = degraded_variant(self.config.variant) if degrade else None
+        low = [i for i in live if degrade[i]] if lower else []
+        parts = [([i for i in live if i not in low], solver)]
+        if low:
+            parts.append((low, solver.degraded_sibling(lower)))
+        with use_backend(self.backend) if self.backend else nullcontext():
+            batches = [(cols, part_solver.solve_batch(
+                rhs_block if len(cols) == ncols
+                else np.ascontiguousarray(rhs_block[:, cols])))
+                for cols, part_solver in parts if cols]
         escalations = 0
         for cols, batch in batches:
             for i, result in zip(cols, batch.results):

@@ -177,16 +177,13 @@ class DispatchStats:
 
     def summary(self) -> dict:
         """Door counters plus the plan-layer state a production
-        deployment watches: the plan/autotune caches, the autotuned
-        thread-count verdicts (``autotune.thread_verdicts``), the
-        worker-pool budget/occupancy (``pool``), the robustness
+        deployment watches: the plan/autotune caches, the robustness
         counters (``recovery``), the cold-start picture (``cold_start``:
         warm-up completions plus the persistent artifact cache's
         hit/miss/saved-time counters) and the ring (``cluster``: the
         member table and the routing counters).  Every member is
         snapshotted once per call."""
         from ..cache import cold_start_stats
-        from ..par import pool_stats
         from ..plans import autotune_stats, plan_cache_stats
 
         members = self._member_snapshots()
@@ -222,7 +219,6 @@ class DispatchStats:
             "overload": overload,
             "plan_cache": plan_cache_stats(),
             "autotune": autotune_stats(),
-            "pool": pool_stats(),
             "cold_start": {
                 "prewarms": self.prewarms,
                 "opportunistic_warmups": self.opportunistic_warmups,

@@ -17,8 +17,8 @@ Rendering rules (pure function of the dict — no registry, no deps):
 * Nested dicts join their path with ``_`` (``recovery.retries`` →
   ``repro_recovery_retries``).
 * A dict whose values are all scalars *and* whose parent key is a known
-  per-key breakdown (``shed_by_priority``, ``thread_verdicts``,
-  ``entries``, ``by_kind``, ``by_site``) renders as one labeled metric
+  per-key breakdown (``shed_by_priority``, ``entries``, ``by_kind``,
+  ``by_site``) renders as one labeled metric
   family instead of one metric per key.
 * Known cumulative counters are typed ``counter``, everything else
   ``gauge``; booleans render as 0/1; non-numeric leaves are skipped.
@@ -39,7 +39,7 @@ _COUNTERS = frozenset({
     "escalations", "retries", "breaker_trips", "deadline_misses", "rejected",
     "shed", "degraded", "prewarms", "opportunistic_warmups", "transitions",
     "observations", "expired", "degraded_batches", "measured",
-    "hits", "disk_hits", "thread_measured", "thread_hits", "saves",
+    "hits", "disk_hits", "saves",
     "misses", "evictions",
     # remote shard / cluster tier
     "reconnects", "resends", "replays", "late_results", "heartbeat_misses",
@@ -51,7 +51,6 @@ _COUNTERS = frozenset({
 #: family: parent key -> label name
 _LABELED = {
     "shed_by_priority": "priority",
-    "thread_verdicts": "threads",
     "entries": "state",
     "by_kind": "kind",
     "by_site": "site",

@@ -21,7 +21,6 @@ import numpy as np
 
 from ..backends import get_backend
 from ..backends.workspace import ScratchOwner, ThreadLocalWorkspace
-from ..par.partition import par_state
 from ..precision import BYTES_PER_INDEX, Precision, as_precision, precision_of_dtype
 
 __all__ = ["CSRMatrix", "spmv_csr"]
@@ -58,7 +57,7 @@ class CSRMatrix(ScratchOwner):
     """
 
     __slots__ = ("values", "indices", "indptr", "shape", "_transpose", "_scratch",
-                 "_fingerprint", "_fingerprint_parent", "_par")
+                 "_fingerprint", "_fingerprint_parent")
 
     def __init__(self, values, indices, indptr, shape) -> None:
         self.indices = np.ascontiguousarray(indices, dtype=np.int32)
@@ -76,7 +75,6 @@ class CSRMatrix(ScratchOwner):
             raise ValueError("malformed indptr")
         self._transpose: CSRMatrix | None = None
         self._scratch: ThreadLocalWorkspace | None = None
-        self._par = None          # repro.par.ParState, attached on first use
         self._fingerprint: str | None = None
         # (source values array, target-precision label or None) when this
         # matrix is an astype copy of a not-yet-fingerprinted source: lets
@@ -148,7 +146,7 @@ class CSRMatrix(ScratchOwner):
             raise ValueError(f"dimension mismatch: A is {self.shape}, x has shape {x.shape}")
         return get_backend().spmv_csr(self.values, self.indices, self.indptr, x,
                                       out_precision=out_precision, record=record,
-                                      scratch=self.scratch(), par=par_state(self))
+                                      scratch=self.scratch())
 
     def matmat(self, x: np.ndarray, out_precision: Precision | str | None = None,
                record: bool = True) -> np.ndarray:

@@ -58,7 +58,7 @@ class SlicedEllMatrix(ScratchOwner):
 
     __slots__ = ("shape", "chunk_size", "chunk_widths", "chunk_offsets",
                  "values", "indices", "_source_nnz", "_rm_plan", "_rm_vals",
-                 "_scratch", "_par")
+                 "_scratch")
 
     def __init__(self, csr, chunk_size: int = 32) -> None:
         if chunk_size <= 0:
@@ -70,7 +70,6 @@ class SlicedEllMatrix(ScratchOwner):
         self._rm_plan = None
         self._rm_vals: dict = {}
         self._scratch = None
-        self._par = None          # repro.par.ParState, attached on first use
 
         row_nnz = np.diff(csr.indptr).astype(np.int64)
         self.chunk_widths = chunk_widths(row_nnz, chunk_size)
@@ -152,7 +151,6 @@ class SlicedEllMatrix(ScratchOwner):
         out._rm_plan = self._rm_plan       # layout-only; shared across dtypes
         out._rm_vals = {}                  # value-dependent; per instance
         out._scratch = None
-        out._par = None
         return out
 
     # ------------------------------------------------------------------ #

@@ -228,7 +228,6 @@ class TriangularFactor(ScratchOwner):
         self._fast_plan: list | None = None
         self._fast_vals: dict = {}
         self._scratch = None
-        self._par = None          # repro.par.ParState (partitions + verdicts)
 
     # ------------------------------------------------------------------ #
     @property
@@ -256,7 +255,6 @@ class TriangularFactor(ScratchOwner):
         out._fast_plan = self._fast_plan   # gather plan is layout-only: share it
         out._fast_vals = {}                # value-dependent: per instance
         out._scratch = None
-        out._par = None
         return out
 
     # ------------------------------------------------------------------ #
@@ -356,7 +354,6 @@ def fuse_block_diagonal(factors: list[TriangularFactor]) -> TriangularFactor:
     out._fast_plan = None
     out._fast_vals = {}
     out._scratch = None
-    out._par = None
     return out
 
 

@@ -28,7 +28,6 @@ from repro.backends import (
     use_backend,
 )
 from repro.core import F3RConfig, solve_f3r
-from repro.par import par_state
 from repro.perf import counting
 from repro.precision import Precision
 from repro.solvers import RestartedFGMRES, fgmres_cycle_batch
@@ -630,7 +629,7 @@ def _contract_calls(kernel, ops, mat_prec, vec_prec):
     if kernel == "spmv_csr":
         def run(be, x):
             return be.spmv_csr(a.values, a.indices, a.indptr, x,
-                               scratch=a.scratch(), par=par_state(a))
+                               scratch=a.scratch())
         return run, ("x",)
     if kernel == "spmv_ell":
         ell = SlicedEllMatrix(ops["csr"], chunk_size=8).astype(mat_prec)
@@ -648,8 +647,7 @@ def _contract_calls(kernel, ops, mat_prec, vec_prec):
     if kernel == "spmv_axpy":
         def run(be, x, y):
             return be.spmv_axpy(a.values, a.indices, a.indptr, x, y,
-                                out_precision=vec_prec, scratch=a.scratch(),
-                                par=par_state(a))
+                                out_precision=vec_prec, scratch=a.scratch())
         return run, ("x", "y")
     if kernel == "residual_update":
         return (lambda be, v, az: be.residual_update(

@@ -1,7 +1,7 @@
 """Artifact-cache tests: hit/miss, corruption tolerance, restart skip (PR 7).
 
 Covers the persistent compiled-artifact store (``repro.cache``): factor /
-level-schedule / partition payload roundtrips, version-mismatch and
+level-schedule payload roundtrips, version-mismatch and
 corrupt-file degradation (recompute, never crash), the dispatcher's warm-up
 counters, and — via subprocesses — a restarted process skipping
 factorization-adjacent recomputation plus the autotune disk cache's
@@ -306,14 +306,31 @@ class TestAutotuneDiskMerge:
         assert stored["fpA|fast|fp64|1024"] == "csr"
         assert stored["fpB|fast|fp64|1024"] == "ell"
 
-    def test_thread_verdicts_survive_merge(self, tmp_path):
+    def test_stale_thread_verdicts_are_ignored_then_dropped(self, tmp_path,
+                                                             monkeypatch):
+        """A file written by a version that also cached thread counts: its
+        ``threads`` entries are not loaded and the next merge drops them."""
+        from repro.plans import autotune
+
         cache_file = tmp_path / "tune.json"
+        cache_file.write_text(json.dumps({
+            "fpA|fast|fp64|threads|spmv|8": "4",
+            "fpA|fast|fp64|1024": "csr"}))
+        monkeypatch.setenv("REPRO_TUNE_CACHE", str(cache_file))
+        autotune.clear_autotune_cache()
+        try:
+            with autotune._LOCK:
+                autotune._load_disk_cache_locked()
+                loaded = dict(autotune._CACHE)
+        finally:
+            autotune.clear_autotune_cache()
+        assert loaded == {("fpA", "fast", "fp64", "1024"): "csr"}
+
         env = _subprocess_env(REPRO_TUNE_CACHE=str(cache_file))
-        self._write_verdict(env, "fpA|fast|fp64|threads|spmv|8", "4")
-        self._write_verdict(env, "fpA|fast|fp64|1024", "csr")
+        self._write_verdict(env, "fpB|fast|fp64|1024", "ell")
         stored = json.loads(cache_file.read_text())
-        assert stored["fpA|fast|fp64|threads|spmv|8"] == "4"
-        assert stored["fpA|fast|fp64|1024"] == "csr"
+        assert stored == {"fpA|fast|fp64|1024": "csr",
+                          "fpB|fast|fp64|1024": "ell"}
 
     def test_corrupt_existing_file_is_overwritten(self, tmp_path):
         cache_file = tmp_path / "tune.json"

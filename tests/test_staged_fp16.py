@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import F3RConfig, F3RSolver, par
+from repro import F3RConfig, F3RSolver
 from repro.backends import available_backends, get_backend, halfvec, use_backend
 from repro.backends.fast import STAGED_LEVEL_GATHERS
 from repro.matgen import get_matrix
@@ -247,19 +247,6 @@ class TestStagedLevelSolves:
         b = _vector("subnormal", factor.nrows, 70)
         ref, fast = _both(lambda: factor.solve(b, out_precision=out))
         assert_bit_equal(ref, fast)
-
-    def test_threaded_levels_keep_the_direct_recipe(self, factors):
-        """The within-level threaded path runs the direct fp16 recipe; it
-        must agree with the staged serial sweep bit for bit."""
-        factor = factors["wide_lower"]
-        b = _vector("subnormal", factor.nrows, 80)
-        bb = _block("subnormal", factor.nrows, 90)
-        with use_backend("fast"):
-            serial = factor.solve(b), factor.solve_batch(bb)
-            with par.force_threads(2):
-                threaded = factor.solve(b), factor.solve_batch(bb)
-        assert_bit_equal(serial[0], threaded[0])
-        assert_bit_equal(serial[1], threaded[1])
 
 
 # ---------------------------------------------------------------------- #

@@ -54,9 +54,8 @@ but ``serve/remote.py`` (``spawn_server``) may import ``multiprocessing``:
 several processes are ``ShardServer`` members of a ring.
 
 It keeps fp16 staging inside the kernel engines (:data:`HALFVEC_HOMES`):
-no module but those under ``backends/`` and ``par/kernels.py`` may import
-``backends.halfvec``; a caller that needs an fp16 operation asks the engine
-for a kernel.
+no module but those under ``backends/`` may import ``backends.halfvec``; a
+caller that needs an fp16 operation asks the engine for a kernel.
 
 And it keeps compiled code in one place and tested (:data:`NATIVE_LIMITS`):
 no module but ``backends/native.py`` may import ``ctypes``, and every symbol
@@ -101,9 +100,9 @@ REQUIRED_MODULES = (
     "test_operators*.py",              # operator layer: equivalence + e2e (PR 3)
     "test_plans*.py",                  # solve plans: fused parity, staged fp16,
                                        # autotune, allocation regression (PR 4)
-    "test_parallel*.py",               # multicore engine: REPRO_THREADS
-                                       # bit-identity sweep, counter parity,
-                                       # pool budget, concurrency audit (PR 5)
+    "test_plans_alloc*.py",            # per-thread arenas: no steady-state
+                                       # allocation, and one plan / solver /
+                                       # factor hammered from four threads
     "test_robustness*.py",             # guards, recovery ladder, dispatcher
                                        # hardening, guarded parity (PR 6)
     "test_faults*.py",                 # fault-injection determinism and the
@@ -196,9 +195,8 @@ NATIVE_LIMITS = {
 NATIVE_TESTS = "test_native*.py"
 
 #: the modules that may import backends.halfvec (the fp16 staging helpers):
-#: the engines, and the partition workers that run their slabs
-HALFVEC_HOMES = (SRC_DIR / "repro" / "backends",
-                 SRC_DIR / "repro" / "par" / "kernels.py")
+#: the engines
+HALFVEC_HOMES = (SRC_DIR / "repro" / "backends",)
 
 
 def imports_halfvec(path: Path) -> bool:
