@@ -18,10 +18,14 @@ updates, the stencil sweeps, the diagonal scaling and the casts, where it
 builds; each must equal ``fast`` bit for bit, or the run exits 1),
 plus the CSR product and the triangular solve on an ``(n, k)`` block against
 ``k`` vector calls (rows ``spmm_csr`` and ``trsm``), a full ``solve_batch`` of
-the fp16-F3R solver against ``k`` sequential ``solve`` calls, and the
+the fp16-F3R solver against ``k`` sequential ``solve`` calls, the
 matrix-free stencil applies (single + batched) against the assembled CSR
-kernels on the HPCG 27-point operator at a 64³ grid, and emits a
-``BENCH_kernels.json`` speedup summary.
+kernels on the HPCG 27-point operator at a 64³ grid, and — where ``native``
+builds — the ``dispatch`` rows: one compiled fp16 ``trsv`` and
+``weighted_update`` call through the engine against the bare ctypes call on
+729-row operands (the serving workload's largest), so the wrapper's cost per
+call is a reported number, and emits a ``BENCH_kernels.json`` speedup
+summary.
 
 Not collected by pytest (the tier-1 suite); run directly or via make:
 
@@ -98,6 +102,10 @@ HALF_STENCIL_GRID = 24
 #: grid side of the small cast rows: 9³ = 729 entries, the largest operator
 #: of the serving workload, below ``native``'s cast gate
 SMALL_CAST_GRID = 9
+
+#: grid side of the dispatch rows: HPCG 9³, 729 rows, the serving
+#: workload's largest operator
+DISPATCH_GRID = 9
 
 #: grid side of the matrix-free stencil benchmark (HPCG 27-point); 64³ is the
 #: operator-layer acceptance threshold — the batched matrix-free apply must
@@ -415,6 +423,69 @@ def bench_fused(problem, repeats: int) -> dict[str, dict]:
     return entries
 
 
+def _per_call(fns, repeats: int, number: int) -> list[float]:
+    """Best-of-``repeats`` mean time of one call of each of ``fns`` over
+    ``number`` calls, the functions interleaved in every repeat."""
+    best = [float("inf")] * len(fns)
+    for fn in fns:
+        fn()
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            for _ in range(number):
+                fn()
+            best[i] = min(best[i], (time.perf_counter() - start) / number)
+    return best
+
+
+def bench_dispatch(repeats: int, number: int = 2000) -> dict[str, dict]:
+    """One compiled call through the ``native`` engine against the bare
+    ctypes call of the same kernel on the same operands, every argument
+    converted beforehand: the engine's cost per call (lookup, checks, output
+    allocation, addresses, traffic record) is ``engine_s − bare_s``.  The
+    operands are 729-row fp16 vectors and the fp16 ILU(0) ``L`` factor of
+    the diagonally scaled HPCG 9³ matrix; counters stay on, as in a solve."""
+    from repro.backends import native
+
+    engine = get_backend("native")
+    kernels = engine._half
+    matrix, _ = diagonal_scaling(hpcg_matrix(DISPATCH_GRID))
+    factor = TriangularFactor(ilu0_factor(matrix)[0], lower=True,
+                              unit_diagonal=True).astype(Precision.FP16)
+    n = matrix.nrows
+    rng = np.random.default_rng(9)
+    b16 = rng.uniform(-1.0, 1.0, n).astype(np.float16)
+    z16 = rng.uniform(-1.0, 1.0, n).astype(np.float16)
+    x16 = np.empty(n, dtype=np.float16)
+    work = np.empty(n + 1, dtype=np.float32)
+    alpha = np.full(1, np.float16(0.97), dtype=np.float32)
+    engine.trsv(factor, b16)                       # builds the plan
+
+    def bare(symbol, *args):
+        fn = kernels[symbol]
+        args = tuple(t(a) for t, a in zip(fn.argtypes, args))
+        return lambda: fn(*args)
+
+    _, nchunks, _, addrs = native._trsv_plan(factor, np.dtype(np.float16))
+    addr = native._addr
+    rows = {
+        "trsv_fp16": (lambda: engine.trsv(factor, b16),
+                      bare("trsv_f16", nchunks, *addrs, addr(b16), addr(x16), 1,
+                           addr(work))),
+        "weighted_update_fp16": (
+            lambda: engine.weighted_update(z16, b16, 0.97, Precision.FP16),
+            bare("weighted_update_f16", n, 1, addr(alpha), addr(b16), addr(z16),
+                 addr(x16))),
+    }
+    entries = {}
+    for name, (through, direct) in rows.items():
+        engine_s, bare_s = _per_call((through, direct), repeats, number)
+        entries[name] = {"engine_s": engine_s, "bare_s": bare_s,
+                         "overhead_s": engine_s - bare_s, "n": n,
+                         "isa": engine.isa}
+    return entries
+
+
 def run(scale: str, repeats: int, m: int) -> dict:
     side = SCALES[scale]
     problem = build_problem(side)
@@ -441,6 +512,8 @@ def run(scale: str, repeats: int, m: int) -> dict:
     batched["solve_batch"] = bench_solve_batch(scale)
     stencil = bench_stencil(repeats)
     fused = bench_fused(problem, repeats)
+    dispatch = (bench_dispatch(repeats) if "native" in available_backends()
+                else {})
     return {
         "scale": scale,
         "n": problem["n"],
@@ -451,6 +524,7 @@ def run(scale: str, repeats: int, m: int) -> dict:
         "batched": batched,
         "stencil": stencil,
         "fused": fused,
+        "dispatch": dispatch,
     }
 
 
@@ -548,6 +622,14 @@ def main(argv=None) -> int:
         print(f"  {name:<21} unfused {row['unfused_s'] * 1e3:9.3f} ms   "
               f"fused {row['fused_s'] * 1e3:9.3f} ms   "
               f"speedup {row['speedup']:6.2f}x")
+
+    if report["dispatch"]:
+        print("one compiled call through the native engine vs the bare ctypes "
+              f"call — {report['dispatch']['trsv_fp16']['n']} rows")
+        for name, row in report["dispatch"].items():
+            print(f"  {name:<21} engine {row['engine_s'] * 1e6:8.2f} us   "
+                  f"bare {row['bare_s'] * 1e6:8.2f} us   "
+                  f"per-call cost {row['overhead_s'] * 1e6:8.2f} us")
 
     args.json.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.json}")

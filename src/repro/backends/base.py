@@ -42,20 +42,130 @@ implement the abstract kernels, and register a factory with
 from __future__ import annotations
 
 import abc
+import functools
 
 import numpy as np
 
-from ..perf.counters import (
-    counters_disabled,
-    counters_enabled,
-    record_bytes,
-    record_flops,
-    record_kernel,
-)
+from ..perf.counters import Traffic, counters_disabled
+from ..perf.counters import record as record_traffic
 from ..precision import BYTES_PER_INDEX, Precision, as_precision, precision_of_dtype, promote
 
-__all__ = ["KernelBackend", "column_loop", "columns", "ilu0_setup", "per_row",
-           "row_segment_sums", "segment_ramp", "spmv_setup", "split_lower_upper"]
+__all__ = ["KernelBackend", "axpy_traffic", "cast_traffic", "column_loop", "columns",
+           "combine_traffic", "diag_scale_traffic", "gram_schmidt_traffic",
+           "ilu0_setup", "per_row", "row_segment_sums", "scal_traffic",
+           "segment_ramp", "spmv_setup", "spmv_traffic", "split_lower_upper",
+           "stencil_traffic", "trsv_traffic"]
+
+# ---------------------------------------------------------------------- #
+# Kernel traffic records
+#
+# Each builder is the counter totals of one kernel call, built once per
+# distinct argument tuple (Precision members and ints) and cached, so a hot
+# kernel records them with one add (:func:`repro.perf.counters.record`).
+# ---------------------------------------------------------------------- #
+_traffic_cache = functools.lru_cache(maxsize=4096)
+
+
+@_traffic_cache
+def spmv_traffic(mat_prec, vec_prec, out_prec, compute, n: int, nnz: int,
+                 index_bytes: int, k: int = 1) -> Traffic:
+    """Traffic of ``k`` SpMVs.  A block records its logical per-column
+    traffic; amortization shows up in wall-clock, not in the counters."""
+    return Traffic.of(
+        calls=[("spmv", k)],
+        values=[(mat_prec, k * nnz * mat_prec.bytes, k * index_bytes),
+                (vec_prec, k * n * vec_prec.bytes, 0),
+                (out_prec, k * n * out_prec.bytes, 0)],
+        flops=[(compute, k * 2 * nnz)])
+
+
+def trsv_traffic(factor, vec_prec, out_prec, compute, k: int = 1) -> Traffic:
+    """Traffic of ``k`` triangular solves with ``factor``."""
+    return _trsv_traffic(factor.precision, factor.nrows, factor.off_vals.size,
+                         factor.off_cols.size, factor.unit_diagonal, vec_prec,
+                         out_prec, compute, k)
+
+
+@_traffic_cache
+def _trsv_traffic(precision, n: int, off: int, off_cols: int, unit_diagonal: bool,
+                  vec_prec, out_prec, compute, k: int) -> Traffic:
+    nnz = off + (0 if unit_diagonal else n)
+    return Traffic.of(
+        calls=[("trsv", k)],
+        values=[(precision, k * nnz * precision.bytes,
+                 k * off_cols * BYTES_PER_INDEX),
+                (vec_prec, k * n * vec_prec.bytes, 0),
+                (out_prec, k * n * out_prec.bytes, 0)],
+        flops=[(compute, k * (2 * off + 2 * n))])
+
+
+@_traffic_cache
+def stencil_traffic(mat_prec, vec_prec, out_prec, compute, n: int, nnz: int,
+                    npoints: int, k: int = 1) -> Traffic:
+    """Traffic of ``k`` fused stencil applies (shared by every backend).
+
+    A matrix-free apply reads the input vector and the ``npoints``-entry
+    coefficient table and writes the output — no value or index streams,
+    which is exactly the ``cA`` collapse the cost model predicts.  Flops
+    match the assembled SpMV (one multiply-add per structural nonzero).
+    """
+    return Traffic.of(
+        calls=[("stencil", k)],
+        values=[(mat_prec, k * npoints * mat_prec.bytes, 0),
+                (vec_prec, k * n * vec_prec.bytes, 0),
+                (out_prec, k * n * out_prec.bytes, 0)],
+        flops=[(compute, k * 2 * nnz)])
+
+
+@_traffic_cache
+def axpy_traffic(px, py, out_prec, compute, n: int, k: int = 1) -> Traffic:
+    """Traffic of ``k`` axpy-shaped updates (parity with ``vo.axpy``)."""
+    return Traffic.of(
+        calls=[("axpy", k)],
+        values=[(px, k * n * px.bytes, 0), (py, k * n * py.bytes, 0),
+                (out_prec, k * n * out_prec.bytes, 0)],
+        flops=[(compute, 2 * k * n)])
+
+
+@_traffic_cache
+def diag_scale_traffic(sp, vp, out_prec, compute, n: int, k: int = 1) -> Traffic:
+    """Traffic of ``k`` diagonal scalings (one multiply per entry)."""
+    return Traffic.of(
+        calls=[("diag_scale", k)],
+        values=[(sp, k * n * sp.bytes, 0), (vp, k * n * vp.bytes, 0),
+                (out_prec, k * n * out_prec.bytes, 0)],
+        flops=[(compute, k * n)])
+
+
+@_traffic_cache
+def cast_traffic(src, dst, size: int, k: int = 1) -> Traffic:
+    """Traffic of ``k`` casts over ``size`` entries in all."""
+    return Traffic.of(calls=[("cast", k)],
+                      values=[(src, size * src.bytes, 0), (dst, size * dst.bytes, 0)])
+
+
+@_traffic_cache
+def scal_traffic(p, n: int) -> Traffic:
+    """Traffic of one scal (parity with ``vo.scal``)."""
+    return Traffic.of(calls=[("scal", 1)], values=[(p, 2 * n * p.bytes, 0)],
+                      flops=[(p, n)])
+
+
+@_traffic_cache
+def gram_schmidt_traffic(p, n: int, ncols: int) -> Traffic:
+    """Batched equivalent of ``ncols`` dots + ``ncols`` axpys + one norm."""
+    return Traffic.of(
+        calls=[("dot", ncols), ("axpy", ncols), ("norm", 1)],
+        values=[(p, 2 * ncols * n * p.bytes, 0), (p, 3 * ncols * n * p.bytes, 0),
+                (p, n * p.bytes, 0)],
+        flops=[(p, 2 * ncols * n), (p, 2 * ncols * n), (p, 2 * n)])
+
+
+@_traffic_cache
+def combine_traffic(p, n: int, k: int) -> Traffic:
+    """Batched equivalent of ``k`` axpys accumulating the solution."""
+    return Traffic.of(calls=[("axpy", k)], values=[(p, 3 * k * n * p.bytes, 0)],
+                      flops=[(p, 2 * k * n)])
 
 
 def per_row(a: np.ndarray, ndim: int) -> np.ndarray:
@@ -393,111 +503,50 @@ class KernelBackend(abc.ABC):
         """ILU(0) on the pattern of ``matrix``; returns ``(L, U)`` CSR factors."""
 
     # ------------------------------------------------------------------ #
-    # Shared batched-recording helpers (identical totals on every backend)
+    # Shared batched-recording helpers (identical totals on every backend):
+    # each records the cached Traffic of its arguments in one add
     # ------------------------------------------------------------------ #
     @staticmethod
     def _record_spmv(mat_prec, vec_prec, out_prec, compute, n: int, nnz: int,
                      index_bytes: int, k: int = 1) -> None:
-        """Traffic of ``k`` SpMVs.  A block records its logical per-column
-        traffic; amortization shows up in wall-clock, not in the counters."""
-        record_kernel("spmv", k)
-        record_bytes(mat_prec, k * nnz * mat_prec.bytes, index_bytes=k * index_bytes)
-        record_bytes(vec_prec, k * n * vec_prec.bytes)
-        record_bytes(out_prec, k * n * out_prec.bytes)
-        record_flops(compute, k * 2 * nnz)
+        record_traffic(spmv_traffic(mat_prec, vec_prec, out_prec, compute, n, nnz,
+                                    index_bytes, k))
 
     @staticmethod
     def _record_trsv(factor, vec_prec, out_prec, compute, k: int = 1) -> None:
-        """Traffic of ``k`` triangular solves."""
-        nnz = factor.off_vals.size + (0 if factor.unit_diagonal else factor.nrows)
-        record_kernel("trsv", k)
-        record_bytes(factor.precision, k * nnz * factor.precision.bytes,
-                     index_bytes=k * factor.off_cols.size * BYTES_PER_INDEX)
-        record_bytes(vec_prec, k * factor.nrows * vec_prec.bytes)
-        record_bytes(out_prec, k * factor.nrows * out_prec.bytes)
-        record_flops(compute, k * (2 * factor.off_vals.size + 2 * factor.nrows))
+        record_traffic(trsv_traffic(factor, vec_prec, out_prec, compute, k))
 
     @staticmethod
     def _record_stencil(mat_prec, vec_prec, out_prec, compute, n: int, nnz: int,
                         npoints: int, k: int = 1) -> None:
-        """Traffic of ``k`` fused stencil applies (shared by every backend).
-
-        A matrix-free apply reads the input vector and the ``npoints``-entry
-        coefficient table and writes the output — no value or index streams,
-        which is exactly the ``cA`` collapse the cost model predicts.  Flops
-        match the assembled SpMV (one multiply-add per structural nonzero).
-        """
-        if not counters_enabled():
-            return
-        record_kernel("stencil", k)
-        record_bytes(mat_prec, k * npoints * mat_prec.bytes)
-        record_bytes(vec_prec, k * n * vec_prec.bytes)
-        record_bytes(out_prec, k * n * out_prec.bytes)
-        record_flops(compute, k * 2 * nnz)
+        record_traffic(stencil_traffic(mat_prec, vec_prec, out_prec, compute, n, nnz,
+                                       npoints, k))
 
     @staticmethod
     def _record_axpy(px: Precision, py: Precision, out_prec: Precision,
                      compute: Precision, n: int, k: int = 1) -> None:
-        """Traffic of ``k`` axpy-shaped updates (parity with ``vo.axpy``)."""
-        if not counters_enabled():
-            return
-        record_kernel("axpy", k)
-        record_bytes(px, k * n * px.bytes)
-        record_bytes(py, k * n * py.bytes)
-        record_bytes(out_prec, k * n * out_prec.bytes)
-        record_flops(compute, 2 * k * n)
+        record_traffic(axpy_traffic(px, py, out_prec, compute, n, k))
 
     @staticmethod
     def _record_diag_scale(sp: Precision, vp: Precision, out_prec: Precision,
                            compute: Precision, n: int, k: int = 1) -> None:
-        """Traffic of ``k`` diagonal scalings (one multiply per entry)."""
-        if not counters_enabled():
-            return
-        record_kernel("diag_scale", k)
-        record_bytes(sp, k * n * sp.bytes)
-        record_bytes(vp, k * n * vp.bytes)
-        record_bytes(out_prec, k * n * out_prec.bytes)
-        record_flops(compute, k * n)
+        record_traffic(diag_scale_traffic(sp, vp, out_prec, compute, n, k))
 
     @staticmethod
     def _record_cast(src: Precision, dst: Precision, size: int, k: int = 1) -> None:
-        """Traffic of ``k`` casts over ``size`` entries in all."""
-        record_kernel("cast", k)
-        record_bytes(src, size * src.bytes)
-        record_bytes(dst, size * dst.bytes)
+        record_traffic(cast_traffic(src, dst, size, k))
 
     @staticmethod
     def _record_scal(p: Precision, n: int) -> None:
-        """Traffic of one scal (parity with ``vo.scal``)."""
-        if not counters_enabled():
-            return
-        record_kernel("scal")
-        record_bytes(p, 2 * n * p.bytes)
-        record_flops(p, n)
+        record_traffic(scal_traffic(p, n))
 
     @staticmethod
     def _record_gram_schmidt(p: Precision, n: int, ncols: int) -> None:
-        """Batched equivalent of ``ncols`` dots + ``ncols`` axpys + one norm."""
-        if not counters_enabled():
-            return
-        record_kernel("dot", ncols)
-        record_bytes(p, 2 * ncols * n * p.bytes)
-        record_flops(p, 2 * ncols * n)
-        record_kernel("axpy", ncols)
-        record_bytes(p, 3 * ncols * n * p.bytes)
-        record_flops(p, 2 * ncols * n)
-        record_kernel("norm")
-        record_bytes(p, n * p.bytes)
-        record_flops(p, 2 * n)
+        record_traffic(gram_schmidt_traffic(p, n, ncols))
 
     @staticmethod
     def _record_combine(p: Precision, n: int, k: int) -> None:
-        """Batched equivalent of ``k`` axpys accumulating the solution."""
-        if not counters_enabled():
-            return
-        record_kernel("axpy", k)
-        record_bytes(p, 3 * k * n * p.bytes)
-        record_flops(p, 2 * k * n)
+        record_traffic(combine_traffic(p, n, k))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"

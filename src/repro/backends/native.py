@@ -73,15 +73,16 @@ the default engine, see :mod:`repro.backends`); otherwise one
 call, so solves on several threads run truly concurrently.  The kernels keep
 no state: their fp32 scratch is allocated per call, never per factor, or
 (the fp16 solve's copy of x, the stencil sweeps' buffers) drawn from the
-calling thread's arena.  The plans cached on a factor, and the CSR plans
-and stencil plans cached in a matrix's or stencil's arena, are immutable
-once built (a cross-thread race at worst builds them twice).  The kernels
-are serial.
+calling thread's arena.  The plans cached on a factor, the CSR plans and
+stencil plans cached in a matrix's or stencil's arena, and the prebound
+calls cached beside them (:class:`NativeBackend`), are immutable once built
+(a cross-thread race at worst builds them twice).  The kernels are serial.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shlex
@@ -91,13 +92,16 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from ..perf.counters import counters_enabled
+from ..perf.counters import Traffic
+from ..perf.counters import record as record_traffic
 from ..precision import (BYTES_PER_INDEX, Precision, as_precision,
                          precision_of_dtype, promote)
-from .base import columns, spmv_setup
+from .base import (axpy_traffic, cast_traffic, columns, diag_scale_traffic,
+                   spmv_setup, spmv_traffic, stencil_traffic, trsv_traffic)
 from .fast import FastBackend
 
 __all__ = ["FLAGS", "ISAS", "NativeBackend", "NativeUnavailable", "cache_dir",
@@ -350,6 +354,20 @@ def _addr(a: np.ndarray) -> int:
         return a.__array_interface__["data"][0]
 
 
+_byref = ctypes.byref
+_view = ctypes.c_char.from_buffer
+
+
+def _ptr(a: np.ndarray):
+    """``a``'s data as a per-call pointer argument: a reference to a ctypes
+    view of its buffer, which a call passes as is (an int address it would
+    convert first), or numpy's address where ``a`` is read-only or empty."""
+    try:
+        return _byref(_view(a))
+    except (TypeError, ValueError):
+        return a.__array_interface__["data"][0]
+
+
 def _interleave(levels, rowptr, cols, values) -> tuple:
     """The row-interleaved plan (SELL-8, see ``native.c``) of the rows in
     ``levels`` — index arrays of independent rows, in dependency order —
@@ -501,27 +519,73 @@ def _stencil_plan(op, cdtype) -> tuple:
     return arrays, tuple(_addr(a) for a in arrays), int(alpha != 0.0)
 
 
-def _csr_operands(values, indices, indptr) -> tuple:
-    """The source arrays, the column count they need (validated: consistent
-    sizes, non-negative indices — the C kernels index x without bounds
-    checks), the chunk count of their row-interleaved plan (every row one
-    level) and the addresses of its chunk records, lane rows, packed columns
-    and packed fp32 values, followed by those arrays (kept alive)."""
-    if (indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0
-            or indptr[-1] != indices.size or values.size != indices.size
-            or np.any(np.diff(indptr) < 0)
-            or (indices.size and indices.min() < 0)):
-        raise ValueError("inconsistent CSR arrays")
-    ncols = int(indices.max()) + 1 if indices.size else 0
-    arrays = _interleave([np.arange(indptr.size - 1)], indptr.astype(np.int64),
-                         indices, values.astype(_F32))
-    return (values, indices, indptr, ncols, len(arrays[0]),
-            *(_addr(a) for a in arrays), arrays)
+class _CsrPlan:
+    """The row-interleaved plan (every row one level) of fp16 CSR arrays —
+    validated: consistent sizes, non-negative indices, since the C kernels
+    index x without bounds checks — and the prebound calls on it.
+
+    ``ncols`` is the column count the arrays need, ``lead`` the chunk count
+    and the addresses of the plan's chunk records, lane rows, packed
+    columns and packed fp32 values, which ``arrays`` keeps alive."""
+
+    __slots__ = ("values", "indices", "indptr", "ncols", "arrays", "lead", "calls")
+
+    def __init__(self, values, indices, indptr) -> None:
+        if (indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0
+                or indptr[-1] != indices.size or values.size != indices.size
+                or np.any(np.diff(indptr) < 0)
+                or (indices.size and indices.min() < 0)):
+            raise ValueError("inconsistent CSR arrays")
+        self.values, self.indices, self.indptr = values, indices, indptr
+        self.ncols = int(indices.max()) + 1 if indices.size else 0
+        self.arrays = _interleave([np.arange(indptr.size - 1)], indptr.astype(np.int64),
+                                  indices, values.astype(_F32))
+        self.lead = (len(self.arrays[0]), *(_addr(a) for a in self.arrays))
+        #: (backend, kernel, operand shape, output precision) -> _Call
+        self.calls: dict = {}
 
 
 def _check(status: int) -> None:
     if status != 0:
         raise MemoryError("native kernel could not allocate its scratch")
+
+
+class _Call(NamedTuple):
+    """A native kernel call resolved once per operand, input dtype, output
+    precision and column count: what is left per call is the output
+    allocation, the addresses, the C call and one traffic record."""
+
+    #: the instruction set's C function with the plan's leading arguments
+    #: bound (:func:`_bind`)
+    kernel: object
+    #: the operand's columns
+    k: int
+    #: the dtype the kernel reads its operand in and writes
+    dtype: np.dtype
+    #: the shape of the array the kernel writes
+    shape: tuple
+    #: the dtype the result is cast to before it is returned, or ``None``
+    out: object
+    #: the traffic of one call
+    traffic: Traffic
+
+
+def _bind(kernel, *lead, arrays=()):
+    """``kernel`` with its leading arguments bound, converted once to the
+    ctypes types it declares, holding ``arrays`` — the plan arrays whose
+    addresses it binds — alive."""
+    types = getattr(kernel, "argtypes", None)
+    if types:
+        lead = tuple(ctype(arg) for ctype, arg in zip(types, lead))
+    bound = functools.partial(kernel, *lead)
+    bound.arrays = arrays
+    return bound
+
+
+def _out_dtype(out_prec: Precision, dtype) -> np.dtype | None:
+    """The dtype a kernel writing ``dtype`` casts its result to, or ``None``
+    when that is ``dtype`` itself."""
+    return None if out_prec.dtype == dtype else out_prec.dtype
 
 
 class NativeBackend(FastBackend):
@@ -532,9 +596,26 @@ class NativeBackend(FastBackend):
     ``isa`` picks the instruction set of :data:`_PER_ISA`'s kernels
     (:data:`ISAS`); by default the fastest that :func:`isas` reports for
     this CPU.
+
+    **Prebound calls.**  Each compiled kernel call is resolved once per
+    operand, input dtype, output precision and column count into a
+    :class:`_Call`: the kernel of the instruction set with the plan's
+    leading arguments bound, the output dtype and the call's traffic
+    record.  It is cached beside the plan it binds — on the factor
+    (``trsv``), in the matrix's arena (the fp16 CSR products) or the
+    stencil's (the sweeps) — and, for the vector kernels, which have no
+    plan, on the engine, dropped with the kernel table it was made from.  A
+    call is then one lookup, the contiguity check, the output allocation,
+    the addresses, one C call and one :func:`~repro.perf.counters.record`.
+    Operands a kernel does not take are cached as ``False`` and go to
+    ``fast``.
     """
 
     name = "native"
+
+    #: the most vector-kernel calls the engine keeps (it forgets them all
+    #: past this: one per operand shape and kernel is the steady state)
+    MAX_CALLS = 1024
 
     def __init__(self, lib: ctypes.CDLL | None = None, isa: str | None = None) -> None:
         if lib is None:
@@ -549,13 +630,23 @@ class NativeBackend(FastBackend):
                                     f"on this host")
         self._lib = lib
         self.isa = isa
-        #: the kernels of ``isa`` (:data:`_PER_ISA`), and the scalar ones
-        #: (the fallback for a call whose gather index col * k might
-        #: overflow int32)
         self._half = {name: getattr(lib, name + ISAS[isa]) for name in _PER_ISA}
         self._scalar = {name: getattr(lib, name) for name in _PER_ISA}
         #: the size from which ``cast`` runs C (:data:`CAST_GATE`)
         self.cast_gate = CAST_GATE[isa]
+
+    @property
+    def _half(self) -> dict:
+        """The kernels of ``isa`` (:data:`_PER_ISA`); the scalar ones,
+        ``_scalar``, are the fallback for a call whose gather index col * k
+        might overflow int32.  Replacing the table drops the vector calls
+        bound from it."""
+        return self._kernels
+
+    @_half.setter
+    def _half(self, kernels: dict) -> None:
+        self._kernels = kernels
+        self._calls: dict = {}
 
     def _half_kernels(self, rows: int, k: int) -> dict:
         """The fp16 kernels for an operand of ``rows`` rows and ``k``
@@ -563,11 +654,41 @@ class NativeBackend(FastBackend):
         in int32."""
         return self._half if rows * k <= _INT32_MAX else self._scalar
 
+    def _remember(self, key, call):
+        """Cache the vector-kernel call ``call`` under ``key``; returns it."""
+        if len(self._calls) >= self.MAX_CALLS:
+            self._calls.clear()
+        self._calls[key] = call
+        return call
+
     # ------------------------------------------------------------------ #
     def trsv(self, factor, b, out_precision=None, record=True):
         """Level-scheduled substitution in one C call over the factor's
         row-interleaved plan; an ``(n, k)`` block runs every chunk on each
         column."""
+        key = (self, b.dtype, out_precision, b.shape)
+        call = factor._fast_vals.get(key)
+        if call is None:
+            call = factor._fast_vals[key] = self._trsv_call(factor, b, out_precision)
+        if not call:
+            return super().trsv(factor, b, out_precision, record=record)
+        kernel, k, dtype, shape, out, traffic = call
+        b_c = np.ascontiguousarray(b, dtype=dtype)
+        if dtype == _HALF:
+            x = np.empty(shape, dtype=_HALF)
+            work = factor.scratch().get("native_trsv32", (shape[0] + 1) * k, _F32)
+            _check(kernel(_ptr(b_c), _ptr(x), k, _ptr(work)))
+        else:
+            # the zero row the plan's padding reads, just before x
+            x = np.zeros(shape, dtype=dtype)[1:]
+            _check(kernel(_ptr(b_c), _ptr(x), k))
+        if record:
+            record_traffic(traffic)
+        return x if out is None else x.astype(out)
+
+    def _trsv_call(self, factor, b, out_precision):
+        """The solve with ``factor`` of right-hand sides like ``b``, or
+        ``False`` for a factor too large for the plan's int32 columns."""
         vec_prec = precision_of_dtype(b.dtype)
         compute = promote(factor.precision, vec_prec)
         out_prec = as_precision(out_precision) if out_precision is not None else vec_prec
@@ -576,91 +697,90 @@ class NativeBackend(FastBackend):
         if b.ndim not in (1, 2) or b.shape[0] != n:
             raise ValueError(f"right-hand side of shape {b.shape} for a factor "
                              f"of {n} rows")
-        if n >= _INT32_MAX:                       # the plan's columns are int32
-            return super().trsv(factor, b, out_precision, record=record)
-        symbol, nchunks, _, (meta, rows, cols, vals, inv) = _trsv_plan(factor, cdtype)
+        if n >= _INT32_MAX:
+            return False
+        symbol, nchunks, arrays, addrs = _trsv_plan(factor, cdtype)
         k = columns(b)
-        b_c = np.ascontiguousarray(b, dtype=cdtype)
         if cdtype == _HALF:
-            x = np.empty(b.shape, dtype=_HALF)
-            work = factor.scratch().get("native_trsv32", (n + 1) * k, _F32)
-            _check(self._half_kernels(n, k)[symbol](
-                nchunks, meta, rows, cols, vals, inv, _addr(b_c), _addr(x), k,
-                _addr(work)))
+            kernel, shape = self._half_kernels(n, k)[symbol], b.shape
         else:
-            # the zero row the plan's padding reads, just before x
-            x = np.zeros((n + 1,) + b.shape[1:], dtype=cdtype)[1:]
-            _check(getattr(self._lib, symbol)(nchunks, meta, rows, cols, vals, inv,
-                                              _addr(b_c), _addr(x), k))
-        if record and counters_enabled():
-            self._record_trsv(factor, vec_prec, out_prec, compute, k)
-        return x.astype(out_prec.dtype, copy=False)
+            kernel, shape = getattr(self._lib, symbol), (n + 1,) + b.shape[1:]
+        return _Call(_bind(kernel, nchunks, *addrs, arrays=arrays), k, cdtype, shape,
+                     _out_dtype(out_prec, cdtype),
+                     trsv_traffic(factor, vec_prec, out_prec, compute, k))
 
     # ------------------------------------------------------------------ #
-    def _half_csr(self, values, indices, indptr, x, scratch):
-        """The chunk count and the addresses of an fp16 CSR kernel's plan
-        (:func:`_csr_operands`), and the arrays behind them (to keep alive
-        for the call), or ``None`` when the C kernels do not apply (a wider
-        compute dtype or non-int32 indices).  The matrix's arena
-        (``scratch``) caches them for its arrays."""
+    def _csr_call(self, name, values, indices, indptr, x, out_precision, scratch):
+        """The call of fp16 CSR kernel ``name`` (``spmv_csr_f16`` or
+        ``spmv_axpy_f16``) on these arrays for operands like ``x``, or
+        ``False`` where the C kernels do not apply: a wider compute dtype,
+        non-int32 indices, or a residual rounded to another precision.  The
+        matrix's arena (``scratch``) caches the plan and its calls for its
+        arrays."""
         if (values.dtype != _HALF or x.dtype != _HALF
                 or indices.dtype != _I32 or indptr.dtype != _I32):
-            return None
-        ops = (scratch.memo("native_csr", lambda: _csr_operands(
-            values, indices, indptr)) if scratch is not None else None)
-        if ops is None or not (ops[0] is values and ops[1] is indices
-                               and ops[2] is indptr):
-            ops = _csr_operands(values, indices, indptr)
-        if x.ndim not in (1, 2) or x.shape[0] < ops[3]:
+            return False
+        plan = (scratch.memo("native_csr", lambda: _CsrPlan(values, indices, indptr))
+                if scratch is not None else None)
+        if plan is None or not (plan.values is values and plan.indices is indices
+                                and plan.indptr is indptr):
+            plan = _CsrPlan(values, indices, indptr)
+        key = (self, name, x.shape, out_precision)
+        call = plan.calls.get(key)
+        if call is None:
+            call = plan.calls[key] = self._bind_csr(plan, name, x, out_precision)
+        return call
+
+    def _bind_csr(self, plan, name, x, out_precision):
+        """The call of ``name`` on ``plan`` for operands like ``x``."""
+        if x.ndim not in (1, 2) or x.shape[0] < plan.ncols:
             raise ValueError(f"operand of shape {x.shape} for a matrix with "
-                             f"column indices up to {ops[3] - 1}")
-        return ops[4:]
+                             f"column indices up to {plan.ncols - 1}")
+        mat_prec, vec_prec, compute, out_prec = spmv_setup(_HALF, _HALF, out_precision)
+        residual = name == "spmv_axpy_f16"
+        if residual and out_prec.dtype != _HALF:
+            return False
+        n, nnz, k = plan.indptr.size - 1, plan.values.size, columns(x)
+        traffic = spmv_traffic(mat_prec, vec_prec, out_prec, compute, n, nnz,
+                               (nnz + n + 1) * BYTES_PER_INDEX, k)
+        if residual:
+            traffic = traffic.then(axpy_traffic(out_prec, out_prec, out_prec,
+                                                compute, n, k))
+        nchunks, *addrs = plan.lead
+        kernel = self._half_kernels(x.shape[0], k)[name]
+        return _Call(_bind(kernel, nchunks, x.shape[0], *addrs, arrays=plan.arrays),
+                     k, _HALF, (n,) + x.shape[1:], _out_dtype(out_prec, _HALF), traffic)
 
     def spmv_csr(self, values, indices, indptr, x, out_precision=None,
                  record=True, scratch=None):
-        ops = self._half_csr(values, indices, indptr, x, scratch)
-        if ops is None:
+        call = self._csr_call("spmv_csr_f16", values, indices, indptr, x,
+                              out_precision, scratch)
+        if not call:
             return super().spmv_csr(values, indices, indptr, x, out_precision,
                                     record=record, scratch=scratch)
-        mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
-                                                           out_precision)
-        nchunks, meta, rows, cols, vals32, _ = ops
-        n, k = indptr.size - 1, columns(x)
+        kernel, k, _, shape, out, traffic = call
         x16 = np.ascontiguousarray(x)
-        y = np.empty((n,) + x.shape[1:], dtype=_HALF)
-        kernel = self._half_kernels(x.shape[0], k)["spmv_csr_f16"]
-        _check(kernel(nchunks, x.shape[0], meta, rows, cols, vals32, _addr(x16),
-                      _addr(y), k))
-        if record and counters_enabled():
-            self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, values.size,
-                              (values.size + n + 1) * BYTES_PER_INDEX, k)
-        return y.astype(out_prec.dtype, copy=False)
+        y = np.empty(shape, dtype=_HALF)
+        _check(kernel(_ptr(x16), _ptr(y), k))
+        if record:
+            record_traffic(traffic)
+        return y if out is None else y.astype(out)
 
     def spmv_axpy(self, values, indices, indptr, x, y, out_precision=None,
                   record=True, scratch=None):
         """``r = y − A·x`` in one pass for fp16: products rounded to fp16,
         summed in fp32, the sum rounded once, then ``y − s`` rounded."""
-        ops = None
-        if (y.dtype == _HALF and y.shape == (indptr.size - 1,) + x.shape[1:]
-                and (out_precision is None
-                     or as_precision(out_precision).dtype == _HALF)):
-            ops = self._half_csr(values, indices, indptr, x, scratch)
-        if ops is None:
+        call = self._csr_call("spmv_axpy_f16", values, indices, indptr, x,
+                              out_precision, scratch)
+        if not call or y.dtype != _HALF or y.shape != call.shape:
             return super().spmv_axpy(values, indices, indptr, x, y, out_precision,
                                      record=record, scratch=scratch)
-        mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
-                                                           out_precision)
-        nchunks, meta, rows, cols, vals32, _ = ops
-        n, k = indptr.size - 1, columns(x)
+        kernel, k, _, shape, _, traffic = call
         x16, y16 = np.ascontiguousarray(x), np.ascontiguousarray(y)
-        r = np.empty(y.shape, dtype=_HALF)
-        kernel = self._half_kernels(x.shape[0], k)["spmv_axpy_f16"]
-        _check(kernel(nchunks, x.shape[0], meta, rows, cols, vals32, _addr(x16),
-                      _addr(y16), _addr(r), k))
-        if record and counters_enabled():
-            self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, values.size,
-                              (values.size + n + 1) * BYTES_PER_INDEX, k)
-            self._record_axpy(out_prec, out_prec, out_prec, compute, n, k)
+        r = np.empty(shape, dtype=_HALF)
+        _check(kernel(_ptr(x16), _ptr(y16), _ptr(r), k))
+        if record:
+            record_traffic(traffic)
         return r
 
     # ------------------------------------------------------------------ #
@@ -668,28 +788,46 @@ class NativeBackend(FastBackend):
         """A box-separable stencil's sweep in one serial C call — ``fast``'s
         separable sweep, bit for bit; every other stencil, and an empty
         block, is ``fast``'s."""
+        ws = op.scratch()
+        memo = ws.memo("native_stencil", dict)
+        key = (self, x.dtype, x.shape, out_precision)
+        call = memo.get(key)
+        if call is None:
+            call = memo[key] = self._stencil_call(op, x, out_precision, memo)
+        if not call:
+            return super().apply_stencil(op, x, out_precision, record=record)
+        kernel, _, dtype, shape, out, traffic = call
+        x_c = np.ascontiguousarray(x, dtype=dtype)
+        y = np.empty(shape, dtype=dtype)
+        # the ping-pong buffers (and fp16's fp32 expansion of x)
+        work = (ws.get("native_stencil32", 3 * x.size, _F32) if dtype == _HALF
+                else ws.get("native_stencil", 2 * x.size, dtype))
+        _check(kernel(_ptr(x_c), _ptr(y), _ptr(work)))
+        if record:
+            record_traffic(traffic)
+        return y if out is None else y.astype(out)
+
+    def _stencil_call(self, op, x, out_precision, memo):
+        """The sweep of ``op`` over operands like ``x``, or ``False`` for a
+        stencil that is not box-separable, a misshapen operand or an empty
+        block; ``memo`` (the stencil arena's) keeps the plan per compute
+        dtype."""
         if (op.box_separable() is None or x.ndim not in (1, 2)
                 or x.shape[0] != op.nrows or columns(x) == 0):
-            return super().apply_stencil(op, x, out_precision, record=record)
+            return False
         mat_prec, vec_prec, compute, out_prec = spmv_setup(op.values.dtype, x.dtype,
                                                            out_precision)
         cdtype = np.dtype(compute.dtype)
-        ws = op.scratch()
-        _, (dims, ntaps, tap_j, coef), has_alpha = ws.memo(
-            ("native_stencil", cdtype), lambda: _stencil_plan(op, cdtype))
-        kernel = self._half[_STENCIL[cdtype]]
+        plan = memo.get(cdtype)
+        if plan is None:
+            plan = memo[cdtype] = _stencil_plan(op, cdtype)
+        arrays, (dims, ntaps, tap_j, coef), has_alpha = plan
         k = columns(x)
-        x_c = np.ascontiguousarray(x, dtype=cdtype)
-        y = np.empty(x.shape, dtype=cdtype)
-        # the ping-pong buffers (and fp16's fp32 expansion of x)
-        work = (ws.get("native_stencil32", 3 * x.size, _F32) if cdtype == _HALF
-                else ws.get("native_stencil", 2 * x.size, cdtype))
-        _check(kernel(len(op.dims), dims, k, ntaps, tap_j, coef, has_alpha,
-                      _addr(x_c), _addr(y), _addr(work)))
-        if record and counters_enabled():
-            self._record_stencil(mat_prec, vec_prec, out_prec, compute, op.nrows,
-                                 op.nnz, op.npoints, k)
-        return y.astype(out_prec.dtype, copy=False)
+        kernel = _bind(self._half[_STENCIL[cdtype]], len(op.dims), dims, k, ntaps,
+                       tap_j, coef, has_alpha, arrays=arrays)
+        return _Call(kernel, k, cdtype, x.shape, _out_dtype(out_prec, cdtype),
+                     stencil_traffic(mat_prec, vec_prec, out_prec, compute, op.nrows,
+                                     op.nnz, op.npoints, k))
 
     def diag_scale(self, scale, x, out_precision=None, record=True, scratch=None):
         """``diag(scale) @ x`` in one C pass when both are fp16:
@@ -698,45 +836,69 @@ class NativeBackend(FastBackend):
                 and scale.shape == x.shape[:1]):
             return super().diag_scale(scale, x, out_precision, record=record,
                                       scratch=scratch)
-        out_prec = as_precision(out_precision) if out_precision is not None else _FP16
-        n, k = x.shape[0], columns(x)
+        key = ("diag_scale_f16", x.shape, out_precision)
+        call = self._calls.get(key)
+        if call is None:
+            out_prec = as_precision(out_precision) if out_precision is not None else _FP16
+            n, k = x.shape[0], columns(x)
+            call = self._remember(key, _Call(
+                _bind(self._half["diag_scale_f16"], n, k), k, _HALF, x.shape,
+                _out_dtype(out_prec, _HALF),
+                diag_scale_traffic(_FP16, _FP16, out_prec, _FP16, n, k)))
+        kernel, _, _, shape, out, traffic = call
         s16, x16 = np.ascontiguousarray(scale), np.ascontiguousarray(x)
-        out = np.empty(x.shape, dtype=_HALF)
-        _check(self._half["diag_scale_f16"](n, k, _addr(s16), _addr(x16), _addr(out)))
-        if record and counters_enabled():
-            self._record_diag_scale(_FP16, _FP16, out_prec, _FP16, n, k)
-        return out.astype(out_prec.dtype, copy=False)
+        result = np.empty(shape, dtype=_HALF)
+        _check(kernel(_ptr(s16), _ptr(x16), _ptr(result)))
+        if record:
+            record_traffic(traffic)
+        return result if out is None else result.astype(out)
 
     def cast(self, x, precision, record=True):
         """fp32 → fp16 (rounded to nearest even) and fp16 → fp32 (exact) in
         one C pass over a C-contiguous vector or block of at least
         :attr:`cast_gate` entries; every other cast is the inherited
         ``astype``."""
-        p = as_precision(precision)
-        symbol = _CASTS.get((x.dtype, p.dtype)) if x.size >= self.cast_gate else None
-        if symbol is None or not x.flags.c_contiguous:
-            return super().cast(x, p, record=record)
-        out = np.empty(x.shape, dtype=p.dtype)
-        _check(self._half[symbol](x.size, _addr(x), _addr(out)))
-        if record and counters_enabled():
-            self._record_cast(precision_of_dtype(x.dtype), p, x.size, columns(x))
+        key = ("cast", x.dtype, precision, x.shape)
+        call = self._calls.get(key)
+        if call is None:
+            p = as_precision(precision)
+            symbol = _CASTS.get((x.dtype, p.dtype)) if x.size >= self.cast_gate else None
+            k = columns(x)
+            call = self._remember(key, symbol is not None and _Call(
+                _bind(self._half[symbol], x.size), k, p.dtype, x.shape, None,
+                cast_traffic(precision_of_dtype(x.dtype), p, x.size, k)))
+        if not call or not x.flags.c_contiguous:
+            return super().cast(x, precision, record=record)
+        kernel, _, dtype, shape, _, traffic = call
+        out = np.empty(shape, dtype=dtype)
+        _check(kernel(_ptr(x), _ptr(out)))
+        if record:
+            record_traffic(traffic)
         return out
 
     # ------------------------------------------------------------------ #
     def residual_update(self, v, az, out_precision=None, record=True,
                         scratch=None):
         """``r = v − az`` in one C pass when all three are fp16."""
-        if not (v.dtype == _HALF and az.dtype == _HALF and v.shape == az.shape
-                and (out_precision is None
-                     or as_precision(out_precision).dtype == _HALF)):
+        call = False
+        if v.dtype == _HALF and az.dtype == _HALF and v.shape == az.shape:
+            key = ("residual_update_f16", v.shape, out_precision)
+            call = self._calls.get(key)
+            if call is None:
+                half_out = out_precision is None or as_precision(out_precision) is _FP16
+                k = columns(v)
+                call = self._remember(key, half_out and _Call(
+                    _bind(self._half["residual_update_f16"], v.size), k, _HALF, v.shape,
+                    None, axpy_traffic(_FP16, _FP16, _FP16, _FP16, v.shape[0], k)))
+        if not call:
             return super().residual_update(v, az, out_precision, record=record,
                                            scratch=scratch)
+        kernel, _, _, shape, _, traffic = call
         v_c, az_c = np.ascontiguousarray(v), np.ascontiguousarray(az)
-        r = np.empty(v.shape, dtype=_HALF)
-        _check(self._half["residual_update_f16"](v.size, _addr(v_c), _addr(az_c),
-                                                 _addr(r)))
-        if record and counters_enabled():
-            self._record_axpy(_FP16, _FP16, _FP16, _FP16, v.shape[0], columns(v))
+        r = np.empty(shape, dtype=_HALF)
+        _check(kernel(_ptr(v_c), _ptr(az_c), _ptr(r)))
+        if record:
+            record_traffic(traffic)
         return r
 
     def weighted_update(self, z, mr, omega, vec_prec: Precision, scratch=None,
@@ -745,19 +907,25 @@ class NativeBackend(FastBackend):
         ``round16(round16(ω16·mr) + z)``, ``ω`` one weight or one per
         column."""
         if not (z.dtype == _HALF and mr.dtype == _HALF and z.shape == mr.shape
-                and vec_prec.dtype == _HALF and np.ndim(omega) <= 1):
+                and vec_prec is _FP16
+                and (isinstance(omega, float) or np.ndim(omega) <= 1)):
             return super().weighted_update(z, mr, omega, vec_prec,
                                            scratch=scratch, record=record)
-        k = columns(mr)
+        key = ("weighted_update_f16", mr.shape)
+        call = self._calls.get(key)
+        if call is None:
+            k = columns(mr)
+            call = self._remember(key, _Call(
+                _bind(self._half["weighted_update_f16"], mr.size, k), k, _HALF,
+                mr.shape, None, axpy_traffic(_FP16, _FP16, _FP16, _FP16, mr.shape[0], k)))
+        kernel, k, _, shape, _, traffic = call
         alpha = np.empty(k, dtype=_F32)
         alpha[...] = np.float16(omega)       # ω rounded to fp16, as vo.axpy does
         mr_c, z_c = np.ascontiguousarray(mr), np.ascontiguousarray(z)
-        out = np.empty(z.shape, dtype=_HALF)
-        _check(self._half["weighted_update_f16"](z.size, k, _addr(alpha),
-                                                 _addr(mr_c), _addr(z_c),
-                                                 _addr(out)))
-        if record and counters_enabled():
-            self._record_axpy(_FP16, _FP16, _FP16, _FP16, mr.shape[0], k)
+        out = np.empty(shape, dtype=_HALF)
+        _check(kernel(_ptr(alpha), _ptr(mr_c), _ptr(z_c), _ptr(out)))
+        if record:
+            record_traffic(traffic)
         return out
 
 

@@ -7,12 +7,14 @@ matching the paper's own premise that the kernels are memory-bound.
 """
 
 from .counters import (
+    Traffic,
     TrafficCounter,
     counting,
     counters_disabled,
     counters_enabled,
     current_counter,
     global_counter,
+    record,
     record_bytes,
     record_flops,
     record_kernel,
@@ -30,6 +32,7 @@ from .machine import (
 from .timer import StageTimer, Timer, timed
 
 __all__ = [
+    "Traffic",
     "TrafficCounter",
     "counting",
     "counters_disabled",
@@ -37,6 +40,7 @@ __all__ = [
     "set_counters_enabled",
     "current_counter",
     "global_counter",
+    "record",
     "record_bytes",
     "record_flops",
     "record_kernel",

@@ -13,6 +13,11 @@ is itself a pure memory-traffic model, and the experimental speedups track it.
 Counters are hierarchical: a context-manager stack lets an experiment scope a
 fresh counter around a solve while the kernels simply call the module-level
 ``record_*`` functions.
+
+A kernel that runs thousands of times per solve on the same operands records
+through a precomputed :class:`Traffic` instead: its call counts, bytes and
+flops are resolved once, and :func:`record` adds them to every active scope
+and the global counter in one pass.
 """
 
 from __future__ import annotations
@@ -21,15 +26,18 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..precision import Precision, as_precision
 
 __all__ = [
+    "Traffic",
     "TrafficCounter",
     "counting",
     "counters_disabled",
     "counters_enabled",
     "current_counter",
+    "record",
     "record_bytes",
     "record_flops",
     "record_kernel",
@@ -37,6 +45,63 @@ __all__ = [
     "set_counters_enabled",
     "global_counter",
 ]
+
+
+class Traffic(NamedTuple):
+    """The traffic of one kernel call, precomputed and immutable.
+
+    Every field holds plain ints: ``calls`` the ``(kernel, count)`` pairs,
+    ``value_bytes`` the ``(precision, bytes)`` pairs, ``index_bytes`` the
+    precision-independent index traffic and ``flops`` the
+    ``(precision, flops)`` pairs.  Build one with :meth:`of`; :func:`record`
+    adds it.
+    """
+
+    calls: tuple = ()
+    value_bytes: tuple = ()
+    index_bytes: int = 0
+    flops: tuple = ()
+
+    @classmethod
+    def of(cls, calls=(), values=(), flops=()) -> "Traffic":
+        """The record of a sequence of ``record_*`` calls: ``calls`` holds
+        ``record_kernel``'s ``(kernel, count)`` arguments, ``values``
+        ``record_bytes``' ``(precision, nbytes, index_bytes)`` and ``flops``
+        ``record_flops``' ``(precision, nflops)``.  Each keeps its function's
+        rule that a zero record records nothing, and entries of one key add
+        up, in the order of their first appearance."""
+        kernel_calls: dict = {}
+        for kernel, count in calls:
+            if count:
+                kernel_calls[kernel] = kernel_calls.get(kernel, 0) + int(count)
+        value_bytes: dict = {}
+        index_bytes = 0
+        for precision, nbytes, nindex in values:
+            if nbytes or nindex:
+                p = as_precision(precision)
+                value_bytes[p] = value_bytes.get(p, 0) + int(nbytes)
+                index_bytes += int(nindex)
+        nflops: dict = {}
+        for precision, count in flops:
+            if count:
+                p = as_precision(precision)
+                nflops[p] = nflops.get(p, 0) + int(count)
+        return cls(tuple(kernel_calls.items()), tuple(value_bytes.items()),
+                   index_bytes, tuple(nflops.items()))
+
+    def then(self, other: "Traffic") -> "Traffic":
+        """This record followed by ``other``, as one (a fused kernel's two
+        halves)."""
+        merged = []
+        for mine, theirs in ((self.calls, other.calls),
+                             (self.value_bytes, other.value_bytes),
+                             (self.flops, other.flops)):
+            totals = dict(mine)
+            for key, count in theirs:
+                totals[key] = totals.get(key, 0) + count
+            merged.append(tuple(totals.items()))
+        return Traffic(merged[0], merged[1], self.index_bytes + other.index_bytes,
+                       merged[2])
 
 
 @dataclass
@@ -153,7 +218,17 @@ class _CounterStack(threading.local):
     def __init__(self) -> None:
         self.stack: list[TrafficCounter] = []
         self.global_counter = TrafficCounter()
+        #: every counter a record goes to: the stack, then the global one
+        self.targets: tuple[TrafficCounter, ...] = (self.global_counter,)
         self.enabled: bool = _DEFAULT_ENABLED
+
+    def push(self, counter: TrafficCounter) -> None:
+        self.stack.append(counter)
+        self.targets = (*self.stack, self.global_counter)
+
+    def pop(self) -> None:
+        self.stack.pop()
+        self.targets = (*self.stack, self.global_counter)
 
 
 _STACK = _CounterStack()
@@ -210,12 +285,32 @@ def counting(counter: TrafficCounter | None = None):
     """
     counter = counter if counter is not None else TrafficCounter()
     previous_enabled = set_counters_enabled(True)
-    _STACK.stack.append(counter)
+    _STACK.push(counter)
     try:
         yield counter
     finally:
-        _STACK.stack.pop()
+        _STACK.pop()
         set_counters_enabled(previous_enabled)
+
+
+def record(traffic: Traffic) -> None:
+    """Add a precomputed :class:`Traffic` record to every active scope and
+    to the global counter: one pass, no per-field coercion."""
+    state = _STACK
+    if not state.enabled:
+        return
+    calls, value_bytes, index_bytes, flops = traffic
+    for counter in state.targets:
+        totals = counter.kernel_calls
+        for kernel, count in calls:
+            totals[kernel] = totals.get(kernel, 0) + count
+        totals = counter.bytes_by_precision
+        for p, nbytes in value_bytes:
+            totals[p] = totals.get(p, 0) + nbytes
+        counter.index_bytes += index_bytes
+        totals = counter.flops_by_precision
+        for p, count in flops:
+            totals[p] = totals.get(p, 0) + count
 
 
 def record_bytes(precision: Precision | str, nbytes: int, index_bytes: int = 0) -> None:

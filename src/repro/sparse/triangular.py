@@ -229,6 +229,11 @@ class TriangularFactor(ScratchOwner):
         self._fast_vals: dict = {}
         self._scratch = None
 
+    def __getstate__(self) -> dict:
+        # the engine caches are re-derivable, and native's hold compiled-call
+        # handles that do not pickle: a copy starts without them
+        return {**self.__dict__, "_fast_vals": {}}
+
     # ------------------------------------------------------------------ #
     @property
     def nrows(self) -> int:

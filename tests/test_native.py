@@ -557,6 +557,29 @@ class TestHalfCsr:
         with pytest.raises(ValueError):
             _on("native", lambda be: be.spmv_csr(a.values, a.indices, a.indptr, x))
 
+    def test_sd_ainv_apply_runs_the_compiled_product(self, monkeypatch):
+        """SD-AINV's fp16 apply reaches ``spmv_csr_f16`` with both of its
+        SpMVs (thermal2 at ``tiny`` scale): ``CSRMatrix @`` passes each
+        factor's arena and int32 indices to the engine."""
+        from repro.precond import SDAINVPreconditioner
+
+        matrix, _ = diagonal_scaling(get_matrix("thermal2", "tiny"))
+        precond = SDAINVPreconditioner(matrix).astype(Precision.FP16)
+        r = _operand("ordinary", matrix.nrows, None, HALF, seed=71)
+        want = _on("reference", lambda be: precond.apply(r))
+        be = get_backend("native")
+        calls = []
+
+        kernel = be._half["spmv_csr_f16"]
+
+        def spy(*args):
+            calls.append("spmv_csr_f16")
+            return kernel(*args)
+
+        monkeypatch.setattr(be, "_half", {**be._half, "spmv_csr_f16": spy})
+        assert_bit_equal(_on("native", lambda be: precond.apply(r)), want)
+        assert calls == ["spmv_csr_f16"] * 2
+
     def test_negative_zero_row_sum(self, mixed, isa):
         """Rows whose terms are all −0 keep a −0 sum: their padding adds
         −0.0."""
@@ -1119,11 +1142,13 @@ def test_four_threads_on_one_factor_match_serial(factors, matrix16, stencils):
 
     serial = [_on("native", lambda be, t=t: work(be, t)) for t in range(4)]
     results: dict = {}
+    # a second engine on the same library: the threads build its prebound
+    # calls on the shared operands concurrently, from cold
+    cold = native.NativeBackend(get_backend("native")._lib)
 
     def run(t):
         with use_backend("native"):
-            be = get_backend()
-            results[t] = [work(be, t) for _ in range(25)]
+            results[t] = [work(cold, t) for _ in range(25)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

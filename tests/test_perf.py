@@ -22,9 +22,16 @@ from repro.perf import (
     reset_global_counter,
     timed,
 )
+from repro.backends import available_backends, get_backend
+from repro.backends.base import axpy_traffic, spmv_traffic, trsv_traffic
+from repro.perf import Traffic, counters_disabled, record
 from repro.precision import Precision
+from repro.sparse import CSRMatrix, TriangularFactor
 
 pytestmark = pytest.mark.tier1
+
+#: every registered kernel engine (``native`` only where it builds)
+ENGINES = available_backends()
 
 
 class TestTrafficCounter:
@@ -117,6 +124,143 @@ class TestCountingScopes:
         with counting() as counter:
             record_bytes("fp64", 8, index_bytes=4)
         assert counter.index_bytes == 4
+
+
+def _delta(before: TrafficCounter, after: TrafficCounter) -> dict:
+    """What ``after`` holds beyond ``before``: the nonzero differences of
+    bytes, index bytes, flops and calls."""
+    keys = ("bytes_by_precision", "flops_by_precision", "kernel_calls")
+    out = {key: {k: v - getattr(before, key).get(k, 0)
+                 for k, v in getattr(after, key).items()
+                 if v != getattr(before, key).get(k, 0)} for key in keys}
+    out["index_bytes"] = after.index_bytes - before.index_bytes
+    return out
+
+
+def _lower_factor(precision=Precision.FP64) -> TriangularFactor:
+    """A 6-row lower-triangular factor with a few off-diagonals."""
+    dense = np.eye(6) * 2.0 + np.tri(6, k=-1) * 0.25
+    return TriangularFactor(CSRMatrix.from_dense(dense), lower=True).astype(precision)
+
+
+class TestTrafficRecords:
+    """Precomputed per-call records: built once per argument tuple, added in
+    one pass, equal to the ``record_*`` sequences they replace."""
+
+    def test_of_keeps_the_record_functions_rules(self):
+        t = Traffic.of(calls=[("spmv", 2), ("dot", 0)],
+                       values=[("fp16", 8, 4), (Precision.FP16, 6, 0),
+                               (Precision.FP32, 0, 0), (Precision.FP64, 0, 12)],
+                       flops=[(Precision.FP32, 10), (Precision.FP64, 0)])
+        assert t == Traffic(calls=(("spmv", 2),),
+                            value_bytes=((Precision.FP16, 14), (Precision.FP64, 0)),
+                            index_bytes=16, flops=((Precision.FP32, 10),))
+        with counting() as scoped:
+            record(t)
+        with counting() as sequence:
+            record_kernel("spmv", 2)
+            record_kernel("dot", 0)
+            record_bytes("fp16", 8, index_bytes=4)
+            record_bytes(Precision.FP16, 6)
+            record_bytes(Precision.FP32, 0)
+            record_bytes(Precision.FP64, 0, index_bytes=12)
+            record_flops(Precision.FP32, 10)
+            record_flops(Precision.FP64, 0)
+        assert scoped.summary() == sequence.summary()
+
+    def test_then_adds_two_records(self):
+        a = axpy_traffic(Precision.FP16, Precision.FP16, Precision.FP16,
+                         Precision.FP16, 10)
+        b = spmv_traffic(Precision.FP16, Precision.FP16, Precision.FP32,
+                         Precision.FP16, 10, 30, 164)
+        with counting() as both:
+            record(a)
+            record(b)
+        with counting() as merged:
+            record(a.then(b))
+        assert merged.summary() == both.summary()
+
+    def test_builders_cache_one_record_per_argument_tuple(self):
+        args = (Precision.FP16, Precision.FP16, Precision.FP16, Precision.FP32, 729,
+                4000, 18920, 3)
+        assert spmv_traffic(*args) is spmv_traffic(*args)
+        assert spmv_traffic(*args) is not spmv_traffic(*args[:-1], 2)
+
+    def test_factors_of_one_shape_and_two_precisions_get_distinct_records(self):
+        f64, f32 = _lower_factor(Precision.FP64), _lower_factor(Precision.FP32)
+        p = Precision.FP32
+        r64, r32 = trsv_traffic(f64, p, p, p), trsv_traffic(f32, p, p, p)
+        assert r64 != r32
+        assert dict(r64.value_bytes)[Precision.FP64] == 6 * 8 + 15 * 8
+        assert dict(r32.value_bytes)[Precision.FP32] == (6 + 15) * 4 + 2 * 6 * 4
+        assert trsv_traffic(f32, p, p, p) is r32
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_kernel_in_two_nested_scopes_records_once_in_each(self, engine):
+        """One triangular solve inside two nested ``counting()`` scopes adds
+        its record to both scopes and to the global counter exactly once."""
+        backend = get_backend(engine)
+        factor = _lower_factor(Precision.FP16)
+        b = np.linspace(-1.0, 1.0, 6).astype(np.float16)
+        with counting() as want:
+            record(trsv_traffic(factor, Precision.FP16, Precision.FP16,
+                                Precision.FP16))
+        before = global_counter().copy()
+        with counting() as outer:
+            with counting() as inner:
+                backend.trsv(factor, b)
+        assert inner.summary() == want.summary()
+        assert outer.summary() == want.summary()
+        assert _delta(before, global_counter()) == _delta(TrafficCounter(), want)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_disabled_counters_record_nothing(self, engine):
+        backend = get_backend(engine)
+        factor = _lower_factor(Precision.FP16)
+        b = np.linspace(-1.0, 1.0, 6).astype(np.float16)
+        before = global_counter().copy()
+        with counting() as scope:
+            with counters_disabled():
+                backend.trsv(factor, b)
+                backend.residual_update(b, b)
+                record(trsv_traffic(factor, Precision.FP16, Precision.FP16,
+                                    Precision.FP16))
+        assert scope.summary() == TrafficCounter().summary()
+        assert global_counter().summary() == before.summary()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_zero_column_block_records_nothing(self, engine):
+        backend = get_backend(engine)
+        factor = _lower_factor(Precision.FP16)
+        matrix = CSRMatrix.from_dense(np.eye(6) + np.tri(6, k=-1)).astype("fp16")
+        empty = np.zeros((6, 0), dtype=np.float16)
+        before = global_counter().copy()
+        with counting() as scope:
+            backend.trsv(factor, empty)
+            backend.spmv_csr(matrix.values, matrix.indices, matrix.indptr, empty,
+                             scratch=matrix.scratch())
+            backend.residual_update(empty, empty)
+            backend.cast(empty, Precision.FP32)
+        assert scope.summary() == TrafficCounter().summary()
+        assert global_counter().summary() == before.summary()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_summary_holds_plain_ints_in_its_key_order(self, engine):
+        backend = get_backend(engine)
+        factor = _lower_factor(Precision.FP16)
+        b = np.linspace(-1.0, 1.0, 6).astype(np.float16)
+        with counting() as scope:
+            backend.trsv(factor, np.stack([b, b], axis=1))
+            backend.weighted_update(b.copy(), b, 0.5, Precision.FP16)
+            backend.cast(b, Precision.FP32)
+        summary = scope.summary()
+        assert list(summary) == ["bytes", "index_bytes", "total_bytes", "flops",
+                                 "kernel_calls", "fp16_fraction"]
+        values = [summary["index_bytes"], summary["total_bytes"],
+                  *summary["bytes"].values(), *summary["flops"].values(),
+                  *summary["kernel_calls"].values()]
+        assert all(type(v) is int for v in values)
+        assert summary["kernel_calls"] == {"axpy": 1, "cast": 1, "trsv": 2}
 
 
 class TestMachineModel:

@@ -44,7 +44,9 @@ And it keeps one kernel per operation below the solver
 (:data:`BACKEND_LIMITS`): every kernel takes a vector or an ``(n, k)`` block,
 so no second, block-only form (``spmm_csr``, ``trsm``, ``axpy_block``, their
 slab executors and recorders, ...) may be defined anywhere in
-``src/repro/``.
+``src/repro/``.  Under ``src/repro/backends/`` no module calls
+``record_bytes`` / ``record_flops`` / ``record_kernel``: every engine
+records a kernel's traffic as one cached per-call record.
 
 It keeps one multi-process transport (:data:`PROCESS_LIMITS`): the retired
 process tier's entry points (``ProcPool``, ``ShardedGateway``,
@@ -162,13 +164,18 @@ def _definition(name: str) -> re.Pattern:
 
 
 #: one kernel per operation: the block-only second forms of the kernels,
-#: none of which may be defined across src/repro/**/*.py
+#: none of which may be defined across src/repro/**/*.py; and the engines
+#: record traffic only through the cached per-call records (a third element
+#: that is a directory limits the scan to the modules under it)
 BACKEND_LIMITS = {
-    name.replace(r"\w+", "*"): (_definition(name), 0) for name in (
+    **{name.replace(r"\w+", "*"): (_definition(name), 0) for name in (
         "spmm_csr", "spmm_ell", "apply_stencil_batch", "trsm", "spmm_axpy",
         "residual_update_batch", "_record_spmm", "_record_trsm",
         "trsm_level_chunks", "csr_matvecs_slabs", r"spmm_\w+_slabs",
-        "axpy_block", "cast_block", "_apply_fused_single")
+        "axpy_block", "cast_block", "_apply_fused_single")},
+    "record_bytes( / record_flops( / record_kernel( in backends/": (
+        re.compile(r"\brecord_(?:bytes|flops|kernel)\("), 0,
+        SRC_DIR / "repro" / "backends"),
 }
 
 #: one multi-process transport: the retired process tier's entry points,
@@ -295,13 +302,18 @@ def function_sources(text: str, names) -> dict[str, str]:
 def limit_excess(paths, limits: dict) -> dict[str, list[str]]:
     """Patterns of ``limits`` matched more often across ``paths`` than they
     allow, with the module of every match; a limit with a third element
-    counts matches only inside the functions it names."""
+    counts matches only inside the functions it names or, when it is a
+    directory, only in the modules under it."""
     found: dict[str, list[str]] = {name: [] for name in limits}
     for path in paths:
         text = path.read_text(encoding="utf-8")
         for name, (pattern, _, *scope) in limits.items():
-            body = ("\n".join(function_sources(text, scope[0]).values())
-                    if scope else text)
+            if scope and isinstance(scope[0], Path):
+                body = text if scope[0] in path.parents else ""
+            elif scope:
+                body = "\n".join(function_sources(text, scope[0]).values())
+            else:
+                body = text
             found[name] += [path.name] * len(pattern.findall(body))
     return {name: mods for name, mods in found.items()
             if len(mods) > limits[name][1]}
@@ -379,7 +391,8 @@ def main() -> int:
         _report_excess(excess, BACKEND_LIMITS,
                        "lint-tests: src/repro/ defines a second, block-only "
                        "kernel form (one kernel takes vectors and (n, k) "
-                       "blocks; see BACKEND_LIMITS):")
+                       "blocks), or an engine records traffic field by field "
+                       "(see BACKEND_LIMITS):")
         status = 1
     excess = {
         **limit_excess(src_modules, PROCESS_LIMITS),
@@ -425,7 +438,8 @@ def main() -> int:
               f"{len(SINGLE_DEFINITIONS)} serving definitions unique; "
               f"one Krylov recurrence in solvers/, no casts outside the "
               f"engine's kernel in its level loops; one kernel per "
-              f"operation in src/; one multi-process transport; fp16 "
+              f"operation in src/, recorded as one cached record; one "
+              f"multi-process transport; fp16 "
               f"staging only in the engines; ctypes only in "
               f"backends/native.py; {len(symbols)} compiled symbols named by "
               f"tests)")
