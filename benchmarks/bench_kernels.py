@@ -24,8 +24,11 @@ kernels on the HPCG 27-point operator at a 64³ grid, and — where ``native``
 builds — the ``dispatch`` rows: one compiled fp16 ``trsv`` and
 ``weighted_update`` call through the engine against the bare ctypes call on
 729-row operands (the serving workload's largest), so the wrapper's cost per
-call is a reported number, and emits a ``BENCH_kernels.json`` speedup
-summary.
+call is a reported number, and the ``richardson`` rows: one fp16 R^m4
+invocation (m = 2, k = 1, weights frozen) as ``native``'s compiled sweep
+against the level's loop on ``fast``, on atmosmodd ``tiny`` (a sliced-ELL
+product) and on the hard operator (each must equal the loop bit for bit, or
+the run exits 1), and emits a ``BENCH_kernels.json`` speedup summary.
 
 Not collected by pytest (the tier-1 suite); run directly or via make:
 
@@ -60,7 +63,8 @@ from repro.core import F3RConfig, F3RSolver
 from repro.matgen import get_matrix, hpcg_matrix, hpcg_operator, poisson2d
 from repro.precision import Precision
 from repro.precond import BlockJacobiILU0, ilu0_factor
-from repro.solvers import fgmres_cycle_batch
+from repro.operators import as_operator
+from repro.solvers import RichardsonLevel, fgmres_cycle_batch
 from repro.sparse import (CSRMatrix, SlicedEllMatrix, TriangularFactor,
                           diagonal_scaling)
 
@@ -164,7 +168,7 @@ def build_problem(side: int):
     small32 = _krylov_block(SMALL_CAST_GRID, 1, rng)[:, 0]
     # the hard workload's M (fused block-ILU(0) factors) and fp16 residual
     hard, _ = diagonal_scaling(get_matrix(*HARD_MATRIX))
-    hard_lower, hard_upper = BlockJacobiILU0(hard, nblocks=HARD_BLOCKS)._fused_parts()
+    hard_lower, _, hard_upper = BlockJacobiILU0(hard, nblocks=HARD_BLOCKS)._fused_parts()
     hard_b = rng.uniform(-1.0, 1.0, hard.nrows)
     return {"matrix": matrix, "ell": ell, "lower": lower, "x": x, "n": n,
             "matrix16": matrix.astype(Precision.FP16), "x16": x16, "z16": z16,
@@ -486,6 +490,47 @@ def bench_dispatch(repeats: int, number: int = 2000) -> dict[str, dict]:
     return entries
 
 
+def bench_richardson(repeats: int, number: int = 300) -> dict[str, dict]:
+    """One fp16 Richardson invocation (m = 2, one column, no weight
+    refresh): ``native``'s compiled sweep against the level's loop on
+    ``fast``, interleaved, on atmosmodd ``tiny`` with its default block-IC(0)
+    and on the hard operator with block-ILU(0) over 10 blocks."""
+    from repro.precond import make_primary_preconditioner
+
+    cases = {"atmosmodd_tiny": (get_matrix("atmosmodd", "tiny"), dict(kind="auto")),
+             "hard": (get_matrix(*HARD_MATRIX),
+                      dict(kind="block-ilu0", nblocks=HARD_BLOCKS))}
+    entries = {}
+    for name, (matrix, spec) in cases.items():
+        matrix, _ = diagonal_scaling(matrix)
+        a16 = as_operator(matrix).astype(Precision.FP16)
+        m16 = make_primary_preconditioner(matrix, **spec).astype(Precision.FP16)
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal((matrix.nrows, 1)).astype(np.float32)
+        v /= np.linalg.norm(v)
+        levels = {}
+        for engine in ("fast", "native"):
+            with use_backend(engine):
+                level = levels[engine] = RichardsonLevel(a16, m16, m=2, cycle=10 ** 9)
+                level.weights[:] = (0.9, 1.1)
+                level.apply_batch(v)
+
+        def on(engine):
+            def call():
+                with use_backend(engine):
+                    return levels[engine].apply_batch(v)
+            return call
+
+        loop_s, sweep_s = _per_call((on("fast"), on("native")), repeats, number)
+        swept = any(sweep is not None for sweep in levels["native"]._sweeps.values())
+        entries[name] = {"loop_s": loop_s, "sweep_s": sweep_s, "n": matrix.nrows,
+                         "speedup": round(loop_s / sweep_s if sweep_s > 0
+                                          else float("inf"), 3),
+                         "compiled": swept,
+                         "bit_identical": _same_bits(on("native")(), on("fast")())}
+    return entries
+
+
 def run(scale: str, repeats: int, m: int) -> dict:
     side = SCALES[scale]
     problem = build_problem(side)
@@ -512,8 +557,9 @@ def run(scale: str, repeats: int, m: int) -> dict:
     batched["solve_batch"] = bench_solve_batch(scale)
     stencil = bench_stencil(repeats)
     fused = bench_fused(problem, repeats)
-    dispatch = (bench_dispatch(repeats) if "native" in available_backends()
-                else {})
+    has_native = "native" in available_backends()
+    dispatch = bench_dispatch(repeats) if has_native else {}
+    richardson = bench_richardson(repeats) if has_native else {}
     return {
         "scale": scale,
         "n": problem["n"],
@@ -525,6 +571,7 @@ def run(scale: str, repeats: int, m: int) -> dict:
         "stencil": stencil,
         "fused": fused,
         "dispatch": dispatch,
+        "richardson": richardson,
     }
 
 
@@ -630,6 +677,15 @@ def main(argv=None) -> int:
             print(f"  {name:<21} engine {row['engine_s'] * 1e6:8.2f} us   "
                   f"bare {row['bare_s'] * 1e6:8.2f} us   "
                   f"per-call cost {row['overhead_s'] * 1e6:8.2f} us")
+    if report["richardson"]:
+        print("one fp16 R^m4 invocation (m = 2, k = 1): native's compiled sweep "
+              "vs the level's loop on fast")
+        for name, row in report["richardson"].items():
+            print(f"  {name:<21} loop {row['loop_s'] * 1e6:8.1f} us   "
+                  f"sweep {row['sweep_s'] * 1e6:8.1f} us   "
+                  f"speedup {row['speedup']:6.2f}x   n={row['n']}   "
+                  f"{'bit-identical' if row['bit_identical'] else 'DIFFERS'}"
+                  f"{'' if row['compiled'] else '   (NOT COMPILED)'}")
 
     args.json.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.json}")
@@ -640,6 +696,8 @@ def main(argv=None) -> int:
     status = 0
     differs = [name for name, row in report["kernels"].items()
                if row.get("native_bit_identical") is False]
+    differs += [f"richardson {name}" for name, row in report["richardson"].items()
+                if not row["bit_identical"]]
     if differs:
         print(f"native results differ from fast on: {', '.join(differs)}",
               file=sys.stderr)

@@ -49,8 +49,9 @@
  *
  * Kernels keep no state between calls: their scratch is allocated per call,
  * or (the fp16 triangular solve's fp32 copy of x, the stencil sweeps'
- * grid-sized buffers) passed in by the caller from the calling thread's
- * arena, so concurrent calls on one factor, matrix or stencil are safe.
+ * grid-sized buffers, the Richardson sweep's vectors) passed in by the
+ * caller from the calling thread's arena, so concurrent calls on one
+ * factor, matrix or stencil are safe.
  * They return 0 on success and -1 when a scratch allocation fails.
  */
 
@@ -64,7 +65,7 @@
 #define AVX2_FN __attribute__((target("avx2,f16c")))
 #endif
 
-#define NATIVE_ABI 5
+#define NATIVE_ABI 6
 #define PW_BLOCKSIZE 128
 
 int64_t repro_native_abi(void) { return NATIVE_ABI; }
@@ -805,6 +806,54 @@ ATTR int diag_scale_f16##SFX(int64_t n, int64_t k, const uint16_t *scale,     \
         float s = H2F(scale[i]);                                              \
         for (int64_t j = i * k; j < (i + 1) * k; j++)                         \
             out[j] = F2H(Q16(s * H2F(x[j])));                                 \
+    }                                                                         \
+    return 0;                                                                 \
+}                                                                             \
+                                                                              \
+/* One Richardson invocation of m steps, z = z + omega_s M^-1 (v - A z) from  \
+ * z = 0, on an (n, k) block: each step the kernels above in the order the    \
+ * level's loop calls them — the residual by spmv_axpy on A's plan (a_*;      \
+ * step 0's residual is v itself), M's apply as the solves with the lower    \
+ * plan (l_*) then the upper one (u_*), IC(0)'s diagonal `scale` between     \
+ * them when it is not NULL, then weighted_update with omega[s] (an fp16     \
+ * value in fp32) on every column.  Step 0 adds into the zero z like the     \
+ * loop, so an update of -0 lands as +0.  `buf` holds 3 n k fp16 values and  \
+ * `work` (n + 2) k floats: the weights' row, then the solves' scratch. */   \
+ATTR int richardson_f16##SFX(int64_t n, int64_t m, int64_t a_chunks,          \
+                             const int64_t *a_meta, const int64_t *a_rows,    \
+                             const int32_t *a_cols, const float *a_vals,      \
+                             int64_t l_chunks, const int64_t *l_meta,         \
+                             const int64_t *l_rows, const int32_t *l_cols,    \
+                             const float *l_vals, const float *l_inv,         \
+                             int64_t u_chunks, const int64_t *u_meta,         \
+                             const int64_t *u_rows, const int32_t *u_cols,    \
+                             const float *u_vals, const float *u_inv,         \
+                             const uint16_t *scale, int64_t k,                \
+                             const float *omega, const uint16_t *v,           \
+                             uint16_t *z, uint16_t *buf, float *work)         \
+{                                                                             \
+    int64_t size = n * k;                                                     \
+    uint16_t *r = buf, *y = buf + size, *mr = buf + 2 * size;                 \
+    float *alpha = work;                                                      \
+    memset(z, 0, (size_t)size * sizeof(uint16_t));                            \
+    for (int64_t s = 0; s < m; s++) {                                         \
+        const uint16_t *res = v;                                              \
+        if (s > 0) {                                                          \
+            if (spmv_axpy_f16##SFX(a_chunks, n, a_meta, a_rows, a_cols,       \
+                                   a_vals, z, v, r, k))                       \
+                return -1;                                                    \
+            res = r;                                                          \
+        }                                                                     \
+        trsv_f16##SFX(l_chunks, l_meta, l_rows, l_cols, l_vals, l_inv, res,   \
+                      y, k, work + k);                                        \
+        if (scale && diag_scale_f16##SFX(n, k, scale, y, y))                  \
+            return -1;                                                        \
+        trsv_f16##SFX(u_chunks, u_meta, u_rows, u_cols, u_vals, u_inv, y, mr, \
+                      k, work + k);                                           \
+        for (int64_t j = 0; j < k; j++)                                       \
+            alpha[j] = omega[s];                                              \
+        if (weighted_update_f16##SFX(size, k, alpha, mr, z, z))               \
+            return -1;                                                        \
     }                                                                         \
     return 0;                                                                 \
 }                                                                             \

@@ -1,7 +1,7 @@
 """Native backend: compiled C kernels for the level-scheduled triangular
-solve, the fp16 CSR products, the fp16 vector updates, the separable
-stencil sweep, the fp16 diagonal scaling and the fp32 ↔ fp16 casts, each
-bit-identical to its oracle.
+solve, the fp16 CSR (and sliced-ELL) products, the fp16 vector updates, the
+separable stencil sweep, the fp16 diagonal scaling, the fp32 ↔ fp16 casts
+and the fp16 Richardson sweep, each bit-identical to its oracle.
 
 numpy's per-call dispatch sets the floor of the ``fast`` engine's
 level-scheduled ``trsv``: a level is a handful of rows, so every level costs
@@ -23,6 +23,16 @@ chained in tap order, then the diagonal term), which is only
 tolerance-close to ``reference``'s CSR-order stencil.
 Non-separable stencils, and every other kernel, are inherited from
 :class:`~repro.backends.fast.FastBackend`, and so are the counter totals.
+A sliced-ELL matrix's fp16 ``spmv_ell`` runs the CSR kernel on the ELL's
+row-major padded arrays, the very gather of ``fast``'s ``spmv_ell``, so the
+arithmetic is that kernel's.
+
+**The Richardson sweep.**  ``richardson_sweep`` binds one C call that runs
+all m steps of an fp16 R^m4 invocation (``RichardsonLevel.apply_batch``
+without a weight refresh) from the kernels above, in the loop's order: the
+residual ``spmv_axpy``, M's two triangular solves with IC(0)'s scaling
+between them, and ``weighted_update``.  Its bits, counter totals (one
+precomputed record) and ``num_applications`` are the loop's.
 
 **Row-interleaved plans.**  The triangular solves (fp64, fp32, fp16) and the
 fp16 CSR products read a SELL-8 plan (:func:`_interleave`, after Kreutzer et
@@ -84,6 +94,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import itertools
 import os
 import shlex
 import shutil
@@ -102,7 +113,7 @@ from ..precision import (BYTES_PER_INDEX, Precision, as_precision,
                          precision_of_dtype, promote)
 from .base import (axpy_traffic, cast_traffic, columns, diag_scale_traffic,
                    spmv_setup, spmv_traffic, stencil_traffic, trsv_traffic)
-from .fast import FastBackend
+from .fast import FastBackend, _build_ell_plan
 
 __all__ = ["FLAGS", "ISAS", "NativeBackend", "NativeUnavailable", "cache_dir",
            "isas", "library", "library_path", "self_check"]
@@ -112,7 +123,7 @@ SOURCE = Path(__file__).with_name("native.c")
 #: contraction and fast-math
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 #: must equal NATIVE_ABI in native.c
-ABI = 5
+ABI = 6
 
 _HALF = np.dtype(np.float16)
 _F32 = np.dtype(np.float32)
@@ -144,6 +155,11 @@ _RESIDUAL_ARGS = ((_I, _P, _P, _P), ctypes.c_int)
 _STENCIL_ARGS = ((_I, _P, _I, _P, _P, _P, _I, _P, _P, _P), ctypes.c_int)
 _DIAG_ARGS = ((_I, _I, _P, _P, _P), ctypes.c_int)
 _CAST_ARGS = ((_I, _P, _P), ctypes.c_int)
+#: n, m; A's plan (chunks and four arrays); the lower and the upper solve's
+#: plans (chunks and five arrays each); the middle scaling; k; then the
+#: per-call weights, v, z and the two scratch buffers
+_SWEEP_ARGS = ((_I, _I, _I, _P, _P, _P, _P, _I, _P, _P, _P, _P, _P,
+                _I, _P, _P, _P, _P, _P, _P, _I, _P, _P, _P, _P, _P), ctypes.c_int)
 #: every exported symbol's (argtypes, restype); pointers pass as addresses.
 #: Names ending in ``_avx2`` are the AVX2 + F16C set, declared only where
 #: ``repro_native_avx2()`` says it was compiled and this CPU runs it.
@@ -163,6 +179,7 @@ _SIGNATURES = {
     "diag_scale_f16": _DIAG_ARGS,
     "cast_f32_f16": _CAST_ARGS,
     "cast_f16_f32": _CAST_ARGS,
+    "richardson_f16": _SWEEP_ARGS,
     "quantize32": ((_P, _P, _I), None),
     "trsv_f16_avx2": _TRSV16_ARGS,
     "spmv_csr_f16_avx2": _SPMV_ARGS,
@@ -175,6 +192,7 @@ _SIGNATURES = {
     "diag_scale_f16_avx2": _DIAG_ARGS,
     "cast_f32_f16_avx2": _CAST_ARGS,
     "cast_f16_f32_avx2": _CAST_ARGS,
+    "richardson_f16_avx2": _SWEEP_ARGS,
     "quantize32_avx2": ((_P, _P, _I), None),
     "quantize32_avx2_disagreements": ((ctypes.c_uint64, ctypes.c_uint64),
                                       ctypes.c_uint64),
@@ -184,7 +202,7 @@ _SIGNATURES = {
 _PER_ISA = ("trsv_f16", "spmv_csr_f16", "spmv_axpy_f16", "weighted_update_f16",
             "residual_update_f16", "stencil_sep_f64", "stencil_sep_f32",
             "stencil_sep_f16", "diag_scale_f16", "cast_f32_f16", "cast_f16_f32",
-            "quantize32")
+            "richardson_f16", "quantize32")
 #: (source dtype, target dtype) -> C cast symbol
 _CASTS = {(_F32, _HALF): "cast_f32_f16", (_HALF, _F32): "cast_f16_f32"}
 #: per instruction set, the element count (n·k) from which ``cast`` runs its
@@ -526,11 +544,14 @@ class _CsrPlan:
 
     ``ncols`` is the column count the arrays need, ``lead`` the chunk count
     and the addresses of the plan's chunk records, lane rows, packed
-    columns and packed fp32 values, which ``arrays`` keeps alive."""
+    columns and packed fp32 values, which ``arrays`` keeps alive.  A
+    product records ``nnz`` stored entries and ``index_bytes`` of indices:
+    the CSR arrays' own by default."""
 
-    __slots__ = ("values", "indices", "indptr", "ncols", "arrays", "lead", "calls")
+    __slots__ = ("values", "indices", "indptr", "ncols", "nnz", "index_bytes",
+                 "arrays", "lead", "calls")
 
-    def __init__(self, values, indices, indptr) -> None:
+    def __init__(self, values, indices, indptr, nnz=None, index_bytes=None) -> None:
         if (indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0
                 or indptr[-1] != indices.size or values.size != indices.size
                 or np.any(np.diff(indptr) < 0)
@@ -538,16 +559,64 @@ class _CsrPlan:
             raise ValueError("inconsistent CSR arrays")
         self.values, self.indices, self.indptr = values, indices, indptr
         self.ncols = int(indices.max()) + 1 if indices.size else 0
+        self.nnz = values.size if nnz is None else nnz
+        self.index_bytes = ((values.size + indptr.size) * BYTES_PER_INDEX
+                            if index_bytes is None else index_bytes)
         self.arrays = _interleave([np.arange(indptr.size - 1)], indptr.astype(np.int64),
                                   indices, values.astype(_F32))
         self.lead = (len(self.arrays[0]), *(_addr(a) for a in self.arrays))
         #: (backend, kernel, operand shape, output precision) -> _Call
         self.calls: dict = {}
 
+    @classmethod
+    def of_ell(cls, ell) -> "_CsrPlan":
+        """The plan of a sliced-ELL matrix's row-major padded arrays — the
+        ones ``fast.spmv_ell`` gathers, padding included, so a product is
+        its arithmetic — recording the ELL's stored entries and indices."""
+        layout = ell._rm_plan
+        if layout is None:
+            layout = ell._rm_plan = _build_ell_plan(ell)
+        return cls(ell.values[layout["order"]],
+                   np.ascontiguousarray(layout["cols_rm"], dtype=_I32),
+                   layout["rm_indptr"].astype(_I32), nnz=ell.nnz,
+                   index_bytes=ell.nnz * BYTES_PER_INDEX)
+
+
+def _csr_plan(values, indices, indptr, scratch):
+    """The plan of fp16 CSR arrays with int32 indices, cached in the
+    matrix's arena ``scratch``; ``False`` for other arrays."""
+    if values.dtype != _HALF or indices.dtype != _I32 or indptr.dtype != _I32:
+        return False
+    plan = (scratch.memo("native_csr", lambda: _CsrPlan(values, indices, indptr))
+            if scratch is not None else None)
+    if plan is None or not (plan.values is values and plan.indices is indices
+                            and plan.indptr is indptr):
+        plan = _CsrPlan(values, indices, indptr)
+    return plan
+
+
+def _ell_plan(ell):
+    """The plan of a sliced-ELL matrix's fp16 products, cached in its arena;
+    ``False`` for other values, or more stored entries than int32 counts."""
+    if ell.values.dtype != _HALF or ell.nnz > _INT32_MAX:
+        return False
+    return ell.scratch().memo("native_ell", lambda: _CsrPlan.of_ell(ell))
+
 
 def _check(status: int) -> None:
     if status != 0:
         raise MemoryError("native kernel could not allocate its scratch")
+
+
+def _product(call, x, record):
+    """``y = A·x`` by a prebound fp16 CSR product ``call``."""
+    kernel, k, _, shape, out, traffic = call
+    x16 = np.ascontiguousarray(x)
+    y = np.empty(shape, dtype=_HALF)
+    _check(kernel(_ptr(x16), _ptr(y), k))
+    if record:
+        record_traffic(traffic)
+    return y if out is None else y.astype(out)
 
 
 class _Call(NamedTuple):
@@ -589,9 +658,9 @@ def _out_dtype(out_prec: Precision, dtype) -> np.dtype | None:
 
 
 class NativeBackend(FastBackend):
-    """Compiled ``trsv``, fp16 CSR products, fp16 vector updates, separable
-    stencil sweeps, fp16 diagonal scaling and fp32 ↔ fp16 casts; everything
-    else is ``fast``.
+    """Compiled ``trsv``, fp16 CSR and sliced-ELL products, fp16 vector
+    updates, separable stencil sweeps, fp16 diagonal scaling, fp32 ↔ fp16
+    casts and the fp16 Richardson sweep; everything else is ``fast``.
 
     ``isa`` picks the instruction set of :data:`_PER_ISA`'s kernels
     (:data:`ISAS`); by default the fastest that :func:`isas` reports for
@@ -717,14 +786,12 @@ class NativeBackend(FastBackend):
         non-int32 indices, or a residual rounded to another precision.  The
         matrix's arena (``scratch``) caches the plan and its calls for its
         arrays."""
-        if (values.dtype != _HALF or x.dtype != _HALF
-                or indices.dtype != _I32 or indptr.dtype != _I32):
-            return False
-        plan = (scratch.memo("native_csr", lambda: _CsrPlan(values, indices, indptr))
-                if scratch is not None else None)
-        if plan is None or not (plan.values is values and plan.indices is indices
-                                and plan.indptr is indptr):
-            plan = _CsrPlan(values, indices, indptr)
+        plan = x.dtype == _HALF and _csr_plan(values, indices, indptr, scratch)
+        return plan and self._plan_call(plan, name, x, out_precision)
+
+    def _plan_call(self, plan, name, x, out_precision):
+        """The call of ``name`` on ``plan`` for operands like ``x``, cached
+        on the plan."""
         key = (self, name, x.shape, out_precision)
         call = plan.calls.get(key)
         if call is None:
@@ -740,9 +807,9 @@ class NativeBackend(FastBackend):
         residual = name == "spmv_axpy_f16"
         if residual and out_prec.dtype != _HALF:
             return False
-        n, nnz, k = plan.indptr.size - 1, plan.values.size, columns(x)
-        traffic = spmv_traffic(mat_prec, vec_prec, out_prec, compute, n, nnz,
-                               (nnz + n + 1) * BYTES_PER_INDEX, k)
+        n, k = plan.indptr.size - 1, columns(x)
+        traffic = spmv_traffic(mat_prec, vec_prec, out_prec, compute, n, plan.nnz,
+                               plan.index_bytes, k)
         if residual:
             traffic = traffic.then(axpy_traffic(out_prec, out_prec, out_prec,
                                                 compute, n, k))
@@ -758,13 +825,17 @@ class NativeBackend(FastBackend):
         if not call:
             return super().spmv_csr(values, indices, indptr, x, out_precision,
                                     record=record, scratch=scratch)
-        kernel, k, _, shape, out, traffic = call
-        x16 = np.ascontiguousarray(x)
-        y = np.empty(shape, dtype=_HALF)
-        _check(kernel(_ptr(x16), _ptr(y), k))
-        if record:
-            record_traffic(traffic)
-        return y if out is None else y.astype(out)
+        return _product(call, x, record)
+
+    def spmv_ell(self, ell, x, out_precision=None, record=True):
+        """The fp16 product of a sliced-ELL matrix: the compiled CSR kernel
+        on its row-major padded arrays, ``fast``'s ``spmv_ell`` bit for bit
+        with its counters; every other product is ``fast``'s."""
+        plan = x.dtype == _HALF and _ell_plan(ell)
+        call = plan and self._plan_call(plan, "spmv_csr_f16", x, out_precision)
+        if not call:
+            return super().spmv_ell(ell, x, out_precision, record=record)
+        return _product(call, x, record)
 
     def spmv_axpy(self, values, indices, indptr, x, y, out_precision=None,
                   record=True, scratch=None):
@@ -919,14 +990,116 @@ class NativeBackend(FastBackend):
                 _bind(self._half["weighted_update_f16"], mr.size, k), k, _HALF,
                 mr.shape, None, axpy_traffic(_FP16, _FP16, _FP16, _FP16, mr.shape[0], k)))
         kernel, k, _, shape, _, traffic = call
-        alpha = np.empty(k, dtype=_F32)
-        alpha[...] = np.float16(omega)       # ω rounded to fp16, as vo.axpy does
+        alpha = self._alpha(omega, k)
         mr_c, z_c = np.ascontiguousarray(mr), np.ascontiguousarray(z)
         out = np.empty(shape, dtype=_HALF)
         _check(kernel(_ptr(alpha), _ptr(mr_c), _ptr(z_c), _ptr(out)))
         if record:
             record_traffic(traffic)
         return out
+
+    def _alpha(self, omega, k: int) -> np.ndarray:
+        """``weighted_update``'s per-column weights: ``omega`` (one weight or
+        ``k``) rounded to fp16, as ``vo.axpy`` rounds it, in fp32; one
+        weight's array is cached per value and ``k``."""
+        if not isinstance(omega, float):
+            alpha = np.empty(k, dtype=_F32)
+            alpha[...] = np.float16(omega)
+            return alpha
+        key = ("alpha", omega, k)
+        alpha = self._calls.get(key)
+        if alpha is None:
+            alpha = self._remember(key, np.full(k, np.float16(omega), dtype=_F32))
+        return alpha
+
+    # ------------------------------------------------------------------ #
+    def richardson_sweep(self, plan, preconditioner, m: int, v):
+        """One compiled call for a Richardson invocation of ``m`` steps on
+        operands like ``v`` (see ``RichardsonLevel.apply_batch``), or
+        ``None`` where the operands are not its own: ``plan`` bound to
+        another engine, or not an fp16 CSR or sliced-ELL product at fp16
+        vectors; a preconditioner with no fp16 :meth:`triangular_form`;
+        an empty block.  The sweep runs the loop's kernels in its order, so
+        its bits, counter totals and ``num_applications`` are the loop's."""
+        if (plan.backend is not self or plan.vec_prec is not _FP16
+                or v.dtype != _HALF or v.ndim != 2 or v.shape[1] == 0):
+            return None
+        n, k = v.shape
+        if plan.kind == "csr":
+            a = plan.storage
+            a_plan = _csr_plan(a.values, a.indices, a.indptr, a.scratch())
+        elif plan.kind == "ell":
+            a_plan = _ell_plan(plan.storage)
+        else:
+            return None
+        triangular_form = getattr(preconditioner, "triangular_form", None)
+        form = triangular_form(k) if triangular_form is not None else None
+        if (not a_plan or form is None or a_plan.indptr.size - 1 != n
+                or a_plan.ncols > n or n >= _INT32_MAX):
+            return None
+        lower, scale, upper, _ = form
+        if not (lower.precision is _FP16 and upper.precision is _FP16
+                and lower.nrows == n and upper.nrows == n
+                and (scale is None or (scale.dtype == _HALF and scale.shape == (n,)))):
+            return None
+        return self._bind_sweep(a_plan, form, preconditioner, m, n, k)
+
+    def _bind_sweep(self, a_plan, form, preconditioner, m, n, k) -> "_Sweep":
+        """The sweep of ``m`` steps over A's plan ``a_plan`` and the
+        preconditioner's ``form`` on ``(n, k)`` blocks."""
+        lower, scale, upper, apply_traffic = form
+        _, l_chunks, l_arrays, l_addrs = _trsv_plan(lower, _HALF)
+        _, u_chunks, u_arrays, u_addrs = _trsv_plan(upper, _HALF)
+        scale16 = None if scale is None else np.ascontiguousarray(scale)
+        a_chunks, *a_addrs = a_plan.lead
+        kernel = _bind(self._half_kernels(n, k)["richardson_f16"], n, m, a_chunks,
+                       *a_addrs, l_chunks, *l_addrs, u_chunks, *u_addrs,
+                       None if scale16 is None else _addr(scale16), k,
+                       arrays=(a_plan.arrays, l_arrays, u_arrays, scale16))
+        fp16 = _FP16
+        update = axpy_traffic(fp16, fp16, fp16, fp16, n, k)
+        apply = (trsv_traffic(lower, fp16, fp16, fp16, k)
+                 .then(trsv_traffic(upper, fp16, fp16, fp16, k)).then(apply_traffic))
+        residual = spmv_traffic(fp16, fp16, fp16, fp16, n, a_plan.nnz,
+                                a_plan.index_bytes, k).then(update)
+        traffic = apply.then(update)
+        for _ in range(m - 1):
+            traffic = traffic.then(residual).then(apply).then(update)
+        return _Sweep(kernel, (n, k), m, preconditioner, traffic)
+
+
+class _Sweep:
+    """A Richardson invocation bound to its operands: the compiled kernel
+    with A's and M's plans bound, the block shape, the steps, the
+    preconditioner whose ``num_applications`` it advances, and the traffic
+    of the whole invocation (everything the loop records, summed).  Called
+    with the fp16 block ``v``, the level's weights and the calling thread's
+    arena; returns the fp16 ``z``."""
+
+    __slots__ = ("kernel", "shape", "steps", "preconditioner", "traffic", "_omega")
+
+    def __init__(self, kernel, shape, steps, preconditioner, traffic) -> None:
+        self.kernel, self.shape, self.steps = kernel, shape, steps
+        self.preconditioner, self.traffic = preconditioner, traffic
+        #: the last weights seen and their fp16 values in fp32
+        self._omega = (None, None)
+
+    def __call__(self, v, weights, scratch):
+        key = weights.tobytes()
+        seen, omega = self._omega
+        if seen != key:
+            # each weight rounded to fp16 from its own value, as vo.axpy does
+            omega = weights.astype(_HALF).astype(_F32)
+            self._omega = (key, omega)
+        n, k = self.shape
+        v16 = np.ascontiguousarray(v)
+        z = np.empty(self.shape, dtype=_HALF)
+        buf = scratch.get("native_sweep16", 3 * n * k, _HALF)
+        work = scratch.get("native_sweep32", (n + 2) * k, _F32)
+        _check(self.kernel(_ptr(omega), _ptr(v16), _ptr(z), _ptr(buf), _ptr(work)))
+        self.preconditioner.num_applications += self.steps * k
+        record_traffic(self.traffic)
+        return z
 
 
 # ---------------------------------------------------------------------- #
@@ -1115,6 +1288,21 @@ def self_check(*backends: NativeBackend) -> None:
             # one row per 8 lanes plus a tail at both widths
             cases.append(("diag_scale fp16", lambda be, z=z, mr=mr: be.diag_scale(
                 z[:, 0] if z.ndim == 2 else z, mr, record=False)))
+        # one and three steps over the CSR matrix, the factor as both solves
+        # with and without a scaling between them, and weights that are not
+        # fp16 values; the residuals' tiny negative entries make updates of
+        # −0, which step 0 adds to +0
+        lower16 = _cast_factor(factor, _HALF)
+        scale16 = rng.uniform(0.5, 2.0, dense.shape[0]).astype(_HALF)
+        v = rng.uniform(-1, 1, (dense.shape[0], 2)) * np.exp(
+            rng.uniform(-16, 0, (dense.shape[0], 2)))
+        v[::7] = -6e-8
+        for vk, scale, weights in itertools.product(
+                (v[:, :1].astype(_HALF), v.astype(_HALF)), (None, scale16),
+                (np.array([0.3]), np.array([0.3, 1.1, 2.7]))):
+            cases.append(("richardson_f16", lambda be, vk=vk, scale=scale, w=weights:
+                          _richardson(be, (values16, indices, indptr), lower16, scale,
+                                      w, vk)))
         cases = [(label, run, reference) for label, run in cases]
         stencil = _separable_stencil()
         # magnitudes from fp16-subnormal to past its range, ±0, and NaN and
@@ -1133,6 +1321,33 @@ def self_check(*backends: NativeBackend) -> None:
                     raise NativeUnavailable(f"self-check failed: {label} "
                                             f"({backend.isa}) differs from "
                                             f"the {oracle.name} backend")
+
+
+def _richardson(be, csr, lower, scale, weights, v):
+    """Richardson steps from z = 0 on the self-check operands — A's CSR
+    arrays ``csr``, ``lower`` as both solves, the middle ``scale`` — one
+    per weight: the native engine's compiled sweep (unrecorded), or the
+    level's loop on any other engine's kernels, the oracle."""
+    from types import SimpleNamespace
+
+    from ..perf.counters import counters_disabled
+    from .workspace import Workspace
+
+    n, k = v.shape
+    if isinstance(be, NativeBackend):
+        sweep = be._bind_sweep(_CsrPlan(*csr), (lower, scale, lower, Traffic()),
+                               SimpleNamespace(num_applications=0), len(weights), n, k)
+        with counters_disabled():
+            return sweep(v, weights, Workspace())
+    z = np.zeros(v.shape, dtype=_HALF)
+    for step, weight in enumerate(weights):
+        r = v if step == 0 else be.spmv_axpy(*csr, z, v, record=False)
+        y = be.trsv(lower, r, record=False)
+        if scale is not None:
+            y = be.diag_scale(scale, y, record=False)
+        z = be.weighted_update(z, be.trsv(lower, y, record=False), float(weight),
+                               _FP16, record=False)
+    return z
 
 
 def _cast_factor(factor, dtype):

@@ -22,6 +22,7 @@ and the global counter in one pass.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from contextlib import contextmanager
@@ -37,6 +38,7 @@ __all__ = [
     "counters_disabled",
     "counters_enabled",
     "current_counter",
+    "kernel_traffic",
     "record",
     "record_bytes",
     "record_flops",
@@ -102,6 +104,17 @@ class Traffic(NamedTuple):
             merged.append(tuple(totals.items()))
         return Traffic(merged[0], merged[1], self.index_bytes + other.index_bytes,
                        merged[2])
+
+
+@functools.lru_cache(maxsize=4096)
+def kernel_traffic(kernel: str, count: int, values: tuple = (),
+                   flops: tuple = ()) -> Traffic:
+    """The :class:`Traffic` of ``count`` calls of ``kernel`` that move
+    ``values`` — ``(precision, bytes)`` pairs — and compute ``flops`` —
+    ``(precision, flops)`` pairs; built once per argument tuple and cached,
+    so a kernel records it with one :func:`record`."""
+    return Traffic.of(calls=[(kernel, count)],
+                      values=[(p, nbytes, 0) for p, nbytes in values], flops=flops)
 
 
 @dataclass

@@ -121,6 +121,13 @@ class SolvePlan:
     def shape(self) -> tuple[int, int]:
         return self.operator.shape
 
+    @property
+    def storage(self):
+        """What the applies run on: the CSR or sliced-ELL matrix, the
+        stencil, or (kind ``"operator"``) the operator itself."""
+        return {"csr": self._csr, "ell": self._ell,
+                "stencil": self._stencil}.get(self.kind, self.operator)
+
     def workspace(self):
         """The calling thread's plan-scoped scratch arena."""
         return self._tls.workspace

@@ -27,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..backends.base import columns, per_row
-from ..perf.counters import record_bytes, record_flops, record_kernel
+from ..perf.counters import kernel_traffic
+from ..perf.counters import record as record_traffic
 from ..precision import Precision, as_precision, precision_of_dtype, promote
 from ..sparse import CSRMatrix, scale_diagonal_entries, split_triangular
 from .base import Preconditioner
@@ -144,9 +145,9 @@ class SDAINVPreconditioner(Preconditioner):
         t = wt @ r                             # first SpMV
         t = (t.astype(compute.dtype)
              * per_row(self._inv_d.astype(compute.dtype), r.ndim)).astype(r.dtype)
-        record_kernel("precond_ainv_scale", k)
-        record_bytes(self.precision, k * self._n * self.precision.bytes)
-        record_flops(compute, k * self._n)
+        p, size = self.precision, k * self._n
+        record_traffic(kernel_traffic("precond_ainv_scale", k, ((p, size * p.bytes),),
+                                      ((compute, size),)))
         z = self._z @ t                        # second SpMV
         return z.astype(r.dtype, copy=False)
 

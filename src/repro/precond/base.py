@@ -61,6 +61,18 @@ class Preconditioner(abc.ABC):
             return self._apply(r[:, 0])[:, None]
         return self._apply(r)
 
+    def triangular_form(self, k: int):
+        """``(lower, scale, upper, traffic)`` when applying this
+        preconditioner to ``k`` columns is exactly ``upper.solve`` of
+        ``diag_scale(scale, lower.solve(r))`` — ``scale`` ``None`` for no
+        middle scaling — with the two triangular factors' own counters plus
+        ``traffic``, the :class:`~repro.perf.counters.Traffic` the apply
+        records besides; ``None`` for any other application.  A compiled
+        engine may then run the application itself (``native``'s Richardson
+        sweep), so a subclass that changes ``_apply`` must change this
+        too."""
+        return None
+
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
     def astype(self, precision: Precision | str) -> "Preconditioner":

@@ -11,16 +11,28 @@ factor during the factorization only — is applied per block.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..backends.base import columns
-from ..perf.counters import counters_enabled, record_kernel
+from ..perf.counters import Traffic
+from ..perf.counters import record as record_traffic
 from ..precision import Precision, as_precision
 from ..sparse import BlockPartition, CSRMatrix, fuse_block_diagonal, partition_rows
 from .base import Preconditioner
-from .ilu0 import IC0Preconditioner, ILU0Preconditioner, ic0_solve
+from .ilu0 import IC0Preconditioner, ILU0Preconditioner, triangular_apply
 
 __all__ = ["BlockJacobiILU0", "BlockJacobiIC0"]
+
+
+@functools.lru_cache(maxsize=256)
+def _parity_traffic(nblocks: int, k: int) -> Traffic:
+    """Kernel-count parity of the fused solves with the per-block loop: the
+    fused solves record one trsv per column per stage, the loop one per
+    block; byte/flop totals already match (the fused factor is the blocks'
+    union)."""
+    return Traffic.of(calls=[("trsv", 2 * (nblocks - 1) * k)])
 
 
 class _BlockJacobiBase(Preconditioner):
@@ -70,18 +82,20 @@ class _BlockJacobiBase(Preconditioner):
         # all blocks and all columns.  This is the emulation analogue of the
         # paper's thread-per-block parallel execution — numerically identical
         # to the per-block loop, exactly.
-        z = self._apply_fused(r, self._fused_parts())
-        if counters_enabled():
-            # kernel-count parity with the per-block loop: the fused solves
-            # record one trsv per column per stage, the loop one per block;
-            # byte/flop totals already match (the fused factor is the
-            # blocks' union)
-            record_kernel("trsv", 2 * (self.nblocks - 1) * columns(r))
+        z = triangular_apply(*self._fused_parts(), r)
+        record_traffic(_parity_traffic(self.nblocks, columns(r)))
         return z
 
+    def triangular_form(self, k: int):
+        if self.nblocks == 1:
+            return self._blocks[0].triangular_form(k)
+        return (*self._fused_parts(), _parity_traffic(self.nblocks, k))
+
     def _fused_parts(self):
-        """Fused block-diagonal factors, built lazily on the first
-        application (idempotent: a concurrent duplicate build is identical)."""
+        """``(lower, scale, upper)``: the fused block-diagonal factors and
+        the middle scaling (``None`` for ILU(0)), built lazily on the first
+        application (idempotent: a concurrent duplicate build is
+        identical)."""
         fused = self._fused
         if fused is None:
             fused = self._fused = self._build_fused()
@@ -110,12 +124,8 @@ class BlockJacobiILU0(_BlockJacobiBase):
     _block_factory = ILU0Preconditioner
 
     def _build_fused(self):
-        return (fuse_block_diagonal([b._lower for b in self._blocks]),
+        return (fuse_block_diagonal([b._lower for b in self._blocks]), None,
                 fuse_block_diagonal([b._upper for b in self._blocks]))
-
-    def _apply_fused(self, r: np.ndarray, fused) -> np.ndarray:
-        lower, upper = fused
-        return upper.solve(lower.solve(r))
 
 
 class BlockJacobiIC0(_BlockJacobiBase):
@@ -126,9 +136,5 @@ class BlockJacobiIC0(_BlockJacobiBase):
 
     def _build_fused(self):
         return (fuse_block_diagonal([b._lower for b in self._blocks]),
-                fuse_block_diagonal([b._upper_t for b in self._blocks]),
-                np.concatenate([b._inv_diag for b in self._blocks]))
-
-    def _apply_fused(self, r: np.ndarray, fused) -> np.ndarray:
-        lower, upper_t, inv_diag = fused
-        return ic0_solve(lower, inv_diag, upper_t, r)
+                np.concatenate([b._inv_diag for b in self._blocks]),
+                fuse_block_diagonal([b._upper_t for b in self._blocks]))

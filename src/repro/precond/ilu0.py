@@ -21,12 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..backends import get_backend
-from ..backends.base import per_row
+from ..perf.counters import Traffic
 from ..precision import Precision, as_precision
 from ..sparse import CSRMatrix, TriangularFactor
 from .base import Preconditioner
 
-__all__ = ["ilu0_factor", "ILU0Preconditioner", "IC0Preconditioner"]
+__all__ = ["ilu0_factor", "ILU0Preconditioner", "IC0Preconditioner",
+           "triangular_apply"]
 
 
 def ilu0_factor(matrix: CSRMatrix, alpha: float = 1.0,
@@ -101,15 +102,18 @@ def _factors_from_arrays(arrays: dict, n: int) -> tuple[CSRMatrix, CSRMatrix] | 
     return lower, upper
 
 
-def ic0_solve(lower: TriangularFactor, inv_diag: np.ndarray,
-              upper_t: TriangularFactor, r: np.ndarray) -> np.ndarray:
-    """``L^{-T} D^{-1} L^{-1} r`` for a vector or an ``(n, k)`` block ``r``:
-    the two substitutions with the diagonal scaling between them, rounded
-    back to ``r``'s dtype (shared by IC(0) and its block-Jacobi fusion)."""
+def triangular_apply(lower: TriangularFactor, scale: np.ndarray | None,
+                     upper: TriangularFactor, r: np.ndarray) -> np.ndarray:
+    """``U^{-1} D L^{-1} r`` for a vector or an ``(n, k)`` block ``r``: the
+    two substitutions with the engine's (unrecorded) diagonal scaling by
+    ``scale`` between them, rounded to ``r``'s dtype, or none when it is
+    ``None`` — the application a
+    :meth:`~repro.precond.Preconditioner.triangular_form` describes (IC(0):
+    ``U = L^T``, ``D`` its inverse pivots)."""
     y = lower.solve(r)
-    y = (y.astype(np.result_type(y.dtype, inv_diag.dtype))
-         * per_row(inv_diag, r.ndim)).astype(r.dtype, copy=False)
-    return upper_t.solve(y)
+    if scale is not None:
+        y = get_backend().diag_scale(scale, y, record=False)
+    return upper.solve(y)
 
 
 class ILU0Preconditioner(Preconditioner):
@@ -141,7 +145,10 @@ class ILU0Preconditioner(Preconditioner):
         return obj
 
     def _apply(self, r: np.ndarray) -> np.ndarray:
-        return self._upper.solve(self._lower.solve(r))
+        return triangular_apply(self._lower, None, self._upper, r)
+
+    def triangular_form(self, k: int):
+        return self._lower, None, self._upper, Traffic()
 
     def astype(self, precision: Precision | str) -> "ILU0Preconditioner":
         p = as_precision(precision)
@@ -198,7 +205,10 @@ class IC0Preconditioner(Preconditioner):
         return obj
 
     def _apply(self, r: np.ndarray) -> np.ndarray:
-        return ic0_solve(self._lower, self._inv_diag, self._upper_t, r)
+        return triangular_apply(self._lower, self._inv_diag, self._upper_t, r)
+
+    def triangular_form(self, k: int):
+        return self._lower, self._inv_diag, self._upper_t, Traffic()
 
     def astype(self, precision: Precision | str) -> "IC0Preconditioner":
         p = as_precision(precision)

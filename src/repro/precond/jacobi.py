@@ -13,7 +13,8 @@ import numpy as np
 from ..backends import get_backend
 from ..backends.base import columns
 from ..backends.workspace import ScratchOwner
-from ..perf.counters import record_bytes, record_flops, record_kernel
+from ..perf.counters import kernel_traffic
+from ..perf.counters import record as record_traffic
 from ..precision import Precision, as_precision, precision_of_dtype, promote
 from ..sparse import extract_diagonal
 from .base import Preconditioner
@@ -54,10 +55,10 @@ class JacobiPreconditioner(Preconditioner, ScratchOwner):
         k = columns(r)
         z = get_backend().diag_scale(self.inv_diag, r, record=False,
                                      scratch=self.scratch())
-        record_kernel("precond_jacobi", k)
-        record_bytes(self.precision, k * self._n * self.precision.bytes)
-        record_bytes(vec_prec, 2 * k * self._n * vec_prec.bytes)
-        record_flops(promote(self.precision, vec_prec), k * self._n)
+        p, size = self.precision, k * self._n
+        record_traffic(kernel_traffic(
+            "precond_jacobi", k, ((p, size * p.bytes), (vec_prec, 2 * size * vec_prec.bytes)),
+            ((promote(p, vec_prec), size),)))
         return z
 
     def astype(self, precision: Precision | str) -> "JacobiPreconditioner":

@@ -18,6 +18,11 @@ invocations the blended ω_k is used and no extra SpMV/dots are needed.
 Precision: the Richardson recurrence runs entirely in the level's precision
 (fp16 in F3R) but the ω'_k computation is carried out in fp32, exactly as
 stated in Section 4.3 of the paper.
+
+An invocation that does not refresh the weights may run as one compiled call
+of the kernel engine (``backend.richardson_sweep``: ``native``'s, for fp16
+CSR or sliced-ELL products and ILU(0)/IC(0)-type preconditioners), with the
+loop's bits, counters and application count.
 """
 
 from __future__ import annotations
@@ -86,9 +91,16 @@ class RichardsonLevel(InnerSolver):
         self.weights = np.full(self.m, float(weight), dtype=np.float64)
         self.call_count = 0          # cntr in Algorithm 1 (number of completed calls)
         self.update_count = 0        # l in Eq. (5)
-        # compiled plans (per backend) and fused-sweep scratch (per thread)
+        # compiled plans (per backend), compiled sweeps (per backend and
+        # block shape) and fused-sweep scratch (per thread)
         self._plans: dict = {}
+        self._sweeps: dict = {}
         self._workspace = ThreadLocalWorkspace()
+
+    def __getstate__(self) -> dict:
+        # plans and sweeps are re-derivable, and a compiled sweep holds a
+        # compiled-call handle that does not pickle: a copy starts without
+        return {**self.__dict__, "_plans": {}, "_sweeps": {}}
 
     # ------------------------------------------------------------------ #
     @property
@@ -104,6 +116,17 @@ class RichardsonLevel(InnerSolver):
         self.weights.fill(1.0)
         self.call_count = 0
         self.update_count = 0
+
+    def _sweep(self, plan, v: np.ndarray):
+        """The engine's compiled sweep for blocks like ``v`` (cached per
+        backend and shape), or ``None``."""
+        key = (plan.backend, v.shape, v.dtype)
+        try:
+            return self._sweeps[key]
+        except KeyError:
+            sweep = self._sweeps[key] = plan.backend.richardson_sweep(
+                plan, self.preconditioner, self.m, v)
+            return sweep
 
     def _level_plans(self):
         """``(level plan, weight-precision plan)`` on the active backend."""
@@ -130,7 +153,8 @@ class RichardsonLevel(InnerSolver):
         A one-column call is exactly Algorithm 1's invocation; a wider one
         equals ``k`` one-column calls only when no refresh falls inside it,
         since the refresh sees the batch mean rather than the columns in
-        sequence.
+        sequence.  An invocation without a refresh runs as the engine's
+        compiled sweep where it has one (:meth:`_sweep`).
         """
         v = np.asarray(v)
         if v.ndim != 2:
@@ -145,6 +169,11 @@ class RichardsonLevel(InnerSolver):
         ws = self._workspace.workspace
 
         v_level = vo.cast_vector(v, vec_prec)
+        sweep = None if refresh else self._sweep(plan, v_level)
+        if sweep is not None:
+            z = sweep(v_level, self.weights, ws)
+            self.call_count = cntr_end
+            return z
         z = np.zeros(v_level.shape, dtype=vec_prec.dtype)
         r = v_level                          # r_0 = v because z_0 = 0
 

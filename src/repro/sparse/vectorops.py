@@ -7,7 +7,8 @@ through a single instrumented code path.  Each kernel:
 * promotes its operands to the wider precision for the arithmetic (the paper's
   promotion rule),
 * rounds the result to the requested output precision, and
-* records bytes moved / flops with :mod:`repro.perf.counters`.
+* records bytes moved / flops with :mod:`repro.perf.counters`, as one
+  cached :class:`~repro.perf.counters.Traffic` per argument tuple.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 from ..backends import get_backend
 from ..backends.base import columns
-from ..perf.counters import record_bytes, record_flops, record_kernel
+from ..perf.counters import kernel_traffic
+from ..perf.counters import record as record_traffic
 from ..precision import Precision, as_precision, precision_of_dtype, promote
 
 __all__ = ["dot", "nrm2", "axpy", "diagmul", "xpby", "waxpby",
@@ -25,6 +27,18 @@ __all__ = ["dot", "nrm2", "axpy", "diagmul", "xpby", "waxpby",
 
 def _prec(x: np.ndarray) -> Precision:
     return precision_of_dtype(x.dtype)
+
+
+def _record(kernel: str, count: int, values: tuple, flops: tuple = ()) -> None:
+    """Record one call's cached traffic (see :func:`kernel_traffic`)."""
+    record_traffic(kernel_traffic(kernel, count, values, flops))
+
+
+def _update_bytes(x, px, y, py, result, out) -> tuple:
+    """The value traffic of a two-operand update: read ``x`` and ``y``,
+    write ``result``."""
+    return ((px, x.size * px.bytes), (py, y.size * py.bytes),
+            (out, result.size * out.bytes))
 
 
 def vzeros(n: int, precision: Precision | str) -> np.ndarray:
@@ -54,10 +68,8 @@ def dot(x: np.ndarray, y: np.ndarray, record: bool = True) -> float:
     yc = y if y.dtype == compute.dtype else y.astype(compute.dtype)
     result = np.dot(xc, yc)
     if record:
-        record_kernel("dot")
-        record_bytes(px, x.size * px.bytes)
-        record_bytes(py, y.size * py.bytes)
-        record_flops(compute, 2 * x.size)
+        _record("dot", 1, ((px, x.size * px.bytes), (py, y.size * py.bytes)),
+                ((compute, 2 * x.size),))
     return float(result)
 
 
@@ -66,9 +78,7 @@ def nrm2(x: np.ndarray, record: bool = True) -> float:
     p = _prec(x)
     result = np.sqrt(np.dot(x, x).astype(np.float64))
     if record:
-        record_kernel("norm")
-        record_bytes(p, x.size * p.bytes)
-        record_flops(p, 2 * x.size)
+        _record("norm", 1, ((p, x.size * p.bytes),), ((p, 2 * x.size),))
     return float(result)
 
 
@@ -87,11 +97,8 @@ def axpy(alpha, x: np.ndarray, y: np.ndarray,
     yc = y if y.dtype == compute.dtype else y.astype(compute.dtype)
     result = (alpha_c * xc + yc).astype(out.dtype, copy=False)
     if record:
-        record_kernel("axpy", columns(x))
-        record_bytes(px, x.size * px.bytes)
-        record_bytes(py, y.size * py.bytes)
-        record_bytes(out, result.size * out.bytes)
-        record_flops(compute, 2 * x.size)
+        _record("axpy", columns(x), _update_bytes(x, px, y, py, result, out),
+                ((compute, 2 * x.size),))
     return result
 
 
@@ -120,11 +127,8 @@ def xpby(x: np.ndarray, beta: float, y: np.ndarray,
     yc = y if y.dtype == compute.dtype else y.astype(compute.dtype)
     result = (xc + beta_c * yc).astype(out.dtype, copy=False)
     if record:
-        record_kernel("axpy")
-        record_bytes(px, x.size * px.bytes)
-        record_bytes(py, y.size * py.bytes)
-        record_bytes(out, result.size * out.bytes)
-        record_flops(compute, 2 * x.size)
+        _record("axpy", 1, _update_bytes(x, px, y, py, result, out),
+                ((compute, 2 * x.size),))
     return result
 
 
@@ -140,11 +144,8 @@ def waxpby(alpha: float, x: np.ndarray, beta: float, y: np.ndarray,
     yc = y if y.dtype == compute.dtype else y.astype(compute.dtype)
     result = (a * xc + b * yc).astype(out.dtype, copy=False)
     if record:
-        record_kernel("waxpby")
-        record_bytes(px, x.size * px.bytes)
-        record_bytes(py, y.size * py.bytes)
-        record_bytes(out, result.size * out.bytes)
-        record_flops(compute, 3 * x.size)
+        _record("waxpby", 1, _update_bytes(x, px, y, py, result, out),
+                ((compute, 3 * x.size),))
     return result
 
 
@@ -153,9 +154,7 @@ def scal(alpha: float, x: np.ndarray, record: bool = True) -> np.ndarray:
     p = _prec(x)
     result = (p.dtype.type(alpha) * x).astype(p.dtype, copy=False)
     if record:
-        record_kernel("scal")
-        record_bytes(p, 2 * x.size * p.bytes)
-        record_flops(p, x.size)
+        _record("scal", 1, ((p, 2 * x.size * p.bytes),), ((p, x.size),))
     return result
 
 
@@ -166,7 +165,5 @@ def vcopy(x: np.ndarray, precision: Precision | str | None = None,
     src = _prec(x)
     result = x.astype(p.dtype, copy=True)
     if record:
-        record_kernel("copy")
-        record_bytes(src, x.size * src.bytes)
-        record_bytes(p, x.size * p.bytes)
+        _record("copy", 1, ((src, x.size * src.bytes), (p, x.size * p.bytes)))
     return result

@@ -4,9 +4,11 @@
 fp32 and fp16 compute), the fp16 CSR products ``spmv_csr`` / ``spmv_axpy``,
 the fp16 vector updates ``weighted_update`` / ``residual_update``, the fp16
 ``diag_scale``, the box-separable ``apply_stencil`` sweep (fp64, fp32 and
-fp16) and the fp32 ↔ fp16 ``cast`` — and inherits everything else from
-``fast``.  Here every ported kernel must equal its oracle bit for bit (NaN
-by position, not payload): ``reference``, except for the separable sweep,
+fp16), the fp32 ↔ fp16 ``cast`` and the fp16 Richardson sweep — runs
+sliced-ELL storage's fp16 ``spmv_ell`` on the CSR kernel, and inherits
+everything else from ``fast``.  Here every ported kernel must equal its
+oracle bit for bit (NaN by position, not payload): ``reference``, except
+for the separable sweep,
 whose oracle is ``fast``'s sweep.  The operands are lower and upper ILU(0),
 IC(0), fused block-ILU(0) and long-row factors, factors whose levels mix
 rows of every shape a row-interleaved plan packs (0 to 140 terms, partial
@@ -15,7 +17,10 @@ matrices with long, short and empty rows, separable stencils on grids with
 axes of 1, 2, 7 and 24 points, and vectors and blocks of 0 to 9 columns
 with fp16-subnormal products, overflow to ±inf, signed zeros and NaN; the
 casts also see every fp16 bit pattern and every fp16 rounding boundary, on
-both sides of their size gate.  The fp16 kernels and the sweeps exist once per instruction set (``native.ISAS``): each test of them runs the portable
+both sides of their size gate.  The ELL products must equal ``fast``'s
+``spmv_ell``, and the Richardson sweep the level's loop on ``fast`` (bits,
+counters and M's application count) on the serve-open operators and the
+hard operator.  The fp16 kernels and the sweeps exist once per instruction set (``native.ISAS``): each test of them runs the portable
 scalar set and, where this CPU has AVX2 + F16C, the vector set, both
 reached through the loaded library's symbols.  Counter
 totals must equal ``fast``'s, and four threads on shared operands (ctypes
@@ -42,13 +47,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import faults
 from repro.backends import available_backends, get_backend, native, use_backend
-from repro.matgen import get_matrix, hpcg_matrix
-from repro.operators import StencilOperator
+from repro.backends.fast import FastBackend
+from repro.backends.workspace import Workspace
+from repro.core import F3RConfig, F3RSolver
+from repro.matgen import get_matrix, hpcg_matrix, hpcg_operator
+from repro.operators import AssembledOperator, StencilOperator, as_operator
 from repro.perf import counting
+from repro.plans import plan_for
 from repro.precision import Precision, precision_of_dtype
-from repro.precond import BlockJacobiILU0, IC0Preconditioner, ILU0Preconditioner
-from repro.sparse import CSRMatrix, TriangularFactor, diagonal_scaling
+from repro.precond import (BlockJacobiIC0, BlockJacobiILU0, IC0Preconditioner,
+                           ILU0Preconditioner, JacobiPreconditioner)
+from repro.solvers import RichardsonLevel
+from repro.sparse import CSRMatrix, SlicedEllMatrix, TriangularFactor, diagonal_scaling
 
 #: the engine is required wherever a C compiler is present: a kernel that
 #: fails its load-time self-check must fail here, not skip
@@ -150,7 +162,7 @@ def factors() -> dict:
     return {"ilu0": (ilu._lower, ilu._upper),
             "ic0": (ic._lower, ic._upper_t),
             "mixed": _mixed_factors(),
-            "block_ilu0": BlockJacobiILU0(nonsym, nblocks=3)._fused_parts(),
+            "block_ilu0": BlockJacobiILU0(nonsym, nblocks=3)._fused_parts()[::2],
             "long_rows": (TriangularFactor(CSRMatrix.from_dense(dense), lower=True),
                           TriangularFactor(CSRMatrix.from_dense(dense[::-1, ::-1].copy()),
                                            lower=False))}
@@ -1060,7 +1072,7 @@ def test_abi_and_instruction_sets():
     for name in ("trsv_f16", "spmv_csr_f16", "spmv_axpy_f16", "weighted_update_f16",
                  "residual_update_f16", "stencil_sep_f64", "stencil_sep_f32",
                  "stencil_sep_f16", "diag_scale_f16", "cast_f32_f16", "cast_f16_f32",
-                 "quantize32"):
+                 "richardson_f16", "quantize32"):
         assert scalar._half[name] is getattr(lib, name)
     if "avx2" in sets:
         vector = native.NativeBackend(lib, "avx2")
@@ -1075,6 +1087,7 @@ def test_abi_and_instruction_sets():
                              ("diag_scale_f16", "diag_scale_f16_avx2"),
                              ("cast_f32_f16", "cast_f32_f16_avx2"),
                              ("cast_f16_f32", "cast_f16_f32_avx2"),
+                             ("richardson_f16", "richardson_f16_avx2"),
                              ("quantize32", "quantize32_avx2")):
             assert vector._half[name] is getattr(lib, symbol)
     else:
@@ -1107,6 +1120,294 @@ def test_self_check_rejects_a_differing_kernel(isa):
     be._half = {**be._half, "trsv_f16": corrupted}
     with pytest.raises(native.NativeUnavailable, match="trsv"):
         native.self_check(be)
+
+
+# ---------------------------------------------------------------------- #
+# Sliced-ELL fp16 products: the CSR kernels on the padded row-major arrays
+# (oracle: fast's spmv_ell)
+# ---------------------------------------------------------------------- #
+ELL_WIDTHS = (None, 1, 3, 4)
+ELL_INPUTS = ("ordinary", "subnormal", "inf", "nan")
+
+
+@pytest.fixture(scope="module")
+def ells(mixed, matrix16) -> dict:
+    """fp16 sliced-ELL matrices: a partial last chunk (203 rows by 32, 160
+    columns, rows of −0 values), chunks of 4 over empty rows and a
+    200-entry row, and a serve-open operator."""
+    atmosmodd, _ = diagonal_scaling(get_matrix("atmosmodd", "tiny"))
+    return {"mixed": SlicedEllMatrix(mixed, chunk_size=32),
+            "matrix16": SlicedEllMatrix(matrix16, chunk_size=4),
+            "atmosmodd": SlicedEllMatrix(atmosmodd, chunk_size=32).astype(Precision.FP16)}
+
+
+def _traced(run):
+    """``run(backend)`` and the traffic it records, for ``_on``."""
+    def traced(be):
+        with counting() as traffic:
+            out = run(be)
+        return out, traffic.summary()
+    return traced
+
+
+class TestEllProducts:
+    @pytest.mark.parametrize("width", ELL_WIDTHS)
+    @pytest.mark.parametrize("kind", ELL_INPUTS)
+    @pytest.mark.parametrize("name", ["mixed", "matrix16", "atmosmodd"])
+    def test_spmv_ell_equals_fast(self, ells, isa, name, kind, width):
+        ell = ells[name]
+        x = _operand(kind, ell.ncols, width, HALF, seed=111)
+        if kind == "inf":
+            x[0] = np.inf                  # the padding's column: 0 · inf
+        run = _traced(lambda be: be.spmv_ell(ell, x))
+        (got, got_traffic), (want, want_traffic) = _on(isa, run), _on("fast", run)
+        assert_bit_equal(got, want)
+        assert got_traffic == want_traffic
+
+    def test_runs_the_compiled_product(self, ells, monkeypatch):
+        """fp16 products never reach fast's numpy gather; an fp32 operand
+        (an fp16 matrix at fp32 vectors) still does."""
+        ell = ells["atmosmodd"]
+        calls = []
+        fast_ell = FastBackend.spmv_ell
+
+        def spy(self, *args, **kwargs):
+            calls.append(args[1].dtype)
+            return fast_ell(self, *args, **kwargs)
+
+        monkeypatch.setattr(FastBackend, "spmv_ell", spy)
+        x = _operand("ordinary", ell.ncols, 3, HALF, seed=112)
+        _on("native", lambda be: (be.spmv_ell(ell, x), be.spmv_ell(ell, x[:, 0])))
+        assert calls == []
+        _on("native", lambda be: be.spmv_ell(ell, x.astype(np.float32)))
+        assert calls == [np.dtype(np.float32)]
+
+    @pytest.mark.parametrize("out", [Precision.FP32, Precision.FP64])
+    def test_wider_output(self, ells, isa, out):
+        ell = ells["mixed"]
+        x = _operand("subnormal", ell.ncols, 3, HALF, seed=113)
+        run = _traced(lambda be: be.spmv_ell(ell, x, out_precision=out))
+        (got, got_traffic), (want, want_traffic) = _on(isa, run), _on("fast", run)
+        assert_bit_equal(got, want)
+        assert got_traffic == want_traffic
+
+    @pytest.mark.parametrize("width", [None, 1, 3])
+    def test_plan_residual_equals_fast(self, width):
+        """The plan's ELL residual (the product, then residual_update)."""
+        matrix, _ = diagonal_scaling(get_matrix("thermal2", "tiny"))
+        op = AssembledOperator(matrix, format="ell").astype(Precision.FP16)
+        x = _operand("ordinary", op.ncols, width, HALF, seed=114)
+        v = _operand("subnormal", op.nrows, width, HALF, seed=115)
+        run = _traced(lambda be: plan_for(op, Precision.FP16, backend=be).residual(v, x))
+        (got, got_traffic), (want, want_traffic) = _on("native", run), _on("fast", run)
+        assert plan_for(op, Precision.FP16, backend=get_backend("native")).kind == "ell"
+        assert_bit_equal(got, want)
+        assert got_traffic == want_traffic
+
+
+# ---------------------------------------------------------------------- #
+# The compiled Richardson sweep (oracle: RichardsonLevel's loop on fast)
+# ---------------------------------------------------------------------- #
+#: the six Table-2 surrogates of the e2e serve-open workload
+SERVE_OPERATORS = ("hpcg_7_7_7", "atmosmodd", "G3_circuit", "ecology2", "hpgmp_7_7_7",
+                   "thermal2")
+#: a block per invocation: its width and input family (fp32, as F^m3 hands
+#: R^m4 its residuals)
+SWEEP_BLOCKS = ((1, "ordinary"), (2, "subnormal"), (4, "signed_zero"))
+#: the weights the sweeps run with: neither is an fp16 value
+SWEEP_WEIGHTS = (0.7, 1.3)
+
+
+@pytest.fixture(scope="module")
+def sweep_matrices() -> dict:
+    """The serve-open operators at ``tiny`` and the e2e hard operator
+    (``vas_stokes_1M`` at ``small``, n = 2,744), diagonally scaled."""
+    mats = {name: diagonal_scaling(get_matrix(name, "tiny"))[0]
+            for name in SERVE_OPERATORS}
+    mats["hard"] = diagonal_scaling(get_matrix("vas_stokes_1M", "small"))[0]
+    return mats
+
+
+def _preconditioner(matrix, kind: str, nblocks: int):
+    cls = BlockJacobiILU0 if kind == "ilu0" else BlockJacobiIC0
+    return cls(matrix, nblocks=nblocks)
+
+
+def _invocations(engine, a16, m64, blocks, cycle=10 ** 6):
+    """Run a fresh fp16 Richardson level (m = 2) over ``blocks`` on
+    ``engine``: its outputs, counter totals, M's application count, and
+    the level."""
+    m16 = m64.astype(Precision.FP16)
+    with use_backend(engine), warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        level = RichardsonLevel(a16, m16, m=2, cycle=cycle)
+        level.weights[:] = SWEEP_WEIGHTS
+        with counting() as traffic:
+            zs = [level.apply_batch(v) for v in blocks]
+    return zs, traffic.summary(), m16.num_applications, level
+
+
+class TestRichardsonSweep:
+    @pytest.mark.parametrize("nblocks", [1, 10])
+    @pytest.mark.parametrize("kind", ["ilu0", "ic0"])
+    @pytest.mark.parametrize("name", [*SERVE_OPERATORS, "hard"])
+    def test_equals_the_fast_loop(self, sweep_matrices, name, kind, nblocks):
+        """z bits, counter totals and ``num_applications`` of invocations
+        of k = 1, 2 and 4 columns, CSR- and ELL-picked operators alike."""
+        matrix = sweep_matrices[name]
+        a16 = as_operator(matrix).astype(Precision.FP16)
+        m64 = _preconditioner(matrix, kind, nblocks)
+        blocks = [_operand(family, matrix.nrows, k, np.float32, seed=120 + k)
+                  for k, family in SWEEP_BLOCKS]
+        got, got_traffic, got_apps, level = _invocations("native", a16, m64, blocks)
+        want, want_traffic, want_apps, loop = _invocations("fast", a16, m64, blocks)
+        assert len(level._sweeps) == len(SWEEP_BLOCKS)
+        assert all(sweep is not None for sweep in level._sweeps.values())
+        assert all(sweep is None for sweep in loop._sweeps.values())
+        for z, w in zip(got, want, strict=True):
+            assert_bit_equal(z, w)
+        assert got_traffic == want_traffic
+        assert got_apps == want_apps == 2 * sum(k for k, _ in SWEEP_BLOCKS)
+
+    @pytest.mark.parametrize("name", ["atmosmodd", "hpcg_7_7_7"])
+    def test_each_instruction_set(self, sweep_matrices, isa, name):
+        """The sweep of one instruction set, bound directly, against the
+        loop on fast (an ELL-picked and a CSR-picked operator)."""
+        matrix = sweep_matrices[name]
+        a16 = as_operator(matrix).astype(Precision.FP16)
+        m64 = BlockJacobiIC0(matrix, nblocks=10)
+        v = _operand("subnormal", matrix.nrows, 3, HALF, seed=130)
+        be = native.NativeBackend(get_backend("native")._lib, isa)
+        sweep = be.richardson_sweep(plan_for(a16, Precision.FP16, backend=be),
+                                    m64.astype(Precision.FP16), 2, v)
+        assert sweep is not None
+        got = sweep(v, np.array(SWEEP_WEIGHTS), Workspace())
+        (want,), _, _, _ = _invocations("fast", a16, m64, [v])
+        assert_bit_equal(got, want)
+
+    def test_refresh_invocations_update_the_weights_as_fast(self, sweep_matrices,
+                                                            monkeypatch):
+        """With c = 3, every invocation whose window crosses a multiple of 3
+        refreshes the weights through the loop; the rest run the sweep."""
+        matrix = sweep_matrices["ecology2"]
+        a16 = as_operator(matrix).astype(Precision.FP16)
+        m64 = BlockJacobiILU0(matrix, nblocks=10)
+        widths = (1, 1, 2, 1, 4, 1, 1, 2)
+        blocks = [_operand("ordinary", matrix.nrows, k, np.float32, seed=140 + i)
+                  for i, k in enumerate(widths)]
+        swept = []
+        call = native._Sweep.__call__
+
+        def spy(self, *args):
+            swept.append(self.shape[1])
+            return call(self, *args)
+
+        monkeypatch.setattr(native._Sweep, "__call__", spy)
+        got, got_traffic, got_apps, level = _invocations("native", a16, m64, blocks,
+                                                         cycle=3)
+        want, want_traffic, want_apps, loop = _invocations("fast", a16, m64, blocks,
+                                                           cycle=3)
+        ends = np.cumsum(widths)
+        refresh = (ends - np.array(widths)) // 3 != ends // 3
+        assert swept == [k for k, r in zip(widths, refresh) if not r]
+        assert 0 < len(swept) < len(widths)
+        assert np.array_equal(level.weights, loop.weights)
+        assert not np.array_equal(level.weights, SWEEP_WEIGHTS)
+        assert (level.call_count, level.update_count) == (loop.call_count,
+                                                          loop.update_count)
+        for z, w in zip(got, want, strict=True):
+            assert_bit_equal(z, w)
+        assert got_traffic == want_traffic
+        assert got_apps == want_apps
+
+    def test_declines_what_it_does_not_compile(self, sweep_matrices):
+        matrix = sweep_matrices["hpcg_7_7_7"]
+        a16 = as_operator(matrix).astype(Precision.FP16)
+        m16 = BlockJacobiIC0(matrix, nblocks=10).astype(Precision.FP16)
+        be = get_backend("native")
+        v = np.ones((matrix.nrows, 2), dtype=HALF)
+        plan = plan_for(a16, Precision.FP16, backend=be)
+        assert be.richardson_sweep(plan, m16, 2, v) is not None
+        stencil = hpcg_operator(8).astype(Precision.FP16)
+        assert stencil.nrows == matrix.nrows
+        declined = [
+            # fp32 level vectors, and an fp32 M at fp16 vectors
+            (plan_for(a16, Precision.FP32, backend=be), m16, v.astype(np.float32)),
+            (plan, m16.astype(Precision.FP32), v),
+            # a matrix-free product; a preconditioner with no triangular form
+            (plan_for(stencil, Precision.FP16, backend=be), m16, v),
+            (plan, JacobiPreconditioner(matrix).astype(Precision.FP16), v),
+            # a plan of another engine, an empty block, a vector
+            (plan_for(a16, Precision.FP16, backend=get_backend("fast")), m16, v),
+            (plan, m16, v[:, :0]), (plan, m16, v[:, 0])]
+        for args in declined:
+            assert be.richardson_sweep(args[0], args[1], 2, args[2]) is None
+        assert get_backend("fast").richardson_sweep(
+            plan_for(a16, Precision.FP16, backend=get_backend("fast")), m16, 2, v) is None
+        proxy = faults.FaultyBackend(be)
+        assert proxy.richardson_sweep(plan_for(a16, Precision.FP16, backend=proxy),
+                                      m16, 2, v) is None
+
+    def test_fault_sites_still_see_the_level(self, sweep_matrices, monkeypatch):
+        """Under fault injection R^m4 runs its loop: each step's solves,
+        residual product and weighted update reach the proxy."""
+        matrix = sweep_matrices["atmosmodd"]
+        a16 = as_operator(matrix).astype(Precision.FP16)
+        m16 = BlockJacobiILU0(matrix, nblocks=10).astype(Precision.FP16)
+        updates = []
+        weighted_update = native.NativeBackend.weighted_update
+
+        def spy(self, *args, **kwargs):
+            updates.append(args[1].shape)
+            return weighted_update(self, *args, **kwargs)
+
+        monkeypatch.setattr(native.NativeBackend, "weighted_update", spy)
+        level = RichardsonLevel(a16, m16, m=2, cycle=10 ** 6)
+        v = _operand("ordinary", matrix.nrows, 1, np.float32, seed=150)
+        plan = faults.FaultPlan(seed=3, rate=1.0, sites=("spmv", "trsv"))
+        with use_backend("native"), np.errstate(all="ignore"):
+            level.apply_batch(v)
+            assert updates == []
+            with faults.inject(plan):
+                level.apply_batch(v)
+        sites = [record.site for record in plan.records]
+        assert sites.count("trsv") == 4 and sites.count("spmv") == 1
+        assert len(updates) == 2
+
+    def test_a_used_level_pickles_and_deep_copies(self, sweep_matrices):
+        import copy
+        import pickle
+
+        matrix = sweep_matrices["thermal2"]
+        a16 = as_operator(matrix).astype(Precision.FP16)
+        m64 = BlockJacobiIC0(matrix, nblocks=10)
+        v = _operand("ordinary", matrix.nrows, 2, np.float32, seed=160)
+        _, _, _, level = _invocations("native", a16, m64, [v])
+        assert level._sweeps
+        with use_backend("native"):
+            want = level.apply_batch(v)
+            for clone in (pickle.loads(pickle.dumps(level)), copy.deepcopy(level)):
+                assert clone._sweeps == {} and clone._plans == {}
+                assert_bit_equal(clone.apply_batch(v), want)
+                assert clone._sweeps
+
+    @pytest.mark.parametrize("name", ["atmosmodd", "G3_circuit"])
+    def test_warm_solve_equals_fast(self, sweep_matrices, name):
+        """A warm fp16 F3R solve: answer bits, counter totals and primary-M
+        applications equal on native (sweeps) and fast (loops)."""
+        matrix = sweep_matrices[name]
+        b = np.random.default_rng(170).standard_normal(matrix.nrows)
+        runs = {}
+        for engine in ("native", "fast"):
+            solver = F3RSolver(matrix, config=F3RConfig(variant="fp16", backend=engine))
+            solver.solve(b)
+            with counting() as traffic:
+                result = solver.solve(b)
+            runs[engine] = (result.x, traffic.summary(),
+                            result.preconditioner_applications, result.iterations)
+        assert_bit_equal(runs["native"][0], runs["fast"][0])
+        assert runs["native"][1:] == runs["fast"][1:]
+        assert runs["native"][2] > 0
 
 
 # ---------------------------------------------------------------------- #

@@ -39,9 +39,12 @@ from repro.matgen import (
     poisson2d,
 )
 from repro.perf.counters import counting
+from repro.operators import as_operator
 from repro.plans import plan_for
 from repro.precision import Precision
+from repro.precond import BlockJacobiILU0
 from repro.serve import BatchDispatcher
+from repro.solvers import RichardsonLevel
 from repro.sparse import SlicedEllMatrix
 from repro.sparse.triangular import TriangularFactor, fuse_block_diagonal
 
@@ -205,6 +208,24 @@ class TestKernelWorkerIdentity:
             return plan.residual(v, x), plan.residual_batch(vb, xb)
 
         _check(engine, run, precision=precision)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_richardson_invocations(self, rng, engine):
+        """R^m4 on one shared fp16 level (no refresh inside the runs):
+        ``native`` runs its compiled sweep on every thread, the other
+        engines the level's loop."""
+        matrix = hpgmp_matrix(7)
+        a16 = as_operator(matrix).astype(Precision.FP16)
+        m16 = BlockJacobiILU0(matrix, nblocks=4).astype(Precision.FP16)
+        level = RichardsonLevel(a16, m16, m=2, cycle=10 ** 9)
+        level.weights[:] = [0.8, 1.2]
+        v = rng.uniform(-1, 1, (matrix.nrows, 1)).astype(np.float32)
+        vb = rng.uniform(-1, 1, (matrix.nrows, 3)).astype(np.float32)
+        _check(engine, lambda: (level.apply_batch(v), level.apply_batch(vb)),
+               exact=True)
+        swept = [sweep is not None for (backend, *_), sweep in level._sweeps.items()
+                 if backend is get_backend(engine)]
+        assert swept == [engine == "native"] * 2
 
 
 # ---------------------------------------------------------------------- #

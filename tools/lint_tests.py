@@ -33,8 +33,9 @@ path (``.solve_batch(`` and ``.degraded_sibling(``, in ``executor.py``).
 It keeps one Krylov recurrence in ``src/repro/solvers/``
 (:data:`SOLVER_LIMITS`): no single-RHS ``def fgmres_cycle(`` exists beside
 the batch cycle, and the Gram-Schmidt kernel ``.orthonormalize(`` and the
-Richardson ``.weighted_update(`` each have at most one call site — the one
-Arnoldi loop and the one Richardson sweep.  Those two level loops
+Richardson ``.weighted_update(`` and ``.richardson_sweep(`` (the engine's
+compiled invocation) each have at most one call site — the one Arnoldi loop
+and the one Richardson level.  Those two level loops
 (:data:`LEVEL_LOOPS`: ``fgmres_cycle_batch`` and
 ``RichardsonLevel.apply_batch``) make no ``.astype(`` call: a level-boundary
 cast goes through ``vo.cast_vector``, the engine's ``cast`` kernel, which
@@ -44,9 +45,10 @@ And it keeps one kernel per operation below the solver
 (:data:`BACKEND_LIMITS`): every kernel takes a vector or an ``(n, k)`` block,
 so no second, block-only form (``spmm_csr``, ``trsm``, ``axpy_block``, their
 slab executors and recorders, ...) may be defined anywhere in
-``src/repro/``.  Under ``src/repro/backends/`` no module calls
-``record_bytes`` / ``record_flops`` / ``record_kernel``: every engine
-records a kernel's traffic as one cached per-call record.
+``src/repro/``.  Under ``src/repro/backends/`` and ``src/repro/precond/``
+and in ``sparse/vectorops.py`` no module calls ``record_bytes`` /
+``record_flops`` / ``record_kernel``: every engine, preconditioner and
+vector kernel records a call's traffic as one cached record.
 
 It keeps one multi-process transport (:data:`PROCESS_LIMITS`): the retired
 process tier's entry points (``ProcPool``, ``ShardedGateway``,
@@ -153,6 +155,7 @@ SOLVER_LIMITS = {
     "def fgmres_cycle(": (re.compile(r"^def fgmres_cycle\(", re.MULTILINE), 0),
     ".orthonormalize(": (re.compile(r"\.orthonormalize\("), 1),
     ".weighted_update(": (re.compile(r"\.weighted_update\("), 1),
+    ".richardson_sweep(": (re.compile(r"\.richardson_sweep\("), 1),
     ".astype( in the level loops": (re.compile(r"\.astype\("), 0, LEVEL_LOOPS),
 }
 
@@ -164,18 +167,21 @@ def _definition(name: str) -> re.Pattern:
 
 
 #: one kernel per operation: the block-only second forms of the kernels,
-#: none of which may be defined across src/repro/**/*.py; and the engines
-#: record traffic only through the cached per-call records (a third element
-#: that is a directory limits the scan to the modules under it)
+#: none of which may be defined across src/repro/**/*.py; and the engines,
+#: the preconditioners and the vector kernels record traffic only through
+#: cached per-call records (further elements that are paths limit the scan
+#: to those modules and the modules under those directories)
 BACKEND_LIMITS = {
     **{name.replace(r"\w+", "*"): (_definition(name), 0) for name in (
         "spmm_csr", "spmm_ell", "apply_stencil_batch", "trsm", "spmm_axpy",
         "residual_update_batch", "_record_spmm", "_record_trsm",
         "trsm_level_chunks", "csr_matvecs_slabs", r"spmm_\w+_slabs",
         "axpy_block", "cast_block", "_apply_fused_single")},
-    "record_bytes( / record_flops( / record_kernel( in backends/": (
+    "record_bytes( / record_flops( / record_kernel( in backends/, precond/, "
+    "sparse/vectorops.py": (
         re.compile(r"\brecord_(?:bytes|flops|kernel)\("), 0,
-        SRC_DIR / "repro" / "backends"),
+        SRC_DIR / "repro" / "backends", SRC_DIR / "repro" / "precond",
+        SRC_DIR / "repro" / "sparse" / "vectorops.py"),
 }
 
 #: one multi-process transport: the retired process tier's entry points,
@@ -302,14 +308,16 @@ def function_sources(text: str, names) -> dict[str, str]:
 def limit_excess(paths, limits: dict) -> dict[str, list[str]]:
     """Patterns of ``limits`` matched more often across ``paths`` than they
     allow, with the module of every match; a limit with a third element
-    counts matches only inside the functions it names or, when it is a
-    directory, only in the modules under it."""
+    counts matches only inside the functions it names or, when it and any
+    further elements are paths, only in those modules and the modules under
+    those directories."""
     found: dict[str, list[str]] = {name: [] for name in limits}
     for path in paths:
         text = path.read_text(encoding="utf-8")
         for name, (pattern, _, *scope) in limits.items():
             if scope and isinstance(scope[0], Path):
-                body = text if scope[0] in path.parents else ""
+                body = text if any(p == path or p in path.parents
+                                   for p in scope) else ""
             elif scope:
                 body = "\n".join(function_sources(text, scope[0]).values())
             else:
