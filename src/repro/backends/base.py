@@ -451,12 +451,15 @@ class KernelBackend(abc.ABC):
 
         return vo.axpy(omega, mr, z, out_precision=vec_prec, record=record)
 
-    def richardson_sweep(self, plan, preconditioner, m: int, v: np.ndarray):
+    def richardson_sweep(self, plan, preconditioner, m: int, v: np.ndarray,
+                         traffic, applications: int):
         """A compiled Richardson invocation: a callable running all ``m``
         steps of ``RichardsonLevel.apply_batch``'s loop on operands like
         ``v`` (plan ``plan``'s products, ``preconditioner``'s applies) in
-        one call, bit for bit and counter for counter — or ``None``, and
-        the level runs its loop.  No engine but ``native`` compiles one."""
+        one call, bit for bit, that records ``traffic`` and counts
+        ``applications`` of the preconditioner — what one loop invocation
+        recorded and counted — or ``None``, and the level runs its loop.
+        No engine but ``native`` compiles one."""
         return None
 
     def orthonormalize(self, basis: np.ndarray, j: int, w: np.ndarray,

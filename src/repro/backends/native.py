@@ -31,8 +31,10 @@ arithmetic is that kernel's.
 all m steps of an fp16 R^m4 invocation (``RichardsonLevel.apply_batch``
 without a weight refresh) from the kernels above, in the loop's order: the
 residual ``spmv_axpy``, M's two triangular solves with IC(0)'s scaling
-between them, and ``weighted_update``.  Its bits, counter totals (one
-precomputed record) and ``num_applications`` are the loop's.
+between them, and ``weighted_update``, so its bits are the loop's.  What it
+records, and the applications of M it counts, are the loop's too: the level
+measures one loop invocation of the block shape and hands the sweep that
+record to replay.
 
 **Row-interleaved plans.**  The triangular solves (fp64, fp32, fp16) and the
 fp16 CSR products read a SELL-8 plan (:func:`_interleave`, after Kreutzer et
@@ -1013,14 +1015,16 @@ class NativeBackend(FastBackend):
         return alpha
 
     # ------------------------------------------------------------------ #
-    def richardson_sweep(self, plan, preconditioner, m: int, v):
+    def richardson_sweep(self, plan, preconditioner, m: int, v, traffic,
+                         applications: int):
         """One compiled call for a Richardson invocation of ``m`` steps on
-        operands like ``v`` (see ``RichardsonLevel.apply_batch``), or
-        ``None`` where the operands are not its own: ``plan`` bound to
-        another engine, or not an fp16 CSR or sliced-ELL product at fp16
-        vectors; a preconditioner with no fp16 :meth:`triangular_form`;
-        an empty block.  The sweep runs the loop's kernels in its order, so
-        its bits, counter totals and ``num_applications`` are the loop's."""
+        operands like ``v`` (see ``RichardsonLevel.apply_batch``), recording
+        ``traffic`` and adding ``applications`` to the preconditioner's
+        count — the loop's, measured — or ``None`` where the operands are
+        not its own: ``plan`` bound to another engine, or not an fp16 CSR
+        or sliced-ELL product at fp16 vectors; a preconditioner with no
+        fp16 :meth:`triangular_form`; an empty block.  The sweep runs the
+        loop's kernels in its order, so its bits are the loop's."""
         if (plan.backend is not self or plan.vec_prec is not _FP16
                 or v.dtype != _HALF or v.ndim != 2 or v.shape[1] == 0):
             return None
@@ -1033,54 +1037,47 @@ class NativeBackend(FastBackend):
         else:
             return None
         triangular_form = getattr(preconditioner, "triangular_form", None)
-        form = triangular_form(k) if triangular_form is not None else None
+        form = triangular_form() if triangular_form is not None else None
         if (not a_plan or form is None or a_plan.indptr.size - 1 != n
                 or a_plan.ncols > n or n >= _INT32_MAX):
             return None
-        lower, scale, upper, _ = form
+        lower, scale, upper = form
         if not (lower.precision is _FP16 and upper.precision is _FP16
                 and lower.nrows == n and upper.nrows == n
                 and (scale is None or (scale.dtype == _HALF and scale.shape == (n,)))):
             return None
-        return self._bind_sweep(a_plan, form, preconditioner, m, n, k)
+        kernel = self._bind_sweep(a_plan, form, m, n, k)
+        return _Sweep(kernel, (n, k), preconditioner, applications, traffic)
 
-    def _bind_sweep(self, a_plan, form, preconditioner, m, n, k) -> "_Sweep":
-        """The sweep of ``m`` steps over A's plan ``a_plan`` and the
-        preconditioner's ``form`` on ``(n, k)`` blocks."""
-        lower, scale, upper, apply_traffic = form
+    def _bind_sweep(self, a_plan, form, m: int, n: int, k: int):
+        """The compiled sweep of ``m`` steps over A's plan ``a_plan`` and
+        the preconditioner's ``form`` on ``(n, k)`` blocks, its operands
+        bound."""
+        lower, scale, upper = form
         _, l_chunks, l_arrays, l_addrs = _trsv_plan(lower, _HALF)
         _, u_chunks, u_arrays, u_addrs = _trsv_plan(upper, _HALF)
         scale16 = None if scale is None else np.ascontiguousarray(scale)
         a_chunks, *a_addrs = a_plan.lead
-        kernel = _bind(self._half_kernels(n, k)["richardson_f16"], n, m, a_chunks,
-                       *a_addrs, l_chunks, *l_addrs, u_chunks, *u_addrs,
-                       None if scale16 is None else _addr(scale16), k,
-                       arrays=(a_plan.arrays, l_arrays, u_arrays, scale16))
-        fp16 = _FP16
-        update = axpy_traffic(fp16, fp16, fp16, fp16, n, k)
-        apply = (trsv_traffic(lower, fp16, fp16, fp16, k)
-                 .then(trsv_traffic(upper, fp16, fp16, fp16, k)).then(apply_traffic))
-        residual = spmv_traffic(fp16, fp16, fp16, fp16, n, a_plan.nnz,
-                                a_plan.index_bytes, k).then(update)
-        traffic = apply.then(update)
-        for _ in range(m - 1):
-            traffic = traffic.then(residual).then(apply).then(update)
-        return _Sweep(kernel, (n, k), m, preconditioner, traffic)
+        return _bind(self._half_kernels(n, k)["richardson_f16"], n, m, a_chunks,
+                     *a_addrs, l_chunks, *l_addrs, u_chunks, *u_addrs,
+                     None if scale16 is None else _addr(scale16), k,
+                     arrays=(a_plan.arrays, l_arrays, u_arrays, scale16))
 
 
 class _Sweep:
     """A Richardson invocation bound to its operands: the compiled kernel
-    with A's and M's plans bound, the block shape, the steps, the
-    preconditioner whose ``num_applications`` it advances, and the traffic
-    of the whole invocation (everything the loop records, summed).  Called
-    with the fp16 block ``v``, the level's weights and the calling thread's
-    arena; returns the fp16 ``z``."""
+    with A's and M's plans bound, the block shape, the preconditioner and
+    the applications of it to count, and the traffic to record (the
+    loop's, measured).  Called with the fp16 block ``v``, the level's
+    weights and the calling thread's arena; returns the fp16 ``z``."""
 
-    __slots__ = ("kernel", "shape", "steps", "preconditioner", "traffic", "_omega")
+    __slots__ = ("kernel", "shape", "preconditioner", "applications", "traffic",
+                 "_omega")
 
-    def __init__(self, kernel, shape, steps, preconditioner, traffic) -> None:
-        self.kernel, self.shape, self.steps = kernel, shape, steps
-        self.preconditioner, self.traffic = preconditioner, traffic
+    def __init__(self, kernel, shape, preconditioner, applications, traffic) -> None:
+        self.kernel, self.shape = kernel, shape
+        self.preconditioner, self.applications = preconditioner, applications
+        self.traffic = traffic
         #: the last weights seen and their fp16 values in fp32
         self._omega = (None, None)
 
@@ -1097,7 +1094,7 @@ class _Sweep:
         buf = scratch.get("native_sweep16", 3 * n * k, _HALF)
         work = scratch.get("native_sweep32", (n + 2) * k, _F32)
         _check(self.kernel(_ptr(omega), _ptr(v16), _ptr(z), _ptr(buf), _ptr(work)))
-        self.preconditioner.num_applications += self.steps * k
+        self.preconditioner.num_applications += self.applications
         record_traffic(self.traffic)
         return z
 
@@ -1330,15 +1327,15 @@ def _richardson(be, csr, lower, scale, weights, v):
     level's loop on any other engine's kernels, the oracle."""
     from types import SimpleNamespace
 
-    from ..perf.counters import counters_disabled
     from .workspace import Workspace
 
     n, k = v.shape
     if isinstance(be, NativeBackend):
-        sweep = be._bind_sweep(_CsrPlan(*csr), (lower, scale, lower, Traffic()),
-                               SimpleNamespace(num_applications=0), len(weights), n, k)
-        with counters_disabled():
-            return sweep(v, weights, Workspace())
+        kernel = be._bind_sweep(_CsrPlan(*csr), (lower, scale, lower), len(weights),
+                                n, k)
+        sweep = _Sweep(kernel, (n, k), SimpleNamespace(num_applications=0), 0,
+                       Traffic())
+        return sweep(v, weights, Workspace())
     z = np.zeros(v.shape, dtype=_HALF)
     for step, weight in enumerate(weights):
         r = v if step == 0 else be.spmv_axpy(*csr, z, v, record=False)

@@ -344,11 +344,6 @@ class FaultyBackend:
             return out
         return plan.corrupt(out, site, kind)
 
-    def richardson_sweep(self, plan, preconditioner, m, v):
-        # a compiled sweep runs its trsv, spmv and weighted_update calls
-        # where no fault site sees them: the level runs its loop instead
-        return None
-
     def orthogonalize(self, basis, j, w, vec_prec, scratch=None, record=True):
         h_col, w_orth, h_norm = self._inner.orthogonalize(
             basis, j, w, vec_prec, scratch=scratch, record=record)

@@ -39,6 +39,7 @@ __all__ = [
     "counters_enabled",
     "current_counter",
     "kernel_traffic",
+    "measuring",
     "record",
     "record_bytes",
     "record_flops",
@@ -90,6 +91,14 @@ class Traffic(NamedTuple):
                 nflops[p] = nflops.get(p, 0) + int(count)
         return cls(tuple(kernel_calls.items()), tuple(value_bytes.items()),
                    index_bytes, tuple(nflops.items()))
+
+    @classmethod
+    def of_counter(cls, counter: "TrafficCounter") -> "Traffic":
+        """Everything ``counter`` holds, as one record: replaying it with
+        :func:`record` leaves every target as the recorded calls would."""
+        return cls(tuple(counter.kernel_calls.items()),
+                   tuple(counter.bytes_by_precision.items()), counter.index_bytes,
+                   tuple(counter.flops_by_precision.items()))
 
     def then(self, other: "Traffic") -> "Traffic":
         """This record followed by ``other``, as one (a fused kernel's two
@@ -304,6 +313,24 @@ def counting(counter: TrafficCounter | None = None):
     finally:
         _STACK.pop()
         set_counters_enabled(previous_enabled)
+
+
+@contextmanager
+def measuring():
+    """Scope whose traffic goes to a fresh counter *only* — not to the
+    enclosing scopes, nor to the global counter — with recording on
+    whatever this thread's setting: what a computation would record,
+    learnt without recording it.  Yields the counter; replay it with
+    ``record(Traffic.of_counter(counter))``."""
+    state = _STACK
+    saved = state.stack, state.global_counter, state.targets, state.enabled
+    counter = TrafficCounter()
+    state.stack, state.global_counter = [], counter
+    state.targets, state.enabled = (counter,), True
+    try:
+        yield counter
+    finally:
+        state.stack, state.global_counter, state.targets, state.enabled = saved
 
 
 def record(traffic: Traffic) -> None:

@@ -61,17 +61,34 @@ class Preconditioner(abc.ABC):
             return self._apply(r[:, 0])[:, None]
         return self._apply(r)
 
-    def triangular_form(self, k: int):
-        """``(lower, scale, upper, traffic)`` when applying this
-        preconditioner to ``k`` columns is exactly ``upper.solve`` of
-        ``diag_scale(scale, lower.solve(r))`` — ``scale`` ``None`` for no
-        middle scaling — with the two triangular factors' own counters plus
-        ``traffic``, the :class:`~repro.perf.counters.Traffic` the apply
-        records besides; ``None`` for any other application.  A compiled
-        engine may then run the application itself (``native``'s Richardson
-        sweep), so a subclass that changes ``_apply`` must change this
-        too."""
+    def triangular_form(self):
+        """``(lower, scale, upper)`` when applying this preconditioner is
+        exactly ``upper.solve`` of ``diag_scale(scale, lower.solve(r))`` —
+        ``scale`` ``None`` for no middle scaling — else ``None``.  A
+        compiled engine may then run the application itself (``native``'s
+        Richardson sweep), but only while :meth:`applies_as_described`."""
         return None
+
+    #: ``(apply_batch, _apply)`` as the class that last defined
+    #: :meth:`triangular_form` had them (set by ``__init_subclass__``)
+    _described: tuple | None = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "triangular_form" in vars(cls):
+            cls._described = (cls.apply_batch, cls._apply)
+
+    def applies_as_described(self) -> bool:
+        """Whether :meth:`apply_batch` and :meth:`_apply` are still the
+        methods :meth:`triangular_form` was written beside: no subclass
+        override and no wrapper on the class or the instance (a tracer's
+        span, a test's spy) has replaced either since.  An engine that runs
+        the form in the application's place would skip such a
+        replacement."""
+        described = self._described
+        return (described is not None
+                and getattr(self.apply_batch, "__func__", None) is described[0]
+                and getattr(self._apply, "__func__", None) is described[1])
 
     # ------------------------------------------------------------------ #
     @abc.abstractmethod

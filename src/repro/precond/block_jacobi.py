@@ -86,10 +86,10 @@ class _BlockJacobiBase(Preconditioner):
         record_traffic(_parity_traffic(self.nblocks, columns(r)))
         return z
 
-    def triangular_form(self, k: int):
+    def triangular_form(self):
         if self.nblocks == 1:
-            return self._blocks[0].triangular_form(k)
-        return (*self._fused_parts(), _parity_traffic(self.nblocks, k))
+            return self._blocks[0].triangular_form()
+        return self._fused_parts()
 
     def _fused_parts(self):
         """``(lower, scale, upper)``: the fused block-diagonal factors and

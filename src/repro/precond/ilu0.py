@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..backends import get_backend
-from ..perf.counters import Traffic
 from ..precision import Precision, as_precision
 from ..sparse import CSRMatrix, TriangularFactor
 from .base import Preconditioner
@@ -147,8 +146,8 @@ class ILU0Preconditioner(Preconditioner):
     def _apply(self, r: np.ndarray) -> np.ndarray:
         return triangular_apply(self._lower, None, self._upper, r)
 
-    def triangular_form(self, k: int):
-        return self._lower, None, self._upper, Traffic()
+    def triangular_form(self):
+        return self._lower, None, self._upper
 
     def astype(self, precision: Precision | str) -> "ILU0Preconditioner":
         p = as_precision(precision)
@@ -207,8 +206,8 @@ class IC0Preconditioner(Preconditioner):
     def _apply(self, r: np.ndarray) -> np.ndarray:
         return triangular_apply(self._lower, self._inv_diag, self._upper_t, r)
 
-    def triangular_form(self, k: int):
-        return self._lower, self._inv_diag, self._upper_t, Traffic()
+    def triangular_form(self):
+        return self._lower, self._inv_diag, self._upper_t
 
     def astype(self, precision: Precision | str) -> "IC0Preconditioner":
         p = as_precision(precision)

@@ -22,7 +22,9 @@ stated in Section 4.3 of the paper.
 An invocation that does not refresh the weights may run as one compiled call
 of the kernel engine (``backend.richardson_sweep``: ``native``'s, for fp16
 CSR or sliced-ELL products and ILU(0)/IC(0)-type preconditioners), with the
-loop's bits, counters and application count.
+loop's bits.  The loop owns what an invocation records: the first one of a
+block shape runs it measured, and the sweep replays that record and that
+count of ``M`` applications.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ import numpy as np
 from ..backends import get_backend
 from ..backends.workspace import ThreadLocalWorkspace
 from ..operators import as_operator
+from ..perf.counters import Traffic, measuring
+from ..perf.counters import record as record_traffic
 from ..plans import plan_for
 from ..precision import LevelPrecision, Precision, as_precision
 from ..sparse import vectorops as vo
@@ -39,6 +43,9 @@ from .base import InnerSolver
 from .guards import check_finite, guards_enabled
 
 __all__ = ["RichardsonLevel", "richardson_solve"]
+
+#: a block shape no invocation has asked the engine about yet
+_UNBOUND = object()
 
 
 class RichardsonLevel(InnerSolver):
@@ -117,16 +124,23 @@ class RichardsonLevel(InnerSolver):
         self.call_count = 0
         self.update_count = 0
 
-    def _sweep(self, plan, v: np.ndarray):
-        """The engine's compiled sweep for blocks like ``v`` (cached per
-        backend and shape), or ``None``."""
-        key = (plan.backend, v.shape, v.dtype)
+    def _bind_sweep(self, key, plan, plan_wp, v: np.ndarray, ws,
+                    cntr_end: int) -> np.ndarray:
+        """Run the first non-refresh invocation of blocks like ``v`` through
+        the loop, measured; record what it recorded, and cache under ``key``
+        the engine's sweep bound to that record and to the loop's count of
+        ``M`` applications (``None``: the engine has none)."""
+        m = self.preconditioner
+        applications = m.num_applications
         try:
-            return self._sweeps[key]
-        except KeyError:
-            sweep = self._sweeps[key] = plan.backend.richardson_sweep(
-                plan, self.preconditioner, self.m, v)
-            return sweep
+            with measuring() as seen:
+                z = self._steps(v, False, plan, plan_wp, ws, cntr_end)
+        finally:
+            traffic = Traffic.of_counter(seen)
+            record_traffic(traffic)
+        self._sweeps[key] = plan.backend.richardson_sweep(
+            plan, m, self.m, v, traffic, m.num_applications - applications)
+        return z
 
     def _level_plans(self):
         """``(level plan, weight-precision plan)`` on the active backend."""
@@ -154,26 +168,42 @@ class RichardsonLevel(InnerSolver):
         equals ``k`` one-column calls only when no refresh falls inside it,
         since the refresh sees the batch mean rather than the columns in
         sequence.  An invocation without a refresh runs as the engine's
-        compiled sweep where it has one (:meth:`_sweep`).
+        compiled sweep where it has one (:meth:`_bind_sweep`).
         """
         v = np.asarray(v)
         if v.ndim != 2:
             raise ValueError(f"apply_batch expects V of shape (n, k); got {v.shape}")
         k = v.shape[1]
-        vec_prec = self.precisions.vector
-        wp = self.weight_precision
         cntr_end = self.call_count + k
         refresh = self.adaptive and (self.call_count // self.cycle) != (cntr_end // self.cycle)
         plan, plan_wp = self._level_plans()
-        backend = plan.backend
         ws = self._workspace.workspace
 
-        v_level = vo.cast_vector(v, vec_prec)
-        sweep = None if refresh else self._sweep(plan, v_level)
-        if sweep is not None:
+        v_level = vo.cast_vector(v, self.precisions.vector)
+        sweep = None
+        # the sweep stands for M's apply as its triangular form describes
+        # it, so a wrapped or overridden apply keeps the loop
+        if not refresh and self.preconditioner.applies_as_described():
+            key = (plan.backend, v_level.shape, v_level.dtype)
+            sweep = self._sweeps.get(key, _UNBOUND)
+        if sweep is _UNBOUND:
+            z = self._bind_sweep(key, plan, plan_wp, v_level, ws, cntr_end)
+        elif sweep is not None:
             z = sweep(v_level, self.weights, ws)
-            self.call_count = cntr_end
-            return z
+        else:
+            z = self._steps(v_level, refresh, plan, plan_wp, ws, cntr_end)
+        if refresh:
+            self.update_count += 1
+        self.call_count = cntr_end
+        return z
+
+    def _steps(self, v_level, refresh: bool, plan, plan_wp, ws,
+               cntr_end: int) -> np.ndarray:
+        """The loop: ``m`` steps from ``z = 0``, refreshing the weights
+        (with the window ending at ``cntr_end``) when ``refresh``."""
+        vec_prec = self.precisions.vector
+        wp = self.weight_precision
+        backend = plan.backend
         z = np.zeros(v_level.shape, dtype=vec_prec.dtype)
         r = v_level                          # r_0 = v because z_0 = 0
 
@@ -214,9 +244,6 @@ class RichardsonLevel(InnerSolver):
             # fp16 on the fast engine; bit-identical to the unfused axpy)
             z = backend.weighted_update(z, mr, omega, vec_prec, scratch=ws)
 
-        if refresh:
-            self.update_count += 1
-        self.call_count = cntr_end
         return z
 
 

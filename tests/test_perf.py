@@ -25,6 +25,7 @@ from repro.perf import (
 from repro.backends import available_backends, get_backend
 from repro.backends.base import axpy_traffic, spmv_traffic, trsv_traffic
 from repro.perf import Traffic, counters_disabled, record
+from repro.perf.counters import measuring
 from repro.precision import Precision
 from repro.sparse import CSRMatrix, TriangularFactor
 
@@ -124,6 +125,28 @@ class TestCountingScopes:
         with counting() as counter:
             record_bytes("fp64", 8, index_bytes=4)
         assert counter.index_bytes == 4
+
+    def test_measuring_records_nowhere_else_and_replays_exactly(self):
+        def work():
+            record_bytes("fp16", 8, index_bytes=4)
+            record_kernel("trsv", 2)
+            record_flops("fp32", 3)
+            record(Traffic.of(calls=[("spmv", 1)], values=[("fp64", 16, 0)]))
+
+        reset_global_counter()
+        with counting() as outer, counters_disabled():
+            with measuring() as seen, counting() as inner:
+                work()
+            record_bytes("fp16", 2)          # recording is off again
+        assert outer.summary() == TrafficCounter().summary()
+        assert global_counter().summary() == TrafficCounter().summary()
+        assert inner.summary() == seen.summary() and seen.total_bytes == 28
+        with counting() as direct:
+            work()
+        with counting() as replayed:
+            record(Traffic.of_counter(seen))
+        assert replayed.summary() == direct.summary() == seen.summary()
+        reset_global_counter()
 
 
 def _delta(before: TrafficCounter, after: TrafficCounter) -> dict:

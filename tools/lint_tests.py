@@ -36,10 +36,10 @@ the batch cycle, and the Gram-Schmidt kernel ``.orthonormalize(`` and the
 Richardson ``.weighted_update(`` and ``.richardson_sweep(`` (the engine's
 compiled invocation) each have at most one call site — the one Arnoldi loop
 and the one Richardson level.  Those two level loops
-(:data:`LEVEL_LOOPS`: ``fgmres_cycle_batch`` and
-``RichardsonLevel.apply_batch``) make no ``.astype(`` call: a level-boundary
-cast goes through ``vo.cast_vector``, the engine's ``cast`` kernel, which
-``native`` compiles; both loops must exist.
+(:data:`LEVEL_LOOPS`: ``fgmres_cycle_batch``, and
+``RichardsonLevel.apply_batch`` with its step loop ``_steps``) make no
+``.astype(`` call: a level-boundary cast goes through ``vo.cast_vector``, the
+engine's ``cast`` kernel, which ``native`` compiles; all of them must exist.
 
 And it keeps one kernel per operation below the solver
 (:data:`BACKEND_LIMITS`): every kernel takes a vector or an ``(n, k)`` block,
@@ -146,7 +146,8 @@ SINGLE_DEFINITIONS = {
 
 #: the level loops of src/repro/solvers/ (``function`` or ``Class.method``),
 #: whose level-boundary casts run the engine's ``cast`` kernel
-LEVEL_LOOPS = ("fgmres_cycle_batch", "RichardsonLevel.apply_batch")
+LEVEL_LOOPS = ("fgmres_cycle_batch", "RichardsonLevel.apply_batch",
+               "RichardsonLevel._steps")
 
 #: the one Krylov recurrence: how many matches each pattern may have across
 #: src/repro/solvers/*.py (a third element limits the scan to those
