@@ -14,8 +14,11 @@ column and eight), the 8-column fp16 diagonal scaling, the fp32 → fp16 and
 fp16 → fp32 casts of a normalized Krylov-basis block (HPCG 24³ × 8, and one
 729-entry vector below ``native``'s cast gate), the compiled ``native``
 engine's rows (the triangular solves, the fp16 CSR products, the two fp16
-updates, the stencil sweeps, the diagonal scaling and the casts, where it
-builds; each must equal ``fast`` bit for bit, or the run exits 1),
+updates, the stencil sweeps, the diagonal scaling, the casts, and the
+products F^m3 and F^m1 issue on assembled storage — the fp16-stored x fp32
+CSR and sliced-ELL products, the fp64 CSR product and fused residual — on
+atmosmodd ``tiny`` and on the hard operator, where it builds; each must
+equal ``fast`` bit for bit, or the run exits 1),
 plus the CSR product and the triangular solve on an ``(n, k)`` block against
 ``k`` vector calls (rows ``spmm_csr`` and ``trsm``), a full ``solve_batch`` of
 the fp16-F3R solver against ``k`` sequential ``solve`` calls, the
@@ -91,13 +94,20 @@ NATIVE_ROWS = ("trsv", "trsv_fp16_wide", "trsv_fp16_chain", "trsv_blocks",
                "weighted_update_fp16", "residual_update_fp16",
                "apply_stencil_fp16", "apply_stencil_fp16_k8", "diag_scale_fp16",
                "cast_f32_f16", "cast_f16_f32", "cast_f32_f16_729",
-               "cast_f16_f32_729")
+               "cast_f16_f32_729",
+               *(f"{row}_{size}" for size in ("tiny", "hard")
+                 for row in ("spmv_csr_fp16x32", "spmv_csr_fp64", "spmv_axpy_fp64",
+                             "spmv_ell_fp16x32")))
 
 #: the hard e2e workload's operator (``benchmarks/e2e``): the Table-2
 #: ``vas_stokes_1M`` surrogate at ``small`` scale, diagonally scaled, with a
 #: block-ILU(0) preconditioner over 10 blocks
 HARD_MATRIX = ("vas_stokes_1M", "small")
 HARD_BLOCKS = 10
+
+#: a serve-open operator of the e2e benchmark (one that picks sliced-ELL
+#: storage under ``native``), for the product rows at its size
+TINY_MATRIX = ("atmosmodd", "tiny")
 
 #: grid side of the fp16 stencil-sweep and diagonal-scaling rows: the
 #: matrix-free e2e workload's HPCG grid
@@ -170,7 +180,18 @@ def build_problem(side: int):
     hard, _ = diagonal_scaling(get_matrix(*HARD_MATRIX))
     hard_lower, _, hard_upper = BlockJacobiILU0(hard, nblocks=HARD_BLOCKS)._fused_parts()
     hard_b = rng.uniform(-1.0, 1.0, hard.nrows)
-    return {"matrix": matrix, "ell": ell, "lower": lower, "x": x, "n": n,
+    # the products F^m3 (fp16-stored matrix x fp32) and F^m1 (fp64) issue on
+    # assembled storage, at a serve-open operator's size and at hard's
+    tiny, _ = diagonal_scaling(get_matrix(*TINY_MATRIX))
+    products = {}
+    for size, mat in (("tiny", tiny), ("hard", hard)):
+        mat16 = mat.astype(Precision.FP16)
+        products[size] = {"csr16": mat16, "csr64": mat,
+                          "ell16": SlicedEllMatrix(mat16, chunk_size=32),
+                          "x32": rng.uniform(-1.0, 1.0, mat.nrows).astype(np.float32),
+                          "x64": rng.uniform(-1.0, 1.0, mat.nrows),
+                          "y64": rng.uniform(-1.0, 1.0, mat.nrows)}
+    return {"products": products,"matrix": matrix, "ell": ell, "lower": lower, "x": x, "n": n,
             "matrix16": matrix.astype(Precision.FP16), "x16": x16, "z16": z16,
             "wide": wide, "wide_b16": wide_b16,
             "chain": _chain_lower(CHAIN_ROWS), "chain_b16": chain_b16,
@@ -258,6 +279,8 @@ def bench_backend(problem, backend: str, repeats: int, m: int,
                 problem["small32"], Precision.FP16, record=False),
             "cast_f16_f32_729": lambda: engine.cast(
                 problem["small16"], Precision.FP32, record=False),
+            **{name: call for size, p in problem["products"].items()
+               for name, call in _product_calls(engine, size, p).items()},
             # the one Arnoldi loop on a one-column block (a single RHS)
             "fgmres_cycle": lambda: fgmres_cycle_batch(matrix, x[:, None], None, m=m,
                                                        vec_prec=Precision.FP64),
@@ -265,6 +288,26 @@ def bench_backend(problem, backend: str, repeats: int, m: int,
         times = {name: _time(calls[name], repeats) for name in rows or calls}
         outputs = {name: calls[name]() for name in times if name in NATIVE_ROWS}
     return times, outputs
+
+
+def _product_calls(engine, size: str, p: dict) -> dict:
+    """The product rows at one operator size: CSR products with the
+    matrix's arena, as a solve plan issues them, and the sliced-ELL
+    product."""
+    csr16, csr64 = p["csr16"], p["csr64"]
+    return {
+        f"spmv_csr_fp16x32_{size}": lambda: engine.spmv_csr(
+            csr16.values, csr16.indices, csr16.indptr, p["x32"], record=False,
+            scratch=csr16.scratch()),
+        f"spmv_csr_fp64_{size}": lambda: engine.spmv_csr(
+            csr64.values, csr64.indices, csr64.indptr, p["x64"], record=False,
+            scratch=csr64.scratch()),
+        f"spmv_axpy_fp64_{size}": lambda: engine.spmv_axpy(
+            csr64.values, csr64.indices, csr64.indptr, p["x64"], p["y64"],
+            record=False, scratch=csr64.scratch()),
+        f"spmv_ell_fp16x32_{size}": lambda: engine.spmv_ell(
+            p["ell16"], p["x32"], record=False),
+    }
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

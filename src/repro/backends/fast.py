@@ -205,9 +205,11 @@ class FastBackend(KernelBackend):
         if (scratch is not None and _scipy_sparse is not None
                 and np.dtype(cdtype) in _SCIPY_DTYPES):
             # scipy's compiled csr matvec / SpMM: one fused pass streaming the
-            # matrix once over all columns, no product array.  Accumulation
-            # runs in the compute dtype exactly like the reference (fused
-            # multiply-adds may differ in the last ulp).
+            # matrix once over all columns, no product array.  Each row sum
+            # starts from +0 and adds a_ij·x_j one by one in stored order,
+            # every product and add rounded once in the compute dtype (no
+            # fused multiply-add) — the order native's compiled products pin;
+            # the reference sums pairwise, so the two agree to tolerance.
             vals_c = scratch.cast("csr_values", values, cdtype)
             sp_mat = scratch.memo(
                 ("scipy_csr", np.dtype(cdtype)),
@@ -816,9 +818,11 @@ class FastBackend(KernelBackend):
             return self.residual_update(y, ax, out_precision=out_precision,
                                         record=record, scratch=scratch)
         # one pass: r starts as a copy of y and scipy's compiled matvec
-        # (matvecs on a block) accumulates (−A)·x into it — no intermediate
-        # product.  Negated values are exact, so each row contributes
-        # −Σ aᵢⱼxⱼ with the usual reordering-tolerance agreement.
+        # (matvecs on a block) adds (−a_ij)·x_j into it one by one in stored
+        # order, each product and add rounded once — no intermediate
+        # product.  Negation is exact, so r_i = y_i − a_i1·x_1 − a_i2·x_2 …
+        # from y_i sequentially, the order native's compiled residual pins;
+        # the unfused pair rounds A·x first, so the two agree to tolerance.
         vals_c = scratch.cast("csr_values", values, cdtype)
         neg_vals = scratch.memo(("csr_values_neg", np.dtype(cdtype)),
                                 lambda: -vals_c)

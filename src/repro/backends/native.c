@@ -1,9 +1,11 @@
 /*
  * Compiled kernels of the `native` engine (see native.py).
  *
- * Every kernel reproduces the `reference` backend's numpy arithmetic bit for
- * bit, so it must be compiled without fused multiply-adds, fast-math or
- * reassociation (-ffp-contract=off, no -ffast-math):
+ * Every kernel reproduces its oracle's arithmetic bit for bit — the
+ * `reference` backend's numpy, or for the fp32 / fp64 products `fast`'s
+ * (scipy's CSR matvec, its sliced-ELL reduceat) — so it must be compiled
+ * without fused multiply-adds, fast-math or reassociation
+ * (-ffp-contract=off, no -ffast-math):
  *
  *  - A row sum follows np.add.reduceat's order: the first term, plus the
  *    pairwise sum of the rest (numpy's `pairwise_sum`: started at -0.0 below
@@ -17,7 +19,7 @@
  *    kernel runs the same row kernel on each column, so a block column
  *    equals the single-vector call by construction.
  *
- * The triangular solves and the fp16 CSR products read a row-interleaved
+ * The triangular solves and the CSR products read a row-interleaved
  * plan (SELL-8, after Kreutzer et al.'s SELL-C-sigma): native.py packs
  * independent rows (one dependency level's, or the matrix's) eight to a
  * chunk, and entry i of the 8 rows sits side by side, so a lane is a row.
@@ -30,11 +32,12 @@
  * (+0.0 would turn a sum of -0 into +0), so the padding changes no bit.  A
  * chunk of one row (a narrow level's straggler, or a row of more than
  * PW_BLOCKSIZE + 1 terms, whose pairwise sum halves) stores it in order and
- * runs the row sums below.
+ * runs the row sums below.  The fp32 and fp64 CSR products sum sequentially
+ * instead (scipy's order, see their section) on the same plans.
  *
- * The fp16 kernels come in two instantiations of the same macros: the
- * portable scalar one (q16 and bit-manipulating converters, walking a chunk
- * lane by lane), and on x86-64 one compiled for AVX2 + F16C
+ * The fp16 kernels and the products come in two instantiations of the same
+ * macros: the portable scalar one (q16 and bit-manipulating converters,
+ * walking a chunk lane by lane), and on x86-64 one compiled for AVX2 + F16C
  * (function-level target attributes; the file as a whole keeps the baseline
  * ISA), whose 8 fp32 lanes are a chunk's 8 rows: one gather fetches slot
  * i's x of every row, and a lane-wise add rounds like a scalar one.  The
@@ -65,7 +68,7 @@
 #define AVX2_FN __attribute__((target("avx2,f16c")))
 #endif
 
-#define NATIVE_ABI 6
+#define NATIVE_ABI 7
 #define PW_BLOCKSIZE 128
 
 int64_t repro_native_abi(void) { return NATIVE_ABI; }
@@ -364,40 +367,59 @@ DEFINE_LANE_SUMS(lane_sums_f32, float, PLAIN_TERM, SAME)
 DEFINE_LANE_SUMS(lane_sums_f16, float, HALF_TERM, q16)
 
 #ifdef HAVE_AVX2_SET
-/* The fp16 lane sums with a chunk's 8 rows in the 8 lanes (a lane past
- * `lanes` sums its -0.0 padding): one gather per slot, each accumulator one
- * vector, every lane's result in s */
-#define LANE_TERMS8(q) half_terms8(vals, cols, x, k, q)
-AVX2_FN static void lane_sums_f16_avx2(const float *vals, const int32_t *cols,
-                                       const float *x, int64_t k,
-                                       const int64_t *chunk, float *s)
+/* The 8 exact fp32 products at q .. q + 7, one per lane (the same gather) */
+AVX2_FN static inline __m256 plain_terms8(const float *vals, const int32_t *cols,
+                                          const float *x, int64_t k, int64_t q)
 {
-    int64_t off = chunk[0], q = off + 8, end = q + 64 * chunk[2];
-    __m256 res = _mm256_set1_ps(-0.0f);
-    if (q < end) {
-        __m256 a0 = LANE_TERMS8(q), a1 = LANE_TERMS8(q + 8);
-        __m256 a2 = LANE_TERMS8(q + 16), a3 = LANE_TERMS8(q + 24);
-        __m256 a4 = LANE_TERMS8(q + 32), a5 = LANE_TERMS8(q + 40);
-        __m256 a6 = LANE_TERMS8(q + 48), a7 = LANE_TERMS8(q + 56);
-        for (q += 64; q < end; q += 64) {
-            a0 = _mm256_add_ps(a0, LANE_TERMS8(q));
-            a1 = _mm256_add_ps(a1, LANE_TERMS8(q + 8));
-            a2 = _mm256_add_ps(a2, LANE_TERMS8(q + 16));
-            a3 = _mm256_add_ps(a3, LANE_TERMS8(q + 24));
-            a4 = _mm256_add_ps(a4, LANE_TERMS8(q + 32));
-            a5 = _mm256_add_ps(a5, LANE_TERMS8(q + 40));
-            a6 = _mm256_add_ps(a6, LANE_TERMS8(q + 48));
-            a7 = _mm256_add_ps(a7, LANE_TERMS8(q + 56));
-        }
-        res = _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(a0, a1),
-                                          _mm256_add_ps(a2, a3)),
-                            _mm256_add_ps(_mm256_add_ps(a4, a5),
-                                          _mm256_add_ps(a6, a7)));
-    }
-    for (end += 8 * chunk[3]; q < end; q += 8)
-        res = _mm256_add_ps(res, LANE_TERMS8(q));
-    _mm256_storeu_ps(s, q16x8(_mm256_add_ps(LANE_TERMS8(off), res)));
+    __m256i idx = _mm256_loadu_si256((const __m256i *)(cols + q));
+    if (k != 1)
+        idx = _mm256_mullo_epi32(idx, _mm256_set1_epi32((int32_t)k));
+    return _mm256_mul_ps(_mm256_loadu_ps(vals + q), _mm256_i32gather_ps(x, idx, 4));
 }
+
+/* The fp32 lane sums (fp16: TERMS8 and ROUND8 round) with a chunk's 8 rows
+ * in the 8 lanes (a lane past `lanes` sums its -0.0 padding): one gather per
+ * slot, each accumulator one vector, every lane's result in s */
+#define DEFINE_LANE_SUMS_AVX2(NAME, TERMS8, ROUND8)                           \
+    AVX2_FN static void NAME(const float *vals, const int32_t *cols,          \
+                             const float *x, int64_t k, const int64_t *chunk, \
+                             float *s)                                        \
+    {                                                                         \
+        int64_t off = chunk[0], q = off + 8, end = q + 64 * chunk[2];         \
+        __m256 res = _mm256_set1_ps(-0.0f);                                   \
+        if (q < end) {                                                        \
+            __m256 a0 = TERMS8(vals, cols, x, k, q);                          \
+            __m256 a1 = TERMS8(vals, cols, x, k, q + 8);                      \
+            __m256 a2 = TERMS8(vals, cols, x, k, q + 16);                     \
+            __m256 a3 = TERMS8(vals, cols, x, k, q + 24);                     \
+            __m256 a4 = TERMS8(vals, cols, x, k, q + 32);                     \
+            __m256 a5 = TERMS8(vals, cols, x, k, q + 40);                     \
+            __m256 a6 = TERMS8(vals, cols, x, k, q + 48);                     \
+            __m256 a7 = TERMS8(vals, cols, x, k, q + 56);                     \
+            for (q += 64; q < end; q += 64) {                                 \
+                a0 = _mm256_add_ps(a0, TERMS8(vals, cols, x, k, q));          \
+                a1 = _mm256_add_ps(a1, TERMS8(vals, cols, x, k, q + 8));      \
+                a2 = _mm256_add_ps(a2, TERMS8(vals, cols, x, k, q + 16));     \
+                a3 = _mm256_add_ps(a3, TERMS8(vals, cols, x, k, q + 24));     \
+                a4 = _mm256_add_ps(a4, TERMS8(vals, cols, x, k, q + 32));     \
+                a5 = _mm256_add_ps(a5, TERMS8(vals, cols, x, k, q + 40));     \
+                a6 = _mm256_add_ps(a6, TERMS8(vals, cols, x, k, q + 48));     \
+                a7 = _mm256_add_ps(a7, TERMS8(vals, cols, x, k, q + 56));     \
+            }                                                                 \
+            res = _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(a0, a1),          \
+                                              _mm256_add_ps(a2, a3)),         \
+                                _mm256_add_ps(_mm256_add_ps(a4, a5),          \
+                                              _mm256_add_ps(a6, a7)));        \
+        }                                                                     \
+        for (end += 8 * chunk[3]; q < end; q += 8)                            \
+            res = _mm256_add_ps(res, TERMS8(vals, cols, x, k, q));            \
+        _mm256_storeu_ps(s, ROUND8(_mm256_add_ps(TERMS8(vals, cols, x, k, off), \
+                                                 res)));                      \
+    }
+
+#define EXACT(v) (v)
+DEFINE_LANE_SUMS_AVX2(lane_sums_f16_avx2, half_terms8, q16x8)
+DEFINE_LANE_SUMS_AVX2(lane_sums_f32_avx2, plain_terms8, EXACT)
 #endif
 
 /* ------------------------------------------------------------------------ */
@@ -593,7 +615,6 @@ DEFINE_STENCIL(stencil_sep_f32, , float, sweep_f32, )
 #define XV_COMBINE_AVX2(V, W, SET1, LOAD, STORE, MUL, ADD, ROUND)             \
     for (V alpha = SET1(coef[0]); e + W <= n; e += W)                         \
         STORE(y + e, ADD(MUL(LOAD(x + e), alpha), LOAD(cur + e)));
-#define EXACT(v) (v)
 #define F64_AVX2 __m256d, 4, _mm256_set1_pd, _mm256_loadu_pd, _mm256_storeu_pd, \
                  _mm256_mul_pd, _mm256_add_pd, EXACT
 #define F32_AVX2 __m256, 8, _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps, \
@@ -1013,4 +1034,253 @@ AVX2_FN uint64_t quantize32_avx2_disagreements(uint64_t lo, uint64_t hi)
     }
     return bad;
 }
+#endif
+
+/* ------------------------------------------------------------------------ */
+/* The fp32 and fp64 products                                                */
+/*                                                                           */
+/* A CSR product at fp32 or fp64 compute follows scipy's csr_matvec and     */
+/* csr_matvecs, which `fast` runs: a row's sum starts from +0 and adds the   */
+/* products a_ij x_j one by one in stored order; the fused residual starts   */
+/* from y_i and subtracts them one by one (scipy adds (-a_ij) x_j, the same  */
+/* bits).  Every product and every add rounds once.  The plan is the SELL-8  */
+/* layout above, whose lane row keeps its terms in order with a gap after    */
+/* its own accumulator blocks (the chunk's blocks are wider): lens[8c + l]   */
+/* is lane l's term count (0 past `lanes`), and a lane adds exactly its      */
+/* row's terms, so the padding never enters a sum (its -0.0 would turn a     */
+/* residual of y_i = -0 into +0).  A one-lane chunk holds its row in order.  */
+/*                                                                           */
+/* A sliced-ELL product at fp32 or fp64 compute follows `fast`'s reduceat    */
+/* over the padded row-major arrays, padding included: the row sums of the   */
+/* triangular solves (numpy's pairwise order, no fp16 rounding) over a copy  */
+/* of x after the zero row the plan's padding reads.                         */
+/*                                                                           */
+/* SEQ_SUMS(vals, cols, x, k, chunk, lens, s) sets s[l] OP= lane l's terms   */
+/* in order, for l < lanes of `chunk`.                                       */
+/* ------------------------------------------------------------------------ */
+#define SEQ_ADD(acc, p) ((acc) + (p))
+#define SEQ_SUB(acc, p) ((acc) - (p))
+/* a lane row's terms before its gap: the first and its own blocks' */
+#define SEQ_HEAD(t) ((t) < 1 ? 0 : (t) < 9 ? 1 : 1 + ((t) - 1) / 8 * 8)
+
+#define DEFINE_SEQ_SUMS(NAME, ATTR, T, OP, X8_SEQ)                            \
+    ATTR static void NAME(const T *vals, const int32_t *cols, const T *x,     \
+                          int64_t k, const int64_t *chunk,                    \
+                          const int32_t *lens, T *s)                          \
+    {                                                                         \
+        int64_t off = chunk[0], slots = 1 + 8 * chunk[2];                     \
+        if (chunk[1] == 1) {                                                  \
+            T acc = s[0];                                                     \
+            for (int64_t q = off; q < off + chunk[3]; q++)                    \
+                acc = OP(acc, PLAIN_TERM(q));                                 \
+            s[0] = acc;                                                       \
+            return;                                                           \
+        }                                                                     \
+        X8_SEQ                                                                \
+        for (int64_t l = 0; l < chunk[1]; l++) {                              \
+            int64_t t = lens[l], head = SEQ_HEAD(t), i = 0;                   \
+            T acc = s[l];                                                     \
+            for (; i < head; i++)                                             \
+                acc = OP(acc, PLAIN_TERM(off + 8 * i + l));                   \
+            for (; i < t; i++)                                                \
+                acc = OP(acc, PLAIN_TERM(off + 8 * (slots + i - head) + l));  \
+            s[l] = acc;                                                       \
+        }                                                                     \
+    }
+
+/* y = A x, r = y - A x (CSR, sequential) and y = A x (sliced-ELL, pairwise)
+ * in T; SFX names the instruction set, TS the dtype */
+#define DEFINE_PLAIN_PRODUCTS(SFX, ATTR, T, TS, SEQ_ADD_SUMS, SEQ_SUB_SUMS,  \
+                              LANE_SUMS, ROW_SUM)                             \
+ATTR int spmv_csr_##TS##SFX(int64_t nchunks, const int64_t *meta,             \
+                            const int64_t *rows, const int32_t *cols,         \
+                            const T *vals, const int32_t *lens, const T *x,   \
+                            T *y, int64_t k)                                  \
+{                                                                             \
+    for (int64_t c = 0; c < nchunks; c++) {                                   \
+        const int64_t *chunk = meta + 4 * c, *rc = rows + 8 * c;              \
+        for (int64_t j = 0; j < k; j++) {                                     \
+            T s[8] = {0};                                                     \
+            SEQ_ADD_SUMS(vals, cols, x + j, k, chunk, lens + 8 * c, s);       \
+            for (int64_t l = 0; l < chunk[1]; l++)                            \
+                y[rc[l] * k + j] = s[l];                                      \
+        }                                                                     \
+    }                                                                         \
+    return 0;                                                                 \
+}                                                                             \
+                                                                              \
+ATTR int spmv_axpy_##TS##SFX(int64_t nchunks, const int64_t *meta,            \
+                             const int64_t *rows, const int32_t *cols,        \
+                             const T *vals, const int32_t *lens, const T *x,  \
+                             const T *y, T *r, int64_t k)                     \
+{                                                                             \
+    for (int64_t c = 0; c < nchunks; c++) {                                   \
+        const int64_t *chunk = meta + 4 * c, *rc = rows + 8 * c;              \
+        for (int64_t j = 0; j < k; j++) {                                     \
+            T s[8];                                                           \
+            for (int l = 0; l < 8; l++)    /* every lane names a row */       \
+                s[l] = y[rc[l] * k + j];                                      \
+            SEQ_SUB_SUMS(vals, cols, x + j, k, chunk, lens + 8 * c, s);       \
+            for (int64_t l = 0; l < chunk[1]; l++)                            \
+                r[rc[l] * k + j] = s[l];                                      \
+        }                                                                     \
+    }                                                                         \
+    return 0;                                                                 \
+}                                                                             \
+                                                                              \
+ATTR int spmv_ell_##TS##SFX(int64_t nchunks, int64_t ncols,                   \
+                            const int64_t *meta, const int64_t *rows,         \
+                            const int32_t *cols, const T *vals, const T *x,   \
+                            T *y, int64_t k)                                  \
+{                                                                             \
+    int64_t size = ncols * k;                                                 \
+    T *xz = malloc((size_t)(size + k > 0 ? size + k : 1) * sizeof(T));        \
+    if (!xz)                                                                  \
+        return -1;                                                            \
+    memset(xz, 0, (size_t)k * sizeof(T));                                     \
+    memcpy(xz + k, x, (size_t)size * sizeof(T));                              \
+    for (int64_t c = 0; c < nchunks; c++) {                                   \
+        const int64_t *chunk = meta + 4 * c, *rc = rows + 8 * c;              \
+        for (int64_t j = 0; j < k; j++) {                                     \
+            T s[8];                                                           \
+            CHUNK_SUMS(LANE_SUMS, ROW_SUM, SAME, xz + k + j, chunk, s)        \
+            for (int64_t l = 0; l < chunk[1]; l++)                            \
+                y[rc[l] * k + j] = s[l];                                      \
+        }                                                                     \
+    }                                                                         \
+    free(xz);                                                                 \
+    return 0;                                                                 \
+}
+
+DEFINE_SEQ_SUMS(seq_add_f32, , float, SEQ_ADD, )
+DEFINE_SEQ_SUMS(seq_sub_f32, , float, SEQ_SUB, )
+DEFINE_SEQ_SUMS(seq_add_f64, , double, SEQ_ADD, )
+DEFINE_SEQ_SUMS(seq_sub_f64, , double, SEQ_SUB, )
+DEFINE_PLAIN_PRODUCTS(, , float, f32, seq_add_f32, seq_sub_f32, lane_sums_f32,
+                      row_sum_f32)
+DEFINE_PLAIN_PRODUCTS(, , double, f64, seq_add_f64, seq_sub_f64, lane_sums_f64,
+                      row_sum_f64)
+
+#ifdef HAVE_AVX2_SET
+/* A lane chunk's 8 rows in the lanes: per slot one gather, each lane's
+ * sum advanced by one operation.  Where some lane's row has no term at a
+ * slot, the gather is masked to the lanes whose row has one and the step
+ * blended, so the other lanes keep their bits.  The masks come from the
+ * term counts: slot i is lane l's when i < head(l) (before the gap) or,
+ * past the chunk's blocks, when i - slots < t(l) - head(l); every lane has
+ * the slots below the smallest head and tail. */
+#define SEQ_COUNTS8                                                           \
+    __m256i t = _mm256_loadu_si256((const __m256i *)lens);                    \
+    __m256i tm1 = _mm256_sub_epi32(t, _mm256_set1_epi32(1));                  \
+    __m256i seven = _mm256_set1_epi32(7);                                     \
+    __m256i head = _mm256_min_epi32(t, _mm256_add_epi32(                      \
+        _mm256_and_si256(_mm256_cmpgt_epi32(tm1, seven),                      \
+                         _mm256_andnot_si256(seven, tm1)),                    \
+        _mm256_set1_epi32(1)));                                               \
+    __m256i tail = _mm256_sub_epi32(t, head);                                 \
+    int32_t h[8], r[8];                                                       \
+    _mm256_storeu_si256((__m256i *)h, head);                                  \
+    _mm256_storeu_si256((__m256i *)r, tail);                                  \
+    int64_t all_head = h[0], all_tail = r[0];                                 \
+    for (int l = 1; l < 8; l++) {                                             \
+        all_head = h[l] < all_head ? h[l] : all_head;                         \
+        all_tail = r[l] < all_tail ? r[l] : all_tail;                         \
+    }
+
+#define SEQ_INDEX8(q)                                                         \
+    __m256i idx = _mm256_loadu_si256((const __m256i *)(cols + (q)));          \
+    if (k != 1)                                                               \
+        idx = _mm256_mullo_epi32(idx, _mm256_set1_epi32((int32_t)k));
+
+#define SEQ_FULL8_F32(OPV, q)                                                 \
+    {                                                                         \
+        SEQ_INDEX8(q)                                                         \
+        acc = OPV(acc, _mm256_mul_ps(_mm256_loadu_ps(vals + (q)),             \
+                                     _mm256_i32gather_ps(x, idx, 4)));        \
+    }
+
+#define SEQ_STEP8_F32(OPV, count, i, q)                                       \
+    {                                                                         \
+        __m256 m = _mm256_castsi256_ps(_mm256_cmpgt_epi32(                    \
+            count, _mm256_set1_epi32((int32_t)(i))));                         \
+        SEQ_INDEX8(q)                                                         \
+        __m256 p = _mm256_mul_ps(_mm256_loadu_ps(vals + (q)),                 \
+            _mm256_mask_i32gather_ps(_mm256_setzero_ps(), x, idx, m, 4));     \
+        acc = _mm256_blendv_ps(acc, OPV(acc, p), m);                          \
+    }
+
+/* the slots of the head, then of the tail: unmasked while every lane has
+ * one */
+#define SEQ_WALK8(FULL, STEP, OPV)                                            \
+    int64_t i = 0;                                                            \
+    for (; i < all_head; i++)                                                 \
+        FULL(OPV, off + 8 * i)                                                \
+    for (; i < slots; i++)                                                    \
+        STEP(OPV, head, i, off + 8 * i)                                       \
+    for (i = 0; i < all_tail; i++)                                            \
+        FULL(OPV, off + 8 * (slots + i))                                      \
+    for (; i < chunk[3]; i++)                                                 \
+        STEP(OPV, tail, i, off + 8 * (slots + i))
+
+#define X8_SEQ_F32(OPV)                                                       \
+    {                                                                         \
+        SEQ_COUNTS8                                                           \
+        __m256 acc = _mm256_loadu_ps(s);                                      \
+        SEQ_WALK8(SEQ_FULL8_F32, SEQ_STEP8_F32, OPV)                          \
+        _mm256_storeu_ps(s, acc);                                             \
+        return;                                                               \
+    }
+
+/* fp64: the 8 lanes as two vectors of 4 */
+#define SEQ_HALF_F64(OPV, acc, m, idx, q)                                     \
+    {                                                                         \
+        __m256d p = _mm256_mul_pd(_mm256_loadu_pd(vals + (q)),                \
+            _mm256_mask_i32gather_pd(_mm256_setzero_pd(), x, idx,             \
+                                     _mm256_castsi256_pd(m), 8));             \
+        acc = _mm256_blendv_pd(acc, OPV(acc, p), _mm256_castsi256_pd(m));     \
+    }
+
+#define SEQ_STEP8_F64(OPV, count, i, q)                                       \
+    {                                                                         \
+        __m256i m = _mm256_cmpgt_epi32(count, _mm256_set1_epi32((int32_t)(i))); \
+        SEQ_INDEX8(q)                                                         \
+        SEQ_HALF_F64(OPV, lo, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(m)), \
+                     _mm256_castsi256_si128(idx), q)                          \
+        SEQ_HALF_F64(OPV, hi,                                                 \
+                     _mm256_cvtepi32_epi64(_mm256_extracti128_si256(m, 1)),   \
+                     _mm256_extracti128_si256(idx, 1), (q) + 4)               \
+    }
+
+#define SEQ_FULL8_F64(OPV, q)                                                 \
+    {                                                                         \
+        SEQ_INDEX8(q)                                                         \
+        lo = OPV(lo, _mm256_mul_pd(_mm256_loadu_pd(vals + (q)),               \
+            _mm256_i32gather_pd(x, _mm256_castsi256_si128(idx), 8)));         \
+        hi = OPV(hi, _mm256_mul_pd(_mm256_loadu_pd(vals + (q) + 4),           \
+            _mm256_i32gather_pd(x, _mm256_extracti128_si256(idx, 1), 8)));    \
+    }
+
+#define X8_SEQ_F64(OPV)                                                       \
+    {                                                                         \
+        SEQ_COUNTS8                                                           \
+        __m256d lo = _mm256_loadu_pd(s), hi = _mm256_loadu_pd(s + 4);         \
+        SEQ_WALK8(SEQ_FULL8_F64, SEQ_STEP8_F64, OPV)                          \
+        _mm256_storeu_pd(s, lo);                                              \
+        _mm256_storeu_pd(s + 4, hi);                                          \
+        return;                                                               \
+    }
+
+DEFINE_SEQ_SUMS(seq_add_f32_avx2, AVX2_FN, float, SEQ_ADD,
+                X8_SEQ_F32(_mm256_add_ps))
+DEFINE_SEQ_SUMS(seq_sub_f32_avx2, AVX2_FN, float, SEQ_SUB,
+                X8_SEQ_F32(_mm256_sub_ps))
+DEFINE_SEQ_SUMS(seq_add_f64_avx2, AVX2_FN, double, SEQ_ADD,
+                X8_SEQ_F64(_mm256_add_pd))
+DEFINE_SEQ_SUMS(seq_sub_f64_avx2, AVX2_FN, double, SEQ_SUB,
+                X8_SEQ_F64(_mm256_sub_pd))
+/* fp64 sliced-ELL rows keep the scalar sums */
+DEFINE_PLAIN_PRODUCTS(_avx2, AVX2_FN, float, f32, seq_add_f32_avx2,
+                      seq_sub_f32_avx2, lane_sums_f32_avx2, row_sum_f32)
+DEFINE_PLAIN_PRODUCTS(_avx2, AVX2_FN, double, f64, seq_add_f64_avx2,
+                      seq_sub_f64_avx2, lane_sums_f64, row_sum_f64)
 #endif

@@ -1,7 +1,8 @@
 """Native backend: compiled C kernels for the level-scheduled triangular
-solve, the fp16 CSR (and sliced-ELL) products, the fp16 vector updates, the
-separable stencil sweep, the fp16 diagonal scaling, the fp32 ↔ fp16 casts
-and the fp16 Richardson sweep, each bit-identical to its oracle.
+solve, every CSR and sliced-ELL product a solve plan issues (fp16, fp16-stored
+× fp32, fp32 and fp64, and the fused residuals), the fp16 vector updates,
+the separable stencil sweep, the fp16 diagonal scaling, the fp32 ↔ fp16
+casts and the fp16 Richardson sweep, each bit-identical to its oracle.
 
 numpy's per-call dispatch sets the floor of the ``fast`` engine's
 level-scheduled ``trsv``: a level is a handful of rows, so every level costs
@@ -27,6 +28,21 @@ A sliced-ELL matrix's fp16 ``spmv_ell`` runs the CSR kernel on the ELL's
 row-major padded arrays, the very gather of ``fast``'s ``spmv_ell``, so the
 arithmetic is that kernel's.
 
+**The fp32 and fp64 products.**  Where ``fast`` runs scipy's compiled CSR
+matvec — an fp32 or fp64 compute dtype, the matrix's arena given, int32
+indices, and for the residual ``fast``'s ``fusable`` rule (``y`` and the
+result in the compute dtype; otherwise the product and ``residual_update``
+compose, as on ``fast``) — ``native`` runs one C call in scipy's order, its
+oracle: a row's sum from +0 (the residual's from ``y_i``) adding
+(subtracting) ``a_ij·x_j`` one by one in stored order, every product and
+add rounded once.  F^m3's fp16-stored matrix at fp32 vectors reads the
+matrix's fp16 plan, whose values are already widened exactly to fp32;
+fp32- and fp64-valued matrices get a plan of their own.  A sliced-ELL
+product at fp32 or fp64 compute keeps ``fast``'s ``reduceat`` over the
+padded row-major arrays, padding included: the fp16 kernel's pairwise row
+sums without the fp16 roundings.  Without the arena ``fast`` sums pairwise,
+and so ``native`` leaves those products to it.
+
 **The Richardson sweep.**  ``richardson_sweep`` binds one C call that runs
 all m steps of an fp16 R^m4 invocation (``RichardsonLevel.apply_batch``
 without a weight refresh) from the kernels above, in the loop's order: the
@@ -37,12 +53,14 @@ measures one loop invocation of the block shape and hands the sweep that
 record to replay.
 
 **Row-interleaved plans.**  The triangular solves (fp64, fp32, fp16) and the
-fp16 CSR products read a SELL-8 plan (:func:`_interleave`, after Kreutzer et
+CSR and sliced-ELL products read a SELL-8 plan (:func:`_interleave`, after Kreutzer et
 al.'s SELL-C-σ): the rows of one dependency level — or of the whole matrix
 — packed eight to a chunk by term count, entry ``i`` of every row stored
 side by side, so each of a vector's 8 lanes is one row and runs that row's
 own rounding chain independently of the other seven.  Every lane performs
-exactly its row's arithmetic; absent terms add −0.0, which changes no bit.
+exactly its row's arithmetic; absent terms add −0.0, which changes no bit
+in a pairwise sum, and a sequential fp32 / fp64 product reads each lane's
+term count and skips them.
 A row too long for a lane (more than 129 terms) and a level's lone
 straggler get one-row chunks, summed as before.  A factor's plan is built
 with vectorized numpy on its first solve — validated: the levels a
@@ -115,7 +133,7 @@ from ..precision import (BYTES_PER_INDEX, Precision, as_precision,
                          precision_of_dtype, promote)
 from .base import (axpy_traffic, cast_traffic, columns, diag_scale_traffic,
                    spmv_setup, spmv_traffic, stencil_traffic, trsv_traffic)
-from .fast import FastBackend, _build_ell_plan
+from .fast import FastBackend, _build_ell_plan, _scipy_sparse, _scipy_sparsetools
 
 __all__ = ["FLAGS", "ISAS", "NativeBackend", "NativeUnavailable", "cache_dir",
            "isas", "library", "library_path", "self_check"]
@@ -125,7 +143,7 @@ SOURCE = Path(__file__).with_name("native.c")
 #: contraction and fast-math
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 #: must equal NATIVE_ABI in native.c
-ABI = 6
+ABI = 7
 
 _HALF = np.dtype(np.float16)
 _F32 = np.dtype(np.float32)
@@ -152,6 +170,10 @@ _TRSV_ARGS = ((_I, _P, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int)
 _TRSV16_ARGS = ((_I, _P, _P, _P, _P, _P, _P, _P, _I, _P), ctypes.c_int)
 _SPMV_ARGS = ((_I, _I, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int)
 _AXPY_ARGS = ((_I, _I, _P, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int)
+#: the sequential fp32 / fp64 CSR product and residual: the plan's chunk
+#: count and four arrays, its lane term counts, then x, (y,) the output, k
+_SEQ_ARGS = ((_I, _P, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int)
+_SEQ_AXPY_ARGS = ((_I, _P, _P, _P, _P, _P, _P, _P, _P, _I), ctypes.c_int)
 _WEIGHTED_ARGS = ((_I, _I, _P, _P, _P, _P), ctypes.c_int)
 _RESIDUAL_ARGS = ((_I, _P, _P, _P), ctypes.c_int)
 _STENCIL_ARGS = ((_I, _P, _I, _P, _P, _P, _I, _P, _P, _P), ctypes.c_int)
@@ -183,6 +205,12 @@ _SIGNATURES = {
     "cast_f16_f32": _CAST_ARGS,
     "richardson_f16": _SWEEP_ARGS,
     "quantize32": ((_P, _P, _I), None),
+    "spmv_csr_f32": _SEQ_ARGS,
+    "spmv_csr_f64": _SEQ_ARGS,
+    "spmv_axpy_f32": _SEQ_AXPY_ARGS,
+    "spmv_axpy_f64": _SEQ_AXPY_ARGS,
+    "spmv_ell_f32": _SPMV_ARGS,
+    "spmv_ell_f64": _SPMV_ARGS,
     "trsv_f16_avx2": _TRSV16_ARGS,
     "spmv_csr_f16_avx2": _SPMV_ARGS,
     "spmv_axpy_f16_avx2": _AXPY_ARGS,
@@ -196,15 +224,29 @@ _SIGNATURES = {
     "cast_f16_f32_avx2": _CAST_ARGS,
     "richardson_f16_avx2": _SWEEP_ARGS,
     "quantize32_avx2": ((_P, _P, _I), None),
+    "spmv_csr_f32_avx2": _SEQ_ARGS,
+    "spmv_csr_f64_avx2": _SEQ_ARGS,
+    "spmv_axpy_f32_avx2": _SEQ_AXPY_ARGS,
+    "spmv_axpy_f64_avx2": _SEQ_AXPY_ARGS,
+    "spmv_ell_f32_avx2": _SPMV_ARGS,
+    "spmv_ell_f64_avx2": _SPMV_ARGS,
     "quantize32_avx2_disagreements": ((ctypes.c_uint64, ctypes.c_uint64),
                                       ctypes.c_uint64),
 }
-#: the kernels that exist once per instruction set: the fp16 kernels and
-#: the stencil sweeps
+#: the kernels that exist once per instruction set: the fp16 kernels, the
+#: stencil sweeps and the products on assembled storage
 _PER_ISA = ("trsv_f16", "spmv_csr_f16", "spmv_axpy_f16", "weighted_update_f16",
             "residual_update_f16", "stencil_sep_f64", "stencil_sep_f32",
             "stencil_sep_f16", "diag_scale_f16", "cast_f32_f16", "cast_f16_f32",
-            "richardson_f16", "quantize32")
+            "richardson_f16", "quantize32", "spmv_csr_f32", "spmv_csr_f64",
+            "spmv_axpy_f32", "spmv_axpy_f64", "spmv_ell_f32", "spmv_ell_f64")
+#: compute dtype -> the suffix of its product kernels
+_SFX = {_HALF: "f16", _F32: "f32", _F64: "f64"}
+#: CSR kernel -> whether ``fast`` runs it at fp32 / fp64 in scipy's order
+#: (the compiled kernels' oracle); elsewhere it sums pairwise, and so does
+#: ``native``
+_SCIPY_ORDER = {"spmv_csr": _scipy_sparse is not None,
+                "spmv_axpy": _scipy_sparse is not None and _scipy_sparsetools is not None}
 #: (source dtype, target dtype) -> C cast symbol
 _CASTS = {(_F32, _HALF): "cast_f32_f16", (_HALF, _F32): "cast_f16_f32"}
 #: per instruction set, the element count (n·k) from which ``cast`` runs its
@@ -540,20 +582,23 @@ def _stencil_plan(op, cdtype) -> tuple:
 
 
 class _CsrPlan:
-    """The row-interleaved plan (every row one level) of fp16 CSR arrays —
-    validated: consistent sizes, non-negative indices, since the C kernels
-    index x without bounds checks — and the prebound calls on it.
+    """The row-interleaved plan (every row one level) of CSR arrays, its
+    values in ``vdtype`` (fp16 ones expanded exactly to fp32) — validated:
+    consistent sizes, non-negative indices, since the C kernels index x
+    without bounds checks.
 
     ``ncols`` is the column count the arrays need, ``lead`` the chunk count
     and the addresses of the plan's chunk records, lane rows, packed
-    columns and packed fp32 values, which ``arrays`` keeps alive.  A
+    columns and packed values, which ``arrays`` keeps alive; the sequential
+    products also read each lane's term count (:meth:`seq_lead`).  A
     product records ``nnz`` stored entries and ``index_bytes`` of indices:
     the CSR arrays' own by default."""
 
     __slots__ = ("values", "indices", "indptr", "ncols", "nnz", "index_bytes",
-                 "arrays", "lead", "calls")
+                 "arrays", "lead", "lens")
 
-    def __init__(self, values, indices, indptr, nnz=None, index_bytes=None) -> None:
+    def __init__(self, values, indices, indptr, vdtype=_F32, nnz=None,
+                 index_bytes=None) -> None:
         if (indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0
                 or indptr[-1] != indices.size or values.size != indices.size
                 or np.any(np.diff(indptr) < 0)
@@ -565,13 +610,12 @@ class _CsrPlan:
         self.index_bytes = ((values.size + indptr.size) * BYTES_PER_INDEX
                             if index_bytes is None else index_bytes)
         self.arrays = _interleave([np.arange(indptr.size - 1)], indptr.astype(np.int64),
-                                  indices, values.astype(_F32))
+                                  indices, values.astype(vdtype))
         self.lead = (len(self.arrays[0]), *(_addr(a) for a in self.arrays))
-        #: (backend, kernel, operand shape, output precision) -> _Call
-        self.calls: dict = {}
+        self.lens = None
 
     @classmethod
-    def of_ell(cls, ell) -> "_CsrPlan":
+    def of_ell(cls, ell, vdtype=_F32) -> "_CsrPlan":
         """The plan of a sliced-ELL matrix's row-major padded arrays — the
         ones ``fast.spmv_ell`` gathers, padding included, so a product is
         its arithmetic — recording the ELL's stored entries and indices."""
@@ -580,29 +624,51 @@ class _CsrPlan:
             layout = ell._rm_plan = _build_ell_plan(ell)
         return cls(ell.values[layout["order"]],
                    np.ascontiguousarray(layout["cols_rm"], dtype=_I32),
-                   layout["rm_indptr"].astype(_I32), nnz=ell.nnz,
+                   layout["rm_indptr"].astype(_I32), vdtype, nnz=ell.nnz,
                    index_bytes=ell.nnz * BYTES_PER_INDEX)
 
+    def seq_lead(self) -> tuple:
+        """``lead`` plus the address of each lane's term count (0 past a
+        chunk's lanes), built on first use: what the sequential products
+        read to skip the padding."""
+        if self.lens is None:
+            meta, rows = self.arrays[:2]
+            lens = np.diff(self.indptr)[rows].astype(_I32).reshape(-1, _LANES)
+            lens[np.arange(_LANES) >= meta[:, 1:2]] = 0
+            self.lens = lens.ravel()
+        return (*self.lead, _addr(self.lens))
 
-def _csr_plan(values, indices, indptr, scratch):
-    """The plan of fp16 CSR arrays with int32 indices, cached in the
-    matrix's arena ``scratch``; ``False`` for other arrays."""
-    if values.dtype != _HALF or indices.dtype != _I32 or indptr.dtype != _I32:
+
+def _csr_plan(values, indices, indptr, scratch, vdtype=_F32):
+    """The plan of CSR arrays with int32 indices, values in ``vdtype``,
+    cached in the matrix's arena ``scratch`` (one per value dtype: an fp16
+    matrix's fp32 plan serves its fp16 and its fp32 products); ``False``
+    for other index arrays."""
+    if indices.dtype != _I32 or indptr.dtype != _I32:
         return False
-    plan = (scratch.memo("native_csr", lambda: _CsrPlan(values, indices, indptr))
+    key = "native_csr" if vdtype == _F32 else ("native_csr", vdtype)
+    plan = (scratch.memo(key, lambda: _CsrPlan(values, indices, indptr, vdtype))
             if scratch is not None else None)
     if plan is None or not (plan.values is values and plan.indices is indices
                             and plan.indptr is indptr):
-        plan = _CsrPlan(values, indices, indptr)
+        plan = _CsrPlan(values, indices, indptr, vdtype)
     return plan
 
 
-def _ell_plan(ell):
-    """The plan of a sliced-ELL matrix's fp16 products, cached in its arena;
-    ``False`` for other values, or more stored entries than int32 counts."""
-    if ell.values.dtype != _HALF or ell.nnz > _INT32_MAX:
+def _ell_plan(ell, vdtype=_F32):
+    """The plan of a sliced-ELL matrix's products with values in ``vdtype``,
+    cached in its arena; ``False`` for more stored entries than int32
+    counts."""
+    if ell.nnz > _INT32_MAX:
         return False
-    return ell.scratch().memo("native_ell", lambda: _CsrPlan.of_ell(ell))
+    key = "native_ell" if vdtype == _F32 else ("native_ell", vdtype)
+    return ell.scratch().memo(key, lambda: _CsrPlan.of_ell(ell, vdtype))
+
+
+def _compute_dtype(mat_dtype, vec_dtype) -> np.dtype:
+    """The dtype a product of these operands computes in."""
+    return np.dtype(promote(precision_of_dtype(mat_dtype),
+                            precision_of_dtype(vec_dtype)).dtype)
 
 
 def _check(status: int) -> None:
@@ -611,11 +677,11 @@ def _check(status: int) -> None:
 
 
 def _product(call, x, record):
-    """``y = A·x`` by a prebound fp16 CSR product ``call``."""
-    kernel, k, _, shape, out, traffic = call
-    x16 = np.ascontiguousarray(x)
-    y = np.empty(shape, dtype=_HALF)
-    _check(kernel(_ptr(x16), _ptr(y), k))
+    """``y = A·x`` by a prebound CSR or sliced-ELL product ``call``."""
+    kernel, k, dtype, shape, out, traffic = call
+    x_c = np.ascontiguousarray(x, dtype=dtype)
+    y = np.empty(shape, dtype=dtype)
+    _check(kernel(_ptr(x_c), _ptr(y), k))
     if record:
         record_traffic(traffic)
     return y if out is None else y.astype(out)
@@ -660,9 +726,11 @@ def _out_dtype(out_prec: Precision, dtype) -> np.dtype | None:
 
 
 class NativeBackend(FastBackend):
-    """Compiled ``trsv``, fp16 CSR and sliced-ELL products, fp16 vector
-    updates, separable stencil sweeps, fp16 diagonal scaling, fp32 ↔ fp16
-    casts and the fp16 Richardson sweep; everything else is ``fast``.
+    """Compiled ``trsv``; CSR and sliced-ELL products and fused residuals
+    at fp16, fp16-stored × fp32, fp32 and fp64 (the fp32 / fp64 ones where
+    ``fast`` runs scipy's, in its order); fp16 vector updates, separable
+    stencil sweeps, fp16 diagonal scaling, fp32 ↔ fp16 casts and the fp16
+    Richardson sweep; everything else is ``fast``.
 
     ``isa`` picks the instruction set of :data:`_PER_ISA`'s kernels
     (:data:`ISAS`); by default the fastest that :func:`isas` reports for
@@ -673,7 +741,8 @@ class NativeBackend(FastBackend):
     :class:`_Call`: the kernel of the instruction set with the plan's
     leading arguments bound, the output dtype and the call's traffic
     record.  It is cached beside the plan it binds — on the factor
-    (``trsv``), in the matrix's arena (the fp16 CSR products) or the
+    (``trsv``), in the matrix's arena (the CSR and sliced-ELL products; a
+    CSR call also checks it was made for the arrays it is given) or the
     stencil's (the sweeps) — and, for the vector kernels, which have no
     plan, on the engine, dropped with the kernel table it was made from.  A
     call is then one lookup, the contiguity check, the output allocation,
@@ -781,23 +850,27 @@ class NativeBackend(FastBackend):
                      trsv_traffic(factor, vec_prec, out_prec, compute, k))
 
     # ------------------------------------------------------------------ #
-    def _csr_call(self, name, values, indices, indptr, x, out_precision, scratch):
-        """The call of fp16 CSR kernel ``name`` (``spmv_csr_f16`` or
-        ``spmv_axpy_f16``) on these arrays for operands like ``x``, or
-        ``False`` where the C kernels do not apply: a wider compute dtype,
-        non-int32 indices, or a residual rounded to another precision.  The
-        matrix's arena (``scratch``) caches the plan and its calls for its
-        arrays."""
-        plan = x.dtype == _HALF and _csr_plan(values, indices, indptr, scratch)
-        return plan and self._plan_call(plan, name, x, out_precision)
-
-    def _plan_call(self, plan, name, x, out_precision):
-        """The call of ``name`` on ``plan`` for operands like ``x``, cached
-        on the plan."""
-        key = (self, name, x.shape, out_precision)
-        call = plan.calls.get(key)
-        if call is None:
-            call = plan.calls[key] = self._bind_csr(plan, name, x, out_precision)
+    def _csr_call(self, op, values, indices, indptr, x, out_precision, scratch):
+        """The call of CSR kernel ``op`` (``spmv_csr`` or ``spmv_axpy``) on
+        these arrays for operands like ``x``, or ``False`` where ``fast``'s
+        arithmetic is not compiled: non-int32 indices, a residual rounded to
+        another precision than its compute dtype, or an fp32 / fp64 product
+        without the matrix's arena ``scratch`` (``fast`` then sums pairwise,
+        not in scipy's order).  The arena caches the plan, and the call per
+        operand dtype, shape and output precision for the arrays it was
+        made for."""
+        memo = scratch.memo("native_csr_calls", dict) if scratch is not None else {}
+        key = (self, op, values.dtype, x.dtype, x.shape, out_precision)
+        hit = memo.get(key)
+        if hit is not None and hit[0] is values and hit[1] is indices and hit[2] is indptr:
+            return hit[3]
+        cdtype = _compute_dtype(values.dtype, x.dtype)
+        call = False
+        if cdtype == _HALF or (scratch is not None and _SCIPY_ORDER[op]):
+            plan = _csr_plan(values, indices, indptr, scratch,
+                             _F32 if cdtype == _HALF else cdtype)
+            call = plan and self._bind_csr(plan, f"{op}_{_SFX[cdtype]}", x, out_precision)
+        memo[key] = (values, indices, indptr, call)
         return call
 
     def _bind_csr(self, plan, name, x, out_precision):
@@ -805,9 +878,11 @@ class NativeBackend(FastBackend):
         if x.ndim not in (1, 2) or x.shape[0] < plan.ncols:
             raise ValueError(f"operand of shape {x.shape} for a matrix with "
                              f"column indices up to {plan.ncols - 1}")
-        mat_prec, vec_prec, compute, out_prec = spmv_setup(_HALF, _HALF, out_precision)
-        residual = name == "spmv_axpy_f16"
-        if residual and out_prec.dtype != _HALF:
+        mat_prec, vec_prec, compute, out_prec = spmv_setup(plan.values.dtype, x.dtype,
+                                                           out_precision)
+        cdtype = np.dtype(compute.dtype)
+        residual = name.startswith("spmv_axpy")
+        if residual and out_prec.dtype != cdtype:
             return False
         n, k = plan.indptr.size - 1, columns(x)
         traffic = spmv_traffic(mat_prec, vec_prec, out_prec, compute, n, plan.nnz,
@@ -816,42 +891,59 @@ class NativeBackend(FastBackend):
             traffic = traffic.then(axpy_traffic(out_prec, out_prec, out_prec,
                                                 compute, n, k))
         nchunks, *addrs = plan.lead
+        if cdtype == _HALF or name.startswith("spmv_ell"):
+            lead = (nchunks, x.shape[0], *addrs)
+        else:
+            lead = plan.seq_lead()
         kernel = self._half_kernels(x.shape[0], k)[name]
-        return _Call(_bind(kernel, nchunks, x.shape[0], *addrs, arrays=plan.arrays),
-                     k, _HALF, (n,) + x.shape[1:], _out_dtype(out_prec, _HALF), traffic)
+        return _Call(_bind(kernel, *lead, arrays=(plan.arrays, plan.lens)), k, cdtype,
+                     (n,) + x.shape[1:], _out_dtype(out_prec, cdtype), traffic)
 
     def spmv_csr(self, values, indices, indptr, x, out_precision=None,
                  record=True, scratch=None):
-        call = self._csr_call("spmv_csr_f16", values, indices, indptr, x,
-                              out_precision, scratch)
+        """``y = A·x`` in one C call: fp16 products rounded to fp16, summed
+        in fp32, the sum rounded once; fp32 and fp64 (with the matrix's
+        arena) each row in scipy's order, from +0 in stored order."""
+        call = self._csr_call("spmv_csr", values, indices, indptr, x, out_precision,
+                              scratch)
         if not call:
             return super().spmv_csr(values, indices, indptr, x, out_precision,
                                     record=record, scratch=scratch)
         return _product(call, x, record)
 
     def spmv_ell(self, ell, x, out_precision=None, record=True):
-        """The fp16 product of a sliced-ELL matrix: the compiled CSR kernel
-        on its row-major padded arrays, ``fast``'s ``spmv_ell`` bit for bit
-        with its counters; every other product is ``fast``'s."""
-        plan = x.dtype == _HALF and _ell_plan(ell)
-        call = plan and self._plan_call(plan, "spmv_csr_f16", x, out_precision)
+        """A sliced-ELL product by the compiled kernels on its row-major
+        padded arrays, ``fast``'s ``spmv_ell`` bit for bit with its
+        counters: the fp16 CSR product, or at fp32 / fp64 compute its
+        pairwise row sums without the fp16 roundings."""
+        memo = ell.scratch().memo("native_ell_calls", dict)
+        key = (self, x.dtype, x.shape, out_precision)
+        call = memo.get(key)
+        if call is None:
+            cdtype = _compute_dtype(ell.values.dtype, x.dtype)
+            plan = _ell_plan(ell, _F32 if cdtype == _HALF else cdtype)
+            name = "spmv_csr_f16" if cdtype == _HALF else f"spmv_ell_{_SFX[cdtype]}"
+            call = memo[key] = plan and self._bind_csr(plan, name, x, out_precision)
         if not call:
             return super().spmv_ell(ell, x, out_precision, record=record)
         return _product(call, x, record)
 
     def spmv_axpy(self, values, indices, indptr, x, y, out_precision=None,
                   record=True, scratch=None):
-        """``r = y − A·x`` in one pass for fp16: products rounded to fp16,
-        summed in fp32, the sum rounded once, then ``y − s`` rounded."""
-        call = self._csr_call("spmv_axpy_f16", values, indices, indptr, x,
-                              out_precision, scratch)
-        if not call or y.dtype != _HALF or y.shape != call.shape:
+        """``r = y − A·x`` in one pass: for fp16 the products rounded to
+        fp16, summed in fp32, the sum rounded once, then ``y − s`` rounded;
+        for fp32 and fp64 (with the matrix's arena, ``y`` and the result in
+        the compute dtype) each row from ``y`` minus its products one by
+        one, in stored order."""
+        call = self._csr_call("spmv_axpy", values, indices, indptr, x, out_precision,
+                              scratch)
+        if not call or y.dtype != call.dtype or y.shape != call.shape:
             return super().spmv_axpy(values, indices, indptr, x, y, out_precision,
                                      record=record, scratch=scratch)
-        kernel, k, _, shape, _, traffic = call
-        x16, y16 = np.ascontiguousarray(x), np.ascontiguousarray(y)
-        r = np.empty(shape, dtype=_HALF)
-        _check(kernel(_ptr(x16), _ptr(y16), _ptr(r), k))
+        kernel, k, dtype, shape, _, traffic = call
+        x_c, y_c = np.ascontiguousarray(x, dtype=dtype), np.ascontiguousarray(y)
+        r = np.empty(shape, dtype=dtype)
+        _check(kernel(_ptr(x_c), _ptr(y_c), _ptr(r), k))
         if record:
             record_traffic(traffic)
         return r
@@ -1029,13 +1121,11 @@ class NativeBackend(FastBackend):
                 or v.dtype != _HALF or v.ndim != 2 or v.shape[1] == 0):
             return None
         n, k = v.shape
-        if plan.kind == "csr":
-            a = plan.storage
-            a_plan = _csr_plan(a.values, a.indices, a.indptr, a.scratch())
-        elif plan.kind == "ell":
-            a_plan = _ell_plan(plan.storage)
-        else:
+        a = plan.storage
+        if plan.kind not in ("csr", "ell") or a.values.dtype != _HALF:
             return None
+        a_plan = (_csr_plan(a.values, a.indices, a.indptr, a.scratch())
+                  if plan.kind == "csr" else _ell_plan(a))
         triangular_form = getattr(preconditioner, "triangular_form", None)
         form = triangular_form() if triangular_form is not None else None
         if (not a_plan or form is None or a_plan.indptr.size - 1 != n
@@ -1311,6 +1401,7 @@ def self_check(*backends: NativeBackend) -> None:
             op, xv = stencil.astype(precision_of_dtype(mat)), x.astype(vec)
             cases.append((f"apply_stencil {mat} x {vec}", lambda be, op=op, xv=xv:
                           be.apply_stencil(op, xv, record=False), fast))
+        cases += [(label, run, fast) for label, run in _product_cases(dense, b)]
         for label, run, oracle in cases:
             want = run(oracle)
             for backend in backends:
@@ -1318,6 +1409,48 @@ def self_check(*backends: NativeBackend) -> None:
                     raise NativeUnavailable(f"self-check failed: {label} "
                                             f"({backend.isa}) differs from "
                                             f"the {oracle.name} backend")
+
+
+def _product_cases(dense, b) -> list:
+    """``(label, run)`` pairs of the fp32 and fp64 products, whose oracle is
+    ``fast``: the self-check matrix at fp16 (times fp32), fp32 and fp64 —
+    CSR with its arena (scipy's order: its empty rows, its 140-term row in
+    a chunk of its own) and sliced-ELL in chunks of 4 (reduceat over the
+    padding) — on a vector and blocks of 1 and 3 columns holding inf, NaN
+    and subnormal entries, residuals whose ``y`` has −0 entries, and the
+    residual of the non-negative matrix at ``x = +0`` and ``y = −0``, whose
+    every row stays −0 unless padding enters its sum."""
+    from ..sparse import CSRMatrix, SlicedEllMatrix
+
+    csr = CSRMatrix.from_dense(dense)
+    x = np.concatenate([b, -b[:, :1] * 1e-3], axis=1)
+    x[0, 2] = np.inf                           # the ELL padding's column
+    x[9, 0], x[12, 1] = 3e-41, 5e-320          # fp32 and fp64 subnormals
+    y = x[::-1].copy()
+    y[::6] = -0.0
+    cases = []
+    for mat, vec in ((_HALF, _F32), (_F32, _F32), (_F64, _F64)):
+        a = csr.astype(precision_of_dtype(mat))
+        ell = SlicedEllMatrix(a, chunk_size=4)
+        label = f"{mat} x {vec}"
+        for width in (None, 1, 3):
+            xv, yv = ((np.ascontiguousarray(v[:, 0] if width is None else v[:, :width],
+                                            dtype=vec)) for v in (x, y))
+            cases += [
+                (f"spmv_csr {label}", lambda be, a=a, xv=xv: be.spmv_csr(
+                    a.values, a.indices, a.indptr, xv, record=False,
+                    scratch=a.scratch())),
+                (f"spmv_axpy {label}", lambda be, a=a, xv=xv, yv=yv: be.spmv_axpy(
+                    a.values, a.indices, a.indptr, xv, yv, record=False,
+                    scratch=a.scratch())),
+                (f"spmv_ell {label}", lambda be, ell=ell, xv=xv: be.spmv_ell(
+                    ell, xv, record=False))]
+        positive = CSRMatrix(np.abs(a.values), a.indices, a.indptr, a.shape)
+        zero, minus_zero = np.zeros((csr.nrows, 3), vec), np.full((csr.nrows, 3), -0.0, vec)
+        cases.append((f"spmv_axpy {label} (padding)", lambda be, p=positive, z=zero,
+                      m=minus_zero: be.spmv_axpy(p.values, p.indices, p.indptr, z, m,
+                                                 record=False, scratch=p.scratch())))
+    return cases
 
 
 def _richardson(be, csr, lower, scale, weights, v):

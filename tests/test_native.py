@@ -2,7 +2,9 @@
 
 ``native`` ports kernels to C — the level-scheduled triangular solve (fp64,
 fp32 and fp16 compute), the fp16 CSR products ``spmv_csr`` / ``spmv_axpy``,
-the fp16 vector updates ``weighted_update`` / ``residual_update``, the fp16
+the fp32 / fp64 CSR products and fused residuals (fp16-stored × fp32 among
+them) and sliced-ELL products, the fp16 vector updates ``weighted_update`` /
+``residual_update``, the fp16
 ``diag_scale``, the box-separable ``apply_stencil`` sweep (fp64, fp32 and
 fp16), the fp32 ↔ fp16 ``cast`` and the fp16 Richardson sweep — runs
 sliced-ELL storage's fp16 ``spmv_ell`` on the CSR kernel, and inherits
@@ -18,9 +20,11 @@ axes of 1, 2, 7 and 24 points, and vectors and blocks of 0 to 9 columns
 with fp16-subnormal products, overflow to ±inf, signed zeros and NaN; the
 casts also see every fp16 bit pattern and every fp16 rounding boundary, on
 both sides of their size gate.  The ELL products must equal ``fast``'s
-``spmv_ell``, and the Richardson sweep the level's loop on ``fast`` (bits,
-counters and M's application count) on the serve-open operators and the
-hard operator.  The fp16 kernels and the sweeps exist once per instruction set (``native.ISAS``): each test of them runs the portable
+``spmv_ell``, the fp32 / fp64 products ``fast``'s (scipy's order with the
+matrix's arena) on the serve-open operators and the hard operator, with no
+product of a warm F3R solve reaching ``fast``, and the Richardson sweep the
+level's loop on ``fast`` (bits, counters and M's application count) on the
+serve-open operators and the hard operator.  The fp16 kernels and the sweeps exist once per instruction set (``native.ISAS``): each test of them runs the portable
 scalar set and, where this CPU has AVX2 + F16C, the vector set, both
 reached through the loaded library's symbols.  Counter
 totals must equal ``fast``'s, and four threads on shared operands (ctypes
@@ -1073,7 +1077,8 @@ def test_abi_and_instruction_sets():
     for name in ("trsv_f16", "spmv_csr_f16", "spmv_axpy_f16", "weighted_update_f16",
                  "residual_update_f16", "stencil_sep_f64", "stencil_sep_f32",
                  "stencil_sep_f16", "diag_scale_f16", "cast_f32_f16", "cast_f16_f32",
-                 "richardson_f16", "quantize32"):
+                 "richardson_f16", "quantize32", "spmv_csr_f32", "spmv_csr_f64",
+                 "spmv_axpy_f32", "spmv_axpy_f64", "spmv_ell_f32", "spmv_ell_f64"):
         assert scalar._half[name] is getattr(lib, name)
     if "avx2" in sets:
         vector = native.NativeBackend(lib, "avx2")
@@ -1089,7 +1094,13 @@ def test_abi_and_instruction_sets():
                              ("cast_f32_f16", "cast_f32_f16_avx2"),
                              ("cast_f16_f32", "cast_f16_f32_avx2"),
                              ("richardson_f16", "richardson_f16_avx2"),
-                             ("quantize32", "quantize32_avx2")):
+                             ("quantize32", "quantize32_avx2"),
+                             ("spmv_csr_f32", "spmv_csr_f32_avx2"),
+                             ("spmv_csr_f64", "spmv_csr_f64_avx2"),
+                             ("spmv_axpy_f32", "spmv_axpy_f32_avx2"),
+                             ("spmv_axpy_f64", "spmv_axpy_f64_avx2"),
+                             ("spmv_ell_f32", "spmv_ell_f32_avx2"),
+                             ("spmv_ell_f64", "spmv_ell_f64_avx2")):
             assert vector._half[name] is getattr(lib, symbol)
     else:
         with pytest.raises(native.NativeUnavailable):
@@ -1166,8 +1177,8 @@ class TestEllProducts:
         assert got_traffic == want_traffic
 
     def test_runs_the_compiled_product(self, ells, monkeypatch):
-        """fp16 products never reach fast's numpy gather; an fp32 operand
-        (an fp16 matrix at fp32 vectors) still does."""
+        """No product reaches fast's numpy gather: fp16 operands, and fp32
+        and fp64 ones (an fp16 matrix at fp32 and fp64 compute)."""
         ell = ells["atmosmodd"]
         calls = []
         fast_ell = FastBackend.spmv_ell
@@ -1178,10 +1189,9 @@ class TestEllProducts:
 
         monkeypatch.setattr(FastBackend, "spmv_ell", spy)
         x = _operand("ordinary", ell.ncols, 3, HALF, seed=112)
-        _on("native", lambda be: (be.spmv_ell(ell, x), be.spmv_ell(ell, x[:, 0])))
+        for xd in (x, x.astype(np.float32), x.astype(np.float64)):
+            _on("native", lambda be: (be.spmv_ell(ell, xd), be.spmv_ell(ell, xd[:, 0])))
         assert calls == []
-        _on("native", lambda be: be.spmv_ell(ell, x.astype(np.float32)))
-        assert calls == [np.dtype(np.float32)]
 
     @pytest.mark.parametrize("out", [Precision.FP32, Precision.FP64])
     def test_wider_output(self, ells, isa, out):
@@ -1466,6 +1476,179 @@ class TestRichardsonSweep:
         assert_bit_equal(runs["native"][0], runs["fast"][0])
         assert runs["native"][1:] == runs["fast"][1:]
         assert runs["native"][2] > 0
+
+
+# ---------------------------------------------------------------------- #
+# fp32 and fp64 products on assembled storage (oracle: fast's scipy CSR
+# products with the matrix's arena, and its sliced-ELL reduceat)
+# ---------------------------------------------------------------------- #
+#: None: a vector; else an (n, k) block
+PLAIN_WIDTHS = (None, 0, 1, 3, 4, 8)
+#: (matrix precision, vector dtype): F^m3's fp16-stored matrix at fp32
+#: vectors, F^m2's fp32 and F^m1's fp64, and mixed pairs computed in the
+#: wider of the two
+PLAIN_PAIRS = ((Precision.FP16, np.float32), (Precision.FP32, np.float32),
+               (Precision.FP64, np.float64), (Precision.FP64, np.float32),
+               (Precision.FP32, np.float16))
+#: the product kernels that native runs instead of fast's
+PLAIN_KERNELS = ("spmv_csr", "spmv_axpy", "spmv_ell")
+
+
+@pytest.fixture(scope="module")
+def plain_storage(sweep_matrices) -> dict:
+    """Each serve-open operator and hard as CSR and sliced-ELL (chunks of
+    32) at fp16, fp32 and fp64."""
+    out = {}
+    for name, matrix in sweep_matrices.items():
+        for prec in (Precision.FP16, Precision.FP32, Precision.FP64):
+            csr = matrix.astype(prec)
+            out[name, prec] = (csr, SlicedEllMatrix(csr, chunk_size=32))
+    return out
+
+
+def _plain_run(kernel, csr, ell, x, y, out=None):
+    """``run(backend)`` of one product kernel with the matrix's arena."""
+    if kernel == "spmv_csr":
+        return lambda be: be.spmv_csr(csr.values, csr.indices, csr.indptr, x,
+                                      out_precision=out, scratch=csr.scratch())
+    if kernel == "spmv_axpy":
+        return lambda be: be.spmv_axpy(csr.values, csr.indices, csr.indptr, x, y,
+                                       out_precision=out, scratch=csr.scratch())
+    return lambda be: be.spmv_ell(ell, x, out_precision=out)
+
+
+def _fast_spies(monkeypatch) -> list:
+    """Record every call that reaches fast's spmv_csr / spmv_ell /
+    spmv_axpy (by name)."""
+    calls = []
+    for name in PLAIN_KERNELS:
+        original = getattr(FastBackend, name)
+
+        def spy(self, *args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FastBackend, name, spy)
+    return calls
+
+
+class TestPlainProducts:
+    @pytest.mark.parametrize("width", PLAIN_WIDTHS)
+    @pytest.mark.parametrize("pair", PLAIN_PAIRS,
+                             ids=lambda p: f"{p[0].label}x{np.dtype(p[1]).name}")
+    @pytest.mark.parametrize("name", [*SERVE_OPERATORS, "hard"])
+    def test_equals_fast(self, plain_storage, isa, name, pair, width):
+        """Bits and counter totals of each kernel, computed in the wider
+        precision of the pair; the residual's ``y`` (in the compute dtype,
+        as fast fuses it) has −0 entries."""
+        mat, vdtype = pair
+        csr, ell = plain_storage[name, mat]
+        x = _operand("ordinary", csr.ncols, width, vdtype, seed=180)
+        y = _operand("signed_zero", csr.nrows, width,
+                     np.promote_types(csr.values.dtype, vdtype), seed=181)
+        for kernel in PLAIN_KERNELS:
+            run = _traced(_plain_run(kernel, csr, ell, x, y))
+            (got, got_traffic), (want, want_traffic) = _on(isa, run), _on("fast", run)
+            assert_bit_equal(got, want)
+            assert got_traffic == want_traffic
+
+    @pytest.mark.parametrize("width", [None, 3])
+    @pytest.mark.parametrize("kind", ["subnormal", "signed_zero", "inf", "nan"])
+    @pytest.mark.parametrize("name", ["hpcg_7_7_7", "atmosmodd"])
+    def test_special_operands(self, plain_storage, isa, name, kind, width):
+        """Subnormal, ±0, ±inf and NaN entries (x[0], the ELL padding's
+        column, among the infs) at fp16 x fp32, fp32 and fp64."""
+        for mat, vdtype in PLAIN_PAIRS[:3]:
+            csr, ell = plain_storage[name, mat]
+            x = _operand(kind, csr.ncols, width, vdtype, seed=182)
+            if kind == "inf":
+                x[0] = np.inf
+            y = _operand(kind, csr.nrows, width, vdtype, seed=183)
+            for kernel in PLAIN_KERNELS:
+                run = _plain_run(kernel, csr, ell, x, y)
+                assert_bit_equal(_on(isa, run), _on("fast", run))
+
+    @pytest.mark.parametrize("out", [Precision.FP32, Precision.FP64])
+    def test_wider_output(self, plain_storage, isa, out):
+        """A product rounded to a wider precision than it computes in; the
+        residual then composes the product and residual_update, as fast
+        does."""
+        for mat, vdtype in ((Precision.FP16, np.float32), (Precision.FP32, np.float16)):
+            csr, ell = plain_storage["thermal2", mat]
+            x = _operand("subnormal", csr.ncols, 3, vdtype, seed=184)
+            y = _operand("ordinary", csr.nrows, 3, out.dtype, seed=185)
+            for kernel in PLAIN_KERNELS:
+                run = _traced(_plain_run(kernel, csr, ell, x, y, out=out))
+                (got, got_traffic), (want, want_traffic) = _on(isa, run), _on("fast", run)
+                assert_bit_equal(got, want)
+                assert got_traffic == want_traffic
+
+    def test_runs_the_compiled_kernels(self, plain_storage, monkeypatch):
+        """With the matrix's arena no product reaches fast; each binds its
+        instruction set's kernel, and the scalar one where the gather
+        index col * k might overflow int32 (the limit lowered here)."""
+        calls = _fast_spies(monkeypatch)
+        lib = get_backend("native")._lib
+        csr, ell = plain_storage["atmosmodd", Precision.FP64]
+        x = _operand("ordinary", csr.ncols, 3, np.float64, seed=186)
+        for isa_name in native.isas(lib):
+            be = native.NativeBackend(lib, isa_name)
+            for kernel in PLAIN_KERNELS:
+                _plain_run(kernel, csr, ell, x, x)(be)
+            memo = csr.scratch().memo("native_csr_calls", dict)
+            bound = {key[1]: hit[3].kernel.func for key, hit in memo.items()
+                     if key[0] is be}
+            assert bound == {"spmv_csr": be._half["spmv_csr_f64"],
+                             "spmv_axpy": be._half["spmv_axpy_f64"]}
+        assert calls == []
+        monkeypatch.setattr(native, "_INT32_MAX", 3 * csr.ncols - 1)
+        be = native.NativeBackend(lib)
+        want = _on("fast", _plain_run("spmv_csr", csr, ell, x, x))
+        assert_bit_equal(_plain_run("spmv_csr", csr, ell, x, x)(be), want)
+        (hit,) = [hit for key, hit in csr.scratch().memo("native_csr_calls", dict).items()
+                  if key[0] is be]
+        assert hit[3].kernel.func is lib.spmv_csr_f64
+
+    def test_no_arena_reaches_fast(self, plain_storage, monkeypatch):
+        """Without the matrix's arena fast sums pairwise, not in scipy's
+        order, and native leaves fp32 / fp64 CSR products to it."""
+        calls = _fast_spies(monkeypatch)
+        csr, _ = plain_storage["hpcg_7_7_7", Precision.FP32]
+        x = _operand("ordinary", csr.ncols, None, np.float32, seed=187)
+
+        def run(be):
+            return (be.spmv_csr(csr.values, csr.indices, csr.indptr, x),
+                    be.spmv_axpy(csr.values, csr.indices, csr.indptr, x, x))
+        got = _on("native", run)
+        assert calls == ["spmv_csr", "spmv_axpy", "spmv_csr"]
+        for g, w in zip(got, _on("fast", run), strict=True):
+            assert_bit_equal(g, w)
+
+    @pytest.mark.parametrize("variant", ["fp16", "fp64"])
+    @pytest.mark.parametrize("name", ["hpcg_7_7_7", "atmosmodd", "hard"])
+    def test_warm_solve_reaches_no_fast_product(self, sweep_matrices, monkeypatch,
+                                                name, variant):
+        """A warm F3R solve on a CSR-picked and an ELL-picked serve-open
+        operator and on hard: under native no product reaches fast, and the
+        answer bits, counters, applications and iterations equal fast's."""
+        matrix = sweep_matrices[name]
+        b = np.random.default_rng(188).random(matrix.nrows)
+        runs = {}
+        for engine in ("native", "fast"):
+            solver = F3RSolver(matrix, config=F3RConfig(variant=variant, backend=engine))
+            solver.solve(b)
+            calls = _fast_spies(monkeypatch)
+            with counting() as traffic:
+                result = solver.solve(b)
+            monkeypatch.undo()
+            runs[engine] = (result.x, traffic.summary(),
+                            result.preconditioner_applications, result.iterations)
+            if engine == "native":
+                assert calls == []
+            else:
+                assert calls
+        assert_bit_equal(runs["native"][0], runs["fast"][0])
+        assert runs["native"][1:] == runs["fast"][1:]
 
 
 # ---------------------------------------------------------------------- #

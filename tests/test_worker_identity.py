@@ -39,7 +39,7 @@ from repro.matgen import (
     poisson2d,
 )
 from repro.perf.counters import counting
-from repro.operators import as_operator
+from repro.operators import AssembledOperator, as_operator
 from repro.plans import plan_for
 from repro.precision import Precision
 from repro.precond import BlockJacobiILU0
@@ -208,6 +208,36 @@ class TestKernelWorkerIdentity:
             return plan.residual(v, x), plan.residual_batch(vb, xb)
 
         _check(engine, run, precision=precision)
+
+    @pytest.mark.skipif("native" not in ENGINES,
+                        reason="the native engine does not build on this host")
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
+    @pytest.mark.parametrize("mat,vec", [("fp16", "fp32"), ("fp32", "fp32"),
+                                         ("fp64", "fp64")])
+    def test_compiled_products_on_one_shared_plan(self, rng, fmt, mat, vec):
+        """``native``'s fp16-stored x fp32, fp32 and fp64 products and fused
+        residuals on one plan shared by four threads: every thread's bits
+        are the caller's, and ``fast``'s."""
+        op = AssembledOperator(poisson2d(40), format=fmt).astype(Precision(mat))
+        dtype = DTYPES[vec]
+        x = rng.uniform(-1, 1, op.ncols).astype(dtype)
+        v = rng.uniform(-1, 1, op.nrows).astype(dtype)
+        xb = rng.uniform(-1, 1, (op.ncols, 3)).astype(dtype)
+        vb = rng.uniform(-1, 1, (op.nrows, 3)).astype(dtype)
+        plans = {engine: plan_for(op, Precision(vec), backend=get_backend(engine))
+                 for engine in ("native", "fast")}
+        assert plans["native"].kind == fmt
+
+        def run(plan):
+            return (plan.apply(x), plan.apply(xb), plan.residual(v, x),
+                    plan.residual(vb, xb))
+
+        want = run(plans["native"])
+        for got in _on_workers("native", lambda: run(plans["native"])):
+            for w, g in zip(want, got, strict=True):
+                assert w.dtype == g.dtype and w.tobytes() == g.tobytes()
+        for w, f in zip(want, run(plans["fast"]), strict=True):
+            assert w.dtype == f.dtype and w.tobytes() == f.tobytes()
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_richardson_invocations(self, rng, engine):
