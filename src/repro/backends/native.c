@@ -254,17 +254,28 @@ DEFINE_ROW_SUM(row_sum_f16, , float, float, int32_t, HALF_TERM, SCALAR_BLOCK,
                SCALAR_SHORT)
 
 #ifdef HAVE_AVX2_SET
-/* The 8 fp16-rounded products at q .. q + 7, one per lane.  The caller
- * guarantees col * k fits in int32 (native.py picks the scalar set
+/* The gather indices col * k of the 8 slots at q .. q + 7.  The caller
+ * guarantees they fit in int32 (native.py picks the scalar set
  * otherwise). */
+AVX2_FN static inline __m256i index8(const int32_t *cols, int64_t k, int64_t q)
+{
+    __m256i idx = _mm256_loadu_si256((const __m256i *)(cols + q));
+    return k == 1 ? idx : _mm256_mullo_epi32(idx, _mm256_set1_epi32((int32_t)k));
+}
+
+/* The 8 exact fp32 products at q .. q + 7, one per lane */
+AVX2_FN static inline __m256 plain_terms8(const float *vals, const int32_t *cols,
+                                          const float *x, int64_t k, int64_t q)
+{
+    return _mm256_mul_ps(_mm256_loadu_ps(vals + q),
+                         _mm256_i32gather_ps(x, index8(cols, k, q), 4));
+}
+
+/* The same products rounded to fp16 */
 AVX2_FN static inline __m256 half_terms8(const float *vals, const int32_t *cols,
                                          const float *x, int64_t k, int64_t q)
 {
-    __m256i idx = _mm256_loadu_si256((const __m256i *)(cols + q));
-    if (k != 1)
-        idx = _mm256_mullo_epi32(idx, _mm256_set1_epi32((int32_t)k));
-    return q16x8(_mm256_mul_ps(_mm256_loadu_ps(vals + q),
-                               _mm256_i32gather_ps(x, idx, 4)));
+    return q16x8(plain_terms8(vals, cols, x, k, q));
 }
 
 /* The fp16-rounded products at q .. q + m - 1 (1 <= m <= 8) in the first m
@@ -367,16 +378,6 @@ DEFINE_LANE_SUMS(lane_sums_f32, float, PLAIN_TERM, SAME)
 DEFINE_LANE_SUMS(lane_sums_f16, float, HALF_TERM, q16)
 
 #ifdef HAVE_AVX2_SET
-/* The 8 exact fp32 products at q .. q + 7, one per lane (the same gather) */
-AVX2_FN static inline __m256 plain_terms8(const float *vals, const int32_t *cols,
-                                          const float *x, int64_t k, int64_t q)
-{
-    __m256i idx = _mm256_loadu_si256((const __m256i *)(cols + q));
-    if (k != 1)
-        idx = _mm256_mullo_epi32(idx, _mm256_set1_epi32((int32_t)k));
-    return _mm256_mul_ps(_mm256_loadu_ps(vals + q), _mm256_i32gather_ps(x, idx, 4));
-}
-
 /* The fp32 lane sums (fp16: TERMS8 and ROUND8 round) with a chunk's 8 rows
  * in the 8 lanes (a lane past `lanes` sums its -0.0 padding): one gather per
  * slot, each accumulator one vector, every lane's result in s */
@@ -1187,10 +1188,7 @@ DEFINE_PLAIN_PRODUCTS(, , double, f64, seq_add_f64, seq_sub_f64, lane_sums_f64,
         all_tail = r[l] < all_tail ? r[l] : all_tail;                         \
     }
 
-#define SEQ_INDEX8(q)                                                         \
-    __m256i idx = _mm256_loadu_si256((const __m256i *)(cols + (q)));          \
-    if (k != 1)                                                               \
-        idx = _mm256_mullo_epi32(idx, _mm256_set1_epi32((int32_t)k));
+#define SEQ_INDEX8(q) __m256i idx = index8(cols, k, q);
 
 #define SEQ_FULL8_F32(OPV, q)                                                 \
     {                                                                         \

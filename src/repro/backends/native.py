@@ -53,8 +53,8 @@ measures one loop invocation of the block shape and hands the sweep that
 record to replay.
 
 **Row-interleaved plans.**  The triangular solves (fp64, fp32, fp16) and the
-CSR and sliced-ELL products read a SELL-8 plan (:func:`_interleave`, after Kreutzer et
-al.'s SELL-C-σ): the rows of one dependency level — or of the whole matrix
+CSR and sliced-ELL products read a SELL-8 plan (:func:`_interleave`, after
+Kreutzer et al.'s SELL-C-σ): the rows of one dependency level — or of the whole matrix
 — packed eight to a chunk by term count, entry ``i`` of every row stored
 side by side, so each of a vector's 8 lanes is one row and runs that row's
 own rounding chain independently of the other seven.  Every lane performs
@@ -590,7 +590,7 @@ class _CsrPlan:
     ``ncols`` is the column count the arrays need, ``lead`` the chunk count
     and the addresses of the plan's chunk records, lane rows, packed
     columns and packed values, which ``arrays`` keeps alive; the sequential
-    products also read each lane's term count (:meth:`seq_lead`).  A
+    products also read each lane's term count (:meth:`lane_terms`).  A
     product records ``nnz`` stored entries and ``index_bytes`` of indices:
     the CSR arrays' own by default."""
 
@@ -627,16 +627,16 @@ class _CsrPlan:
                    layout["rm_indptr"].astype(_I32), vdtype, nnz=ell.nnz,
                    index_bytes=ell.nnz * BYTES_PER_INDEX)
 
-    def seq_lead(self) -> tuple:
-        """``lead`` plus the address of each lane's term count (0 past a
-        chunk's lanes), built on first use: what the sequential products
-        read to skip the padding."""
-        if self.lens is None:
+    def lane_terms(self) -> np.ndarray:
+        """Each lane's term count (0 past a chunk's lanes), built on first
+        use: what the sequential products read to skip the padding."""
+        lens = self.lens
+        if lens is None:
             meta, rows = self.arrays[:2]
             lens = np.diff(self.indptr)[rows].astype(_I32).reshape(-1, _LANES)
             lens[np.arange(_LANES) >= meta[:, 1:2]] = 0
-            self.lens = lens.ravel()
-        return (*self.lead, _addr(self.lens))
+            lens = self.lens = lens.ravel()
+        return lens
 
 
 def _csr_plan(values, indices, indptr, scratch, vdtype=_F32):
@@ -663,12 +663,6 @@ def _ell_plan(ell, vdtype=_F32):
         return False
     key = "native_ell" if vdtype == _F32 else ("native_ell", vdtype)
     return ell.scratch().memo(key, lambda: _CsrPlan.of_ell(ell, vdtype))
-
-
-def _compute_dtype(mat_dtype, vec_dtype) -> np.dtype:
-    """The dtype a product of these operands computes in."""
-    return np.dtype(promote(precision_of_dtype(mat_dtype),
-                            precision_of_dtype(vec_dtype)).dtype)
 
 
 def _check(status: int) -> None:
@@ -864,7 +858,7 @@ class NativeBackend(FastBackend):
         hit = memo.get(key)
         if hit is not None and hit[0] is values and hit[1] is indices and hit[2] is indptr:
             return hit[3]
-        cdtype = _compute_dtype(values.dtype, x.dtype)
+        cdtype = np.dtype(spmv_setup(values.dtype, x.dtype, None)[2].dtype)
         call = False
         if cdtype == _HALF or (scratch is not None and _SCIPY_ORDER[op]):
             plan = _csr_plan(values, indices, indptr, scratch,
@@ -892,11 +886,12 @@ class NativeBackend(FastBackend):
                                                 compute, n, k))
         nchunks, *addrs = plan.lead
         if cdtype == _HALF or name.startswith("spmv_ell"):
-            lead = (nchunks, x.shape[0], *addrs)
+            lens, lead = None, (nchunks, x.shape[0], *addrs)
         else:
-            lead = plan.seq_lead()
+            lens = plan.lane_terms()
+            lead = (*plan.lead, _addr(lens))
         kernel = self._half_kernels(x.shape[0], k)[name]
-        return _Call(_bind(kernel, *lead, arrays=(plan.arrays, plan.lens)), k, cdtype,
+        return _Call(_bind(kernel, *lead, arrays=(plan.arrays, lens)), k, cdtype,
                      (n,) + x.shape[1:], _out_dtype(out_prec, cdtype), traffic)
 
     def spmv_csr(self, values, indices, indptr, x, out_precision=None,
@@ -920,7 +915,7 @@ class NativeBackend(FastBackend):
         key = (self, x.dtype, x.shape, out_precision)
         call = memo.get(key)
         if call is None:
-            cdtype = _compute_dtype(ell.values.dtype, x.dtype)
+            cdtype = np.dtype(spmv_setup(ell.values.dtype, x.dtype, None)[2].dtype)
             plan = _ell_plan(ell, _F32 if cdtype == _HALF else cdtype)
             name = "spmv_csr_f16" if cdtype == _HALF else f"spmv_ell_{_SFX[cdtype]}"
             call = memo[key] = plan and self._bind_csr(plan, name, x, out_precision)

@@ -179,7 +179,9 @@ class TestPlannedSolveFaultReach:
                         **kwargs):
                 made[_site] += 1
                 return _kernel(*args, **kwargs)
-            monkeypatch.setattr(inner, name, counted)
+            # in the instance's dict, so undoing it deletes the entry (a
+            # restored attribute would leave a bound method shadowing the class)
+            monkeypatch.setitem(vars(inner), name, counted)
 
         # max_faults=0: the plan counts every site call and corrupts none
         plan = FaultPlan(seed=0, rate=1.0, sites=("spmv", "trsv"),
