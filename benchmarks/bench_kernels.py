@@ -27,11 +27,13 @@ kernels on the HPCG 27-point operator at a 64³ grid, and — where ``native``
 builds — the ``dispatch`` rows: one compiled fp16 ``trsv`` and
 ``weighted_update`` call through the engine against the bare ctypes call on
 729-row operands (the serving workload's largest), so the wrapper's cost per
-call is a reported number, and the ``richardson`` rows: one fp16 R^m4
-invocation (m = 2, k = 1, weights frozen) as ``native``'s compiled sweep
-against the level's loop on ``fast``, on atmosmodd ``tiny`` (a sliced-ELL
-product) and on the hard operator (each must equal the loop bit for bit, or
-the run exits 1), and emits a ``BENCH_kernels.json`` speedup summary.
+call is a reported number, and the ``richardson`` rows: one R^m4
+invocation (m = 2, k = 1, weights frozen) in uniform fp16, fp64 and fp32 as
+``native``'s compiled sweep against the level's loop on ``fast`` and on
+``native``'s own kernels, on atmosmodd ``tiny`` (a sliced-ELL product at
+fp16) and on the hard operator (each must equal the loop on ``fast`` bit for
+bit, or the run exits 1), and emits a ``BENCH_kernels.json`` speedup
+summary.
 
 Not collected by pytest (the tier-1 suite); run directly or via make:
 
@@ -534,10 +536,15 @@ def bench_dispatch(repeats: int, number: int = 2000) -> dict[str, dict]:
 
 
 def bench_richardson(repeats: int, number: int = 300) -> dict[str, dict]:
-    """One fp16 Richardson invocation (m = 2, one column, no weight
-    refresh): ``native``'s compiled sweep against the level's loop on
-    ``fast``, interleaved, on atmosmodd ``tiny`` with its default block-IC(0)
-    and on the hard operator with block-ILU(0) over 10 blocks."""
+    """One Richardson invocation (m = 2, one column, no weight refresh) in
+    uniform fp16, fp64 and fp32: ``native``'s compiled sweep against the
+    level's loop on ``fast`` (its oracle) and on ``native``'s own kernels
+    (what a level runs where no sweep is bound: here M's apply is wrapped,
+    which keeps the loop), interleaved, on atmosmodd ``tiny`` with its
+    default block-IC(0) (a sliced-ELL product at fp16, CSR otherwise) and
+    on the hard operator with block-ILU(0) over 10 blocks.  The fp16 rows
+    keep their names; the others carry the precision as a suffix."""
+    from repro.precision import LevelPrecision
     from repro.precond import make_primary_preconditioner
 
     cases = {"atmosmodd_tiny": (get_matrix("atmosmodd", "tiny"), dict(kind="auto")),
@@ -546,31 +553,47 @@ def bench_richardson(repeats: int, number: int = 300) -> dict[str, dict]:
     entries = {}
     for name, (matrix, spec) in cases.items():
         matrix, _ = diagonal_scaling(matrix)
-        a16 = as_operator(matrix).astype(Precision.FP16)
-        m16 = make_primary_preconditioner(matrix, **spec).astype(Precision.FP16)
-        rng = np.random.default_rng(11)
-        v = rng.standard_normal((matrix.nrows, 1)).astype(np.float32)
-        v /= np.linalg.norm(v)
-        levels = {}
-        for engine in ("fast", "native"):
-            with use_backend(engine):
-                level = levels[engine] = RichardsonLevel(a16, m16, m=2, cycle=10 ** 9)
-                level.weights[:] = (0.9, 1.1)
-                level.apply_batch(v)
-
-        def on(engine):
-            def call():
+        m64 = make_primary_preconditioner(matrix, **spec)
+        for prec in (Precision.FP16, Precision.FP64, Precision.FP32):
+            a = as_operator(matrix).astype(prec)
+            rng = np.random.default_rng(11)
+            v = rng.standard_normal((matrix.nrows, 1))
+            v = (v / np.linalg.norm(v)).astype(
+                np.float32 if prec is Precision.FP16 else prec.dtype)
+            levels = {}
+            for engine, kept in (("fast", False), ("native", False), ("native", True)):
+                m = m64.astype(prec)               # a copy of its own
+                if kept:
+                    # a wrapper on the instance's apply keeps the loop
+                    m.apply_batch = lambda r, m=m: type(m).apply_batch(m, r)
                 with use_backend(engine):
-                    return levels[engine].apply_batch(v)
-            return call
+                    level = levels[engine, kept] = RichardsonLevel(
+                        a, m, m=2, cycle=10 ** 9,
+                        precisions=LevelPrecision(prec, prec, prec))
+                    level.weights[:] = (0.9, 1.1)
+                    level.apply_batch(v)
 
-        loop_s, sweep_s = _per_call((on("fast"), on("native")), repeats, number)
-        swept = any(sweep is not None for sweep in levels["native"]._sweeps.values())
-        entries[name] = {"loop_s": loop_s, "sweep_s": sweep_s, "n": matrix.nrows,
-                         "speedup": round(loop_s / sweep_s if sweep_s > 0
-                                          else float("inf"), 3),
-                         "compiled": swept,
-                         "bit_identical": _same_bits(on("native")(), on("fast")())}
+            def on(engine, kept=False):
+                def call():
+                    with use_backend(engine):
+                        return levels[engine, kept].apply_batch(v)
+                return call
+
+            loop_s, native_loop_s, sweep_s = _per_call(
+                (on("fast"), on("native", True), on("native")), repeats, number)
+            swept = any(sweep is not None
+                        for sweep in levels["native", False]._sweeps.values())
+            kept = all(sweep is None for sweep in levels["native", True]._sweeps.values())
+            row = name if prec is Precision.FP16 else f"{name}_{prec.label}"
+            entries[row] = {
+                "precision": prec.label, "loop_s": loop_s,
+                "native_loop_s": native_loop_s, "sweep_s": sweep_s, "n": matrix.nrows,
+                "speedup": round(loop_s / sweep_s if sweep_s > 0 else float("inf"), 3),
+                "native_loop_speedup": round(native_loop_s / sweep_s if sweep_s > 0
+                                             else float("inf"), 3),
+                "compiled": swept and kept,
+                "bit_identical": (_same_bits(on("native")(), on("fast")())
+                                  and _same_bits(on("native", True)(), on("fast")()))}
     return entries
 
 
@@ -721,12 +744,14 @@ def main(argv=None) -> int:
                   f"bare {row['bare_s'] * 1e6:8.2f} us   "
                   f"per-call cost {row['overhead_s'] * 1e6:8.2f} us")
     if report["richardson"]:
-        print("one fp16 R^m4 invocation (m = 2, k = 1): native's compiled sweep "
-              "vs the level's loop on fast")
+        print("one R^m4 invocation (m = 2, k = 1): native's compiled sweep vs "
+              "the level's loop on fast and on native's kernels")
         for name, row in report["richardson"].items():
             print(f"  {name:<21} loop {row['loop_s'] * 1e6:8.1f} us   "
+                  f"native loop {row['native_loop_s'] * 1e6:8.1f} us   "
                   f"sweep {row['sweep_s'] * 1e6:8.1f} us   "
-                  f"speedup {row['speedup']:6.2f}x   n={row['n']}   "
+                  f"speedup {row['speedup']:6.2f}x / "
+                  f"{row['native_loop_speedup']:5.2f}x   n={row['n']}   "
                   f"{'bit-identical' if row['bit_identical'] else 'DIFFERS'}"
                   f"{'' if row['compiled'] else '   (NOT COMPILED)'}")
 

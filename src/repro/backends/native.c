@@ -35,11 +35,12 @@
  * runs the row sums below.  The fp32 and fp64 CSR products sum sequentially
  * instead (scipy's order, see their section) on the same plans.
  *
- * The fp16 kernels and the products come in two instantiations of the same
- * macros: the portable scalar one (q16 and bit-manipulating converters,
- * walking a chunk lane by lane), and on x86-64 one compiled for AVX2 + F16C
- * (function-level target attributes; the file as a whole keeps the baseline
- * ISA), whose 8 fp32 lanes are a chunk's 8 rows: one gather fetches slot
+ * The triangular solves, the fp16 kernels, the products and the Richardson
+ * sweeps come in two instantiations of the same macros: the portable scalar
+ * one (q16 and bit-manipulating converters, walking a chunk lane by lane),
+ * and on x86-64 one compiled for AVX2 + F16C (function-level target
+ * attributes; the file as a whole keeps the baseline ISA), whose 8 lanes
+ * (fp64: two vectors of 4) are a chunk's 8 rows: one gather fetches slot
  * i's x of every row, and a lane-wise add rounds like a scalar one.  The
  * F16C round trip cvtph2ps(cvtps2ph(x, round-to-nearest-even)) equals
  * q16(x) on every non-NaN float32 and keeps NaN a NaN, so the converters
@@ -52,7 +53,7 @@
  *
  * Kernels keep no state between calls: their scratch is allocated per call,
  * or (the fp16 triangular solve's fp32 copy of x, the stencil sweeps'
- * grid-sized buffers, the Richardson sweep's vectors) passed in by the
+ * grid-sized buffers, the Richardson sweeps' vectors) passed in by the
  * caller from the calling thread's arena, so concurrent calls on one
  * factor, matrix or stencil are safe.
  * They return 0 on success and -1 when a scratch allocation fails.
@@ -68,7 +69,7 @@
 #define AVX2_FN __attribute__((target("avx2,f16c")))
 #endif
 
-#define NATIVE_ABI 7
+#define NATIVE_ABI 8
 #define PW_BLOCKSIZE 128
 
 int64_t repro_native_abi(void) { return NATIVE_ABI; }
@@ -378,49 +379,81 @@ DEFINE_LANE_SUMS(lane_sums_f32, float, PLAIN_TERM, SAME)
 DEFINE_LANE_SUMS(lane_sums_f16, float, HALF_TERM, q16)
 
 #ifdef HAVE_AVX2_SET
-/* The fp32 lane sums (fp16: TERMS8 and ROUND8 round) with a chunk's 8 rows
- * in the 8 lanes (a lane past `lanes` sums its -0.0 padding): one gather per
- * slot, each accumulator one vector, every lane's result in s */
-#define DEFINE_LANE_SUMS_AVX2(NAME, TERMS8, ROUND8)                           \
-    AVX2_FN static void NAME(const float *vals, const int32_t *cols,          \
-                             const float *x, int64_t k, const int64_t *chunk, \
-                             float *s)                                        \
+/* fp64's 8 lanes as two vectors of 4 */
+typedef struct { __m256d lo, hi; } d8;
+
+AVX2_FN static inline d8 d8_set1(double v)
+{
+    return (d8){_mm256_set1_pd(v), _mm256_set1_pd(v)};
+}
+
+AVX2_FN static inline d8 d8_add(d8 a, d8 b)
+{
+    return (d8){_mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi)};
+}
+
+AVX2_FN static inline void d8_store(double *s, d8 v)
+{
+    _mm256_storeu_pd(s, v.lo);
+    _mm256_storeu_pd(s + 4, v.hi);
+}
+
+/* The 8 exact fp64 products at q .. q + 7, one per lane */
+AVX2_FN static inline d8 plain_terms8_f64(const double *vals, const int32_t *cols,
+                                          const double *x, int64_t k, int64_t q)
+{
+    __m256i idx = index8(cols, k, q);
+    return (d8){_mm256_mul_pd(_mm256_loadu_pd(vals + q),
+                              _mm256_i32gather_pd(x, _mm256_castsi256_si128(idx), 8)),
+                _mm256_mul_pd(_mm256_loadu_pd(vals + q + 4),
+                              _mm256_i32gather_pd(x, _mm256_extracti128_si256(idx, 1),
+                                                  8))};
+}
+
+/* The lane sums (fp16: TERMS8 and ROUND8 round) with a chunk's 8 rows in
+ * the 8 lanes (a lane past `lanes` sums its -0.0 padding): one gather per
+ * slot (fp64: two), each accumulator one V of 8 lanes with ADD, every
+ * lane's result in s */
+#define DEFINE_LANE_SUMS_AVX2(NAME, T, V, SET1, ADD, STORE, TERMS8, ROUND8)  \
+    AVX2_FN static void NAME(const T *vals, const int32_t *cols, const T *x,  \
+                             int64_t k, const int64_t *chunk, T *s)           \
     {                                                                         \
         int64_t off = chunk[0], q = off + 8, end = q + 64 * chunk[2];         \
-        __m256 res = _mm256_set1_ps(-0.0f);                                   \
+        V res = SET1(-0.0);                                                   \
         if (q < end) {                                                        \
-            __m256 a0 = TERMS8(vals, cols, x, k, q);                          \
-            __m256 a1 = TERMS8(vals, cols, x, k, q + 8);                      \
-            __m256 a2 = TERMS8(vals, cols, x, k, q + 16);                     \
-            __m256 a3 = TERMS8(vals, cols, x, k, q + 24);                     \
-            __m256 a4 = TERMS8(vals, cols, x, k, q + 32);                     \
-            __m256 a5 = TERMS8(vals, cols, x, k, q + 40);                     \
-            __m256 a6 = TERMS8(vals, cols, x, k, q + 48);                     \
-            __m256 a7 = TERMS8(vals, cols, x, k, q + 56);                     \
+            V a0 = TERMS8(vals, cols, x, k, q);                               \
+            V a1 = TERMS8(vals, cols, x, k, q + 8);                           \
+            V a2 = TERMS8(vals, cols, x, k, q + 16);                          \
+            V a3 = TERMS8(vals, cols, x, k, q + 24);                          \
+            V a4 = TERMS8(vals, cols, x, k, q + 32);                          \
+            V a5 = TERMS8(vals, cols, x, k, q + 40);                          \
+            V a6 = TERMS8(vals, cols, x, k, q + 48);                          \
+            V a7 = TERMS8(vals, cols, x, k, q + 56);                          \
             for (q += 64; q < end; q += 64) {                                 \
-                a0 = _mm256_add_ps(a0, TERMS8(vals, cols, x, k, q));          \
-                a1 = _mm256_add_ps(a1, TERMS8(vals, cols, x, k, q + 8));      \
-                a2 = _mm256_add_ps(a2, TERMS8(vals, cols, x, k, q + 16));     \
-                a3 = _mm256_add_ps(a3, TERMS8(vals, cols, x, k, q + 24));     \
-                a4 = _mm256_add_ps(a4, TERMS8(vals, cols, x, k, q + 32));     \
-                a5 = _mm256_add_ps(a5, TERMS8(vals, cols, x, k, q + 40));     \
-                a6 = _mm256_add_ps(a6, TERMS8(vals, cols, x, k, q + 48));     \
-                a7 = _mm256_add_ps(a7, TERMS8(vals, cols, x, k, q + 56));     \
+                a0 = ADD(a0, TERMS8(vals, cols, x, k, q));                    \
+                a1 = ADD(a1, TERMS8(vals, cols, x, k, q + 8));                \
+                a2 = ADD(a2, TERMS8(vals, cols, x, k, q + 16));               \
+                a3 = ADD(a3, TERMS8(vals, cols, x, k, q + 24));               \
+                a4 = ADD(a4, TERMS8(vals, cols, x, k, q + 32));               \
+                a5 = ADD(a5, TERMS8(vals, cols, x, k, q + 40));               \
+                a6 = ADD(a6, TERMS8(vals, cols, x, k, q + 48));               \
+                a7 = ADD(a7, TERMS8(vals, cols, x, k, q + 56));               \
             }                                                                 \
-            res = _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(a0, a1),          \
-                                              _mm256_add_ps(a2, a3)),         \
-                                _mm256_add_ps(_mm256_add_ps(a4, a5),          \
-                                              _mm256_add_ps(a6, a7)));        \
+            res = ADD(ADD(ADD(a0, a1), ADD(a2, a3)),                          \
+                      ADD(ADD(a4, a5), ADD(a6, a7)));                         \
         }                                                                     \
         for (end += 8 * chunk[3]; q < end; q += 8)                            \
-            res = _mm256_add_ps(res, TERMS8(vals, cols, x, k, q));            \
-        _mm256_storeu_ps(s, ROUND8(_mm256_add_ps(TERMS8(vals, cols, x, k, off), \
-                                                 res)));                      \
+            res = ADD(res, TERMS8(vals, cols, x, k, q));                      \
+        STORE(s, ROUND8(ADD(TERMS8(vals, cols, x, k, off), res)));            \
     }
 
 #define EXACT(v) (v)
-DEFINE_LANE_SUMS_AVX2(lane_sums_f16_avx2, half_terms8, q16x8)
-DEFINE_LANE_SUMS_AVX2(lane_sums_f32_avx2, plain_terms8, EXACT)
+DEFINE_LANE_SUMS_AVX2(lane_sums_f16_avx2, float, __m256, _mm256_set1_ps,
+                      _mm256_add_ps, _mm256_storeu_ps, half_terms8, q16x8)
+DEFINE_LANE_SUMS_AVX2(lane_sums_f32_avx2, float, __m256, _mm256_set1_ps,
+                      _mm256_add_ps, _mm256_storeu_ps, plain_terms8, EXACT)
+DEFINE_LANE_SUMS_AVX2(lane_sums_f64_avx2, double, d8, d8_set1, d8_add, d8_store,
+                      plain_terms8_f64, EXACT)
 #endif
 
 /* ------------------------------------------------------------------------ */
@@ -429,10 +462,11 @@ DEFINE_LANE_SUMS_AVX2(lane_sums_f32_avx2, plain_terms8, EXACT)
 /* Chunks run in plan order: level by level, a level's rows independent, so  */
 /* a chunk reads only rows that earlier chunks wrote.  inv[8c + l] is lane   */
 /* l's inverse diagonal, and x[r] = (b[r] - sum) * inv[r]; x[-k .. -1] is    */
-/* the zero row (the caller's).                                              */
+/* the zero row (the caller's).  The AVX2 set sums a lane chunk's 8 rows in  */
+/* the lanes of one vector (fp64: two); a one-row chunk keeps the scalar sum. */
 /* ------------------------------------------------------------------------ */
-#define DEFINE_TRSV(NAME, T, LANE_SUMS, ROW_SUM)                              \
-    int NAME(int64_t nchunks, const int64_t *meta, const int64_t *rows,       \
+#define DEFINE_TRSV(NAME, ATTR, T, LANE_SUMS, ROW_SUM)                        \
+    ATTR int NAME(int64_t nchunks, const int64_t *meta, const int64_t *rows,  \
              const int32_t *cols, const T *vals, const T *inv, const T *b,    \
              T *x, int64_t k)                                                 \
     {                                                                         \
@@ -450,8 +484,12 @@ DEFINE_LANE_SUMS_AVX2(lane_sums_f32_avx2, plain_terms8, EXACT)
         return 0;                                                             \
     }
 
-DEFINE_TRSV(trsv_f64, double, lane_sums_f64, row_sum_f64)
-DEFINE_TRSV(trsv_f32, float, lane_sums_f32, row_sum_f32)
+DEFINE_TRSV(trsv_f64, , double, lane_sums_f64, row_sum_f64)
+DEFINE_TRSV(trsv_f32, , float, lane_sums_f32, row_sum_f32)
+#ifdef HAVE_AVX2_SET
+DEFINE_TRSV(trsv_f64_avx2, AVX2_FN, double, lane_sums_f64_avx2, row_sum_f64)
+DEFINE_TRSV(trsv_f32_avx2, AVX2_FN, float, lane_sums_f32_avx2, row_sum_f32)
+#endif
 
 /* ------------------------------------------------------------------------ */
 /* The separable stencil sweep                                               */
@@ -1129,6 +1167,23 @@ ATTR int spmv_axpy_##TS##SFX(int64_t nchunks, const int64_t *meta,            \
     return 0;                                                                 \
 }                                                                             \
                                                                               \
+/* the sliced-ELL row sums over x, whose x[-k .. -1] is the zero row */       \
+ATTR static void ell_sums_##TS##SFX(int64_t nchunks, const int64_t *meta,     \
+                                    const int64_t *rows, const int32_t *cols, \
+                                    const T *vals, const T *x, T *y,          \
+                                    int64_t k)                                \
+{                                                                             \
+    for (int64_t c = 0; c < nchunks; c++) {                                   \
+        const int64_t *chunk = meta + 4 * c, *rc = rows + 8 * c;              \
+        for (int64_t j = 0; j < k; j++) {                                     \
+            T s[8];                                                           \
+            CHUNK_SUMS(LANE_SUMS, ROW_SUM, SAME, x + j, chunk, s)             \
+            for (int64_t l = 0; l < chunk[1]; l++)                            \
+                y[rc[l] * k + j] = s[l];                                      \
+        }                                                                     \
+    }                                                                         \
+}                                                                             \
+                                                                              \
 ATTR int spmv_ell_##TS##SFX(int64_t nchunks, int64_t ncols,                   \
                             const int64_t *meta, const int64_t *rows,         \
                             const int32_t *cols, const T *vals, const T *x,   \
@@ -1140,16 +1195,69 @@ ATTR int spmv_ell_##TS##SFX(int64_t nchunks, int64_t ncols,                   \
         return -1;                                                            \
     memset(xz, 0, (size_t)k * sizeof(T));                                     \
     memcpy(xz + k, x, (size_t)size * sizeof(T));                              \
-    for (int64_t c = 0; c < nchunks; c++) {                                   \
-        const int64_t *chunk = meta + 4 * c, *rc = rows + 8 * c;              \
-        for (int64_t j = 0; j < k; j++) {                                     \
-            T s[8];                                                           \
-            CHUNK_SUMS(LANE_SUMS, ROW_SUM, SAME, xz + k + j, chunk, s)        \
-            for (int64_t l = 0; l < chunk[1]; l++)                            \
-                y[rc[l] * k + j] = s[l];                                      \
-        }                                                                     \
-    }                                                                         \
+    ell_sums_##TS##SFX(nchunks, meta, rows, cols, vals, xz + k, y, k);        \
     free(xz);                                                                 \
+    return 0;                                                                 \
+}                                                                             \
+                                                                              \
+/* One Richardson invocation of m steps in T (the fp16 sweep's recipe, with  \
+ * the loop's fp32 / fp64 kernels): the residual by spmv_axpy on A's CSR     \
+ * plan, or where a_lens is NULL (a sliced-ELL plan) the reduceat row sums   \
+ * over a copy of z after the zero row in `xz` ((n + 1) k values), then      \
+ * v - ax rounded once; step 0's residual is v itself.  M's apply is the     \
+ * solve with the lower plan, y_i scaled by scale_i when `scale` is not      \
+ * NULL, then the solve with the upper plan.  The update is z = (omega[s]    \
+ * mr) + z, each operation rounded once, step 0 adding into the zero z so    \
+ * an update of -0 lands as +0.  `buf` holds (3n + 2) k values: the          \
+ * residual, then y and mr, each after the zero row its solve's padding      \
+ * reads. */                                                                 \
+ATTR int richardson_##TS##SFX(int64_t n, int64_t m, int64_t a_chunks,         \
+                              const int64_t *a_meta, const int64_t *a_rows,   \
+                              const int32_t *a_cols, const T *a_vals,         \
+                              int64_t l_chunks, const int64_t *l_meta,        \
+                              const int64_t *l_rows, const int32_t *l_cols,   \
+                              const T *l_vals, const T *l_inv,                \
+                              int64_t u_chunks, const int64_t *u_meta,        \
+                              const int64_t *u_rows, const int32_t *u_cols,   \
+                              const T *u_vals, const T *u_inv,                \
+                              const T *scale, int64_t k,                      \
+                              const int32_t *a_lens, const T *omega,          \
+                              const T *v, T *z, T *buf, T *xz)                \
+{                                                                             \
+    int64_t size = n * k;                                                     \
+    T *r = buf, *y = buf + size + k, *mr = buf + 2 * size + 2 * k;            \
+    memset(y - k, 0, (size_t)k * sizeof(T));                                  \
+    memset(mr - k, 0, (size_t)k * sizeof(T));                                 \
+    memset(z, 0, (size_t)size * sizeof(T));                                   \
+    if (!a_lens)                                                              \
+        memset(xz, 0, (size_t)k * sizeof(T));                                 \
+    for (int64_t s = 0; s < m; s++) {                                         \
+        const T *res = v;                                                     \
+        if (s > 0) {                                                          \
+            if (a_lens) {                                                     \
+                spmv_axpy_##TS##SFX(a_chunks, a_meta, a_rows, a_cols, a_vals, \
+                                    a_lens, z, v, r, k);                      \
+            } else {                                                          \
+                memcpy(xz + k, z, (size_t)size * sizeof(T));                  \
+                ell_sums_##TS##SFX(a_chunks, a_meta, a_rows, a_cols, a_vals,  \
+                                   xz + k, r, k);                             \
+                for (int64_t e = 0; e < size; e++)                            \
+                    r[e] = v[e] - r[e];                                       \
+            }                                                                 \
+            res = r;                                                          \
+        }                                                                     \
+        trsv_##TS##SFX(l_chunks, l_meta, l_rows, l_cols, l_vals, l_inv, res, y, \
+                       k);                                                    \
+        if (scale)                                                            \
+            for (int64_t i = 0; i < n; i++)                                   \
+                for (int64_t e = i * k; e < (i + 1) * k; e++)                 \
+                    y[e] = y[e] * scale[i];                                   \
+        trsv_##TS##SFX(u_chunks, u_meta, u_rows, u_cols, u_vals, u_inv, y, mr, \
+                       k);                                                    \
+        T w = omega[s];                                                       \
+        for (int64_t e = 0; e < size; e++)                                    \
+            z[e] = w * mr[e] + z[e];                                          \
+    }                                                                         \
     return 0;                                                                 \
 }
 
@@ -1276,9 +1384,8 @@ DEFINE_SEQ_SUMS(seq_add_f64_avx2, AVX2_FN, double, SEQ_ADD,
                 X8_SEQ_F64(_mm256_add_pd))
 DEFINE_SEQ_SUMS(seq_sub_f64_avx2, AVX2_FN, double, SEQ_SUB,
                 X8_SEQ_F64(_mm256_sub_pd))
-/* fp64 sliced-ELL rows keep the scalar sums */
 DEFINE_PLAIN_PRODUCTS(_avx2, AVX2_FN, float, f32, seq_add_f32_avx2,
                       seq_sub_f32_avx2, lane_sums_f32_avx2, row_sum_f32)
 DEFINE_PLAIN_PRODUCTS(_avx2, AVX2_FN, double, f64, seq_add_f64_avx2,
-                      seq_sub_f64_avx2, lane_sums_f64, row_sum_f64)
+                      seq_sub_f64_avx2, lane_sums_f64_avx2, row_sum_f64)
 #endif

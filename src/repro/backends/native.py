@@ -2,7 +2,8 @@
 solve, every CSR and sliced-ELL product a solve plan issues (fp16, fp16-stored
 × fp32, fp32 and fp64, and the fused residuals), the fp16 vector updates,
 the separable stencil sweep, the fp16 diagonal scaling, the fp32 ↔ fp16
-casts and the fp16 Richardson sweep, each bit-identical to its oracle.
+casts and the Richardson sweep in fp16, fp32 and fp64, each bit-identical to
+its oracle.
 
 numpy's per-call dispatch sets the floor of the ``fast`` engine's
 level-scheduled ``trsv``: a level is a handful of rows, so every level costs
@@ -44,13 +45,17 @@ sums without the fp16 roundings.  Without the arena ``fast`` sums pairwise,
 and so ``native`` leaves those products to it.
 
 **The Richardson sweep.**  ``richardson_sweep`` binds one C call that runs
-all m steps of an fp16 R^m4 invocation (``RichardsonLevel.apply_batch``
-without a weight refresh) from the kernels above, in the loop's order: the
-residual ``spmv_axpy``, M's two triangular solves with IC(0)'s scaling
-between them, and ``weighted_update``, so its bits are the loop's.  What it
-records, and the applications of M it counts, are the loop's too: the level
-measures one loop invocation of the block shape and hands the sweep that
-record to replay.
+all m steps of an R^m4 invocation (``RichardsonLevel.apply_batch`` without a
+weight refresh) whose matrix values, vectors and triangular factors are all
+fp16 (F3R's level), all fp32 or all fp64 (the fp32 and fp64 variants'), from
+the kernels above, in the loop's order: the residual (``spmv_axpy``, or on
+sliced-ELL storage the product and ``v − ax``), M's two triangular solves
+with IC(0)'s scaling between them, and ``weighted_update`` (ω rounded to the
+level's precision), so its bits are the loop's.  What it records, and the
+applications of M it counts, are the loop's too: the level measures one loop
+invocation of the block shape and hands the sweep that record to replay.
+Mixed precisions, other engines, fault proxies and wrapped applies keep the
+loop.
 
 **Row-interleaved plans.**  The triangular solves (fp64, fp32, fp16) and the
 CSR and sliced-ELL products read a SELL-8 plan (:func:`_interleave`, after
@@ -67,15 +72,15 @@ with vectorized numpy on its first solve — validated: the levels a
 permutation of the rows, every dependency in a strictly earlier level —
 and cached on it; a matrix's lives in its arena's ``native_csr`` memo.
 
-**Instruction sets.**  The fp16 kernels (the casts among them) and the
-stencil sweeps are compiled twice from the same C macros (:data:`ISAS`): a
-portable scalar set, which walks a chunk lane by lane, and on x86-64 an
-AVX2 + F16C set (function-level target attributes, not :data:`FLAGS`),
-whose chunk sums run a chunk's 8 rows in the 8 lanes of one vector (a lone
-row keeps numpy's 8 pairwise accumulators in them instead), whose sweeps
-chain 8 (fp64: 4) consecutive elements in the lanes of one, and which round
-with the hardware's fp16 converters.  The fp64 and fp32 solves exist once,
-walking the plan lane by lane.
+**Instruction sets.**  The triangular solves, the fp16 kernels (the casts
+among them), the products and the stencil sweeps are compiled twice from
+the same C macros (:data:`ISAS`): a portable scalar set, which walks a
+chunk lane by lane, and on x86-64 an AVX2 + F16C set (function-level target
+attributes, not :data:`FLAGS`), whose chunk sums run a chunk's 8 rows in
+the 8 lanes of one vector (fp64: two vectors of 4; a lone fp16 row keeps
+numpy's 8 pairwise accumulators in them instead), whose sweeps chain 8
+(fp64: 4) consecutive elements in the lanes of one, and which round with
+the hardware's fp16 converters.
 The library reports once whether this CPU runs the vector set
 (:func:`isas`); the engine uses it where it does and the scalar set
 elsewhere, and for any call whose strided gather index ``col · k`` might
@@ -102,11 +107,12 @@ the default engine, see :mod:`repro.backends`); otherwise one
 **Threads.**  ctypes releases the interpreter lock for the duration of a
 call, so solves on several threads run truly concurrently.  The kernels keep
 no state: their fp32 scratch is allocated per call, never per factor, or
-(the fp16 solve's copy of x, the stencil sweeps' buffers) drawn from the
-calling thread's arena.  The plans cached on a factor, the CSR plans and
-stencil plans cached in a matrix's or stencil's arena, and the prebound
-calls cached beside them (:class:`NativeBackend`), are immutable once built
-(a cross-thread race at worst builds them twice).  The kernels are serial.
+(the fp16 solve's copy of x, the stencil sweeps' buffers, the Richardson
+sweeps' vectors) drawn from the calling thread's arena.  The plans cached on
+a factor, the CSR plans and stencil plans cached in a matrix's or stencil's
+arena, and the prebound calls cached beside them (:class:`NativeBackend`),
+are immutable once built (a cross-thread race at worst builds them twice).
+The kernels are serial.
 """
 
 from __future__ import annotations
@@ -143,7 +149,7 @@ SOURCE = Path(__file__).with_name("native.c")
 #: contraction and fast-math
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 #: must equal NATIVE_ABI in native.c
-ABI = 7
+ABI = 8
 
 _HALF = np.dtype(np.float16)
 _F32 = np.dtype(np.float32)
@@ -184,6 +190,12 @@ _CAST_ARGS = ((_I, _P, _P), ctypes.c_int)
 #: per-call weights, v, z and the two scratch buffers
 _SWEEP_ARGS = ((_I, _I, _I, _P, _P, _P, _P, _I, _P, _P, _P, _P, _P,
                 _I, _P, _P, _P, _P, _P, _P, _I, _P, _P, _P, _P, _P), ctypes.c_int)
+#: the fp32 / fp64 sweep: the same, A's lane term counts (NULL for a
+#: sliced-ELL plan) after k, and per call the weights, v, z, the step
+#: vectors and the ELL product's zero-row copy of z
+_PLAIN_SWEEP_ARGS = ((_I, _I, _I, _P, _P, _P, _P, _I, _P, _P, _P, _P, _P,
+                      _I, _P, _P, _P, _P, _P, _P, _I, _P, _P, _P, _P, _P, _P),
+                     ctypes.c_int)
 #: every exported symbol's (argtypes, restype); pointers pass as addresses.
 #: Names ending in ``_avx2`` are the AVX2 + F16C set, declared only where
 #: ``repro_native_avx2()`` says it was compiled and this CPU runs it.
@@ -211,6 +223,10 @@ _SIGNATURES = {
     "spmv_axpy_f64": _SEQ_AXPY_ARGS,
     "spmv_ell_f32": _SPMV_ARGS,
     "spmv_ell_f64": _SPMV_ARGS,
+    "richardson_f32": _PLAIN_SWEEP_ARGS,
+    "richardson_f64": _PLAIN_SWEEP_ARGS,
+    "trsv_f64_avx2": _TRSV_ARGS,
+    "trsv_f32_avx2": _TRSV_ARGS,
     "trsv_f16_avx2": _TRSV16_ARGS,
     "spmv_csr_f16_avx2": _SPMV_ARGS,
     "spmv_axpy_f16_avx2": _AXPY_ARGS,
@@ -230,16 +246,20 @@ _SIGNATURES = {
     "spmv_axpy_f64_avx2": _SEQ_AXPY_ARGS,
     "spmv_ell_f32_avx2": _SPMV_ARGS,
     "spmv_ell_f64_avx2": _SPMV_ARGS,
+    "richardson_f32_avx2": _PLAIN_SWEEP_ARGS,
+    "richardson_f64_avx2": _PLAIN_SWEEP_ARGS,
     "quantize32_avx2_disagreements": ((ctypes.c_uint64, ctypes.c_uint64),
                                       ctypes.c_uint64),
 }
-#: the kernels that exist once per instruction set: the fp16 kernels, the
-#: stencil sweeps and the products on assembled storage
-_PER_ISA = ("trsv_f16", "spmv_csr_f16", "spmv_axpy_f16", "weighted_update_f16",
+#: the kernels that exist once per instruction set: the triangular solves,
+#: the fp16 kernels, the stencil sweeps, the products on assembled storage
+#: and the Richardson sweeps
+_PER_ISA = ("trsv_f64", "trsv_f32", "trsv_f16", "spmv_csr_f16", "spmv_axpy_f16", "weighted_update_f16",
             "residual_update_f16", "stencil_sep_f64", "stencil_sep_f32",
             "stencil_sep_f16", "diag_scale_f16", "cast_f32_f16", "cast_f16_f32",
             "richardson_f16", "quantize32", "spmv_csr_f32", "spmv_csr_f64",
-            "spmv_axpy_f32", "spmv_axpy_f64", "spmv_ell_f32", "spmv_ell_f64")
+            "spmv_axpy_f32", "spmv_axpy_f64", "spmv_ell_f32", "spmv_ell_f64",
+            "richardson_f32", "richardson_f64")
 #: compute dtype -> the suffix of its product kernels
 _SFX = {_HALF: "f16", _F32: "f32", _F64: "f64"}
 #: CSR kernel -> whether ``fast`` runs it at fp32 / fp64 in scipy's order
@@ -723,8 +743,9 @@ class NativeBackend(FastBackend):
     """Compiled ``trsv``; CSR and sliced-ELL products and fused residuals
     at fp16, fp16-stored × fp32, fp32 and fp64 (the fp32 / fp64 ones where
     ``fast`` runs scipy's, in its order); fp16 vector updates, separable
-    stencil sweeps, fp16 diagonal scaling, fp32 ↔ fp16 casts and the fp16
-    Richardson sweep; everything else is ``fast``.
+    stencil sweeps, fp16 diagonal scaling, fp32 ↔ fp16 casts and the
+    Richardson sweep of a uniform fp16, fp32 or fp64 level; everything else
+    is ``fast``.
 
     ``isa`` picks the instruction set of :data:`_PER_ISA`'s kernels
     (:data:`ISAS`); by default the fastest that :func:`isas` reports for
@@ -835,10 +856,8 @@ class NativeBackend(FastBackend):
             return False
         symbol, nchunks, arrays, addrs = _trsv_plan(factor, cdtype)
         k = columns(b)
-        if cdtype == _HALF:
-            kernel, shape = self._half_kernels(n, k)[symbol], b.shape
-        else:
-            kernel, shape = getattr(self._lib, symbol), (n + 1,) + b.shape[1:]
+        kernel = self._half_kernels(n, k)[symbol]
+        shape = b.shape if cdtype == _HALF else (n + 1,) + b.shape[1:]
         return _Call(_bind(kernel, nchunks, *addrs, arrays=arrays), k, cdtype, shape,
                      _out_dtype(out_prec, cdtype),
                      trsv_traffic(factor, vec_prec, out_prec, compute, k))
@@ -1108,77 +1127,103 @@ class NativeBackend(FastBackend):
         operands like ``v`` (see ``RichardsonLevel.apply_batch``), recording
         ``traffic`` and adding ``applications`` to the preconditioner's
         count — the loop's, measured — or ``None`` where the operands are
-        not its own: ``plan`` bound to another engine, or not an fp16 CSR
-        or sliced-ELL product at fp16 vectors; a preconditioner with no
-        fp16 :meth:`triangular_form`; an empty block.  The sweep runs the
-        loop's kernels in its order, so its bits are the loop's."""
-        if (plan.backend is not self or plan.vec_prec is not _FP16
-                or v.dtype != _HALF or v.ndim != 2 or v.shape[1] == 0):
+        not its own: ``plan`` bound to another engine; not a CSR or
+        sliced-ELL product whose values, vectors and plan precision are all
+        fp16, all fp32 or all fp64 (an fp32 / fp64 CSR residual also needs
+        scipy's order, which ``fast`` and so the loop follow); a
+        preconditioner with no :meth:`triangular_form` in that precision;
+        an empty block.  The sweep runs the loop's kernels in its order, so
+        its bits are the loop's."""
+        cdtype = v.dtype
+        if (plan.backend is not self or cdtype not in _SFX
+                or plan.vec_prec.dtype != cdtype or v.ndim != 2 or v.shape[1] == 0
+                or plan.kind not in ("csr", "ell")):
             return None
         n, k = v.shape
-        a = plan.storage
-        if plan.kind not in ("csr", "ell") or a.values.dtype != _HALF:
+        a, ell = plan.storage, plan.kind == "ell"
+        if a.values.dtype != cdtype:
             return None
-        a_plan = (_csr_plan(a.values, a.indices, a.indptr, a.scratch())
-                  if plan.kind == "csr" else _ell_plan(a))
+        vdtype = _TRSV[cdtype][1]
+        if ell:
+            a_plan = _ell_plan(a, vdtype)
+        else:
+            a_plan = ((cdtype == _HALF or _SCIPY_ORDER["spmv_axpy"])
+                      and _csr_plan(a.values, a.indices, a.indptr, a.scratch(), vdtype))
         triangular_form = getattr(preconditioner, "triangular_form", None)
         form = triangular_form() if triangular_form is not None else None
         if (not a_plan or form is None or a_plan.indptr.size - 1 != n
                 or a_plan.ncols > n or n >= _INT32_MAX):
             return None
         lower, scale, upper = form
-        if not (lower.precision is _FP16 and upper.precision is _FP16
+        prec = precision_of_dtype(cdtype)
+        if not (lower.precision is prec and upper.precision is prec
                 and lower.nrows == n and upper.nrows == n
-                and (scale is None or (scale.dtype == _HALF and scale.shape == (n,)))):
+                and (scale is None or (scale.dtype == cdtype and scale.shape == (n,)))):
             return None
-        kernel = self._bind_sweep(a_plan, form, m, n, k)
-        return _Sweep(kernel, (n, k), preconditioner, applications, traffic)
+        kernel = self._bind_sweep(a_plan, ell, form, m, n, k, cdtype)
+        return _Sweep(kernel, (n, k), cdtype, ell, preconditioner, applications, traffic)
 
-    def _bind_sweep(self, a_plan, form, m: int, n: int, k: int):
-        """The compiled sweep of ``m`` steps over A's plan ``a_plan`` and
-        the preconditioner's ``form`` on ``(n, k)`` blocks, its operands
+    def _bind_sweep(self, a_plan, ell: bool, form, m: int, n: int, k: int, cdtype):
+        """The compiled sweep of ``m`` steps in ``cdtype`` over A's plan
+        ``a_plan`` (a sliced-ELL matrix's when ``ell``) and the
+        preconditioner's ``form`` on ``(n, k)`` blocks, its operands
         bound."""
         lower, scale, upper = form
-        _, l_chunks, l_arrays, l_addrs = _trsv_plan(lower, _HALF)
-        _, u_chunks, u_arrays, u_addrs = _trsv_plan(upper, _HALF)
-        scale16 = None if scale is None else np.ascontiguousarray(scale)
+        _, l_chunks, l_arrays, l_addrs = _trsv_plan(lower, cdtype)
+        _, u_chunks, u_arrays, u_addrs = _trsv_plan(upper, cdtype)
+        scale_c = None if scale is None else np.ascontiguousarray(scale)
         a_chunks, *a_addrs = a_plan.lead
-        return _bind(self._half_kernels(n, k)["richardson_f16"], n, m, a_chunks,
-                     *a_addrs, l_chunks, *l_addrs, u_chunks, *u_addrs,
-                     None if scale16 is None else _addr(scale16), k,
-                     arrays=(a_plan.arrays, l_arrays, u_arrays, scale16))
+        lead = (n, m, a_chunks, *a_addrs, l_chunks, *l_addrs, u_chunks, *u_addrs,
+                None if scale_c is None else _addr(scale_c), k)
+        # the sequential fp32 / fp64 CSR residual's lane term counts (NULL
+        # for ELL's pairwise sums); the fp16 products take none
+        lens = None if ell or cdtype == _HALF else a_plan.lane_terms()
+        if cdtype != _HALF:
+            lead += (None if lens is None else _addr(lens),)
+        kernel = self._half_kernels(n, k)[f"richardson_{_SFX[cdtype]}"]
+        return _bind(kernel, *lead, arrays=(a_plan.arrays, l_arrays, u_arrays, scale_c,
+                                            lens))
 
 
 class _Sweep:
     """A Richardson invocation bound to its operands: the compiled kernel
-    with A's and M's plans bound, the block shape, the preconditioner and
-    the applications of it to count, and the traffic to record (the
-    loop's, measured).  Called with the fp16 block ``v``, the level's
-    weights and the calling thread's arena; returns the fp16 ``z``."""
+    with A's and M's plans bound, the block shape and dtype, the
+    preconditioner and the applications of it to count, and the traffic to
+    record (the loop's, measured).  Called with the block ``v``, the level's
+    weights and the calling thread's arena; returns ``z``."""
 
-    __slots__ = ("kernel", "shape", "preconditioner", "applications", "traffic",
-                 "_omega")
+    __slots__ = ("kernel", "shape", "dtype", "preconditioner", "applications",
+                 "traffic", "buf", "work", "_omega")
 
-    def __init__(self, kernel, shape, preconditioner, applications, traffic) -> None:
-        self.kernel, self.shape = kernel, shape
+    def __init__(self, kernel, shape, dtype, ell, preconditioner, applications,
+                 traffic) -> None:
+        self.kernel, self.shape, self.dtype = kernel, shape, dtype
         self.preconditioner, self.applications = preconditioner, applications
         self.traffic = traffic
-        #: the last weights seen and their fp16 values in fp32
+        n, k = shape
+        if dtype == _HALF:
+            # the residual, y and mr; the weights' row and the solves' fp32 x
+            self.buf = ("native_sweep16", 3 * n * k, _HALF)
+            self.work = ("native_sweep32", (n + 2) * k, _F32)
+        else:
+            # the residual, y and mr after their zero rows; ELL's copy of z
+            self.buf = ("native_sweep", (3 * n + 2) * k, dtype)
+            self.work = ("native_sweep_x", (n + 1) * k if ell else k, dtype)
+        #: the last weights seen and the kernel's: fp16 values in fp32, fp32
+        #: values, or the fp64 weights themselves
         self._omega = (None, None)
 
     def __call__(self, v, weights, scratch):
         key = weights.tobytes()
         seen, omega = self._omega
         if seen != key:
-            # each weight rounded to fp16 from its own value, as vo.axpy does
-            omega = weights.astype(_HALF).astype(_F32)
+            # each weight rounded from its own value, as weighted_update does
+            omega = weights.astype(self.dtype).astype(_TRSV[self.dtype][1])
             self._omega = (key, omega)
-        n, k = self.shape
-        v16 = np.ascontiguousarray(v)
-        z = np.empty(self.shape, dtype=_HALF)
-        buf = scratch.get("native_sweep16", 3 * n * k, _HALF)
-        work = scratch.get("native_sweep32", (n + 2) * k, _F32)
-        _check(self.kernel(_ptr(omega), _ptr(v16), _ptr(z), _ptr(buf), _ptr(work)))
+        v_c = np.ascontiguousarray(v)
+        z = np.empty(self.shape, dtype=self.dtype)
+        buf, work = scratch.get(*self.buf), scratch.get(*self.work)
+        _check(self.kernel(_ptr(omega), _ptr(v_c), _ptr(z), _ptr(buf), _ptr(work)))
         self.preconditioner.num_applications += self.applications
         record_traffic(self.traffic)
         return z
@@ -1255,7 +1300,7 @@ def _check_factor(levels, rowptr, cols, vals, inv):
     return SimpleNamespace(
         nrows=inv.size, levels=levels, off_rowptr=rowptr, off_cols=cols, off_vals=vals,
         inv_diag=inv, unit_diagonal=False, precision=Precision.FP64, _fast_vals={},
-        scratch=lambda: arena)
+        _fast_plan=None, scratch=lambda: arena)
 
 
 def _cancelling_rows(rng) -> tuple:
@@ -1328,6 +1373,7 @@ def self_check(*backends: NativeBackend) -> None:
     oracle, bit for bit — ``reference``, and ``fast`` for the separable
     stencil sweep (each oracle runs once for all the backends); raises
     :class:`NativeUnavailable` on the first difference."""
+    from ..sparse import CSRMatrix
     from .reference import ReferenceBackend
 
     reference, fast = ReferenceBackend(), FastBackend()
@@ -1379,12 +1425,12 @@ def self_check(*backends: NativeBackend) -> None:
         v = rng.uniform(-1, 1, (dense.shape[0], 2)) * np.exp(
             rng.uniform(-16, 0, (dense.shape[0], 2)))
         v[::7] = -6e-8
+        a16 = CSRMatrix(values16, indices, indptr, dense.shape)
         for vk, scale, weights in itertools.product(
                 (v[:, :1].astype(_HALF), v.astype(_HALF)), (None, scale16),
                 (np.array([0.3]), np.array([0.3, 1.1, 2.7]))):
             cases.append(("richardson_f16", lambda be, vk=vk, scale=scale, w=weights:
-                          _richardson(be, (values16, indices, indptr), lower16, scale,
-                                      w, vk)))
+                          _richardson(be, a16, lower16, scale, w, vk)))
         cases = [(label, run, reference) for label, run in cases]
         stencil = _separable_stencil()
         # magnitudes from fp16-subnormal to past its range, ±0, and NaN and
@@ -1397,6 +1443,7 @@ def self_check(*backends: NativeBackend) -> None:
             cases.append((f"apply_stencil {mat} x {vec}", lambda be, op=op, xv=xv:
                           be.apply_stencil(op, xv, record=False), fast))
         cases += [(label, run, fast) for label, run in _product_cases(dense, b)]
+        cases += [(label, run, fast) for label, run in _sweep_cases(factor, dense, rng)]
         for label, run, oracle in cases:
             want = run(oracle)
             for backend in backends:
@@ -1448,30 +1495,76 @@ def _product_cases(dense, b) -> list:
     return cases
 
 
-def _richardson(be, csr, lower, scale, weights, v):
-    """Richardson steps from z = 0 on the self-check operands — A's CSR
-    arrays ``csr``, ``lower`` as both solves, the middle ``scale`` — one
-    per weight: the native engine's compiled sweep (unrecorded), or the
-    level's loop on any other engine's kernels, the oracle."""
+def _sweep_cases(factor, dense, rng) -> list:
+    """``(label, run)`` pairs of the fp32 and fp64 Richardson sweeps, whose
+    oracle is the level's loop on ``fast``: one and three steps (weights
+    that are not fp32 values) over the self-check matrix as CSR with its
+    arena (scipy's order: its 140-term row) and as sliced-ELL in chunks of 4
+    (reduceat over the padding), the factor as both solves with and without
+    a scaling between them, on blocks of 1 and 3 columns holding fp32 and
+    fp64 subnormals, inf and NaN (the third column), and −0 on rows without
+    terms in the factor, whose M·r is −0: an update of −0, which step 0
+    adds to +0."""
+    from ..sparse import CSRMatrix, SlicedEllMatrix
+
+    n = dense.shape[0]
+    csr = CSRMatrix.from_dense(dense)
+    v = rng.uniform(-1, 1, (n, 3)) * np.exp(rng.uniform(-12, 0, (n, 3)))
+    v[::5] = -0.0
+    v[3, 0], v[4, 1] = 3e-41, 5e-320
+    v[[20, 30], 2] = np.inf, np.nan
+    scale = rng.uniform(0.5, 2.0, n)
+    cases = []
+    for dtype in (_F32, _F64):
+        lower = _cast_factor(factor, dtype)
+        a = csr.astype(precision_of_dtype(dtype))
+        for mat, vk, s, weights in itertools.product(
+                (a, SlicedEllMatrix(a, chunk_size=4)),
+                (v[:, :1].astype(dtype), v.astype(dtype)), (None, scale.astype(dtype)),
+                (np.array([0.3]), np.array([0.3, 1.1, 2.7]))):
+            cases.append((f"richardson_{_SFX[dtype]}",
+                          lambda be, mat=mat, lower=lower, vk=vk, s=s, w=weights:
+                          _richardson(be, mat, lower, s, w, vk)))
+    return cases
+
+
+def _richardson(be, a, lower, scale, weights, v):
+    """Richardson steps from z = 0 on the self-check operands — A (CSR
+    with its arena, or sliced-ELL), ``lower`` as both solves, the middle
+    ``scale`` — one per weight: the native engine's compiled sweep
+    (unrecorded), or the level's loop on any other engine's kernels, the
+    oracle."""
     from types import SimpleNamespace
 
+    from ..sparse import SlicedEllMatrix
     from .workspace import Workspace
 
-    n, k = v.shape
+    ell = isinstance(a, SlicedEllMatrix)
+    prec = precision_of_dtype(v.dtype)
     if isinstance(be, NativeBackend):
-        kernel = be._bind_sweep(_CsrPlan(*csr), (lower, scale, lower), len(weights),
-                                n, k)
-        sweep = _Sweep(kernel, (n, k), SimpleNamespace(num_applications=0), 0,
-                       Traffic())
+        plan = SimpleNamespace(backend=be, vec_prec=prec, kind="ell" if ell else "csr",
+                               storage=a)
+        m = SimpleNamespace(triangular_form=lambda: (lower, scale, lower),
+                            num_applications=0)
+        sweep = be.richardson_sweep(plan, m, len(weights), v, Traffic(), 0)
+        if sweep is None:
+            raise NativeUnavailable("self-check failed: the Richardson sweep "
+                                    "declines its operands")
         return sweep(v, weights, Workspace())
-    z = np.zeros(v.shape, dtype=_HALF)
+    z = np.zeros(v.shape, dtype=v.dtype)
     for step, weight in enumerate(weights):
-        r = v if step == 0 else be.spmv_axpy(*csr, z, v, record=False)
+        if step == 0:
+            r = v
+        elif ell:
+            r = be.residual_update(v, be.spmv_ell(a, z, record=False), record=False)
+        else:
+            r = be.spmv_axpy(a.values, a.indices, a.indptr, z, v, record=False,
+                             scratch=a.scratch())
         y = be.trsv(lower, r, record=False)
         if scale is not None:
             y = be.diag_scale(scale, y, record=False)
-        z = be.weighted_update(z, be.trsv(lower, y, record=False), float(weight),
-                               _FP16, record=False)
+        z = be.weighted_update(z, be.trsv(lower, y, record=False), float(weight), prec,
+                               record=False)
     return z
 
 
@@ -1483,4 +1576,4 @@ def _cast_factor(factor, dtype):
     return SimpleNamespace(**{**vars(factor), "off_vals": factor.off_vals.astype(dtype),
                               "inv_diag": factor.inv_diag.astype(dtype).astype(_F64),
                               "precision": precision_of_dtype(dtype),
-                              "_fast_vals": {}})
+                              "_fast_vals": {}, "_fast_plan": None})

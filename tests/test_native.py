@@ -6,7 +6,8 @@ the fp32 / fp64 CSR products and fused residuals (fp16-stored × fp32 among
 them) and sliced-ELL products, the fp16 vector updates ``weighted_update`` /
 ``residual_update``, the fp16
 ``diag_scale``, the box-separable ``apply_stencil`` sweep (fp64, fp32 and
-fp16), the fp32 ↔ fp16 ``cast`` and the fp16 Richardson sweep — runs
+fp16), the fp32 ↔ fp16 ``cast`` and the Richardson sweep (fp16, fp32 and
+fp64) — runs
 sliced-ELL storage's fp16 ``spmv_ell`` on the CSR kernel, and inherits
 everything else from ``fast``.  Here every ported kernel must equal its
 oracle bit for bit (NaN by position, not payload): ``reference``, except
@@ -22,9 +23,10 @@ casts also see every fp16 bit pattern and every fp16 rounding boundary, on
 both sides of their size gate.  The ELL products must equal ``fast``'s
 ``spmv_ell``, the fp32 / fp64 products ``fast``'s (scipy's order with the
 matrix's arena) on the serve-open operators and the hard operator, with no
-product of a warm F3R solve reaching ``fast``, and the Richardson sweep the
-level's loop on ``fast`` (bits, counters and M's application count) on the
-serve-open operators and the hard operator.  The fp16 kernels and the sweeps exist once per instruction set (``native.ISAS``): each test of them runs the portable
+product of a warm F3R solve reaching ``fast``, and the Richardson sweep
+(uniform fp16, fp32 and fp64 levels, CSR and sliced-ELL A) the level's loop
+on ``fast`` (bits, counters and M's application count) on the serve-open
+operators and the hard operator.  The fp16 kernels and the sweeps exist once per instruction set (``native.ISAS``): each test of them runs the portable
 scalar set and, where this CPU has AVX2 + F16C, the vector set, both
 reached through the loaded library's symbols.  Counter
 totals must equal ``fast``'s, and four threads on shared operands (ctypes
@@ -60,7 +62,7 @@ from repro.matgen import get_matrix, hpcg_matrix, hpcg_operator
 from repro.operators import AssembledOperator, StencilOperator, as_operator
 from repro.perf import Traffic, counting
 from repro.plans import plan_for
-from repro.precision import Precision, precision_of_dtype
+from repro.precision import LevelPrecision, Precision, precision_of_dtype
 from repro.precond import (BlockJacobiIC0, BlockJacobiILU0, IC0Preconditioner,
                            ILU0Preconditioner, JacobiPreconditioner)
 from repro.precond.base import Preconditioner
@@ -1074,15 +1076,18 @@ def test_abi_and_instruction_sets():
     # the default engine runs the fastest set this CPU has
     assert get_backend("native").isa == sets[-1]
     scalar = native.NativeBackend(lib, "scalar")
-    for name in ("trsv_f16", "spmv_csr_f16", "spmv_axpy_f16", "weighted_update_f16",
+    for name in ("trsv_f64", "trsv_f32", "trsv_f16", "spmv_csr_f16", "spmv_axpy_f16", "weighted_update_f16",
                  "residual_update_f16", "stencil_sep_f64", "stencil_sep_f32",
                  "stencil_sep_f16", "diag_scale_f16", "cast_f32_f16", "cast_f16_f32",
                  "richardson_f16", "quantize32", "spmv_csr_f32", "spmv_csr_f64",
-                 "spmv_axpy_f32", "spmv_axpy_f64", "spmv_ell_f32", "spmv_ell_f64"):
+                 "spmv_axpy_f32", "spmv_axpy_f64", "spmv_ell_f32", "spmv_ell_f64",
+                 "richardson_f32", "richardson_f64"):
         assert scalar._half[name] is getattr(lib, name)
     if "avx2" in sets:
         vector = native.NativeBackend(lib, "avx2")
-        for name, symbol in (("trsv_f16", "trsv_f16_avx2"),
+        for name, symbol in (("trsv_f64", "trsv_f64_avx2"),
+                             ("trsv_f32", "trsv_f32_avx2"),
+                             ("trsv_f16", "trsv_f16_avx2"),
                              ("spmv_csr_f16", "spmv_csr_f16_avx2"),
                              ("spmv_axpy_f16", "spmv_axpy_f16_avx2"),
                              ("weighted_update_f16", "weighted_update_f16_avx2"),
@@ -1100,7 +1105,9 @@ def test_abi_and_instruction_sets():
                              ("spmv_axpy_f32", "spmv_axpy_f32_avx2"),
                              ("spmv_axpy_f64", "spmv_axpy_f64_avx2"),
                              ("spmv_ell_f32", "spmv_ell_f32_avx2"),
-                             ("spmv_ell_f64", "spmv_ell_f64_avx2")):
+                             ("spmv_ell_f64", "spmv_ell_f64_avx2"),
+                             ("richardson_f32", "richardson_f32_avx2"),
+                             ("richardson_f64", "richardson_f64_avx2")):
             assert vector._half[name] is getattr(lib, symbol)
     else:
         with pytest.raises(native.NativeUnavailable):
@@ -1222,10 +1229,12 @@ class TestEllProducts:
 #: the six Table-2 surrogates of the e2e serve-open workload
 SERVE_OPERATORS = ("hpcg_7_7_7", "atmosmodd", "G3_circuit", "ecology2", "hpgmp_7_7_7",
                    "thermal2")
-#: a block per invocation: its width and input family (fp32, as F^m3 hands
-#: R^m4 its residuals)
-SWEEP_BLOCKS = ((1, "ordinary"), (2, "subnormal"), (4, "signed_zero"))
-#: the weights the sweeps run with: neither is an fp16 value
+#: the uniform level precisions the sweep compiles: F3R's fp16 R^m4 and the
+#: fp32 and fp64 variants'
+SWEEP_PRECISIONS = (Precision.FP16, Precision.FP32, Precision.FP64)
+#: a block per invocation: its width and input family
+SWEEP_BLOCKS = ((1, "ordinary"), (2, "subnormal"), (4, "signed_zero"), (8, "ordinary"))
+#: the weights the sweeps run with: neither is an fp16 or an fp32 value
 SWEEP_WEIGHTS = (0.7, 1.3)
 
 
@@ -1244,68 +1253,99 @@ def _preconditioner(matrix, kind: str, nblocks: int):
     return cls(matrix, nblocks=nblocks)
 
 
-def _invocations(engine, a16, m64, blocks, cycle=10 ** 6):
-    """Run a fresh fp16 Richardson level (m = 2) over ``blocks`` on
-    ``engine``: its outputs, counter totals, M's application count, and
-    the level."""
-    m16 = m64.astype(Precision.FP16)
+def _block_dtype(prec: Precision) -> np.dtype:
+    """The dtype R^m4's residuals arrive in: fp32 from F^m3 for the fp16
+    level, the level's own in the uniform variants."""
+    return np.dtype(np.float32) if prec is Precision.FP16 else np.dtype(prec.dtype)
+
+
+def _level(a, m, prec: Precision, cycle: int) -> RichardsonLevel:
+    """A Richardson level (m = 2) running uniformly in ``prec``."""
+    return RichardsonLevel(a, m, m=2, cycle=cycle,
+                           precisions=LevelPrecision(prec, prec, prec))
+
+
+def _invocations(engine, a, m64, blocks, cycle=10 ** 6, prec=Precision.FP16):
+    """Run a fresh Richardson level in ``prec`` (A already stored in it)
+    over ``blocks`` on ``engine``: its outputs, counter totals, M's
+    application count, and the level."""
+    m = m64.astype(prec)
     with use_backend(engine), warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
-        level = RichardsonLevel(a16, m16, m=2, cycle=cycle)
+        level = _level(a, m, prec, cycle)
         level.weights[:] = SWEEP_WEIGHTS
         with counting() as traffic:
             zs = [level.apply_batch(v) for v in blocks]
-    return zs, traffic.summary(), m16.num_applications, level
+    return zs, traffic.summary(), m.num_applications, level
 
 
 class TestRichardsonSweep:
+    @pytest.mark.parametrize("prec", SWEEP_PRECISIONS, ids=lambda p: p.label)
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     @pytest.mark.parametrize("nblocks", [1, 10])
     @pytest.mark.parametrize("kind", ["ilu0", "ic0"])
     @pytest.mark.parametrize("name", [*SERVE_OPERATORS, "hard"])
-    def test_equals_the_fast_loop(self, sweep_matrices, name, kind, nblocks):
+    def test_equals_the_fast_loop(self, sweep_matrices, name, kind, nblocks, fmt, prec):
         """z bits, counter totals and ``num_applications`` of invocations
-        of k = 1, 2 and 4 columns, CSR- and ELL-picked operators alike."""
+        of k = 1, 2, 4 and 8 columns, ILU(0) / IC(0) (one block) and their
+        block-Jacobi forms, over CSR and sliced-ELL A, at each precision."""
         matrix = sweep_matrices[name]
-        a16 = as_operator(matrix).astype(Precision.FP16)
+        a = AssembledOperator(matrix, format=fmt).astype(prec)
         m64 = _preconditioner(matrix, kind, nblocks)
-        blocks = [_operand(family, matrix.nrows, k, np.float32, seed=120 + k)
+        blocks = [_operand(family, matrix.nrows, k, _block_dtype(prec), seed=120 + k)
                   for k, family in SWEEP_BLOCKS]
-        got, got_traffic, got_apps, level = _invocations("native", a16, m64, blocks)
-        want, want_traffic, want_apps, loop = _invocations("fast", a16, m64, blocks)
+        got, got_traffic, got_apps, level = _invocations("native", a, m64, blocks,
+                                                         prec=prec)
+        want, want_traffic, want_apps, loop = _invocations("fast", a, m64, blocks,
+                                                           prec=prec)
+        assert plan_for(a, prec, backend=get_backend("native")).kind == fmt
         assert len(level._sweeps) == len(SWEEP_BLOCKS)
         assert all(sweep is not None for sweep in level._sweeps.values())
         assert all(sweep is None for sweep in loop._sweeps.values())
         for z, w in zip(got, want, strict=True):
+            assert z.dtype == prec.dtype
             assert_bit_equal(z, w)
         assert got_traffic == want_traffic
         assert got_apps == want_apps == 2 * sum(k for k, _ in SWEEP_BLOCKS)
 
+    @pytest.mark.parametrize("prec", SWEEP_PRECISIONS, ids=lambda p: p.label)
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     @pytest.mark.parametrize("name", ["atmosmodd", "hpcg_7_7_7"])
-    def test_each_instruction_set(self, sweep_matrices, isa, name):
+    def test_each_instruction_set(self, sweep_matrices, isa, name, fmt, prec):
         """The sweep of one instruction set, bound directly, against the
-        loop on fast (an ELL-picked and a CSR-picked operator)."""
+        loop on fast, on inf, NaN and subnormal operands: its kernel is that
+        set's ``richardson_f16`` / ``richardson_f32`` / ``richardson_f64``."""
         matrix = sweep_matrices[name]
-        a16 = as_operator(matrix).astype(Precision.FP16)
+        a = AssembledOperator(matrix, format=fmt).astype(prec)
         m64 = BlockJacobiIC0(matrix, nblocks=10)
-        v = _operand("subnormal", matrix.nrows, 3, HALF, seed=130)
-        be = native.NativeBackend(get_backend("native")._lib, isa)
-        sweep = be.richardson_sweep(plan_for(a16, Precision.FP16, backend=be),
-                                    m64.astype(Precision.FP16), 2, v, Traffic(), 6)
-        assert sweep is not None
-        got = sweep(v, np.array(SWEEP_WEIGHTS), Workspace())
-        (want,), _, _, _ = _invocations("fast", a16, m64, [v])
+        v = _operand("subnormal", matrix.nrows, 3, prec.dtype, seed=130)
+        v[:, 1] = _operand("inf", matrix.nrows, None, prec.dtype, seed=131)
+        v[:, 2] = _operand("nan", matrix.nrows, None, prec.dtype, seed=132)
+        lib = get_backend("native")._lib
+        be = native.NativeBackend(lib, isa)
+        with np.errstate(all="ignore"):
+            sweep = be.richardson_sweep(plan_for(a, prec, backend=be), m64.astype(prec),
+                                        2, v, Traffic(), 6)
+            assert sweep is not None
+            symbol = {Precision.FP16: "richardson_f16", Precision.FP32: "richardson_f32",
+                      Precision.FP64: "richardson_f64"}[prec]
+            assert sweep.kernel.func is getattr(lib, symbol + native.ISAS[isa])
+            got = sweep(v, np.array(SWEEP_WEIGHTS), Workspace())
+        (want,), _, _, _ = _invocations("fast", a, m64, [v], prec=prec)
         assert_bit_equal(got, want)
+        assert np.isnan(got[:, 2]).any() and not np.isnan(got[:, 0]).any()
 
+    @pytest.mark.parametrize("prec", SWEEP_PRECISIONS, ids=lambda p: p.label)
     def test_refresh_invocations_update_the_weights_as_fast(self, sweep_matrices,
-                                                            monkeypatch):
+                                                            monkeypatch, prec):
         """With c = 3, every invocation whose window crosses a multiple of 3
         refreshes the weights through the loop; the rest run the sweep,
         but for the first of each width, the measured loop that binds it."""
         matrix = sweep_matrices["ecology2"]
-        a16 = as_operator(matrix).astype(Precision.FP16)
+        a = as_operator(matrix).astype(prec)
         m64 = BlockJacobiILU0(matrix, nblocks=10)
         widths = (1, 1, 2, 1, 4, 1, 1, 2)
-        blocks = [_operand("ordinary", matrix.nrows, k, np.float32, seed=140 + i)
+        blocks = [_operand("ordinary", matrix.nrows, k, _block_dtype(prec), seed=140 + i)
                   for i, k in enumerate(widths)]
         swept = []
         call = native._Sweep.__call__
@@ -1315,10 +1355,10 @@ class TestRichardsonSweep:
             return call(self, *args)
 
         monkeypatch.setattr(native._Sweep, "__call__", spy)
-        got, got_traffic, got_apps, level = _invocations("native", a16, m64, blocks,
-                                                         cycle=3)
-        want, want_traffic, want_apps, loop = _invocations("fast", a16, m64, blocks,
-                                                           cycle=3)
+        got, got_traffic, got_apps, level = _invocations("native", a, m64, blocks,
+                                                         cycle=3, prec=prec)
+        want, want_traffic, want_apps, loop = _invocations("fast", a, m64, blocks,
+                                                           cycle=3, prec=prec)
         ends = np.cumsum(widths)
         refresh = (ends - np.array(widths)) // 3 != ends // 3
         bound, want_swept = set(), []
@@ -1357,6 +1397,20 @@ class TestRichardsonSweep:
             # a plan of another engine, an empty block, a vector
             (plan_for(a16, Precision.FP16, backend=get_backend("fast")), m16, v),
             (plan, m16, v[:, :0]), (plan, m16, v[:, 0])]
+        # uniform fp32 and fp64 compile; mixed precisions do not
+        m64 = BlockJacobiIC0(matrix, nblocks=10)
+        a64, a32 = as_operator(matrix), as_operator(matrix).astype(Precision.FP32)
+        v64 = v.astype(np.float64)
+        plan64 = plan_for(a64, Precision.FP64, backend=be)
+        for args in ((plan64, m64, v64),
+                     (plan_for(a32, Precision.FP32, backend=be),
+                      m64.astype(Precision.FP32), v.astype(np.float32))):
+            assert be.richardson_sweep(args[0], args[1], 2, args[2], Traffic(),
+                                       4) is not None
+        declined += [
+            # fp64 vectors on an fp32-valued M; an fp32 A at fp64 vectors
+            (plan64, m64.astype(Precision.FP32), v64),
+            (plan_for(a32, Precision.FP64, backend=be), m64, v64)]
         for args in declined:
             assert be.richardson_sweep(args[0], args[1], 2, args[2], Traffic(),
                                        4) is None
@@ -1364,15 +1418,36 @@ class TestRichardsonSweep:
             plan_for(a16, Precision.FP16, backend=get_backend("fast")), m16, 2, v,
             Traffic(), 4) is None
         proxy = faults.FaultyBackend(be)
-        assert proxy.richardson_sweep(plan_for(a16, Precision.FP16, backend=proxy),
-                                      m16, 2, v, Traffic(), 4) is None
+        for a, m, vp in ((a16, m16, v), (a64, m64, v64)):
+            prec = precision_of_dtype(vp.dtype)
+            assert proxy.richardson_sweep(plan_for(a, prec, backend=proxy), m, 2, vp,
+                                          Traffic(), 4) is None
 
-    def test_fault_sites_still_see_the_level(self, sweep_matrices, monkeypatch):
+    def test_scipy_order_gates_the_csr_residual(self, sweep_matrices, monkeypatch):
+        """Without scipy's fused residual ``fast`` sums an fp32 / fp64 CSR
+        residual pairwise, so does the loop on ``native``, and the sweep
+        declines it; sliced-ELL A and fp16 CSR A still compile."""
+        matrix = sweep_matrices["hpcg_7_7_7"]
+        m64 = BlockJacobiIC0(matrix, nblocks=10)
+        be = get_backend("native")
+        monkeypatch.setitem(native._SCIPY_ORDER, "spmv_axpy", False)
+        for prec, fmt, compiled in ((Precision.FP64, "csr", False),
+                                    (Precision.FP32, "csr", False),
+                                    (Precision.FP64, "ell", True),
+                                    (Precision.FP16, "csr", True)):
+            a = AssembledOperator(matrix, format=fmt).astype(prec)
+            v = np.ones((matrix.nrows, 1), dtype=prec.dtype)
+            sweep = be.richardson_sweep(plan_for(a, prec, backend=be), m64.astype(prec),
+                                        2, v, Traffic(), 2)
+            assert (sweep is not None) == compiled
+
+    @pytest.mark.parametrize("prec", SWEEP_PRECISIONS, ids=lambda p: p.label)
+    def test_fault_sites_still_see_the_level(self, sweep_matrices, monkeypatch, prec):
         """Under fault injection R^m4 runs its loop: each step's solves,
         residual product and weighted update reach the proxy."""
         matrix = sweep_matrices["atmosmodd"]
-        a16 = as_operator(matrix).astype(Precision.FP16)
-        m16 = BlockJacobiILU0(matrix, nblocks=10).astype(Precision.FP16)
+        a = as_operator(matrix).astype(prec)
+        m = BlockJacobiILU0(matrix, nblocks=10).astype(prec)
         updates = []
         weighted_update = native.NativeBackend.weighted_update
 
@@ -1381,8 +1456,8 @@ class TestRichardsonSweep:
             return weighted_update(self, *args, **kwargs)
 
         monkeypatch.setattr(native.NativeBackend, "weighted_update", spy)
-        level = RichardsonLevel(a16, m16, m=2, cycle=10 ** 6)
-        v = _operand("ordinary", matrix.nrows, 1, np.float32, seed=150)
+        level = _level(a, m, prec, 10 ** 6)
+        v = _operand("ordinary", matrix.nrows, 1, _block_dtype(prec), seed=150)
         plan = faults.FaultPlan(seed=3, rate=1.0, sites=("spmv", "trsv"))
         with use_backend("native"), np.errstate(all="ignore"):
             level.apply_batch(v)             # the measured loop binds the sweep
@@ -1459,20 +1534,54 @@ class TestRichardsonSweep:
                 assert_bit_equal(clone.apply_batch(v), want)
                 assert clone._sweeps
 
-    @pytest.mark.parametrize("name", ["atmosmodd", "G3_circuit"])
-    def test_warm_solve_equals_fast(self, sweep_matrices, name):
-        """A warm fp16 F3R solve: answer bits, counter totals and primary-M
-        applications equal on native (sweeps) and fast (loops)."""
+    @pytest.mark.parametrize("name, variant, fmt", [
+        ("atmosmodd", "fp16", None), ("G3_circuit", "fp16", None),
+        *((name, variant, fmt) for variant in ("fp32", "fp64")
+          for name, fmt in (("hard", None), ("hpcg_7_7_7", "csr"), ("atmosmodd", "ell")))])
+    def test_warm_solve_equals_fast(self, sweep_matrices, monkeypatch, name, variant, fmt):
+        """A warm F3R solve: answer bits, counter totals, primary-M
+        applications and iterations equal on native (sweeps) and fast
+        (loops); under native only a refresh invocation reaches
+        ``weighted_update``.  The fp32 and fp64 variants run on hard (the
+        preconditioner ``auto``), and on a serve-open operator as CSR and
+        as sliced-ELL."""
         matrix = sweep_matrices[name]
+        operator = matrix if fmt is None else AssembledOperator(matrix, format=fmt)
         b = np.random.default_rng(170).standard_normal(matrix.nrows)
         runs = {}
         for engine in ("native", "fast"):
-            solver = F3RSolver(matrix, config=F3RConfig(variant="fp16", backend=engine))
+            solver = F3RSolver(operator, config=F3RConfig(variant=variant, backend=engine))
             solver.solve(b)
-            with counting() as traffic:
-                result = solver.solve(b)
+            refresh, updates, swept = [None], [], []
+            apply_batch = RichardsonLevel.apply_batch
+            weighted_update = native.NativeBackend.weighted_update
+            call = native._Sweep.__call__
+
+            def spy_level(self, v):
+                cntr = self.call_count
+                refresh[0] = (self.adaptive
+                              and cntr // self.cycle != (cntr + v.shape[1]) // self.cycle)
+                return apply_batch(self, v)
+
+            def spy_update(self, *args, **kwargs):
+                updates.append(refresh[0])
+                return weighted_update(self, *args, **kwargs)
+
+            def spy_sweep(self, *args):
+                swept.append(self.dtype)
+                return call(self, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(RichardsonLevel, "apply_batch", spy_level)
+                patch.setattr(native.NativeBackend, "weighted_update", spy_update)
+                patch.setattr(native._Sweep, "__call__", spy_sweep)
+                with counting() as traffic:
+                    result = solver.solve(b)
             runs[engine] = (result.x, traffic.summary(),
                             result.preconditioner_applications, result.iterations)
+            if engine == "native":
+                assert swept and set(swept) == {np.dtype(variant.replace("fp", "float"))}
+                assert all(updates)
         assert_bit_equal(runs["native"][0], runs["fast"][0])
         assert runs["native"][1:] == runs["fast"][1:]
         assert runs["native"][2] > 0

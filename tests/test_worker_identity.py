@@ -41,7 +41,7 @@ from repro.matgen import (
 from repro.perf.counters import counting
 from repro.operators import AssembledOperator, as_operator
 from repro.plans import plan_for
-from repro.precision import Precision
+from repro.precision import LevelPrecision, Precision
 from repro.precond import BlockJacobiILU0
 from repro.serve import BatchDispatcher
 from repro.solvers import RichardsonLevel
@@ -239,20 +239,26 @@ class TestKernelWorkerIdentity:
         for w, f in zip(want, run(plans["fast"]), strict=True):
             assert w.dtype == f.dtype and w.tobytes() == f.tobytes()
 
+    @pytest.mark.parametrize("precision", PRECISIONS)
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_richardson_invocations(self, rng, engine):
-        """R^m4 on one shared fp16 level (no refresh inside the runs):
-        ``native`` runs its compiled sweep on every thread, the other
-        engines the level's loop."""
+    def test_richardson_invocations(self, rng, engine, precision):
+        """R^m4 on one shared level running uniformly in ``precision`` (no
+        refresh inside the runs): ``native`` runs its compiled sweep on
+        every thread, the other engines the level's loop.  The fp16 sweep
+        equals ``reference`` exactly; the fp32 / fp64 residuals sum in
+        scipy's order, so those agree with it to tolerance."""
+        p = Precision(precision)
         matrix = hpgmp_matrix(7)
-        a16 = as_operator(matrix).astype(Precision.FP16)
-        m16 = BlockJacobiILU0(matrix, nblocks=4).astype(Precision.FP16)
-        level = RichardsonLevel(a16, m16, m=2, cycle=10 ** 9)
+        a = as_operator(matrix).astype(p)
+        m = BlockJacobiILU0(matrix, nblocks=4).astype(p)
+        level = RichardsonLevel(a, m, m=2, cycle=10 ** 9,
+                                precisions=LevelPrecision(p, p, p))
         level.weights[:] = [0.8, 1.2]
-        v = rng.uniform(-1, 1, (matrix.nrows, 1)).astype(np.float32)
-        vb = rng.uniform(-1, 1, (matrix.nrows, 3)).astype(np.float32)
+        dtype = np.float32 if p is Precision.FP16 else DTYPES[precision]
+        v = rng.uniform(-1, 1, (matrix.nrows, 1)).astype(dtype)
+        vb = rng.uniform(-1, 1, (matrix.nrows, 3)).astype(dtype)
         _check(engine, lambda: (level.apply_batch(v), level.apply_batch(vb)),
-               exact=True)
+               exact=p is Precision.FP16, precision=precision)
         swept = [sweep is not None for (backend, *_), sweep in level._sweeps.items()
                  if backend is get_backend(engine)]
         assert swept == [engine == "native"] * 2
