@@ -15,10 +15,6 @@ Walks the PR 10 remote tier end to end:
 Run with:  PYTHONPATH=src python examples/remote_cluster.py
 """
 
-import os
-
-os.environ.setdefault("REPRO_TUNE", "0")   # before repro imports
-
 import numpy as np
 
 from repro import ClusterConfig, ClusterGateway, F3RConfig

@@ -1,12 +1,12 @@
-"""Solve plans and measured autotuning.
+"""Solve plans: compiled once per operator, reused by every solve.
 
 The plan layer (``repro.plans``) compiles, once per
 ``(operator fingerprint, backend, vector precision)``, everything the
 iteration hot loop used to re-derive per call: the resolved storage format
-(picked by *measured* autotuning), pre-bound fused kernels and a pre-sized
+(the cost model's verdict), pre-bound fused kernels and a pre-sized
 workspace arena.  Solvers always run through it — this example just makes
-the machinery visible: the plan cache, the autotune verdicts, and the cost
-of the first (compiling) solve against a warm steady-state one.
+the machinery visible: the plan cache and the cost of the first (compiling)
+solve against a warm steady-state one.
 
 Run from the repository root:
 
@@ -19,7 +19,6 @@ import numpy as np
 
 from repro import F3RConfig, F3RSolver, plan_cache_stats, plan_for
 from repro.matgen import hpcg_operator
-from repro.plans import autotune_stats
 from repro.precision import Precision
 
 
@@ -49,8 +48,6 @@ def main() -> None:
     print(f"  converged: {result.converged}  "
           f"relres={result.relative_residual:.2e}")
     print(f"\nplan cache after solving: {plan_cache_stats()}")
-    print(f"autotuner: {autotune_stats()}   "
-          "(point REPRO_TUNE_CACHE at a JSON file to persist verdicts)")
 
 
 if __name__ == "__main__":

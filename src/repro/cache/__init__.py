@@ -1,7 +1,7 @@
 """Persistent compiled-artifact cache (cold-start elimination layer).
 
-Generalizes the ``REPRO_TUNE_CACHE`` autotune seed into a versioned,
-fingerprint-keyed on-disk store for every expensive setup product:
+A versioned, fingerprint-keyed on-disk store for every expensive setup
+product:
 
 ========== ==========================================================
 kind       payload
@@ -10,10 +10,6 @@ kind       payload
            ``(matrix fingerprint, alpha, breakdown_shift)``
 ``levels`` triangular dependency-level schedules, keyed by the
            structural hash of the dependency edge list
-``autotune``  format verdicts (JSON, managed by
-           :mod:`repro.plans.autotune` — falls back to
-           ``<REPRO_ARTIFACTS>/autotune.json`` when
-           ``REPRO_TUNE_CACHE`` is unset)
 ========== ==========================================================
 
 Enable by pointing ``REPRO_ARTIFACTS`` at a directory (or calling

@@ -1,9 +1,9 @@
 """Fingerprint-keyed on-disk artifact store for compiled setup products.
 
 Cold start pays for work that is a pure function of the operator: ILU(0)/IC(0)
-factor values, triangular level schedules, autotune verdicts.  This store persists those artifacts under a directory named by the
-``REPRO_ARTIFACTS`` environment variable so a restarted process loads them
-instead of recomputing — the serving analogue of a compiled-kernel cache.
+factor values and triangular level schedules.  This store persists those
+artifacts under a directory named by the ``REPRO_ARTIFACTS`` environment
+variable so a restarted process loads them instead of recomputing — the serving analogue of a compiled-kernel cache.
 
 Layout: ``<dir>/<kind>/<key>.npz`` with each payload carrying a format
 version and the wall-clock cost (ms) of the computation it replaces.  Writes

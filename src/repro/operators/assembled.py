@@ -14,8 +14,11 @@ format each apply actually runs on:
   the chunk padding overhead stays below the row-pointer saving (near-uniform
   row lengths, the regular-grid case).
 
-The choice and the lazily built ELL form are cached per backend; everything
-is derived from the immutable CSR source, so the wrapper adds no mutability.
+The choice is a pure function of (matrix, engine, precision, chunk size):
+no timing run enters it, so the same operator stores the same way, and a
+solve gives the same bits, in every process.  The choice and the lazily built
+ELL form are cached per backend; everything is derived from the immutable CSR
+source, so the wrapper adds no mutability.
 """
 
 from __future__ import annotations
@@ -100,16 +103,7 @@ class AssembledOperator(LinearOperator):
         if choice is None:
             choice = backend.preferred_assembled_format(self.precision)
             if choice not in ("csr", "ell"):
-                # measured verdict first: the plan autotuner times a few
-                # warm-up applies per format and caches the result per
-                # (fingerprint, backend, precision) — in-process and
-                # optionally on disk (REPRO_TUNE_CACHE)
-                from ..plans.autotune import measured_assembled_format
-
-                choice = measured_assembled_format(self, backend)
-            if choice not in ("csr", "ell"):
-                # measurement disabled (REPRO_TUNE=0) or out of budget: the
-                # analytic cost-model comparison (Section 4.1 traffic
+                # the analytic cost-model comparison (Section 4.1 traffic
                 # constants, in bytes per row): CSR reads values + column
                 # indices + one row-pointer word; sliced ELL reads its
                 # padded entries.

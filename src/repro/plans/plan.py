@@ -5,10 +5,10 @@ vector precision)``, everything the iteration hot loop used to re-derive on
 every call:
 
 * the **resolved storage and kernel** — the CSR arrays / sliced-ELL plan /
-  matrix-free stencil the applies actually run on, chosen by the *measured*
-  autotuner (:mod:`repro.plans.autotune`) with the analytic cost model as
-  the fallback, and the backend kernel bound directly (no per-call operator
-  dispatch, format lookup or argument validation);
+  matrix-free stencil the applies actually run on, chosen by the analytic
+  cost model (:class:`~repro.operators.AssembledOperator`), and the backend
+  kernel bound directly (no per-call operator dispatch, format lookup or
+  argument validation);
 * **fused kernels** — ``residual`` runs the one-pass ``spmv_axpy`` for CSR
   storage and the ``apply`` + ``residual_update`` pair elsewhere, with the
   exact unfused rounding/counter semantics;
@@ -101,8 +101,8 @@ class SolvePlan:
 
         storage = operator
         if isinstance(operator, AssembledOperator):
-            # resolves the format under *this* backend: measured verdict
-            # first (repro.plans.autotune), analytic cost model otherwise
+            # resolves the format under *this* backend (the cost model's
+            # verdict, or the engine's pinned format)
             storage = operator.storage_for(self.backend)
         if isinstance(storage, CSRMatrix):
             self.kind = "csr"
@@ -219,7 +219,7 @@ def plan_for(operator, vec_prec: Precision | str, backend=None) -> SolvePlan:
 
     Content-keyed: equal-valued operators held by different callers — and
     new solver instances for a previously seen matrix — share one compiled
-    plan, including its autotuned format verdict.  The backend part of the
+    plan, including its storage format.  The backend part of the
     key is the backend object itself, so a fault-injection proxy and the
     engine it wraps never share a plan.
     """

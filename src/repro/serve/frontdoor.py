@@ -177,14 +177,14 @@ class DispatchStats:
 
     def summary(self) -> dict:
         """Door counters plus the plan-layer state a production
-        deployment watches: the plan/autotune caches, the robustness
+        deployment watches: the plan cache, the robustness
         counters (``recovery``), the cold-start picture (``cold_start``:
         warm-up completions plus the persistent artifact cache's
         hit/miss/saved-time counters) and the ring (``cluster``: the
         member table and the routing counters).  Every member is
         snapshotted once per call."""
         from ..cache import cold_start_stats
-        from ..plans import autotune_stats, plan_cache_stats
+        from ..plans import plan_cache_stats
 
         members = self._member_snapshots()
         artifacts = cold_start_stats()
@@ -218,7 +218,6 @@ class DispatchStats:
             },
             "overload": overload,
             "plan_cache": plan_cache_stats(),
-            "autotune": autotune_stats(),
             "cold_start": {
                 "prewarms": self.prewarms,
                 "opportunistic_warmups": self.opportunistic_warmups,

@@ -38,8 +38,8 @@ _COUNTERS = frozenset({
     "requests", "batches", "batched_requests", "cache_hits", "cache_misses",
     "escalations", "retries", "breaker_trips", "deadline_misses", "rejected",
     "shed", "degraded", "prewarms", "opportunistic_warmups", "transitions",
-    "observations", "expired", "degraded_batches", "measured",
-    "hits", "disk_hits", "saves",
+    "observations", "expired", "degraded_batches",
+    "hits", "saves",
     "misses", "evictions",
     # remote shard / cluster tier
     "reconnects", "resends", "replays", "late_results", "heartbeat_misses",

@@ -18,9 +18,9 @@ counters, worker-pool occupancy — and degrading service progressively:
   :func:`repro.core.recovery.degraded_variant`).  The PR 6 recovery ladder
   stays active on the degraded sibling, so a solve that stagnates at the
   cheaper tier re-escalates — converged results stay correct, brownout only
-  trades iterations for per-iteration cost.  Background work that competes
-  with serving — opportunistic warm-ups, autotune measurement — is
-  suppressed (:func:`repro.plans.autotune.set_measurement_suppressed`).
+  trades iterations for per-iteration cost.  Opportunistic warm-ups, the
+  background work that competes with serving, pause
+  (:meth:`BrownoutController.suppress_background`).
 * **SHED** — additionally, requests below ``shed_priority_floor`` are
   refused at admission with :class:`~repro.serve.LoadShed` before they cost
   any queue slot.
@@ -169,7 +169,7 @@ class BrownoutController:
         return self._level >= 1 and self.config.degrade
 
     def suppress_background(self) -> bool:
-        """Whether opportunistic warm-ups / autotune measurement should pause."""
+        """Whether opportunistic warm-ups should pause."""
         return self._level >= 1
 
     # -------------------------------------------------------------- #
@@ -242,15 +242,6 @@ class BrownoutController:
         self.transition_count += 1
         if len(self.transitions) > self._KEEP_TRANSITIONS:
             del self.transitions[:-self._KEEP_TRANSITIONS]
-        self._apply_side_effects()
-
-    def _apply_side_effects(self) -> None:
-        # autotune measurement is process-global state; suppression follows
-        # the controller's degraded/recovered edges (best effort when several
-        # controllers coexist — the last transition wins)
-        from ..plans.autotune import set_measurement_suppressed
-
-        set_measurement_suppressed(self.suppress_background())
 
     def summary(self) -> dict:
         """Structured overload state for ``stats.summary()["overload"]``."""

@@ -4,8 +4,7 @@ Covers the persistent compiled-artifact store (``repro.cache``): factor /
 level-schedule payload roundtrips, version-mismatch and
 corrupt-file degradation (recompute, never crash), the dispatcher's warm-up
 counters, and — via subprocesses — a restarted process skipping
-factorization-adjacent recomputation plus the autotune disk cache's
-concurrent-writer merge.
+factorization-adjacent recomputation.
 """
 
 import json
@@ -48,7 +47,6 @@ def _subprocess_env(**extra) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR)
     env.pop("REPRO_ARTIFACTS", None)
-    env.pop("REPRO_TUNE_CACHE", None)
     env.update(extra)
     return env
 
@@ -274,81 +272,6 @@ class TestRestartSkipsRecompute:
             digests.append(
                 json.loads(proc.stdout.strip().splitlines()[-1])["digest"])
         assert digests[0] == digests[1] == digests[2]
-
-
-class TestAutotuneDiskMerge:
-    WRITER = textwrap.dedent("""
-        import sys
-        from repro.plans import autotune
-
-        key = tuple(sys.argv[1].split("|"))
-        choice = sys.argv[2]
-        with autotune._LOCK:
-            autotune._CACHE[key] = choice
-            snapshot = dict(autotune._CACHE)
-        autotune._store_disk_cache(snapshot)
-    """)
-
-    def _write_verdict(self, env, key: str, choice: str) -> None:
-        proc = subprocess.run(
-            [sys.executable, "-c", self.WRITER, key, choice],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-
-    def test_two_processes_merge_instead_of_clobber(self, tmp_path):
-        cache_file = tmp_path / "tune.json"
-        env = _subprocess_env(REPRO_TUNE_CACHE=str(cache_file))
-        # process A writes its verdict, then process B — a fresh process that
-        # never loaded the file — writes a different one
-        self._write_verdict(env, "fpA|fast|fp64|1024", "csr")
-        self._write_verdict(env, "fpB|fast|fp64|1024", "ell")
-        stored = json.loads(cache_file.read_text())
-        assert stored["fpA|fast|fp64|1024"] == "csr"
-        assert stored["fpB|fast|fp64|1024"] == "ell"
-
-    def test_stale_thread_verdicts_are_ignored_then_dropped(self, tmp_path,
-                                                             monkeypatch):
-        """A file written by a version that also cached thread counts: its
-        ``threads`` entries are not loaded and the next merge drops them."""
-        from repro.plans import autotune
-
-        cache_file = tmp_path / "tune.json"
-        cache_file.write_text(json.dumps({
-            "fpA|fast|fp64|threads|spmv|8": "4",
-            "fpA|fast|fp64|1024": "csr"}))
-        monkeypatch.setenv("REPRO_TUNE_CACHE", str(cache_file))
-        autotune.clear_autotune_cache()
-        try:
-            with autotune._LOCK:
-                autotune._load_disk_cache_locked()
-                loaded = dict(autotune._CACHE)
-        finally:
-            autotune.clear_autotune_cache()
-        assert loaded == {("fpA", "fast", "fp64", "1024"): "csr"}
-
-        env = _subprocess_env(REPRO_TUNE_CACHE=str(cache_file))
-        self._write_verdict(env, "fpB|fast|fp64|1024", "ell")
-        stored = json.loads(cache_file.read_text())
-        assert stored == {"fpA|fast|fp64|1024": "csr",
-                          "fpB|fast|fp64|1024": "ell"}
-
-    def test_corrupt_existing_file_is_overwritten(self, tmp_path):
-        cache_file = tmp_path / "tune.json"
-        cache_file.write_text("{not json")
-        env = _subprocess_env(REPRO_TUNE_CACHE=str(cache_file))
-        self._write_verdict(env, "fpA|fast|fp64|1024", "csr")
-        stored = json.loads(cache_file.read_text())
-        assert stored == {"fpA|fast|fp64|1024": "csr"}
-
-    def test_autotune_cache_falls_back_to_artifacts_dir(self, tmp_path):
-        from repro.plans import autotune
-
-        old = cache.set_artifacts_dir(str(tmp_path / "store"))
-        try:
-            assert autotune._cache_path() == str(
-                tmp_path / "store" / "autotune.json")
-        finally:
-            cache.set_artifacts_dir(old)
 
 
 class TestArtifactGC:

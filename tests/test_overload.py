@@ -13,8 +13,8 @@ Pins the PR 9 overload layer:
   threshold-gap discipline, including the hypothesis property that a
   constant pressure signal can never oscillate the state.
 * **Degradation** — under brownout, ``degradable=True`` requests start one
-  precision tier lower on a recovery-laddered sibling; autotune measurement
-  is suppressed while degraded.
+  precision tier lower on a recovery-laddered sibling; opportunistic
+  warm-ups pause while degraded.
 * **Metrics export** — :func:`repro.serve.render_metrics` renders
   ``stats.summary()`` as Prometheus text.
 * **Shutdown races** — ``close(wait=False)`` racing ``prewarm(wait=False)``
@@ -57,15 +57,6 @@ from repro.serve.overload import (
 )
 
 pytestmark = pytest.mark.tier1
-
-
-@pytest.fixture(autouse=True)
-def _reset_suppression():
-    """Controller side effects touch process-global autotune state."""
-    from repro.plans import set_measurement_suppressed
-
-    yield
-    set_measurement_suppressed(False)
 
 
 def _matrix(n: int = 8):
@@ -378,15 +369,11 @@ class TestDegradation:
         assert sibling is solver.degraded_sibling("fp32")   # cached
 
     def test_background_suppression_follows_state(self):
-        from repro.plans import measurement_suppressed
-
         controller = BrownoutController(BrownoutConfig(dwell=1, recover_dwell=1))
         controller.observe(queue_fill=0.9)
         assert controller.suppress_background()
-        assert measurement_suppressed()
         controller.observe(queue_fill=0.0)
         assert not controller.suppress_background()
-        assert not measurement_suppressed()
 
 
 # ---------------------------------------------------------------------- #
@@ -428,7 +415,7 @@ class TestMetrics:
             },
             "faults": {"by_site": {"spmv": 2, "trsv": 0}},
             "cluster": {"failovers": 1},
-            "autotune": {"suppressed": True},
+            "cold_start": {"prewarms": 2, "prewarm_ms": 1.5},
             "ratio": 0.5,
         }
         text = render_metrics(summary, prefix="x")
@@ -437,7 +424,9 @@ class TestMetrics:
         assert 'x_faults_by_site{site="trsv"} 0' in text
         assert "# TYPE x_cluster_failovers counter" in text
         assert 'x_overload_state{state="brownout"} 1' in text
-        assert "x_autotune_suppressed 1" in text
+        assert "# TYPE x_cold_start_prewarms counter" in text
+        assert "# TYPE x_cold_start_prewarm_ms gauge" in text
+        assert "x_cold_start_prewarm_ms 1.5" in text
         assert "x_ratio 0.5" in text
         assert "last_transitions" not in text
 
@@ -510,10 +499,9 @@ class TestOverloadHammer:
         from repro import set_recovery_enabled
         from repro.faults import FaultPlan, inject
 
-        # determinism pins: stateless solves (bit-identity under retries),
-        # no measured autotune, and no recovery ladder, so a corrupted solve
-        # fails its batch into the retry path instead of recovering
-        monkeypatch.setenv("REPRO_TUNE", "0")
+        # determinism pins: stateless solves (bit-identity under retries)
+        # and no recovery ladder, so a corrupted solve fails its batch into
+        # the retry path instead of recovering
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         ops = [poisson2d(8), poisson2d(9)]
         config = F3RConfig(variant="fp32", m1=10, adaptive_weight=False)

@@ -1,4 +1,4 @@
-"""Compiled solve plans: fused-kernel parity, autotuning, plan caching.
+"""Compiled solve plans: fused-kernel parity, plan caching, the format rule.
 
 Three contracts are pinned here:
 
@@ -15,13 +15,13 @@ Three contracts are pinned here:
   ``np.float16``) bit for bit.
 * **Plans** — the planned fast-engine path agrees with the ``reference``
   oracle (bit for bit wherever both run the same summation order), the
-  plan cache is fingerprint-keyed, and the measured autotuner caches
-  verdicts in-process and on disk.
+  plan cache is fingerprint-keyed, and an assembled operator's storage
+  format is the cost model's verdict whatever a clock reports.
 """
 
 from __future__ import annotations
 
-import json
+import time
 import warnings
 
 import numpy as np
@@ -30,21 +30,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import Workspace, available_backends, get_backend, halfvec, use_backend
-from repro.matgen import hpcg_operator, poisson2d
+from repro.matgen import get_matrix, hpcg_operator, poisson2d
 from repro.operators import AssembledOperator, as_operator
 from repro.perf import TrafficCounter, counting
 from repro.plans import (
     SolvePlan,
-    autotune_stats,
-    clear_autotune_cache,
     clear_plan_cache,
-    measured_assembled_format,
+    compile_plan,
     plan_cache_stats,
     plan_for,
-    set_tuning_enabled,
 )
-from repro.precision import Precision
+from repro.precision import BYTES_PER_INDEX, Precision
+from repro.sparse import CSRMatrix, SlicedEllMatrix
 from repro.sparse import vectorops as vo
+from repro.sparse.ell import padded_entry_count
 
 pytestmark = pytest.mark.tier1
 
@@ -464,51 +463,75 @@ class TestSolvePlan:
 
 
 # ---------------------------------------------------------------------- #
-# Measured autotuning
+# The storage format: the cost model's verdict, never the clock's
 # ---------------------------------------------------------------------- #
-class TestAutotune:
-    def test_measured_verdict_cached_in_process(self):
-        clear_autotune_cache()
-        matrix = poisson2d(70)                     # 4900 rows: above the floor
-        op = AssembledOperator(matrix.astype(Precision.FP16))
-        with use_backend("reference"):
-            be = get_backend()
-            first = measured_assembled_format(op, be)
-            again = measured_assembled_format(op, be)
-        assert first in ("csr", "ell")
-        assert again == first
-        stats = autotune_stats()
-        assert stats["measured"] == 1 and stats["hits"] == 1
+def _byte_verdict(matrix, chunk_size: int) -> str:
+    """Section 4.1's per-row comparison for an fp16 matrix: CSR reads each
+    entry's value and column index plus one row-pointer word, sliced ELL
+    reads its padded entries."""
+    entry = Precision.FP16.bytes + BYTES_PER_INDEX
+    csr_bytes = matrix.nnz_per_row * entry + BYTES_PER_INDEX
+    ell_bytes = (padded_entry_count(matrix.row_nnz(), chunk_size)
+                 / matrix.nrows * entry)
+    return "ell" if ell_bytes < csr_bytes else "csr"
 
-    def test_disabled_tuning_returns_none(self):
-        matrix = poisson2d(70)
-        op = AssembledOperator(matrix.astype(Precision.FP16))
-        old = set_tuning_enabled(False)
-        try:
-            with use_backend("reference"):
-                assert measured_assembled_format(op, get_backend()) is None
-        finally:
-            set_tuning_enabled(old)
 
-    def test_tiny_matrices_fall_back_to_cost_model(self, poisson_matrix):
-        op = AssembledOperator(poisson_matrix.astype(Precision.FP16))
-        with use_backend("reference"):
-            assert measured_assembled_format(op, get_backend()) is None
+class TestFormatIgnoresTheClock:
+    """The format of an assembled operator is a pure function of (matrix,
+    engine, precision, chunk size): a clock that reports either format as
+    the faster one changes nothing."""
 
-    def test_disk_cache_roundtrip(self, tmp_path, monkeypatch):
-        cache = tmp_path / "tune.json"
-        monkeypatch.setenv("REPRO_TUNE_CACHE", str(cache))
-        clear_autotune_cache()
-        matrix = poisson2d(70)
-        op = AssembledOperator(matrix.astype(Precision.FP16))
-        with use_backend("reference"):
-            be = get_backend()
-            verdict = measured_assembled_format(op, be)
-        stored = json.loads(cache.read_text())
-        assert list(stored.values()) == [verdict]
-        # a fresh process (simulated by clearing memory) reloads the verdict
-        clear_autotune_cache()
-        with use_backend("reference"):
-            assert measured_assembled_format(op, be) == verdict
-        assert autotune_stats()["measured"] == 0   # no re-measurement
-        clear_autotune_cache()
+    #: fp16 operators of at least 4,096 rows
+    MATRICES = {
+        "poisson2d-70": lambda: poisson2d(70),
+        "atmosmodd-medium": lambda: get_matrix("atmosmodd", "medium"),
+        "G3_circuit-medium": lambda: get_matrix("G3_circuit", "medium"),
+    }
+
+    @staticmethod
+    def _rig_clock(monkeypatch, ell_faster: bool) -> None:
+        """``time.perf_counter`` advances only inside the engines' CSR and
+        sliced-ELL products, by 1 ms for the format the test calls faster
+        and by 1 s for the other."""
+        now = [0.0]
+        cost = {"spmv_ell": 1e-3 if ell_faster else 1.0,
+                "spmv_csr": 1.0 if ell_faster else 1e-3}
+        monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+        for engine in BACKENDS:
+            backend = get_backend(engine)
+            for name, seconds in cost.items():
+                kernel = getattr(backend, name)
+
+                def timed(*args, _kernel=kernel, _seconds=seconds, **kwargs):
+                    now[0] += _seconds
+                    return _kernel(*args, **kwargs)
+
+                monkeypatch.setattr(backend, name, timed)
+
+    @pytest.mark.parametrize("ell_faster", [True, False],
+                             ids=["ell-faster", "ell-slower"])
+    @pytest.mark.parametrize("chunk_size", [8, 32])
+    @pytest.mark.parametrize("name", list(MATRICES))
+    def test_format_is_the_byte_comparisons_verdict(self, monkeypatch, name,
+                                                    chunk_size, ell_faster):
+        matrix = self.MATRICES[name]()
+        assert matrix.nrows >= 4096
+        verdict = _byte_verdict(matrix, chunk_size)
+        self._rig_clock(monkeypatch, ell_faster)
+        kinds = {}
+        for engine in BACKENDS:
+            op = AssembledOperator(matrix.astype(Precision.FP16),
+                                   chunk_size=chunk_size)
+            backend = get_backend(engine)
+            storage = op.storage_for(backend)
+            assert isinstance(storage, SlicedEllMatrix if verdict == "ell"
+                              else CSRMatrix), engine
+            kinds[engine] = compile_plan(op, Precision.FP32, backend=backend).kind
+        assert kinds == {engine: verdict for engine in BACKENDS}
+
+    @pytest.mark.parametrize("chunk_size", [8, 32])
+    def test_the_matrices_cover_both_verdicts(self, chunk_size):
+        verdicts = {name: _byte_verdict(build(), chunk_size)
+                    for name, build in self.MATRICES.items()}
+        assert verdicts == {"poisson2d-70": "ell", "atmosmodd-medium": "ell",
+                            "G3_circuit-medium": "csr"}

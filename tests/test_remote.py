@@ -82,13 +82,12 @@ def pinned(monkeypatch):
     Multi-RHS batches are *not* bit-stable across batch compositions
     (fused or not — the blocked kernels reorder reductions), so every
     bit-identity test here pins ``max_batch=1`` on both the reference and
-    the cluster under test, plus tune/recovery off, matching the
-    overload hammer methodology.
+    the cluster under test, plus recovery off, matching the overload hammer
+    methodology.
     """
-    monkeypatch.setenv("REPRO_TUNE", "0")
     monkeypatch.setenv("REPRO_RECOVERY", "0")
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    # The env vars above only reach *spawned* servers — in this process the
+    # The env var above only reaches *spawned* servers — in this process the
     # toggle was latched at import, so flip it programmatically too.
     from repro import set_recovery_enabled
     prev_recovery = set_recovery_enabled(False)

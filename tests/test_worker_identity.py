@@ -99,20 +99,27 @@ def _on_workers(engine, fn, nthreads=WORKERS):
     return results
 
 
+def _same_bits(a, b) -> bool:
+    """Whether ``a`` and ``b`` are the same array bit for bit: a −0 where the
+    other has +0, or another NaN payload, is a difference."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
 def _check(engine, fn, exact=False, precision="fp64"):
     """Serial result of ``fn`` on ``engine``; every worker-thread result
     must equal it bit for bit, and it must agree with the oracle."""
     with use_backend(engine):
         want = fn()
     for got in _on_workers(engine, fn):
-        for w, g in zip(want, got):
-            assert np.array_equal(w, g, equal_nan=True)
+        for w, g in zip(want, got, strict=True):
+            assert _same_bits(w, g)
     with use_backend("reference"):
         oracle = fn()
-    for w, o in zip(want, oracle):
+    for w, o in zip(want, oracle, strict=True):
         assert w.dtype == o.dtype
         if exact:
-            assert np.array_equal(w, o, equal_nan=True)
+            assert _same_bits(w, o)
         else:
             np.testing.assert_allclose(w.astype(np.float64), o.astype(np.float64),
                                        **TOLS[precision])
@@ -235,9 +242,9 @@ class TestKernelWorkerIdentity:
         want = run(plans["native"])
         for got in _on_workers("native", lambda: run(plans["native"])):
             for w, g in zip(want, got, strict=True):
-                assert w.dtype == g.dtype and w.tobytes() == g.tobytes()
+                assert _same_bits(w, g)
         for w, f in zip(want, run(plans["fast"]), strict=True):
-            assert w.dtype == f.dtype and w.tobytes() == f.tobytes()
+            assert _same_bits(w, f)
 
     @pytest.mark.parametrize("precision", PRECISIONS)
     @pytest.mark.parametrize("engine", ENGINES)
@@ -323,7 +330,7 @@ class TestEndToEndWorkerIdentity:
             iterations, x = solve()
             for got_iterations, got_x in _on_workers(engine, solve):
                 assert got_iterations == iterations
-                assert np.array_equal(got_x, x)
+                assert _same_bits(got_x, x)
 
     def test_dispatcher_workers_change_nothing(self, rng):
         matrix = poisson2d(24)
@@ -345,9 +352,9 @@ class TestEndToEndWorkerIdentity:
         serial, _ = serve(1)
         results, summary = serve(2)
         for got, want in zip(results, serial):
-            assert np.array_equal(got.x, want.x)
+            assert _same_bits(got.x, want.x)
         assert "pool" not in summary
-        assert not any(key.startswith("thread_") for key in summary["autotune"])
+        assert "autotune" not in summary
 
     def test_kernel_budget_constants_are_one(self):
         # kernels are serial: the environment record reads constant budgets

@@ -61,6 +61,15 @@ It keeps fp16 staging inside the kernel engines (:data:`HALFVEC_HOMES`):
 no module but those under ``backends/`` may import ``backends.halfvec``; a
 caller that needs an fp16 operation asks the engine for a kernel.
 
+It keeps the clock out of format and kernel choice (:data:`CLOCK_LIMITS`):
+the retired measured-autotune entry points (``measured_assembled_format``,
+``set_measurement_suppressed``, ``autotune_stats``, ``set_tuning_enabled``,
+``clear_autotune_cache``) may not be defined anywhere in ``src/repro/``, and
+no module under ``operators/``, ``plans/`` or ``backends/`` calls
+``perf_counter``, ``time.time`` or ``monotonic``: an operator's storage
+format and the kernel it runs are a pure function of the operator, the
+engine and the precision, so a solve's bits never depend on a timing run.
+
 And it keeps compiled code in one place and tested (:data:`NATIVE_LIMITS`):
 no module but ``backends/native.py`` may import ``ctypes``, and every symbol
 in that module's ``_SIGNATURES`` table — each compiled kernel of every
@@ -103,7 +112,8 @@ REQUIRED_MODULES = (
     "test_batched_solves*.py",         # batched multi-RHS engine (PR 2)
     "test_operators*.py",              # operator layer: equivalence + e2e (PR 3)
     "test_plans*.py",                  # solve plans: fused parity, staged fp16,
-                                       # autotune, allocation regression (PR 4)
+                                       # allocation regression (PR 4), the
+                                       # format ignores the clock
     "test_plans_alloc*.py",            # per-thread arenas: no steady-state
                                        # allocation, and one plan / solver /
                                        # factor hammered from four threads
@@ -112,8 +122,7 @@ REQUIRED_MODULES = (
     "test_faults*.py",                 # fault-injection determinism and the
                                        # seeded 50-request hammer (PR 6)
     "test_cache_artifacts*.py",        # artifact store: hit/miss, corruption
-                                       # tolerance, restart-skip, autotune
-                                       # disk-cache merge (PR 7)
+                                       # tolerance, restart-skip (PR 7)
     "test_sparse_io*.py",              # MatrixMarket reader/writer fixes (PR 7)
     "test_overload*.py",               # priority admission / load shedding,
                                        # brownout hysteresis, metrics export,
@@ -196,6 +205,21 @@ PROCESS_LIMITS = {
 MULTIPROCESSING_LIMITS = {
     "import multiprocessing": (re.compile(
         r"^\s*(?:import|from)\s+multiprocessing\b", re.MULTILINE), 0),
+}
+
+#: no clock in format or kernel choice: the retired measured-autotune entry
+#: points, none of which may be defined in src/repro/; and no clock read in
+#: the modules under operators/, plans/ and backends/
+CLOCK_LIMITS = {
+    **{name: (re.compile(rf"^\s*(?:class|def) {name}\b", re.MULTILINE), 0)
+       for name in ("measured_assembled_format", "set_measurement_suppressed",
+                    "autotune_stats", "set_tuning_enabled",
+                    "clear_autotune_cache")},
+    "perf_counter( / time.time( / monotonic( in operators/, plans/, "
+    "backends/": (
+        re.compile(r"\b(?:perf_counter|monotonic|time\.time)(?:_ns)?\s*\("), 0,
+        SRC_DIR / "repro" / "operators", SRC_DIR / "repro" / "plans",
+        SRC_DIR / "repro" / "backends"),
 }
 
 #: the one module that may load compiled code (the native engine)
@@ -414,6 +438,13 @@ def main() -> int:
                        "transport (several processes are ShardServers; see "
                        "PROCESS_LIMITS):")
         status = 1
+    excess = limit_excess(src_modules, CLOCK_LIMITS)
+    if excess:
+        _report_excess(excess, CLOCK_LIMITS,
+                       "lint-tests: src/repro/ lets a clock choose a format or "
+                       "a kernel (the cost model decides, so a solve's bits "
+                       "never depend on a timing run; see CLOCK_LIMITS):")
+        status = 1
     excess = limit_excess([path for path in src_modules if path != NATIVE_HOME],
                           NATIVE_LIMITS)
     if excess:
@@ -448,7 +479,8 @@ def main() -> int:
               f"one Krylov recurrence in solvers/, no casts outside the "
               f"engine's kernel in its level loops; one kernel per "
               f"operation in src/, recorded as one cached record; one "
-              f"multi-process transport; fp16 "
+              f"multi-process transport; no clock in format or kernel "
+              f"choice; fp16 "
               f"staging only in the engines; ctypes only in "
               f"backends/native.py; {len(symbols)} compiled symbols named by "
               f"tests)")
