@@ -3,7 +3,8 @@
 Cold start pays for work that is a pure function of the operator: ILU(0)/IC(0)
 factor values and triangular level schedules.  This store persists those
 artifacts under a directory named by the ``REPRO_ARTIFACTS`` environment
-variable so a restarted process loads them instead of recomputing — the serving analogue of a compiled-kernel cache.
+variable so a restarted process loads them instead of recomputing — the
+serving analogue of a compiled-kernel cache.
 
 Layout: ``<dir>/<kind>/<key>.npz`` with each payload carrying a format
 version and the wall-clock cost (ms) of the computation it replaces.  Writes
