@@ -47,7 +47,7 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_kernels.py --scale smoke --check
 
 ## Kernel micro-benchmarks at medium scale with the issues' floors: >=3x on
-## ELL-SpMV / FGMRES-cycle (kernel engine), >=3x on solve_batch (batching),
+## FGMRES-cycle (kernel engine), >=3x on solve_batch (batching),
 ## >=1x matrix-free-over-assembled stencil applies at 64^3 (operators), and
 ## >=1x on every fused solve-plan kernel vs its unfused sequence (plans)
 bench-kernels:

@@ -1,8 +1,8 @@
 """Micro-benchmarks for the kernel engine: reference vs fast backend, and
 batched (multi-RHS) vs looped execution.
 
-Times the four hot kernels — CSR SpMV, sliced-ELLPACK SpMV, level-scheduled
-triangular solve, and one FGMRES(m) cycle on a one-column block — on both
+Times the three hot kernels — CSR SpMV, level-scheduled triangular solve,
+and one FGMRES(m) cycle on a one-column block — on both
 registered backends, the fp16 level solve on subnormal-heavy input for a
 wide-level factor (staged through fp32 by the fast engine) and a
 one-row-per-level chain (direct), one application of the end-to-end hard
@@ -16,7 +16,7 @@ fp16 → fp32 casts of a normalized Krylov-basis block (HPCG 24³ × 8, and one
 engine's rows (the triangular solves, the fp16 CSR products, the two fp16
 updates, the stencil sweeps, the diagonal scaling, the casts, and the
 products F^m3 and F^m1 issue on assembled storage — the fp16-stored x fp32
-CSR and sliced-ELL products, the fp64 CSR product and fused residual — on
+CSR product, the fp64 CSR product and fused residual — on
 atmosmodd ``tiny`` and on the hard operator, where it builds; each must
 equal ``fast`` bit for bit, or the run exits 1),
 plus the CSR product and the triangular solve on an ``(n, k)`` block against
@@ -30,10 +30,9 @@ builds — the ``dispatch`` rows: one compiled fp16 ``trsv`` and
 call is a reported number, and the ``richardson`` rows: one R^m4
 invocation (m = 2, k = 1, weights frozen) in uniform fp16, fp64 and fp32 as
 ``native``'s compiled sweep against the level's loop on ``fast`` and on
-``native``'s own kernels, on atmosmodd ``tiny`` (a sliced-ELL product at
-fp16) and on the hard operator (each must equal the loop on ``fast`` bit for
-bit, or the run exits 1), and emits a ``BENCH_kernels.json`` speedup
-summary.
+``native``'s own kernels, on atmosmodd ``tiny`` and on the hard operator
+(each must equal the loop on ``fast`` bit for bit, or the run exits 1), and
+emits a ``BENCH_kernels.json`` speedup summary.
 
 Not collected by pytest (the tier-1 suite); run directly or via make:
 
@@ -46,7 +45,7 @@ Not collected by pytest (the tier-1 suite); run directly or via make:
 kernel's fast-backend (or batched-over-looped / matrix-free-over-assembled)
 speedup regressed by more than 2x — speedup ratios are compared rather than
 wall times so the gate is stable across machines.  ``--require X`` enforces
-an absolute floor on the ELL-SpMV and FGMRES-cycle speedups (kernel-engine
+an absolute floor on the FGMRES-cycle speedup (kernel-engine
 issue), ``--require-batched X`` on the ``solve_batch`` speedup (batched-solve
 issue), and ``--require-stencil X`` on the matrix-free-over-assembled apply
 speedups (operator-layer issue: the batched stencil apply must beat the
@@ -70,8 +69,7 @@ from repro.precision import Precision
 from repro.precond import BlockJacobiILU0, ilu0_factor
 from repro.operators import as_operator
 from repro.solvers import RichardsonLevel, fgmres_cycle_batch
-from repro.sparse import (CSRMatrix, SlicedEllMatrix, TriangularFactor,
-                          diagonal_scaling)
+from repro.sparse import CSRMatrix, TriangularFactor, diagonal_scaling
 
 #: grid side of the 5-point Poisson problem per scale (n = side^2 unknowns)
 SCALES = {"smoke": 90, "small": 160, "medium": 300}
@@ -98,8 +96,7 @@ NATIVE_ROWS = ("trsv", "trsv_fp16_wide", "trsv_fp16_chain", "trsv_blocks",
                "cast_f32_f16", "cast_f16_f32", "cast_f32_f16_729",
                "cast_f16_f32_729",
                *(f"{row}_{size}" for size in ("tiny", "hard")
-                 for row in ("spmv_csr_fp16x32", "spmv_csr_fp64", "spmv_axpy_fp64",
-                             "spmv_ell_fp16x32")))
+                 for row in ("spmv_csr_fp16x32", "spmv_csr_fp64", "spmv_axpy_fp64")))
 
 #: the hard e2e workload's operator (``benchmarks/e2e``): the Table-2
 #: ``vas_stokes_1M`` surrogate at ``small`` scale, diagonally scaled, with a
@@ -107,8 +104,8 @@ NATIVE_ROWS = ("trsv", "trsv_fp16_wide", "trsv_fp16_chain", "trsv_blocks",
 HARD_MATRIX = ("vas_stokes_1M", "small")
 HARD_BLOCKS = 10
 
-#: a serve-open operator of the e2e benchmark (one that picks sliced-ELL
-#: storage under ``native``), for the product rows at its size
+#: a serve-open operator of the e2e benchmark, for the product rows at its
+#: size
 TINY_MATRIX = ("atmosmodd", "tiny")
 
 #: grid side of the fp16 stencil-sweep and diagonal-scaling rows: the
@@ -132,7 +129,7 @@ BASELINE_PATH = Path(__file__).parent / "BENCH_kernels_baseline.json"
 OUTPUT_PATH = Path(__file__).parent / "BENCH_kernels.json"
 
 #: kernels the --require floor applies to (the kernel-engine acceptance criterion)
-REQUIRED_KERNELS = ("spmv_ell", "fgmres_cycle")
+REQUIRED_KERNELS = ("fgmres_cycle",)
 
 #: batched entries the --require-batched floor applies to
 REQUIRED_BATCHED = ("solve_batch",)
@@ -162,7 +159,6 @@ def build_problem(side: int):
     n = matrix.nrows
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.0, 1.0, n)
-    ell = SlicedEllMatrix(matrix, chunk_size=32)
     lower, _ = ilu0_factor(matrix)
     # fp16 level-solve factors with subnormal-heavy fp16 right-hand sides
     wide, _ = ilu0_factor(hpcg_matrix(WIDE_GRID))
@@ -189,11 +185,10 @@ def build_problem(side: int):
     for size, mat in (("tiny", tiny), ("hard", hard)):
         mat16 = mat.astype(Precision.FP16)
         products[size] = {"csr16": mat16, "csr64": mat,
-                          "ell16": SlicedEllMatrix(mat16, chunk_size=32),
                           "x32": rng.uniform(-1.0, 1.0, mat.nrows).astype(np.float32),
                           "x64": rng.uniform(-1.0, 1.0, mat.nrows),
                           "y64": rng.uniform(-1.0, 1.0, mat.nrows)}
-    return {"products": products,"matrix": matrix, "ell": ell, "lower": lower, "x": x, "n": n,
+    return {"products": products, "matrix": matrix, "lower": lower, "x": x, "n": n,
             "matrix16": matrix.astype(Precision.FP16), "x16": x16, "z16": z16,
             "wide": wide, "wide_b16": wide_b16,
             "chain": _chain_lower(CHAIN_ROWS), "chain_b16": chain_b16,
@@ -231,7 +226,6 @@ def bench_backend(problem, backend: str, repeats: int, m: int,
     """Best-of wall time of each kernel row (all, or ``rows``) on
     ``backend``, and the result of each :data:`NATIVE_ROWS` row."""
     matrix = problem["matrix"]
-    ell = problem["ell"]
     x = problem["x"]
     z16, x16 = problem["z16"], problem["x16"]
     stencil16, block16 = problem["stencil16"], problem["block16"]
@@ -250,7 +244,6 @@ def bench_backend(problem, backend: str, repeats: int, m: int,
         hard16 = problem["hard16"]
         calls = {
             "spmv_csr": lambda: matrix.matvec(x),
-            "spmv_ell": lambda: ell.matvec(x),
             "spmv_csr_fp16": lambda: problem["matrix16"].matvec(problem["x16"]),
             "trsv": lambda: factor.solve(x),
             "trsv_fp16_wide": lambda: wide16.solve(problem["wide_b16"]),
@@ -294,8 +287,7 @@ def bench_backend(problem, backend: str, repeats: int, m: int,
 
 def _product_calls(engine, size: str, p: dict) -> dict:
     """The product rows at one operator size: CSR products with the
-    matrix's arena, as a solve plan issues them, and the sliced-ELL
-    product."""
+    matrix's arena, as a solve plan issues them."""
     csr16, csr64 = p["csr16"], p["csr64"]
     return {
         f"spmv_csr_fp16x32_{size}": lambda: engine.spmv_csr(
@@ -307,8 +299,6 @@ def _product_calls(engine, size: str, p: dict) -> dict:
         f"spmv_axpy_fp64_{size}": lambda: engine.spmv_axpy(
             csr64.values, csr64.indices, csr64.indptr, p["x64"], p["y64"],
             record=False, scratch=csr64.scratch()),
-        f"spmv_ell_fp16x32_{size}": lambda: engine.spmv_ell(
-            p["ell16"], p["x32"], record=False),
     }
 
 
@@ -541,9 +531,9 @@ def bench_richardson(repeats: int, number: int = 300) -> dict[str, dict]:
     level's loop on ``fast`` (its oracle) and on ``native``'s own kernels
     (what a level runs where no sweep is bound: here M's apply is wrapped,
     which keeps the loop), interleaved, on atmosmodd ``tiny`` with its
-    default block-IC(0) (a sliced-ELL product at fp16, CSR otherwise) and
-    on the hard operator with block-ILU(0) over 10 blocks.  The fp16 rows
-    keep their names; the others carry the precision as a suffix."""
+    default block-IC(0) and on the hard operator with block-ILU(0) over 10
+    blocks.  The fp16 rows keep their names; the others carry the precision
+    as a suffix."""
     from repro.precision import LevelPrecision
     from repro.precond import make_primary_preconditioner
 
@@ -694,7 +684,7 @@ def main(argv=None) -> int:
                         help="fail on >2x speedup regression vs the baseline JSON")
     parser.add_argument("--baseline", type=Path, default=BASELINE_PATH)
     parser.add_argument("--require", type=float, default=None, metavar="X",
-                        help="fail unless ELL-SpMV and FGMRES-cycle speedups >= X")
+                        help="fail unless the FGMRES-cycle speedup >= X")
     parser.add_argument("--require-batched", type=float, default=None, metavar="X",
                         help="fail unless the solve_batch speedup >= X")
     parser.add_argument("--require-stencil", type=float, default=None, metavar="X",

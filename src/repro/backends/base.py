@@ -1,6 +1,6 @@
 """Kernel-engine backend interface.
 
-Every hot kernel of the reproduction — CSR/sliced-ELLPACK SpMV, the
+Every hot kernel of the reproduction — CSR SpMV, the
 level-scheduled triangular solve, FGMRES classical Gram-Schmidt, the Krylov
 solution combination, and the ILU(0) factorization — dispatches through a
 :class:`KernelBackend`.  Three implementations ship with the package:
@@ -299,12 +299,6 @@ class KernelBackend(abc.ABC):
         """``y = A @ x`` for CSR arrays and a vector or ``(n, k)`` block ``x``;
         ``scratch`` is the matrix's workspace."""
 
-    @abc.abstractmethod
-    def spmv_ell(self, ell, x: np.ndarray, out_precision=None,
-                 record: bool = True) -> np.ndarray:
-        """``y = A @ x`` for a :class:`~repro.sparse.ell.SlicedEllMatrix`
-        (``x`` a vector or an ``(n, k)`` block)."""
-
     # ------------------------------------------------------------------ #
     # Matrix-free stencil applies
     #
@@ -377,18 +371,6 @@ class KernelBackend(abc.ABC):
         if x.dtype == p.dtype:
             return x
         return x.astype(p.dtype)
-
-    # ------------------------------------------------------------------ #
-    # Assembled-format preference (AssembledOperator auto-selection hook)
-    # ------------------------------------------------------------------ #
-    def preferred_assembled_format(self, precision) -> str | None:
-        """Storage format this backend wants for an assembled operator.
-
-        Return ``"csr"`` / ``"ell"`` to pin a format, or ``None`` to let
-        :class:`~repro.operators.AssembledOperator` decide from the cost
-        model's traffic comparison.
-        """
-        return None
 
     # ------------------------------------------------------------------ #
     # Triangular substitution

@@ -8,10 +8,6 @@ passes:
 * **CSR SpMV** reuses a per-matrix gather/product buffer and a cached cast of
   the value array per compute dtype (one ``values.astype`` for the lifetime of
   the matrix instead of one per call).
-* **Sliced-ELLPACK SpMV** precomputes, once per matrix, a permutation that
-  lays the chunked column-major storage out row-major; every matvec is then a
-  single gather-multiply-``reduceat`` over all chunks at once instead of a
-  Python loop per chunk.
 * **Triangular solve** precomputes the per-level gather indices/segment
   offsets once per factor (the reference rebuilds them per solve) and streams
   each level with three vectorized ops.
@@ -43,7 +39,7 @@ several threads at once (dispatcher workers share cached solvers):
 
 * every kernel temporary comes from the *calling* thread's arena
   (:class:`~repro.backends.workspace.ThreadLocalWorkspace`);
-* per-object caches (``ell._rm_vals``, ``_fast_vals``, gather plans) are
+* per-object caches (``_fast_vals``, gather plans) are
   immutable-once-built derived data — a benign cross-thread build race at
   worst derives them twice;
 * counters are thread-local.
@@ -107,40 +103,6 @@ _SCIPY_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 #: only: the ``native`` engine's compiled solve has no per-level call cost
 #: and runs one recipe for every factor width.
 STAGED_LEVEL_GATHERS = 256
-
-
-def _build_ell_plan(ell) -> dict:
-    """Row-major gather plan for a sliced-ELLPACK matrix.
-
-    Maps every (row, slot) pair — including the zero padding — to its position
-    in the chunked column-major storage, ordered row by row so a plain
-    ``reduceat`` over ``rm_indptr`` produces the per-row sums.
-    """
-    n = ell.nrows
-    cs = ell.chunk_size
-    rows = np.arange(n, dtype=np.int64)
-    chunk_of_row = rows // cs
-    row_width = ell.chunk_widths.astype(np.int64)[chunk_of_row]
-    rm_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(row_width, out=rm_indptr[1:])
-    total = int(rm_indptr[-1])
-
-    rows_rm = np.repeat(rows, row_width)
-    slot_rm = np.arange(total, dtype=np.int64) - np.repeat(rm_indptr[:-1], row_width)
-    chunk_rm = rows_rm // cs
-    order = (ell.chunk_offsets[chunk_rm] + slot_rm * cs + (rows_rm - chunk_rm * cs))
-    # column indices are layout-only, like the plan itself: share the
-    # row-major copy across dtype casts and threads
-    return {"order": order, "rm_indptr": rm_indptr, "cols_rm": ell.indices[order]}
-
-
-def _ell_stage_vals(ell, vals_rm: np.ndarray) -> np.ndarray:
-    """The row-major fp16 values expanded to fp32 (cached like ``vals_rm``)."""
-    vals32 = ell._rm_vals.get(_STAGE)
-    if vals32 is None:
-        vals32 = vals_rm.astype(_STAGE)
-        ell._rm_vals[_STAGE] = vals32
-    return vals32
 
 
 def _build_trsv_plan(factor) -> list[tuple]:
@@ -245,56 +207,6 @@ class FastBackend(KernelBackend):
             self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, nnz,
                               nnz * BYTES_PER_INDEX + (n + 1) * BYTES_PER_INDEX,
                               columns(x))
-        return y
-
-    # ------------------------------------------------------------------ #
-    def spmv_ell(self, ell, x, out_precision=None, record=True):
-        mat_prec, vec_prec, compute, out_prec = spmv_setup(ell.values.dtype, x.dtype,
-                                                           out_precision)
-        cdtype = compute.dtype
-        tail = x.shape[1:]
-        plan = ell._rm_plan
-        if plan is None:
-            plan = _build_ell_plan(ell)
-            ell._rm_plan = plan
-        scratch = ell.scratch()
-
-        order = plan["order"]
-        rm_indptr = plan["rm_indptr"]
-        cols_rm = plan["cols_rm"]
-        # Row-major value copy (padding included), cached on the instance per
-        # compute dtype; idempotent to rebuild, so a benign cross-thread race
-        # at worst derives it twice.
-        vals_rm = ell._rm_vals.get(cdtype)
-        if vals_rm is None:
-            vals_rm = ell.values[order].astype(cdtype, copy=False)
-            ell._rm_vals[cdtype] = vals_rm
-
-        x_c = x if x.dtype == cdtype else x.astype(cdtype)
-        staged = np.dtype(cdtype) == _HALF
-        if staged:
-            # staged fp16 (see spmv_csr): exact fp32 gather-multiply, fp32
-            # row sums of the fp16-rounded products, rounded once
-            vals_rm = _ell_stage_vals(ell, vals_rm)
-            x_c = halfvec.upcast(x_c, scratch.get("spmv_x32", x_c.shape, _STAGE))
-
-        prods = scratch.get("spmv_prod32" if staged else "spmv_prod",
-                            (order.size,) + tail, x_c.dtype)
-        x_c.take(cols_rm, axis=0, out=prods)
-        np.multiply(prods, per_row(vals_rm, x.ndim), out=prods)
-        if staged:
-            y = halfvec.segment_sums_round(
-                prods, rm_indptr, np.empty((ell.nrows,) + tail, dtype=cdtype),
-                scratch=scratch)
-        else:
-            y = np.zeros((ell.nrows,) + tail, dtype=cdtype)
-            row_segment_sums(prods, rm_indptr, y)
-        y = y.astype(out_prec.dtype, copy=False)
-
-        if record and counters_enabled():
-            stored = ell.nnz
-            self._record_spmv(mat_prec, vec_prec, out_prec, compute, ell.nrows,
-                              stored, stored * BYTES_PER_INDEX, columns(x))
         return y
 
     # ------------------------------------------------------------------ #
@@ -574,12 +486,6 @@ class FastBackend(KernelBackend):
         if record:
             self._record_diag_scale(fp16, fp16, out, fp16, x.shape[0], columns(x))
         return result.astype(out.dtype, copy=False)
-
-    # ------------------------------------------------------------------ #
-    def preferred_assembled_format(self, precision):
-        """Pin CSR when scipy's compiled matvec/SpMM handles the dtype —
-        the fused CSR pass beats the ELL gather path regardless of padding."""
-        return "csr" if np.dtype(precision.dtype) in _SCIPY_DTYPES else None
 
     # ------------------------------------------------------------------ #
     def _trsv_plan_and_vals(self, factor, cdtype):

@@ -3,7 +3,7 @@
  *
  * Every kernel reproduces its oracle's arithmetic bit for bit — the
  * `reference` backend's numpy, or for the fp32 / fp64 products `fast`'s
- * (scipy's CSR matvec, its sliced-ELL reduceat) — so it must be compiled
+ * (scipy's CSR matvec) — so it must be compiled
  * without fused multiply-adds, fast-math or reassociation
  * (-ffp-contract=off, no -ffast-math):
  *
@@ -69,7 +69,7 @@
 #define AVX2_FN __attribute__((target("avx2,f16c")))
 #endif
 
-#define NATIVE_ABI 8
+#define NATIVE_ABI 9
 #define PW_BLOCKSIZE 128
 
 int64_t repro_native_abi(void) { return NATIVE_ABI; }
@@ -1089,11 +1089,6 @@ AVX2_FN uint64_t quantize32_avx2_disagreements(uint64_t lo, uint64_t hi)
 /* row's terms, so the padding never enters a sum (its -0.0 would turn a     */
 /* residual of y_i = -0 into +0).  A one-lane chunk holds its row in order.  */
 /*                                                                           */
-/* A sliced-ELL product at fp32 or fp64 compute follows `fast`'s reduceat    */
-/* over the padded row-major arrays, padding included: the row sums of the   */
-/* triangular solves (numpy's pairwise order, no fp16 rounding) over a copy  */
-/* of x after the zero row the plan's padding reads.                         */
-/*                                                                           */
 /* SEQ_SUMS(vals, cols, x, k, chunk, lens, s) sets s[l] OP= lane l's terms   */
 /* in order, for l < lanes of `chunk`.                                       */
 /* ------------------------------------------------------------------------ */
@@ -1127,10 +1122,9 @@ AVX2_FN uint64_t quantize32_avx2_disagreements(uint64_t lo, uint64_t hi)
         }                                                                     \
     }
 
-/* y = A x, r = y - A x (CSR, sequential) and y = A x (sliced-ELL, pairwise)
- * in T; SFX names the instruction set, TS the dtype */
-#define DEFINE_PLAIN_PRODUCTS(SFX, ATTR, T, TS, SEQ_ADD_SUMS, SEQ_SUB_SUMS,  \
-                              LANE_SUMS, ROW_SUM)                             \
+/* y = A x and r = y - A x (CSR, sequential) in T; SFX names the
+ * instruction set, TS the dtype */
+#define DEFINE_PLAIN_PRODUCTS(SFX, ATTR, T, TS, SEQ_ADD_SUMS, SEQ_SUB_SUMS)   \
 ATTR int spmv_csr_##TS##SFX(int64_t nchunks, const int64_t *meta,             \
                             const int64_t *rows, const int32_t *cols,         \
                             const T *vals, const int32_t *lens, const T *x,   \
@@ -1167,50 +1161,14 @@ ATTR int spmv_axpy_##TS##SFX(int64_t nchunks, const int64_t *meta,            \
     return 0;                                                                 \
 }                                                                             \
                                                                               \
-/* the sliced-ELL row sums over x, whose x[-k .. -1] is the zero row */       \
-ATTR static void ell_sums_##TS##SFX(int64_t nchunks, const int64_t *meta,     \
-                                    const int64_t *rows, const int32_t *cols, \
-                                    const T *vals, const T *x, T *y,          \
-                                    int64_t k)                                \
-{                                                                             \
-    for (int64_t c = 0; c < nchunks; c++) {                                   \
-        const int64_t *chunk = meta + 4 * c, *rc = rows + 8 * c;              \
-        for (int64_t j = 0; j < k; j++) {                                     \
-            T s[8];                                                           \
-            CHUNK_SUMS(LANE_SUMS, ROW_SUM, SAME, x + j, chunk, s)             \
-            for (int64_t l = 0; l < chunk[1]; l++)                            \
-                y[rc[l] * k + j] = s[l];                                      \
-        }                                                                     \
-    }                                                                         \
-}                                                                             \
-                                                                              \
-ATTR int spmv_ell_##TS##SFX(int64_t nchunks, int64_t ncols,                   \
-                            const int64_t *meta, const int64_t *rows,         \
-                            const int32_t *cols, const T *vals, const T *x,   \
-                            T *y, int64_t k)                                  \
-{                                                                             \
-    int64_t size = ncols * k;                                                 \
-    T *xz = malloc((size_t)(size + k > 0 ? size + k : 1) * sizeof(T));        \
-    if (!xz)                                                                  \
-        return -1;                                                            \
-    memset(xz, 0, (size_t)k * sizeof(T));                                     \
-    memcpy(xz + k, x, (size_t)size * sizeof(T));                              \
-    ell_sums_##TS##SFX(nchunks, meta, rows, cols, vals, xz + k, y, k);        \
-    free(xz);                                                                 \
-    return 0;                                                                 \
-}                                                                             \
-                                                                              \
 /* One Richardson invocation of m steps in T (the fp16 sweep's recipe, with  \
  * the loop's fp32 / fp64 kernels): the residual by spmv_axpy on A's CSR     \
- * plan, or where a_lens is NULL (a sliced-ELL plan) the reduceat row sums   \
- * over a copy of z after the zero row in `xz` ((n + 1) k values), then      \
- * v - ax rounded once; step 0's residual is v itself.  M's apply is the     \
- * solve with the lower plan, y_i scaled by scale_i when `scale` is not      \
- * NULL, then the solve with the upper plan.  The update is z = (omega[s]    \
- * mr) + z, each operation rounded once, step 0 adding into the zero z so    \
- * an update of -0 lands as +0.  `buf` holds (3n + 2) k values: the          \
- * residual, then y and mr, each after the zero row its solve's padding      \
- * reads. */                                                                 \
+ * plan, step 0's residual v itself.  M's apply is the solve with the lower  \
+ * plan, y_i scaled by scale_i when `scale` is not NULL, then the solve with \
+ * the upper plan.  The update is z = (omega[s] mr) + z, each operation      \
+ * rounded once, step 0 adding into the zero z so an update of -0 lands as   \
+ * +0.  `buf` holds (3n + 2) k values: the residual, then y and mr, each     \
+ * after the zero row its solve's padding reads. */                          \
 ATTR int richardson_##TS##SFX(int64_t n, int64_t m, int64_t a_chunks,         \
                               const int64_t *a_meta, const int64_t *a_rows,   \
                               const int32_t *a_cols, const T *a_vals,         \
@@ -1222,28 +1180,18 @@ ATTR int richardson_##TS##SFX(int64_t n, int64_t m, int64_t a_chunks,         \
                               const T *u_vals, const T *u_inv,                \
                               const T *scale, int64_t k,                      \
                               const int32_t *a_lens, const T *omega,          \
-                              const T *v, T *z, T *buf, T *xz)                \
+                              const T *v, T *z, T *buf)                       \
 {                                                                             \
     int64_t size = n * k;                                                     \
     T *r = buf, *y = buf + size + k, *mr = buf + 2 * size + 2 * k;            \
     memset(y - k, 0, (size_t)k * sizeof(T));                                  \
     memset(mr - k, 0, (size_t)k * sizeof(T));                                 \
     memset(z, 0, (size_t)size * sizeof(T));                                   \
-    if (!a_lens)                                                              \
-        memset(xz, 0, (size_t)k * sizeof(T));                                 \
     for (int64_t s = 0; s < m; s++) {                                         \
         const T *res = v;                                                     \
         if (s > 0) {                                                          \
-            if (a_lens) {                                                     \
-                spmv_axpy_##TS##SFX(a_chunks, a_meta, a_rows, a_cols, a_vals, \
-                                    a_lens, z, v, r, k);                      \
-            } else {                                                          \
-                memcpy(xz + k, z, (size_t)size * sizeof(T));                  \
-                ell_sums_##TS##SFX(a_chunks, a_meta, a_rows, a_cols, a_vals,  \
-                                   xz + k, r, k);                             \
-                for (int64_t e = 0; e < size; e++)                            \
-                    r[e] = v[e] - r[e];                                       \
-            }                                                                 \
+            spmv_axpy_##TS##SFX(a_chunks, a_meta, a_rows, a_cols, a_vals,     \
+                                a_lens, z, v, r, k);                          \
             res = r;                                                          \
         }                                                                     \
         trsv_##TS##SFX(l_chunks, l_meta, l_rows, l_cols, l_vals, l_inv, res, y, \
@@ -1265,10 +1213,8 @@ DEFINE_SEQ_SUMS(seq_add_f32, , float, SEQ_ADD, )
 DEFINE_SEQ_SUMS(seq_sub_f32, , float, SEQ_SUB, )
 DEFINE_SEQ_SUMS(seq_add_f64, , double, SEQ_ADD, )
 DEFINE_SEQ_SUMS(seq_sub_f64, , double, SEQ_SUB, )
-DEFINE_PLAIN_PRODUCTS(, , float, f32, seq_add_f32, seq_sub_f32, lane_sums_f32,
-                      row_sum_f32)
-DEFINE_PLAIN_PRODUCTS(, , double, f64, seq_add_f64, seq_sub_f64, lane_sums_f64,
-                      row_sum_f64)
+DEFINE_PLAIN_PRODUCTS(, , float, f32, seq_add_f32, seq_sub_f32)
+DEFINE_PLAIN_PRODUCTS(, , double, f64, seq_add_f64, seq_sub_f64)
 
 #ifdef HAVE_AVX2_SET
 /* A lane chunk's 8 rows in the lanes: per slot one gather, each lane's
@@ -1385,7 +1331,7 @@ DEFINE_SEQ_SUMS(seq_add_f64_avx2, AVX2_FN, double, SEQ_ADD,
 DEFINE_SEQ_SUMS(seq_sub_f64_avx2, AVX2_FN, double, SEQ_SUB,
                 X8_SEQ_F64(_mm256_sub_pd))
 DEFINE_PLAIN_PRODUCTS(_avx2, AVX2_FN, float, f32, seq_add_f32_avx2,
-                      seq_sub_f32_avx2, lane_sums_f32_avx2, row_sum_f32)
+                      seq_sub_f32_avx2)
 DEFINE_PLAIN_PRODUCTS(_avx2, AVX2_FN, double, f64, seq_add_f64_avx2,
-                      seq_sub_f64_avx2, lane_sums_f64_avx2, row_sum_f64)
+                      seq_sub_f64_avx2)
 #endif

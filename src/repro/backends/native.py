@@ -1,6 +1,6 @@
 """Native backend: compiled C kernels for the level-scheduled triangular
-solve, every CSR and sliced-ELL product a solve plan issues (fp16, fp16-stored
-× fp32, fp32 and fp64, and the fused residuals), the fp16 vector updates,
+solve, every CSR product a solve plan issues (fp16, fp16-stored × fp32,
+fp32 and fp64, and the fused residuals), the fp16 vector updates,
 the separable stencil sweep, the fp16 diagonal scaling, the fp32 ↔ fp16
 casts and the Richardson sweep in fp16, fp32 and fp64, each bit-identical to
 its oracle.
@@ -25,9 +25,6 @@ chained in tap order, then the diagonal term), which is only
 tolerance-close to ``reference``'s CSR-order stencil.
 Non-separable stencils, and every other kernel, are inherited from
 :class:`~repro.backends.fast.FastBackend`, and so are the counter totals.
-A sliced-ELL matrix's fp16 ``spmv_ell`` runs the CSR kernel on the ELL's
-row-major padded arrays, the very gather of ``fast``'s ``spmv_ell``, so the
-arithmetic is that kernel's.
 
 **The fp32 and fp64 products.**  Where ``fast`` runs scipy's compiled CSR
 matvec — an fp32 or fp64 compute dtype, the matrix's arena given, int32
@@ -38,28 +35,25 @@ oracle: a row's sum from +0 (the residual's from ``y_i``) adding
 (subtracting) ``a_ij·x_j`` one by one in stored order, every product and
 add rounded once.  F^m3's fp16-stored matrix at fp32 vectors reads the
 matrix's fp16 plan, whose values are already widened exactly to fp32;
-fp32- and fp64-valued matrices get a plan of their own.  A sliced-ELL
-product at fp32 or fp64 compute keeps ``fast``'s ``reduceat`` over the
-padded row-major arrays, padding included: the fp16 kernel's pairwise row
-sums without the fp16 roundings.  Without the arena ``fast`` sums pairwise,
-and so ``native`` leaves those products to it.
+fp32- and fp64-valued matrices get a plan of their own.  Without the arena
+``fast`` sums pairwise, and so ``native`` leaves those products to it.
 
 **The Richardson sweep.**  ``richardson_sweep`` binds one C call that runs
 all m steps of an R^m4 invocation (``RichardsonLevel.apply_batch`` without a
 weight refresh) whose matrix values, vectors and triangular factors are all
 fp16 (F3R's level), all fp32 or all fp64 (the fp32 and fp64 variants'), from
-the kernels above, in the loop's order: the residual (``spmv_axpy``, or on
-sliced-ELL storage the product and ``v − ax``), M's two triangular solves
-with IC(0)'s scaling between them, and ``weighted_update`` (ω rounded to the
-level's precision), so its bits are the loop's.  What it records, and the
+the kernels above, in the loop's order: the residual (``spmv_axpy``), M's
+two triangular solves with IC(0)'s scaling between them, and
+``weighted_update`` (ω rounded to the level's precision), so its bits are
+the loop's.  What it records, and the
 applications of M it counts, are the loop's too: the level measures one loop
 invocation of the block shape and hands the sweep that record to replay.
 Mixed precisions, other engines, fault proxies and wrapped applies keep the
 loop.
 
 **Row-interleaved plans.**  The triangular solves (fp64, fp32, fp16) and the
-CSR and sliced-ELL products read a SELL-8 plan (:func:`_interleave`, after
-Kreutzer et al.'s SELL-C-σ): the rows of one dependency level — or of the whole matrix
+CSR products read a SELL-8 plan (:func:`_interleave`, after Kreutzer et
+al.'s SELL-C-σ): the rows of one dependency level — or of the whole matrix
 — packed eight to a chunk by term count, entry ``i`` of every row stored
 side by side, so each of a vector's 8 lanes is one row and runs that row's
 own rounding chain independently of the other seven.  Every lane performs
@@ -139,7 +133,7 @@ from ..precision import (BYTES_PER_INDEX, Precision, as_precision,
                          precision_of_dtype, promote)
 from .base import (axpy_traffic, cast_traffic, columns, diag_scale_traffic,
                    spmv_setup, spmv_traffic, stencil_traffic, trsv_traffic)
-from .fast import FastBackend, _build_ell_plan, _scipy_sparse, _scipy_sparsetools
+from .fast import FastBackend, _scipy_sparse, _scipy_sparsetools
 
 __all__ = ["FLAGS", "ISAS", "NativeBackend", "NativeUnavailable", "cache_dir",
            "isas", "library", "library_path", "self_check"]
@@ -149,7 +143,7 @@ SOURCE = Path(__file__).with_name("native.c")
 #: contraction and fast-math
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 #: must equal NATIVE_ABI in native.c
-ABI = 8
+ABI = 9
 
 _HALF = np.dtype(np.float16)
 _F32 = np.dtype(np.float32)
@@ -190,11 +184,10 @@ _CAST_ARGS = ((_I, _P, _P), ctypes.c_int)
 #: per-call weights, v, z and the two scratch buffers
 _SWEEP_ARGS = ((_I, _I, _I, _P, _P, _P, _P, _I, _P, _P, _P, _P, _P,
                 _I, _P, _P, _P, _P, _P, _P, _I, _P, _P, _P, _P, _P), ctypes.c_int)
-#: the fp32 / fp64 sweep: the same, A's lane term counts (NULL for a
-#: sliced-ELL plan) after k, and per call the weights, v, z, the step
-#: vectors and the ELL product's zero-row copy of z
+#: the fp32 / fp64 sweep: the same, A's lane term counts after k, and per
+#: call the weights, v, z and the step vectors
 _PLAIN_SWEEP_ARGS = ((_I, _I, _I, _P, _P, _P, _P, _I, _P, _P, _P, _P, _P,
-                      _I, _P, _P, _P, _P, _P, _P, _I, _P, _P, _P, _P, _P, _P),
+                      _I, _P, _P, _P, _P, _P, _P, _I, _P, _P, _P, _P, _P),
                      ctypes.c_int)
 #: every exported symbol's (argtypes, restype); pointers pass as addresses.
 #: Names ending in ``_avx2`` are the AVX2 + F16C set, declared only where
@@ -221,8 +214,6 @@ _SIGNATURES = {
     "spmv_csr_f64": _SEQ_ARGS,
     "spmv_axpy_f32": _SEQ_AXPY_ARGS,
     "spmv_axpy_f64": _SEQ_AXPY_ARGS,
-    "spmv_ell_f32": _SPMV_ARGS,
-    "spmv_ell_f64": _SPMV_ARGS,
     "richardson_f32": _PLAIN_SWEEP_ARGS,
     "richardson_f64": _PLAIN_SWEEP_ARGS,
     "trsv_f64_avx2": _TRSV_ARGS,
@@ -244,8 +235,6 @@ _SIGNATURES = {
     "spmv_csr_f64_avx2": _SEQ_ARGS,
     "spmv_axpy_f32_avx2": _SEQ_AXPY_ARGS,
     "spmv_axpy_f64_avx2": _SEQ_AXPY_ARGS,
-    "spmv_ell_f32_avx2": _SPMV_ARGS,
-    "spmv_ell_f64_avx2": _SPMV_ARGS,
     "richardson_f32_avx2": _PLAIN_SWEEP_ARGS,
     "richardson_f64_avx2": _PLAIN_SWEEP_ARGS,
     "quantize32_avx2_disagreements": ((ctypes.c_uint64, ctypes.c_uint64),
@@ -258,8 +247,7 @@ _PER_ISA = ("trsv_f64", "trsv_f32", "trsv_f16", "spmv_csr_f16", "spmv_axpy_f16",
             "residual_update_f16", "stencil_sep_f64", "stencil_sep_f32",
             "stencil_sep_f16", "diag_scale_f16", "cast_f32_f16", "cast_f16_f32",
             "richardson_f16", "quantize32", "spmv_csr_f32", "spmv_csr_f64",
-            "spmv_axpy_f32", "spmv_axpy_f64", "spmv_ell_f32", "spmv_ell_f64",
-            "richardson_f32", "richardson_f64")
+            "spmv_axpy_f32", "spmv_axpy_f64", "richardson_f32", "richardson_f64")
 #: compute dtype -> the suffix of its product kernels
 _SFX = {_HALF: "f16", _F32: "f32", _F64: "f64"}
 #: CSR kernel -> whether ``fast`` runs it at fp32 / fp64 in scipy's order
@@ -611,14 +599,12 @@ class _CsrPlan:
     and the addresses of the plan's chunk records, lane rows, packed
     columns and packed values, which ``arrays`` keeps alive; the sequential
     products also read each lane's term count (:meth:`lane_terms`).  A
-    product records ``nnz`` stored entries and ``index_bytes`` of indices:
-    the CSR arrays' own by default."""
+    product records the CSR arrays' stored entries and indices."""
 
     __slots__ = ("values", "indices", "indptr", "ncols", "nnz", "index_bytes",
                  "arrays", "lead", "lens")
 
-    def __init__(self, values, indices, indptr, vdtype=_F32, nnz=None,
-                 index_bytes=None) -> None:
+    def __init__(self, values, indices, indptr, vdtype=_F32) -> None:
         if (indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0
                 or indptr[-1] != indices.size or values.size != indices.size
                 or np.any(np.diff(indptr) < 0)
@@ -626,26 +612,12 @@ class _CsrPlan:
             raise ValueError("inconsistent CSR arrays")
         self.values, self.indices, self.indptr = values, indices, indptr
         self.ncols = int(indices.max()) + 1 if indices.size else 0
-        self.nnz = values.size if nnz is None else nnz
-        self.index_bytes = ((values.size + indptr.size) * BYTES_PER_INDEX
-                            if index_bytes is None else index_bytes)
+        self.nnz = values.size
+        self.index_bytes = (values.size + indptr.size) * BYTES_PER_INDEX
         self.arrays = _interleave([np.arange(indptr.size - 1)], indptr.astype(np.int64),
                                   indices, values.astype(vdtype))
         self.lead = (len(self.arrays[0]), *(_addr(a) for a in self.arrays))
         self.lens = None
-
-    @classmethod
-    def of_ell(cls, ell, vdtype=_F32) -> "_CsrPlan":
-        """The plan of a sliced-ELL matrix's row-major padded arrays — the
-        ones ``fast.spmv_ell`` gathers, padding included, so a product is
-        its arithmetic — recording the ELL's stored entries and indices."""
-        layout = ell._rm_plan
-        if layout is None:
-            layout = ell._rm_plan = _build_ell_plan(ell)
-        return cls(ell.values[layout["order"]],
-                   np.ascontiguousarray(layout["cols_rm"], dtype=_I32),
-                   layout["rm_indptr"].astype(_I32), vdtype, nnz=ell.nnz,
-                   index_bytes=ell.nnz * BYTES_PER_INDEX)
 
     def lane_terms(self) -> np.ndarray:
         """Each lane's term count (0 past a chunk's lanes), built on first
@@ -675,23 +647,13 @@ def _csr_plan(values, indices, indptr, scratch, vdtype=_F32):
     return plan
 
 
-def _ell_plan(ell, vdtype=_F32):
-    """The plan of a sliced-ELL matrix's products with values in ``vdtype``,
-    cached in its arena; ``False`` for more stored entries than int32
-    counts."""
-    if ell.nnz > _INT32_MAX:
-        return False
-    key = "native_ell" if vdtype == _F32 else ("native_ell", vdtype)
-    return ell.scratch().memo(key, lambda: _CsrPlan.of_ell(ell, vdtype))
-
-
 def _check(status: int) -> None:
     if status != 0:
         raise MemoryError("native kernel could not allocate its scratch")
 
 
 def _product(call, x, record):
-    """``y = A·x`` by a prebound CSR or sliced-ELL product ``call``."""
+    """``y = A·x`` by a prebound CSR product ``call``."""
     kernel, k, dtype, shape, out, traffic = call
     x_c = np.ascontiguousarray(x, dtype=dtype)
     y = np.empty(shape, dtype=dtype)
@@ -740,7 +702,7 @@ def _out_dtype(out_prec: Precision, dtype) -> np.dtype | None:
 
 
 class NativeBackend(FastBackend):
-    """Compiled ``trsv``; CSR and sliced-ELL products and fused residuals
+    """Compiled ``trsv``; CSR products and fused residuals
     at fp16, fp16-stored × fp32, fp32 and fp64 (the fp32 / fp64 ones where
     ``fast`` runs scipy's, in its order); fp16 vector updates, separable
     stencil sweeps, fp16 diagonal scaling, fp32 ↔ fp16 casts and the
@@ -756,9 +718,9 @@ class NativeBackend(FastBackend):
     :class:`_Call`: the kernel of the instruction set with the plan's
     leading arguments bound, the output dtype and the call's traffic
     record.  It is cached beside the plan it binds — on the factor
-    (``trsv``), in the matrix's arena (the CSR and sliced-ELL products; a
-    CSR call also checks it was made for the arrays it is given) or the
-    stencil's (the sweeps) — and, for the vector kernels, which have no
+    (``trsv``), in the matrix's arena (the CSR products, each call checked
+    against the arrays it was made for) or the stencil's (the sweeps) — and,
+    for the vector kernels, which have no
     plan, on the engine, dropped with the kernel table it was made from.  A
     call is then one lookup, the contiguity check, the output allocation,
     the addresses, one C call and one :func:`~repro.perf.counters.record`.
@@ -904,7 +866,7 @@ class NativeBackend(FastBackend):
             traffic = traffic.then(axpy_traffic(out_prec, out_prec, out_prec,
                                                 compute, n, k))
         nchunks, *addrs = plan.lead
-        if cdtype == _HALF or name.startswith("spmv_ell"):
+        if cdtype == _HALF:
             lens, lead = None, (nchunks, x.shape[0], *addrs)
         else:
             lens = plan.lane_terms()
@@ -923,23 +885,6 @@ class NativeBackend(FastBackend):
         if not call:
             return super().spmv_csr(values, indices, indptr, x, out_precision,
                                     record=record, scratch=scratch)
-        return _product(call, x, record)
-
-    def spmv_ell(self, ell, x, out_precision=None, record=True):
-        """A sliced-ELL product by the compiled kernels on its row-major
-        padded arrays, ``fast``'s ``spmv_ell`` bit for bit with its
-        counters: the fp16 CSR product, or at fp32 / fp64 compute its
-        pairwise row sums without the fp16 roundings."""
-        memo = ell.scratch().memo("native_ell_calls", dict)
-        key = (self, x.dtype, x.shape, out_precision)
-        call = memo.get(key)
-        if call is None:
-            cdtype = np.dtype(spmv_setup(ell.values.dtype, x.dtype, None)[2].dtype)
-            plan = _ell_plan(ell, _F32 if cdtype == _HALF else cdtype)
-            name = "spmv_csr_f16" if cdtype == _HALF else f"spmv_ell_{_SFX[cdtype]}"
-            call = memo[key] = plan and self._bind_csr(plan, name, x, out_precision)
-        if not call:
-            return super().spmv_ell(ell, x, out_precision, record=record)
         return _product(call, x, record)
 
     def spmv_axpy(self, values, indices, indptr, x, y, out_precision=None,
@@ -1127,9 +1072,9 @@ class NativeBackend(FastBackend):
         operands like ``v`` (see ``RichardsonLevel.apply_batch``), recording
         ``traffic`` and adding ``applications`` to the preconditioner's
         count — the loop's, measured — or ``None`` where the operands are
-        not its own: ``plan`` bound to another engine; not a CSR or
-        sliced-ELL product whose values, vectors and plan precision are all
-        fp16, all fp32 or all fp64 (an fp32 / fp64 CSR residual also needs
+        not its own: ``plan`` bound to another engine; not a CSR product
+        whose values, vectors and plan precision are all fp16, all fp32 or
+        all fp64 (an fp32 / fp64 CSR residual also needs
         scipy's order, which ``fast`` and so the loop follow); a
         preconditioner with no :meth:`triangular_form` in that precision;
         an empty block.  The sweep runs the loop's kernels in its order, so
@@ -1137,18 +1082,15 @@ class NativeBackend(FastBackend):
         cdtype = v.dtype
         if (plan.backend is not self or cdtype not in _SFX
                 or plan.vec_prec.dtype != cdtype or v.ndim != 2 or v.shape[1] == 0
-                or plan.kind not in ("csr", "ell")):
+                or plan.kind != "csr"):
             return None
         n, k = v.shape
-        a, ell = plan.storage, plan.kind == "ell"
+        a = plan.storage
         if a.values.dtype != cdtype:
             return None
-        vdtype = _TRSV[cdtype][1]
-        if ell:
-            a_plan = _ell_plan(a, vdtype)
-        else:
-            a_plan = ((cdtype == _HALF or _SCIPY_ORDER["spmv_axpy"])
-                      and _csr_plan(a.values, a.indices, a.indptr, a.scratch(), vdtype))
+        a_plan = ((cdtype == _HALF or _SCIPY_ORDER["spmv_axpy"])
+                  and _csr_plan(a.values, a.indices, a.indptr, a.scratch(),
+                                _TRSV[cdtype][1]))
         triangular_form = getattr(preconditioner, "triangular_form", None)
         form = triangular_form() if triangular_form is not None else None
         if (not a_plan or form is None or a_plan.indptr.size - 1 != n
@@ -1160,14 +1102,13 @@ class NativeBackend(FastBackend):
                 and lower.nrows == n and upper.nrows == n
                 and (scale is None or (scale.dtype == cdtype and scale.shape == (n,)))):
             return None
-        kernel = self._bind_sweep(a_plan, ell, form, m, n, k, cdtype)
-        return _Sweep(kernel, (n, k), cdtype, ell, preconditioner, applications, traffic)
+        kernel = self._bind_sweep(a_plan, form, m, n, k, cdtype)
+        return _Sweep(kernel, (n, k), cdtype, preconditioner, applications, traffic)
 
-    def _bind_sweep(self, a_plan, ell: bool, form, m: int, n: int, k: int, cdtype):
+    def _bind_sweep(self, a_plan, form, m: int, n: int, k: int, cdtype):
         """The compiled sweep of ``m`` steps in ``cdtype`` over A's plan
-        ``a_plan`` (a sliced-ELL matrix's when ``ell``) and the
-        preconditioner's ``form`` on ``(n, k)`` blocks, its operands
-        bound."""
+        ``a_plan`` and the preconditioner's ``form`` on ``(n, k)`` blocks,
+        its operands bound."""
         lower, scale, upper = form
         _, l_chunks, l_arrays, l_addrs = _trsv_plan(lower, cdtype)
         _, u_chunks, u_arrays, u_addrs = _trsv_plan(upper, cdtype)
@@ -1175,11 +1116,11 @@ class NativeBackend(FastBackend):
         a_chunks, *a_addrs = a_plan.lead
         lead = (n, m, a_chunks, *a_addrs, l_chunks, *l_addrs, u_chunks, *u_addrs,
                 None if scale_c is None else _addr(scale_c), k)
-        # the sequential fp32 / fp64 CSR residual's lane term counts (NULL
-        # for ELL's pairwise sums); the fp16 products take none
-        lens = None if ell or cdtype == _HALF else a_plan.lane_terms()
-        if cdtype != _HALF:
-            lead += (None if lens is None else _addr(lens),)
+        # the sequential fp32 / fp64 CSR residual's lane term counts; the
+        # fp16 products take none
+        lens = None if cdtype == _HALF else a_plan.lane_terms()
+        if lens is not None:
+            lead += (_addr(lens),)
         kernel = self._half_kernels(n, k)[f"richardson_{_SFX[cdtype]}"]
         return _bind(kernel, *lead, arrays=(a_plan.arrays, l_arrays, u_arrays, scale_c,
                                             lens))
@@ -1193,9 +1134,9 @@ class _Sweep:
     weights and the calling thread's arena; returns ``z``."""
 
     __slots__ = ("kernel", "shape", "dtype", "preconditioner", "applications",
-                 "traffic", "buf", "work", "_omega")
+                 "traffic", "buffers", "_omega")
 
-    def __init__(self, kernel, shape, dtype, ell, preconditioner, applications,
+    def __init__(self, kernel, shape, dtype, preconditioner, applications,
                  traffic) -> None:
         self.kernel, self.shape, self.dtype = kernel, shape, dtype
         self.preconditioner, self.applications = preconditioner, applications
@@ -1203,12 +1144,11 @@ class _Sweep:
         n, k = shape
         if dtype == _HALF:
             # the residual, y and mr; the weights' row and the solves' fp32 x
-            self.buf = ("native_sweep16", 3 * n * k, _HALF)
-            self.work = ("native_sweep32", (n + 2) * k, _F32)
+            self.buffers = (("native_sweep16", 3 * n * k, _HALF),
+                            ("native_sweep32", (n + 2) * k, _F32))
         else:
-            # the residual, y and mr after their zero rows; ELL's copy of z
-            self.buf = ("native_sweep", (3 * n + 2) * k, dtype)
-            self.work = ("native_sweep_x", (n + 1) * k if ell else k, dtype)
+            # the residual, y and mr after their zero rows
+            self.buffers = (("native_sweep", (3 * n + 2) * k, dtype),)
         #: the last weights seen and the kernel's: fp16 values in fp32, fp32
         #: values, or the fp64 weights themselves
         self._omega = (None, None)
@@ -1222,8 +1162,8 @@ class _Sweep:
             self._omega = (key, omega)
         v_c = np.ascontiguousarray(v)
         z = np.empty(self.shape, dtype=self.dtype)
-        buf, work = scratch.get(*self.buf), scratch.get(*self.work)
-        _check(self.kernel(_ptr(omega), _ptr(v_c), _ptr(z), _ptr(buf), _ptr(work)))
+        _check(self.kernel(_ptr(omega), _ptr(v_c), _ptr(z),
+                           *(_ptr(scratch.get(*b)) for b in self.buffers)))
         self.preconditioner.num_applications += self.applications
         record_traffic(self.traffic)
         return z
@@ -1457,23 +1397,21 @@ def _product_cases(dense, b) -> list:
     """``(label, run)`` pairs of the fp32 and fp64 products, whose oracle is
     ``fast``: the self-check matrix at fp16 (times fp32), fp32 and fp64 —
     CSR with its arena (scipy's order: its empty rows, its 140-term row in
-    a chunk of its own) and sliced-ELL in chunks of 4 (reduceat over the
-    padding) — on a vector and blocks of 1 and 3 columns holding inf, NaN
-    and subnormal entries, residuals whose ``y`` has −0 entries, and the
-    residual of the non-negative matrix at ``x = +0`` and ``y = −0``, whose
-    every row stays −0 unless padding enters its sum."""
-    from ..sparse import CSRMatrix, SlicedEllMatrix
+    a chunk of its own) — on a vector and blocks of 1 and 3 columns holding
+    inf, NaN and subnormal entries, residuals whose ``y`` has −0 entries,
+    and the residual of the non-negative matrix at ``x = +0`` and
+    ``y = −0``, whose every row stays −0 unless padding enters its sum."""
+    from ..sparse import CSRMatrix
 
     csr = CSRMatrix.from_dense(dense)
     x = np.concatenate([b, -b[:, :1] * 1e-3], axis=1)
-    x[0, 2] = np.inf                           # the ELL padding's column
+    x[0, 2] = np.inf
     x[9, 0], x[12, 1] = 3e-41, 5e-320          # fp32 and fp64 subnormals
     y = x[::-1].copy()
     y[::6] = -0.0
     cases = []
     for mat, vec in ((_HALF, _F32), (_F32, _F32), (_F64, _F64)):
         a = csr.astype(precision_of_dtype(mat))
-        ell = SlicedEllMatrix(a, chunk_size=4)
         label = f"{mat} x {vec}"
         for width in (None, 1, 3):
             xv, yv = ((np.ascontiguousarray(v[:, 0] if width is None else v[:, :width],
@@ -1484,9 +1422,7 @@ def _product_cases(dense, b) -> list:
                     scratch=a.scratch())),
                 (f"spmv_axpy {label}", lambda be, a=a, xv=xv, yv=yv: be.spmv_axpy(
                     a.values, a.indices, a.indptr, xv, yv, record=False,
-                    scratch=a.scratch())),
-                (f"spmv_ell {label}", lambda be, ell=ell, xv=xv: be.spmv_ell(
-                    ell, xv, record=False))]
+                    scratch=a.scratch()))]
         positive = CSRMatrix(np.abs(a.values), a.indices, a.indptr, a.shape)
         zero, minus_zero = np.zeros((csr.nrows, 3), vec), np.full((csr.nrows, 3), -0.0, vec)
         cases.append((f"spmv_axpy {label} (padding)", lambda be, p=positive, z=zero,
@@ -1499,13 +1435,12 @@ def _sweep_cases(factor, dense, rng) -> list:
     """``(label, run)`` pairs of the fp32 and fp64 Richardson sweeps, whose
     oracle is the level's loop on ``fast``: one and three steps (weights
     that are not fp32 values) over the self-check matrix as CSR with its
-    arena (scipy's order: its 140-term row) and as sliced-ELL in chunks of 4
-    (reduceat over the padding), the factor as both solves with and without
-    a scaling between them, on blocks of 1 and 3 columns holding fp32 and
-    fp64 subnormals, inf and NaN (the third column), and −0 on rows without
-    terms in the factor, whose M·r is −0: an update of −0, which step 0
-    adds to +0."""
-    from ..sparse import CSRMatrix, SlicedEllMatrix
+    arena (scipy's order: its 140-term row), the factor as both solves with
+    and without a scaling between them, on blocks of 1 and 3 columns holding
+    fp32 and fp64 subnormals, inf and NaN (the third column), and −0 on rows
+    without terms in the factor, whose M·r is −0: an update of −0, which
+    step 0 adds to +0."""
+    from ..sparse import CSRMatrix
 
     n = dense.shape[0]
     csr = CSRMatrix.from_dense(dense)
@@ -1518,32 +1453,28 @@ def _sweep_cases(factor, dense, rng) -> list:
     for dtype in (_F32, _F64):
         lower = _cast_factor(factor, dtype)
         a = csr.astype(precision_of_dtype(dtype))
-        for mat, vk, s, weights in itertools.product(
-                (a, SlicedEllMatrix(a, chunk_size=4)),
+        for vk, s, weights in itertools.product(
                 (v[:, :1].astype(dtype), v.astype(dtype)), (None, scale.astype(dtype)),
                 (np.array([0.3]), np.array([0.3, 1.1, 2.7]))):
             cases.append((f"richardson_{_SFX[dtype]}",
-                          lambda be, mat=mat, lower=lower, vk=vk, s=s, w=weights:
-                          _richardson(be, mat, lower, s, w, vk)))
+                          lambda be, a=a, lower=lower, vk=vk, s=s, w=weights:
+                          _richardson(be, a, lower, s, w, vk)))
     return cases
 
 
 def _richardson(be, a, lower, scale, weights, v):
     """Richardson steps from z = 0 on the self-check operands — A (CSR
-    with its arena, or sliced-ELL), ``lower`` as both solves, the middle
+    with its arena), ``lower`` as both solves, the middle
     ``scale`` — one per weight: the native engine's compiled sweep
     (unrecorded), or the level's loop on any other engine's kernels, the
     oracle."""
     from types import SimpleNamespace
 
-    from ..sparse import SlicedEllMatrix
     from .workspace import Workspace
 
-    ell = isinstance(a, SlicedEllMatrix)
     prec = precision_of_dtype(v.dtype)
     if isinstance(be, NativeBackend):
-        plan = SimpleNamespace(backend=be, vec_prec=prec, kind="ell" if ell else "csr",
-                               storage=a)
+        plan = SimpleNamespace(backend=be, vec_prec=prec, kind="csr", storage=a)
         m = SimpleNamespace(triangular_form=lambda: (lower, scale, lower),
                             num_applications=0)
         sweep = be.richardson_sweep(plan, m, len(weights), v, Traffic(), 0)
@@ -1555,8 +1486,6 @@ def _richardson(be, a, lower, scale, weights, v):
     for step, weight in enumerate(weights):
         if step == 0:
             r = v
-        elif ell:
-            r = be.residual_update(v, be.spmv_ell(a, z, record=False), record=False)
         else:
             r = be.spmv_axpy(a.values, a.indices, a.indptr, z, v, record=False,
                              scratch=a.scratch())

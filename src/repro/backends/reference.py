@@ -1,13 +1,11 @@
 """Reference backend: the original emulation-faithful NumPy kernels.
 
 This backend preserves the seed implementation of every hot kernel exactly —
-per-column Gram-Schmidt loops, per-chunk sliced-ELLPACK products, per-row
-scatter/gather ILU(0) — and serves as the correctness oracle the ``fast``
-backend is validated against (see ``tests/test_backends_equivalence.py``).
-It records traffic at the same granularity the original code did: one
-``record_*`` call per logical BLAS-1 operation.  A sliced-ELLPACK row is
-reduced in slot order through the shared ``row_segment_sums``, exactly like
-a CSR row, so the oracle's answer does not depend on the storage format.
+per-column Gram-Schmidt loops, per-row scatter/gather ILU(0) — and serves
+as the correctness oracle the ``fast`` backend is validated against (see
+``tests/test_backends_equivalence.py``).  It records traffic at the same
+granularity the original code did: one ``record_*`` call per logical BLAS-1
+operation.
 
 Every kernel takes a vector or an ``(n, k)`` block.  On this backend a block
 call *is* :func:`~repro.backends.base.column_loop` over the vector kernel —
@@ -85,43 +83,6 @@ class ReferenceBackend(KernelBackend):
             nnz = values.size
             self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, nnz,
                               nnz * BYTES_PER_INDEX + (n + 1) * BYTES_PER_INDEX)
-        return y
-
-    # ------------------------------------------------------------------ #
-    def spmv_ell(self, ell, x, out_precision=None, record=True):
-        if x.ndim == 2:
-            return column_loop(lambda xj: self.spmv_ell(ell, xj, out_precision,
-                                                        record), x)
-        mat_prec, vec_prec, compute, out_prec = spmv_setup(ell.values.dtype, x.dtype,
-                                                           out_precision)
-        vals = ell.values if ell.values.dtype == compute.dtype else ell.values.astype(compute.dtype)
-        x_c = x if x.dtype == compute.dtype else x.astype(compute.dtype)
-
-        y = np.zeros(ell.nrows, dtype=compute.dtype)
-        nchunks = ell.chunk_widths.size
-        cs = ell.chunk_size
-        for c in range(nchunks):
-            lo = c * cs
-            hi = min(lo + cs, ell.nrows)
-            rows_in_chunk = hi - lo
-            width = int(ell.chunk_widths[c])
-            if width == 0:
-                continue
-            base = int(ell.chunk_offsets[c])
-            block_vals = vals[base:base + width * cs].reshape(width, cs)[:, :rows_in_chunk]
-            block_cols = ell.indices[base:base + width * cs].reshape(width, cs)[:, :rows_in_chunk]
-            # each row reduced in slot order, through the same segment sums
-            # as the CSR oracle — the result does not depend on the storage
-            # format (a column sum over the block would round per add in fp16)
-            prods = (block_vals * x_c[block_cols]).T.ravel()
-            row_segment_sums(prods, np.arange(rows_in_chunk + 1) * width,
-                             y[lo:hi])
-        y = y.astype(out_prec.dtype, copy=False)
-
-        if record:
-            stored = ell.nnz
-            self._record_spmv(mat_prec, vec_prec, out_prec, compute, ell.nrows,
-                              stored, stored * BYTES_PER_INDEX)
         return y
 
     # ------------------------------------------------------------------ #

@@ -85,7 +85,7 @@ class F3RSolver:
                  alpha: float = 1.0,
                  recovery: RecoveryPolicy | bool | None = None) -> None:
         # Anything satisfying the LinearOperator contract works: assembled
-        # CSR (wrapped for format auto-selection), matrix-free stencils,
+        # CSR (wrapped in an AssembledOperator), matrix-free stencils,
         # composites.  Preconditioner "auto" falls back to Jacobi built from
         # operator.diagonal() when entries aren't assembled.
         self.matrix = as_operator(matrix)

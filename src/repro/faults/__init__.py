@@ -67,7 +67,6 @@ __all__ = [
 #: and a fault poisons one entry of that call's output.
 _KERNEL_SITES = {
     "spmv_csr": "spmv",
-    "spmv_ell": "spmv",
     "apply_stencil": "spmv",
     "spmv_axpy": "spmv",
     "trsv": "trsv",

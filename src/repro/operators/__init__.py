@@ -3,8 +3,8 @@
 The nested solvers only ever *apply* the coefficient matrix, so they target
 the :class:`LinearOperator` contract instead of assembled storage:
 
-* :class:`AssembledOperator` — wraps a CSR matrix, auto-selecting CSR vs
-  sliced-ELLPACK per backend/dtype via the cost model;
+* :class:`AssembledOperator` — wraps a CSR matrix, whose CSR product every
+  apply runs;
 * :class:`StencilOperator` — matrix-free constant-coefficient stencil applies
   over the regular grids :mod:`repro.matgen` builds (see
   :mod:`repro.matgen.operators` for the ready-made problem generators);

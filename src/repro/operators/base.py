@@ -35,7 +35,8 @@ The contract:
 :class:`~repro.sparse.CSRMatrix` itself satisfies the contract structurally
 (it grew ``apply``/``apply_batch`` aliases), so existing call sites keep
 working; :func:`as_operator` upgrades a raw matrix to an
-:class:`AssembledOperator` to add format auto-selection on top.
+:class:`AssembledOperator`, which adds the rest of the contract (shape
+checks, ``assembled_entries``, cached precision casts) on top.
 """
 
 from __future__ import annotations
@@ -184,17 +185,16 @@ class LinearOperator(abc.ABC):
                 f"precision={self.precision.label})")
 
 
-def as_operator(matrix, format: str = "auto") -> LinearOperator:
+def as_operator(matrix) -> LinearOperator:
     """Coerce ``matrix`` to the operator contract.
 
     A :class:`LinearOperator` passes through unchanged; a
     :class:`~repro.sparse.CSRMatrix` is wrapped in an
-    :class:`~repro.operators.AssembledOperator` (gaining CSR/ELL format
-    auto-selection); any other object that already satisfies the contract
-    structurally — ``apply``/``apply_batch``/``astype`` plus ``shape`` and
-    ``precision`` (what the solver stack actually touches) — passes through
-    as-is (e.g. a bare :class:`~repro.sparse.SlicedEllMatrix`, or a
-    third-party duck type).  Anything else is rejected.
+    :class:`~repro.operators.AssembledOperator`; any other object that
+    already satisfies the contract structurally — ``apply``/``apply_batch``/
+    ``astype`` plus ``shape`` and ``precision`` (what the solver stack
+    actually touches) — passes through as-is (e.g. a third-party duck type).
+    Anything else is rejected.
     """
     if isinstance(matrix, LinearOperator):
         return matrix
@@ -202,7 +202,7 @@ def as_operator(matrix, format: str = "auto") -> LinearOperator:
     if isinstance(matrix, CSRMatrix):
         from .assembled import AssembledOperator
 
-        return AssembledOperator(matrix, format=format)
+        return AssembledOperator(matrix)
     if (callable(getattr(matrix, "apply", None))
             and callable(getattr(matrix, "apply_batch", None))
             and callable(getattr(matrix, "astype", None))

@@ -4,7 +4,7 @@ A constant-coefficient stencil on an ``n = prod(dims)`` grid is fully
 described by a handful of (offset, value) pairs — the 27-point HPCG/HPGMP
 stencils, the 5/7-point Poisson stencils, upwind convection–diffusion and
 anisotropic diffusion all fit.  Storing only those ``s`` coefficients removes
-the assembled formats' memory floor entirely: the apply reads the input
+the assembled format's memory floor entirely: the apply reads the input
 vector and writes the output, with no value or index traffic (the cost
 model's ``cA`` term collapses to the coefficient table).
 

@@ -28,6 +28,7 @@ from .machine import (
     GPU_NODE_FULL,
     MachineModel,
     modeled_time,
+    padded_entry_count,
 )
 from .timer import StageTimer, Timer, timed
 
@@ -51,6 +52,7 @@ __all__ = [
     "CPU_NODE_FULL",
     "GPU_NODE_FULL",
     "modeled_time",
+    "padded_entry_count",
     "Timer",
     "StageTimer",
     "timed",

@@ -5,7 +5,8 @@ The paper evaluates on two testbeds:
 * **CPU node** — Camphor 3 at Kyoto University: two Intel Sapphire Rapids CPUs
   (2 × 56 cores), block-Jacobi ILU(0)/IC(0) preconditioning, CSR SpMV.
 * **GPU node** — Gardenia: one NVIDIA A100, SD-AINV preconditioning, sliced
-  ELLPACK SpMV.
+  ELLPACK SpMV (here CSR products, with the format's padding available as
+  :func:`padded_entry_count`).
 
 Sparse iterative kernels are memory-bandwidth bound on both (the paper's own
 premise), so modeled execution time is
@@ -26,11 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..precision import Precision
 from .counters import TrafficCounter
 
 __all__ = ["MachineModel", "CPU_NODE", "GPU_NODE", "CPU_NODE_FULL", "GPU_NODE_FULL",
-           "modeled_time"]
+           "modeled_time", "padded_entry_count"]
 
 #: kernels that end in a global reduction (latency-sensitive on GPUs)
 _REDUCTION_KERNELS = ("dot", "norm")
@@ -118,6 +121,19 @@ GPU_NODE = MachineModel(
         Precision.FP16: 78e12,
     },
 )
+
+
+def padded_entry_count(row_nnz, chunk_size: int = 32) -> int:
+    """Stored entries of the sliced-ELLPACK layout the GPU node's SpMV reads
+    (Monakov et al., 2010; the paper's chunk size is 32): rows in chunks of
+    ``chunk_size``, each chunk — a partial trailing one included — padded to
+    the length of its longest row."""
+    row_nnz = np.asarray(row_nnz, dtype=np.int64)
+    if not row_nnz.size:
+        return 0
+    starts = np.arange(0, row_nnz.size, chunk_size)
+    return int(np.maximum.reduceat(row_nnz, starts).sum()) * int(chunk_size)
+
 
 #: Latency-bearing variants: OpenMP fork/join barriers on the CPU node; kernel
 #: launch and device-wide reduction latencies on the GPU node.  The GPU's

@@ -1,13 +1,12 @@
 """Compiled solve plans: pre-bound kernels, fused kernels, arenas.
 
 The solver stack's steady-state loop used to pay pure overhead on every
-iteration — operator dispatch, storage-format lookups, workspace-key
-rebuilding, fresh temporaries.  This package compiles that work away once
-per ``(operator fingerprint, backend, vector precision)``.
+iteration — operator dispatch, storage lookups, workspace-key rebuilding,
+fresh temporaries.  This package compiles that work away once per
+``(operator fingerprint, backend, vector precision)``.
 :class:`SolvePlan` / :func:`plan_for` are the compiled plan and its
 fingerprint-keyed LRU cache (see :mod:`repro.plans.plan`).  An assembled
-operator's storage format is the cost model's verdict
-(:class:`~repro.operators.AssembledOperator`), never a timing run's.
+operator's plan runs its CSR arrays on every engine.
 
 Plans are the only execution path: every solver level and Krylov baseline
 runs its operator products through one, and the ``reference`` backend is

@@ -4,11 +4,9 @@ A :class:`SolvePlan` binds, once per ``(operator fingerprint, backend,
 vector precision)``, everything the iteration hot loop used to re-derive on
 every call:
 
-* the **resolved storage and kernel** — the CSR arrays / sliced-ELL plan /
-  matrix-free stencil the applies actually run on, chosen by the analytic
-  cost model (:class:`~repro.operators.AssembledOperator`), and the backend
-  kernel bound directly (no per-call operator dispatch, format lookup or
-  argument validation);
+* the **resolved storage and kernel** — the CSR arrays or matrix-free
+  stencil the applies actually run on, and the backend kernel bound
+  directly (no per-call operator dispatch or argument validation);
 * **fused kernels** — ``residual`` runs the one-pass ``spmv_axpy`` for CSR
   storage and the ``apply`` + ``residual_update`` pair elsewhere, with the
   exact unfused rounding/counter semantics;
@@ -61,55 +59,34 @@ def plans_enabled() -> bool:
     return True
 
 
-def _storage_config(operator) -> tuple:
-    """Storage-affecting operator config that the content hash does not cover.
-
-    An ``AssembledOperator``'s fingerprint is its matrix's content hash —
-    ``format=``/``chunk_size=`` pins change which storage (and therefore
-    which counters and fp16 summation structure) a plan binds, so they must
-    be part of the cache key.
-    """
-    fmt = getattr(operator, "format", None)
-    chunk = getattr(operator, "chunk_size", None)
-    return (fmt, int(chunk) if chunk is not None else None)
-
-
 class SolvePlan:
     """Pre-bound apply/residual kernels for one operator on one backend.
 
     Every method mirrors the operator's own ``apply``/``apply_batch``
     exactly — the same backend kernels run on the same resolved storage with
-    the same counter totals — minus the per-call dispatch, validation and
-    format lookups.  ``record=False`` skips traffic recording (the outer solver's
-    unrecorded true-residual refreshes).
+    the same counter totals — minus the per-call dispatch and validation.
+    ``record=False`` skips traffic recording (the outer solver's unrecorded
+    true-residual refreshes).
     """
 
-    __slots__ = ("operator", "vec_prec", "backend", "kind", "_csr", "_ell",
-                 "_stencil", "_tls")
+    __slots__ = ("operator", "vec_prec", "backend", "kind", "_csr", "_stencil",
+                 "_tls")
 
     def __init__(self, operator, vec_prec: Precision | str, backend=None) -> None:
         from ..operators.assembled import AssembledOperator
         from ..operators.stencil import StencilOperator
         from ..sparse.csr import CSRMatrix
-        from ..sparse.ell import SlicedEllMatrix
 
         self.operator = operator
         self.vec_prec = as_precision(vec_prec)
         self.backend = backend if backend is not None else get_backend()
-        self._csr = self._ell = self._stencil = None
+        self._csr = self._stencil = None
         self._tls = ThreadLocalWorkspace()
 
-        storage = operator
-        if isinstance(operator, AssembledOperator):
-            # resolves the format under *this* backend (the cost model's
-            # verdict, or the engine's pinned format)
-            storage = operator.storage_for(self.backend)
+        storage = operator.csr if isinstance(operator, AssembledOperator) else operator
         if isinstance(storage, CSRMatrix):
             self.kind = "csr"
             self._csr = storage
-        elif isinstance(storage, SlicedEllMatrix):
-            self.kind = "ell"
-            self._ell = storage
         elif isinstance(storage, StencilOperator):
             self.kind = "stencil"
             self._stencil = storage
@@ -123,10 +100,10 @@ class SolvePlan:
 
     @property
     def storage(self):
-        """What the applies run on: the CSR or sliced-ELL matrix, the
-        stencil, or (kind ``"operator"``) the operator itself."""
-        return {"csr": self._csr, "ell": self._ell,
-                "stencil": self._stencil}.get(self.kind, self.operator)
+        """What the applies run on: the CSR matrix, the stencil, or (kind
+        ``"operator"``) the operator itself."""
+        return {"csr": self._csr, "stencil": self._stencil}.get(self.kind,
+                                                                self.operator)
 
     def workspace(self):
         """The calling thread's plan-scoped scratch arena."""
@@ -153,10 +130,6 @@ class SolvePlan:
             return self.backend.spmv_csr(m.values, m.indices, m.indptr, x,
                                          out_precision=self.vec_prec,
                                          record=record, scratch=m.scratch())
-        if kind == "ell":
-            return self.backend.spmv_ell(self._ell, x,
-                                         out_precision=self.vec_prec,
-                                         record=record)
         if kind == "stencil":
             return self.backend.apply_stencil(self._stencil, x,
                                               out_precision=self.vec_prec,
@@ -219,7 +192,7 @@ def plan_for(operator, vec_prec: Precision | str, backend=None) -> SolvePlan:
 
     Content-keyed: equal-valued operators held by different callers — and
     new solver instances for a previously seen matrix — share one compiled
-    plan, including its storage format.  The backend part of the
+    plan.  The backend part of the
     key is the backend object itself, so a fault-injection proxy and the
     engine it wraps never share a plan.
     """
@@ -229,8 +202,7 @@ def plan_for(operator, vec_prec: Precision | str, backend=None) -> SolvePlan:
         # structural duck types without a content hash still get a plan —
         # callers (solver levels) cache it per instance instead
         return compile_plan(operator, vec_prec, backend=backend)
-    key = (fingerprint(), _storage_config(operator), backend,
-           as_precision(vec_prec).label)
+    key = (fingerprint(), backend, as_precision(vec_prec).label)
     with _CACHE_LOCK:
         plan = _PLAN_CACHE.get(key)
         if plan is not None:

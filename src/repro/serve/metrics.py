@@ -39,8 +39,9 @@ _COUNTERS = frozenset({
     "escalations", "retries", "breaker_trips", "deadline_misses", "rejected",
     "shed", "degraded", "prewarms", "opportunistic_warmups", "transitions",
     "observations", "expired", "degraded_batches",
-    "hits", "saves",
-    "misses", "evictions",
+    "hits", "misses", "evictions",
+    # plan cache and artifact store
+    "compiled", "stores", "errors",
     # remote shard / cluster tier
     "reconnects", "resends", "replays", "late_results", "heartbeat_misses",
     "stale_recoveries", "dedup_hits", "replayed_running", "stale_misses",

@@ -20,12 +20,12 @@ Precision: the Richardson recurrence runs entirely in the level's precision
 stated in Section 4.3 of the paper.
 
 An invocation that does not refresh the weights may run as one compiled call
-of the kernel engine (``backend.richardson_sweep``: ``native``'s, for CSR or
-sliced-ELL products and ILU(0)/IC(0)-type preconditioners in uniform fp16,
-fp32 or fp64 — F3R's level and the fp32 and fp64 variants'), with the
-loop's bits.  The loop owns what an invocation records: the first one of a
-block shape runs it measured, and the sweep replays that record and that
-count of ``M`` applications.
+of the kernel engine (``backend.richardson_sweep``: ``native``'s, for CSR
+products and ILU(0)/IC(0)-type preconditioners in uniform fp16, fp32 or
+fp64 — F3R's level and the fp32 and fp64 variants'), with the loop's bits.
+The loop owns what an invocation records: the first one of a block shape
+runs it measured, and the sweep replays that record and that count of ``M``
+applications.
 """
 
 from __future__ import annotations

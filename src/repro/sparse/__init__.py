@@ -2,7 +2,6 @@
 
 from .coo import COOMatrix
 from .csr import CSRMatrix, spmv_csr
-from .ell import SlicedEllMatrix
 from .blocking import BlockPartition, partition_rows
 from .triangular import (
     TriangularFactor,
@@ -28,7 +27,6 @@ __all__ = [
     "COOMatrix",
     "CSRMatrix",
     "spmv_csr",
-    "SlicedEllMatrix",
     "BlockPartition",
     "partition_rows",
     "TriangularFactor",

@@ -1,8 +1,7 @@
 """Coordinate (COO) sparse matrix container.
 
 COO is the assembly format: the matrix generators in :mod:`repro.matgen` emit
-triplets, which are then converted to CSR (CPU experiments) or sliced ELLPACK
-(GPU experiments) for the solver kernels.
+triplets, which are then converted to CSR for the solver kernels.
 """
 
 from __future__ import annotations

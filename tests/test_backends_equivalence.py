@@ -5,7 +5,7 @@ sparsity (empty rows, empty matrices, single rows), and a tier-2 solver sweep
 runs every solver variant end-to-end on both backends.  Tolerances scale with
 the compute precision: the fast backend may reorder floating-point sums
 (BLAS-2 vs per-column loops) or fuse multiply-adds (scipy's compiled CSR
-matvec), so CSR/ELL SpMV and FGMRES agree to last-ulp-level tolerances, while
+matvec), so CSR SpMV and FGMRES agree to last-ulp-level tolerances, while
 kernels with identical operation order (triangular solve, ILU(0)) must agree
 exactly.
 """
@@ -34,7 +34,6 @@ from repro.solvers import RestartedFGMRES, fgmres_cycle_batch
 from repro.sparse import (
     COOMatrix,
     CSRMatrix,
-    SlicedEllMatrix,
     TriangularFactor,
     fuse_block_diagonal,
 )
@@ -107,42 +106,11 @@ class TestSpmvEquivalence:
                            **TOLS[compute])
         assert ref.dtype == fast.dtype
 
-    @pytest.mark.tier2
-    @settings(**COMMON)
-    @given(csr_matrices(), st.sampled_from(DTYPES), st.sampled_from([1, 3, 8, 32]),
-           st.integers(0, 2**31 - 1))
-    def test_ell_matches_reference(self, csr, mat_prec, chunk_size, seed):
-        ell = SlicedEllMatrix(csr, chunk_size=chunk_size).astype(mat_prec)
-        x = np.random.default_rng(seed).uniform(-1, 1, csr.ncols)
-        ref, fast = _both_backends(lambda b: ell.matvec(x, record=False))
-        # x is fp64, so the compute precision is fp64 regardless of storage
-        assert np.allclose(ref, fast, **TOLS[Precision.FP64])
-        assert ref.dtype == fast.dtype
-
-    @pytest.mark.parametrize("mat_prec", DTYPES)
-    @pytest.mark.parametrize("vec_prec", DTYPES)
-    def test_ell_low_precision_vectors(self, mat_prec, vec_prec):
-        rng = np.random.default_rng(11)
-        csr = CSRMatrix.from_dense(rng.uniform(-1, 1, (37, 37)) *
-                                   (rng.random((37, 37)) < 0.15))
-        ell = SlicedEllMatrix(csr, chunk_size=8).astype(mat_prec)
-        x = rng.uniform(-1, 1, 37).astype(vec_prec.dtype)
-        ref, fast = _both_backends(lambda b: ell.matvec(x, record=False))
-        compute = mat_prec if mat_prec.bytes >= vec_prec.bytes else vec_prec
-        if compute is Precision.FP16:
-            # both engines reduce each row in slot order: bit for bit
-            assert np.array_equal(ref.view(np.uint16), fast.view(np.uint16))
-        assert np.allclose(ref.astype(np.float64), fast.astype(np.float64),
-                           **TOLS[compute])
-
     def test_empty_matrix(self):
         csr = CSRMatrix(np.zeros(0), np.zeros(0, np.int32), np.zeros(2, np.int32),
                         (1, 1))
-        ell = SlicedEllMatrix(csr, chunk_size=4)
         x = np.zeros(1)
         ref, fast = _both_backends(lambda b: csr.matvec(x, record=False))
-        assert np.array_equal(ref, fast)
-        ref, fast = _both_backends(lambda b: ell.matvec(x, record=False))
         assert np.array_equal(ref, fast)
 
     def test_interleaved_empty_rows(self):
@@ -155,9 +123,6 @@ class TestSpmvEquivalence:
         ref, fast = _both_backends(lambda b: csr.matvec(x, record=False))
         assert np.allclose(ref, fast, **TOLS[Precision.FP64])
         assert np.allclose(fast, dense @ x)
-        ell = SlicedEllMatrix(csr, chunk_size=2)
-        ref, fast = _both_backends(lambda b: ell.matvec(x, record=False))
-        assert np.allclose(ref, fast)
 
 
 # --------------------------------------------------------------------------- #
@@ -496,12 +461,9 @@ class TestConcurrentSharedMatrix:
         rng = np.random.default_rng(9)
         dense = rng.uniform(-1, 1, (64, 64)) * (rng.random((64, 64)) < 0.2)
         csr = CSRMatrix.from_dense(dense).astype(Precision.FP16)
-        ell = SlicedEllMatrix(CSRMatrix.from_dense(dense), chunk_size=8)
         x16 = rng.uniform(-1, 1, 64).astype(np.float16)
-        x64 = rng.uniform(-1, 1, 64)
         with use_backend("fast"):
             expected_csr = csr.matvec(x16, record=False)
-            expected_ell = ell.matvec(x64, record=False)
         errors = []
 
         def worker():
@@ -511,9 +473,6 @@ class TestConcurrentSharedMatrix:
                         if not np.array_equal(csr.matvec(x16, record=False),
                                               expected_csr):
                             raise AssertionError("csr race")
-                        if not np.array_equal(ell.matvec(x64, record=False),
-                                              expected_ell):
-                            raise AssertionError("ell race")
             except Exception as exc:  # propagate to the main thread
                 errors.append(exc)
 
@@ -561,14 +520,12 @@ class TestScratchSerializability:
 
         dense = np.diag(np.arange(1.0, 9.0)) + np.tri(8, k=-1)
         csr = CSRMatrix.from_dense(dense)
-        ell = SlicedEllMatrix(csr, chunk_size=4)
         factor = TriangularFactor(csr, lower=True)
         x = np.arange(1.0, 9.0)
         with use_backend("fast"):
             csr.matvec(x, record=False)
-            ell.matvec(x, record=False)
             factor.solve(x, record=False)
-            for obj in (csr, ell, factor):
+            for obj in (csr, factor):
                 clone = pickle.loads(pickle.dumps(obj))
                 deep = copy.deepcopy(obj)
                 for other in (clone, deep):
@@ -611,7 +568,7 @@ class TestConfigBackendScopesConstruction:
 # block call equals k vector calls — column by column, bit for bit, with the
 # same counter totals — on every engine.
 # --------------------------------------------------------------------------- #
-CONTRACT_KERNELS = ("spmv_csr", "spmv_ell", "apply_stencil", "trsv",
+CONTRACT_KERNELS = ("spmv_csr", "apply_stencil", "trsv",
                     "spmv_axpy", "residual_update", "weighted_update",
                     "diag_scale", "cast")
 
@@ -631,9 +588,6 @@ def _contract_calls(kernel, ops, mat_prec, vec_prec):
             return be.spmv_csr(a.values, a.indices, a.indptr, x,
                                scratch=a.scratch())
         return run, ("x",)
-    if kernel == "spmv_ell":
-        ell = SlicedEllMatrix(ops["csr"], chunk_size=8).astype(mat_prec)
-        return (lambda be, x: be.spmv_ell(ell, x)), ("x",)
     if kernel == "apply_stencil":
         # the separable sweep and the general per-offset slab path
         stencils = [op.astype(mat_prec) for op in ops["stencils"]]
@@ -746,12 +700,10 @@ class TestPerColumnContract:
     @pytest.mark.tier2
     @settings(**COMMON)
     @given(csr_matrices(with_diagonal=True), st.sampled_from(DTYPES),
-           st.sampled_from(DTYPES), st.sampled_from([1, 3, 8, 32]),
-           st.integers(1, 6), st.integers(0, 2**31 - 1))
-    def test_adversarial_sparsity(self, csr, mat_prec, vec_prec, chunk_size, k,
-                                  seed):
+           st.sampled_from(DTYPES), st.integers(1, 6), st.integers(0, 2**31 - 1))
+    def test_adversarial_sparsity(self, csr, mat_prec, vec_prec, k, seed):
         """Random patterns (empty rows and columns, single rows) through the
-        CSR, sliced-ELL and triangular kernels."""
+        CSR and triangular kernels."""
         from repro.sparse import split_triangular
 
         lo, diag, up = split_triangular(csr)
@@ -768,20 +720,12 @@ class TestPerColumnContract:
             operands = _contract_operands(names, n, k, mat_prec, vec_prec, seed)
             for backend in ENGINES:
                 assert_column_contract(run, operands, backend)
-        ell = SlicedEllMatrix(csr, chunk_size=chunk_size).astype(mat_prec)
-        (x,) = _contract_operands(("x",), n, k, mat_prec, vec_prec, seed)
-        for backend in ENGINES:
-            assert_column_contract(lambda be, xb: be.spmv_ell(ell, xb), [x],
-                                   backend)
 
     def test_matmul_operator_dispatches_on_ndim(self):
         csr = CSRMatrix.from_dense(np.eye(4) * 2.0)
         x = np.arange(4.0)
         assert (csr @ x).shape == (4,)
         assert (csr @ np.stack([x, x], axis=1)).shape == (4, 2)
-        ell = SlicedEllMatrix(csr, chunk_size=2)
-        assert (ell @ x).shape == (4,)
-        assert (ell @ np.stack([x, x], axis=1)).shape == (4, 2)
 
     def test_shape_validation(self):
         csr = CSRMatrix.from_dense(np.eye(4))

@@ -3,35 +3,32 @@
 ``native`` ports kernels to C — the level-scheduled triangular solve (fp64,
 fp32 and fp16 compute), the fp16 CSR products ``spmv_csr`` / ``spmv_axpy``,
 the fp32 / fp64 CSR products and fused residuals (fp16-stored × fp32 among
-them) and sliced-ELL products, the fp16 vector updates ``weighted_update`` /
-``residual_update``, the fp16
-``diag_scale``, the box-separable ``apply_stencil`` sweep (fp64, fp32 and
-fp16), the fp32 ↔ fp16 ``cast`` and the Richardson sweep (fp16, fp32 and
-fp64) — runs
-sliced-ELL storage's fp16 ``spmv_ell`` on the CSR kernel, and inherits
-everything else from ``fast``.  Here every ported kernel must equal its
-oracle bit for bit (NaN by position, not payload): ``reference``, except
-for the separable sweep,
-whose oracle is ``fast``'s sweep.  The operands are lower and upper ILU(0),
-IC(0), fused block-ILU(0) and long-row factors, factors whose levels mix
-rows of every shape a row-interleaved plan packs (0 to 140 terms, partial
-and one-row chunks, a one-row-per-level chain, a row of −0 terms), CSR
-matrices with long, short and empty rows, separable stencils on grids with
-axes of 1, 2, 7 and 24 points, and vectors and blocks of 0 to 9 columns
-with fp16-subnormal products, overflow to ±inf, signed zeros and NaN; the
-casts also see every fp16 bit pattern and every fp16 rounding boundary, on
-both sides of their size gate.  The ELL products must equal ``fast``'s
-``spmv_ell``, the fp32 / fp64 products ``fast``'s (scipy's order with the
-matrix's arena) on the serve-open operators and the hard operator, with no
-product of a warm F3R solve reaching ``fast``, and the Richardson sweep
-(uniform fp16, fp32 and fp64 levels, CSR and sliced-ELL A) the level's loop
+them), the fp16 vector updates ``weighted_update`` / ``residual_update``,
+the fp16 ``diag_scale``, the box-separable ``apply_stencil`` sweep (fp64,
+fp32 and fp16), the fp32 ↔ fp16 ``cast`` and the Richardson sweep (fp16,
+fp32 and fp64) — and inherits everything else from ``fast``.  Here every
+ported kernel must equal its oracle bit for bit (NaN by position, not
+payload): ``reference``, except for the separable sweep, whose oracle is
+``fast``'s sweep.  The operands are lower and upper ILU(0), IC(0), fused
+block-ILU(0) and long-row factors, factors whose levels mix rows of every
+shape a row-interleaved plan packs (0 to 140 terms, partial and one-row
+chunks, a one-row-per-level chain, a row of −0 terms), CSR matrices with
+long, short and empty rows and the fp16 serve-open operators the cost
+model once stored as sliced ELL, separable stencils on grids with axes of 1, 2,
+7 and 24 points, and vectors and blocks of 0 to 9 columns with
+fp16-subnormal products, overflow to ±inf, signed zeros and NaN; the casts
+also see every fp16 bit pattern and every fp16 rounding boundary, on both
+sides of their size gate.  The fp32 / fp64 products must equal ``fast``'s
+(scipy's order with the matrix's arena) on the serve-open operators and the
+hard operator, with no product of a warm F3R solve reaching ``fast``, and
+the Richardson sweep (uniform fp16, fp32 and fp64 levels) the level's loop
 on ``fast`` (bits, counters and M's application count) on the serve-open
-operators and the hard operator.  The fp16 kernels and the sweeps exist once per instruction set (``native.ISAS``): each test of them runs the portable
-scalar set and, where this CPU has AVX2 + F16C, the vector set, both
-reached through the loaded library's symbols.  Counter
-totals must equal ``fast``'s, and four threads on shared operands (ctypes
-releases the interpreter lock, so they truly overlap) must each match a
-serial run.
+operators and the hard operator.  The fp16 kernels and the sweeps exist
+once per instruction set (``native.ISAS``): each test of them runs the
+portable scalar set and, where this CPU has AVX2 + F16C, the vector set,
+both reached through the loaded library's symbols.  Counter totals must
+equal ``fast``'s, and four threads on shared operands (ctypes releases the
+interpreter lock, so they truly overlap) must each match a serial run.
 
 The whole module skips when the host has no C compiler;
 ``test_native_fallback.py`` covers that path.  With a compiler, the engine
@@ -59,7 +56,7 @@ from repro.backends.fast import FastBackend
 from repro.backends.workspace import Workspace
 from repro.core import F3RConfig, F3RSolver
 from repro.matgen import get_matrix, hpcg_matrix, hpcg_operator
-from repro.operators import AssembledOperator, StencilOperator, as_operator
+from repro.operators import StencilOperator, as_operator
 from repro.perf import Traffic, counting
 from repro.plans import plan_for
 from repro.precision import LevelPrecision, Precision, precision_of_dtype
@@ -67,7 +64,7 @@ from repro.precond import (BlockJacobiIC0, BlockJacobiILU0, IC0Preconditioner,
                            ILU0Preconditioner, JacobiPreconditioner)
 from repro.precond.base import Preconditioner
 from repro.solvers import RichardsonLevel
-from repro.sparse import CSRMatrix, SlicedEllMatrix, TriangularFactor, diagonal_scaling
+from repro.sparse import CSRMatrix, TriangularFactor, diagonal_scaling
 
 #: the engine is required wherever a C compiler is present: a kernel that
 #: fails its load-time self-check must fail here, not skip
@@ -498,15 +495,29 @@ class TestTrsv:
             native.self_check(be)
 
 
+#: the serve-open operators whose fp16 copies the cost model once stored
+#: as sliced ELL: they now run the fp16 CSR kernel
+ELL_ERA_OPERATORS = ("atmosmodd", "ecology2", "thermal2")
+
+
+@pytest.fixture(scope="module")
+def half_matrices(mixed, matrix16) -> dict:
+    """The fp16 CSR operands of the product tests: ``mixed``, ``matrix16``
+    and each of ``ELL_ERA_OPERATORS`` at ``tiny``, diagonally scaled."""
+    mats = {name: diagonal_scaling(get_matrix(name, "tiny"))[0].astype(Precision.FP16)
+            for name in ELL_ERA_OPERATORS}
+    return {"mixed": mixed, "matrix16": matrix16, **mats}
+
+
 # ---------------------------------------------------------------------- #
 # fp16 CSR products
 # ---------------------------------------------------------------------- #
 class TestHalfCsr:
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("kind", INPUTS)
-    @pytest.mark.parametrize("name", ["matrix16", "mixed"])
-    def test_spmv_csr(self, request, isa, name, kind, width):
-        a = request.getfixturevalue(name)
+    @pytest.mark.parametrize("name", ["matrix16", "mixed", *ELL_ERA_OPERATORS])
+    def test_spmv_csr(self, half_matrices, isa, name, kind, width):
+        a = half_matrices[name]
         x = _operand(kind, a.ncols, width, HALF, seed=21)
 
         def run(be):
@@ -515,9 +526,9 @@ class TestHalfCsr:
 
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("kind", INPUTS)
-    @pytest.mark.parametrize("name", ["matrix16", "mixed"])
-    def test_spmv_axpy(self, request, isa, name, kind, width):
-        a = request.getfixturevalue(name)
+    @pytest.mark.parametrize("name", ["matrix16", "mixed", *ELL_ERA_OPERATORS])
+    def test_spmv_axpy(self, half_matrices, isa, name, kind, width):
+        a = half_matrices[name]
         x = _operand(kind, a.ncols, width, HALF, seed=31)
         y = _operand("ordinary" if kind == "nan" else kind, a.nrows, width, HALF,
                      seed=32)
@@ -1080,8 +1091,7 @@ def test_abi_and_instruction_sets():
                  "residual_update_f16", "stencil_sep_f64", "stencil_sep_f32",
                  "stencil_sep_f16", "diag_scale_f16", "cast_f32_f16", "cast_f16_f32",
                  "richardson_f16", "quantize32", "spmv_csr_f32", "spmv_csr_f64",
-                 "spmv_axpy_f32", "spmv_axpy_f64", "spmv_ell_f32", "spmv_ell_f64",
-                 "richardson_f32", "richardson_f64"):
+                 "spmv_axpy_f32", "spmv_axpy_f64", "richardson_f32", "richardson_f64"):
         assert scalar._half[name] is getattr(lib, name)
     if "avx2" in sets:
         vector = native.NativeBackend(lib, "avx2")
@@ -1104,8 +1114,6 @@ def test_abi_and_instruction_sets():
                              ("spmv_csr_f64", "spmv_csr_f64_avx2"),
                              ("spmv_axpy_f32", "spmv_axpy_f32_avx2"),
                              ("spmv_axpy_f64", "spmv_axpy_f64_avx2"),
-                             ("spmv_ell_f32", "spmv_ell_f32_avx2"),
-                             ("spmv_ell_f64", "spmv_ell_f64_avx2"),
                              ("richardson_f32", "richardson_f32_avx2"),
                              ("richardson_f64", "richardson_f64_avx2")):
             assert vector._half[name] is getattr(lib, symbol)
@@ -1139,88 +1147,6 @@ def test_self_check_rejects_a_differing_kernel(isa):
     be._half = {**be._half, "trsv_f16": corrupted}
     with pytest.raises(native.NativeUnavailable, match="trsv"):
         native.self_check(be)
-
-
-# ---------------------------------------------------------------------- #
-# Sliced-ELL fp16 products: the CSR kernels on the padded row-major arrays
-# (oracle: fast's spmv_ell)
-# ---------------------------------------------------------------------- #
-ELL_WIDTHS = (None, 1, 3, 4)
-ELL_INPUTS = ("ordinary", "subnormal", "inf", "nan")
-
-
-@pytest.fixture(scope="module")
-def ells(mixed, matrix16) -> dict:
-    """fp16 sliced-ELL matrices: a partial last chunk (203 rows by 32, 160
-    columns, rows of −0 values), chunks of 4 over empty rows and a
-    200-entry row, and a serve-open operator."""
-    atmosmodd, _ = diagonal_scaling(get_matrix("atmosmodd", "tiny"))
-    return {"mixed": SlicedEllMatrix(mixed, chunk_size=32),
-            "matrix16": SlicedEllMatrix(matrix16, chunk_size=4),
-            "atmosmodd": SlicedEllMatrix(atmosmodd, chunk_size=32).astype(Precision.FP16)}
-
-
-def _traced(run):
-    """``run(backend)`` and the traffic it records, for ``_on``."""
-    def traced(be):
-        with counting() as traffic:
-            out = run(be)
-        return out, traffic.summary()
-    return traced
-
-
-class TestEllProducts:
-    @pytest.mark.parametrize("width", ELL_WIDTHS)
-    @pytest.mark.parametrize("kind", ELL_INPUTS)
-    @pytest.mark.parametrize("name", ["mixed", "matrix16", "atmosmodd"])
-    def test_spmv_ell_equals_fast(self, ells, isa, name, kind, width):
-        ell = ells[name]
-        x = _operand(kind, ell.ncols, width, HALF, seed=111)
-        if kind == "inf":
-            x[0] = np.inf                  # the padding's column: 0 · inf
-        run = _traced(lambda be: be.spmv_ell(ell, x))
-        (got, got_traffic), (want, want_traffic) = _on(isa, run), _on("fast", run)
-        assert_bit_equal(got, want)
-        assert got_traffic == want_traffic
-
-    def test_runs_the_compiled_product(self, ells, monkeypatch):
-        """No product reaches fast's numpy gather: fp16 operands, and fp32
-        and fp64 ones (an fp16 matrix at fp32 and fp64 compute)."""
-        ell = ells["atmosmodd"]
-        calls = []
-        fast_ell = FastBackend.spmv_ell
-
-        def spy(self, *args, **kwargs):
-            calls.append(args[1].dtype)
-            return fast_ell(self, *args, **kwargs)
-
-        monkeypatch.setattr(FastBackend, "spmv_ell", spy)
-        x = _operand("ordinary", ell.ncols, 3, HALF, seed=112)
-        for xd in (x, x.astype(np.float32), x.astype(np.float64)):
-            _on("native", lambda be: (be.spmv_ell(ell, xd), be.spmv_ell(ell, xd[:, 0])))
-        assert calls == []
-
-    @pytest.mark.parametrize("out", [Precision.FP32, Precision.FP64])
-    def test_wider_output(self, ells, isa, out):
-        ell = ells["mixed"]
-        x = _operand("subnormal", ell.ncols, 3, HALF, seed=113)
-        run = _traced(lambda be: be.spmv_ell(ell, x, out_precision=out))
-        (got, got_traffic), (want, want_traffic) = _on(isa, run), _on("fast", run)
-        assert_bit_equal(got, want)
-        assert got_traffic == want_traffic
-
-    @pytest.mark.parametrize("width", [None, 1, 3])
-    def test_plan_residual_equals_fast(self, width):
-        """The plan's ELL residual (the product, then residual_update)."""
-        matrix, _ = diagonal_scaling(get_matrix("thermal2", "tiny"))
-        op = AssembledOperator(matrix, format="ell").astype(Precision.FP16)
-        x = _operand("ordinary", op.ncols, width, HALF, seed=114)
-        v = _operand("subnormal", op.nrows, width, HALF, seed=115)
-        run = _traced(lambda be: plan_for(op, Precision.FP16, backend=be).residual(v, x))
-        (got, got_traffic), (want, want_traffic) = _on("native", run), _on("fast", run)
-        assert plan_for(op, Precision.FP16, backend=get_backend("native")).kind == "ell"
-        assert_bit_equal(got, want)
-        assert got_traffic == want_traffic
 
 
 # ---------------------------------------------------------------------- #
@@ -1281,16 +1207,15 @@ def _invocations(engine, a, m64, blocks, cycle=10 ** 6, prec=Precision.FP16):
 
 class TestRichardsonSweep:
     @pytest.mark.parametrize("prec", SWEEP_PRECISIONS, ids=lambda p: p.label)
-    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     @pytest.mark.parametrize("nblocks", [1, 10])
     @pytest.mark.parametrize("kind", ["ilu0", "ic0"])
     @pytest.mark.parametrize("name", [*SERVE_OPERATORS, "hard"])
-    def test_equals_the_fast_loop(self, sweep_matrices, name, kind, nblocks, fmt, prec):
+    def test_equals_the_fast_loop(self, sweep_matrices, name, kind, nblocks, prec):
         """z bits, counter totals and ``num_applications`` of invocations
         of k = 1, 2, 4 and 8 columns, ILU(0) / IC(0) (one block) and their
-        block-Jacobi forms, over CSR and sliced-ELL A, at each precision."""
+        block-Jacobi forms, at each precision."""
         matrix = sweep_matrices[name]
-        a = AssembledOperator(matrix, format=fmt).astype(prec)
+        a = as_operator(matrix).astype(prec)
         m64 = _preconditioner(matrix, kind, nblocks)
         blocks = [_operand(family, matrix.nrows, k, _block_dtype(prec), seed=120 + k)
                   for k, family in SWEEP_BLOCKS]
@@ -1298,7 +1223,7 @@ class TestRichardsonSweep:
                                                          prec=prec)
         want, want_traffic, want_apps, loop = _invocations("fast", a, m64, blocks,
                                                            prec=prec)
-        assert plan_for(a, prec, backend=get_backend("native")).kind == fmt
+        assert plan_for(a, prec, backend=get_backend("native")).kind == "csr"
         assert len(level._sweeps) == len(SWEEP_BLOCKS)
         assert all(sweep is not None for sweep in level._sweeps.values())
         assert all(sweep is None for sweep in loop._sweeps.values())
@@ -1309,14 +1234,13 @@ class TestRichardsonSweep:
         assert got_apps == want_apps == 2 * sum(k for k, _ in SWEEP_BLOCKS)
 
     @pytest.mark.parametrize("prec", SWEEP_PRECISIONS, ids=lambda p: p.label)
-    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     @pytest.mark.parametrize("name", ["atmosmodd", "hpcg_7_7_7"])
-    def test_each_instruction_set(self, sweep_matrices, isa, name, fmt, prec):
+    def test_each_instruction_set(self, sweep_matrices, isa, name, prec):
         """The sweep of one instruction set, bound directly, against the
         loop on fast, on inf, NaN and subnormal operands: its kernel is that
         set's ``richardson_f16`` / ``richardson_f32`` / ``richardson_f64``."""
         matrix = sweep_matrices[name]
-        a = AssembledOperator(matrix, format=fmt).astype(prec)
+        a = as_operator(matrix).astype(prec)
         m64 = BlockJacobiIC0(matrix, nblocks=10)
         v = _operand("subnormal", matrix.nrows, 3, prec.dtype, seed=130)
         v[:, 1] = _operand("inf", matrix.nrows, None, prec.dtype, seed=131)
@@ -1426,16 +1350,14 @@ class TestRichardsonSweep:
     def test_scipy_order_gates_the_csr_residual(self, sweep_matrices, monkeypatch):
         """Without scipy's fused residual ``fast`` sums an fp32 / fp64 CSR
         residual pairwise, so does the loop on ``native``, and the sweep
-        declines it; sliced-ELL A and fp16 CSR A still compile."""
+        declines it; fp16 CSR A still compiles."""
         matrix = sweep_matrices["hpcg_7_7_7"]
         m64 = BlockJacobiIC0(matrix, nblocks=10)
         be = get_backend("native")
         monkeypatch.setitem(native._SCIPY_ORDER, "spmv_axpy", False)
-        for prec, fmt, compiled in ((Precision.FP64, "csr", False),
-                                    (Precision.FP32, "csr", False),
-                                    (Precision.FP64, "ell", True),
-                                    (Precision.FP16, "csr", True)):
-            a = AssembledOperator(matrix, format=fmt).astype(prec)
+        for prec, compiled in ((Precision.FP64, False), (Precision.FP32, False),
+                               (Precision.FP16, True)):
+            a = as_operator(matrix).astype(prec)
             v = np.ones((matrix.nrows, 1), dtype=prec.dtype)
             sweep = be.richardson_sweep(plan_for(a, prec, backend=be), m64.astype(prec),
                                         2, v, Traffic(), 2)
@@ -1534,23 +1456,21 @@ class TestRichardsonSweep:
                 assert_bit_equal(clone.apply_batch(v), want)
                 assert clone._sweeps
 
-    @pytest.mark.parametrize("name, variant, fmt", [
-        ("atmosmodd", "fp16", None), ("G3_circuit", "fp16", None),
-        *((name, variant, fmt) for variant in ("fp32", "fp64")
-          for name, fmt in (("hard", None), ("hpcg_7_7_7", "csr"), ("atmosmodd", "ell")))])
-    def test_warm_solve_equals_fast(self, sweep_matrices, monkeypatch, name, variant, fmt):
+    @pytest.mark.parametrize("name, variant", [
+        ("atmosmodd", "fp16"), ("G3_circuit", "fp16"), ("thermal2", "fp16"),
+        *((name, variant) for variant in ("fp32", "fp64")
+          for name in ("hard", "hpcg_7_7_7", "atmosmodd", "thermal2"))])
+    def test_warm_solve_equals_fast(self, sweep_matrices, monkeypatch, name, variant):
         """A warm F3R solve: answer bits, counter totals, primary-M
         applications and iterations equal on native (sweeps) and fast
         (loops); under native only a refresh invocation reaches
         ``weighted_update``.  The fp32 and fp64 variants run on hard (the
-        preconditioner ``auto``), and on a serve-open operator as CSR and
-        as sliced-ELL."""
+        preconditioner ``auto``) and on serve-open operators."""
         matrix = sweep_matrices[name]
-        operator = matrix if fmt is None else AssembledOperator(matrix, format=fmt)
         b = np.random.default_rng(170).standard_normal(matrix.nrows)
         runs = {}
         for engine in ("native", "fast"):
-            solver = F3RSolver(operator, config=F3RConfig(variant=variant, backend=engine))
+            solver = F3RSolver(matrix, config=F3RConfig(variant=variant, backend=engine))
             solver.solve(b)
             refresh, updates, swept = [None], [], []
             apply_batch = RichardsonLevel.apply_batch
@@ -1589,7 +1509,7 @@ class TestRichardsonSweep:
 
 # ---------------------------------------------------------------------- #
 # fp32 and fp64 products on assembled storage (oracle: fast's scipy CSR
-# products with the matrix's arena, and its sliced-ELL reduceat)
+# products with the matrix's arena)
 # ---------------------------------------------------------------------- #
 #: None: a vector; else an (n, k) block
 PLAIN_WIDTHS = (None, 0, 1, 3, 4, 8)
@@ -1600,35 +1520,38 @@ PLAIN_PAIRS = ((Precision.FP16, np.float32), (Precision.FP32, np.float32),
                (Precision.FP64, np.float64), (Precision.FP64, np.float32),
                (Precision.FP32, np.float16))
 #: the product kernels that native runs instead of fast's
-PLAIN_KERNELS = ("spmv_csr", "spmv_axpy", "spmv_ell")
+PLAIN_KERNELS = ("spmv_csr", "spmv_axpy")
 
 
 @pytest.fixture(scope="module")
 def plain_storage(sweep_matrices) -> dict:
-    """Each serve-open operator and hard as CSR and sliced-ELL (chunks of
-    32) at fp16, fp32 and fp64."""
-    out = {}
-    for name, matrix in sweep_matrices.items():
-        for prec in (Precision.FP16, Precision.FP32, Precision.FP64):
-            csr = matrix.astype(prec)
-            out[name, prec] = (csr, SlicedEllMatrix(csr, chunk_size=32))
-    return out
+    """Each serve-open operator and hard at fp16, fp32 and fp64."""
+    return {(name, prec): matrix.astype(prec)
+            for name, matrix in sweep_matrices.items()
+            for prec in (Precision.FP16, Precision.FP32, Precision.FP64)}
 
 
-def _plain_run(kernel, csr, ell, x, y, out=None):
+def _traced(run):
+    """``run(backend)`` and the traffic it records, for ``_on``."""
+    def traced(be):
+        with counting() as traffic:
+            out = run(be)
+        return out, traffic.summary()
+    return traced
+
+
+def _plain_run(kernel, csr, x, y, out=None):
     """``run(backend)`` of one product kernel with the matrix's arena."""
     if kernel == "spmv_csr":
         return lambda be: be.spmv_csr(csr.values, csr.indices, csr.indptr, x,
                                       out_precision=out, scratch=csr.scratch())
-    if kernel == "spmv_axpy":
-        return lambda be: be.spmv_axpy(csr.values, csr.indices, csr.indptr, x, y,
-                                       out_precision=out, scratch=csr.scratch())
-    return lambda be: be.spmv_ell(ell, x, out_precision=out)
+    return lambda be: be.spmv_axpy(csr.values, csr.indices, csr.indptr, x, y,
+                                   out_precision=out, scratch=csr.scratch())
 
 
 def _fast_spies(monkeypatch) -> list:
-    """Record every call that reaches fast's spmv_csr / spmv_ell /
-    spmv_axpy (by name)."""
+    """Record every call that reaches fast's spmv_csr / spmv_axpy (by
+    name)."""
     calls = []
     for name in PLAIN_KERNELS:
         original = getattr(FastBackend, name)
@@ -1651,12 +1574,12 @@ class TestPlainProducts:
         precision of the pair; the residual's ``y`` (in the compute dtype,
         as fast fuses it) has −0 entries."""
         mat, vdtype = pair
-        csr, ell = plain_storage[name, mat]
+        csr = plain_storage[name, mat]
         x = _operand("ordinary", csr.ncols, width, vdtype, seed=180)
         y = _operand("signed_zero", csr.nrows, width,
                      np.promote_types(csr.values.dtype, vdtype), seed=181)
         for kernel in PLAIN_KERNELS:
-            run = _traced(_plain_run(kernel, csr, ell, x, y))
+            run = _traced(_plain_run(kernel, csr, x, y))
             (got, got_traffic), (want, want_traffic) = _on(isa, run), _on("fast", run)
             assert_bit_equal(got, want)
             assert got_traffic == want_traffic
@@ -1665,16 +1588,16 @@ class TestPlainProducts:
     @pytest.mark.parametrize("kind", ["subnormal", "signed_zero", "inf", "nan"])
     @pytest.mark.parametrize("name", ["hpcg_7_7_7", "atmosmodd"])
     def test_special_operands(self, plain_storage, isa, name, kind, width):
-        """Subnormal, ±0, ±inf and NaN entries (x[0], the ELL padding's
-        column, among the infs) at fp16 x fp32, fp32 and fp64."""
+        """Subnormal, ±0, ±inf and NaN entries (x[0] among the infs) at
+        fp16 x fp32, fp32 and fp64."""
         for mat, vdtype in PLAIN_PAIRS[:3]:
-            csr, ell = plain_storage[name, mat]
+            csr = plain_storage[name, mat]
             x = _operand(kind, csr.ncols, width, vdtype, seed=182)
             if kind == "inf":
                 x[0] = np.inf
             y = _operand(kind, csr.nrows, width, vdtype, seed=183)
             for kernel in PLAIN_KERNELS:
-                run = _plain_run(kernel, csr, ell, x, y)
+                run = _plain_run(kernel, csr, x, y)
                 assert_bit_equal(_on(isa, run), _on("fast", run))
 
     @pytest.mark.parametrize("out", [Precision.FP32, Precision.FP64])
@@ -1683,11 +1606,11 @@ class TestPlainProducts:
         residual then composes the product and residual_update, as fast
         does."""
         for mat, vdtype in ((Precision.FP16, np.float32), (Precision.FP32, np.float16)):
-            csr, ell = plain_storage["thermal2", mat]
+            csr = plain_storage["thermal2", mat]
             x = _operand("subnormal", csr.ncols, 3, vdtype, seed=184)
             y = _operand("ordinary", csr.nrows, 3, out.dtype, seed=185)
             for kernel in PLAIN_KERNELS:
-                run = _traced(_plain_run(kernel, csr, ell, x, y, out=out))
+                run = _traced(_plain_run(kernel, csr, x, y, out=out))
                 (got, got_traffic), (want, want_traffic) = _on(isa, run), _on("fast", run)
                 assert_bit_equal(got, want)
                 assert got_traffic == want_traffic
@@ -1698,12 +1621,12 @@ class TestPlainProducts:
         index col * k might overflow int32 (the limit lowered here)."""
         calls = _fast_spies(monkeypatch)
         lib = get_backend("native")._lib
-        csr, ell = plain_storage["atmosmodd", Precision.FP64]
+        csr = plain_storage["atmosmodd", Precision.FP64]
         x = _operand("ordinary", csr.ncols, 3, np.float64, seed=186)
         for isa_name in native.isas(lib):
             be = native.NativeBackend(lib, isa_name)
             for kernel in PLAIN_KERNELS:
-                _plain_run(kernel, csr, ell, x, x)(be)
+                _plain_run(kernel, csr, x, x)(be)
             memo = csr.scratch().memo("native_csr_calls", dict)
             bound = {key[1]: hit[3].kernel.func for key, hit in memo.items()
                      if key[0] is be}
@@ -1712,8 +1635,8 @@ class TestPlainProducts:
         assert calls == []
         monkeypatch.setattr(native, "_INT32_MAX", 3 * csr.ncols - 1)
         be = native.NativeBackend(lib)
-        want = _on("fast", _plain_run("spmv_csr", csr, ell, x, x))
-        assert_bit_equal(_plain_run("spmv_csr", csr, ell, x, x)(be), want)
+        want = _on("fast", _plain_run("spmv_csr", csr, x, x))
+        assert_bit_equal(_plain_run("spmv_csr", csr, x, x)(be), want)
         (hit,) = [hit for key, hit in csr.scratch().memo("native_csr_calls", dict).items()
                   if key[0] is be]
         assert hit[3].kernel.func is lib.spmv_csr_f64
@@ -1722,7 +1645,7 @@ class TestPlainProducts:
         """Without the matrix's arena fast sums pairwise, not in scipy's
         order, and native leaves fp32 / fp64 CSR products to it."""
         calls = _fast_spies(monkeypatch)
-        csr, _ = plain_storage["hpcg_7_7_7", Precision.FP32]
+        csr = plain_storage["hpcg_7_7_7", Precision.FP32]
         x = _operand("ordinary", csr.ncols, None, np.float32, seed=187)
 
         def run(be):
@@ -1734,12 +1657,12 @@ class TestPlainProducts:
             assert_bit_equal(g, w)
 
     @pytest.mark.parametrize("variant", ["fp16", "fp64"])
-    @pytest.mark.parametrize("name", ["hpcg_7_7_7", "atmosmodd", "hard"])
+    @pytest.mark.parametrize("name", ["hpcg_7_7_7", "atmosmodd", "thermal2", "hard"])
     def test_warm_solve_reaches_no_fast_product(self, sweep_matrices, monkeypatch,
                                                 name, variant):
-        """A warm F3R solve on a CSR-picked and an ELL-picked serve-open
-        operator and on hard: under native no product reaches fast, and the
-        answer bits, counters, applications and iterations equal fast's."""
+        """A warm F3R solve on serve-open operators and on hard: under
+        native no product reaches fast, and the answer bits, counters,
+        applications and iterations equal fast's."""
         matrix = sweep_matrices[name]
         b = np.random.default_rng(188).random(matrix.nrows)
         runs = {}

@@ -206,42 +206,21 @@ class TestAssembledOperator:
         X = np.random.default_rng(8).standard_normal((poisson_matrix.nrows, 3))
         assert np.array_equal(op.apply_batch(X), poisson_matrix.matmat(X))
 
-    def test_fast_backend_pins_csr_for_scipy_dtypes(self, poisson_matrix):
-        from repro.backends import get_backend
+    @pytest.mark.parametrize("precision", list(Precision))
+    def test_every_engine_runs_csr(self, precision):
+        """An assembled operator stores and applies CSR on every engine and
+        in every precision, its rows uniform (the dense 8 x 8) or skewed."""
+        from repro.backends import available_backends, get_backend
+        from repro.plans import compile_plan
 
-        op = AssembledOperator(poisson_matrix)
-        with use_backend("fast"):
-            assert op._choose_format(get_backend()) == "csr"
-            assert op.storage() is poisson_matrix
-
-    def test_cost_model_prefers_ell_for_uniform_rows(self):
-        from repro.backends import get_backend
-        from repro.sparse import SlicedEllMatrix
-
-        # dense rows: zero ELL padding, so ELL saves the row-pointer stream
-        dense = np.random.default_rng(9).standard_normal((8, 8))
-        matrix = CSRMatrix.from_dense(dense).astype(Precision.FP16)
-        op = AssembledOperator(matrix, chunk_size=4)
-        with use_backend("reference"):
-            assert op._choose_format(get_backend()) == "ell"
-            assert isinstance(op.storage(), SlicedEllMatrix)
-        # one long row per chunk: heavy padding tips the model back to CSR
         skewed = np.eye(12)
         skewed[0, :] = 1.0
-        matrix = CSRMatrix.from_dense(skewed).astype(Precision.FP16)
-        op = AssembledOperator(matrix, chunk_size=12)
-        with use_backend("reference"):
-            assert op._choose_format(get_backend()) == "csr"
-
-    def test_forced_format_and_equivalence(self, poisson_matrix):
-        x = np.random.default_rng(10).standard_normal(poisson_matrix.nrows)
-        auto = AssembledOperator(poisson_matrix).apply(x)
-        ell = AssembledOperator(poisson_matrix, format="ell").apply(x)
-        np.testing.assert_allclose(ell, auto, rtol=1e-12, atol=1e-13)
-
-    def test_rejects_unknown_format(self, poisson_matrix):
-        with pytest.raises(ValueError):
-            AssembledOperator(poisson_matrix, format="coo")
+        for dense in (np.random.default_rng(9).standard_normal((8, 8)), skewed):
+            op = AssembledOperator(CSRMatrix.from_dense(dense)).astype(precision)
+            for name in available_backends():
+                with use_backend(name):
+                    plan = compile_plan(op, precision, backend=get_backend())
+                assert plan.kind == "csr" and plan.storage is op.csr
 
 
 class TestFingerprints:
@@ -383,20 +362,31 @@ class TestContract:
             as_operator(np.eye(3))
 
     def test_structural_duck_types_pass_through(self):
-        """A bare SlicedEllMatrix satisfies the contract structurally and must
-        keep working through the solver constructors (duck-typed, as before
-        the operator layer existed)."""
-        from repro.sparse import SlicedEllMatrix
+        """An object that satisfies the contract structurally must keep
+        working through the solver constructors (duck-typed, as before the
+        operator layer existed)."""
         from repro.solvers import RichardsonLevel
         from repro.precond import JacobiPreconditioner
         from repro.precision import LevelPrecision
 
+        class Duck:
+            def __init__(self, csr):
+                self.csr, self.shape, self.precision = csr, csr.shape, csr.precision
+
+            def apply(self, x, out_precision=None, record=True):
+                return self.csr.matvec(x, out_precision=out_precision, record=record)
+
+            def apply_batch(self, x, out_precision=None, record=True):
+                return self.csr.matmat(x, out_precision=out_precision, record=record)
+
+            def astype(self, precision):
+                return Duck(self.csr.astype(precision))
+
         matrix = poisson2d(8)
-        ell = SlicedEllMatrix(matrix, chunk_size=4)
-        assert as_operator(ell) is ell
-        assert ell.nnz_per_row >= matrix.nnz_per_row     # padding included
+        duck = Duck(matrix)
+        assert as_operator(duck) is duck
         fp64 = LevelPrecision(Precision.FP64, Precision.FP64, Precision.FP64)
-        level = RichardsonLevel(ell, JacobiPreconditioner(matrix), m=2,
+        level = RichardsonLevel(duck, JacobiPreconditioner(matrix), m=2,
                                 adaptive=False, precisions=fp64)
         csr_level = RichardsonLevel(matrix, JacobiPreconditioner(matrix), m=2,
                                     adaptive=False, precisions=fp64)

@@ -49,6 +49,7 @@ from repro import (
     render_metrics,
 )
 from repro.matgen import poisson2d
+from repro.plans import plan_cache_stats
 from repro.serve.overload import (
     BrownoutConfig,
     BrownoutController,
@@ -415,7 +416,9 @@ class TestMetrics:
             },
             "faults": {"by_site": {"spmv": 2, "trsv": 0}},
             "cluster": {"failovers": 1},
-            "cold_start": {"prewarms": 2, "prewarm_ms": 1.5},
+            "cold_start": {"prewarms": 2, "prewarm_ms": 1.5,
+                           "artifacts": {"stores": 4, "errors": 1}},
+            "plan_cache": plan_cache_stats(),
             "ratio": 0.5,
         }
         text = render_metrics(summary, prefix="x")
@@ -429,6 +432,13 @@ class TestMetrics:
         assert "x_cold_start_prewarm_ms 1.5" in text
         assert "x_ratio 0.5" in text
         assert "last_transitions" not in text
+        # cumulative store and plan-cache counts are counters, the plan
+        # cache's current size a gauge
+        assert "# TYPE x_cold_start_artifacts_stores counter" in text
+        assert "# TYPE x_cold_start_artifacts_errors counter" in text
+        for leaf in ("compiled", "hits", "misses"):
+            assert f"# TYPE x_plan_cache_{leaf} counter" in text
+        assert "# TYPE x_plan_cache_cached gauge" in text
 
     def test_help_text_optional(self):
         text = render_metrics({"requests": 1}, help_text=False)

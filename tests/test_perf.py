@@ -16,6 +16,7 @@ from repro.perf import (
     current_counter,
     global_counter,
     modeled_time,
+    padded_entry_count,
     record_bytes,
     record_flops,
     record_kernel,
@@ -347,6 +348,29 @@ class TestMachineModel:
         c = TrafficCounter()
         c.add_flops(Precision.FP64, 3 * 10**12)
         assert CPU_NODE.time_for(c) == pytest.approx(1.0)
+
+
+class TestSlicedEllpackPadding:
+    """The GPU node's sliced-ELLPACK layout, as an entry count."""
+
+    def test_padding_at_least_csr(self, dd_matrix):
+        assert padded_entry_count(dd_matrix.row_nnz(), 32) >= dd_matrix.nnz
+
+    def test_uniform_rows_have_no_padding(self):
+        # a matrix whose rows all have the same nnz pads nothing
+        dense = np.eye(8) * 2 + np.eye(8, k=1) + np.eye(8, k=-1)
+        dense[0, -1] = 1.0
+        dense[-1, 0] = 1.0
+        csr = CSRMatrix.from_dense(dense)
+        assert padded_entry_count(csr.row_nnz(), 4) == csr.nnz
+
+    def test_chunk_of_one_row_pads_nothing(self, dd_matrix):
+        assert padded_entry_count(dd_matrix.row_nnz(), 1) == dd_matrix.nnz
+
+    def test_partial_chunk_pads_to_full_chunk(self):
+        # rows of 1, 3 | 2: two chunks of 2, widths 3 and 2
+        assert padded_entry_count([1, 3, 2], 2) == 3 * 2 + 2 * 2
+        assert padded_entry_count([], 32) == 0
 
 
 class TestTimers:

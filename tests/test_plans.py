@@ -1,4 +1,4 @@
-"""Compiled solve plans: fused-kernel parity, plan caching, the format rule.
+"""Compiled solve plans: fused-kernel parity, plan caching.
 
 Three contracts are pinned here:
 
@@ -14,14 +14,12 @@ Three contracts are pinned here:
   kernel has the same summation order, the same recipe written in plain
   ``np.float16``) bit for bit.
 * **Plans** — the planned fast-engine path agrees with the ``reference``
-  oracle (bit for bit wherever both run the same summation order), the
-  plan cache is fingerprint-keyed, and an assembled operator's storage
-  format is the cost model's verdict whatever a clock reports.
+  oracle (bit for bit wherever both run the same summation order), and the
+  plan cache is fingerprint-keyed.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 
 import numpy as np
@@ -30,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import Workspace, available_backends, get_backend, halfvec, use_backend
-from repro.matgen import get_matrix, hpcg_operator, poisson2d
+from repro.matgen import hpcg_operator
 from repro.operators import AssembledOperator, as_operator
 from repro.perf import TrafficCounter, counting
 from repro.plans import (
@@ -40,10 +38,9 @@ from repro.plans import (
     plan_cache_stats,
     plan_for,
 )
-from repro.precision import BYTES_PER_INDEX, Precision
-from repro.sparse import CSRMatrix, SlicedEllMatrix
+from repro.precision import Precision
+from repro.sparse import CSRMatrix
 from repro.sparse import vectorops as vo
-from repro.sparse.ell import padded_entry_count
 
 pytestmark = pytest.mark.tier1
 
@@ -390,17 +387,13 @@ class TestSolvePlan:
         stats = plan_cache_stats()
         assert stats["hits"] >= 1 and stats["cached"] >= 1
 
-    def test_plan_cache_keys_storage_config(self, poisson_matrix):
-        # same matrix content, different storage pins: distinct plans (the
-        # content fingerprint alone does not cover format=/chunk_size=)
+    def test_bare_and_wrapped_csr_share_a_plan(self, poisson_matrix):
+        # one storage per content: the bare matrix and its wrapper key alike
         clear_plan_cache()
         with use_backend("fast"):
-            p_csr = plan_for(AssembledOperator(poisson_matrix, format="csr"),
-                             Precision.FP64)
-            p_ell = plan_for(AssembledOperator(poisson_matrix, format="ell"),
-                             Precision.FP64)
-        assert p_csr is not p_ell
-        assert p_csr.kind == "csr" and p_ell.kind == "ell"
+            p_bare = plan_for(poisson_matrix, Precision.FP64)
+            p_wrapped = plan_for(AssembledOperator(poisson_matrix), Precision.FP64)
+        assert p_bare is p_wrapped and p_bare.kind == "csr"
 
     def test_planned_richardson_bitwise_equals_reference(self, poisson_matrix):
         # the fp16 R level runs every plan kernel of the sweep — fused
@@ -460,78 +453,3 @@ class TestSolvePlan:
                 for block, (start, stop) in zip(pre._blocks,
                                                 pre.partition.blocks())])
         assert_bit_equal(fused, looped)
-
-
-# ---------------------------------------------------------------------- #
-# The storage format: the cost model's verdict, never the clock's
-# ---------------------------------------------------------------------- #
-def _byte_verdict(matrix, chunk_size: int) -> str:
-    """Section 4.1's per-row comparison for an fp16 matrix: CSR reads each
-    entry's value and column index plus one row-pointer word, sliced ELL
-    reads its padded entries."""
-    entry = Precision.FP16.bytes + BYTES_PER_INDEX
-    csr_bytes = matrix.nnz_per_row * entry + BYTES_PER_INDEX
-    ell_bytes = (padded_entry_count(matrix.row_nnz(), chunk_size)
-                 / matrix.nrows * entry)
-    return "ell" if ell_bytes < csr_bytes else "csr"
-
-
-class TestFormatIgnoresTheClock:
-    """The format of an assembled operator is a pure function of (matrix,
-    engine, precision, chunk size): a clock that reports either format as
-    the faster one changes nothing."""
-
-    #: fp16 operators of at least 4,096 rows
-    MATRICES = {
-        "poisson2d-70": lambda: poisson2d(70),
-        "atmosmodd-medium": lambda: get_matrix("atmosmodd", "medium"),
-        "G3_circuit-medium": lambda: get_matrix("G3_circuit", "medium"),
-    }
-
-    @staticmethod
-    def _rig_clock(monkeypatch, ell_faster: bool) -> None:
-        """``time.perf_counter`` advances only inside the engines' CSR and
-        sliced-ELL products, by 1 ms for the format the test calls faster
-        and by 1 s for the other."""
-        now = [0.0]
-        cost = {"spmv_ell": 1e-3 if ell_faster else 1.0,
-                "spmv_csr": 1.0 if ell_faster else 1e-3}
-        monkeypatch.setattr(time, "perf_counter", lambda: now[0])
-        for engine in BACKENDS:
-            backend = get_backend(engine)
-            for name, seconds in cost.items():
-                kernel = getattr(backend, name)
-
-                def timed(*args, _kernel=kernel, _seconds=seconds, **kwargs):
-                    now[0] += _seconds
-                    return _kernel(*args, **kwargs)
-
-                monkeypatch.setattr(backend, name, timed)
-
-    @pytest.mark.parametrize("ell_faster", [True, False],
-                             ids=["ell-faster", "ell-slower"])
-    @pytest.mark.parametrize("chunk_size", [8, 32])
-    @pytest.mark.parametrize("name", list(MATRICES))
-    def test_format_is_the_byte_comparisons_verdict(self, monkeypatch, name,
-                                                    chunk_size, ell_faster):
-        matrix = self.MATRICES[name]()
-        assert matrix.nrows >= 4096
-        verdict = _byte_verdict(matrix, chunk_size)
-        self._rig_clock(monkeypatch, ell_faster)
-        kinds = {}
-        for engine in BACKENDS:
-            op = AssembledOperator(matrix.astype(Precision.FP16),
-                                   chunk_size=chunk_size)
-            backend = get_backend(engine)
-            storage = op.storage_for(backend)
-            assert isinstance(storage, SlicedEllMatrix if verdict == "ell"
-                              else CSRMatrix), engine
-            kinds[engine] = compile_plan(op, Precision.FP32, backend=backend).kind
-        assert kinds == {engine: verdict for engine in BACKENDS}
-
-    @pytest.mark.parametrize("chunk_size", [8, 32])
-    def test_the_matrices_cover_both_verdicts(self, chunk_size):
-        verdicts = {name: _byte_verdict(build(), chunk_size)
-                    for name, build in self.MATRICES.items()}
-        assert verdicts == {"poisson2d-70": "ell", "atmosmodd-medium": "ell",
-                            "G3_circuit-medium": "csr"}

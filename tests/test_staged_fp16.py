@@ -1,6 +1,6 @@
 """Staged fp16 kernels: bit for bit against the ``reference`` oracle.
 
-The fast engine runs its fp16 SpMV/SpMM (CSR and sliced ELL) and its
+The fast engine runs its fp16 CSR SpMV/SpMM and its
 wide-level triangular solves through float32 (:mod:`repro.backends.halfvec`):
 products rounded to fp16 on the fp32 grid by the fixed-cost quantizer, fp32
 row sums rounded once, and — for factors past the
@@ -26,7 +26,7 @@ from repro.backends import available_backends, get_backend, halfvec, use_backend
 from repro.backends.fast import STAGED_LEVEL_GATHERS
 from repro.matgen import get_matrix
 from repro.precision import Precision
-from repro.sparse import CSRMatrix, SlicedEllMatrix, TriangularFactor, diagonal_scaling
+from repro.sparse import CSRMatrix, TriangularFactor, diagonal_scaling
 
 pytestmark = pytest.mark.tier1
 
@@ -200,22 +200,6 @@ class TestStagedProducts:
         ref, fast = _both(lambda: (matrix16.matvec(x), matrix16.matmat(xb)))
         assert_bit_equal(ref[0], fast[0])
         assert_bit_equal(ref[1], fast[1])
-
-    @pytest.mark.parametrize("chunk", [8, 32])
-    @pytest.mark.parametrize("kind", INPUTS)
-    def test_ell(self, matrix16, kind, chunk):
-        ell = SlicedEllMatrix(matrix16, chunk_size=chunk)
-        x = _vector(kind, matrix16.ncols, 30)
-        xb = _block(kind, matrix16.ncols, 40)
-        ref, fast = _both(lambda: (ell.matvec(x), ell.matmat(xb)))
-        assert_bit_equal(ref[0], fast[0])
-        assert_bit_equal(ref[1], fast[1])
-        if kind in ("subnormal", "overflow"):
-            # the oracle does not depend on the storage format, up to the
-            # sign of zero: ELL padding adds 0·x = ±0 terms (and 0·NaN = NaN,
-            # hence finite inputs only)
-            csr_ref, _ = _both(lambda: matrix16.matvec(x))
-            np.testing.assert_array_equal(ref[0], csr_ref)
 
 
 # ---------------------------------------------------------------------- #

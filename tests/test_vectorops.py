@@ -1,70 +1,13 @@
-"""Tests for the sliced-ELLPACK format and the instrumented vector kernels."""
+"""Tests for the instrumented vector kernels."""
 
 import numpy as np
 import pytest
 
 from repro.perf import TrafficCounter, counting
 from repro.precision import Precision
-from repro.sparse import CSRMatrix, SlicedEllMatrix
 from repro.sparse import vectorops as vo
 
 pytestmark = pytest.mark.tier1
-
-
-class TestSlicedEll:
-    def test_matvec_matches_csr(self, spd_matrix, rng):
-        ell = SlicedEllMatrix(spd_matrix, chunk_size=32)
-        x = rng.standard_normal(spd_matrix.ncols)
-        assert np.allclose(ell.matvec(x), spd_matrix.matvec(x), rtol=1e-12)
-
-    def test_matvec_matches_csr_nonsymmetric(self, nonsym_matrix, rng):
-        ell = SlicedEllMatrix(nonsym_matrix, chunk_size=16)
-        x = rng.standard_normal(nonsym_matrix.ncols)
-        assert np.allclose(ell.matvec(x), nonsym_matrix.matvec(x), rtol=1e-12)
-
-    def test_chunk_size_one(self, dd_matrix, rng):
-        ell = SlicedEllMatrix(dd_matrix, chunk_size=1)
-        x = rng.standard_normal(dd_matrix.ncols)
-        assert np.allclose(ell.matvec(x), dd_matrix.matvec(x))
-
-    def test_padding_ratio_at_least_one(self, dd_matrix):
-        ell = SlicedEllMatrix(dd_matrix, chunk_size=32)
-        assert ell.padding_ratio >= 1.0
-        assert ell.nnz >= ell.source_nnz
-
-    def test_uniform_rows_have_no_padding(self):
-        # a matrix whose rows all have the same nnz pads nothing
-        dense = np.eye(8) * 2 + np.eye(8, k=1) + np.eye(8, k=-1)
-        dense[0, -1] = 1.0
-        dense[-1, 0] = 1.0
-        csr = CSRMatrix.from_dense(dense)
-        ell = SlicedEllMatrix(csr, chunk_size=4)
-        assert ell.padding_ratio == pytest.approx(1.0)
-
-    def test_astype_changes_value_dtype_only(self, spd_matrix):
-        ell = SlicedEllMatrix(spd_matrix, chunk_size=32).astype("fp16")
-        assert ell.precision is Precision.FP16
-        assert ell.indices.dtype == np.int32
-
-    def test_invalid_chunk_size(self, spd_matrix):
-        with pytest.raises(ValueError):
-            SlicedEllMatrix(spd_matrix, chunk_size=0)
-
-    def test_dimension_mismatch(self, spd_matrix):
-        ell = SlicedEllMatrix(spd_matrix)
-        with pytest.raises(ValueError):
-            ell.matvec(np.ones(spd_matrix.ncols + 3))
-
-    def test_traffic_includes_padding(self, dd_matrix):
-        ell = SlicedEllMatrix(dd_matrix, chunk_size=32)
-        with counting() as c_ell:
-            ell.matvec(np.ones(dd_matrix.ncols))
-        with counting() as c_csr:
-            dd_matrix.matvec(np.ones(dd_matrix.ncols))
-        assert c_ell.total_value_bytes >= c_csr.total_value_bytes
-
-    def test_memory_bytes_positive(self, spd_matrix):
-        assert SlicedEllMatrix(spd_matrix).memory_bytes() > 0
 
 
 class TestVectorOps:

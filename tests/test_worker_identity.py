@@ -45,7 +45,6 @@ from repro.precision import LevelPrecision, Precision
 from repro.precond import BlockJacobiILU0
 from repro.serve import BatchDispatcher
 from repro.solvers import RichardsonLevel
-from repro.sparse import SlicedEllMatrix
 from repro.sparse.triangular import TriangularFactor, fuse_block_diagonal
 
 pytestmark = pytest.mark.tier1
@@ -141,15 +140,6 @@ class TestKernelWorkerIdentity:
 
     @pytest.mark.parametrize("precision", PRECISIONS)
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_ell_spmv_spmm(self, rng, engine, precision):
-        ell = SlicedEllMatrix(poisson2d(40), chunk_size=32).astype(precision)
-        x = rng.uniform(-1, 1, ell.ncols).astype(ell.values.dtype)
-        xb = rng.uniform(-1, 1, (ell.ncols, 3)).astype(ell.values.dtype)
-        _check(engine, lambda: (ell.matvec(x), ell.matmat(xb)),
-               precision=precision)
-
-    @pytest.mark.parametrize("precision", PRECISIONS)
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_stencil_separable_sweep(self, rng, engine, precision):
         op = hpcg_operator(10).astype(precision)      # box-separable 27-point
         assert op.box_separable() is not None
@@ -218,14 +208,13 @@ class TestKernelWorkerIdentity:
 
     @pytest.mark.skipif("native" not in ENGINES,
                         reason="the native engine does not build on this host")
-    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     @pytest.mark.parametrize("mat,vec", [("fp16", "fp32"), ("fp32", "fp32"),
                                          ("fp64", "fp64")])
-    def test_compiled_products_on_one_shared_plan(self, rng, fmt, mat, vec):
+    def test_compiled_products_on_one_shared_plan(self, rng, mat, vec):
         """``native``'s fp16-stored x fp32, fp32 and fp64 products and fused
         residuals on one plan shared by four threads: every thread's bits
         are the caller's, and ``fast``'s."""
-        op = AssembledOperator(poisson2d(40), format=fmt).astype(Precision(mat))
+        op = AssembledOperator(poisson2d(40)).astype(Precision(mat))
         dtype = DTYPES[vec]
         x = rng.uniform(-1, 1, op.ncols).astype(dtype)
         v = rng.uniform(-1, 1, op.nrows).astype(dtype)
@@ -233,7 +222,7 @@ class TestKernelWorkerIdentity:
         vb = rng.uniform(-1, 1, (op.nrows, 3)).astype(dtype)
         plans = {engine: plan_for(op, Precision(vec), backend=get_backend(engine))
                  for engine in ("native", "fast")}
-        assert plans["native"].kind == fmt
+        assert plans["native"].kind == "csr"
 
         def run(plan):
             return (plan.apply(x), plan.apply(xb), plan.residual(v, x),
@@ -279,7 +268,6 @@ class TestCounterParity:
     def test_kernel_counters_match_across_engines_and_threads(self, rng,
                                                               precision):
         matrix = poisson2d(32).astype(precision)
-        ell = SlicedEllMatrix(poisson2d(32)).astype(precision)
         op = hpcg_operator(8).astype(precision)
         lower, _ = get_backend("reference").ilu0_factor(hpgmp_matrix(6))
         factor = TriangularFactor(lower, lower=True, unit_diagonal=True)
@@ -292,7 +280,6 @@ class TestCounterParity:
             with counting() as counter:
                 matrix.matvec(x)
                 matrix.matmat(xb)
-                ell.matvec(x)
                 op.apply(xs)
                 factor.solve(b)
                 get_backend().residual_update(x.copy(), x)

@@ -70,6 +70,13 @@ no module under ``operators/``, ``plans/`` or ``backends/`` calls
 format and the kernel it runs are a pure function of the operator, the
 engine and the precision, so a solve's bits never depend on a timing run.
 
+It keeps one assembled storage format (:data:`FORMAT_LIMITS`): an assembled
+operator stores and applies CSR on every engine, so sliced ELL
+(``SlicedEllMatrix``, the engines' ``spmv_ell`` and ``native.c``'s
+``spmv_ell_*`` / ``ell_sums_*``), the engine hook
+``preferred_assembled_format`` and a ``format=`` / ``chunk_size=`` option
+of ``AssembledOperator`` or ``as_operator`` may not appear in ``src/repro/``.
+
 And it keeps compiled code in one place and tested (:data:`NATIVE_LIMITS`):
 no module but ``backends/native.py`` may import ``ctypes``, and every symbol
 in that module's ``_SIGNATURES`` table — each compiled kernel of every
@@ -112,8 +119,7 @@ REQUIRED_MODULES = (
     "test_batched_solves*.py",         # batched multi-RHS engine (PR 2)
     "test_operators*.py",              # operator layer: equivalence + e2e (PR 3)
     "test_plans*.py",                  # solve plans: fused parity, staged fp16,
-                                       # allocation regression (PR 4), the
-                                       # format ignores the clock
+                                       # allocation regression (PR 4)
     "test_plans_alloc*.py",            # per-thread arenas: no steady-state
                                        # allocation, and one plan / solver /
                                        # factor hammered from four threads
@@ -224,6 +230,23 @@ CLOCK_LIMITS = {
 
 #: the one module that may load compiled code (the native engine)
 NATIVE_HOME = SRC_DIR / "repro" / "backends" / "native.py"
+#: the native engine's C source
+NATIVE_SOURCE = NATIVE_HOME.with_suffix(".c")
+#: one assembled storage format: none of these may match in src/repro/ (its
+#: Python modules and the native engine's C source)
+FORMAT_LIMITS = {
+    "SlicedEllMatrix": (re.compile(r"\bSlicedEll\w*"), 0),
+    "spmv_ell / ell_sums": (re.compile(r"\b(?:spmv_ell|ell_sums)\w*"), 0),
+    "preferred_assembled_format": (
+        re.compile(r"\bpreferred_assembled_format\b"), 0),
+    "AssembledOperator(..., format= / chunk_size=)": (
+        re.compile(r"\bAssembledOperator\([^)]*\b(?:format|chunk_size)\s*="), 0),
+    "def as_operator(..., format)": (
+        re.compile(r"\bdef as_operator\([^)]*\bformat\b"), 0),
+    "format / chunk_size parameter in operators/assembled.py": (
+        re.compile(r"\b(?:format|chunk_size)\s*(?::[^=,)]*)?="), 0,
+        SRC_DIR / "repro" / "operators" / "assembled.py"),
+}
 #: no module but NATIVE_HOME may import ctypes
 NATIVE_LIMITS = {
     "import ctypes": (re.compile(r"^\s*(?:import|from)\s+ctypes\b",
@@ -445,6 +468,13 @@ def main() -> int:
                        "a kernel (the cost model decides, so a solve's bits "
                        "never depend on a timing run; see CLOCK_LIMITS):")
         status = 1
+    excess = limit_excess(src_modules + [NATIVE_SOURCE], FORMAT_LIMITS)
+    if excess:
+        _report_excess(excess, FORMAT_LIMITS,
+                       "lint-tests: src/repro/ brings back a second assembled "
+                       "storage format (every assembled product runs CSR; see "
+                       "FORMAT_LIMITS):")
+        status = 1
     excess = limit_excess([path for path in src_modules if path != NATIVE_HOME],
                           NATIVE_LIMITS)
     if excess:
@@ -480,7 +510,7 @@ def main() -> int:
               f"engine's kernel in its level loops; one kernel per "
               f"operation in src/, recorded as one cached record; one "
               f"multi-process transport; no clock in format or kernel "
-              f"choice; fp16 "
+              f"choice; one assembled storage format; fp16 "
               f"staging only in the engines; ctypes only in "
               f"backends/native.py; {len(symbols)} compiled symbols named by "
               f"tests)")
